@@ -95,38 +95,39 @@ pub fn gemv_t(a: &Matrix, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// Rows per partial sum of [`par_gemv_t`].  A constant rather than a share
+/// of the pool: the chunk borders fix the floating-point sum order, so they
+/// must depend on `nrows` alone for the product to be the same bits at
+/// every thread count.
+const GEMV_T_ROWS_PER_CHUNK: usize = 256;
+
 /// Dense transposed matrix-vector product `y = Aᵀ x` with rayon.
 ///
-/// Each thread accumulates a private `ncols`-length buffer over a chunk of
-/// rows; buffers are then reduced.  This mirrors how the paper's distributed
-/// `MTxV` computes local partial results followed by an all-to-all reduction.
+/// Every `GEMV_T_ROWS_PER_CHUNK` (256) rows accumulate a private `ncols`-length
+/// partial in parallel; the partials are then summed sequentially in chunk
+/// order, so the result does not depend on the pool width.  This mirrors how
+/// the paper's distributed `MTxV` computes local partial results followed by
+/// an all-to-all reduction.
 pub fn par_gemv_t(a: &Matrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.nrows());
     assert_eq!(y.len(), a.ncols());
-    let ncols = a.ncols();
-    if a.nrows() == 0 {
-        y.iter_mut().for_each(|v| *v = 0.0);
-        return;
-    }
-    let chunk = (a.nrows() / rayon::current_num_threads().max(1)).max(64);
-    let acc = (0..a.nrows())
+    let nrows = a.nrows();
+    let partials: Vec<Vec<f64>> = (0..nrows.div_ceil(GEMV_T_ROWS_PER_CHUNK))
         .into_par_iter()
-        .chunks(chunk)
-        .map(|rows| {
-            let mut local = vec![0.0; ncols];
-            for i in rows {
+        .map(|c| {
+            let lo = c * GEMV_T_ROWS_PER_CHUNK;
+            let hi = (lo + GEMV_T_ROWS_PER_CHUNK).min(nrows);
+            let mut local = vec![0.0; a.ncols()];
+            for i in lo..hi {
                 axpy(x[i], a.row(i), &mut local);
             }
             local
         })
-        .reduce(
-            || vec![0.0; ncols],
-            |mut a, b| {
-                axpy(1.0, &b, &mut a);
-                a
-            },
-        );
-    y.copy_from_slice(&acc);
+        .collect();
+    y.iter_mut().for_each(|v| *v = 0.0);
+    for partial in &partials {
+        axpy(1.0, partial, y);
+    }
 }
 
 /// Dense matrix-matrix product `C = A B` (sequential, ikj loop order).
@@ -299,6 +300,31 @@ mod tests {
         let mut y = vec![1.0; 4];
         par_gemv_t(&a, &x, &mut y);
         assert_eq!(y, vec![0.0; 4]);
+    }
+
+    #[test]
+    fn par_gemv_t_bits_do_not_depend_on_pool_width() {
+        for nrows in [0usize, 1, 63, 64, 65, 1000, 10_007] {
+            let a = Matrix::random(nrows, 13, nrows as u64 + 1);
+            let x: Vec<f64> = (0..nrows).map(|i| (i % 11) as f64 * 0.37 - 1.9).collect();
+            let product_at = |threads: usize| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let mut y = vec![f64::NAN; 13];
+                pool.install(|| par_gemv_t(&a, &x, &mut y));
+                y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+            };
+            let reference = product_at(1);
+            for threads in [2, 3, 4, 8] {
+                assert_eq!(
+                    product_at(threads),
+                    reference,
+                    "nrows={nrows} threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]

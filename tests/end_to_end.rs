@@ -124,6 +124,17 @@ fn solver_session_serves_a_batch_across_the_whole_pipeline() {
         assert_eq!(result.fits, one_shot.fits, "ranks {:?}", config.ranks);
         assert_eq!(result.factors, one_shot.factors);
     }
+    // The pool width is not an input of the decomposition.
+    for threads in [2, 3, 4] {
+        let wide = TuckerSolver::plan(&tensor, PlanOptions::new().num_threads(threads))
+            .unwrap()
+            .solve_many(&configs)
+            .unwrap();
+        for (result, reference) in wide.iter().zip(batch.iter()) {
+            assert_eq!(result.fits, reference.fits, "{threads} threads");
+            assert_eq!(result.factors, reference.factors, "{threads} threads");
+        }
+    }
     // Larger ranks explain at least as much of the tensor.
     assert!(batch[2].final_fit() >= batch[0].final_fit() - 1e-9);
     // Only the first solve of the session pays the symbolic cost.
