@@ -6,10 +6,10 @@
 //! of rank sizes that includes non-multiple-of-4 lengths (5, 7, 9, 15, 31),
 //! so the remainder handling is measured, not just the full-lane bodies.
 //! Every `(kernel, rank)` cell runs once per *explicitly forced* ISA tier
-//! ([`KernelIsa::Scalar`], [`KernelIsa::Avx2`], [`KernelIsa::Fma`] — tiers
-//! the host lacks are skipped), bypassing both the `TUCKER_KERNEL`
-//! environment override and the hardware auto-detection so the numbers
-//! compare kernels, not dispatch policy.
+//! ([`KernelIsa::Scalar`], [`KernelIsa::Avx2`] — skipped on a host without
+//! it), bypassing both the `TUCKER_KERNEL` environment override and the
+//! hardware auto-detection so the numbers compare kernels, not dispatch
+//! policy.
 //!
 //! Before timing, every AVX2 cell is checked **bitwise** against its scalar
 //! twin on identical inputs — the default-tier contract (vector lanes
@@ -50,7 +50,7 @@ const GATE_MIN_RANK: usize = 8;
 const TARGET_SECONDS: f64 = 0.01;
 
 /// Timing repetitions per cell.  The ISAs are measured **interleaved** —
-/// scalar, avx2, fma, scalar, … — and each ISA reports its minimum, so
+/// scalar, avx2, scalar, … — and each ISA reports its minimum, so
 /// slow frequency drift (turbo decay, hypervisor steal on a shared vCPU)
 /// hits every tier equally instead of flattering whichever ran first.
 const REPEATS: usize = 5;
@@ -180,7 +180,7 @@ fn assert_bitwise_matches_scalar(case: &Case, isa: KernelIsa) {
 
 /// Measures one kernel at every ISA, interleaved: calibrates an iteration
 /// count that runs for [`TARGET_SECONDS`] (on the scalar tier, so every
-/// tier runs the same batch), then cycles scalar → avx2 → fma for
+/// tier runs the same batch), then cycles scalar → avx2 for
 /// [`REPEATS`] rounds and reports each tier's minimum in nanoseconds per
 /// call, in the same order as `isas`.  `call` is a monomorphized closure —
 /// the timing loop contains the kernel's real dispatch (the per-call ISA
@@ -342,11 +342,8 @@ fn main() {
     if simd::avx2_available() {
         isas.push(KernelIsa::Avx2);
     }
-    if simd::fma_available() {
-        isas.push(KernelIsa::Fma);
-    }
     print_header(
-        "SIMD kernel microbenchmarks: forced scalar vs AVX2 vs FMA",
+        "SIMD kernel microbenchmarks: forced scalar vs AVX2",
         &format!(
             "ranks {RANKS:?}, single thread, {host_cpus} host CPU(s), \
              tiers available here: {}",

@@ -56,7 +56,7 @@ struct Cell {
     /// `auto`, which the plan-time cost model resolves per tensor).
     resolved: &'static str,
     /// The concrete SIMD kernel tier the session resolved at plan time
-    /// (`scalar`/`avx2`/`fma`; depends on the host and `TUCKER_KERNEL`).
+    /// (`scalar`/`avx2`; depends on the host and `TUCKER_KERNEL`).
     isa: &'static str,
     threads: usize,
     flops_per_iter: u64,

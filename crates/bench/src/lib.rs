@@ -5,8 +5,6 @@
 //! DESIGN.md and EXPERIMENTS.md), and the design choices called out in
 //! DESIGN.md have Criterion ablation benches under `benches/`.
 
-pub mod scheduling;
-
 use datagen::{DatasetProfile, ProfileName};
 use distsim::{DistributedSetup, Grain, MachineModel, PartitionMethod, SimConfig};
 use hooi::{IndexLayout, PlanOptions, TtmcStrategy, TuckerConfig, TuckerSolver};

@@ -74,7 +74,7 @@
 
 use crate::comm::{
     channel_transports, channel_world, tcp_transports, CommBackend, CommCounters, CommDeadline,
-    CommError, Communicator, Endpoint, Message, Phase, Tag,
+    CommError, Communicator, Endpoint, Message, Phase, Tag, Transport,
 };
 use crate::fault::{FaultPlan, FaultProbe};
 use crate::setup::{DistributedSetup, Grain};
@@ -1205,13 +1205,34 @@ fn representative_failure(outcomes: &[RankOutcome]) -> Option<&RankFailure> {
 // Public entry points
 // ---------------------------------------------------------------------------
 
-/// Validates inputs and builds the shared symbolic context; the common
-/// front half of [`execute_hooi`] and [`execute_hooi_chaos`].
-fn validate(
+/// Wraps a world of transports with the fault plan, gives every endpoint the
+/// run's deadline, and executes all ranks on it.
+fn run_on_transports<T: Transport>(
+    transports: Vec<T>,
+    ctx: &ExecContext<'_>,
+    options: &ExecOptions,
+    plan: &FaultPlan,
+    probe: &FaultProbe,
+) -> Vec<RankOutcome> {
+    let world: Vec<_> = plan
+        .wrap(transports, probe)
+        .into_iter()
+        .map(|t| Endpoint::with_deadline(t, options.deadline))
+        .collect();
+    run_world(world, ctx)
+}
+
+/// The one executor body behind [`execute_hooi`] and [`execute_hooi_chaos`]:
+/// validate, build the communication plan and the world, run every rank
+/// under `plan`, and fold the rank outcomes into a [`ChaosRun`] plus the
+/// root's in-protocol allreduce digest (expand, fold float words).
+fn execute(
     tensor: &SparseTensor,
     setup: &DistributedSetup,
     config: &TuckerConfig,
-) -> Result<Vec<usize>, TuckerError> {
+    options: &ExecOptions,
+    plan: &FaultPlan,
+) -> Result<(ChaosRun, [f64; 2]), TuckerError> {
     if tensor.order() == 0 || tensor.nnz() == 0 {
         return Err(TuckerError::EmptyTensor);
     }
@@ -1221,38 +1242,61 @@ fn validate(
         tensor.dims(),
         "setup was built for a different tensor"
     );
-    Ok(ranks)
-}
-
-fn run_on_backend(
-    ctx: &ExecContext<'_>,
-    p: usize,
-    options: &ExecOptions,
-    plan: &FaultPlan,
-    probe: &FaultProbe,
-) -> Result<Vec<RankOutcome>, TuckerError> {
-    let deadline = options.deadline;
-    Ok(match options.backend {
+    let p = setup.config.num_ranks;
+    let t0 = Instant::now();
+    let global_sym = SymbolicTtmc::build(tensor);
+    let exec_plan = ExecPlan::build(tensor, setup, &global_sym);
+    let ctx = ExecContext {
+        tensor,
+        setup,
+        plan: &exec_plan,
+        global_sym: &global_sym,
+        config,
+        ranks: &ranks,
+        rank_threads: options.rank_threads,
+    };
+    let probe = FaultProbe::new();
+    let outcomes = match options.backend {
         CommBackend::Channel => {
-            let world: Vec<_> = plan
-                .wrap(channel_transports(p), probe)
-                .into_iter()
-                .map(|t| Endpoint::with_deadline(t, deadline))
-                .collect();
-            run_world(world, ctx)
+            run_on_transports(channel_transports(p), &ctx, options, plan, &probe)
         }
         CommBackend::Tcp => {
-            let transports = tcp_transports(p, &deadline).map_err(|e| {
+            let transports = tcp_transports(p, &options.deadline).map_err(|e| {
                 TuckerError::PoolFailure(format!("loopback TCP backend unavailable: {e}"))
             })?;
-            let world: Vec<_> = plan
-                .wrap(transports, probe)
-                .into_iter()
-                .map(|t| Endpoint::with_deadline(t, deadline))
-                .collect();
-            run_world(world, ctx)
+            run_on_transports(transports, &ctx, options, plan, &probe)
         }
-    })
+    };
+    let wall = t0.elapsed();
+
+    let representative = representative_failure(&outcomes).map(RankFailure::to_tucker_error);
+    let rank_errors: Vec<Option<TuckerError>> = outcomes
+        .iter()
+        .map(|o| o.failure.as_ref().map(RankFailure::to_tucker_error))
+        .collect();
+    let mut decomposition = None;
+    let mut cluster_words = [0.0; 2];
+    let mut comm = Vec::with_capacity(p);
+    for (r, o) in outcomes.into_iter().enumerate() {
+        if r == ROOT {
+            decomposition = o.decomposition;
+            cluster_words = o.cluster_words;
+        }
+        comm.push(o.counters);
+    }
+    let outcome = match representative {
+        Some(e) => Err(e),
+        None => Ok(decomposition.expect("root returns the decomposition")),
+    };
+    let run = ChaosRun {
+        outcome,
+        rank_errors,
+        comm,
+        faults_fired: probe.fired(),
+        backend: options.backend,
+        wall,
+    };
+    Ok((run, cluster_words))
 }
 
 /// Runs the distributed HOOI executor and returns the decomposition
@@ -1275,43 +1319,14 @@ pub fn execute_hooi(
     config: &TuckerConfig,
     options: &ExecOptions,
 ) -> Result<DistributedRun, TuckerError> {
-    let ranks = validate(tensor, setup, config)?;
-    let p = setup.config.num_ranks;
-    let t0 = Instant::now();
-    let global_sym = SymbolicTtmc::build(tensor);
-    let plan = ExecPlan::build(tensor, setup, &global_sym);
-    let ctx = ExecContext {
-        tensor,
-        setup,
-        plan: &plan,
-        global_sym: &global_sym,
-        config,
-        ranks: &ranks,
-        rank_threads: options.rank_threads,
-    };
-    let outcomes = run_on_backend(&ctx, p, options, &FaultPlan::empty(), &FaultProbe::new())?;
-    let wall = t0.elapsed();
-
-    if let Some(f) = representative_failure(&outcomes) {
-        return Err(f.to_tucker_error());
-    }
-    let mut decomposition = None;
-    let mut comm = Vec::with_capacity(p);
-    let mut cluster = [0.0; 2];
-    for (r, outcome) in outcomes.into_iter().enumerate() {
-        if r == ROOT {
-            decomposition = outcome.decomposition;
-            cluster = outcome.cluster_words;
-        }
-        comm.push(outcome.counters);
-    }
+    let (run, cluster_words) = execute(tensor, setup, config, options, &FaultPlan::empty())?;
     Ok(DistributedRun {
-        decomposition: decomposition.expect("root returns the decomposition"),
-        comm,
-        cluster_expand_floats: cluster[0],
-        cluster_fold_floats: cluster[1],
-        backend: options.backend,
-        wall,
+        decomposition: run.outcome?,
+        comm: run.comm,
+        cluster_expand_floats: cluster_words[0],
+        cluster_fold_floats: cluster_words[1],
+        backend: run.backend,
+        wall: run.wall,
     })
 }
 
@@ -1329,49 +1344,7 @@ pub fn execute_hooi_chaos(
     options: &ExecOptions,
     plan: &FaultPlan,
 ) -> Result<ChaosRun, TuckerError> {
-    let ranks = validate(tensor, setup, config)?;
-    let p = setup.config.num_ranks;
-    let t0 = Instant::now();
-    let global_sym = SymbolicTtmc::build(tensor);
-    let exec_plan = ExecPlan::build(tensor, setup, &global_sym);
-    let ctx = ExecContext {
-        tensor,
-        setup,
-        plan: &exec_plan,
-        global_sym: &global_sym,
-        config,
-        ranks: &ranks,
-        rank_threads: options.rank_threads,
-    };
-    let probe = FaultProbe::new();
-    let outcomes = run_on_backend(&ctx, p, options, plan, &probe)?;
-    let wall = t0.elapsed();
-
-    let representative = representative_failure(&outcomes).map(RankFailure::to_tucker_error);
-    let rank_errors: Vec<Option<TuckerError>> = outcomes
-        .iter()
-        .map(|o| o.failure.as_ref().map(RankFailure::to_tucker_error))
-        .collect();
-    let mut decomposition = None;
-    let mut comm = Vec::with_capacity(p);
-    for (r, o) in outcomes.into_iter().enumerate() {
-        if r == ROOT {
-            decomposition = o.decomposition;
-        }
-        comm.push(o.counters);
-    }
-    let outcome = match representative {
-        Some(e) => Err(e),
-        None => Ok(decomposition.expect("root returns the decomposition")),
-    };
-    Ok(ChaosRun {
-        outcome,
-        rank_errors,
-        comm,
-        faults_fired: probe.fired(),
-        backend: options.backend,
-        wall,
-    })
+    execute(tensor, setup, config, options, plan).map(|(run, _)| run)
 }
 
 /// Runs the distributed HOOI executor on the default (channel) backend and

@@ -1,7 +1,6 @@
 //! Configuration of the HOOI solver.
 
 use crate::error::TuckerError;
-use linalg::simd::KernelIsa;
 
 /// How the factor matrices are initialized before the first HOOI iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,39 +135,6 @@ pub struct TuckerConfig {
     pub trsvd: TrsvdBackend,
     /// RNG seed (initialization and iterative TRSVD starting vectors).
     pub seed: u64,
-    /// Number of worker threads for the parallel TTMc/TRSVD/HOOI sweep;
-    /// `0` (the default) uses every available hardware thread.  The one-shot
-    /// [`crate::tucker_hooi`] entry builds one scoped thread pool from this
-    /// value and runs the whole pipeline inside it, so `num_threads = 1`
-    /// executes the identical code path fully sequentially — the
-    /// configuration the paper's thread-scalability experiments (Table V)
-    /// sweep.  A planned [`crate::TuckerSolver`] owns its pool instead (see
-    /// [`crate::PlanOptions::num_threads`]); this field is ignored by
-    /// `solve` so one plan serves any number of configurations.
-    pub num_threads: usize,
-    /// How the TTMc sweep is computed by the one-shot entry points
-    /// ([`crate::tucker_hooi`], [`crate::tucker_hooi_in_current_pool`]);
-    /// defaults to [`TtmcStrategy::Auto`].  A planned
-    /// [`crate::TuckerSolver`] fixes the strategy at plan time instead (see
-    /// [`crate::PlanOptions::ttmc_strategy`]) and ignores this field.
-    pub ttmc_strategy: TtmcStrategy,
-    /// Which per-mode index layout a per-mode TTMc plan streams; defaults
-    /// to [`IndexLayout::Auto`].  Like the strategy, a planned
-    /// [`crate::TuckerSolver`] fixes this at plan time (see
-    /// [`crate::PlanOptions::index_layout`]) and ignores this field during
-    /// solves.  Dimension-tree plans ignore it entirely.
-    pub index_layout: IndexLayout,
-    /// Which SIMD kernel tier the numeric TTMc and Kronecker-accumulate
-    /// kernels run at; defaults to [`KernelIsa::Auto`] (the widest tier
-    /// whose results are bit-identical to scalar — AVX2 where available).
-    /// [`KernelIsa::Fma`] must be requested explicitly because fused
-    /// multiply-adds round differently from scalar.  Consulted by the
-    /// one-shot entry points; a planned [`crate::TuckerSolver`] fixes the
-    /// resolved ISA at plan time instead (see
-    /// [`crate::PlanOptions::kernel_isa`]) and ignores this field during
-    /// solves.  The `TUCKER_KERNEL` environment variable overrides
-    /// everything (see [`KernelIsa::resolve`]).
-    pub kernel_isa: KernelIsa,
 }
 
 impl TuckerConfig {
@@ -188,10 +154,6 @@ impl TuckerConfig {
             initialization: Initialization::Random,
             trsvd: TrsvdBackend::Lanczos,
             seed: 0x7c4a_u64 ^ 0x00c0_ffee,
-            num_threads: 0,
-            ttmc_strategy: TtmcStrategy::default(),
-            index_layout: IndexLayout::default(),
-            kernel_isa: KernelIsa::default(),
         }
     }
 
@@ -227,34 +189,6 @@ impl TuckerConfig {
     /// Builder-style setter for the seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style setter for the worker thread count (`0` = all
-    /// available hardware threads).
-    pub fn num_threads(mut self, threads: usize) -> Self {
-        self.num_threads = threads;
-        self
-    }
-
-    /// Builder-style setter for the TTMc strategy used by the one-shot
-    /// entry points.
-    pub fn ttmc_strategy(mut self, strategy: TtmcStrategy) -> Self {
-        self.ttmc_strategy = strategy;
-        self
-    }
-
-    /// Builder-style setter for the per-mode index layout used by the
-    /// one-shot entry points.
-    pub fn index_layout(mut self, layout: IndexLayout) -> Self {
-        self.index_layout = layout;
-        self
-    }
-
-    /// Builder-style setter for the SIMD kernel tier used by the one-shot
-    /// entry points.
-    pub fn kernel_isa(mut self, isa: KernelIsa) -> Self {
-        self.kernel_isa = isa;
         self
     }
 
@@ -296,35 +230,6 @@ impl TuckerConfig {
             .map(|(&r, &d)| r.min(d))
             .collect())
     }
-
-    /// Like [`validated_ranks`](Self::validated_ranks) but panicking on a
-    /// rank/order mismatch — for internal callers that have already
-    /// validated (the distributed simulator, the MET baseline).
-    pub fn clamped_ranks(&self, dims: &[usize]) -> Vec<usize> {
-        assert_eq!(
-            dims.len(),
-            self.ranks.len(),
-            "configuration has {} ranks but the tensor has {} modes",
-            self.ranks.len(),
-            dims.len()
-        );
-        self.ranks
-            .iter()
-            .zip(dims.iter())
-            .map(|(&r, &d)| r.min(d))
-            .collect()
-    }
-
-    /// Product of the ranks of all modes except `mode` — the width of the
-    /// mode-`mode` matricized TTMc result.
-    pub fn ttmc_width(&self, mode: usize) -> usize {
-        self.ranks
-            .iter()
-            .enumerate()
-            .filter(|&(m, _)| m != mode)
-            .map(|(_, &r)| r)
-            .product()
-    }
 }
 
 #[cfg(test)]
@@ -361,27 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn num_threads_builder_and_default() {
-        let c = TuckerConfig::new(vec![2, 2]);
-        assert_eq!(c.num_threads, 0, "default uses all hardware threads");
-        let c = c.num_threads(4);
-        assert_eq!(c.num_threads, 4);
-    }
-
-    #[test]
-    fn clamped_ranks_respect_dims() {
-        let c = TuckerConfig::new(vec![10, 10, 10]);
-        assert_eq!(c.clamped_ranks(&[100, 5, 50]), vec![10, 5, 10]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn clamped_ranks_arity_mismatch() {
-        let c = TuckerConfig::new(vec![10, 10]);
-        let _ = c.clamped_ranks(&[100, 100, 100]);
-    }
-
-    #[test]
     fn validated_ranks_reject_order_mismatch() {
         let c = TuckerConfig::new(vec![10, 10]);
         assert_eq!(
@@ -412,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn validated_ranks_clamp_like_clamped_ranks() {
+    fn validated_ranks_clamp_to_dims() {
         let c = TuckerConfig::new(vec![10, 10, 10]);
         assert_eq!(c.validated_ranks(&[100, 5, 50]).unwrap(), vec![10, 5, 10]);
     }
@@ -450,29 +334,5 @@ mod tests {
             IndexLayout::Auto.resolve_for(3, just_fits + 1),
             IndexLayout::Csf
         );
-    }
-
-    #[test]
-    fn index_layout_builder_and_default() {
-        let c = TuckerConfig::new(vec![2, 2, 2]);
-        assert_eq!(c.index_layout, IndexLayout::Auto);
-        let c = c.index_layout(IndexLayout::Csf);
-        assert_eq!(c.index_layout, IndexLayout::Csf);
-    }
-
-    #[test]
-    fn kernel_isa_builder_and_default() {
-        let c = TuckerConfig::new(vec![2, 2, 2]);
-        assert_eq!(c.kernel_isa, KernelIsa::Auto);
-        let c = c.kernel_isa(KernelIsa::Scalar);
-        assert_eq!(c.kernel_isa, KernelIsa::Scalar);
-    }
-
-    #[test]
-    fn ttmc_width_excludes_mode() {
-        let c = TuckerConfig::new(vec![2, 3, 4]);
-        assert_eq!(c.ttmc_width(0), 12);
-        assert_eq!(c.ttmc_width(1), 8);
-        assert_eq!(c.ttmc_width(2), 6);
     }
 }

@@ -1,4 +1,4 @@
-//! The one-shot HOOI entry points and result types (paper Algorithm 3).
+//! The one-shot HOOI entry point and result types (paper Algorithm 3).
 //!
 //! Per iteration, for every mode `n`:
 //!
@@ -21,10 +21,9 @@ use crate::config::TuckerConfig;
 use crate::core_tensor::reconstruct_at;
 use crate::error::TuckerError;
 use crate::solver::{PlanOptions, TuckerSolver};
-use crate::workspace::HooiWorkspace;
 use linalg::Matrix;
 use sptensor::{DenseTensor, SparseTensor};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Wall-clock time spent in each phase of a HOOI run.
 #[derive(Debug, Clone, Default)]
@@ -177,9 +176,11 @@ impl TuckerDecomposition {
 /// Runs shared-memory parallel HOOI on a sparse tensor, one-shot.
 ///
 /// This is a thin convenience wrapper over a single-use [`TuckerSolver`]
-/// session: it plans (symbolic TTMc + a persistent worker pool sized by
-/// [`TuckerConfig::num_threads`]), solves once, and discards the plan
-/// (joining the pool's workers).
+/// session: it plans with the default [`PlanOptions`] (symbolic TTMc + a
+/// persistent worker pool of every hardware thread), solves once, and
+/// discards the plan (joining the pool's workers).  Anything fixed at plan
+/// time — pool width, TTMc strategy, index layout, kernel tier — is set on
+/// a planned session's [`PlanOptions`], not here.
 /// Callers decomposing the same tensor repeatedly — rank sweeps, seed
 /// restarts, services — should call [`TuckerSolver::plan`] once and
 /// [`TuckerSolver::solve`] per request instead.
@@ -190,49 +191,7 @@ pub fn tucker_hooi(
     tensor: &SparseTensor,
     config: &TuckerConfig,
 ) -> Result<TuckerDecomposition, TuckerError> {
-    TuckerSolver::plan(
-        tensor,
-        PlanOptions::new()
-            .num_threads(config.num_threads)
-            .ttmc_strategy(config.ttmc_strategy)
-            .index_layout(config.index_layout)
-            .kernel_isa(config.kernel_isa),
-    )?
-    .solve(config)
-}
-
-/// The pool-agnostic one-shot entry: runs in whatever thread context the
-/// caller established.  [`tucker_hooi`] wraps it in a pool sized by the
-/// configuration; embedders that already hold a pool (or want the ambient
-/// thread count) call this directly.
-pub fn tucker_hooi_in_current_pool(
-    tensor: &SparseTensor,
-    config: &TuckerConfig,
-) -> Result<TuckerDecomposition, TuckerError> {
-    if tensor.order() == 0 || tensor.nnz() == 0 {
-        return Err(TuckerError::EmptyTensor);
-    }
-    let ranks = config.validated_ranks(tensor.dims())?;
-    let t0 = Instant::now();
-    // Same plan-time resolution as a solver session, so a pooled and a
-    // pool-agnostic run of one configuration execute the same strategy.
-    let (symbolic, tree) =
-        crate::solver::resolve_plan(tensor, config.ttmc_strategy, config.index_layout);
-    let symbolic_time = t0.elapsed();
-    let mut workspace = HooiWorkspace::new(&symbolic, &ranks);
-    Ok(crate::solver::run_hooi(
-        tensor,
-        &symbolic,
-        tree.as_ref(),
-        &mut workspace,
-        tensor.frobenius_norm(),
-        &ranks,
-        config,
-        symbolic_time,
-        Duration::ZERO, // no pool is built: the ambient thread context runs it
-        config.kernel_isa.resolve(),
-        &mut |_: &crate::solver::IterationReport| crate::solver::IterationControl::Continue,
-    ))
+    TuckerSolver::plan(tensor, PlanOptions::new())?.solve(config)
 }
 
 #[cfg(test)]
@@ -451,15 +410,5 @@ mod tests {
             assert_eq!(value, result.predict(idx), "diverged at {idx:?}");
         }
         assert!(result.predict_many(&[]).is_empty());
-    }
-
-    #[test]
-    fn in_current_pool_matches_pooled_entry() {
-        let t = random_tensor(&[15, 12, 10], 400, 23);
-        let config = TuckerConfig::new(vec![2, 2, 2]).max_iterations(2).seed(8);
-        let pooled = tucker_hooi(&t, &config).unwrap();
-        let ambient = tucker_hooi_in_current_pool(&t, &config).unwrap();
-        assert_eq!(pooled.fits, ambient.fits);
-        assert_eq!(pooled.factors, ambient.factors);
     }
 }

@@ -53,7 +53,7 @@ pub mod workspace;
 pub use config::{IndexLayout, Initialization, TrsvdBackend, TtmcStrategy, TuckerConfig};
 pub use dimtree::{per_mode_costs, DimTree, TtmcCosts};
 pub use error::TuckerError;
-pub use hooi::{tucker_hooi, tucker_hooi_in_current_pool, TimingBreakdown, TuckerDecomposition};
+pub use hooi::{tucker_hooi, TimingBreakdown, TuckerDecomposition};
 pub use observers::DeadlineObserver;
 pub use solver::{
     IterationControl, IterationObserver, IterationReport, PlanOptions, TuckerSession, TuckerSolver,

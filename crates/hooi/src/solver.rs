@@ -83,7 +83,6 @@ pub struct PlanOptions {
     /// `TUCKER_KERNEL` environment override) and fixed for the session's
     /// lifetime, so every solve of one plan runs the same kernels;
     /// [`TuckerSession::kernel_isa`] reports the resolution.
-    /// [`KernelIsa::Fma`] changes rounding and must be requested explicitly.
     pub kernel_isa: KernelIsa,
     /// When `true`, the session builds **no pool of its own**: the symbolic
     /// analysis and every solve run in whatever thread context the caller
@@ -144,18 +143,17 @@ impl PlanOptions {
 /// deterministic function of the tensor alone.
 const AUTO_RANK_HINT: usize = 8;
 
-/// Plan-time TTMc strategy resolution shared by [`TuckerSolver::plan`] and
-/// [`crate::tucker_hooi_in_current_pool`]: turns the requested strategy
-/// into concrete plan artifacts — the symbolic analysis (with per-mode
-/// streaming layouts exactly when the per-mode kernel will run them) and
-/// the dimension tree when that strategy won.
+/// Plan-time TTMc strategy resolution of [`TuckerSolver::plan`]: turns the
+/// requested strategy into concrete plan artifacts — the symbolic analysis
+/// (with per-mode streaming layouts exactly when the per-mode kernel will
+/// run them) and the dimension tree when that strategy won.
 ///
 /// [`TtmcStrategy::Auto`] builds the tree's symbolic grouping, prices both
 /// strategies with the plan-time cost model ([`DimTree::costs`] vs
 /// [`dimtree::per_mode_costs`]) at a fixed rank hint, and keeps the cheaper
 /// one; ties resolve to the simpler per-mode sweep.  Order-1 tensors always
 /// run per-mode (there is no tree over a single mode).
-pub(crate) fn resolve_plan(
+fn resolve_plan(
     tensor: &SparseTensor,
     requested: TtmcStrategy,
     layout: IndexLayout,
@@ -505,11 +503,10 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
     /// analysis, thread pool and scratch buffers.
     ///
     /// Any rank/seed/backend/iteration settings may vary between solves;
-    /// [`TuckerConfig::num_threads`] is ignored here — the session's pool
-    /// (fixed at plan time) runs every solve.  The first solve's
-    /// [`TimingBreakdown::symbolic`] reports the plan-time symbolic cost;
-    /// later solves report [`Duration::ZERO`] there, because the analysis
-    /// is not redone.
+    /// the session's pool (fixed at plan time) runs every one.  The first
+    /// solve's [`TimingBreakdown::symbolic`] reports the plan-time symbolic
+    /// cost; later solves report [`Duration::ZERO`] there, because the
+    /// analysis is not redone.
     pub fn solve(&mut self, config: &TuckerConfig) -> Result<TuckerDecomposition, TuckerError> {
         self.solve_with_observer(config, &mut NoopObserver)
     }
@@ -601,12 +598,12 @@ impl<T: std::borrow::Borrow<SparseTensor>> std::fmt::Debug for TuckerSession<T> 
     }
 }
 
-/// The pool-agnostic HOOI driver shared by every entry point: numeric TTMc
+/// The pool-agnostic HOOI driver behind every solve: numeric TTMc
 /// (per-mode sweeps, or dimension-tree serves when `tree` is given) + TRSVD
 /// over preplanned symbolic data, core extraction from the last mode's
 /// result, fit monitoring, observer callbacks, and per-phase timing.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_hooi(
+fn run_hooi(
     tensor: &SparseTensor,
     symbolic: &SymbolicTtmc,
     tree: Option<&DimTree>,

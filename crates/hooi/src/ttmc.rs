@@ -209,7 +209,7 @@ fn compute_row3(
 /// axpy on the runtime-dispatched SIMD lanes ([`sptensor::simd`]).  Shared
 /// by the mode-sorted and CSF streaming kernels so the two layouts run
 /// byte-for-byte the same arithmetic; `Scalar` and `Avx2` produce identical
-/// bits, `Fma` is the opt-in fused tier.
+/// bits.
 ///
 /// `out` is row-major `u.len() × v.len()`.  Public so the kernel microbench
 /// (`bench --bin kernels`) and the equivalence tests drive exactly the body
@@ -476,7 +476,7 @@ pub fn ttmc_mode_into(
 /// [`ttmc_mode_into`] at an explicit kernel ISA — the form the planned
 /// solver session uses, with the ISA it resolved at plan time
 /// ([`crate::TuckerSolver::kernel_isa`]).  `Scalar` and `Avx2` are
-/// bit-identical; `Fma` is the opt-in fused tier.
+/// bit-identical.
 pub fn ttmc_mode_into_isa(
     tensor: &SparseTensor,
     sym: &SymbolicMode,

@@ -103,11 +103,11 @@ const GEMV_T_ROWS_PER_CHUNK: usize = 256;
 
 /// Dense transposed matrix-vector product `y = Aᵀ x` with rayon.
 ///
-/// Every `GEMV_T_ROWS_PER_CHUNK` (256) rows accumulate a private `ncols`-length
-/// partial in parallel; the partials are then summed sequentially in chunk
-/// order, so the result does not depend on the pool width.  This mirrors how
-/// the paper's distributed `MTxV` computes local partial results followed by
-/// an all-to-all reduction.
+/// Every 256 rows (`GEMV_T_ROWS_PER_CHUNK`) accumulate a private
+/// `ncols`-length partial in parallel; the partials are then summed
+/// sequentially in chunk order, so the result does not depend on the pool
+/// width.  This mirrors how the paper's distributed `MTxV` computes local
+/// partial results followed by an all-to-all reduction.
 pub fn par_gemv_t(a: &Matrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.nrows());
     assert_eq!(y.len(), a.ncols());

@@ -4,21 +4,17 @@
 //! algebra behind TRSVD) funnels through a handful of tiny inner bodies:
 //! axpy-style scaled accumulations, scaled outer products of factor rows,
 //! and row-major matrix–vector products.  This module implements each of
-//! them three times —
+//! them twice —
 //!
 //! * **scalar**: the portable baseline, bit-for-bit the kernels the
 //!   workspace has always run;
 //! * **AVX2** (`f64×4` lanes via [`core::arch::x86_64`]): *separate*
-//!   multiply and add instructions on independent output elements, so every
+//!   multiply and add instructions on independent output elements — never a
+//!   fused multiply–add, which rounds once instead of twice — so every
 //!   per-element rounding step is identical to the scalar code and the
-//!   results are **bit-identical** — all existing bit-identity contracts
+//!   results are **bit-identical**: all bit-identity contracts
 //!   (index-layout equality, executor replay, cross-thread determinism)
-//!   hold with the vector path active;
-//! * **FMA**: the same lanes with the final multiply+add contracted into
-//!   one fused instruction (one rounding instead of two).  Faster, but the
-//!   different rounding changes low bits, so it is a separately gated
-//!   opt-in ([`KernelIsa::Fma`]) validated by tolerance tests rather than
-//!   bitwise ones.
+//!   hold with the vector path active.
 //!
 //! Dispatch is by *value*: callers resolve a [`KernelIsa`] once (per plan,
 //! per bench cell, …) and pass it down; the kernels branch on it per call,
@@ -28,12 +24,12 @@
 //! value can never execute an unsupported instruction — it falls back to
 //! scalar.  Off x86_64 the vector arms compile away entirely.
 //!
-//! The `TUCKER_KERNEL` environment variable (`scalar` | `avx2` | `fma`)
+//! The `TUCKER_KERNEL` environment variable (`scalar` | `avx2`)
 //! overrides every [`KernelIsa::resolve`] call in the process — the forcing
 //! knob the equivalence tests and CI use.  Unrecognized values are ignored.
 //!
-//! Horizontal reductions (`dot`, `nrm2`) are deliberately *not* vectorized
-//! in the bit-identical tier: summing lanes reassociates the additions.
+//! Horizontal reductions (`dot`, `nrm2`) are deliberately *not* vectorized:
+//! summing lanes reassociates the additions.
 //! [`gemv`] sidesteps this by putting four *rows* in a vector — each lane
 //! accumulates one row's dot product in exact scalar order.
 
@@ -41,23 +37,18 @@ use std::sync::OnceLock;
 
 /// Which instruction set the f64 kernels run.
 ///
-/// `Auto` (the default) resolves at plan/dispatch time to the fastest
-/// *bit-identical* tier the host supports — [`Avx2`](KernelIsa::Avx2) on
-/// AVX2-capable x86_64, [`Scalar`](KernelIsa::Scalar) elsewhere — never to
-/// [`Fma`](KernelIsa::Fma), whose fused rounding changes result bits and
-/// must be requested explicitly.
+/// `Auto` (the default) resolves at plan/dispatch time to the fastest tier
+/// the host supports — [`Avx2`](KernelIsa::Avx2) on AVX2-capable x86_64,
+/// [`Scalar`](KernelIsa::Scalar) elsewhere.  Both compute the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelIsa {
-    /// Resolve to the fastest bit-identical ISA the host supports.
+    /// Resolve to the fastest ISA the host supports.
     #[default]
     Auto,
     /// Portable scalar kernels — the reference arithmetic.
     Scalar,
     /// AVX2 `f64×4` lanes with separate mul+add: bit-identical to scalar.
     Avx2,
-    /// AVX2 lanes with fused multiply–add: faster, different low bits;
-    /// opt-in and tolerance-gated rather than bitwise-gated.
-    Fma,
 }
 
 impl KernelIsa {
@@ -68,7 +59,6 @@ impl KernelIsa {
             "auto" => Some(KernelIsa::Auto),
             "scalar" => Some(KernelIsa::Scalar),
             "avx2" => Some(KernelIsa::Avx2),
-            "fma" => Some(KernelIsa::Fma),
             _ => None,
         }
     }
@@ -87,53 +77,27 @@ impl KernelIsa {
         match self {
             KernelIsa::Auto | KernelIsa::Scalar => true,
             KernelIsa::Avx2 => avx2_available(),
-            KernelIsa::Fma => fma_available(),
         }
     }
 
     /// Resolves a requested ISA to the concrete one the kernels will run:
     /// the `TUCKER_KERNEL` environment override (which forces *every*
-    /// resolution in the process, for testing) takes precedence, then the
-    /// request is downgraded to what the hardware supports —
-    /// `Fma → Avx2 → Scalar`.  `Auto` picks the fastest bit-identical tier
-    /// and never resolves to `Fma`.
+    /// resolution in the process, for testing) takes precedence, then an
+    /// `Auto` or `Avx2` request becomes `Avx2` where the hardware has it and
+    /// `Scalar` elsewhere.
     ///
-    /// The result is always one of `Scalar`, `Avx2`, or `Fma`.
+    /// The result is always `Scalar` or `Avx2`.
     pub fn resolve(self) -> KernelIsa {
-        let requested = KernelIsa::from_env().unwrap_or(self);
-        match requested {
-            KernelIsa::Scalar => KernelIsa::Scalar,
-            KernelIsa::Auto => {
-                if avx2_available() {
-                    KernelIsa::Avx2
-                } else {
-                    KernelIsa::Scalar
-                }
-            }
-            KernelIsa::Avx2 => {
-                if avx2_available() {
-                    KernelIsa::Avx2
-                } else {
-                    KernelIsa::Scalar
-                }
-            }
-            KernelIsa::Fma => {
-                if fma_available() {
-                    KernelIsa::Fma
-                } else if avx2_available() {
-                    KernelIsa::Avx2
-                } else {
-                    KernelIsa::Scalar
-                }
-            }
+        match KernelIsa::from_env().unwrap_or(self) {
+            KernelIsa::Auto | KernelIsa::Avx2 if avx2_available() => KernelIsa::Avx2,
+            _ => KernelIsa::Scalar,
         }
     }
 
     /// The process-wide resolved default: [`KernelIsa::Auto`] resolved once
     /// (environment override included) and cached.  Entry points that take
     /// no explicit ISA — the plain BLAS wrappers, the one-shot kron helpers
-    /// — run at this tier, which is bit-identical to scalar by
-    /// construction.
+    /// — run at this tier.
     pub fn resolved_default() -> KernelIsa {
         static RESOLVED: OnceLock<KernelIsa> = OnceLock::new();
         *RESOLVED.get_or_init(|| KernelIsa::Auto.resolve())
@@ -145,7 +109,6 @@ impl KernelIsa {
             KernelIsa::Auto => "auto",
             KernelIsa::Scalar => "scalar",
             KernelIsa::Avx2 => "avx2",
-            KernelIsa::Fma => "fma",
         }
     }
 }
@@ -213,7 +176,9 @@ pub fn avx2_available() -> bool {
 }
 
 /// Whether the host executes 256-bit FMA (requires AVX2 too; always
-/// `false` off x86_64).
+/// `false` off x86_64).  No kernel here fuses — a fused multiply–add rounds
+/// differently from the scalar reference — so this is host metadata only,
+/// recorded by the bench harnesses.
 #[cfg(target_arch = "x86_64")]
 pub fn fma_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
@@ -230,8 +195,7 @@ pub fn fma_available() -> bool {
 // ---------------------------------------------------------------------------
 
 /// `y += alpha · x`, element-wise.  Bit-identical across `Scalar` and
-/// `Avx2`; `Fma` fuses each element's multiply+add (including the scalar
-/// remainder, via [`f64::mul_add`]).
+/// `Avx2`.
 ///
 /// Callers should pass a [resolved](KernelIsa::resolve) ISA; an unresolved
 /// `Auto` runs scalar, and a vector ISA the host lacks falls back to
@@ -240,18 +204,10 @@ pub fn fma_available() -> bool {
 pub fn axpy(isa: KernelIsa, alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     #[cfg(target_arch = "x86_64")]
-    match isa {
-        KernelIsa::Avx2 if avx2_available() => {
-            // SAFETY: AVX2 availability was just checked.
-            unsafe { x86::axpy_avx2(alpha, x, y) };
-            return;
-        }
-        KernelIsa::Fma if fma_available() => {
-            // SAFETY: AVX2+FMA availability was just checked.
-            unsafe { x86::axpy_fma(alpha, x, y) };
-            return;
-        }
-        _ => {}
+    if isa == KernelIsa::Avx2 && avx2_available() {
+        // SAFETY: AVX2 availability was just checked.
+        unsafe { x86::axpy_avx2(alpha, x, y) };
+        return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = isa;
@@ -259,12 +215,11 @@ pub fn axpy(isa: KernelIsa, alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// `x *= alpha`, element-wise.  A pure multiply has one rounding however it
-/// is issued, so all three ISAs produce identical bits; `Fma` runs the AVX2
-/// body.
+/// is issued, so both ISAs produce identical bits.
 #[inline]
 pub fn scal(isa: KernelIsa, alpha: f64, x: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
-    if matches!(isa, KernelIsa::Avx2 | KernelIsa::Fma) && avx2_available() {
+    if isa == KernelIsa::Avx2 && avx2_available() {
         // SAFETY: AVX2 availability was just checked.
         unsafe { x86::scal_avx2(alpha, x) };
         return;
@@ -293,18 +248,10 @@ pub fn scal(isa: KernelIsa, alpha: f64, x: &mut [f64]) {
 pub fn scaled_outer2(isa: KernelIsa, x: f64, u: &[f64], v: &[f64], out: &mut [f64]) {
     debug_assert_eq!(out.len(), u.len() * v.len());
     #[cfg(target_arch = "x86_64")]
-    match isa {
-        KernelIsa::Avx2 if avx2_available() => {
-            // SAFETY: AVX2 availability was just checked.
-            unsafe { x86::scaled_outer2_avx2(x, u, v, out) };
-            return;
-        }
-        KernelIsa::Fma if fma_available() => {
-            // SAFETY: AVX2+FMA availability was just checked.
-            unsafe { x86::scaled_outer2_fma(x, u, v, out) };
-            return;
-        }
-        _ => {}
+    if isa == KernelIsa::Avx2 && avx2_available() {
+        // SAFETY: AVX2 availability was just checked.
+        unsafe { x86::scaled_outer2_avx2(x, u, v, out) };
+        return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = isa;
@@ -318,26 +265,15 @@ pub fn scaled_outer2(isa: KernelIsa, x: f64, u: &[f64], v: &[f64], out: &mut [f6
 /// `acc += x·t` — `x` multiplies **last**, and there is **no**
 /// zero-coefficient skip, matching the materialized
 /// `kron_rows` + axpy path (`sptensor::kron`) bit for bit (the kron
-/// expansion seeds with `1.0·uᵢ`, which is bitwise `uᵢ`).  Under `Fma`
-/// only the final `acc += x·t` is fused — `t` stays a plain multiply — so
-/// the fused and materialized arity-3 paths remain bit-identical *to each
-/// other* within the Fma tier.
+/// expansion seeds with `1.0·uᵢ`, which is bitwise `uᵢ`).
 #[inline]
 pub fn scaled_outer3(isa: KernelIsa, x: f64, u: &[f64], v: &[f64], w: &[f64], out: &mut [f64]) {
     debug_assert_eq!(out.len(), u.len() * v.len() * w.len());
     #[cfg(target_arch = "x86_64")]
-    match isa {
-        KernelIsa::Avx2 if avx2_available() => {
-            // SAFETY: AVX2 availability was just checked.
-            unsafe { x86::scaled_outer3_avx2(x, u, v, w, out) };
-            return;
-        }
-        KernelIsa::Fma if fma_available() => {
-            // SAFETY: AVX2+FMA availability was just checked.
-            unsafe { x86::scaled_outer3_fma(x, u, v, w, out) };
-            return;
-        }
-        _ => {}
+    if isa == KernelIsa::Avx2 && avx2_available() {
+        // SAFETY: AVX2 availability was just checked.
+        unsafe { x86::scaled_outer3_avx2(x, u, v, w, out) };
+        return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = isa;
@@ -347,29 +283,20 @@ pub fn scaled_outer3(isa: KernelIsa, x: f64, u: &[f64], v: &[f64], w: &[f64], ou
 /// Row-major matrix–vector product `y = A·x` (`A` is `rows × cols`, stored
 /// row-major in `a`).
 ///
-/// The vector tiers put four *rows* in a vector — lane `l` accumulates row
+/// The vector tier puts four *rows* in a vector — lane `l` accumulates row
 /// `r+l`'s dot product sequentially over the columns, starting from `0.0`,
 /// which is exactly the scalar `dot` order — so `Avx2` stays bit-identical
-/// to `Scalar` without any horizontal reduction.  `Fma` fuses each lane's
-/// multiply+add.
+/// to `Scalar` without any horizontal reduction.
 #[inline]
 pub fn gemv(isa: KernelIsa, a: &[f64], rows: usize, cols: usize, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(a.len(), rows * cols);
     debug_assert_eq!(x.len(), cols);
     debug_assert_eq!(y.len(), rows);
     #[cfg(target_arch = "x86_64")]
-    match isa {
-        KernelIsa::Avx2 if avx2_available() => {
-            // SAFETY: AVX2 availability was just checked.
-            unsafe { x86::gemv_avx2(a, rows, cols, x, y) };
-            return;
-        }
-        KernelIsa::Fma if fma_available() => {
-            // SAFETY: AVX2+FMA availability was just checked.
-            unsafe { x86::gemv_fma(a, rows, cols, x, y) };
-            return;
-        }
-        _ => {}
+    if isa == KernelIsa::Avx2 && avx2_available() {
+        // SAFETY: AVX2 availability was just checked.
+        unsafe { x86::gemv_avx2(a, rows, cols, x, y) };
+        return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = isa;
@@ -450,7 +377,7 @@ fn scaled_outer3_scalar(x: f64, u: &[f64], v: &[f64], w: &[f64], out: &mut [f64]
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 / FMA bodies (x86_64 only)
+// AVX2 bodies (x86_64 only)
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -487,39 +414,6 @@ mod x86 {
         }
         while i < n {
             *yp.add(i) += alpha * *xp.add(i);
-            i += 1;
-        }
-    }
-
-    /// FMA axpy: each element is one fused multiply–add (the scalar
-    /// remainder uses [`f64::mul_add`] so every element rounds once).
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy_fma(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len().min(y.len());
-        let a = _mm256_set1_pd(alpha);
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let x0 = _mm256_loadu_pd(xp.add(i));
-            let x1 = _mm256_loadu_pd(xp.add(i + 4));
-            let y0 = _mm256_loadu_pd(yp.add(i));
-            let y1 = _mm256_loadu_pd(yp.add(i + 4));
-            _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(a, x0, y0));
-            _mm256_storeu_pd(yp.add(i + 4), _mm256_fmadd_pd(a, x1, y1));
-            i += 8;
-        }
-        if i + 4 <= n {
-            let x0 = _mm256_loadu_pd(xp.add(i));
-            let y0 = _mm256_loadu_pd(yp.add(i));
-            _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(a, x0, y0));
-            i += 4;
-        }
-        while i < n {
-            *yp.add(i) = alpha.mul_add(*xp.add(i), *yp.add(i));
             i += 1;
         }
     }
@@ -615,61 +509,6 @@ mod x86 {
         }
     }
 
-    /// FMA [`scaled_outer2`](super::scaled_outer2): the paired-row AVX2
-    /// structure with each element's multiply+add fused to one rounding.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn scaled_outer2_fma(x: f64, u: &[f64], v: &[f64], out: &mut [f64]) {
-        let rb = v.len();
-        let ra = u.len();
-        debug_assert!(out.len() >= ra * rb);
-        let vp = v.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 2 <= ra {
-            let c0 = x * *u.get_unchecked(i);
-            let c1 = x * *u.get_unchecked(i + 1);
-            if c0 == 0.0 || c1 == 0.0 {
-                if c0 != 0.0 {
-                    axpy_fma(c0, v, &mut out[i * rb..(i + 1) * rb]);
-                }
-                if c1 != 0.0 {
-                    axpy_fma(c1, v, &mut out[(i + 1) * rb..(i + 2) * rb]);
-                }
-                i += 2;
-                continue;
-            }
-            let r0 = op.add(i * rb);
-            let r1 = r0.add(rb);
-            let cv0 = _mm256_set1_pd(c0);
-            let cv1 = _mm256_set1_pd(c1);
-            let mut k = 0usize;
-            while k + 4 <= rb {
-                let vk = _mm256_loadu_pd(vp.add(k));
-                let a0 = _mm256_loadu_pd(r0.add(k));
-                let a1 = _mm256_loadu_pd(r1.add(k));
-                _mm256_storeu_pd(r0.add(k), _mm256_fmadd_pd(cv0, vk, a0));
-                _mm256_storeu_pd(r1.add(k), _mm256_fmadd_pd(cv1, vk, a1));
-                k += 4;
-            }
-            while k < rb {
-                let vk = *vp.add(k);
-                *r0.add(k) = c0.mul_add(vk, *r0.add(k));
-                *r1.add(k) = c1.mul_add(vk, *r1.add(k));
-                k += 1;
-            }
-            i += 2;
-        }
-        if i < ra {
-            let c = x * *u.get_unchecked(i);
-            if c != 0.0 {
-                axpy_fma(c, v, &mut out[i * rb..(i + 1) * rb]);
-            }
-        }
-    }
-
     /// AVX2 [`scaled_outer3`](super::scaled_outer3): per element
     /// `t = mul(p, w); acc = add(acc, mul(x, t))` — the identical two
     /// roundings of the scalar body.
@@ -715,48 +554,6 @@ mod x86 {
         }
     }
 
-    /// FMA [`scaled_outer3`](super::scaled_outer3): `t = p·w` stays a plain
-    /// multiply and only the final `acc += x·t` is fused, so this matches
-    /// the materialized kron+axpy path bit for bit *within* the Fma tier.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn scaled_outer3_fma(x: f64, u: &[f64], v: &[f64], w: &[f64], out: &mut [f64]) {
-        let rc = w.len();
-        let xv = _mm256_set1_pd(x);
-        let wp = w.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut base = 0usize;
-        for &ui in u.iter() {
-            for &vj in v.iter() {
-                let p = ui * vj;
-                let pv = _mm256_set1_pd(p);
-                let mut k = 0usize;
-                while k + 8 <= rc {
-                    let t0 = _mm256_mul_pd(pv, _mm256_loadu_pd(wp.add(k)));
-                    let t1 = _mm256_mul_pd(pv, _mm256_loadu_pd(wp.add(k + 4)));
-                    let a0 = _mm256_loadu_pd(op.add(base + k));
-                    let a1 = _mm256_loadu_pd(op.add(base + k + 4));
-                    _mm256_storeu_pd(op.add(base + k), _mm256_fmadd_pd(xv, t0, a0));
-                    _mm256_storeu_pd(op.add(base + k + 4), _mm256_fmadd_pd(xv, t1, a1));
-                    k += 8;
-                }
-                if k + 4 <= rc {
-                    let t0 = _mm256_mul_pd(pv, _mm256_loadu_pd(wp.add(k)));
-                    let a0 = _mm256_loadu_pd(op.add(base + k));
-                    _mm256_storeu_pd(op.add(base + k), _mm256_fmadd_pd(xv, t0, a0));
-                    k += 4;
-                }
-                while k < rc {
-                    *op.add(base + k) = x.mul_add(p * *wp.add(k), *op.add(base + k));
-                    k += 1;
-                }
-                base += rc;
-            }
-        }
-    }
-
     /// AVX2 [`gemv`](super::gemv): four rows per vector, one lane per row's
     /// accumulator, sequential over the columns — each lane performs the
     /// scalar dot's exact rounding sequence, so no horizontal reduction and
@@ -790,43 +587,6 @@ mod x86 {
         while r < rows {
             let row = std::slice::from_raw_parts(ap.add(r * cols), cols);
             *yp.add(r) = super::dot_scalar(row, x);
-            r += 1;
-        }
-    }
-
-    /// FMA [`gemv`](super::gemv): each lane's step is one fused
-    /// multiply–add; remainder rows use a [`f64::mul_add`] fold so every
-    /// row rounds once per column.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemv_fma(a: &[f64], rows: usize, cols: usize, x: &[f64], y: &mut [f64]) {
-        let ap = a.as_ptr();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut r = 0usize;
-        while r + 4 <= rows {
-            let r0 = ap.add(r * cols);
-            let r1 = r0.add(cols);
-            let r2 = r1.add(cols);
-            let r3 = r2.add(cols);
-            let mut acc = _mm256_setzero_pd();
-            for k in 0..cols {
-                let av = _mm256_set_pd(*r3.add(k), *r2.add(k), *r1.add(k), *r0.add(k));
-                let xv = _mm256_set1_pd(*xp.add(k));
-                acc = _mm256_fmadd_pd(av, xv, acc);
-            }
-            _mm256_storeu_pd(yp.add(r), acc);
-            r += 4;
-        }
-        while r < rows {
-            let mut acc = 0.0f64;
-            let rp = ap.add(r * cols);
-            for k in 0..cols {
-                acc = (*rp.add(k)).mul_add(*xp.add(k), acc);
-            }
-            *yp.add(r) = acc;
             r += 1;
         }
     }
@@ -871,7 +631,8 @@ mod tests {
     fn parse_accepts_the_env_names() {
         assert_eq!(KernelIsa::parse("scalar"), Some(KernelIsa::Scalar));
         assert_eq!(KernelIsa::parse("AVX2"), Some(KernelIsa::Avx2));
-        assert_eq!(KernelIsa::parse(" fma "), Some(KernelIsa::Fma));
+        assert_eq!(KernelIsa::parse(" avx2 "), Some(KernelIsa::Avx2));
+        assert_eq!(KernelIsa::parse("fma"), None);
         assert_eq!(KernelIsa::parse("auto"), Some(KernelIsa::Auto));
         assert_eq!(KernelIsa::parse("sse9"), None);
         assert_eq!(KernelIsa::parse(""), None);
@@ -879,12 +640,7 @@ mod tests {
 
     #[test]
     fn as_str_round_trips_through_parse() {
-        for isa in [
-            KernelIsa::Auto,
-            KernelIsa::Scalar,
-            KernelIsa::Avx2,
-            KernelIsa::Fma,
-        ] {
+        for isa in [KernelIsa::Auto, KernelIsa::Scalar, KernelIsa::Avx2] {
             assert_eq!(KernelIsa::parse(isa.as_str()), Some(isa));
             assert_eq!(format!("{isa}"), isa.as_str());
         }
@@ -892,21 +648,10 @@ mod tests {
 
     #[test]
     fn resolve_is_concrete_and_hardware_safe() {
-        for isa in [
-            KernelIsa::Auto,
-            KernelIsa::Scalar,
-            KernelIsa::Avx2,
-            KernelIsa::Fma,
-        ] {
+        for isa in [KernelIsa::Auto, KernelIsa::Scalar, KernelIsa::Avx2] {
             let r = isa.resolve();
             assert_ne!(r, KernelIsa::Auto, "resolve must settle Auto");
             assert!(r.supported(), "resolved ISA must run on this host: {r:?}");
-        }
-        // Auto never opts into the non-bit-identical tier by itself; an
-        // env override can redirect every resolution, so only assert this
-        // when the forcing knob is not set to fma.
-        if KernelIsa::from_env() != Some(KernelIsa::Fma) {
-            assert_ne!(KernelIsa::Auto.resolve(), KernelIsa::Fma);
         }
         assert_eq!(KernelIsa::resolved_default(), KernelIsa::resolved_default());
     }
@@ -929,18 +674,16 @@ mod tests {
 
     #[test]
     fn scal_is_bit_identical_across_all_isas() {
+        if !KernelIsa::Avx2.supported() {
+            return;
+        }
         for n in 0..=19 {
             let x0 = lcg_data(n, 33 + n as u64);
             let mut xs = x0.clone();
+            let mut xv = x0.clone();
             scal(KernelIsa::Scalar, -1.75, &mut xs);
-            for isa in [KernelIsa::Avx2, KernelIsa::Fma] {
-                if !isa.supported() {
-                    continue;
-                }
-                let mut xv = x0.clone();
-                scal(isa, -1.75, &mut xv);
-                assert_eq!(bits(&xs), bits(&xv), "scal mismatch at n={n} isa={isa}");
-            }
+            scal(KernelIsa::Avx2, -1.75, &mut xv);
+            assert_eq!(bits(&xs), bits(&xv), "scal mismatch at n={n}");
         }
     }
 
@@ -993,58 +736,5 @@ mod tests {
             gemv(KernelIsa::Avx2, &a, rows, cols, &x, &mut yv);
             assert_eq!(bits(&ys), bits(&yv), "gemv mismatch at {rows}x{cols}");
         }
-    }
-
-    #[test]
-    fn fma_tier_agrees_within_tolerance() {
-        if !KernelIsa::Fma.supported() {
-            return;
-        }
-        let n = 37;
-        let x = lcg_data(n, 3);
-        let y0 = lcg_data(n, 5);
-        let mut ys = y0.clone();
-        let mut yf = y0.clone();
-        axpy(KernelIsa::Scalar, 0.9, &x, &mut ys);
-        axpy(KernelIsa::Fma, 0.9, &x, &mut yf);
-        for (s, f) in ys.iter().zip(yf.iter()) {
-            assert!((s - f).abs() <= 1e-12, "fma drifted: {s} vs {f}");
-        }
-    }
-
-    #[test]
-    fn fma_outer3_matches_fma_materialized_kron_bitwise() {
-        // The within-tier identity the Fma mode's correctness rests on:
-        // fusing ONLY the final mul+add keeps the fused outer3 body equal
-        // to "materialize p·w, then fused axpy".
-        if !KernelIsa::Fma.supported() {
-            return;
-        }
-        let (du, dv, dw) = (3, 2, 7);
-        let u = lcg_data(du, 91);
-        let v = lcg_data(dv, 92);
-        let w = lcg_data(dw, 93);
-        let base = lcg_data(du * dv * dw, 94);
-        let x = 0.61;
-        let mut fused = base.clone();
-        scaled_outer3(KernelIsa::Fma, x, &u, &v, &w, &mut fused);
-        let mut materialized = base.clone();
-        let mut scratch = vec![0.0; dw];
-        for (i, &ui) in u.iter().enumerate() {
-            for (j, &vj) in v.iter().enumerate() {
-                let p = ui * vj;
-                for (s, &wk) in scratch.iter_mut().zip(w.iter()) {
-                    *s = p * wk;
-                }
-                let row = (i * dv + j) * dw;
-                axpy(
-                    KernelIsa::Fma,
-                    x,
-                    &scratch,
-                    &mut materialized[row..row + dw],
-                );
-            }
-        }
-        assert_eq!(bits(&fused), bits(&materialized));
     }
 }

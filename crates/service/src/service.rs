@@ -6,8 +6,8 @@ use crate::request::{Completed, Request, Response};
 use crate::scheduler::{FairScheduler, Pending};
 use crate::stats::ServiceStats;
 use hooi::{
-    per_mode_costs, DeadlineObserver, IndexLayout, PlanOptions, TtmcStrategy, TuckerConfig,
-    TuckerDecomposition, TuckerError, TuckerSession,
+    per_mode_costs, DeadlineObserver, PlanOptions, TuckerConfig, TuckerDecomposition, TuckerError,
+    TuckerSession,
 };
 use sptensor::SparseTensor;
 use std::collections::BTreeMap;
@@ -24,15 +24,6 @@ pub struct ServiceOptions {
     /// Byte budget of the plan cache, measured by
     /// [`TuckerSession::memory_bytes`].
     pub plan_cache_bytes: usize,
-    /// TTMc strategy every plan is built with.
-    pub ttmc_strategy: TtmcStrategy,
-    /// Per-mode index layout every plan is built with
-    /// ([`IndexLayout::Auto`] by default, which picks flat mode-sorted
-    /// copies or compressed fiber hierarchies from each tensor's size).
-    /// Both layouts solve bit-identically, so this only moves the
-    /// footprint [`TuckerSession::memory_bytes`] reports to the plan
-    /// cache.
-    pub index_layout: IndexLayout,
 }
 
 impl Default for ServiceOptions {
@@ -40,15 +31,12 @@ impl Default for ServiceOptions {
         ServiceOptions {
             num_threads: 0,
             plan_cache_bytes: 256 << 20,
-            ttmc_strategy: TtmcStrategy::Auto,
-            index_layout: IndexLayout::Auto,
         }
     }
 }
 
 impl ServiceOptions {
-    /// Defaults: machine-default pool width, a 256 MiB plan cache,
-    /// [`TtmcStrategy::Auto`].
+    /// Defaults: machine-default pool width, a 256 MiB plan cache.
     pub fn new() -> Self {
         ServiceOptions::default()
     }
@@ -62,18 +50,6 @@ impl ServiceOptions {
     /// Sets the plan-cache byte budget.
     pub fn plan_cache_bytes(mut self, bytes: usize) -> Self {
         self.plan_cache_bytes = bytes;
-        self
-    }
-
-    /// Sets the TTMc strategy plans are built with.
-    pub fn ttmc_strategy(mut self, strategy: TtmcStrategy) -> Self {
-        self.ttmc_strategy = strategy;
-        self
-    }
-
-    /// Sets the per-mode index layout plans are built with.
-    pub fn index_layout(mut self, layout: IndexLayout) -> Self {
-        self.index_layout = layout;
         self
     }
 }
@@ -157,7 +133,6 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 /// ```
 #[derive(Debug)]
 pub struct DecompositionService {
-    options: ServiceOptions,
     pool: rayon::ThreadPool,
     registry: BTreeMap<String, TensorEntry>,
     scheduler: FairScheduler,
@@ -178,7 +153,6 @@ impl DecompositionService {
             .map_err(|e| TuckerError::PoolFailure(e.to_string()))?;
         let cache = PlanCache::new(options.plan_cache_bytes);
         Ok(DecompositionService {
-            options,
             pool,
             registry: BTreeMap::new(),
             scheduler: FairScheduler::default(),
@@ -328,18 +302,9 @@ impl DecompositionService {
         &self,
         tensor: &Arc<SparseTensor>,
     ) -> Result<TuckerSession<Arc<SparseTensor>>, TuckerError> {
-        let strategy = self.options.ttmc_strategy;
-        let layout = self.options.index_layout;
         let tensor = Arc::clone(tensor);
-        self.pool.install(|| {
-            TuckerSession::plan(
-                tensor,
-                PlanOptions::new()
-                    .caller_pool()
-                    .ttmc_strategy(strategy)
-                    .index_layout(layout),
-            )
-        })
+        self.pool
+            .install(|| TuckerSession::plan(tensor, PlanOptions::new().caller_pool()))
     }
 
     fn do_ingest(
@@ -663,35 +628,6 @@ mod tests {
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.plan_cache_hits, 1);
         assert!(done[1].charged_flops > done[2].charged_flops);
-    }
-
-    #[test]
-    fn csf_layout_service_matches_mode_sorted_bitwise() {
-        // The index layout only changes the plan's memory shape; every
-        // response must stay bit-identical across layouts.
-        let mut responses = Vec::new();
-        for layout in [IndexLayout::ModeSorted, IndexLayout::Csf] {
-            let mut svc = DecompositionService::new(
-                ServiceOptions::new()
-                    .num_threads(2)
-                    .ttmc_strategy(TtmcStrategy::PerMode)
-                    .index_layout(layout),
-            )
-            .unwrap();
-            svc.submit(
-                "a",
-                Request::Ingest {
-                    tensor_id: "t".into(),
-                    tensor: toy(),
-                },
-            );
-            svc.submit("a", decompose("t", 7));
-            let done = svc.run_until_idle();
-            responses.push(factors(&done[1]).clone());
-        }
-        assert_eq!(responses[0].factors, responses[1].factors);
-        assert_eq!(responses[0].core.as_slice(), responses[1].core.as_slice());
-        assert_eq!(responses[0].fits, responses[1].fits);
     }
 
     #[test]

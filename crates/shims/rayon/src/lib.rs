@@ -14,9 +14,7 @@
 //! per-participant deques, and idle participants steal from busy ones.  On
 //! the skewed update-list distributions of this workspace's tensors (the
 //! paper's Delicious/Flickr profiles) that dynamic scheduling is what keeps
-//! all threads busy; the old per-call scoped threads with static equal
-//! blocks are preserved behind [`SchedulePolicy::Static`] as a measurable
-//! baseline.
+//! all threads busy.
 //!
 //! The thread count of a region is taken from the innermost
 //! [`ThreadPool::install`] scope (the implicit machine-default global pool
@@ -36,9 +34,8 @@ pub use iter::{
     ParRange, ParRangeChunks, ParRangeChunksMap, ParRangeMap, ParVec, ParVecMap, ParallelSliceMut,
 };
 pub use pool::{
-    current_num_threads, join, participant_block, scope, weighted_span_boundaries,
-    worker_threads_spawned, SchedulePolicy, Scope, ThreadPool, ThreadPoolBuildError,
-    ThreadPoolBuilder, SPANS_PER_WORKER,
+    current_num_threads, join, scope, weighted_span_boundaries, worker_threads_spawned, Scope,
+    ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
 };
 
 /// Glob-import module (mirrors `rayon::prelude`).
@@ -197,22 +194,6 @@ mod tests {
             });
         });
         assert_eq!(hits.load(Ordering::SeqCst), 20);
-    }
-
-    #[test]
-    fn static_policy_produces_identical_results() {
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(3)
-            .schedule_policy(SchedulePolicy::Static)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            let v: Vec<usize> = (0..500).into_par_iter().map(|i| i * 3).collect();
-            assert_eq!(v, (0..500).map(|i| i * 3).collect::<Vec<_>>());
-            let mut w = vec![0usize; 97];
-            w.par_iter_mut().enumerate().for_each(|(i, x)| *x = i);
-            assert!(w.iter().enumerate().all(|(i, &x)| x == i));
-        });
     }
 
     #[test]

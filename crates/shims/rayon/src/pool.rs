@@ -21,10 +21,6 @@
 //! - **The submitting thread always participates** and can finish a job
 //!   entirely on its own, so a job completes even if every worker is busy
 //!   with other jobs — submitting from inside a worker can never deadlock.
-//!   Under the no-steal [`SchedulePolicy::Static`] baseline the second half
-//!   of that guarantee would not hold (a busy participant's deque slot can
-//!   be claimed by nobody else), so a nested same-pool region on a static
-//!   pool runs inline sequentially instead of being submitted.
 //! - **A panic in a span poisons only its job**: remaining spans are
 //!   drained without running, the first payload is re-thrown on the
 //!   submitting thread, and the workers survive for the next job.
@@ -44,11 +40,9 @@ use std::thread::JoinHandle;
 /// failures, and exists so the error path is actually testable).
 pub(crate) const MAX_POOL_THREADS: usize = 4096;
 
-/// How many spans each participant's deque receives under dynamic
-/// scheduling; more spans mean finer-grained stealing at slightly more
-/// queue traffic.  Public (a shim extension) so the `bench` crate's
-/// deterministic scheduling model provably chunks exactly like the pool.
-pub const SPANS_PER_WORKER: usize = 4;
+/// How many spans each participant's deque receives; more spans mean
+/// finer-grained stealing at slightly more queue traffic.
+const SPANS_PER_WORKER: usize = 4;
 
 /// Process-wide count of worker OS threads ever spawned by any pool.
 static WORKER_SPAWNS: AtomicUsize = AtomicUsize::new(0);
@@ -69,12 +63,6 @@ thread_local! {
     /// True while this thread is executing one span of a job; nested
     /// parallel adapters then run sequentially instead of resubmitting.
     static IN_SPAN: Cell<bool> = const { Cell::new(false) };
-    /// Pools (by `PoolShared` address) this thread is currently executing
-    /// a span for, innermost last.  A nested `install` clears [`IN_SPAN`],
-    /// so this is what still identifies the thread as a busy participant —
-    /// which matters for static-policy pools, where a busy participant's
-    /// deque slot can be claimed by nobody else.
-    static SPAN_POOLS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
 fn default_threads() -> usize {
@@ -135,50 +123,6 @@ impl Drop for SpanFlagGuard {
     }
 }
 
-/// Scoped push of a pool onto [`SPAN_POOLS`] while executing one of its
-/// spans.
-struct SpanPoolGuard;
-
-impl SpanPoolGuard {
-    fn enter(pool_id: usize) -> Self {
-        SPAN_POOLS.with(|p| p.borrow_mut().push(pool_id));
-        SpanPoolGuard
-    }
-}
-
-impl Drop for SpanPoolGuard {
-    fn drop(&mut self) {
-        SPAN_POOLS.with(|p| {
-            p.borrow_mut().pop();
-        });
-    }
-}
-
-/// Whether the current thread is executing a span of `pool` (possibly below
-/// a nested `install`).
-fn thread_is_participant_of(pool: &PoolShared) -> bool {
-    let id = std::ptr::from_ref(pool) as usize;
-    SPAN_POOLS.with(|p| p.borrow().contains(&id))
-}
-
-/// How a pool deals spans to its participants (shim extension; real rayon
-/// is always work-stealing).
-///
-/// The static policy exists as the experimental baseline: the `bench`
-/// crate's scheduling comparison runs the same kernel under both policies
-/// to reproduce the paper's observation that equal block splitting loses on
-/// skewed update-list distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// Chunked spans in per-participant deques with steal-on-idle (the
-    /// default, and what real rayon does).
-    #[default]
-    Dynamic,
-    /// One contiguous equal block per participant, no stealing — the old
-    /// shim behavior, kept as a measurable baseline.
-    Static,
-}
-
 /// Error type of [`ThreadPoolBuilder::build`]; carries the reason the pool
 /// could not be brought up.
 #[derive(Debug)]
@@ -204,7 +148,6 @@ impl std::error::Error for ThreadPoolBuildError {}
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
-    policy: SchedulePolicy,
 }
 
 impl ThreadPoolBuilder {
@@ -216,13 +159,6 @@ impl ThreadPoolBuilder {
     /// Sets the worker count; 0 means the machine default.
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = n;
-        self
-    }
-
-    /// Selects the scheduling policy (shim extension, default
-    /// [`SchedulePolicy::Dynamic`]).
-    pub fn schedule_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -245,7 +181,6 @@ impl ThreadPoolBuilder {
         }
         let shared = Arc::new(PoolShared {
             num_threads: n,
-            policy: self.policy,
             injector: Mutex::new(Injector {
                 jobs: Vec::new(),
                 shutdown: false,
@@ -312,7 +247,6 @@ impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("num_threads", &self.shared.num_threads)
-            .field("policy", &self.shared.policy)
             .field("spawned_workers", &self.workers.len())
             .finish()
     }
@@ -345,7 +279,6 @@ fn global_pool() -> &'static ThreadPool {
 /// State shared between a pool handle and its workers.
 struct PoolShared {
     num_threads: usize,
-    policy: SchedulePolicy,
     injector: Mutex<Injector>,
     work_signal: Condvar,
 }
@@ -382,60 +315,29 @@ impl PoolShared {
         }
     }
 
-    /// Cuts `0..len` into spans per the pool's policy, deals them into
-    /// per-participant deques, and runs `body` over all of them in
-    /// parallel.
+    /// Cuts `0..len` into [`SPANS_PER_WORKER`] equal spans per participant,
+    /// deals them into per-participant deques, and runs `body` over all of
+    /// them in parallel.
     fn run_parallel(&self, len: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-        if self.policy == SchedulePolicy::Static && thread_is_participant_of(self) {
-            // A static job's spans can only be claimed by their designated
-            // participants.  This thread is already one of this pool's busy
-            // participants (a nested `install` from inside a span), so a
-            // submitted job's span dealt to this thread's own slot would be
-            // orphaned and the region would deadlock — run it inline
-            // sequentially instead, preserving the no-deadlock invariant.
-            body(0..len);
-            return;
+        let span_len = len.div_ceil(self.num_threads * SPANS_PER_WORKER).max(1);
+        let mut spans = Vec::with_capacity(len.div_ceil(span_len));
+        let mut start = 0;
+        while start < len {
+            let end = (start + span_len).min(len);
+            spans.push(start..end);
+            start = end;
         }
-        let n = self.num_threads;
-        let spans: Vec<Range<usize>> = match self.policy {
-            SchedulePolicy::Static => (0..n)
-                .map(|w| participant_block(len, n, w))
-                .filter(|r| !r.is_empty())
-                .collect(),
-            SchedulePolicy::Dynamic => {
-                let span_len = len.div_ceil(n * SPANS_PER_WORKER).max(1);
-                let mut spans = Vec::with_capacity(len.div_ceil(span_len));
-                let mut start = 0;
-                while start < len {
-                    let end = (start + span_len).min(len);
-                    spans.push(start..end);
-                    start = end;
-                }
-                spans
-            }
-        };
         self.run_spans(spans, body);
     }
 
     /// Cuts `0..costs.len()` into spans whose *total cost* (not length) is
     /// balanced, then deals and runs them like [`run_parallel`].  This is
-    /// the weighted-scheduling entry point: weights are per-job, so rather
-    /// than a pool-wide `SchedulePolicy::Weighted` the caller supplies the
-    /// cost vector with the submission.  Span boundaries remain a pure
-    /// function of the costs and the pool width — never of timing.
+    /// the weighted-scheduling entry point: weights are per-job, so the
+    /// caller supplies the cost vector with the submission.  Span
+    /// boundaries remain a pure function of the costs and the pool width —
+    /// never of timing.
     fn run_parallel_weighted(&self, costs: &[u64], body: &(dyn Fn(Range<usize>) + Sync)) {
-        let len = costs.len();
-        if self.policy == SchedulePolicy::Static && thread_is_participant_of(self) {
-            // Same orphaned-span hazard as in `run_parallel`.
-            body(0..len);
-            return;
-        }
-        let n = self.num_threads;
-        let max_spans = match self.policy {
-            SchedulePolicy::Static => n,
-            SchedulePolicy::Dynamic => n * SPANS_PER_WORKER,
-        };
-        let bounds = weighted_span_boundaries(costs, max_spans);
+        let bounds = weighted_span_boundaries(costs, self.num_threads * SPANS_PER_WORKER);
         let spans: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
         self.run_spans(spans, body);
     }
@@ -459,11 +361,9 @@ impl PoolShared {
             // Safety: `run_job` below blocks until every span completed, so
             // the erased borrow of `body` never outlives the referent.
             task: unsafe { TaskRef::erase(body) },
-            pool_id: std::ptr::from_ref(self) as usize,
             deques,
             unclaimed: AtomicUsize::new(num_spans),
             remaining: AtomicUsize::new(num_spans),
-            stealing: self.policy == SchedulePolicy::Dynamic,
             poisoned: AtomicBool::new(false),
             panic: Mutex::new(None),
             done: Mutex::new(num_spans == 0),
@@ -475,7 +375,7 @@ impl PoolShared {
 
 /// Cut points of a cost-balanced contiguous partition of `0..costs.len()`
 /// into at most `max_spans` non-empty spans (shim extension; the weighted
-/// analogue of [`participant_block`]).
+/// analogue of the equal-length split).
 ///
 /// Returns boundaries `b_0 = 0 < b_1 < … < b_k = costs.len()` (so span `s`
 /// is `b_s..b_{s+1}`), greedily closing a span once its summed cost reaches
@@ -512,12 +412,9 @@ pub fn weighted_span_boundaries(costs: &[u64], max_spans: usize) -> Vec<usize> {
     bounds
 }
 
-/// Balanced contiguous split: the half-open sub-range of `0..len` owned by
-/// participant `w` of `n` under static block scheduling.  Public (a shim
-/// extension, like [`SPANS_PER_WORKER`]) so the `bench` crate's
-/// deterministic scheduling model provably splits exactly like the pool's
-/// static baseline.
-pub fn participant_block(len: usize, n: usize, w: usize) -> Range<usize> {
+/// Balanced contiguous split: the half-open sub-range of `0..len` dealt to
+/// participant `w` of `n`.
+fn participant_block(len: usize, n: usize, w: usize) -> Range<usize> {
     let base = len / n;
     let extra = len % n;
     let start = w * base + w.min(extra);
@@ -552,16 +449,11 @@ impl TaskRef {
 /// popping the own front and stealing from victims' backs.
 struct JobCore {
     task: TaskRef,
-    /// Address of the owning `PoolShared`, recorded in [`SPAN_POOLS`] while
-    /// a thread executes one of this job's spans.
-    pool_id: usize,
     deques: Vec<Mutex<VecDeque<Range<usize>>>>,
     /// Spans not yet claimed by any participant (fast has-work check).
     unclaimed: AtomicUsize,
     /// Spans not yet finished executing; 0 means the job is done.
     remaining: AtomicUsize,
-    /// Whether idle participants may steal from other deques.
-    stealing: bool,
     /// Set by the first panicking span; later spans are drained unrun.
     poisoned: AtomicBool,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
@@ -574,34 +466,19 @@ impl JobCore {
         self.unclaimed.load(Ordering::SeqCst) > 0
     }
 
-    /// Whether participant `slot` could claim a span right now; under
-    /// static scheduling only the own deque counts (no stealing), so a
-    /// worker never busy-waits on spans dealt to someone else.
-    fn has_work_for(&self, slot: usize) -> bool {
-        if !self.has_claimable_work() {
-            return false;
-        }
-        if self.stealing {
-            return true;
-        }
-        !self.deques[slot].lock().unwrap().is_empty()
-    }
-
     /// Claims the next span for participant `slot`: own deque front first,
-    /// then (under dynamic scheduling) other deques' backs.
+    /// then other deques' backs.
     fn claim(&self, slot: usize) -> Option<Range<usize>> {
         if let Some(span) = self.deques[slot].lock().unwrap().pop_front() {
             self.unclaimed.fetch_sub(1, Ordering::SeqCst);
             return Some(span);
         }
-        if self.stealing {
-            let n = self.deques.len();
-            for offset in 1..n {
-                let victim = (slot + offset) % n;
-                if let Some(span) = self.deques[victim].lock().unwrap().pop_back() {
-                    self.unclaimed.fetch_sub(1, Ordering::SeqCst);
-                    return Some(span);
-                }
+        let n = self.deques.len();
+        for offset in 1..n {
+            let victim = (slot + offset) % n;
+            if let Some(span) = self.deques[victim].lock().unwrap().pop_back() {
+                self.unclaimed.fetch_sub(1, Ordering::SeqCst);
+                return Some(span);
             }
         }
         None
@@ -612,7 +489,6 @@ impl JobCore {
         if !self.poisoned.load(Ordering::SeqCst) {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let _flag = SpanFlagGuard::set(true);
-                let _participant = SpanPoolGuard::enter(self.pool_id);
                 (unsafe { &*self.task.0 })(span);
             }));
             if let Err(payload) = outcome {
@@ -658,7 +534,7 @@ fn worker_main(shared: &Arc<PoolShared>, index: usize) {
             let mut injector = shared.injector.lock().unwrap();
             loop {
                 injector.jobs.retain(|j| j.has_claimable_work());
-                if let Some(job) = injector.jobs.iter().find(|j| j.has_work_for(index)) {
+                if let Some(job) = injector.jobs.first() {
                     break Arc::clone(job);
                 }
                 if injector.shutdown {
@@ -730,11 +606,7 @@ where
     RA: Send,
     RB: Send,
 {
-    // Offering `oper_b` to idle workers is stealing by definition, so the
-    // no-steal static baseline runs both sides sequentially on the caller.
-    let Some(pool) =
-        active_pool().filter(|p| p.num_threads > 1 && p.policy == SchedulePolicy::Dynamic)
-    else {
+    let Some(pool) = active_pool().filter(|p| p.num_threads > 1) else {
         let ra = oper_a();
         let rb = oper_b();
         return (ra, rb);
@@ -754,7 +626,6 @@ where
         // Safety: this function blocks in `wait_done` below before `body`
         // (and the stack slots it borrows) go out of scope.
         task: unsafe { TaskRef::erase(&body) },
-        pool_id: Arc::as_ptr(&pool) as usize,
         deques: (0..n)
             .map(|w| {
                 let mut deque = VecDeque::new();
@@ -766,7 +637,6 @@ where
             .collect(),
         unclaimed: AtomicUsize::new(1),
         remaining: AtomicUsize::new(1),
-        stealing: true,
         poisoned: AtomicBool::new(false),
         panic: Mutex::new(None),
         done: Mutex::new(false),

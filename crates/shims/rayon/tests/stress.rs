@@ -45,28 +45,6 @@ fn install_from_inside_a_parallel_region_still_works() {
 }
 
 #[test]
-fn static_policy_nested_same_pool_install_does_not_deadlock() {
-    // Regression: under the no-steal static baseline, a span that
-    // re-installs the same pool submits a job whose span for the blocked
-    // submitter's own slot could be claimed by nobody; the runtime must
-    // detect this and run the nested region inline instead of hanging.
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(3)
-        .schedule_policy(rayon::SchedulePolicy::Static)
-        .build()
-        .unwrap();
-    let totals: Vec<usize> = pool.install(|| {
-        (0..6usize)
-            .into_par_iter()
-            .map(|k| pool.install(|| (0..50).into_par_iter().map(|i| i + k).sum::<usize>()))
-            .collect()
-    });
-    for (k, total) in totals.iter().enumerate() {
-        assert_eq!(*total, (0..50).map(|i| i + k).sum::<usize>());
-    }
-}
-
-#[test]
 fn concurrent_installs_from_many_user_threads() {
     // One shared pool, many simultaneous caller threads: every job must
     // complete with correct, correctly ordered results.
@@ -150,26 +128,6 @@ fn join_runs_both_sides_and_propagates_panics() {
     // And the pool is still healthy.
     let (x, y) = pool.install(|| join(|| 3, || 4));
     assert_eq!((x, y), (3, 4));
-}
-
-#[test]
-fn join_on_a_static_pool_is_sequential_but_correct() {
-    // The no-steal baseline must not smuggle stealing in through `join`:
-    // both sides run on the caller, and results are still correct.
-    let pool = ThreadPoolBuilder::new()
-        .num_threads(3)
-        .schedule_policy(rayon::SchedulePolicy::Static)
-        .build()
-        .unwrap();
-    let caller = std::thread::current().id();
-    let (a, b) = pool.install(|| {
-        join(
-            || std::thread::current().id(),
-            || std::thread::current().id(),
-        )
-    });
-    assert_eq!(a, caller);
-    assert_eq!(b, caller);
 }
 
 #[test]

@@ -191,9 +191,10 @@ proptest! {
     }
 }
 
-/// The empty plan is exact pass-through on both backends: bit-identical
-/// decomposition and word-identical counters against the unwrapped
-/// transports.
+/// The empty plan is exact pass-through on both backends: the fault-free
+/// `execute_hooi` adapter and the fault-plan-taking body it wraps return a
+/// bit-identical decomposition and word-identical counters, and the
+/// adapter's cluster digest is the sum of those counters.
 #[test]
 fn empty_plan_is_bit_identical_on_both_backends() {
     for backend in [CommBackend::Channel, CommBackend::Tcp] {
@@ -205,6 +206,17 @@ fn empty_plan_is_bit_identical_on_both_backends() {
         let (chaos, clean) = chaos_case(tensor, 3, vec![3, 2, 2], 21, backend, FaultPlan::empty());
         assert_eq!(chaos.faults_fired, 0);
         assert_chaos_contract(&chaos, &clean, &format!("{backend:?} empty plan"));
+        assert!(chaos.rank_errors.iter().all(Option::is_none));
+        assert_eq!(chaos.backend, clean.backend);
+        let floats_sent = |phase: Phase| -> f64 {
+            chaos
+                .comm
+                .iter()
+                .map(|c| c.phase(phase).floats_sent as f64)
+                .sum()
+        };
+        assert_eq!(clean.cluster_expand_floats, floats_sent(Phase::Expand));
+        assert_eq!(clean.cluster_fold_floats, floats_sent(Phase::Fold));
     }
 }
 

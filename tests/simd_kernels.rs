@@ -4,9 +4,7 @@
 //! promises that `Scalar` and `Avx2` are the **same IEEE arithmetic** —
 //! separate multiply and add per element, no fused contractions, no
 //! horizontal reductions — so switching tiers never changes a single
-//! output bit.  `Fma` is the explicitly opt-in exception: it fuses each
-//! multiply+add to one rounding and is only held to a tolerance.  These
-//! tests pin all of that:
+//! output bit.  These tests pin all of that:
 //!
 //! * raw-kernel bitwise identity (`axpy`, `scaled_outer2`,
 //!   `scaled_outer3`, `gemv`, and the Kronecker accumulation at every
@@ -16,7 +14,6 @@
 //!   `accumulate_scaled_kron` — the exact test the kron docs reference;
 //! * full solves bit-identical between `Scalar` and `Avx2` on every
 //!   generated dataset profile;
-//! * `Fma` solves agreeing with `Scalar` to tight tolerance;
 //! * the `KernelIsa` parse/resolve surface.
 //!
 //! Vector tests self-skip on hosts without AVX2.  Assertions that depend
@@ -200,7 +197,7 @@ fn zero_factor_entries_keep_all_arities_bit_identical() {
     use tucker_repro::hooi::symbolic::SymbolicTtmc;
     use tucker_repro::hooi::ttmc::ttmc_mode;
 
-    let isas: Vec<KernelIsa> = [KernelIsa::Scalar, KernelIsa::Avx2, KernelIsa::Fma]
+    let isas: Vec<KernelIsa> = [KernelIsa::Scalar, KernelIsa::Avx2]
         .into_iter()
         .filter(|isa| isa.supported())
         .collect();
@@ -210,41 +207,32 @@ fn zero_factor_entries_keep_all_arities_bit_identical() {
     // materialized kron + axpy order), arity 2 hoists `alpha·uᵢ` first —
     // but, unlike the real branch, never skips a zero coefficient.
     // Equality with the dispatched path then proves the skip is invisible.
-    // Under `Fma` the reference fuses the same single multiply+add the
-    // fused kernels do.
-    let reference_accumulate = |isa: KernelIsa, alpha: f64, rows: &[&[f64]], acc: &mut [f64]| {
-        let fused = isa == KernelIsa::Fma;
-        let madd = |a: f64, c: f64, x: f64| if fused { c.mul_add(x, a) } else { a + c * x };
-        match rows.len() {
-            1 => {
-                for (a, &x) in acc.iter_mut().zip(rows[0]) {
-                    *a = madd(*a, alpha, x);
+    let reference_accumulate = |alpha: f64, rows: &[&[f64]], acc: &mut [f64]| match rows.len() {
+        1 => {
+            for (a, &x) in acc.iter_mut().zip(rows[0]) {
+                *a += alpha * x;
+            }
+        }
+        2 => {
+            let (u, v) = (rows[0], rows[1]);
+            for (i, &ui) in u.iter().enumerate() {
+                let coeff = alpha * ui;
+                for (j, &vj) in v.iter().enumerate() {
+                    acc[i * v.len() + j] += coeff * vj;
                 }
             }
-            2 => {
-                let (u, v) = (rows[0], rows[1]);
-                for (i, &ui) in u.iter().enumerate() {
-                    let coeff = alpha * ui;
-                    for (j, &vj) in v.iter().enumerate() {
-                        let a = &mut acc[i * v.len() + j];
-                        *a = madd(*a, coeff, vj);
-                    }
-                }
-            }
-            _ => {
-                let mut kron = vec![0.0f64; acc.len()];
-                kron_rows(rows, &mut kron);
-                for (a, &s) in acc.iter_mut().zip(&kron) {
-                    *a = madd(*a, alpha, s);
-                }
+        }
+        _ => {
+            let mut kron = vec![0.0f64; acc.len()];
+            kron_rows(rows, &mut kron);
+            for (a, &s) in acc.iter_mut().zip(&kron) {
+                *a += alpha * s;
             }
         }
     };
 
     // Kernel level: rows riddled with exact zeros, every arity, each ISA's
-    // dispatched branch against the skip-free reference (and `Fma` is
-    // covered too: the skip argument is rounding-free, so it holds within
-    // the fused tier).
+    // dispatched branch against the skip-free reference.
     for arity in 1usize..=4 {
         let dims = &[5usize, 7, 3, 4][..arity];
         for seed in [11u64, 29, 53] {
@@ -271,7 +259,7 @@ fn zero_factor_entries_keep_all_arities_bit_identical() {
                     let mut scratch = vec![0.0f64; len];
                     accumulate_scaled_kron_isa(isa, alpha, &rows, &mut direct, &mut scratch);
                     let mut reference = init.clone();
-                    reference_accumulate(isa, alpha, &rows, &mut reference);
+                    reference_accumulate(alpha, &rows, &mut reference);
                     assert_eq!(
                         bits(&direct),
                         bits(&reference),
@@ -354,44 +342,12 @@ fn solves_are_bit_identical_scalar_vs_avx2_on_all_profiles() {
     }
 }
 
-/// The opt-in `Fma` tier re-associates nothing and fuses each element's
-/// multiply+add, so its fits track `Scalar` to near machine precision.
-#[test]
-fn fma_solve_fit_agrees_with_scalar_within_tolerance() {
-    if !KernelIsa::Fma.supported() {
-        eprintln!("skipping: host lacks FMA");
-        return;
-    }
-    let tensor = random_tensor(&[30, 25, 20], 2_000, 19);
-    let config = TuckerConfig::new(vec![4, 4, 4]).max_iterations(3).seed(7);
-    let solve = |isa: KernelIsa| {
-        TuckerSolver::plan(&tensor, PlanOptions::new().num_threads(1).kernel_isa(isa))
-            .unwrap()
-            .solve(&config)
-            .unwrap()
-    };
-    let scalar = solve(KernelIsa::Scalar);
-    let fma = solve(KernelIsa::Fma);
-    assert_eq!(scalar.fits.len(), fma.fits.len());
-    for (a, b) in scalar.fits.iter().zip(fma.fits.iter()) {
-        assert!(
-            (a - b).abs() < 1e-10,
-            "fma fit {b} drifted from scalar fit {a}"
-        );
-    }
-}
-
 /// The `KernelIsa` surface: parsing, display, resolution invariants, and
 /// the session accessor.  Environment-dependent claims are only asserted
 /// when `TUCKER_KERNEL` is not forcing the process.
 #[test]
 fn kernel_isa_parse_resolve_and_session_accessor() {
-    for isa in [
-        KernelIsa::Auto,
-        KernelIsa::Scalar,
-        KernelIsa::Avx2,
-        KernelIsa::Fma,
-    ] {
+    for isa in [KernelIsa::Auto, KernelIsa::Scalar, KernelIsa::Avx2] {
         assert_eq!(KernelIsa::parse(isa.as_str()), Some(isa));
         assert_eq!(
             KernelIsa::parse(&isa.as_str().to_ascii_uppercase()),
@@ -405,9 +361,7 @@ fn kernel_isa_parse_resolve_and_session_accessor() {
     assert_eq!(KernelIsa::parse("sse9"), None);
     assert_eq!(KernelIsa::parse(""), None);
     assert_ne!(KernelIsa::resolved_default(), KernelIsa::Auto);
-    // Auto never opts into the non-bit-identical tier on its own.
     if KernelIsa::from_env().is_none() {
-        assert_ne!(KernelIsa::Auto.resolve(), KernelIsa::Fma);
         assert_eq!(KernelIsa::Scalar.resolve(), KernelIsa::Scalar);
     }
 

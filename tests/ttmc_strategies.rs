@@ -270,7 +270,7 @@ fn strategy_knob_is_reported_and_defaulted() {
     assert!(default_solver.dimtree().is_some());
     assert_eq!(PlanOptions::new().ttmc_strategy, TtmcStrategy::Auto);
     assert_eq!(TtmcStrategy::default(), TtmcStrategy::Auto);
-    let pinned = TuckerSolver::plan(
+    let mut pinned = TuckerSolver::plan(
         &tensor,
         PlanOptions::new()
             .num_threads(1)
@@ -282,11 +282,7 @@ fn strategy_knob_is_reported_and_defaulted() {
 
     let config = TuckerConfig::new(vec![2, 2, 2]).max_iterations(2).seed(4);
     let tree_run = tucker_hooi(&tensor, &config).unwrap();
-    let per_mode_run = tucker_hooi(
-        &tensor,
-        &config.clone().ttmc_strategy(TtmcStrategy::PerMode),
-    )
-    .unwrap();
+    let per_mode_run = pinned.solve(&config).unwrap();
     for (a, b) in tree_run.fits.iter().zip(per_mode_run.fits.iter()) {
         assert!((a - b).abs() <= 1e-10 * b.abs().max(1e-300));
     }
@@ -354,10 +350,14 @@ fn auto_resolves_to_per_mode_when_sharing_cannot_pay() {
     // The resolved plan solves like an explicitly per-mode one.
     let config = TuckerConfig::new(vec![3, 3, 3]).max_iterations(2).seed(8);
     let auto_run = solver.solve(&config).unwrap();
-    let pinned_run = tucker_hooi(
+    let pinned_run = TuckerSolver::plan(
         &tensor,
-        &config.clone().ttmc_strategy(TtmcStrategy::PerMode),
+        PlanOptions::new()
+            .num_threads(1)
+            .ttmc_strategy(TtmcStrategy::PerMode),
     )
+    .unwrap()
+    .solve(&config)
     .unwrap();
     assert_eq!(auto_run.fits, pinned_run.fits);
 }
