@@ -632,7 +632,6 @@ mod tests {
         assert_eq!(KernelIsa::parse("scalar"), Some(KernelIsa::Scalar));
         assert_eq!(KernelIsa::parse("AVX2"), Some(KernelIsa::Avx2));
         assert_eq!(KernelIsa::parse(" avx2 "), Some(KernelIsa::Avx2));
-        assert_eq!(KernelIsa::parse("fma"), None);
         assert_eq!(KernelIsa::parse("auto"), Some(KernelIsa::Auto));
         assert_eq!(KernelIsa::parse("sse9"), None);
         assert_eq!(KernelIsa::parse(""), None);

@@ -208,15 +208,15 @@ fn empty_plan_is_bit_identical_on_both_backends() {
         assert_chaos_contract(&chaos, &clean, &format!("{backend:?} empty plan"));
         assert!(chaos.rank_errors.iter().all(Option::is_none));
         assert_eq!(chaos.backend, clean.backend);
-        let floats_sent = |phase: Phase| -> f64 {
-            chaos
-                .comm
-                .iter()
-                .map(|c| c.phase(phase).floats_sent as f64)
-                .sum()
-        };
-        assert_eq!(clean.cluster_expand_floats, floats_sent(Phase::Expand));
-        assert_eq!(clean.cluster_fold_floats, floats_sent(Phase::Fold));
+        let totals = CommCounters::merged(&chaos.comm);
+        assert_eq!(
+            clean.cluster_expand_floats,
+            totals.phase(Phase::Expand).floats_sent as f64
+        );
+        assert_eq!(
+            clean.cluster_fold_floats,
+            totals.phase(Phase::Fold).floats_sent as f64
+        );
     }
 }
 
