@@ -17,6 +17,14 @@
 //! contraction, no reordered reductions) is asserted here on every run, not
 //! just in the test suite.  A mismatch aborts the bin.
 //!
+//! A second section, `gemv_normal`, times one Lanczos TRSVD step on the
+//! tall-skinny `Y_(n)` shapes of the repo benchmark (54 563 × 100 and
+//! 8 000 × 125): the fused sweep [`par_gemv_normal`] against the two sweeps
+//! it stands for, [`par_gemv`] then [`par_gemv_t`], interleaved, minimum of
+//! [`REPEATS`], at the default pool width and ISA tier.  Both report the
+//! bytes the *two* products read per second, so the fused cell's GB/s is
+//! higher by the traffic it saves.
+//!
 //! Machine-readable output goes to `BENCH_kernels.json` (override with
 //! `--out <path>`), including the host's `cpu_features` so a 1.0x speedup
 //! on an AVX2-less host is interpretable.  With `--check` the bin doubles
@@ -28,7 +36,9 @@
 //! Run with `cargo run --release -p bench --bin kernels`.
 
 use bench::{cpu_features_json, print_header};
+use linalg::blas::{par_gemv, par_gemv_normal, par_gemv_t};
 use linalg::simd::{self, AlignedVec, KernelIsa};
+use linalg::Matrix;
 use sptensor::kron::accumulate_scaled_kron_isa;
 use std::time::Instant;
 
@@ -240,7 +250,65 @@ fn measure_case(case: &Case, isas: &[KernelIsa]) -> Vec<f64> {
     }
 }
 
-fn to_json(host_cpus: usize, cells: &[Cell]) -> String {
+/// `Y_(n)` shapes of the `gemv_normal` section: `nell3` mode 0 and a
+/// `delicious4` mode.
+const NORMAL_SHAPES: [(usize, usize); 2] = [(54_563, 100), (8_000, 125)];
+
+/// One `gemv_normal` cell: a Lanczos step on a `rows × cols` matrix, fused
+/// and as two products.
+struct NormalCell {
+    rows: usize,
+    cols: usize,
+    fused_ns: f64,
+    two_sweeps_ns: f64,
+}
+
+impl NormalCell {
+    /// GB/s of the bytes `par_gemv` + `par_gemv_t` read (twice the matrix).
+    fn gbs(&self, ns: f64) -> f64 {
+        (2 * 8 * self.rows * self.cols) as f64 / ns
+    }
+}
+
+/// Times `t = A x, y = Aᵀ t` both ways, interleaved, minimum of
+/// [`REPEATS`], after asserting the two return the same bits.
+fn measure_gemv_normal(rows: usize, cols: usize) -> NormalCell {
+    let a = Matrix::random_signed(rows, cols, 0x6e0f);
+    let x = lcg_data(cols, 3);
+    let (mut t, mut y) = (vec![0.0; rows], vec![0.0; cols]);
+    let (mut t_ref, mut y_ref) = (vec![0.0; rows], vec![0.0; cols]);
+    par_gemv_normal(&a, &x, &mut t, &mut y);
+    par_gemv(&a, &x, &mut t_ref);
+    par_gemv_t(&a, &t_ref, &mut y_ref);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(&t), bits(&t_ref), "fused t diverges at {rows}x{cols}");
+    assert_eq!(bits(&y), bits(&y_ref), "fused y diverges at {rows}x{cols}");
+
+    let iters = (TARGET_SECONDS / (rows * cols) as f64 * 2e9).ceil() as u64;
+    let (mut fused_ns, mut two_sweeps_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        for _ in 0..iters {
+            par_gemv_normal(&a, &x, &mut t, &mut y);
+        }
+        fused_ns = fused_ns.min(start.elapsed().as_secs_f64() / iters as f64 * 1e9);
+        let start = Instant::now();
+        for _ in 0..iters {
+            par_gemv(&a, &x, &mut t);
+            par_gemv_t(&a, &t, &mut y);
+        }
+        two_sweeps_ns = two_sweeps_ns.min(start.elapsed().as_secs_f64() / iters as f64 * 1e9);
+    }
+    std::hint::black_box((&t, &y));
+    NormalCell {
+        rows,
+        cols,
+        fused_ns,
+        two_sweeps_ns,
+    }
+}
+
+fn to_json(host_cpus: usize, cells: &[Cell], normal: &[NormalCell]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"kernels\",\n");
     out.push_str("  \"command\": \"cargo run --release -p bench --bin kernels\",\n");
@@ -259,6 +327,25 @@ fn to_json(host_cpus: usize, cells: &[Cell]) -> String {
             c.gflops,
             c.speedup_vs_scalar,
             if i + 1 == cells.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str(&format!(
+        "  \"gemv_normal_threads\": {},\n  \"gemv_normal\": [\n",
+        rayon::current_num_threads()
+    ));
+    for (i, c) in normal.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"rows\": {}, \"cols\": {}, \"fused_ns\": {:.0}, \"two_sweeps_ns\": {:.0}, \
+             \"fused_gbs\": {:.2}, \"two_sweeps_gbs\": {:.2}, \"speedup\": {:.4}}}{}\n",
+            c.rows,
+            c.cols,
+            c.fused_ns,
+            c.two_sweeps_ns,
+            c.gbs(c.fused_ns),
+            c.gbs(c.two_sweeps_ns),
+            c.two_sweeps_ns / c.fused_ns,
+            if i + 1 == normal.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -394,8 +481,36 @@ fn main() {
         }
     }
 
-    std::fs::write(&args.out, to_json(host_cpus, &cells)).expect("write BENCH_kernels.json");
-    println!("\nwrote {} ({} cells)", args.out, cells.len());
+    println!(
+        "gemv_normal (one Lanczos step, {} thread(s), {} tier):",
+        rayon::current_num_threads(),
+        KernelIsa::resolved_default()
+    );
+    let normal: Vec<NormalCell> = NORMAL_SHAPES
+        .iter()
+        .map(|&(rows, cols)| {
+            let cell = measure_gemv_normal(rows, cols);
+            println!(
+                "  {rows:>6} x {cols:<3} fused {:>9.0} ns ({:>6.2} GB/s)   \
+                 par_gemv + par_gemv_t {:>9.0} ns ({:>6.2} GB/s)   {:>5.2}x",
+                cell.fused_ns,
+                cell.gbs(cell.fused_ns),
+                cell.two_sweeps_ns,
+                cell.gbs(cell.two_sweeps_ns),
+                cell.two_sweeps_ns / cell.fused_ns,
+            );
+            cell
+        })
+        .collect();
+
+    std::fs::write(&args.out, to_json(host_cpus, &cells, &normal))
+        .expect("write BENCH_kernels.json");
+    println!(
+        "\nwrote {} ({} kernel cells, {} gemv_normal cells)",
+        args.out,
+        cells.len(),
+        normal.len()
+    );
 
     if args.check {
         std::process::exit(check_gate(&cells));

@@ -110,8 +110,9 @@ impl IndexLayout {
 /// Which truncated-SVD backend updates the factor matrices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrsvdBackend {
-    /// Golub–Kahan–Lanczos with full reorthogonalization (the SLEPc
-    /// stand-in; default).
+    /// Symmetric Lanczos with full reorthogonalization on the normal
+    /// operator `Y_(n)ᵀ Y_(n)`, applied matrix-free (the SLEPc stand-in;
+    /// default).
     Lanczos,
     /// Randomized range-finder SVD (used by the ablation benches).
     Randomized,

@@ -7,8 +7,8 @@
 //! persistent worker pool (threads spawn at plan time and serve every
 //! solve — [`TimingBreakdown::pool`](crate::TimingBreakdown::pool) is
 //! nonzero only on the first solve) plus the [`HooiWorkspace`] scratch
-//! (compact TTMc buffers, Lanczos bases, the projected TRSVD problem, the
-//! core buffer);
+//! (compact TTMc buffers, the short Lanczos basis and its product vector,
+//! the core buffer);
 //! [`TuckerSolver::solve`] then runs HOOI at any rank/seed/backend without
 //! re-planning, and [`TuckerSolver::solve_many`] amortizes one plan across
 //! a batch of configurations — the shape a long-lived decomposition service
@@ -480,7 +480,7 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
     /// Measured memory footprint of the plan in bytes: the symbolic TTMc
     /// structures (update lists, mode-sorted layouts), the dimension tree's
     /// node groupings when that strategy runs, and the workspace scratch
-    /// (compact TTMc buffers, tree value/partial matrices, Lanczos bases,
+    /// (compact TTMc buffers, tree value/partial matrices, Lanczos scratch,
     /// core buffer).  The tensor itself is *not* counted — it is owned (or
     /// shared) independently of the plan.
     ///

@@ -9,6 +9,13 @@
 //! solver plays that role, with the randomized and dense backends available
 //! for comparison and verification.
 //!
+//! Neither `Y_(n) Y_(n)ᵀ` nor the small `Y_(n)ᵀ Y_(n)` is ever formed.  The
+//! Lanczos backend runs on the latter as an operator, `x ↦ Y_(n)ᵀ(Y_(n) x)`:
+//! `Y_(n)` is tall and skinny, so the Krylov basis has only `Π_{t≠n} R_t`
+//! entries per vector, each step is one fused sweep of `Y_(n)`
+//! ([`linalg::blas::par_gemv_normal`]), and the `R_n` left singular vectors
+//! come out of one more sweep, `Y_(n)·V`, orthonormalized in row blocks.
+//!
 //! The solver sees only the *compact* TTMc result (non-empty rows); the
 //! recovered left singular vectors are scattered back into the full factor
 //! matrix, with rows of empty slices left at zero (those rows never
@@ -31,7 +38,9 @@ pub struct TrsvdResult {
     /// The leading singular values of the matricized TTMc result.
     pub singular_values: Vec<f64>,
     /// Number of operator applications (MxV + MTxV) used by the iterative
-    /// solver (0 for the dense backend).
+    /// solver (0 for the dense backend); see
+    /// [`linalg::TruncatedSvd::operator_applications`] for what the Lanczos
+    /// backend counts.
     pub operator_applications: usize,
 }
 
@@ -61,7 +70,7 @@ pub fn trsvd_factor(
 }
 
 /// [`trsvd_factor`] with caller-provided TRSVD scratch: the Lanczos backend
-/// draws its Krylov bases and projected problem from `scratch` instead of
+/// draws its Krylov basis and product vector from `scratch` instead of
 /// allocating per call — the HOOI loop passes the workspace buffers here
 /// (see [`crate::workspace::HooiWorkspace`]).  The other backends ignore
 /// the scratch.
@@ -181,6 +190,44 @@ mod tests {
                 (randomized.singular_values[i] - dense.singular_values[i]).abs()
                     < 1e-3 * dense.singular_values[0],
                 "randomized σ_{i}"
+            );
+        }
+    }
+
+    /// The matrix-free backend must land HOOI where the exact one does: on
+    /// every generated profile, at ranks where each mode's `Y_(n)` is large
+    /// enough to take the Krylov path, three iterations end at the same fit.
+    #[test]
+    fn lanczos_and_dense_backends_reach_the_same_fit_on_all_profiles() {
+        use crate::config::TuckerConfig;
+        use crate::hooi::tucker_hooi;
+        use datagen::{DatasetProfile, ProfileName};
+        for name in ProfileName::all() {
+            let tensor = DatasetProfile::new(name).generate(8_000, 21);
+            let rank = if tensor.order() == 3 { 6 } else { 4 };
+            let ranks: Vec<usize> = tensor.dims().iter().map(|&d| d.min(rank)).collect();
+            // Not the dense fallback in disguise: Y_(n) outgrows the Krylov
+            // subspace in both directions.
+            let sym = SymbolicTtmc::build(&tensor);
+            let width: usize = ranks.iter().skip(1).product();
+            let subspace = 2 * rank + 10;
+            assert!(
+                (0..tensor.order()).any(|n| sym.mode(n).num_rows() > subspace) && width > subspace,
+                "{name:?}"
+            );
+            let config = TuckerConfig::new(ranks).max_iterations(3).seed(3);
+            let fit_with = |backend| {
+                tucker_hooi(&tensor, &config.clone().trsvd(backend))
+                    .unwrap()
+                    .final_fit()
+            };
+            let (lanczos, dense) = (
+                fit_with(TrsvdBackend::Lanczos),
+                fit_with(TrsvdBackend::Dense),
+            );
+            assert!(
+                (lanczos - dense).abs() < 1e-9,
+                "{name:?}: Lanczos fit {lanczos} vs dense {dense}"
             );
         }
     }

@@ -10,8 +10,8 @@
 //!
 //! * the per-mode compact TTMc result matrices
 //!   ([`crate::ttmc::ttmc_mode_into`] writes into them),
-//! * the TRSVD scratch ([`linalg::lanczos::LanczosWorkspace`]: Krylov basis
-//!   vectors and the projected bidiagonal problem),
+//! * the TRSVD scratch ([`linalg::lanczos::LanczosWorkspace`]: the short
+//!   Krylov basis vectors and the one `|J_n|`-long product vector),
 //! * the core tensor buffer
 //!   ([`crate::core_tensor::core_from_last_ttmc_into`] folds into it).
 //!
@@ -190,7 +190,9 @@ impl HooiWorkspace {
     /// Measured memory footprint of all scratch owned by this workspace, in
     /// bytes: the compact TTMc buffers, the dimension-tree node values and
     /// privatized partials, the leaf permutations, the core buffer, and the
-    /// pooled Lanczos basis/projected-problem storage.  This is the
+    /// pooled Lanczos basis and product vector (the TRSVD's per-call
+    /// results and kernel partials are freed before it returns and are not
+    /// held).  This is the
     /// workspace's share of a plan's cache footprint
     /// ([`crate::TuckerSession::memory_bytes`]); it grows on the first
     /// solve at each rank shape and is stable afterwards.

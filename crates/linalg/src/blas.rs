@@ -95,38 +95,96 @@ pub fn gemv_t(a: &Matrix, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Rows per partial sum of [`par_gemv_t`].  A constant rather than a share
-/// of the pool: the chunk borders fix the floating-point sum order, so they
-/// must depend on `nrows` alone for the product to be the same bits at
-/// every thread count.
-const GEMV_T_ROWS_PER_CHUNK: usize = 256;
+/// Rows per partial result of the chunked kernels ([`par_gemv_t`],
+/// [`par_gemv_normal`], [`par_gemm_nt_into`], [`par_cholesky_qr`]).  A
+/// constant rather than a share of the pool: the chunk borders fix the
+/// floating-point sum order, so they must depend on `nrows` alone for the
+/// result to be the same bits at every thread count.
+const ROWS_PER_CHUNK: usize = 256;
+
+/// Rows [`par_gemv_normal`] multiplies before accumulating them: 16 rows of
+/// a `Π R_t ≈ 100`-column `Y_(n)` are 13 KB, so the second use of each row
+/// finds it in L1.  Affects speed only — the sum order is row order either
+/// way.
+const ROWS_PER_L1_BLOCK: usize = 16;
+
+/// `y = Σ_c slots[c][..y.len()]`, added in chunk order; `slots` holds one
+/// `stride`-long slot per chunk.
+fn sum_in_chunk_order(slots: &[f64], stride: usize, y: &mut [f64]) {
+    y.fill(0.0);
+    for slot in slots.chunks(stride) {
+        axpy(1.0, &slot[..y.len()], y);
+    }
+}
 
 /// Dense transposed matrix-vector product `y = Aᵀ x` with rayon.
 ///
-/// Every 256 rows (`GEMV_T_ROWS_PER_CHUNK`) accumulate a private
-/// `ncols`-length partial in parallel; the partials are then summed
-/// sequentially in chunk order, so the result does not depend on the pool
-/// width.  This mirrors how the paper's distributed `MTxV` computes local
-/// partial results followed by an all-to-all reduction.
+/// Every 256 rows (`ROWS_PER_CHUNK`) accumulate a private `ncols`-length
+/// partial in parallel; the partials are then summed sequentially in chunk
+/// order, so the result does not depend on the pool width.  This mirrors
+/// how the paper's distributed `MTxV` computes local partial results
+/// followed by an all-to-all reduction.
 pub fn par_gemv_t(a: &Matrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.nrows());
     assert_eq!(y.len(), a.ncols());
-    let nrows = a.nrows();
-    let partials: Vec<Vec<f64>> = (0..nrows.div_ceil(GEMV_T_ROWS_PER_CHUNK))
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * GEMV_T_ROWS_PER_CHUNK;
-            let hi = (lo + GEMV_T_ROWS_PER_CHUNK).min(nrows);
-            let mut local = vec![0.0; a.ncols()];
-            for i in lo..hi {
-                axpy(x[i], a.row(i), &mut local);
+    let (nrows, ncols) = a.shape();
+    if ncols == 0 {
+        return;
+    }
+    let mut partials = vec![0.0; nrows.div_ceil(ROWS_PER_CHUNK) * ncols];
+    partials
+        .par_chunks_mut(ncols)
+        .enumerate()
+        .for_each(|(c, partial)| {
+            let lo = c * ROWS_PER_CHUNK;
+            for i in lo..(lo + ROWS_PER_CHUNK).min(nrows) {
+                axpy(x[i], a.row(i), partial);
             }
-            local
-        })
-        .collect();
-    y.iter_mut().for_each(|v| *v = 0.0);
-    for partial in &partials {
-        axpy(1.0, partial, y);
+        });
+    sum_in_chunk_order(&partials, ncols, y);
+}
+
+/// The normal-equations product in one sweep of `A`: `t = A x` and
+/// `y = Aᵀ t`, bit for bit what [`par_gemv`] followed by [`par_gemv_t`]
+/// return at any pool width and ISA tier, but each row is read from memory
+/// once — it is multiplied into `t` and, still in cache, accumulated into
+/// its chunk's private partial of `y`.  This is one step of the Lanczos
+/// TRSVD ([`crate::lanczos`]) on a tall `Y_(n)`.
+pub fn par_gemv_normal(a: &Matrix, x: &[f64], t: &mut [f64], y: &mut [f64]) {
+    assert_eq!(x.len(), a.ncols());
+    assert_eq!(t.len(), a.nrows());
+    assert_eq!(y.len(), a.ncols());
+    let (nrows, ncols) = a.shape();
+    if ncols == 0 {
+        t.fill(0.0);
+        return;
+    }
+    let isa = KernelIsa::resolved_default();
+    // One slot per chunk: its partial of `y`, then its rows of `t` (the
+    // pool hands out disjoint slots, so both are written without sharing).
+    let stride = ncols + ROWS_PER_CHUNK;
+    let mut slots = vec![0.0; nrows.div_ceil(ROWS_PER_CHUNK) * stride];
+    slots
+        .par_chunks_mut(stride)
+        .enumerate()
+        .for_each(|(c, slot)| {
+            let first = c * ROWS_PER_CHUNK;
+            let rows = ROWS_PER_CHUNK.min(nrows - first);
+            let (partial, t_chunk) = slot.split_at_mut(ncols);
+            let chunk = &a.as_slice()[first * ncols..(first + rows) * ncols];
+            for lo in (0..rows).step_by(ROWS_PER_L1_BLOCK) {
+                let hi = (lo + ROWS_PER_L1_BLOCK).min(rows);
+                let block = &chunk[lo * ncols..hi * ncols];
+                let t_block = &mut t_chunk[lo..hi];
+                simd::gemv(isa, block, hi - lo, ncols, x, t_block);
+                for (row, &ti) in block.chunks(ncols).zip(t_block.iter()) {
+                    simd::axpy(isa, ti, row, partial);
+                }
+            }
+        });
+    sum_in_chunk_order(&slots, stride, y);
+    for (slot, t_chunk) in slots.chunks(stride).zip(t.chunks_mut(ROWS_PER_CHUNK)) {
+        t_chunk.copy_from_slice(&slot[ncols..ncols + t_chunk.len()]);
     }
 }
 
@@ -197,6 +255,132 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     c
+}
+
+/// `C = A Bᵀ` into a preallocated `C`, parallel over 256-row chunks of `A`
+/// and `C`: entry `(i, j)` is `dot(a.row(i), b.row(j))` in scalar order, the
+/// same bits as [`gemm_nt`] — or as one [`par_gemv`] per row of `B` — at any
+/// pool width and ISA tier, while `A` is swept once.  With the `R_n` Ritz
+/// vectors as the rows of `B` this recovers the left singular vectors of a
+/// tall `Y_(n)` ([`crate::lanczos`]).
+pub fn par_gemm_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+    assert_eq!(a.ncols(), b.ncols(), "gemm_nt: column counts must agree");
+    assert_eq!(c.shape(), (a.nrows(), b.nrows()));
+    let (ncols, k) = (a.ncols(), b.nrows());
+    if k == 0 {
+        return;
+    }
+    let isa = KernelIsa::resolved_default();
+    c.as_mut_slice()
+        .par_chunks_mut(ROWS_PER_CHUNK * k)
+        .enumerate()
+        .for_each_init(
+            || vec![0.0; ROWS_PER_CHUNK],
+            |column, (chunk, c_rows)| {
+                let rows = c_rows.len() / k;
+                let first = chunk * ROWS_PER_CHUNK;
+                let a_rows = &a.as_slice()[first * ncols..(first + rows) * ncols];
+                let column = &mut column[..rows];
+                for j in 0..k {
+                    simd::gemv(isa, a_rows, rows, ncols, b.row(j), column);
+                    for (c_row, &v) in c_rows.chunks_mut(k).zip(column.iter()) {
+                        c_row[j] = v;
+                    }
+                }
+            },
+        );
+}
+
+/// Orthonormalizes the columns of a tall `a` in place by two rounds of
+/// Cholesky-QR and returns the diagonal of `R` in `A = Q R`: the length each
+/// column had once orthogonal to the columns before it.
+///
+/// Each round forms the Gram matrix `G = AᵀA` from per-256-row partials
+/// summed in chunk order, factors `G = RᵀR`, and solves `A ← A R⁻¹` row by
+/// row — two sweeps of `A` per round, both row-block parallel, no
+/// column-strided access, and the same bits at any pool width and ISA tier
+/// (the per-entry operations are plain scalar code).  A column that is
+/// numerically zero (norm below `1e-12` of the largest) or numerically in
+/// the span of the columns before it becomes a zero column of length `0`,
+/// as [`crate::qr::orthonormalize_columns`] does.
+///
+/// Cholesky-QR squares the condition number, so this is for columns that
+/// are already close to orthogonal — here `Y·v_i` for Ritz vectors `v_i`,
+/// whose Gram matrix is `diag(σ_i²)` up to the Lanczos residual.
+pub fn par_cholesky_qr(a: &mut Matrix) -> Vec<f64> {
+    let (nrows, k) = a.shape();
+    let mut lengths = vec![1.0; k];
+    if k == 0 {
+        return lengths;
+    }
+    let mut partials = vec![0.0; nrows.div_ceil(ROWS_PER_CHUNK) * k * k];
+    let mut gram = vec![0.0; k * k];
+    for _round in 0..2 {
+        // Upper triangle of G, one private partial per chunk of rows.
+        partials
+            .par_chunks_mut(k * k)
+            .enumerate()
+            .for_each(|(c, partial)| {
+                partial.fill(0.0);
+                let lo = c * ROWS_PER_CHUNK;
+                for i in lo..(lo + ROWS_PER_CHUNK).min(nrows) {
+                    let row = a.row(i);
+                    for p in 0..k {
+                        let (rp, g) = (row[p], &mut partial[p * k..(p + 1) * k]);
+                        for q in p..k {
+                            g[q] += rp * row[q];
+                        }
+                    }
+                }
+            });
+        sum_in_chunk_order(&partials, k * k, &mut gram);
+
+        // G = RᵀR in place (R upper triangular), dropping dependent columns:
+        // row j of R and 1/R[j][j] are zeroed, which zeroes column j of A R⁻¹.
+        let largest = (0..k).map(|j| gram[j * k + j]).fold(0.0, f64::max);
+        let mut inv_diag = vec![0.0; k];
+        for j in 0..k {
+            let norm_sq = gram[j * k + j];
+            let mut d = norm_sq;
+            for p in 0..j {
+                d -= gram[p * k + j] * gram[p * k + j];
+            }
+            let dependent = d <= 64.0 * f64::EPSILON * norm_sq;
+            if dependent || norm_sq <= 1e-24 * largest {
+                gram[j * k..(j + 1) * k].fill(0.0);
+                lengths[j] = 0.0;
+                continue;
+            }
+            let r_jj = d.sqrt();
+            inv_diag[j] = 1.0 / r_jj;
+            lengths[j] *= r_jj;
+            gram[j * k + j] = r_jj;
+            for q in (j + 1)..k {
+                let mut v = gram[j * k + q];
+                for p in 0..j {
+                    v -= gram[p * k + j] * gram[p * k + q];
+                }
+                gram[j * k + q] = v / r_jj;
+            }
+        }
+
+        // A ← A R⁻¹ by forward substitution on every row.
+        let r = &gram;
+        a.as_mut_slice()
+            .par_chunks_mut(ROWS_PER_CHUNK * k)
+            .for_each(|rows| {
+                for row in rows.chunks_mut(k) {
+                    for j in 0..k {
+                        let y = row[j] * inv_diag[j];
+                        row[j] = y;
+                        for q in (j + 1)..k {
+                            row[q] -= y * r[j * k + q];
+                        }
+                    }
+                }
+            });
+    }
+    lengths
 }
 
 /// Symmetric rank-k update: returns the Gram matrix `G = Aᵀ A`.
@@ -302,29 +486,153 @@ mod tests {
         assert_eq!(y, vec![0.0; 4]);
     }
 
-    #[test]
-    fn par_gemv_t_bits_do_not_depend_on_pool_width() {
-        for nrows in [0usize, 1, 63, 64, 65, 1000, 10_007] {
-            let a = Matrix::random(nrows, 13, nrows as u64 + 1);
-            let x: Vec<f64> = (0..nrows).map(|i| (i % 11) as f64 * 0.37 - 1.9).collect();
-            let product_at = |threads: usize| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let mut y = vec![f64::NAN; 13];
-                pool.install(|| par_gemv_t(&a, &x, &mut y));
-                y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
-            };
-            let reference = product_at(1);
-            for threads in [2, 3, 4, 8] {
-                assert_eq!(
-                    product_at(threads),
-                    reference,
-                    "nrows={nrows} threads={threads}"
-                );
+    /// The shapes every chunked kernel is checked on: row counts around the
+    /// 256-row chunk border and well past it, column counts below, off and
+    /// on the SIMD width and at the solver's `Π R_t`.
+    const NROWS: [usize; 7] = [0, 1, 255, 256, 257, 1000, 10_007];
+    const NCOLS: [usize; 3] = [1, 13, 100];
+
+    /// `kernel`'s output bits on every shape at pool width 1, after
+    /// asserting that widths 2, 3, 4 and 8 return the same bits.  The ISA
+    /// tier is the process default; CI runs this module once under
+    /// `TUCKER_KERNEL=scalar` and once under `=avx2`.
+    fn width_independent_bits(
+        kernel: impl Fn(&Matrix) -> Vec<f64> + Sync,
+    ) -> Vec<((usize, usize), Vec<u64>)> {
+        let mut out = Vec::new();
+        for nrows in NROWS {
+            for ncols in NCOLS {
+                let a = Matrix::random_signed(nrows, ncols, (nrows * 131 + ncols) as u64);
+                let bits_at = |threads: usize| {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    let values = pool.install(|| kernel(&a));
+                    values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+                };
+                let reference = bits_at(1);
+                for threads in [2, 3, 4, 8] {
+                    assert_eq!(
+                        bits_at(threads),
+                        reference,
+                        "{nrows}x{ncols} at {threads} threads"
+                    );
+                }
+                out.push(((nrows, ncols), reference));
             }
         }
+        out
+    }
+
+    fn test_vector(len: usize) -> Vec<f64> {
+        (0..len).map(|i| (i % 11) as f64 * 0.37 - 1.9).collect()
+    }
+
+    #[test]
+    fn par_gemv_t_bits_do_not_depend_on_pool_width() {
+        width_independent_bits(|a| {
+            let mut y = vec![f64::NAN; a.ncols()];
+            par_gemv_t(a, &test_vector(a.nrows()), &mut y);
+            y
+        });
+    }
+
+    #[test]
+    fn fused_normal_product_equals_the_two_products_bit_for_bit() {
+        use crate::operator::{DenseOperator, LinearOperator};
+        let both = |t: Vec<f64>, y: Vec<f64>| [t, y].concat();
+        let fused = width_independent_bits(|a| {
+            let (mut t, mut y) = (vec![f64::NAN; a.nrows()], vec![f64::NAN; a.ncols()]);
+            DenseOperator::parallel(a).apply_normal(&test_vector(a.ncols()), &mut t, &mut y);
+            both(t, y)
+        });
+        // The trait's default body: `apply`, then `apply_transpose`.
+        let composed = width_independent_bits(|a| {
+            let (mut t, mut y) = (vec![f64::NAN; a.nrows()], vec![f64::NAN; a.ncols()]);
+            par_gemv(a, &test_vector(a.ncols()), &mut t);
+            par_gemv_t(a, &t, &mut y);
+            both(t, y)
+        });
+        assert_eq!(fused, composed);
+    }
+
+    #[test]
+    fn block_product_equals_the_column_loop_bit_for_bit() {
+        use crate::operator::{DenseOperator, LinearOperator};
+        for k in [1usize, 3, 10] {
+            let vectors = |a: &Matrix| Matrix::random_signed(k, a.ncols(), 77);
+            let block = width_independent_bits(|a| {
+                let mut c = Matrix::from_fn(a.nrows(), k, |_, _| f64::NAN);
+                DenseOperator::parallel(a).apply_many(&vectors(a), &mut c);
+                c.into_vec()
+            });
+            // The trait's default body: one `apply` per vector.
+            let columns = width_independent_bits(|a| {
+                let b = vectors(a);
+                let mut c = Matrix::zeros(a.nrows(), k);
+                let mut column = vec![0.0; a.nrows()];
+                for j in 0..k {
+                    par_gemv(a, b.row(j), &mut column);
+                    c.set_col(j, &column);
+                }
+                c.into_vec()
+            });
+            assert_eq!(block, columns, "k={k}");
+            let sequential = width_independent_bits(|a| gemm_nt(a, &vectors(a)).into_vec());
+            assert_eq!(block, sequential, "k={k}");
+        }
+    }
+
+    #[test]
+    fn cholesky_qr_bits_do_not_depend_on_pool_width_and_columns_are_orthonormal() {
+        let results = width_independent_bits(|a| {
+            let mut q = a.clone();
+            let lengths = par_cholesky_qr(&mut q);
+            [q.into_vec(), lengths].concat()
+        });
+        for ((nrows, ncols), bits) in results {
+            if nrows < 1000 {
+                continue; // fewer rows than columns somewhere: nothing to assert
+            }
+            let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let q = Matrix::from_vec(nrows, ncols, values[..nrows * ncols].to_vec());
+            assert!(
+                crate::qr::orthogonality_error(&q) < 1e-12,
+                "{nrows}x{ncols}: {}",
+                crate::qr::orthogonality_error(&q)
+            );
+            assert!(values[nrows * ncols..].iter().all(|&l| l > 0.0));
+        }
+    }
+
+    #[test]
+    fn cholesky_qr_zeroes_dependent_and_negligible_columns() {
+        // Column 2 repeats column 0, column 4 is rounding noise, column 5 zero.
+        let base = Matrix::random_signed(2000, 6, 5);
+        let mut a = Matrix::from_fn(2000, 6, |i, j| match j {
+            2 => 3.0 * base[(i, 0)],
+            4 => 1e-14 * base[(i, 4)],
+            5 => 0.0,
+            _ => base[(i, j)],
+        });
+        let original = a.clone();
+        let lengths = par_cholesky_qr(&mut a);
+        for j in [2, 4, 5] {
+            assert_eq!(lengths[j], 0.0, "column {j}");
+            assert!(a.col(j).iter().all(|&v| v == 0.0), "column {j}");
+        }
+        let kept = Matrix::from_fn(2000, 3, |i, j| a[(i, [0, 1, 3][j])]);
+        assert!(crate::qr::orthogonality_error(&kept) < 1e-12);
+        // Q R reproduces the first column: its length times its direction.
+        for i in 0..2000 {
+            assert!(approx_eq(lengths[0] * a[(i, 0)], original[(i, 0)], 1e-12));
+        }
+        // Graded columns survive: lengths six orders apart stay orthonormal.
+        let mut graded = Matrix::from_fn(2000, 4, |i, j| base[(i, j)] * 10f64.powi(-2 * j as i32));
+        let lengths = par_cholesky_qr(&mut graded);
+        assert!(crate::qr::orthogonality_error(&graded) < 1e-12);
+        assert!(lengths[3] > 0.0 && lengths[3] < 1e-5 * lengths[0]);
     }
 
     #[test]

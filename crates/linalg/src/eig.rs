@@ -2,8 +2,9 @@
 //!
 //! Used in two places:
 //!
-//! * the dense SVD ([`crate::svd`]) of small projected matrices arising in
-//!   the Lanczos and randomized TRSVD solvers, and
+//! * the tridiagonal projected problem of the Lanczos TRSVD solver
+//!   ([`crate::lanczos`]) and the dense SVD ([`crate::svd`]) that finishes
+//!   the randomized one, and
 //! * Gram-matrix based SVD of genuinely small matricized tensors (e.g. the
 //!   core tensor checks in tests).
 //!

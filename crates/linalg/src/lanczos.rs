@@ -1,21 +1,44 @@
-//! Matrix-free truncated SVD via Golub–Kahan–Lanczos bidiagonalization.
+//! Matrix-free truncated SVD: symmetric Lanczos on the normal operator.
 //!
 //! This is the Rust stand-in for the SLEPc iterative SVD solver the paper
-//! uses for the TRSVD step: it touches the operator only through `MxV` and
-//! `MTxV` products, computes only the `R_n` leading singular triplets, keeps
-//! full reorthogonalization of both Krylov bases (the bases have at most a
-//! few tens of vectors, so this is cheap and keeps the method robust), and
-//! finishes the small projected bidiagonal problem with the dense SVD from
-//! [`crate::svd`].
+//! uses for the TRSVD step, in the formulation SLEPc ships as its `cross`
+//! SVD type: the `R_n` leading singular triplets of `A` are read off the
+//! leading eigenpairs of `AᵀA` (or `AAᵀ`, whichever is smaller), which is
+//! **never formed** — it is only applied, as `x ↦ Aᵀ(A x)`, through the
+//! operator's `MxV` and `MTxV` products
+//! ([`LinearOperator::apply_normal`]).
 //!
-//! The paper reports that SLEPc converged in fewer than 5 outer iterations
-//! for all instances; this solver typically converges in a similar number of
-//! (restarted) expansions because the matricized TTMc results have strongly
-//! decaying spectra.
+//! The matricized TTMc results are tall and skinny (`Π_{t≠n} R_t` columns,
+//! up to millions of rows), and that shapes the method:
+//!
+//! * the Krylov basis lives on the **short** side, so full
+//!   reorthogonalization costs `O(subspace · min(m, n))` per step and no
+//!   long vector other than the one product `t = A x` is ever held;
+//! * one Lanczos step is one application of the normal operator, which a
+//!   dense operator serves in a single sweep of its matrix
+//!   ([`crate::blas::par_gemv_normal`]);
+//! * the small projected problem is a symmetric tridiagonal matrix, solved
+//!   by [`crate::eig`]; a Ritz triplet is accepted when
+//!   `β_k·|s_{k,i}| ≤ tol·σ_max·σ_i`;
+//! * the singular vectors of the **long** side are recovered at the end in
+//!   one block product ([`LinearOperator::apply_many`]) and orthonormalized
+//!   by [`crate::blas::par_cholesky_qr`], whose column lengths `‖A v_i‖` are
+//!   the singular values returned.
+//!
+//! Squaring the spectrum costs accuracy where it does not matter here: the
+//! Ritz *vectors* of singular values below `√ε·σ_max` are resolved only as a
+//! group, because their squares drown in the rounding of `σ_max²`.  The
+//! singular values themselves are measured on the recovered vectors, not
+//! read off the squared spectrum, so an exactly rank-deficient operator
+//! reports zeros (and zero vectors) rather than `√ε·σ_max`.  HOOI wants the
+//! dominant subspace, and the paper reports SLEPc converging in fewer than 5
+//! outer iterations on these strongly decaying spectra; this solver
+//! typically needs one pass of `2·rank + 10` steps.
 
-use crate::blas::{axpy, dot, normalize, nrm2};
+use crate::blas::{axpy, dot, normalize, nrm2, par_cholesky_qr, scal};
+use crate::eig::symmetric_eig;
 use crate::matrix::Matrix;
-use crate::operator::LinearOperator;
+use crate::operator::{apply_columnwise, LinearOperator};
 use crate::svd::dense_svd;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -48,13 +71,14 @@ impl Default for LanczosOptions {
 
 /// Reusable scratch buffers for [`lanczos_svd_with`].
 ///
-/// One Lanczos solve allocates `O(subspace)` Krylov basis vectors (length
-/// `m` and `n`) plus the small projected bidiagonal problem.  Inside a HOOI
-/// loop the same shapes recur every iteration and every solve, so callers
-/// that run many TRSVDs (see `hooi::HooiWorkspace`) keep one of these
-/// alive and the solver recycles its buffers instead of allocating fresh
-/// ones per call.  A workspace never influences the numerical result: every
-/// buffer handed out is zero-filled first.
+/// One Lanczos solve needs `O(subspace)` Krylov vectors of length
+/// `min(m, n)` and one vector of length `max(m, n)` for the product inside
+/// a normal-operator step.  Inside a HOOI loop the same shapes recur every
+/// iteration and every solve, so callers that run many TRSVDs (see
+/// `hooi::HooiWorkspace`) keep one of these alive and the solver recycles
+/// its buffers instead of allocating fresh ones per call.  A workspace never
+/// influences the numerical result: every buffer handed out is zero-filled
+/// first.
 ///
 /// ```
 /// use linalg::lanczos::{lanczos_svd, lanczos_svd_with, LanczosOptions, LanczosWorkspace};
@@ -70,12 +94,11 @@ impl Default for LanczosOptions {
 /// ```
 #[derive(Debug, Default)]
 pub struct LanczosWorkspace {
-    /// Recycled row-space buffers (length `m` at last use).
-    left: Vec<Vec<f64>>,
-    /// Recycled column-space buffers (length `n` at last use).
-    right: Vec<Vec<f64>>,
-    /// Recycled storage of the projected bidiagonal problem.
-    projected: Vec<f64>,
+    /// Recycled Krylov vectors (length `min(m, n)` at last use).
+    basis: Vec<Vec<f64>>,
+    /// The long-side product of a normal-operator step (length `max(m, n)`
+    /// at last use).
+    product: Vec<f64>,
 }
 
 impl LanczosWorkspace {
@@ -84,43 +107,21 @@ impl LanczosWorkspace {
         LanczosWorkspace::default()
     }
 
-    fn take(pool: &mut Vec<Vec<f64>>, len: usize) -> Vec<f64> {
-        match pool.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.resize(len, 0.0);
-                v
-            }
-            None => vec![0.0; len],
-        }
-    }
-
-    fn take_left(&mut self, len: usize) -> Vec<f64> {
-        Self::take(&mut self.left, len)
-    }
-
-    fn take_right(&mut self, len: usize) -> Vec<f64> {
-        Self::take(&mut self.right, len)
-    }
-
-    fn take_projected(&mut self, len: usize) -> Vec<f64> {
-        let mut v = std::mem::take(&mut self.projected);
-        v.clear();
-        v.resize(len, 0.0);
-        v
-    }
-
-    /// Number of basis buffers currently parked for reuse (diagnostics).
-    pub fn pooled_buffers(&self) -> usize {
-        self.left.len() + self.right.len()
+    fn take_basis_vector(&mut self, len: usize) -> Vec<f64> {
+        resized(self.basis.pop().unwrap_or_default(), len)
     }
 
     /// Total `f64` entries currently parked for reuse (diagnostics).
     pub fn pooled_floats(&self) -> usize {
-        self.left.iter().map(Vec::len).sum::<usize>()
-            + self.right.iter().map(Vec::len).sum::<usize>()
-            + self.projected.len()
+        self.basis.iter().map(Vec::len).sum::<usize>() + self.product.len()
     }
+}
+
+/// `v`, zero-filled at length `len`.
+fn resized(mut v: Vec<f64>, len: usize) -> Vec<f64> {
+    v.clear();
+    v.resize(len, 0.0);
+    v
 }
 
 /// A truncated SVD `A ≈ U diag(σ) Vᵀ` with `k` columns.
@@ -132,7 +133,11 @@ pub struct TruncatedSvd {
     pub singular_values: Vec<f64>,
     /// Leading right singular vectors (`ncols × k`).
     pub v: Matrix,
-    /// Number of operator applications (`MxV` plus `MTxV`) performed.
+    /// Number of operator applications (`MxV` plus `MTxV`) performed: two
+    /// per Lanczos step plus `k` for the recovery of the long-side vectors
+    /// (a fused step or a block recovery still counts the products it
+    /// stands for); `ncols` when the operator was small enough to be
+    /// materialized and solved densely, however it was materialized.
     pub operator_applications: usize,
     /// Whether every requested triplet met the residual tolerance.
     pub converged: bool,
@@ -150,9 +155,9 @@ pub fn lanczos_svd(op: &dyn LinearOperator, rank: usize, opts: &LanczosOptions) 
     lanczos_svd_with(op, rank, opts, &mut LanczosWorkspace::new())
 }
 
-/// [`lanczos_svd`] with caller-provided scratch buffers: the Krylov basis
-/// vectors and the projected bidiagonal problem are drawn from (and returned
-/// to) `ws` instead of being allocated per call.
+/// [`lanczos_svd`] with caller-provided scratch buffers: the Krylov vectors
+/// and the long product vector are drawn from (and returned to) `ws` instead
+/// of being allocated per call.
 ///
 /// # Panics
 /// Panics if `rank == 0`.
@@ -165,8 +170,9 @@ pub fn lanczos_svd_with(
     assert!(rank > 0, "lanczos_svd: rank must be positive");
     let m = op.nrows();
     let n = op.ncols();
-    let max_rank = m.min(n);
-    let rank = rank.min(max_rank.max(1));
+    // The Krylov side: the normal operator acts on R^short.
+    let short = m.min(n);
+    let rank = rank.min(short.max(1));
     if m == 0 || n == 0 {
         return TruncatedSvd {
             u: Matrix::zeros(m, 0),
@@ -180,15 +186,15 @@ pub fn lanczos_svd_with(
     let mut subspace = opts
         .max_subspace
         .unwrap_or(2 * rank + 10)
-        .clamp(rank, max_rank);
+        .clamp(rank, short);
 
     // When the Krylov subspace would cover the whole small dimension anyway,
-    // a Krylov method has no advantage: the projected problem can still miss
-    // the row (or column) space.  Fall back to an exact dense SVD obtained by
-    // materializing the operator, provided that is affordable.  In HOOI this
-    // branch only triggers for genuinely small matricized tensors.
+    // a Krylov method has no advantage.  Fall back to an exact dense SVD
+    // obtained by materializing the operator, provided that is affordable.
+    // In HOOI this branch only triggers for genuinely small matricized
+    // tensors.
     const DENSE_FALLBACK_ENTRIES: usize = 4_000_000;
-    if subspace >= max_rank && m.saturating_mul(n) <= DENSE_FALLBACK_ENTRIES {
+    if subspace >= short && m.saturating_mul(n) <= DENSE_FALLBACK_ENTRIES {
         let dense = op.to_dense();
         let svd = dense_svd(&dense);
         let take = rank.min(svd.singular_values.len());
@@ -207,180 +213,138 @@ pub fn lanczos_svd_with(
         };
     }
 
+    let tall = m >= n;
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    let mut applications = 0usize;
+    let mut random_direction =
+        |q: &mut [f64]| q.iter_mut().for_each(|x| *x = rng.gen::<f64>() - 0.5);
+    let mut product = resized(std::mem::take(&mut ws.product), m.max(n));
 
-    // Krylov bases: uvecs[i] has length m, vvecs[i] has length n.  The
-    // vectors come from the workspace pool and are returned to it after the
-    // result has been lifted back to the full space.
-    let mut uvecs: Vec<Vec<f64>> = Vec::with_capacity(subspace);
-    let mut vvecs: Vec<Vec<f64>> = Vec::with_capacity(subspace + 1);
+    // The Lanczos relation B Q_k = Q_k T_k + β_k q_{k+1} e_kᵀ for the normal
+    // operator B: `basis` holds q_1 … q_{k+1}, T_k has `alphas` on its
+    // diagonal and `betas[..k-1]` beside it, and `betas[k-1]` is β_k.
+    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(subspace + 1);
     let mut alphas: Vec<f64> = Vec::with_capacity(subspace);
     let mut betas: Vec<f64> = Vec::with_capacity(subspace);
+    // Largest ‖B q_j‖ seen: a lower bound on σ_max², the scale below which
+    // a new direction is rounding noise.
+    let mut scale = 0.0f64;
 
-    // Starting vector.
-    let mut v = ws.take_right(n);
-    v.iter_mut().for_each(|x| *x = rng.gen::<f64>() - 0.5);
-    normalize(&mut v);
-    vvecs.push(v);
+    let mut q = ws.take_basis_vector(short);
+    random_direction(&mut q);
+    normalize(&mut q);
+    basis.push(q);
 
-    let mut best: Option<TruncatedSvd> = None;
-
-    let result = 'solve: {
-        for _restart in 0..opts.max_restarts.max(1) {
-            // Expand the factorization until the subspace is full.
-            while alphas.len() < subspace {
-                let j = alphas.len();
-                // u_j = A v_j - beta_{j-1} u_{j-1}
-                let mut u = ws.take_left(m);
-                op.apply(&vvecs[j], &mut u);
-                applications += 1;
-                if j > 0 {
-                    let beta_prev = betas[j - 1];
-                    axpy(-beta_prev, &uvecs[j - 1], &mut u);
-                }
-                // Full reorthogonalization against previous u's.
-                reorthogonalize(&mut u, &uvecs);
-                let alpha = nrm2(&u);
-                if alpha <= f64::EPSILON * (m as f64).sqrt() {
-                    // Breakdown: the range has been exhausted.
-                    ws.left.push(u);
-                    break;
-                }
-                u.iter_mut().for_each(|x| *x /= alpha);
-                alphas.push(alpha);
-                uvecs.push(u);
-
-                // v_{j+1} = Aᵀ u_j - alpha_j v_j
-                let mut w = ws.take_right(n);
-                op.apply_transpose(&uvecs[j], &mut w);
-                applications += 1;
-                axpy(-alpha, &vvecs[j], &mut w);
-                reorthogonalize(&mut w, &vvecs);
-                let beta = nrm2(&w);
-                if beta <= f64::EPSILON * (n as f64).sqrt() {
-                    betas.push(0.0);
-                    // Deflation: restart direction is exhausted too.
-                    ws.right.push(w);
-                    break;
-                }
-                w.iter_mut().for_each(|x| *x /= beta);
-                betas.push(beta);
-                vvecs.push(w);
-            }
-
-            let k = alphas.len();
-            if k == 0 {
-                // Operator is (numerically) zero.
-                break 'solve TruncatedSvd {
-                    u: Matrix::zeros(m, rank),
-                    singular_values: vec![0.0; rank],
-                    v: Matrix::zeros(n, rank),
-                    operator_applications: applications,
-                    converged: true,
-                };
-            }
-
-            // Build the k×k (upper) bidiagonal projected matrix B with
-            // alphas on the diagonal and betas on the superdiagonal.
-            let mut b = Matrix::from_vec(k, k, ws.take_projected(k * k));
-            for i in 0..k {
-                b[(i, i)] = alphas[i];
-                if i + 1 < k {
-                    b[(i, i + 1)] = betas[i];
-                }
-            }
-            let bsvd = dense_svd(&b);
-            ws.projected = b.into_vec();
-
-            let take = rank.min(k);
-            // Residual estimate for the i-th Ritz triplet:
-            // ‖A v_i - σ_i u_i‖ ≈ |beta_k| * |last component of B's right
-            // vector| (standard GKL bound).
-            let beta_last = if k == betas.len() && k > 0 {
-                betas[k - 1]
+    let mut restarts = 0;
+    let (ritz, converged) = loop {
+        while alphas.len() < subspace {
+            let j = alphas.len();
+            let mut w = ws.take_basis_vector(short);
+            if tall {
+                op.apply_normal(&basis[j], &mut product, &mut w);
             } else {
-                0.0
-            };
-            let sigma_max = bsvd.singular_values.first().copied().unwrap_or(0.0);
-            let mut converged = true;
-            for i in 0..take {
-                let resid = beta_last * bsvd.u.col(i)[k - 1].abs();
-                if resid > opts.tol * sigma_max.max(1e-300) {
-                    converged = false;
-                    break;
-                }
+                op.apply_transpose(&basis[j], &mut product);
+                op.apply(&product, &mut w);
             }
-            let exhausted = k < subspace; // breakdown: the factorization is exact
-
-            // Lift the projected singular vectors back to the full space.
-            let mut u_full = Matrix::zeros(m, take);
-            let mut v_full = Matrix::zeros(n, take);
-            let mut ucol = ws.take_left(m);
-            let mut vcol = ws.take_right(n);
-            for col in 0..take {
-                let pu = bsvd.u.col(col);
-                let pv = bsvd.v.col(col);
-                ucol.iter_mut().for_each(|x| *x = 0.0);
-                for (j, &c) in pu.iter().enumerate() {
-                    if c != 0.0 {
-                        axpy(c, &uvecs[j], &mut ucol);
-                    }
-                }
-                vcol.iter_mut().for_each(|x| *x = 0.0);
-                for (j, &c) in pv.iter().enumerate() {
-                    if c != 0.0 {
-                        axpy(c, &vvecs[j], &mut vcol);
-                    }
-                }
-                u_full.set_col(col, &ucol);
-                v_full.set_col(col, &vcol);
-            }
-            ws.left.push(ucol);
-            ws.right.push(vcol);
-            let singular_values: Vec<f64> = bsvd.singular_values[..take].to_vec();
-
-            let result = TruncatedSvd {
-                u: u_full,
-                singular_values,
-                v: v_full,
-                operator_applications: applications,
-                converged: converged || exhausted,
-            };
-            if result.converged {
-                break 'solve result;
-            }
-            best = Some(result);
-
-            // Thick restart would be the production choice; for the subspace
-            // sizes used here simply enlarging the subspace on restart is
-            // sufficient and keeps the code simple.  The bases built so far
-            // are kept, so the next pass only expands the factorization from
-            // `k` toward the larger bound.
-            let new_subspace = (subspace + subspace / 2 + 1).min(max_rank);
-            if new_subspace == subspace {
-                // The subspace is already at the small dimension and cannot
-                // grow — another pass cannot improve the estimate.
-                // (Breakdown, k < subspace, broke out above: the
-                // factorization is exact.)
+            scale = scale.max(nrm2(&w));
+            alphas.push(dot(&basis[j], &w));
+            if j + 1 == short {
+                // The basis spans the whole space: the relation is exact.
+                betas.push(0.0);
+                ws.basis.push(w);
                 break;
             }
-            subspace = new_subspace;
+            // Full reorthogonalization; it also removes α_j q_j + β_{j-1} q_{j-1}.
+            reorthogonalize(&mut w, &basis);
+            let mut beta = nrm2(&w);
+            if beta <= scale * f64::EPSILON * f64::EPSILON {
+                // Breakdown: the Krylov space is invariant (a rank-deficient
+                // or zero operator, repeated singular values).  Continue in a
+                // fresh direction, uncoupled from the space built so far.
+                beta = 0.0;
+                random_direction(&mut w);
+                reorthogonalize(&mut w, &basis);
+                normalize(&mut w);
+            } else {
+                scal(1.0 / beta, &mut w);
+            }
+            betas.push(beta);
+            basis.push(w);
         }
 
-        best.take().unwrap_or_else(|| TruncatedSvd {
-            u: Matrix::zeros(m, rank),
-            singular_values: vec![0.0; rank],
-            v: Matrix::zeros(n, rank),
-            operator_applications: applications,
-            converged: false,
-        })
+        let k = alphas.len();
+        let mut tridiagonal = Matrix::zeros(k, k);
+        for i in 0..k {
+            tridiagonal[(i, i)] = alphas[i];
+            if i + 1 < k {
+                tridiagonal[(i, i + 1)] = betas[i];
+                tridiagonal[(i + 1, i)] = betas[i];
+            }
+        }
+        let ritz = symmetric_eig(&tridiagonal);
+
+        // Residual of the i-th Ritz pair of B: β_k·|s_{k,i}|.  Its square
+        // root is what moves σ_i, hence the bound tol·σ_max·σ_i — with σ_i
+        // floored where its square drops below the rounding of σ_max².
+        let sigma = |i: usize| ritz.values[i].max(0.0).sqrt();
+        let sigma_max = sigma(0);
+        let negligible = f64::EPSILON.sqrt() * sigma_max;
+        let converged = (0..rank).all(|i| {
+            let residual = betas[k - 1] * ritz.vectors[(k - 1, i)].abs();
+            residual <= opts.tol * sigma_max * sigma(i).max(negligible)
+        });
+
+        // Thick restart would be the production choice; for the subspace
+        // sizes used here simply enlarging the subspace on restart is
+        // sufficient and keeps the code simple.  The basis built so far is
+        // kept, so the next pass only expands the factorization from `k`
+        // toward the larger bound.
+        restarts += 1;
+        let enlarged = (subspace + subspace / 2 + 1).min(short);
+        if converged || enlarged == subspace || restarts >= opts.max_restarts {
+            break (ritz, converged);
+        }
+        subspace = enlarged;
     };
 
-    // Park the Krylov bases for the next solve.
-    ws.left.append(&mut uvecs);
-    ws.right.append(&mut vvecs);
-    result
+    // Short-side singular vectors: the Ritz vectors Q_k s_i, one per row.
+    let k = alphas.len();
+    let mut short_vectors = Matrix::zeros(rank, short);
+    for i in 0..rank {
+        for (j, q) in basis[..k].iter().enumerate() {
+            axpy(ritz.vectors[(j, i)], q, short_vectors.row_mut(i));
+        }
+    }
+    // Long-side vectors: A v_i = σ_i u_i (or Aᵀ u_i = σ_i v_i), normalized
+    // and cleaned of what the Ritz vectors' errors mixed in.
+    let mut long_vectors = Matrix::zeros(m.max(n), rank);
+    if tall {
+        op.apply_many(&short_vectors, &mut long_vectors);
+    } else {
+        apply_columnwise(
+            |x, y| op.apply_transpose(x, y),
+            &short_vectors,
+            &mut long_vectors,
+        );
+    }
+    // ‖A v_i‖ is the Ritz value √θ_i again, but measured on the vectors
+    // returned and without the rounding of σ_max² that θ_i carries.
+    let singular_values = par_cholesky_qr(&mut long_vectors);
+
+    ws.basis.append(&mut basis);
+    ws.product = product;
+    let short_vectors = short_vectors.transpose();
+    let (u, v) = if tall {
+        (long_vectors, short_vectors)
+    } else {
+        (short_vectors, long_vectors)
+    };
+    TruncatedSvd {
+        u,
+        singular_values,
+        v,
+        operator_applications: 2 * k + rank,
+        converged,
+    }
 }
 
 /// Orthogonalizes `x` against every vector in `basis` (classical Gram-Schmidt
@@ -533,8 +497,12 @@ mod tests {
 
         let mut ws = LanczosWorkspace::new();
         let first = lanczos_svd_with(&op, 4, &opts, &mut ws);
-        let pooled_after_first = ws.pooled_buffers();
-        assert!(pooled_after_first > 0, "bases should be parked for reuse");
+        let pooled_after_first = ws.pooled_floats();
+        // The short Krylov vectors and the one long product vector.
+        assert!(
+            pooled_after_first > 70,
+            "buffers should be parked for reuse"
+        );
         let second = lanczos_svd_with(&op, 4, &opts, &mut ws);
 
         // The workspace must never change the numbers.
@@ -543,8 +511,122 @@ mod tests {
         assert_eq!(first.u, fresh.u);
         assert_eq!(second.u, fresh.u);
         // And the second solve recycles instead of growing the pool.
-        assert_eq!(ws.pooled_buffers(), pooled_after_first);
-        assert!(ws.pooled_floats() > 0);
+        assert_eq!(ws.pooled_floats(), pooled_after_first);
+    }
+
+    /// `U diag(spectrum) Vᵀ` with random orthonormal `U` (`m × p`) and `V`
+    /// (`n × p`).
+    fn with_spectrum(m: usize, n: usize, spectrum: &[f64], seed: u64) -> Matrix {
+        let p = spectrum.len();
+        let mut u = Matrix::random_signed(m, p, seed);
+        let mut v = Matrix::random_signed(n, p, seed ^ 0xabcd);
+        assert_eq!(crate::qr::orthonormalize_columns(&mut u), p);
+        assert_eq!(crate::qr::orthonormalize_columns(&mut v), p);
+        for i in 0..m {
+            for (x, s) in u.row_mut(i).iter_mut().zip(spectrum) {
+                *x *= s;
+            }
+        }
+        crate::blas::gemm_nt(&u, &v)
+    }
+
+    /// The contract of the Krylov path on `a`, whose singular values are
+    /// `expected` (descending; `numerical_rank` of them nonzero): singular
+    /// values within `1e-8·σ_1`, orthonormal vectors for every nonzero
+    /// singular value, zero long-side vectors beyond them, nothing
+    /// non-finite.
+    fn assert_krylov_contract(a: &Matrix, rank: usize, expected: &[f64], numerical_rank: usize) {
+        let (m, n) = a.shape();
+        assert!(
+            m.min(n) > 2 * rank + 10 || m * n > 4_000_000,
+            "would take the dense fallback"
+        );
+        let sigma_1 = expected[0];
+        for parallel in [false, true] {
+            let op = if parallel {
+                DenseOperator::parallel(a)
+            } else {
+                DenseOperator::new(a)
+            };
+            let svd = lanczos_svd(&op, rank, &LanczosOptions::default());
+            assert_eq!(svd.u.shape(), (m, rank));
+            assert_eq!(svd.v.shape(), (n, rank));
+            assert_eq!(svd.singular_values.len(), rank);
+            assert!(svd.u.as_slice().iter().all(|x| x.is_finite()));
+            assert!(svd.v.as_slice().iter().all(|x| x.is_finite()));
+            for (i, (got, want)) in svd.singular_values.iter().zip(expected).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-8 * sigma_1,
+                    "σ_{i}: {got:e} vs {want:e} ({m}x{n}, rank {rank})"
+                );
+            }
+            let kept = rank.min(numerical_rank);
+            let (long, short) = if m >= n {
+                (&svd.u, &svd.v)
+            } else {
+                (&svd.v, &svd.u)
+            };
+            assert!(orthogonality_error(&short.take_columns(kept)) < 1e-10);
+            assert!(orthogonality_error(&long.take_columns(kept)) < 1e-10);
+            for j in kept..rank {
+                assert!(long.col(j).iter().all(|&x| x == 0.0), "column {j}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        // Graded spectra from flat (`decades = 0`: one repeated singular
+        // value, so the Krylov space breaks down at once) to
+        // `σ_1/σ_rank = 1e6`, tall and wide.
+        #[test]
+        fn krylov_path_matches_dense_svd_on_graded_spectra(
+            short in 25usize..60,
+            extra in 0usize..300,
+            rank in 1usize..6,
+            decades in 0i32..7,
+            wide in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let step = f64::from(decades) / (rank.max(2) - 1) as f64;
+            let spectrum: Vec<f64> = (0..short)
+                .map(|i| 10f64.powf(-step * i as f64).max(1e-9))
+                .collect();
+            let (m, n) = if wide == 1 { (short, short + extra) } else { (short + extra, short) };
+            let a = with_spectrum(m, n, &spectrum, seed);
+            assert_krylov_contract(&a, rank, &reference_svd(&a).singular_values, short);
+        }
+    }
+
+    #[test]
+    fn krylov_path_on_exactly_rank_deficient_operators() {
+        for (m, n) in [(400, 40), (40, 400)] {
+            for numerical_rank in [1usize, 3] {
+                // Against the constructed spectrum: the dense SVD reports a
+                // zero singular value as √ε·σ_1.
+                let mut spectrum: Vec<f64> =
+                    (0..numerical_rank).map(|i| 2.0 - i as f64 * 0.5).collect();
+                let a = with_spectrum(m, n, &spectrum, 9);
+                spectrum.resize(5, 0.0);
+                assert_krylov_contract(&a, 5, &spectrum, numerical_rank);
+            }
+        }
+    }
+
+    #[test]
+    fn krylov_path_on_zero_single_row_and_single_column_operators() {
+        assert_krylov_contract(&Matrix::zeros(300, 40), 3, &[0.0; 3], 0);
+        assert_krylov_contract(&Matrix::zeros(40, 300), 3, &[0.0; 3], 0);
+        // Too large for the dense fallback, so the one-dimensional Krylov
+        // space is what answers.
+        let long = 4_000_001;
+        for a in [
+            Matrix::random_signed(1, long, 3),
+            Matrix::random_signed(long, 1, 4),
+        ] {
+            assert_krylov_contract(&a, 1, &[a.frobenius_norm()], 1);
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   [`LinearOperator`] abstraction.  This is the
 //!   Rust stand-in for the PETSc/SLEPc iterative TRSVD solver the paper uses:
 //!   only matrix-vector (`MxV`) and matrix-transpose-vector (`MTxV`) products
-//!   are required, so the operator can be a row-distributed or
-//!   *sum-distributed* matricized TTMc result that is never assembled.
+//!   are required, so neither the operator nor its Gram matrix has to be
+//!   assembled.
 //!
 //! All kernels are deterministic for a fixed seed and have both sequential
 //! and rayon-parallel paths where it matters.

@@ -2,14 +2,16 @@
 //!
 //! The TRSVD step of HOOI (paper §III-A2, §III-B) never needs the matricized
 //! TTMc result `Y_(n)` as an explicit assembled matrix — only the products
-//! `y ← Y_(n) x` (MxV) and `xᵀ ← yᵀ Y_(n)` (MTxV).  The coarse-grain
-//! distributed algorithm applies these products on a row-distributed `Y_(n)`;
-//! the fine-grain algorithm applies them on a *sum-distributed*
-//! `Y_(n) = Y¹_(n) + … + Yᵖ_(n)` and only communicates single vector entries.
-//! Both cases, as well as the shared-memory case, implement this trait and
-//! are handed to the Krylov solver in [`crate::lanczos`] unchanged.
+//! `y ← Y_(n) x` (MxV) and `xᵀ ← yᵀ Y_(n)` (MTxV).  The shared-memory solver
+//! applies them on the dense compact `Y_(n)` ([`DenseOperator`]), the HOSVD
+//! initialization on a sparse unfolding; both implement this trait and are
+//! handed to the Krylov solver in [`crate::lanczos`] unchanged.  The solver
+//! asks for the two products back to back ([`LinearOperator::apply_normal`])
+//! and for a block of forward products ([`LinearOperator::apply_many`]);
+//! both default to the single-vector calls, and an operator that can do
+//! better in one sweep of its data overrides them.
 
-use crate::blas::{gemv, gemv_t, par_gemv, par_gemv_t};
+use crate::blas::{gemv, gemv_t, par_gemm_nt_into, par_gemv, par_gemv_normal, par_gemv_t};
 use crate::matrix::Matrix;
 
 /// A real linear operator `A : R^ncols → R^nrows` exposed only through
@@ -23,6 +25,21 @@ pub trait LinearOperator: Sync {
     fn apply(&self, x: &[f64], y: &mut [f64]);
     /// `y = Aᵀ x`.  `x.len() == nrows()`, `y.len() == ncols()`.
     fn apply_transpose(&self, x: &[f64], y: &mut [f64]);
+
+    /// One application of the normal operator `AᵀA`, which is never formed:
+    /// `t = A x`, then `y = Aᵀ t`.  `x.len() == y.len() == ncols()`,
+    /// `t.len() == nrows()`.  An override must return the same `t` and `y`
+    /// as this composition.
+    fn apply_normal(&self, x: &[f64], t: &mut [f64], y: &mut [f64]) {
+        self.apply(x, t);
+        self.apply_transpose(t, y);
+    }
+
+    /// `y = A xsᵀ`: column `c` of `y` (`nrows() × k`) is `A` applied to row
+    /// `c` of `xs` (`k × ncols()`).
+    fn apply_many(&self, xs: &Matrix, y: &mut Matrix) {
+        apply_columnwise(|x, col| self.apply(x, col), xs, y);
+    }
 
     /// Materializes the operator as a dense matrix by applying it to the
     /// canonical basis.  Intended for tests and tiny operators only.
@@ -41,6 +58,16 @@ pub trait LinearOperator: Sync {
             e[j] = 0.0;
         }
         out
+    }
+}
+
+/// Column `c` of `y` becomes `product(row c of xs)`, one product at a time.
+pub(crate) fn apply_columnwise(product: impl Fn(&[f64], &mut [f64]), xs: &Matrix, y: &mut Matrix) {
+    assert_eq!(xs.nrows(), y.ncols());
+    let mut column = vec![0.0; y.nrows()];
+    for c in 0..xs.nrows() {
+        product(xs.row(c), &mut column);
+        y.set_col(c, &column);
     }
 }
 
@@ -95,66 +122,31 @@ impl LinearOperator for DenseOperator<'_> {
             gemv_t(self.matrix, x, y);
         }
     }
-}
 
-/// An operator representing the sum `A = A₁ + A₂ + … + A_p` of operators of
-/// identical shape, applied without ever assembling the sum.
-///
-/// This is the shared-memory analogue of the paper's fine-grain
-/// sum-distributed `Y_(n)`; the distributed version (with communication
-/// accounting) lives in the `distsim` crate.
-pub struct SumOperator<'a> {
-    parts: Vec<&'a dyn LinearOperator>,
-    nrows: usize,
-    ncols: usize,
-}
-
-impl<'a> SumOperator<'a> {
-    /// Builds a sum operator.
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty or shapes disagree.
-    pub fn new(parts: Vec<&'a dyn LinearOperator>) -> Self {
-        assert!(!parts.is_empty(), "SumOperator needs at least one part");
-        let nrows = parts[0].nrows();
-        let ncols = parts[0].ncols();
-        for p in &parts {
-            assert_eq!(p.nrows(), nrows, "SumOperator: row mismatch");
-            assert_eq!(p.ncols(), ncols, "SumOperator: column mismatch");
-        }
-        SumOperator {
-            parts,
-            nrows,
-            ncols,
-        }
-    }
-}
-
-impl LinearOperator for SumOperator<'_> {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        y.iter_mut().for_each(|v| *v = 0.0);
-        let mut tmp = vec![0.0; self.nrows];
-        for p in &self.parts {
-            p.apply(x, &mut tmp);
-            crate::blas::axpy(1.0, &tmp, y);
+    /// One fused sweep of the matrix when parallel
+    /// ([`par_gemv_normal`]), the default composition otherwise.
+    fn apply_normal(&self, x: &[f64], t: &mut [f64], y: &mut [f64]) {
+        if self.parallel {
+            par_gemv_normal(self.matrix, x, t, y);
+        } else {
+            self.apply(x, t);
+            self.apply_transpose(t, y);
         }
     }
 
-    fn apply_transpose(&self, x: &[f64], y: &mut [f64]) {
-        y.iter_mut().for_each(|v| *v = 0.0);
-        let mut tmp = vec![0.0; self.ncols];
-        for p in &self.parts {
-            p.apply_transpose(x, &mut tmp);
-            crate::blas::axpy(1.0, &tmp, y);
+    /// One sweep of the matrix for all `k` products when parallel
+    /// ([`par_gemm_nt_into`]), the default column loop otherwise.
+    fn apply_many(&self, xs: &Matrix, y: &mut Matrix) {
+        if self.parallel {
+            par_gemm_nt_into(self.matrix, xs, y);
+        } else {
+            apply_columnwise(|x, col| self.apply(x, col), xs, y);
         }
+    }
+
+    /// A copy of the wrapped matrix — no products.
+    fn to_dense(&self) -> Matrix {
+        self.matrix.clone()
     }
 }
 
@@ -194,47 +186,5 @@ mod tests {
         for (u, v) in w1.iter().zip(&w2) {
             assert!(approx_eq(*u, *v, 1e-10));
         }
-    }
-
-    #[test]
-    fn sum_operator_equals_sum_of_matrices() {
-        let a = Matrix::random(6, 4, 3);
-        let b = Matrix::random(6, 4, 4);
-        let opa = DenseOperator::new(&a);
-        let opb = DenseOperator::new(&b);
-        let sum = SumOperator::new(vec![&opa, &opb]);
-        let mut expected = a.clone();
-        expected.axpy(1.0, &b);
-        let dense = sum.to_dense();
-        assert!(expected.frobenius_distance(&dense) < 1e-13);
-    }
-
-    #[test]
-    fn sum_operator_transpose() {
-        let a = Matrix::random(5, 7, 13);
-        let b = Matrix::random(5, 7, 14);
-        let opa = DenseOperator::new(&a);
-        let opb = DenseOperator::new(&b);
-        let sum = SumOperator::new(vec![&opa, &opb]);
-        let x: Vec<f64> = (0..5).map(|i| i as f64 - 2.0).collect();
-        let mut y = vec![0.0; 7];
-        sum.apply_transpose(&x, &mut y);
-        let mut expected = vec![0.0; 7];
-        let mut s = a.clone();
-        s.axpy(1.0, &b);
-        crate::blas::gemv_t(&s, &x, &mut expected);
-        for (u, v) in y.iter().zip(&expected) {
-            assert!(approx_eq(*u, *v, 1e-12));
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn sum_operator_rejects_mismatched_shapes() {
-        let a = Matrix::zeros(3, 3);
-        let b = Matrix::zeros(4, 3);
-        let opa = DenseOperator::new(&a);
-        let opb = DenseOperator::new(&b);
-        let _ = SumOperator::new(vec![&opa, &opb]);
     }
 }

@@ -2,10 +2,12 @@
 //! Gram-Schmidt orthonormalization helper.
 //!
 //! HOOI needs orthonormal factor matrices: the columns of each `U_n` are the
-//! leading left singular vectors of the matricized TTMc result.  The Lanczos
-//! and randomized TRSVD solvers in this crate re-orthonormalize their Krylov
-//! bases with these routines, and HOSVD-style initialization orthonormalizes
-//! random factor matrices before the first iteration.
+//! leading left singular vectors of the matricized TTMc result.  The
+//! randomized TRSVD solver in this crate re-orthonormalizes its range basis
+//! with these routines (the Lanczos solver's tall result goes through the
+//! row-block-parallel [`crate::blas::par_cholesky_qr`] instead), and
+//! HOSVD-style initialization orthonormalizes random factor matrices before
+//! the first iteration.
 
 use crate::blas::{axpy, dot, nrm2};
 use crate::matrix::Matrix;

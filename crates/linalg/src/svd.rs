@@ -1,8 +1,8 @@
 //! Dense singular value decomposition for small matrices.
 //!
-//! The matrix-free TRSVD solvers reduce the large matricized TTMc result to
-//! a small projected problem (a bidiagonal matrix for Lanczos, a
-//! `k × ncols` sketch for the randomized method); this module provides the
+//! The randomized TRSVD solver reduces the large matricized TTMc result to
+//! a small projected problem (a `k × ncols` sketch), and the Lanczos solver
+//! hands genuinely small operators over whole; this module provides the
 //! dense SVD used to finish those small problems.  The algorithm is the
 //! Gram-matrix eigenvalue approach on the smaller side, which is perfectly
 //! adequate for the `O(R)`-sized problems that arise (R ≤ a few tens in the
