@@ -38,18 +38,6 @@ fn bench_trsvd(c: &mut Criterion) {
             )
         })
     });
-    group.bench_function("randomized_rank10", |b| {
-        b.iter(|| {
-            trsvd_factor(
-                &compact,
-                sym.mode(0),
-                tensor.dims()[0],
-                10,
-                TrsvdBackend::Randomized,
-                1,
-            )
-        })
-    });
     group.finish();
 }
 

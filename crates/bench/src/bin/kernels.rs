@@ -25,6 +25,21 @@
 //! bytes the *two* products read per second, so the fused cell's GB/s is
 //! higher by the traffic it saves.
 //!
+//! A third section, `gram`, is what the TRSVD's formed-normal-matrix regime
+//! rests on (`linalg::lanczos`): [`par_gram`] (`AᵀA` in one syrk-shaped
+//! sweep) at both tiers, bits asserted equal, in ms, in GFLOP/s and *in
+//! units of one fused sweep* of that shape, timed back to back as the
+//! `gemv_normal` section does (at the default tier, so the scalar rows are
+//! in AVX2 sweeps on an AVX2 host) — the currency of the Krylov path it
+//! replaces, which needs about two subspaces' worth (60 at rank 10) — plus
+//! the [`symmetric_eig`] of the result, on the benchmark's
+//! two large `Y_(n)` shapes and on 250 and 500 columns, either side of the
+//! gate (`ncols ≤ 8·subspace`: 240 at rank 10): forming stays near
+//! `ncols / 10` sweeps, the `ncols³` eigensolve is what ends it.  The
+//! `recovery` cell times the gemm-shaped `Y·Vᵀ` ([`par_gemm_nt_into`])
+//! against one [`par_gemv`] per column.  All interleaved, minimum of
+//! [`REPEATS`], at the default pool width.
+//!
 //! Machine-readable output goes to `BENCH_kernels.json` (override with
 //! `--out <path>`), including the host's `cpu_features` so a 1.0x speedup
 //! on an AVX2-less host is interpretable.  With `--check` the bin doubles
@@ -36,7 +51,8 @@
 //! Run with `cargo run --release -p bench --bin kernels`.
 
 use bench::{cpu_features_json, print_header};
-use linalg::blas::{par_gemv, par_gemv_normal, par_gemv_t};
+use linalg::blas::{par_gemm_nt_into, par_gemv, par_gemv_normal, par_gemv_t, par_gram};
+use linalg::eig::symmetric_eig;
 use linalg::simd::{self, AlignedVec, KernelIsa};
 use linalg::Matrix;
 use sptensor::kron::accumulate_scaled_kron_isa;
@@ -308,7 +324,112 @@ fn measure_gemv_normal(rows: usize, cols: usize) -> NormalCell {
     }
 }
 
-fn to_json(host_cpus: usize, cells: &[Cell], normal: &[NormalCell]) -> String {
+/// `Y_(n)` shapes of the `gram` section: `nell3` mode 0, `delicious4` mode
+/// 2, and two widths around the gate of the formed-normal-matrix TRSVD
+/// (`ncols ≤ 8·subspace`: 240 at rank 10).
+const GRAM_SHAPES: [(usize, usize); 4] =
+    [(54_563, 100), (38_542, 125), (20_000, 250), (20_000, 500)];
+
+/// One `gram` cell: forming `AᵀA` at one tier, against one fused Lanczos
+/// sweep of a matrix of the same shape (default tier), and the eigensolve
+/// of the result.
+struct GramCell {
+    rows: usize,
+    cols: usize,
+    isa: KernelIsa,
+    gram_ns: f64,
+    fused_sweep_ns: f64,
+    eig_ns: f64,
+}
+
+impl GramCell {
+    /// Flops of the upper triangle (one multiply and one add per entry and
+    /// row) per nanosecond.
+    fn gflops(&self) -> f64 {
+        (self.rows * self.cols * (self.cols + 1)) as f64 / self.gram_ns
+    }
+
+    fn fused_sweeps(&self) -> f64 {
+        self.gram_ns / self.fused_sweep_ns
+    }
+}
+
+/// Times `par_gram` at every tier and `symmetric_eig` of the result,
+/// interleaved, minimum of [`REPEATS`], after asserting the tiers return the
+/// same bits, then the fused sweep ([`measure_gemv_normal`]); one cell per
+/// tier.
+fn measure_gram(rows: usize, cols: usize, isas: &[KernelIsa]) -> Vec<GramCell> {
+    let a = Matrix::random_signed(rows, cols, 0x6a2d);
+    let g = par_gram(isas[0], &a);
+    for &isa in &isas[1..] {
+        assert_eq!(par_gram(isa, &a), g, "{isa} gram diverges at {rows}x{cols}");
+    }
+    let timed = |best: &mut f64, f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        *best = best.min(start.elapsed().as_secs_f64() * 1e9);
+    };
+    let mut gram_ns = vec![f64::INFINITY; isas.len()];
+    let mut eig_ns = f64::INFINITY;
+    for _ in 0..REPEATS {
+        for (ns, &isa) in gram_ns.iter_mut().zip(isas) {
+            timed(ns, &mut || drop(std::hint::black_box(par_gram(isa, &a))));
+        }
+        timed(&mut eig_ns, &mut || {
+            drop(std::hint::black_box(symmetric_eig(&g)))
+        });
+    }
+    // The unit: a sweep as a Krylov run issues them, back to back (a lone
+    // sweep after another kernel runs at up to half that speed).
+    let fused_sweep_ns = measure_gemv_normal(rows, cols).fused_ns;
+    (isas.iter().zip(gram_ns))
+        .map(|(&isa, gram_ns)| GramCell {
+            rows,
+            cols,
+            isa,
+            gram_ns,
+            fused_sweep_ns,
+            eig_ns,
+        })
+        .collect()
+}
+
+/// `(column_loop_ns, gemm_ns)` of the recovery product `C = A·Vᵀ` at
+/// `rows × cols × k`: one [`par_gemv`] per row of `V` (what an operator
+/// without a block product runs) against the gemm-shaped
+/// [`par_gemm_nt_into`]; interleaved, minimum of [`REPEATS`], bits asserted
+/// equal.
+fn measure_recovery(rows: usize, cols: usize, k: usize) -> (f64, f64) {
+    let a = Matrix::random_signed(rows, cols, 0x6a2d);
+    let v = Matrix::random_signed(k, cols, 0x51);
+    let (mut old, mut new) = (Matrix::zeros(rows, k), Matrix::zeros(rows, k));
+    let mut column = vec![0.0; rows];
+    let (mut old_ns, mut new_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        for j in 0..k {
+            par_gemv(&a, v.row(j), &mut column);
+            old.set_col(j, &column);
+        }
+        old_ns = old_ns.min(start.elapsed().as_secs_f64() * 1e9);
+        let start = Instant::now();
+        par_gemm_nt_into(&a, &v, &mut new);
+        new_ns = new_ns.min(start.elapsed().as_secs_f64() * 1e9);
+    }
+    assert_eq!(
+        old, new,
+        "gemm-shaped recovery diverges from the column loop"
+    );
+    (old_ns, new_ns)
+}
+
+fn to_json(
+    host_cpus: usize,
+    cells: &[Cell],
+    normal: &[NormalCell],
+    gram: &[GramCell],
+    recovery: (f64, f64),
+) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"kernels\",\n");
     out.push_str("  \"command\": \"cargo run --release -p bench --bin kernels\",\n");
@@ -348,7 +469,28 @@ fn to_json(host_cpus: usize, cells: &[Cell], normal: &[NormalCell]) -> String {
             if i + 1 == normal.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ],\n  \"gram\": [\n");
+    for (i, c) in gram.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"rows\": {}, \"cols\": {}, \"isa\": \"{}\", \"ms\": {:.3}, \"gflops\": {:.2}, \
+             \"fused_sweeps\": {:.2}, \"fused_sweep_ms\": {:.3}, \"symmetric_eig_ms\": {:.3}}}{}\n",
+            c.rows,
+            c.cols,
+            c.isa,
+            c.gram_ns / 1e6,
+            c.gflops(),
+            c.fused_sweeps(),
+            c.fused_sweep_ns / 1e6,
+            c.eig_ns / 1e6,
+            if i + 1 == gram.len() { "" } else { "," }
+        ));
+    }
+    out.push_str(&format!(
+        "  ],\n  \"recovery_54563x100x10\": {{\"column_loop_ms\": {:.3}, \"gemm_ms\": {:.3}, \"speedup\": {:.4}}}\n}}\n",
+        recovery.0 / 1e6,
+        recovery.1 / 1e6,
+        recovery.0 / recovery.1
+    ));
     out
 }
 
@@ -503,13 +645,43 @@ fn main() {
         })
         .collect();
 
-    std::fs::write(&args.out, to_json(host_cpus, &cells, &normal))
-        .expect("write BENCH_kernels.json");
+    println!("gram (AᵀA in one sweep; min of {REPEATS}, in units of one fused sweep):");
+    let gram: Vec<GramCell> = (GRAM_SHAPES.iter())
+        .flat_map(|&(rows, cols)| measure_gram(rows, cols, &isas))
+        .inspect(|c| {
+            println!(
+                "  {:>6} x {:<3} {:<6} {:>8.2} ms  {:>6.2} gflop/s  = {:>5.2} fused sweeps \
+                 ({:.2} ms each)   symmetric_eig {:>7.2} ms",
+                c.rows,
+                c.cols,
+                c.isa.as_str(),
+                c.gram_ns / 1e6,
+                c.gflops(),
+                c.fused_sweeps(),
+                c.fused_sweep_ns / 1e6,
+                c.eig_ns / 1e6,
+            )
+        })
+        .collect();
+    let recovery = measure_recovery(54_563, 100, 10);
     println!(
-        "\nwrote {} ({} kernel cells, {} gemv_normal cells)",
+        "recovery product 54563 x 100 x 10: column loop {:.2} ms, gemm-shaped {:.2} ms ({:.2}x)",
+        recovery.0 / 1e6,
+        recovery.1 / 1e6,
+        recovery.0 / recovery.1
+    );
+
+    std::fs::write(
+        &args.out,
+        to_json(host_cpus, &cells, &normal, &gram, recovery),
+    )
+    .expect("write BENCH_kernels.json");
+    println!(
+        "\nwrote {} ({} kernel cells, {} gemv_normal cells, {} gram cells)",
         args.out,
         cells.len(),
-        normal.len()
+        normal.len(),
+        gram.len()
     );
 
     if args.check {

@@ -110,12 +110,11 @@ impl IndexLayout {
 /// Which truncated-SVD backend updates the factor matrices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrsvdBackend {
-    /// Symmetric Lanczos with full reorthogonalization on the normal
-    /// operator `Y_(n)ᵀ Y_(n)`, applied matrix-free (the SLEPc stand-in;
-    /// default).
+    /// The matrix-free solver of [`linalg::lanczos`] on the normal operator
+    /// `Y_(n)ᵀ Y_(n)` (the SLEPc stand-in; default): formed and solved
+    /// directly while it is a few Krylov subspaces wide, otherwise symmetric
+    /// Lanczos with full reorthogonalization.
     Lanczos,
-    /// Randomized range-finder SVD (used by the ablation benches).
-    Randomized,
     /// Dense SVD of the explicitly assembled matricized result (only for
     /// small problems / verification).
     Dense,

@@ -336,9 +336,7 @@ mod tests {
         let base = TuckerConfig::new(vec![3, 3, 3]).max_iterations(4).seed(1);
         let lanczos = tucker_hooi(&t, &base.clone().trsvd(TrsvdBackend::Lanczos)).unwrap();
         let dense = tucker_hooi(&t, &base.clone().trsvd(TrsvdBackend::Dense)).unwrap();
-        let randomized = tucker_hooi(&t, &base.clone().trsvd(TrsvdBackend::Randomized)).unwrap();
         assert!((lanczos.final_fit() - dense.final_fit()).abs() < 1e-3);
-        assert!((randomized.final_fit() - dense.final_fit()).abs() < 5e-3);
     }
 
     #[test]

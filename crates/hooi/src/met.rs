@@ -26,7 +26,6 @@ use crate::hosvd::random_factors;
 use crate::trsvd::TrsvdResult;
 use linalg::lanczos::{lanczos_svd, LanczosOptions};
 use linalg::operator::DenseOperator;
-use linalg::randomized::{randomized_svd, RandomizedOptions};
 use linalg::svd::dense_svd;
 use linalg::Matrix;
 use sptensor::hash::FxHashMap;
@@ -201,18 +200,6 @@ fn met_trsvd(
                     &LanczosOptions {
                         seed,
                         ..LanczosOptions::default()
-                    },
-                );
-                (svd.u, svd.singular_values, svd.operator_applications)
-            }
-            TrsvdBackend::Randomized => {
-                let op = DenseOperator::parallel(compact);
-                let svd = randomized_svd(
-                    &op,
-                    effective_rank,
-                    &RandomizedOptions {
-                        seed,
-                        ..RandomizedOptions::default()
                     },
                 );
                 (svd.u, svd.singular_values, svd.operator_applications)

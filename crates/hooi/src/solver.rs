@@ -842,7 +842,7 @@ mod tests {
             TuckerConfig::new(vec![2, 2, 2]).max_iterations(2),
             TuckerConfig::new(vec![3, 3, 3])
                 .max_iterations(2)
-                .trsvd(TrsvdBackend::Randomized),
+                .trsvd(TrsvdBackend::Dense),
             TuckerConfig::new(vec![2, 3, 2]).max_iterations(1).seed(42),
         ];
         let results = solver.solve_many(&configs).unwrap();

@@ -2,19 +2,41 @@
 //! result (paper §III-A2).
 //!
 //! The matricized result `Y_(n)` is `I_n × Π_{t≠n} R_t`; `I_n` can be in the
-//! millions, so forming the Gram matrix `Y_(n) Y_(n)ᵀ` (the dense-Tucker
-//! approach of Austin et al.) is infeasible, and direct SVD methods compute
-//! all singular values when only `R_n` are needed.  The paper therefore uses
-//! a matrix-free iterative solver (SLEPc); here the [`linalg::lanczos`]
-//! solver plays that role, with the randomized and dense backends available
-//! for comparison and verification.
+//! millions, so forming the Gram matrix `Y_(n) Y_(n)ᵀ` (`I_n × I_n`, the
+//! dense-Tucker approach of Austin et al.) is infeasible, and direct SVD
+//! methods compute all singular values when only `R_n` are needed.  The
+//! paper therefore uses a matrix-free iterative solver (SLEPc); here the
+//! [`linalg::lanczos`] solver plays that role, with the dense backend kept
+//! as the reference it is verified against.
 //!
-//! Neither `Y_(n) Y_(n)ᵀ` nor the small `Y_(n)ᵀ Y_(n)` is ever formed.  The
-//! Lanczos backend runs on the latter as an operator, `x ↦ Y_(n)ᵀ(Y_(n) x)`:
-//! `Y_(n)` is tall and skinny, so the Krylov basis has only `Π_{t≠n} R_t`
-//! entries per vector, each step is one fused sweep of `Y_(n)`
-//! ([`linalg::blas::par_gemv_normal`]), and the `R_n` left singular vectors
-//! come out of one more sweep, `Y_(n)·V`, orthonormalized in row blocks.
+//! What the paper rejects is the *large* Gram matrix.  The other normal
+//! matrix, `Y_(n)ᵀ Y_(n)`, is only `Π_{t≠n} R_t` square — 100 at rank 10 and
+//! order 3, 125 at rank 5 and order 4 — and the solver works on it in one of
+//! three regimes, chosen from the shape of `Y_(n)` alone:
+//!
+//! 1. **small** (the Krylov subspace `2 R_n + 10` would span the short
+//!    side): `Y_(n)` is solved densely, as it always was;
+//! 2. **tall, at most 8 subspaces wide** (`Π R_t ≤ 8·(2 R_n + 10)`: 240 at
+//!    rank 10, 160 at rank 5 — every large solve of the repo benchmark):
+//!    `Y_(n)ᵀ Y_(n)` is *formed* in one syrk-shaped sweep of `Y_(n)`
+//!    ([`linalg::blas::par_gram`], the time of 9–15 Lanczos steps)
+//!    and its eigenvectors taken directly — no seed, no restart schedule,
+//!    no convergence test;
+//! 3. **wider, or not tall**: symmetric Lanczos on the same matrix as an
+//!    operator, `x ↦ Y_(n)ᵀ(Y_(n) x)`, one fused sweep of `Y_(n)` per step
+//!    ([`linalg::blas::par_gemv_normal`]) — the eigensolve of regime 2 grows
+//!    with the cube of the width and no row count amortizes it.
+//!
+//! Regimes 2 and 3 end the same way: the `R_n` left singular vectors come
+//! out of one more gemm-shaped sweep, `Y_(n)·V`, orthonormalized in row
+//! blocks, and the singular values are the lengths measured on those
+//! vectors.  That is why the accuracy class does not change with the regime:
+//! the Krylov path squares the spectrum just as much (it iterates on
+//! `Y_(n)ᵀ Y_(n)`), neither reads a singular value off the squared
+//! spectrum, and HOOI needs the dominant subspace, which both resolve to
+//! working precision — the fits agree with the dense backend's to `1e-9` on
+//! every generated profile (tested below), and with each other to the last
+//! printed digit on the benchmark workloads.
 //!
 //! The solver sees only the *compact* TTMc result (non-empty rows); the
 //! recovered left singular vectors are scattered back into the full factor
@@ -25,7 +47,6 @@ use crate::config::TrsvdBackend;
 use crate::symbolic::SymbolicMode;
 use linalg::lanczos::{lanczos_svd_with, LanczosOptions, LanczosWorkspace};
 use linalg::operator::DenseOperator;
-use linalg::randomized::{randomized_svd, RandomizedOptions};
 use linalg::svd::dense_svd;
 use linalg::Matrix;
 
@@ -69,11 +90,11 @@ pub fn trsvd_factor(
     )
 }
 
-/// [`trsvd_factor`] with caller-provided TRSVD scratch: the Lanczos backend
-/// draws its Krylov basis and product vector from `scratch` instead of
-/// allocating per call — the HOOI loop passes the workspace buffers here
-/// (see [`crate::workspace::HooiWorkspace`]).  The other backends ignore
-/// the scratch.
+/// [`trsvd_factor`] with caller-provided TRSVD scratch: a Lanczos solve
+/// that iterates draws its Krylov basis and product vector from `scratch`
+/// instead of allocating per call — the HOOI loop passes the workspace
+/// buffers here (see [`crate::workspace::HooiWorkspace`]).  The direct
+/// regimes and the dense backend ignore the scratch.
 pub fn trsvd_factor_with(
     compact: &Matrix,
     sym: &SymbolicMode,
@@ -96,15 +117,6 @@ pub fn trsvd_factor_with(
                     ..LanczosOptions::default()
                 };
                 let svd = lanczos_svd_with(&op, effective_rank, &opts, scratch);
-                (svd.u, svd.singular_values, svd.operator_applications)
-            }
-            TrsvdBackend::Randomized => {
-                let op = DenseOperator::parallel(compact);
-                let opts = RandomizedOptions {
-                    seed,
-                    ..RandomizedOptions::default()
-                };
-                let svd = randomized_svd(&op, effective_rank, &opts);
                 (svd.u, svd.singular_values, svd.operator_applications)
             }
             TrsvdBackend::Dense => {
@@ -179,24 +191,20 @@ mod tests {
         let compact = ttmc_mode(&t, sym.mode(1), &factors, 1);
         let lanczos = trsvd_factor(&compact, sym.mode(1), 30, 3, TrsvdBackend::Lanczos, 5);
         let dense = trsvd_factor(&compact, sym.mode(1), 30, 3, TrsvdBackend::Dense, 5);
-        let randomized = trsvd_factor(&compact, sym.mode(1), 30, 3, TrsvdBackend::Randomized, 5);
         for i in 0..3 {
             assert!(
                 (lanczos.singular_values[i] - dense.singular_values[i]).abs()
                     < 1e-5 * dense.singular_values[0],
                 "lanczos σ_{i}"
             );
-            assert!(
-                (randomized.singular_values[i] - dense.singular_values[i]).abs()
-                    < 1e-3 * dense.singular_values[0],
-                "randomized σ_{i}"
-            );
         }
     }
 
     /// The matrix-free backend must land HOOI where the exact one does: on
-    /// every generated profile, at ranks where each mode's `Y_(n)` is large
-    /// enough to take the Krylov path, three iterations end at the same fit.
+    /// every generated profile, three iterations end at the same fit — at
+    /// uniform ranks, where the tall modes form the normal matrix, and (on
+    /// one profile) at ranks lopsided against the longest mode, whose
+    /// `Y_(n)` is then too wide for that and iterates.
     #[test]
     fn lanczos_and_dense_backends_reach_the_same_fit_on_all_profiles() {
         use crate::config::TuckerConfig;
@@ -204,31 +212,96 @@ mod tests {
         use datagen::{DatasetProfile, ProfileName};
         for name in ProfileName::all() {
             let tensor = DatasetProfile::new(name).generate(8_000, 21);
-            let rank = if tensor.order() == 3 { 6 } else { 4 };
-            let ranks: Vec<usize> = tensor.dims().iter().map(|&d| d.min(rank)).collect();
-            // Not the dense fallback in disguise: Y_(n) outgrows the Krylov
-            // subspace in both directions.
             let sym = SymbolicTtmc::build(&tensor);
-            let width: usize = ranks.iter().skip(1).product();
-            let subspace = 2 * rank + 10;
-            assert!(
-                (0..tensor.order()).any(|n| sym.mode(n).num_rows() > subspace) && width > subspace,
-                "{name:?}"
-            );
-            let config = TuckerConfig::new(ranks).max_iterations(3).seed(3);
-            let fit_with = |backend| {
-                tucker_hooi(&tensor, &config.clone().trsvd(backend))
-                    .unwrap()
-                    .final_fit()
+            let order = tensor.order();
+            let clamped = |rank: usize| -> Vec<usize> {
+                tensor.dims().iter().map(|&d| d.min(rank)).collect()
             };
-            let (lanczos, dense) = (
-                fit_with(TrsvdBackend::Lanczos),
-                fit_with(TrsvdBackend::Dense),
-            );
-            assert!(
-                (lanczos - dense).abs() < 1e-9,
-                "{name:?}: Lanczos fit {lanczos} vs dense {dense}"
-            );
+            let uniform = clamped(if order == 3 { 6 } else { 4 });
+            let longest = (0..order).max_by_key(|&n| sym.mode(n).num_rows()).unwrap();
+            let mut cases = vec![(uniform, true)];
+            if name == ProfileName::Nell {
+                // Rank 2 against 8 × 15: Π R_t = 120 > 8·(2·2 + 10).
+                let mut lopsided = clamped(15);
+                lopsided[longest] = 2;
+                cases.push((lopsided, false));
+            }
+            for (ranks, longest_forms) in cases {
+                let config = TuckerConfig::new(ranks.clone()).max_iterations(3).seed(3);
+                let solve = |backend| tucker_hooi(&tensor, &config.clone().trsvd(backend)).unwrap();
+                let (lanczos, dense) = (solve(TrsvdBackend::Lanczos), solve(TrsvdBackend::Dense));
+                assert!(
+                    (lanczos.final_fit() - dense.final_fit()).abs() < 1e-9,
+                    "{name:?} {ranks:?}: Lanczos fit {} vs dense {}",
+                    lanczos.final_fit(),
+                    dense.final_fit()
+                );
+                // Which regime answers mode n: a formed normal matrix stands
+                // for `width + rank` applications, and is taken exactly when
+                // Y_(n) is tall, past the dense fallback and within the gate.
+                let forms = |n: usize| {
+                    let y = ttmc_mode(&tensor, sym.mode(n), &lanczos.factors, n);
+                    let (rows, width) = y.shape();
+                    let subspace = 2 * ranks[n] + 10;
+                    let dim = tensor.dims()[n];
+                    let applications =
+                        trsvd_factor(&y, sym.mode(n), dim, ranks[n], TrsvdBackend::Lanczos, 3)
+                            .operator_applications;
+                    let formed = applications == width + ranks[n];
+                    let tall_and_large = rows >= width && width > subspace;
+                    assert_eq!(
+                        formed,
+                        tall_and_large && width <= 8 * subspace,
+                        "{name:?} {n}"
+                    );
+                    (formed, tall_and_large)
+                };
+                assert_eq!(forms(longest), (longest_forms, true), "{name:?} {ranks:?}");
+            }
+        }
+    }
+
+    /// Degenerate `Y_(n)` through the formed normal matrix, end to end: an
+    /// all-zero tensor and a rank-1 one (30 × 30 × 30 nonzeros, so every
+    /// `Y_(n)` is 30 × 25 at rank 5: tall, past the dense fallback, within
+    /// the gate) give `rank` triplets with zero columns beyond the numerical
+    /// rank and a finite fit.
+    #[test]
+    fn zero_and_rank_deficient_tensors_solve_to_a_finite_fit_on_the_formed_path() {
+        use crate::config::TuckerConfig;
+        use crate::hooi::tucker_hooi;
+        let weight = |i: usize| 1.0 + (i as f64 * 0.7).sin();
+        for (scale, numerical_rank) in [(0.0, 0usize), (1.0, 1)] {
+            let mut tensor = sptensor::SparseTensor::new(vec![40, 40, 40]);
+            for i in 0..30 {
+                for j in 0..30 {
+                    for k in 0..30 {
+                        tensor.push(
+                            &[i, j, k],
+                            scale * weight(i) * weight(j + 3) * weight(k + 5),
+                        );
+                    }
+                }
+            }
+            let config = TuckerConfig::new(vec![5, 5, 5]).max_iterations(2).seed(4);
+            let result = tucker_hooi(&tensor, &config).unwrap();
+            let fit = result.final_fit();
+            assert!(fit.is_finite() && (fit - 1.0).abs() < 1e-9, "fit {fit}");
+            assert!(result
+                .factors
+                .iter()
+                .all(|u| u.as_slice().iter().all(|x| x.is_finite())));
+            let sym = SymbolicTtmc::build(&tensor);
+            let y = ttmc_mode(&tensor, sym.mode(0), &result.factors, 0);
+            assert_eq!(y.shape(), (30, 25));
+            let step = trsvd_factor(&y, sym.mode(0), 40, 5, TrsvdBackend::Lanczos, 4);
+            assert_eq!(step.operator_applications, 25 + 5, "formed path");
+            assert_eq!(step.singular_values.len(), 5);
+            for (j, &sigma) in step.singular_values.iter().enumerate() {
+                assert_eq!(sigma > 0.0, j < numerical_rank, "σ_{j} = {sigma:e}");
+                let zero_column = step.factor.col(j).iter().all(|&x| x == 0.0);
+                assert_eq!(zero_column, j >= numerical_rank, "column {j}");
+            }
         }
     }
 

@@ -1,10 +1,13 @@
 //! BLAS-like kernels on slices and [`Matrix`].
 //!
-//! The TRSVD step of HOOI is dominated by dense matrix-vector (`MxV`) and
-//! matrix-transpose-vector (`MTxV`) products with the matricized TTMc result
-//! `Y_(n)` (paper §III-A2), so those two kernels have rayon-parallel
-//! variants.  The small dense products (Gram matrices, projected problems,
-//! core-tensor contractions) use the sequential `gemm`.
+//! The TRSVD step of HOOI is dominated by dense products with the matricized
+//! TTMc result `Y_(n)` (paper §III-A2): matrix-vector (`MxV`) and
+//! matrix-transpose-vector (`MTxV`) products when it iterates, the normal
+//! matrix `Y_(n)ᵀ Y_(n)` ([`par_gram`]) when that is small enough to form,
+//! and the block product that recovers the left vectors either way
+//! ([`par_gemm_nt_into`]) — so those have rayon-parallel variants.  The
+//! small dense products (projected problems, core-tensor contractions) use
+//! the sequential `gemm`.
 //!
 //! The element-wise kernels ([`axpy`], [`scal`]) and the row-wise products
 //! built on them ([`gemv`], [`gemm`], [`gemm_tn`], the `par_*` variants)
@@ -108,6 +111,11 @@ const ROWS_PER_CHUNK: usize = 256;
 /// way.
 const ROWS_PER_L1_BLOCK: usize = 16;
 
+/// Rows [`par_gram`] holds under one pass of its register tiles: 32 rows of
+/// a 100–125-column `Y_(n)` are 26–32 KB, inside L1 with the tile's two
+/// column strips of `G`.  Affects speed only, as above.
+const GRAM_ROWS_PER_L1_BLOCK: usize = 32;
+
 /// `y = Σ_c slots[c][..y.len()]`, added in chunk order; `slots` holds one
 /// `stride`-long slot per chunk.
 fn sum_in_chunk_order(slots: &[f64], stride: usize, y: &mut [f64]) {
@@ -207,25 +215,6 @@ pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Dense matrix-matrix product `C = A B` parallelized over the rows of `A`.
-pub fn par_gemm(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.ncols(), b.nrows(), "gemm: inner dimensions must agree");
-    let n = b.ncols();
-    let rows: Vec<Vec<f64>> = (0..a.nrows())
-        .into_par_iter()
-        .map(|i| {
-            let mut crow = vec![0.0; n];
-            for (k, &aik) in a.row(i).iter().enumerate() {
-                if aik != 0.0 {
-                    axpy(aik, b.row(k), &mut crow);
-                }
-            }
-            crow
-        })
-        .collect();
-    Matrix::from_rows(&rows)
-}
-
 /// `C = Aᵀ B` without materializing `Aᵀ`.
 ///
 /// Row-major streaming with the SIMD-dispatched [`axpy`] as the inner body.
@@ -260,35 +249,75 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
 /// `C = A Bᵀ` into a preallocated `C`, parallel over 256-row chunks of `A`
 /// and `C`: entry `(i, j)` is `dot(a.row(i), b.row(j))` in scalar order, the
 /// same bits as [`gemm_nt`] — or as one [`par_gemv`] per row of `B` — at any
-/// pool width and ISA tier, while `A` is swept once.  With the `R_n` Ritz
-/// vectors as the rows of `B` this recovers the left singular vectors of a
-/// tall `Y_(n)` ([`crate::lanczos`]).
+/// pool width and ISA tier, while `A` is swept once, gemm-shaped: the rows
+/// of `B` sit in the vector lanes ([`simd::gemm_nt_rows`]).  With the `R_n`
+/// short-side vectors as the rows of `B` this recovers the left singular
+/// vectors of a tall `Y_(n)` ([`crate::lanczos`]).
 pub fn par_gemm_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(a.ncols(), b.ncols(), "gemm_nt: column counts must agree");
     assert_eq!(c.shape(), (a.nrows(), b.nrows()));
     let (ncols, k) = (a.ncols(), b.nrows());
-    if k == 0 {
+    if k == 0 || ncols == 0 {
+        c.as_mut_slice().fill(0.0);
         return;
     }
     let isa = KernelIsa::resolved_default();
     c.as_mut_slice()
         .par_chunks_mut(ROWS_PER_CHUNK * k)
         .enumerate()
-        .for_each_init(
-            || vec![0.0; ROWS_PER_CHUNK],
-            |column, (chunk, c_rows)| {
-                let rows = c_rows.len() / k;
-                let first = chunk * ROWS_PER_CHUNK;
-                let a_rows = &a.as_slice()[first * ncols..(first + rows) * ncols];
-                let column = &mut column[..rows];
-                for j in 0..k {
-                    simd::gemv(isa, a_rows, rows, ncols, b.row(j), column);
-                    for (c_row, &v) in c_rows.chunks_mut(k).zip(column.iter()) {
-                        c_row[j] = v;
-                    }
-                }
-            },
-        );
+        .for_each(|(chunk, c_rows)| {
+            let first = chunk * ROWS_PER_CHUNK * ncols;
+            let a_rows = &a.as_slice()[first..first + c_rows.len() / k * ncols];
+            simd::gemm_nt_rows(isa, a_rows, ncols, b.as_slice(), k, c_rows);
+        });
+}
+
+/// Most partials [`par_gram`] sums, whatever the row count: its scratch is
+/// `O(ncols²)`.
+const GRAM_MAX_PARTIALS: usize = 32;
+
+/// Rows per partial of [`par_gram`]: the fewest 256-row chunks that keep the
+/// partials within [`GRAM_MAX_PARTIALS`] — a function of `nrows` alone.
+fn gram_rows_per_partial(nrows: usize) -> usize {
+    let chunks = nrows.div_ceil(ROWS_PER_CHUNK);
+    ROWS_PER_CHUNK * chunks.div_ceil(GRAM_MAX_PARTIALS).max(1)
+}
+
+/// The normal matrix `G = AᵀA` of a tall `A` in one syrk-shaped sweep: each
+/// span of rows (at most 32 of them, whole 256-row chunks, their borders a
+/// function of the row count alone) accumulates a private upper
+/// triangle, L1-sized row blocks at a time under 4 × 8 register tiles
+/// ([`simd::gram_accumulate`]); the partials are summed in span order and
+/// the triangle mirrored.  Every entry is one add chain in row order within
+/// its span, so the bits depend on neither the pool width nor the tier
+/// `isa` (pass a [resolved](KernelIsa::resolve) one).
+/// With `A = Y_(n)` this is the `Π R_t`-square matrix whose leading
+/// eigenvectors are the right singular vectors the TRSVD needs
+/// ([`crate::lanczos`]).
+pub fn par_gram(isa: KernelIsa, a: &Matrix) -> Matrix {
+    let (nrows, n) = a.shape();
+    let mut g = Matrix::zeros(n, n);
+    if nrows == 0 || n == 0 {
+        return g;
+    }
+    let span = gram_rows_per_partial(nrows);
+    let mut partials = vec![0.0; nrows.div_ceil(span) * n * n];
+    partials
+        .par_chunks_mut(n * n)
+        .enumerate()
+        .for_each(|(c, partial)| {
+            let rows = &a.as_slice()[c * span * n..((c + 1) * span).min(nrows) * n];
+            for block in rows.chunks(GRAM_ROWS_PER_L1_BLOCK * n) {
+                simd::gram_accumulate(isa, block, n, partial);
+            }
+        });
+    sum_in_chunk_order(&partials, n * n, g.as_mut_slice());
+    for p in 0..n {
+        for q in (p + 1)..n {
+            g[(q, p)] = g[(p, q)];
+        }
+    }
+    g
 }
 
 /// Orthonormalizes the columns of a tall `a` in place by two rounds of
@@ -299,20 +328,23 @@ pub fn par_gemm_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 /// summed in chunk order, factors `G = RᵀR`, and solves `A ← A R⁻¹` row by
 /// row — two sweeps of `A` per round, both row-block parallel, no
 /// column-strided access, and the same bits at any pool width and ISA tier
-/// (the per-entry operations are plain scalar code).  A column that is
+/// (the Gram partials are [`simd::gram_accumulate`]'s one add chain per
+/// entry; the substitution is plain scalar code).  A column that is
 /// numerically zero (norm below `1e-12` of the largest) or numerically in
 /// the span of the columns before it becomes a zero column of length `0`,
 /// as [`crate::qr::orthonormalize_columns`] does.
 ///
 /// Cholesky-QR squares the condition number, so this is for columns that
-/// are already close to orthogonal — here `Y·v_i` for Ritz vectors `v_i`,
-/// whose Gram matrix is `diag(σ_i²)` up to the Lanczos residual.
+/// are already close to orthogonal — here `Y·v_i` for eigenvectors or Ritz
+/// vectors `v_i` of `YᵀY`, whose Gram matrix is `diag(σ_i²)` up to their
+/// residual.
 pub fn par_cholesky_qr(a: &mut Matrix) -> Vec<f64> {
     let (nrows, k) = a.shape();
     let mut lengths = vec![1.0; k];
     if k == 0 {
         return lengths;
     }
+    let isa = KernelIsa::resolved_default();
     let mut partials = vec![0.0; nrows.div_ceil(ROWS_PER_CHUNK) * k * k];
     let mut gram = vec![0.0; k * k];
     for _round in 0..2 {
@@ -322,16 +354,9 @@ pub fn par_cholesky_qr(a: &mut Matrix) -> Vec<f64> {
             .enumerate()
             .for_each(|(c, partial)| {
                 partial.fill(0.0);
-                let lo = c * ROWS_PER_CHUNK;
-                for i in lo..(lo + ROWS_PER_CHUNK).min(nrows) {
-                    let row = a.row(i);
-                    for p in 0..k {
-                        let (rp, g) = (row[p], &mut partial[p * k..(p + 1) * k]);
-                        for q in p..k {
-                            g[q] += rp * row[q];
-                        }
-                    }
-                }
+                let lo = c * ROWS_PER_CHUNK * k;
+                let rows = &a.as_slice()[lo..(lo + ROWS_PER_CHUNK * k).min(nrows * k)];
+                simd::gram_accumulate(isa, rows, k, partial);
             });
         sum_in_chunk_order(&partials, k * k, &mut gram);
 
@@ -369,18 +394,37 @@ pub fn par_cholesky_qr(a: &mut Matrix) -> Vec<f64> {
         a.as_mut_slice()
             .par_chunks_mut(ROWS_PER_CHUNK * k)
             .for_each(|rows| {
-                for row in rows.chunks_mut(k) {
-                    for j in 0..k {
-                        let y = row[j] * inv_diag[j];
-                        row[j] = y;
-                        for q in (j + 1)..k {
-                            row[q] -= y * r[j * k + q];
-                        }
-                    }
+                let mut groups = rows.chunks_exact_mut(4 * k);
+                for group in groups.by_ref() {
+                    forward_substitute::<4>(group, k, r, &inv_diag);
+                }
+                for row in groups.into_remainder().chunks_exact_mut(k) {
+                    forward_substitute::<1>(row, k, r, &inv_diag);
                 }
             });
     }
     lengths
+}
+
+/// `rows ← rows·R⁻¹` on `N` consecutive `k`-long rows by forward
+/// substitution (`r` is the upper triangular `R`, `inv_diag[j] = 1/R[j][j]`).
+/// Within a row every step waits for the one before it, so `N` independent
+/// rows advance together; the operations on each entry are those of one row
+/// alone.
+fn forward_substitute<const N: usize>(rows: &mut [f64], k: usize, r: &[f64], inv_diag: &[f64]) {
+    let mut rows = rows.chunks_exact_mut(k);
+    let mut rows: [&mut [f64]; N] = std::array::from_fn(|_| rows.next().expect("N rows"));
+    for (j, r_j) in r.chunks_exact(k).enumerate() {
+        let y: [f64; N] = std::array::from_fn(|l| rows[l][j] * inv_diag[j]);
+        for (row, y) in rows.iter_mut().zip(y) {
+            row[j] = y;
+        }
+        for q in j + 1..k {
+            for (row, y) in rows.iter_mut().zip(y) {
+                row[q] -= y * r_j[q];
+            }
+        }
+    }
 }
 
 /// Symmetric rank-k update: returns the Gram matrix `G = Aᵀ A`.
@@ -492,6 +536,10 @@ mod tests {
     const NROWS: [usize; 7] = [0, 1, 255, 256, 257, 1000, 10_007];
     const NCOLS: [usize; 3] = [1, 13, 100];
 
+    fn grid_matrix(nrows: usize, ncols: usize) -> Matrix {
+        Matrix::random_signed(nrows, ncols, (nrows * 131 + ncols) as u64)
+    }
+
     /// `kernel`'s output bits on every shape at pool width 1, after
     /// asserting that widths 2, 3, 4 and 8 return the same bits.  The ISA
     /// tier is the process default; CI runs this module once under
@@ -499,10 +547,17 @@ mod tests {
     fn width_independent_bits(
         kernel: impl Fn(&Matrix) -> Vec<f64> + Sync,
     ) -> Vec<((usize, usize), Vec<u64>)> {
+        width_independent_bits_at(&NCOLS, kernel)
+    }
+
+    fn width_independent_bits_at(
+        column_counts: &[usize],
+        kernel: impl Fn(&Matrix) -> Vec<f64> + Sync,
+    ) -> Vec<((usize, usize), Vec<u64>)> {
         let mut out = Vec::new();
         for nrows in NROWS {
-            for ncols in NCOLS {
-                let a = Matrix::random_signed(nrows, ncols, (nrows * 131 + ncols) as u64);
+            for &ncols in column_counts {
+                let a = grid_matrix(nrows, ncols);
                 let bits_at = |threads: usize| {
                     let pool = rayon::ThreadPoolBuilder::new()
                         .num_threads(threads)
@@ -560,7 +615,7 @@ mod tests {
     #[test]
     fn block_product_equals_the_column_loop_bit_for_bit() {
         use crate::operator::{DenseOperator, LinearOperator};
-        for k in [1usize, 3, 10] {
+        for k in [1usize, 3, 5, 10] {
             let vectors = |a: &Matrix| Matrix::random_signed(k, a.ncols(), 77);
             let block = width_independent_bits(|a| {
                 let mut c = Matrix::from_fn(a.nrows(), k, |_, _| f64::NAN);
@@ -581,6 +636,56 @@ mod tests {
             assert_eq!(block, columns, "k={k}");
             let sequential = width_independent_bits(|a| gemm_nt(a, &vectors(a)).into_vec());
             assert_eq!(block, sequential, "k={k}");
+        }
+    }
+
+    #[test]
+    fn par_gram_equals_the_triple_loop_over_its_spans_bit_for_bit() {
+        let default_tier = KernelIsa::resolved_default();
+        // The grid, and the order-4 rank-5 `Π R_t`: one column past a tile.
+        for ((nrows, n), bits) in
+            width_independent_bits_at(&[1, 13, 100, 125], |a| par_gram(default_tier, a).into_vec())
+        {
+            let a = grid_matrix(nrows, n);
+            let mut reference = Matrix::zeros(n, n);
+            for span in a.as_slice().chunks(gram_rows_per_partial(nrows) * n) {
+                let mut partial = Matrix::zeros(n, n);
+                for row in span.chunks(n) {
+                    for p in 0..n {
+                        for q in p..n {
+                            partial[(p, q)] += row[p] * row[q];
+                        }
+                    }
+                }
+                for p in 0..n {
+                    for q in p..n {
+                        reference[(p, q)] += partial[(p, q)];
+                        reference[(q, p)] = reference[(p, q)];
+                    }
+                }
+            }
+            let bits_of = |g: &Matrix| {
+                g.as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<u64>>()
+            };
+            assert_eq!(bits, bits_of(&reference), "{nrows}x{n}");
+            for tier in [KernelIsa::Scalar, KernelIsa::Avx2] {
+                assert_eq!(bits, bits_of(&par_gram(tier, &a)), "{nrows}x{n} {tier}");
+            }
+            let scale = reference
+                .as_slice()
+                .iter()
+                .fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(gemm_tn(&a, &a).frobenius_distance(&reference) <= 1e-12 * scale * n as f64);
+        }
+        // The scratch is bounded: no more than 32 partials at any height.
+        for nrows in [1, 256, 8192, 8193, 54_563, 10_000_000] {
+            let span = gram_rows_per_partial(nrows);
+            assert!(
+                span.is_multiple_of(ROWS_PER_CHUNK) && nrows.div_ceil(span) <= GRAM_MAX_PARTIALS
+            );
         }
     }
 
@@ -649,13 +754,6 @@ mod tests {
         let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
         let c = gemm(&a, &b);
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn par_gemm_matches_gemm() {
-        let a = Matrix::random(33, 21, 1);
-        let b = Matrix::random(21, 17, 2);
-        assert_mat_eq(&gemm(&a, &b), &par_gemm(&a, &b), 1e-12);
     }
 
     #[test]

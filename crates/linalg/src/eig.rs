@@ -2,11 +2,11 @@
 //!
 //! Used in two places:
 //!
-//! * the tridiagonal projected problem of the Lanczos TRSVD solver
-//!   ([`crate::lanczos`]) and the dense SVD ([`crate::svd`]) that finishes
-//!   the randomized one, and
-//! * Gram-matrix based SVD of genuinely small matricized tensors (e.g. the
-//!   core tensor checks in tests).
+//! * the TRSVD solver ([`crate::lanczos`]): the formed normal matrix
+//!   `Y_(n)ᵀ Y_(n)` (`Π R_t` square) of a tall operator, and the
+//!   tridiagonal projected problem of the Krylov path, and
+//! * Gram-matrix based SVD ([`crate::svd`]) of genuinely small matricized
+//!   tensors — the dense fallback and reference backend.
 //!
 //! The implementation is the classical two-phase approach: Householder
 //! tridiagonalization (`tred2`) followed by the implicit-shift QL iteration
@@ -51,26 +51,30 @@ pub fn symmetric_eig(a: &Matrix) -> SymmetricEig {
     let mut d = vec![0.0; n]; // diagonal of tridiagonal form
     let mut e = vec![0.0; n]; // subdiagonal of tridiagonal form
 
-    tred2(&mut z, &mut d, &mut e);
-    tql2(&mut z, &mut d, &mut e);
+    tred2_reduce(&mut z, &mut d, &mut e);
+    // From here on the transformation is held transposed: accumulating a
+    // reflector or a rotation updates *columns* of `z`, which are
+    // contiguous rows of `zt`.  Same operations in the same order.
+    let mut zt = z.transpose();
+    tred2_accumulate(&mut zt, &mut d);
+    tql2(&mut zt, &mut d, &mut e);
 
-    // Sort eigenpairs in descending order of eigenvalue.
+    // Sort eigenpairs in descending order of eigenvalue (a total order, so
+    // a non-finite input sorts instead of panicking).
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[j].partial_cmp(&d[i]).unwrap());
+    order.sort_by(|&i, &j| d[j].total_cmp(&d[i]));
     let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
     let mut vectors = Matrix::zeros(n, n);
     for (newcol, &oldcol) in order.iter().enumerate() {
-        for i in 0..n {
-            vectors[(i, newcol)] = z[(i, oldcol)];
-        }
+        vectors.set_col(newcol, zt.row(oldcol));
     }
     SymmetricEig { values, vectors }
 }
 
 /// Householder reduction of a real symmetric matrix to tridiagonal form.
-/// On output `z` contains the orthogonal transformation matrix, `d` the
-/// diagonal and `e` the subdiagonal (with `e[0] = 0`).
-fn tred2(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
+/// On output `d` holds the reflectors' norms, `e` the subdiagonal (with
+/// `e[0] = 0`) and `z` the reflectors for [`tred2_accumulate`].
+fn tred2_reduce(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
     let n = d.len();
     for i in (1..n).rev() {
         let l = i - 1;
@@ -122,31 +126,46 @@ fn tred2(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
     }
     d[0] = 0.0;
     e[0] = 0.0;
+}
+
+/// Accumulates the reflectors of [`tred2_reduce`] into the orthogonal
+/// transformation, on the transposed matrix `zt`; on output `zt` is that
+/// transformation (transposed) and `d` the diagonal of the tridiagonal form.
+fn tred2_accumulate(zt: &mut Matrix, d: &mut [f64]) {
+    let n = d.len();
+    let mut reflector = vec![0.0; n];
     for i in 0..n {
-        let l = i; // columns 0..i already transformed
+        // Columns 0..i are already transformed.
         if d[i] != 0.0 {
-            for j in 0..l {
+            for (k, u) in reflector[..i].iter_mut().enumerate() {
+                *u = zt[(k, i)];
+            }
+            let (done, rest) = zt.as_mut_slice().split_at_mut(i * n);
+            let scaled = &rest[..i];
+            for column in done.chunks_exact_mut(n) {
+                let column = &mut column[..i];
                 let mut g = 0.0;
-                for k in 0..l {
-                    g += z[(i, k)] * z[(k, j)];
+                for (u, c) in reflector[..i].iter().zip(column.iter()) {
+                    g += u * c;
                 }
-                for k in 0..l {
-                    z[(k, j)] -= g * z[(k, i)];
+                for (c, s) in column.iter_mut().zip(scaled) {
+                    *c -= g * s;
                 }
             }
         }
-        d[i] = z[(i, i)];
-        z[(i, i)] = 1.0;
-        for j in 0..l {
-            z[(j, i)] = 0.0;
-            z[(i, j)] = 0.0;
+        d[i] = zt[(i, i)];
+        zt[(i, i)] = 1.0;
+        for j in 0..i {
+            zt[(j, i)] = 0.0;
+            zt[(i, j)] = 0.0;
         }
     }
 }
 
 /// Implicit-shift QL iteration on a symmetric tridiagonal matrix, with
-/// accumulation of the transformations into `z`.
-fn tql2(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
+/// accumulation of the rotations into the transposed transformation `zt`:
+/// each one mixes two adjacent rows.
+fn tql2(zt: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
     let n = d.len();
     if n <= 1 {
         return;
@@ -200,10 +219,11 @@ fn tql2(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
                 d[i + 1] = g + p;
                 g = c * r - b;
                 // Accumulate the transformation.
-                for k in 0..n {
-                    f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
+                let (lower, upper) = zt.as_mut_slice().split_at_mut((i + 1) * n);
+                for (zi, zi1) in lower[i * n..].iter_mut().zip(&mut upper[..n]) {
+                    f = *zi1;
+                    *zi1 = s * *zi + c * f;
+                    *zi = c * *zi - s * f;
                 }
             }
             if r == 0.0 && m > l {

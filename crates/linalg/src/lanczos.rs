@@ -1,39 +1,59 @@
-//! Matrix-free truncated SVD: symmetric Lanczos on the normal operator.
+//! Matrix-free truncated SVD on the normal matrix `AᵀA`: formed when it is
+//! small, iterated on (symmetric Lanczos) when it is not.
 //!
 //! This is the Rust stand-in for the SLEPc iterative SVD solver the paper
 //! uses for the TRSVD step, in the formulation SLEPc ships as its `cross`
 //! SVD type: the `R_n` leading singular triplets of `A` are read off the
-//! leading eigenpairs of `AᵀA` (or `AAᵀ`, whichever is smaller), which is
-//! **never formed** — it is only applied, as `x ↦ Aᵀ(A x)`, through the
-//! operator's `MxV` and `MTxV` products
-//! ([`LinearOperator::apply_normal`]).
+//! leading eigenpairs of `AᵀA` (or `AAᵀ`, whichever is smaller).  Kaya &
+//! Uçar reject the Gram route because `Y_(n) Y_(n)ᵀ` is `I_n × I_n`; the
+//! matricized TTMc results are tall and skinny, and the *other* normal
+//! matrix is only `Π_{t≠n} R_t` square.  [`lanczos_svd_with`] picks one of
+//! three regimes from the operator's shape and the subspace size
+//! (`2·rank + 10`) alone — no option selects between them:
 //!
-//! The matricized TTMc results are tall and skinny (`Π_{t≠n} R_t` columns,
-//! up to millions of rows), and that shapes the method:
+//! 1. **Dense fallback** — the subspace would span the short side anyway
+//!    (and the operator has at most 4 M entries): materialize it and take
+//!    [`crate::svd::dense_svd`].
+//! 2. **Formed normal matrix** — a tall operator whose short side is at most
+//!    `8·subspace` wide, and which can hand over `AᵀA`
+//!    ([`LinearOperator::normal_matrix`]; a parallel dense operator does, in
+//!    one syrk-shaped sweep, [`crate::blas::par_gram`]): take
+//!    [`crate::eig::symmetric_eig`] of it and keep the leading eigenvectors.
+//!    Forming costs about as much as `ncols / 10` applications of the normal
+//!    operator where a Krylov run needs two subspaces' worth; the `ncols³`
+//!    eigensolve is what bounds the width (`BENCH_kernels.json`, `gram`).
+//!    Nothing here depends on the seed, the restart schedule or a
+//!    convergence test.
+//! 3. **Krylov** — everything else (wider, wide rather than tall, or an
+//!    operator known only through its products): symmetric Lanczos with full
+//!    reorthogonalization on `x ↦ Aᵀ(A x)`, **never formed**
+//!    ([`LinearOperator::apply_normal`]):
+//!    * the Krylov basis lives on the **short** side, so full
+//!      reorthogonalization costs `O(subspace · min(m, n))` per step and no
+//!      long vector other than the one product `t = A x` is ever held;
+//!    * one Lanczos step is one application of the normal operator, which a
+//!      dense operator serves in a single sweep of its matrix
+//!      ([`crate::blas::par_gemv_normal`]);
+//!    * the small projected problem is a symmetric tridiagonal matrix, solved
+//!      by [`crate::eig`]; a Ritz triplet is accepted when
+//!      `β_k·|s_{k,i}| ≤ tol·σ_max·σ_i`.
 //!
-//! * the Krylov basis lives on the **short** side, so full
-//!   reorthogonalization costs `O(subspace · min(m, n))` per step and no
-//!   long vector other than the one product `t = A x` is ever held;
-//! * one Lanczos step is one application of the normal operator, which a
-//!   dense operator serves in a single sweep of its matrix
-//!   ([`crate::blas::par_gemv_normal`]);
-//! * the small projected problem is a symmetric tridiagonal matrix, solved
-//!   by [`crate::eig`]; a Ritz triplet is accepted when
-//!   `β_k·|s_{k,i}| ≤ tol·σ_max·σ_i`;
-//! * the singular vectors of the **long** side are recovered at the end in
-//!   one block product ([`LinearOperator::apply_many`]) and orthonormalized
-//!   by [`crate::blas::par_cholesky_qr`], whose column lengths `‖A v_i‖` are
-//!   the singular values returned.
+//! Regimes 2 and 3 end in the same code: the singular vectors of the
+//! **long** side are recovered in one block product
+//! ([`LinearOperator::apply_many`]) and orthonormalized by
+//! [`crate::blas::par_cholesky_qr`], whose column lengths `‖A v_i‖` are the
+//! singular values returned.
 //!
-//! Squaring the spectrum costs accuracy where it does not matter here: the
-//! Ritz *vectors* of singular values below `√ε·σ_max` are resolved only as a
-//! group, because their squares drown in the rounding of `σ_max²`.  The
-//! singular values themselves are measured on the recovered vectors, not
-//! read off the squared spectrum, so an exactly rank-deficient operator
-//! reports zeros (and zero vectors) rather than `√ε·σ_max`.  HOOI wants the
-//! dominant subspace, and the paper reports SLEPc converging in fewer than 5
-//! outer iterations on these strongly decaying spectra; this solver
-//! typically needs one pass of `2·rank + 10` steps.
+//! Squaring the spectrum costs accuracy where it does not matter here, and
+//! costs the two regimes the same: the eigenvectors (or Ritz vectors) of
+//! singular values below `√ε·σ_max` are resolved only as a group, because
+//! their squares drown in the rounding of `σ_max²`.  The singular values
+//! themselves are measured on the recovered vectors, not read off the
+//! squared spectrum, so an exactly rank-deficient operator reports zeros
+//! (and zero vectors) rather than `√ε·σ_max`.  HOOI wants the dominant
+//! subspace, and the paper reports SLEPc converging in fewer than 5 outer
+//! iterations on these strongly decaying spectra; the Krylov path typically
+//! needs one pass of `2·rank + 10` steps.
 
 use crate::blas::{axpy, dot, normalize, nrm2, par_cholesky_qr, scal};
 use crate::eig::symmetric_eig;
@@ -69,7 +89,8 @@ impl Default for LanczosOptions {
     }
 }
 
-/// Reusable scratch buffers for [`lanczos_svd_with`].
+/// Reusable scratch buffers for the Krylov path of [`lanczos_svd_with`] (the
+/// two direct regimes neither draw from it nor park anything in it).
 ///
 /// One Lanczos solve needs `O(subspace)` Krylov vectors of length
 /// `min(m, n)` and one vector of length `max(m, n)` for the product inside
@@ -124,6 +145,19 @@ fn resized(mut v: Vec<f64>, len: usize) -> Vec<f64> {
     v
 }
 
+/// Widest short side, in Krylov subspaces (`2·rank + 10` columns each), at
+/// which a tall operator's normal matrix is formed and solved directly: 240
+/// columns at rank 10, 160 at rank 5.  Forming `AᵀA` costs about
+/// `ncols / 10` back-to-back fused sweeps of `A` (the `gram` cells of
+/// `BENCH_kernels.json`, AVX2 tier, 2 threads: 10 at 100 columns, 15 at
+/// 125, 27 at 250, 72 at 500; repeated runs on that noisy host gave 9–11,
+/// 9–15, 24–32 and 62–84) against the two subspaces' worth a Krylov run
+/// needs (60 at rank 10, 40 at rank 5), at any row count; what caps the
+/// width is the `ncols³` eigensolve, which no row count amortizes — at 250
+/// columns it costs 17 more sweeps of a 20 000-row matrix, at 500 twice a
+/// whole Krylov run.
+const FORMED_NORMAL_MAX_SUBSPACES: usize = 8;
+
 /// A truncated SVD `A ≈ U diag(σ) Vᵀ` with `k` columns.
 #[derive(Debug, Clone)]
 pub struct TruncatedSvd {
@@ -136,10 +170,14 @@ pub struct TruncatedSvd {
     /// Number of operator applications (`MxV` plus `MTxV`) performed: two
     /// per Lanczos step plus `k` for the recovery of the long-side vectors
     /// (a fused step or a block recovery still counts the products it
-    /// stands for); `ncols` when the operator was small enough to be
+    /// stands for); `ncols + k` when the normal matrix was formed — the
+    /// `ncols` products that pass stands for, whatever it cost, plus the
+    /// same recovery, so the count is *higher* than a Krylov run's where the
+    /// time is lower; `ncols` when the operator was small enough to be
     /// materialized and solved densely, however it was materialized.
     pub operator_applications: usize,
-    /// Whether every requested triplet met the residual tolerance.
+    /// Whether every requested triplet met the residual tolerance (always,
+    /// on the two direct paths).
     pub converged: bool,
 }
 
@@ -214,6 +252,17 @@ pub fn lanczos_svd_with(
     }
 
     let tall = m >= n;
+    // A tall operator whose short side is a few subspaces wide: form the
+    // normal matrix and solve it directly.  Its leading eigenvectors are the
+    // short-side singular vectors the Krylov loop below would converge to.
+    if tall && n <= FORMED_NORMAL_MAX_SUBSPACES * subspace {
+        if let Some(normal) = op.normal_matrix() {
+            let eig = symmetric_eig(&normal);
+            let short_vectors = Matrix::from_fn(rank, n, |i, j| eig.vectors[(j, i)]);
+            return recover_long_side(op, short_vectors, n + rank, true);
+        }
+    }
+
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let mut random_direction =
         |q: &mut [f64]| q.iter_mut().for_each(|x| *x = rng.gen::<f64>() - 0.5);
@@ -314,9 +363,25 @@ pub fn lanczos_svd_with(
             axpy(ritz.vectors[(j, i)], q, short_vectors.row_mut(i));
         }
     }
+    ws.basis.append(&mut basis);
+    ws.product = product;
+    recover_long_side(op, short_vectors, 2 * k + rank, converged)
+}
+
+/// The end of every matrix-free solve: given the short-side singular vectors
+/// as the rows of `short_vectors`, recovers the long-side ones in one block
+/// product and reads the singular values off them.
+fn recover_long_side(
+    op: &dyn LinearOperator,
+    short_vectors: Matrix,
+    operator_applications: usize,
+    converged: bool,
+) -> TruncatedSvd {
+    let (m, n) = (op.nrows(), op.ncols());
+    let tall = m >= n;
     // Long-side vectors: A v_i = σ_i u_i (or Aᵀ u_i = σ_i v_i), normalized
-    // and cleaned of what the Ritz vectors' errors mixed in.
-    let mut long_vectors = Matrix::zeros(m.max(n), rank);
+    // and cleaned of what the short-side vectors' errors mixed in.
+    let mut long_vectors = Matrix::zeros(m.max(n), short_vectors.nrows());
     if tall {
         op.apply_many(&short_vectors, &mut long_vectors);
     } else {
@@ -326,12 +391,10 @@ pub fn lanczos_svd_with(
             &mut long_vectors,
         );
     }
-    // ‖A v_i‖ is the Ritz value √θ_i again, but measured on the vectors
-    // returned and without the rounding of σ_max² that θ_i carries.
+    // ‖A v_i‖ is √λ_i again, but measured on the vectors returned and
+    // without the rounding of σ_max² that an eigenvalue of AᵀA carries.
     let singular_values = par_cholesky_qr(&mut long_vectors);
 
-    ws.basis.append(&mut basis);
-    ws.product = product;
     let short_vectors = short_vectors.transpose();
     let (u, v) = if tall {
         (long_vectors, short_vectors)
@@ -342,7 +405,7 @@ pub fn lanczos_svd_with(
         u,
         singular_values,
         v,
-        operator_applications: 2 * k + rank,
+        operator_applications,
         converged,
     }
 }
@@ -530,25 +593,95 @@ mod tests {
         crate::blas::gemm_nt(&u, &v)
     }
 
-    /// The contract of the Krylov path on `a`, whose singular values are
-    /// `expected` (descending; `numerical_rank` of them nonzero): singular
-    /// values within `1e-8·σ_1`, orthonormal vectors for every nonzero
-    /// singular value, zero long-side vectors beyond them, nothing
-    /// non-finite.
-    fn assert_krylov_contract(a: &Matrix, rank: usize, expected: &[f64], numerical_rank: usize) {
+    /// A dense operator that records whether the solver took its formed
+    /// normal matrix, and can withhold it so that the same matrix is solved
+    /// by the Krylov loop.
+    struct Spy<'a> {
+        inner: DenseOperator<'a>,
+        expose_normal: bool,
+        formed: std::sync::atomic::AtomicBool,
+    }
+
+    impl<'a> Spy<'a> {
+        fn new(a: &'a Matrix, parallel: bool, expose_normal: bool) -> Self {
+            let inner = if parallel {
+                DenseOperator::parallel(a)
+            } else {
+                DenseOperator::new(a)
+            };
+            Spy {
+                inner,
+                expose_normal,
+                formed: Default::default(),
+            }
+        }
+
+        fn formed(&self) -> bool {
+            self.formed.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl LinearOperator for Spy<'_> {
+        fn nrows(&self) -> usize {
+            self.inner.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.inner.ncols()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.inner.apply(x, y)
+        }
+        fn apply_transpose(&self, x: &[f64], y: &mut [f64]) {
+            self.inner.apply_transpose(x, y)
+        }
+        fn apply_normal(&self, x: &[f64], t: &mut [f64], y: &mut [f64]) {
+            assert!(
+                !self.formed(),
+                "a Krylov step after the normal matrix was taken"
+            );
+            self.inner.apply_normal(x, t, y)
+        }
+        fn apply_many(&self, xs: &Matrix, y: &mut Matrix) {
+            self.inner.apply_many(xs, y)
+        }
+        fn normal_matrix(&self) -> Option<Matrix> {
+            let normal = self.inner.normal_matrix().filter(|_| self.expose_normal);
+            self.formed
+                .store(normal.is_some(), std::sync::atomic::Ordering::Relaxed);
+            normal
+        }
+    }
+
+    /// Whether the solver forms the normal matrix of a parallel dense
+    /// `m × n` operator at `rank`: the gate, restated.
+    fn within_gate(m: usize, n: usize, rank: usize) -> bool {
+        m >= n && n <= 8 * (2 * rank + 10)
+    }
+
+    /// The contract of the matrix-free paths on `a`, whose singular values
+    /// are `expected` (descending; `numerical_rank` of them nonzero):
+    /// singular values within `1e-8·σ_1`, orthonormal vectors for every
+    /// nonzero singular value, zero long-side vectors beyond them, nothing
+    /// non-finite — from the Krylov loop (sequential operator; parallel
+    /// operator with its normal matrix withheld) and, on the near side of
+    /// the gate, from the formed normal matrix, each asserted to be the path
+    /// that answered.
+    fn assert_solver_contract(a: &Matrix, rank: usize, expected: &[f64], numerical_rank: usize) {
         let (m, n) = a.shape();
         assert!(
             m.min(n) > 2 * rank + 10 || m * n > 4_000_000,
             "would take the dense fallback"
         );
         let sigma_1 = expected[0];
-        for parallel in [false, true] {
-            let op = if parallel {
-                DenseOperator::parallel(a)
-            } else {
-                DenseOperator::new(a)
-            };
+        for (parallel, expose_normal) in [(false, true), (true, false), (true, true)] {
+            let op = Spy::new(a, parallel, expose_normal);
             let svd = lanczos_svd(&op, rank, &LanczosOptions::default());
+            let formed = parallel && expose_normal && within_gate(m, n, rank);
+            assert_eq!(op.formed(), formed, "{m}x{n}, rank {rank}");
+            if formed {
+                assert_eq!(svd.operator_applications, n + rank);
+                assert!(svd.converged);
+            }
             assert_eq!(svd.u.shape(), (m, rank));
             assert_eq!(svd.v.shape(), (n, rank));
             assert_eq!(svd.singular_values.len(), rank);
@@ -557,7 +690,7 @@ mod tests {
             for (i, (got, want)) in svd.singular_values.iter().zip(expected).enumerate() {
                 assert!(
                     (got - want).abs() <= 1e-8 * sigma_1,
-                    "σ_{i}: {got:e} vs {want:e} ({m}x{n}, rank {rank})"
+                    "σ_{i}: {got:e} vs {want:e} ({m}x{n}, rank {rank}, formed {formed})"
                 );
             }
             let kept = rank.min(numerical_rank);
@@ -579,9 +712,9 @@ mod tests {
 
         // Graded spectra from flat (`decades = 0`: one repeated singular
         // value, so the Krylov space breaks down at once) to
-        // `σ_1/σ_rank = 1e6`, tall and wide.
+        // `σ_1/σ_rank = 1e6`, tall (both paths) and wide (Krylov only).
         #[test]
-        fn krylov_path_matches_dense_svd_on_graded_spectra(
+        fn matrix_free_paths_match_dense_svd_on_graded_spectra(
             short in 25usize..60,
             extra in 0usize..300,
             rank in 1usize..6,
@@ -595,12 +728,12 @@ mod tests {
                 .collect();
             let (m, n) = if wide == 1 { (short, short + extra) } else { (short + extra, short) };
             let a = with_spectrum(m, n, &spectrum, seed);
-            assert_krylov_contract(&a, rank, &reference_svd(&a).singular_values, short);
+            assert_solver_contract(&a, rank, &reference_svd(&a).singular_values, short);
         }
     }
 
     #[test]
-    fn krylov_path_on_exactly_rank_deficient_operators() {
+    fn matrix_free_paths_on_exactly_rank_deficient_operators() {
         for (m, n) in [(400, 40), (40, 400)] {
             for numerical_rank in [1usize, 3] {
                 // Against the constructed spectrum: the dense SVD reports a
@@ -609,24 +742,67 @@ mod tests {
                     (0..numerical_rank).map(|i| 2.0 - i as f64 * 0.5).collect();
                 let a = with_spectrum(m, n, &spectrum, 9);
                 spectrum.resize(5, 0.0);
-                assert_krylov_contract(&a, 5, &spectrum, numerical_rank);
+                assert_solver_contract(&a, 5, &spectrum, numerical_rank);
             }
         }
     }
 
     #[test]
-    fn krylov_path_on_zero_single_row_and_single_column_operators() {
-        assert_krylov_contract(&Matrix::zeros(300, 40), 3, &[0.0; 3], 0);
-        assert_krylov_contract(&Matrix::zeros(40, 300), 3, &[0.0; 3], 0);
+    fn matrix_free_paths_on_zero_single_row_and_single_column_operators() {
+        assert_solver_contract(&Matrix::zeros(300, 40), 3, &[0.0; 3], 0);
+        assert_solver_contract(&Matrix::zeros(40, 300), 3, &[0.0; 3], 0);
         // Too large for the dense fallback, so the one-dimensional Krylov
-        // space is what answers.
+        // space — or the 1 × 1 normal matrix — is what answers.
         let long = 4_000_001;
         for a in [
             Matrix::random_signed(1, long, 3),
             Matrix::random_signed(long, 1, 4),
         ] {
-            assert_krylov_contract(&a, 1, &[a.frobenius_norm()], 1);
+            assert_solver_contract(&a, 1, &[a.frobenius_norm()], 1);
         }
+    }
+
+    #[test]
+    fn the_gate_reads_the_shapes_alone_and_both_sides_honour_the_contract() {
+        // 100 columns: within 8 subspaces at rank 2 (8·14), beyond them at
+        // rank 1 (8·12) — `assert_solver_contract` checks which path ran.
+        let spectrum: Vec<f64> = (0..100)
+            .map(|i| 10f64.powf(-0.5 * i as f64).max(1e-9))
+            .collect();
+        let a = with_spectrum(600, 100, &spectrum, 17);
+        assert!(within_gate(600, 100, 2) && !within_gate(600, 100, 1));
+        assert_solver_contract(&a, 2, &spectrum, 100);
+        assert_solver_contract(&a, 1, &spectrum, 100);
+    }
+
+    #[test]
+    fn formed_normal_path_ignores_the_seed_and_the_workspace() {
+        let a = Matrix::random_signed(900, 60, 31);
+        let op = DenseOperator::parallel(&a);
+        let solve = |seed: u64, ws: &mut LanczosWorkspace| {
+            let opts = LanczosOptions {
+                seed,
+                ..LanczosOptions::default()
+            };
+            let svd = lanczos_svd_with(&op, 4, &opts, ws);
+            assert_eq!(svd.operator_applications, 60 + 4);
+            (svd.u, svd.singular_values, svd.v)
+        };
+        let cold = solve(1, &mut LanczosWorkspace::new());
+        // Warm: a Krylov solve (wide operator) has parked its buffers.
+        let mut ws = LanczosWorkspace::new();
+        let wide = Matrix::random_signed(30, 500, 2);
+        lanczos_svd_with(
+            &DenseOperator::parallel(&wide),
+            4,
+            &LanczosOptions::default(),
+            &mut ws,
+        );
+        let parked = ws.pooled_floats();
+        assert!(parked > 0);
+        assert_eq!(solve(2, &mut ws), cold);
+        // Nothing drawn from the workspace, nothing parked in it.
+        assert_eq!(ws.pooled_floats(), parked);
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! but complete dense linear-algebra toolkit:
 //!
 //! * a row-major dense [`Matrix`] type with BLAS-like kernels ([`blas`]),
-//! * thin Householder QR ([`qr`]) used to orthonormalize factor matrices,
+//! * Gram-Schmidt orthonormalization ([`qr`]) of initial factor matrices,
 //! * a symmetric eigensolver ([`eig`]) for small Gram matrices,
 //! * a dense SVD ([`svd`]) for small projected problems,
-//! * a matrix-free truncated SVD ([`lanczos`], [`randomized`]) built on the
+//! * a matrix-free truncated SVD ([`lanczos`]) built on the
 //!   [`LinearOperator`] abstraction.  This is the
 //!   Rust stand-in for the PETSc/SLEPc iterative TRSVD solver the paper uses:
 //!   only matrix-vector (`MxV`) and matrix-transpose-vector (`MTxV`) products
-//!   are required, so neither the operator nor its Gram matrix has to be
-//!   assembled.
+//!   are required; the `I_n × I_n` Gram matrix the paper rejects is never
+//!   assembled, and the small `Π R_t`-square one only while it is cheaper
+//!   than iterating.
 //!
 //! All kernels are deterministic for a fixed seed and have both sequential
 //! and rayon-parallel paths where it matters.
@@ -23,15 +24,13 @@ pub mod lanczos;
 pub mod matrix;
 pub mod operator;
 pub mod qr;
-pub mod randomized;
 pub mod simd;
 pub mod svd;
 
 pub use lanczos::{lanczos_svd, LanczosOptions, TruncatedSvd};
 pub use matrix::Matrix;
 pub use operator::{DenseOperator, LinearOperator};
-pub use qr::{orthonormalize_columns, qr_thin};
-pub use randomized::{randomized_svd, RandomizedOptions};
+pub use qr::orthonormalize_columns;
 pub use simd::KernelIsa;
 pub use svd::dense_svd;
 

@@ -94,9 +94,8 @@ impl Matrix {
         Matrix { nrows, ncols, data }
     }
 
-    /// Creates a matrix with entries drawn uniformly from `[-1, 1)`; used for
-    /// Gaussian-like sketching in the randomized SVD (a centered uniform is
-    /// sufficient for a range finder and avoids a Box-Muller dependency).
+    /// Creates a matrix with entries drawn uniformly from `[-1, 1)`: centered
+    /// test data for the kernels' tests and benches.
     pub fn random_signed(nrows: usize, ncols: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let dist = Uniform::new(-1.0, 1.0);

@@ -6,13 +6,18 @@
 //! applies them on the dense compact `Y_(n)` ([`DenseOperator`]), the HOSVD
 //! initialization on a sparse unfolding; both implement this trait and are
 //! handed to the Krylov solver in [`crate::lanczos`] unchanged.  The solver
-//! asks for the two products back to back ([`LinearOperator::apply_normal`])
-//! and for a block of forward products ([`LinearOperator::apply_many`]);
-//! both default to the single-vector calls, and an operator that can do
-//! better in one sweep of its data overrides them.
+//! asks for the two products back to back ([`LinearOperator::apply_normal`]),
+//! for a block of forward products ([`LinearOperator::apply_many`]) and,
+//! when the short side is small, for the normal matrix itself
+//! ([`LinearOperator::normal_matrix`]); the first two default to the
+//! single-vector calls and the last to "not available", and an operator that
+//! can do better in one sweep of its data overrides them.
 
-use crate::blas::{gemv, gemv_t, par_gemm_nt_into, par_gemv, par_gemv_normal, par_gemv_t};
+use crate::blas::{
+    gemv, gemv_t, par_gemm_nt_into, par_gemv, par_gemv_normal, par_gemv_t, par_gram,
+};
 use crate::matrix::Matrix;
+use crate::simd::KernelIsa;
 
 /// A real linear operator `A : R^ncols → R^nrows` exposed only through
 /// matrix-vector products.
@@ -39,6 +44,14 @@ pub trait LinearOperator: Sync {
     /// `c` of `xs` (`k × ncols()`).
     fn apply_many(&self, xs: &Matrix, y: &mut Matrix) {
         apply_columnwise(|x, col| self.apply(x, col), xs, y);
+    }
+
+    /// The normal matrix `AᵀA` (`ncols() × ncols()`), formed — for an
+    /// operator that holds its entries and can do so in about the time of a
+    /// few products.  `None` (the default) keeps the Krylov solver on
+    /// [`apply_normal`](LinearOperator::apply_normal).
+    fn normal_matrix(&self) -> Option<Matrix> {
+        None
     }
 
     /// Materializes the operator as a dense matrix by applying it to the
@@ -142,6 +155,12 @@ impl LinearOperator for DenseOperator<'_> {
         } else {
             apply_columnwise(|x, col| self.apply(x, col), xs, y);
         }
+    }
+
+    /// One syrk-shaped sweep of the matrix when parallel ([`par_gram`]).
+    fn normal_matrix(&self) -> Option<Matrix> {
+        self.parallel
+            .then(|| par_gram(KernelIsa::resolved_default(), self.matrix))
     }
 
     /// A copy of the wrapped matrix — no products.

@@ -305,6 +305,70 @@ pub fn gemv(isa: KernelIsa, a: &[f64], rows: usize, cols: usize, x: &[f64], y: &
     }
 }
 
+/// Columns of one register tile of [`gram_accumulate`] (two `f64×4`
+/// vectors); a tile is [`GRAM_TILE_ROWS`] × this.
+const GRAM_TILE_COLS: usize = 8;
+/// Rows of one register tile of [`gram_accumulate`].
+const GRAM_TILE_ROWS: usize = 4;
+
+/// `g += blockᵀ·block` on the upper triangle: `block` is row-major with
+/// `cols` columns, `g` row-major `cols × cols`, and every entry `(p, q)`
+/// with `p ≤ q` performs `g[p][q] = g[p][q] + block[i][p]·block[i][q]` once
+/// per row `i`, in row order, multiply and add rounded separately — one add
+/// chain per entry, so both tiers return the same bits as the plain triple
+/// loop.  The rows are walked once per 4 × 8 tile of `g`, whose eight
+/// vectors stay in registers across the block: callers pass blocks that fit
+/// L1.  Entries below the diagonal are unspecified (those inside a diagonal
+/// tile are accumulated too, the rest are left alone).
+#[inline]
+pub fn gram_accumulate(isa: KernelIsa, block: &[f64], cols: usize, g: &mut [f64]) {
+    assert!(cols > 0 && g.len() == cols * cols && block.len().is_multiple_of(cols));
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = isa == KernelIsa::Avx2 && avx2_available();
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = isa;
+    for p0 in (0..cols).step_by(GRAM_TILE_ROWS) {
+        let ph = GRAM_TILE_ROWS.min(cols - p0);
+        for q0 in (p0..cols).step_by(GRAM_TILE_COLS) {
+            let qw = GRAM_TILE_COLS.min(cols - q0);
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // SAFETY: AVX2 availability was just checked; the tile
+                // asserts that it lies inside `g` and every row of `block`.
+                unsafe { x86::gram_tile_avx2(block, cols, (p0, ph), (q0, qw), g) };
+                continue;
+            }
+            gram_tile_scalar(block, cols, (p0, ph), (q0, qw), g);
+        }
+    }
+}
+
+/// `C = A Bᵀ` on a block of rows: `a` is row-major with `cols` columns, `b`
+/// row-major `k × cols`, `c` row-major with `k` columns, and entry `(i, j)`
+/// is `dot(a.row(i), b.row(j))` in the scalar order.  The vector tier puts
+/// the `k` output columns in the lanes — it broadcasts `a[i][q]` against row
+/// `q` of a transposed copy of `b` — so it never reduces horizontally and
+/// returns the same bits.
+#[inline]
+pub fn gemm_nt_rows(isa: KernelIsa, a: &[f64], cols: usize, b: &[f64], k: usize, c: &mut [f64]) {
+    debug_assert!(cols > 0 && k > 0);
+    debug_assert_eq!(b.len(), k * cols);
+    debug_assert_eq!(a.len() * k, c.len() * cols);
+    #[cfg(target_arch = "x86_64")]
+    if isa == KernelIsa::Avx2 && avx2_available() {
+        // SAFETY: AVX2 availability was just checked.
+        unsafe { x86::gemm_nt_rows_avx2(a, cols, b, k, c) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = isa;
+    for (a_row, c_row) in a.chunks_exact(cols).zip(c.chunks_exact_mut(k)) {
+        for (c_ij, b_row) in c_row.iter_mut().zip(b.chunks_exact(cols)) {
+            *c_ij = dot_scalar(a_row, b_row);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference bodies
 // ---------------------------------------------------------------------------
@@ -321,6 +385,32 @@ fn axpy_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// of `linalg::blas::dot`).
 fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
     x.iter().zip(y.iter()).map(|(a, b)| a * b).sum()
+}
+
+/// One tile of [`gram_accumulate`]: rows `p0..p0+ph`, columns `q0..q0+qw` of
+/// `g`, accumulated in a local array over the rows of `block`.
+fn gram_tile_scalar(
+    block: &[f64],
+    cols: usize,
+    (p0, ph): (usize, usize),
+    (q0, qw): (usize, usize),
+    g: &mut [f64],
+) {
+    let mut acc = [[0.0f64; GRAM_TILE_COLS]; GRAM_TILE_ROWS];
+    for (p, acc_row) in acc[..ph].iter_mut().enumerate() {
+        acc_row[..qw].copy_from_slice(&g[(p0 + p) * cols + q0..][..qw]);
+    }
+    for row in block.chunks_exact(cols) {
+        let b = &row[q0..q0 + qw];
+        for (acc_row, &a) in acc.iter_mut().zip(&row[p0..p0 + ph]) {
+            for (s, &bq) in acc_row.iter_mut().zip(b) {
+                *s += a * bq;
+            }
+        }
+    }
+    for (p, acc_row) in acc[..ph].iter().enumerate() {
+        g[(p0 + p) * cols + q0..][..qw].copy_from_slice(&acc_row[..qw]);
+    }
 }
 
 /// Scalar [`scaled_outer2`]: coefficient hoisted per `u` entry with the
@@ -555,39 +645,210 @@ mod x86 {
     }
 
     /// AVX2 [`gemv`](super::gemv): four rows per vector, one lane per row's
-    /// accumulator, sequential over the columns — each lane performs the
-    /// scalar dot's exact rounding sequence, so no horizontal reduction and
-    /// no reassociation.  The strided column loads (`_mm256_set_pd`) cost
-    /// more per element than a contiguous load, but the scalar dot is
-    /// latency-bound on its single add chain; four chains per vector still
-    /// win.
+    /// accumulator, sequential over the columns from `-0.0` — each lane
+    /// performs the scalar dot's exact rounding sequence, so no horizontal
+    /// reduction and no reassociation.  Four such vectors (16 rows) are in
+    /// flight at once, because one alone is a single dependent add chain,
+    /// and their columns come from contiguous row loads transposed in
+    /// registers rather than from four scalar loads each.
     ///
     /// # Safety
     /// Caller must ensure the host supports AVX2.
     #[target_feature(enable = "avx2")]
     pub unsafe fn gemv_avx2(a: &[f64], rows: usize, cols: usize, x: &[f64], y: &mut [f64]) {
-        let ap = a.as_ptr();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut r = 0usize;
-        while r + 4 <= rows {
-            let r0 = ap.add(r * cols);
-            let r1 = r0.add(cols);
-            let r2 = r1.add(cols);
-            let r3 = r2.add(cols);
-            let mut acc = _mm256_setzero_pd();
-            for k in 0..cols {
-                let av = _mm256_set_pd(*r3.add(k), *r2.add(k), *r1.add(k), *r0.add(k));
-                let xv = _mm256_set1_pd(*xp.add(k));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(av, xv));
-            }
-            _mm256_storeu_pd(yp.add(r), acc);
-            r += 4;
+        let done = gemv_groups_avx2::<4>(a, 0, rows, cols, x, y);
+        let done = gemv_groups_avx2::<1>(a, done, rows, cols, x, y);
+        for r in done..rows {
+            y[r] = super::dot_scalar(&a[r * cols..(r + 1) * cols], x);
         }
-        while r < rows {
-            let row = std::slice::from_raw_parts(ap.add(r * cols), cols);
-            *yp.add(r) = super::dot_scalar(row, x);
-            r += 1;
+    }
+
+    /// Rows `first..` of [`gemv_avx2`], `4·G` at a time while that many
+    /// remain; returns the first row not done.
+    #[target_feature(enable = "avx2")]
+    unsafe fn gemv_groups_avx2<const G: usize>(
+        a: &[f64],
+        first: usize,
+        rows: usize,
+        cols: usize,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> usize {
+        assert!(a.len() >= rows * cols && x.len() >= cols && y.len() >= rows);
+        let xp = x.as_ptr();
+        let cols4 = cols - cols % 4;
+        let mut r = first;
+        while r + 4 * G <= rows {
+            let base = a.as_ptr().add(r * cols);
+            let mut acc = [_mm256_set1_pd(-0.0); G];
+            // Four columns at a time: a 4 × 4 block of each group is loaded
+            // row-wise and transposed in registers, then added column by
+            // column — each lane still sums its row in column order.
+            for k in (0..cols4).step_by(4) {
+                let xv: [__m256d; 4] = std::array::from_fn(|j| _mm256_set1_pd(*xp.add(k + j)));
+                for (g, acc) in acc.iter_mut().enumerate() {
+                    let r0 = base.add(4 * g * cols + k);
+                    let rows4: [__m256d; 4] =
+                        std::array::from_fn(|l| _mm256_loadu_pd(r0.add(l * cols)));
+                    let lo01 = _mm256_unpacklo_pd(rows4[0], rows4[1]);
+                    let hi01 = _mm256_unpackhi_pd(rows4[0], rows4[1]);
+                    let lo23 = _mm256_unpacklo_pd(rows4[2], rows4[3]);
+                    let hi23 = _mm256_unpackhi_pd(rows4[2], rows4[3]);
+                    let columns = [
+                        _mm256_permute2f128_pd(lo01, lo23, 0x20),
+                        _mm256_permute2f128_pd(hi01, hi23, 0x20),
+                        _mm256_permute2f128_pd(lo01, lo23, 0x31),
+                        _mm256_permute2f128_pd(hi01, hi23, 0x31),
+                    ];
+                    for (column, xk) in columns.into_iter().zip(xv) {
+                        *acc = _mm256_add_pd(*acc, _mm256_mul_pd(column, xk));
+                    }
+                }
+            }
+            for k in cols4..cols {
+                let xv = _mm256_set1_pd(*xp.add(k));
+                for (g, acc) in acc.iter_mut().enumerate() {
+                    let r0 = base.add(4 * g * cols + k);
+                    let av =
+                        _mm256_set_pd(*r0.add(3 * cols), *r0.add(2 * cols), *r0.add(cols), *r0);
+                    *acc = _mm256_add_pd(*acc, _mm256_mul_pd(av, xv));
+                }
+            }
+            for (g, acc) in acc.iter().enumerate() {
+                _mm256_storeu_pd(y.as_mut_ptr().add(r + 4 * g), *acc);
+            }
+            r += 4 * G;
+        }
+        r
+    }
+
+    /// Lane mask selecting the first `lanes` (0–4) of a vector.
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_mask(lanes: usize) -> __m256i {
+        let on = |l: usize| -((lanes > l) as i64);
+        _mm256_setr_epi64x(on(0), on(1), on(2), on(3))
+    }
+
+    /// One tile of [`gram_accumulate`](super::gram_accumulate): `ph ≤ 4`
+    /// rows by `qw ≤ 8` columns of `g` held in `2·ph` vectors across the
+    /// rows of `block`; a tile narrower than 8 masks its loads and stores.
+    ///
+    /// # Safety
+    /// Caller must ensure the host supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gram_tile_avx2(
+        block: &[f64],
+        cols: usize,
+        (p0, ph): (usize, usize),
+        (q0, qw): (usize, usize),
+        g: &mut [f64],
+    ) {
+        match ph {
+            4 => gram_tile_rows_avx2::<4>(block, cols, p0, (q0, qw), g),
+            3 => gram_tile_rows_avx2::<3>(block, cols, p0, (q0, qw), g),
+            2 => gram_tile_rows_avx2::<2>(block, cols, p0, (q0, qw), g),
+            _ => gram_tile_rows_avx2::<1>(block, cols, p0, (q0, qw), g),
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn gram_tile_rows_avx2<const PH: usize>(
+        block: &[f64],
+        cols: usize,
+        p0: usize,
+        (q0, qw): (usize, usize),
+        g: &mut [f64],
+    ) {
+        assert!(p0 + PH <= cols && q0 + qw <= cols && qw <= 8 && g.len() == cols * cols);
+        let full = qw == 8;
+        let (m0, m1) = (lane_mask(qw.min(4)), lane_mask(qw.saturating_sub(4)));
+        // Masked-off lanes are neither read nor written, but the second
+        // vector's address may lie past the slice: no `add` on it.
+        let pair = |p: *const f64| (p, p.wrapping_add(4));
+        let load = |p: *const f64| {
+            let (lo, hi) = pair(p);
+            if full {
+                [_mm256_loadu_pd(lo), _mm256_loadu_pd(hi)]
+            } else {
+                [_mm256_maskload_pd(lo, m0), _mm256_maskload_pd(hi, m1)]
+            }
+        };
+        let gp = g.as_mut_ptr();
+        let mut acc = [[_mm256_setzero_pd(); 2]; PH];
+        for (p, acc) in acc.iter_mut().enumerate() {
+            *acc = load(gp.add((p0 + p) * cols + q0));
+        }
+        for row in block.chunks_exact(cols) {
+            let row = row.as_ptr();
+            let b = load(row.add(q0));
+            for (p, acc) in acc.iter_mut().enumerate() {
+                let a = _mm256_set1_pd(*row.add(p0 + p));
+                acc[0] = _mm256_add_pd(acc[0], _mm256_mul_pd(a, b[0]));
+                acc[1] = _mm256_add_pd(acc[1], _mm256_mul_pd(a, b[1]));
+            }
+        }
+        for (p, acc) in acc.iter().enumerate() {
+            let (lo, hi) = pair(gp.add((p0 + p) * cols + q0));
+            _mm256_maskstore_pd(lo as *mut f64, m0, acc[0]);
+            _mm256_maskstore_pd(hi as *mut f64, m1, acc[1]);
+        }
+    }
+
+    /// AVX2 [`gemm_nt_rows`](super::gemm_nt_rows): four output columns per
+    /// vector, eight rows of `a` in flight (then single rows), each
+    /// `a[i][q]` broadcast against row `q` of `bt` — `b` transposed, its rows
+    /// padded with zeros to whole vectors.  Every lane sums its entry in
+    /// column order from `-0.0`, as the scalar `dot` does.
+    ///
+    /// # Safety
+    /// Caller must ensure the host supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm_nt_rows_avx2(a: &[f64], cols: usize, b: &[f64], k: usize, c: &mut [f64]) {
+        let kpad = k.next_multiple_of(4);
+        let mut bt = vec![0.0; cols * kpad];
+        for (j, b_row) in b.chunks_exact(cols).enumerate() {
+            for (q, &v) in b_row.iter().enumerate() {
+                bt[q * kpad + j] = v;
+            }
+        }
+        for (a_rows, c_rows) in a.chunks(8 * cols).zip(c.chunks_mut(8 * k)) {
+            if a_rows.len() == 8 * cols {
+                gemm_nt_group_avx2::<8>(a_rows, cols, &bt, k, c_rows);
+            } else {
+                for (a_row, c_row) in a_rows.chunks(cols).zip(c_rows.chunks_mut(k)) {
+                    gemm_nt_group_avx2::<1>(a_row, cols, &bt, k, c_row);
+                }
+            }
+        }
+    }
+
+    /// `R` rows of `a` against every four-column panel of `bt`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn gemm_nt_group_avx2<const R: usize>(
+        a: &[f64],
+        cols: usize,
+        bt: &[f64],
+        k: usize,
+        c: &mut [f64],
+    ) {
+        let kpad = k.next_multiple_of(4);
+        assert!(a.len() == R * cols && bt.len() == cols * kpad && c.len() == R * k);
+        for panel in (0..k).step_by(4) {
+            let mut acc = [_mm256_set1_pd(-0.0); R];
+            for q in 0..cols {
+                // In bounds: `q·kpad + panel + 4 ≤ cols·kpad`.
+                let b = _mm256_loadu_pd(bt.as_ptr().add(q * kpad + panel));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_pd(*a.get_unchecked(r * cols + q));
+                    *acc = _mm256_add_pd(*acc, _mm256_mul_pd(av, b));
+                }
+            }
+            let width = (k - panel).min(4);
+            for (r, acc) in acc.iter().enumerate() {
+                let mut lanes = [0.0f64; 4];
+                _mm256_storeu_pd(lanes.as_mut_ptr(), *acc);
+                c[r * k + panel..][..width].copy_from_slice(&lanes[..width]);
+            }
         }
     }
 }
@@ -726,7 +987,20 @@ mod tests {
         if !KernelIsa::Avx2.supported() {
             return;
         }
-        for (rows, cols) in [(1, 1), (3, 4), (4, 7), (5, 5), (8, 3), (9, 16), (13, 11)] {
+        // Through the 16-row groups, the 4-row groups and the row tail, on
+        // and off the four-column blocks.
+        for (rows, cols) in [
+            (1, 1),
+            (3, 4),
+            (4, 7),
+            (5, 5),
+            (8, 3),
+            (9, 16),
+            (13, 11),
+            (16, 100),
+            (39, 125),
+            (20, 2),
+        ] {
             let a = lcg_data(rows * cols, rows as u64 * 31 + cols as u64);
             let x = lcg_data(cols, 41);
             let mut ys = vec![0.0; rows];

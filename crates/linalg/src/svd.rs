@@ -1,9 +1,9 @@
 //! Dense singular value decomposition for small matrices.
 //!
-//! The randomized TRSVD solver reduces the large matricized TTMc result to
-//! a small projected problem (a `k × ncols` sketch), and the Lanczos solver
-//! hands genuinely small operators over whole; this module provides the
-//! dense SVD used to finish those small problems.  The algorithm is the
+//! The matrix-free TRSVD solver ([`crate::lanczos`]) hands genuinely small
+//! operators over whole, and the `Dense` backend is the reference the other
+//! paths are tested against; this module provides the dense SVD behind
+//! both.  The algorithm is the
 //! Gram-matrix eigenvalue approach on the smaller side, which is perfectly
 //! adequate for the `O(R)`-sized problems that arise (R ≤ a few tens in the
 //! paper's experiments).

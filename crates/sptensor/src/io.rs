@@ -350,6 +350,14 @@ where
         let value: f64 = vfield
             .parse()
             .map_err(|_| TensorIoError::Parse(lineno, format!("invalid value '{vfield}'")))?;
+        // `str::parse` accepts `nan`, `inf` and overflowing literals; a
+        // non-finite nonzero would poison every product downstream.
+        if !value.is_finite() {
+            return Err(TensorIoError::Parse(
+                lineno,
+                format!("non-finite value '{vfield}'"),
+            ));
+        }
         values.push(value);
         lines.push(lineno);
         nnz += 1;

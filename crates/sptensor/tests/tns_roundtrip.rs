@@ -210,6 +210,63 @@ fn out_of_range_indices_fail_during_streaming_with_line_numbers() {
 }
 
 #[test]
+fn non_finite_values_are_parse_errors_at_every_entry_point() {
+    use sptensor::io::{read_csf_tns_file, read_tns_file_streamed};
+    let dir = std::env::temp_dir().join(format!("sptensor_nonfinite_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let options = StreamOptions::new().chunk_nonzeros(2);
+    // `1e999` overflows to infinity in `str::parse`.
+    for (bad, line) in [
+        ("nan", 1),
+        ("NaN", 2),
+        ("inf", 3),
+        ("-inf", 4),
+        ("1e999", 5),
+        ("-1e999", 3),
+    ] {
+        let mut data = String::from("# dims: 6 6 6\n");
+        for l in 1..=5 {
+            let value = if l == line {
+                bad.to_string()
+            } else {
+                format!("{l}.5")
+            };
+            data.push_str(&format!("{l} {l} {l} {value}\n"));
+        }
+        let lineno = line + 1; // the header is line 1
+        let expect = |result: Result<(), TensorIoError>, entry: &str| match result {
+            Err(TensorIoError::Parse(l, msg)) => {
+                assert_eq!(
+                    l, lineno,
+                    "{entry}: {bad} on line {lineno}, reported {msg:?}"
+                );
+                assert!(msg.contains(bad), "{entry}: {msg:?}");
+            }
+            other => panic!("{entry}: {bad} expected a parse error, got {other:?}"),
+        };
+        let path = dir.join("hostile.tns");
+        std::fs::write(&path, &data).unwrap();
+        expect(read_tns(Cursor::new(&data), None).map(drop), "read_tns");
+        expect(
+            read_tns_file_streamed(&path, &options).map(drop),
+            "read_tns_file_streamed",
+        );
+        expect(
+            external_sort_tns(Cursor::new(&data), &options, Some(1), &dir).map(drop),
+            "external_sort_tns",
+        );
+        expect(
+            read_csf_tns_file(&path, &options, DuplicatePolicy::Reject, &dir).map(drop),
+            "read_csf_tns_file",
+        );
+    }
+    // Large but finite values, and zeros of either sign, still load.
+    let fine = read_tns(Cursor::new("1 1 1 1e308\n2 2 2 -0.0\n3 3 3 4e-320\n"), None).unwrap();
+    assert_eq!(fine.nnz(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn malformed_inputs_are_errors_not_panics() {
     // (input, expected 1-based line of the parse error)
     let cases: &[(&str, usize)] = &[

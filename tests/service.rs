@@ -307,3 +307,44 @@ fn concurrent_tenants_match_serial_bit_for_bit() {
         }
     }
 }
+
+/// The service's tensors arrive as `.tns` files read by
+/// `read_tns_file_streamed` and handed to `Ingest`: a non-finite value stops
+/// that flow at the reader with the line it is on, so no NaN ever reaches a
+/// plan or a solve; the repaired file ingests and decomposes to a finite fit.
+#[test]
+fn non_finite_tns_values_stop_at_the_reader_before_ingest() {
+    use tucker_repro::sptensor::io::TensorIoError;
+    let path = std::env::temp_dir().join(format!("service_hostile_{}.tns", std::process::id()));
+    write_tns_file(&tensor(7), &path).unwrap();
+    let clean = std::fs::read_to_string(&path).unwrap();
+    let mut svc = DecompositionService::new(ServiceOptions::new().num_threads(1)).unwrap();
+    for bad in ["nan", "inf", "-inf", "1e999"] {
+        let hostile: Vec<String> = clean
+            .lines()
+            .enumerate()
+            .map(|(i, line)| match (i, line.rsplit_once(' ')) {
+                (41, Some((indices, _))) => format!("{indices} {bad}"),
+                _ => line.to_string(),
+            })
+            .collect();
+        std::fs::write(&path, hostile.join("\n")).unwrap();
+        match read_tns_file_streamed(&path, &StreamOptions::new()) {
+            Err(TensorIoError::Parse(42, msg)) => assert!(msg.contains(bad), "{msg}"),
+            other => panic!("{bad}: expected a parse error on line 42, got {other:?}"),
+        }
+    }
+    std::fs::write(&path, &clean).unwrap();
+    let (repaired, _) = read_tns_file_streamed(&path, &StreamOptions::new()).unwrap();
+    std::fs::remove_file(&path).ok();
+    svc.submit(
+        "tenant",
+        Request::Ingest {
+            tensor_id: "t".into(),
+            tensor: Arc::new(repaired),
+        },
+    );
+    svc.submit("tenant", decompose("t", 1));
+    let done = svc.run_until_idle();
+    assert!(decomposition(&done[1].outcome).final_fit().is_finite());
+}
