@@ -40,13 +40,27 @@
 //! against one [`par_gemv`] per column.  All interleaved, minimum of
 //! [`REPEATS`], at the default pool width.
 //!
+//! A fourth section, `tree_group`, is the dimension tree's node kernel: one
+//! node of entries whose member groups each sum `x·(u ⊗ v)` over factor
+//! rows picked at random from 1 024-row pools, by the group kernel
+//! ([`simd::scaled_outer2_group`]: one pass over the row for up to four
+//! members, register tiles beyond) against the per-member loop it replaced
+//! (zero the row, one [`simd::scaled_outer2`] per member), on both tiers,
+//! bits asserted equal, interleaved, minimum of [`REPEATS`], in ns per
+//! member.  Group sizes 1–2 are `nell3`'s mode-0 leaf, 333 is `dense3`'s.
+//! The group kernel *is* the per-member loop on the scalar tier, and for a
+//! one-member group on AVX2 too (the one-pass body measured 0.85–0.93x of
+//! it at ranks 4, 5 and 8), so those cells read 1.0x by construction.
+//!
 //! Machine-readable output goes to `BENCH_kernels.json` (override with
 //! `--out <path>`), including the host's `cpu_features` so a 1.0x speedup
 //! on an AVX2-less host is interpretable.  With `--check` the bin doubles
 //! as the SIMD perf gate: it exits nonzero unless the median single-thread
 //! AVX2 speedup of `scaled_outer2` and `scaled_outer3` over forced scalar,
-//! across the rank ≥ 8 cells, reaches 1.3x — skipped gracefully (exit 0
-//! with a notice) on hosts without AVX2, where there is nothing to gate.
+//! across the rank ≥ 8 cells, reaches 1.3x, or if an AVX2 `tree_group` cell
+//! with at least two members per group is slower than the per-member loop
+//! — skipped gracefully (exit 0 with a notice) on hosts without AVX2, where
+//! there is nothing to gate.
 //!
 //! Run with `cargo run --release -p bench --bin kernels`.
 
@@ -70,6 +84,14 @@ const REQUIRED_SPEEDUP: f64 = 1.3;
 /// Minimum rank a cell must have to count toward the `--check` gate (below
 /// this the buffers are too small for SIMD to matter).
 const GATE_MIN_RANK: usize = 8;
+
+/// `tree_group` grid: ranks (whole vectors and masked tails) and members
+/// per group.
+const TREE_RANKS: [usize; 6] = [4, 5, 7, 8, 10, 16];
+const TREE_GROUPS: [usize; 4] = [1, 2, 8, 333];
+
+/// Members per `tree_group` node, split into groups of the cell's size.
+const TREE_MEMBERS: usize = 4_000;
 
 /// Target wall time per measured batch; long enough to dominate timer
 /// resolution, short enough that the full sweep stays in seconds.
@@ -266,6 +288,95 @@ fn measure_case(case: &Case, isas: &[KernelIsa]) -> Vec<f64> {
     }
 }
 
+/// One `tree_group` cell: a node's worth of member groups at one tier.
+struct TreeGroupCell {
+    rank: usize,
+    group: usize,
+    isa: KernelIsa,
+    per_member_ns: f64,
+    group_ns: f64,
+}
+
+impl TreeGroupCell {
+    fn speedup(&self) -> f64 {
+        self.per_member_ns / self.group_ns
+    }
+}
+
+/// Times one node — `TREE_MEMBERS / group` entries of `group` members,
+/// each entry's `rank × rank` row summed from random factor-row pairs —
+/// through the per-member loop and the group kernel at every tier,
+/// interleaved, minimum of [`REPEATS`], after asserting that all of them
+/// return the same bits.
+fn measure_tree_group(rank: usize, group: usize, isas: &[KernelIsa]) -> Vec<TreeGroupCell> {
+    let (u, v) = (
+        Matrix::random_signed(1024, rank, 3),
+        Matrix::random_signed(1024, rank, 4),
+    );
+    let ids: Vec<usize> = lcg_data(2 * TREE_MEMBERS, 5)
+        .iter()
+        .map(|x| ((x + 0.5) * 1024.0) as usize % 1024)
+        .collect();
+    let x = lcg_data(TREE_MEMBERS, 6);
+    let member = |k: usize| (x[k], u.row(ids[2 * k]), v.row(ids[2 * k + 1]));
+    let entries = TREE_MEMBERS / group;
+    let mut out = AlignedVec::zeros(entries * rank * rank);
+    let per_member = |isa: KernelIsa, out: &mut [f64]| {
+        for (g, row) in out.chunks_exact_mut(rank * rank).enumerate() {
+            row.fill(0.0);
+            for k in g * group..(g + 1) * group {
+                let (x, u, v) = member(k);
+                simd::scaled_outer2(isa, x, u, v, row);
+            }
+        }
+    };
+    let grouped = |isa: KernelIsa, out: &mut [f64]| {
+        for (g, row) in out.chunks_exact_mut(rank * rank).enumerate() {
+            simd::scaled_outer2_group(isa, g * group..(g + 1) * group, (rank, rank), member, row);
+        }
+    };
+    per_member(KernelIsa::Scalar, &mut out);
+    let reference: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+    for &isa in isas {
+        for body in [&per_member as &dyn Fn(KernelIsa, &mut [f64]), &grouped] {
+            out.fill(f64::NAN);
+            body(isa, &mut out);
+            assert!(
+                out.iter()
+                    .map(|x| x.to_bits())
+                    .eq(reference.iter().copied()),
+                "tree_group rank {rank} x{group} diverges from scalar under {isa}"
+            );
+        }
+    }
+    let start = Instant::now();
+    per_member(KernelIsa::Scalar, &mut out);
+    let iters = (TARGET_SECONDS / start.elapsed().as_secs_f64().max(1e-7)).ceil() as u32;
+    let mut best = vec![(f64::INFINITY, f64::INFINITY); isas.len()];
+    let timed = |body: &dyn Fn(KernelIsa, &mut [f64]), isa, out: &mut [f64]| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            body(isa, out);
+        }
+        start.elapsed().as_secs_f64() * 1e9 / (iters as usize * entries * group) as f64
+    };
+    for _ in 0..REPEATS {
+        for (best, &isa) in best.iter_mut().zip(isas) {
+            best.0 = best.0.min(timed(&per_member, isa, &mut out));
+            best.1 = best.1.min(timed(&grouped, isa, &mut out));
+        }
+    }
+    (isas.iter().zip(best))
+        .map(|(&isa, (per_member_ns, group_ns))| TreeGroupCell {
+            rank,
+            group,
+            isa,
+            per_member_ns,
+            group_ns,
+        })
+        .collect()
+}
+
 /// `Y_(n)` shapes of the `gemv_normal` section: `nell3` mode 0 and a
 /// `delicious4` mode.
 const NORMAL_SHAPES: [(usize, usize); 2] = [(54_563, 100), (8_000, 125)];
@@ -426,6 +537,7 @@ fn measure_recovery(rows: usize, cols: usize, k: usize) -> (f64, f64) {
 fn to_json(
     host_cpus: usize,
     cells: &[Cell],
+    tree: &[TreeGroupCell],
     normal: &[NormalCell],
     gram: &[GramCell],
     recovery: (f64, f64),
@@ -448,6 +560,20 @@ fn to_json(
             c.gflops,
             c.speedup_vs_scalar,
             if i + 1 == cells.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ],\n  \"tree_group\": [\n");
+    for (i, c) in tree.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"rank\": {}, \"group\": {}, \"isa\": \"{}\", \"per_member_ns\": {:.2}, \
+             \"group_ns\": {:.2}, \"speedup\": {:.4}}}{}\n",
+            c.rank,
+            c.group,
+            c.isa,
+            c.per_member_ns,
+            c.group_ns,
+            c.speedup(),
+            if i + 1 == tree.len() { "" } else { "," }
         ));
     }
     out.push_str("  ],\n");
@@ -531,8 +657,8 @@ fn median(mut values: Vec<f64>) -> f64 {
     }
 }
 
-/// Applies the `--check` speedup gate; returns the process exit code.
-fn check_gate(cells: &[Cell]) -> i32 {
+/// Applies the `--check` speedup gates; returns the process exit code.
+fn check_gate(cells: &[Cell], tree: &[TreeGroupCell]) -> i32 {
     if !simd::avx2_available() {
         println!("\n--check skipped: host has no AVX2, there is no SIMD speedup to gate");
         return 0;
@@ -553,6 +679,19 @@ fn check_gate(cells: &[Cell]) -> i32 {
             if pass { "ok" } else { "FAIL" }
         );
     }
+    let losing: Vec<String> = (tree.iter())
+        .filter(|c| c.isa == KernelIsa::Avx2 && c.group >= 2 && c.speedup() < 1.0)
+        .map(|c| format!("rank {} x{} {:.2}x", c.rank, c.group, c.speedup()))
+        .collect();
+    ok &= losing.is_empty();
+    println!(
+        "  gate: tree_group      avx2 group kernel vs per-member loop, groups >= 2: {}",
+        if losing.is_empty() {
+            "no cell below 1.0x ok".to_string()
+        } else {
+            format!("FAIL at {}", losing.join(", "))
+        }
+    );
     if ok {
         println!("--check passed");
         0
@@ -623,6 +762,23 @@ fn main() {
         }
     }
 
+    println!("tree_group (ns per member; per-member loop -> group kernel):");
+    let mut tree: Vec<TreeGroupCell> = Vec::new();
+    for &rank in &TREE_RANKS {
+        for &group in &TREE_GROUPS {
+            for c in measure_tree_group(rank, group, &isas) {
+                println!(
+                    "  rank {rank:>2} x{group:<3} {:<6} {:>7.2} -> {:>7.2} ns  {:>5.2}x",
+                    c.isa.as_str(),
+                    c.per_member_ns,
+                    c.group_ns,
+                    c.speedup(),
+                );
+                tree.push(c);
+            }
+        }
+    }
+
     println!(
         "gemv_normal (one Lanczos step, {} thread(s), {} tier):",
         rayon::current_num_threads(),
@@ -673,18 +829,19 @@ fn main() {
 
     std::fs::write(
         &args.out,
-        to_json(host_cpus, &cells, &normal, &gram, recovery),
+        to_json(host_cpus, &cells, &tree, &normal, &gram, recovery),
     )
     .expect("write BENCH_kernels.json");
     println!(
-        "\nwrote {} ({} kernel cells, {} gemv_normal cells, {} gram cells)",
+        "\nwrote {} ({} kernel cells, {} tree_group cells, {} gemv_normal cells, {} gram cells)",
         args.out,
         cells.len(),
+        tree.len(),
         normal.len(),
         gram.len()
     );
 
     if args.check {
-        std::process::exit(check_gate(&cells));
+        std::process::exit(check_gate(&cells, &tree));
     }
 }

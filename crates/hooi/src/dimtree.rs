@@ -37,6 +37,21 @@
 //! already-visited modes and old factors for the rest — the same values the
 //! per-mode path would use, up to floating-point reassociation.
 //!
+//! Node kernel: each entry's row is computed by one call of a group kernel
+//! over the entry's member group — [`simd::scaled_outer2_group`] computing
+//! `Σ x·(u ⊗ v)`, or its arity-1 twin [`simd::axpy_group`] — for the three
+//! node shapes order-3 and order-4 trees have: a child of the root
+//! contracting one mode or two (`x` = the nonzero value, `u`, `v` = factor
+//! rows), and a deeper node contracting one (`x = 1`, `u` = the parent's
+//! row).  Its AVX2 tier holds a tile of the row in registers across a group
+//! of two or more members, so the row goes through memory once per entry —
+//! what [`DimTree::costs`] counts — not once per member; both tiers return
+//! the per-member loop's bits.  The deeper multi-mode contractions of order ≥ 5
+//! trees materialize their Kronecker factor per member instead.  Children of
+//! the root keep no member ids: they hold their members' nonzero values,
+//! gathered once at build time in member order, in place of the ids that
+//! only that gather read (the same 8 bytes per member).
+//!
 //! [`DimTree::costs`] / [`per_mode_costs`] count the floating-point
 //! operations and memory words each strategy performs per iteration as
 //! deterministic functions of the sparsity structure and the ranks, so the
@@ -47,9 +62,10 @@ use crate::symbolic::{SymbolicMode, SymbolicTtmc};
 use crate::workspace::HooiWorkspace;
 use linalg::Matrix;
 use rayon::prelude::*;
-use sptensor::kron::{accumulate_scaled_kron_isa, kron_rows};
-use sptensor::simd::KernelIsa;
+use sptensor::kron::kron_rows;
+use sptensor::simd::{self, KernelIsa};
 use sptensor::SparseTensor;
+use std::ops::Range;
 
 /// Sentinel for "no node" in parent/child links.
 const NONE: usize = usize::MAX;
@@ -82,12 +98,18 @@ struct Node {
     /// Modes contracted when computing this node from its parent
     /// (`parent range \ [lo, hi)`, ascending).  Empty only for the root.
     d_modes: Vec<usize>,
-    /// CSR offsets over [`members`](Self::members): group `g` (this node's
-    /// entry `g`) covers `members[group_ptr[g]..group_ptr[g+1]]`.
+    /// CSR offsets over the node's members: group `g` (this node's entry
+    /// `g`) covers members `group_ptr[g]..group_ptr[g+1]`.
     group_ptr: Vec<usize>,
     /// Parent entry ids grouped by projection onto `[lo, hi)`; groups are
-    /// sorted by projected tuple, members ascending within a group.
+    /// sorted by projected tuple, members ascending within a group.  Empty
+    /// for children of the root, which keep [`values`](Self::values)
+    /// instead.
     members: Vec<usize>,
+    /// Children of the root only: each member's nonzero value, gathered once
+    /// at build time in member order — the member ids served nothing else,
+    /// so the values take their place (same 8 bytes per member).
+    values: Vec<f64>,
     /// For each member, the `d_modes` indices of that parent entry
     /// (`d_modes.len()` entries per member, streamed by the kernel).
     contract_idx: Vec<usize>,
@@ -132,12 +154,17 @@ impl Node {
         self.seg_ptr.last().copied().unwrap_or(0)
     }
 
+    /// Total number of members (parent entries) over all groups.
+    fn num_members(&self) -> usize {
+        self.group_ptr.last().copied().unwrap_or(0)
+    }
+
     /// Member size of entry `g`'s group.
     fn group_size(&self, g: usize) -> usize {
         self.group_ptr[g + 1] - self.group_ptr[g]
     }
 
-    /// Absolute member range (into [`members`](Self::members)) of segment
+    /// Absolute member range (into the node's members) of segment
     /// `s`, which must belong to entry `g`.
     fn segment_members(&self, g: usize, s: usize) -> (usize, usize) {
         let local = s - self.seg_ptr[g];
@@ -278,6 +305,7 @@ impl DimTree {
             d_modes: Vec::new(),
             group_ptr: Vec::new(),
             members: Vec::new(),
+            values: Vec::new(),
             contract_idx: Vec::new(),
             entries: tensor.nnz(),
             seg_grain: MIN_SEGMENT_MEMBERS,
@@ -291,36 +319,36 @@ impl DimTree {
             nodes: vec![root],
             leaf_of_mode: vec![NONE; order],
         };
-        tree.split(0);
+        tree.split(0, tensor);
         debug_assert!(tree.leaf_of_mode.iter().all(|&id| id != NONE));
         tree
     }
 
     /// Recursively splits `node_id` (preorder, so parents precede children).
-    fn split(&mut self, node_id: usize) {
+    fn split(&mut self, node_id: usize, tensor: &SparseTensor) {
         let (lo, hi) = (self.nodes[node_id].lo, self.nodes[node_id].hi);
         if hi - lo == 1 {
             self.leaf_of_mode[lo] = node_id;
             return;
         }
         let mid = lo + (hi - lo) / 2;
-        let left = self.make_child(node_id, lo, mid);
+        let left = self.make_child(node_id, lo, mid, tensor);
         let left_id = self.nodes.len();
         self.nodes.push(left);
         self.nodes[node_id].children[0] = left_id;
-        self.split(left_id);
-        let right = self.make_child(node_id, mid, hi);
+        self.split(left_id, tensor);
+        let right = self.make_child(node_id, mid, hi, tensor);
         let right_id = self.nodes.len();
         self.nodes.push(right);
         self.nodes[node_id].children[1] = right_id;
-        self.split(right_id);
+        self.split(right_id, tensor);
         // Both children are grouped; the projected tuples have served their
         // purpose (see the field docs) — free them.
         self.nodes[node_id].entry_idx = Vec::new();
     }
 
     /// Builds the symbolic grouping of a child `[lo, hi)` of `parent_id`.
-    fn make_child(&self, parent_id: usize, lo: usize, hi: usize) -> Node {
+    fn make_child(&self, parent_id: usize, lo: usize, hi: usize, tensor: &SparseTensor) -> Node {
         let parent = &self.nodes[parent_id];
         let span_p = parent.span();
         let span = hi - lo;
@@ -357,6 +385,17 @@ impl DimTree {
             group_ptr = Vec::new();
         }
 
+        // A child of the root reads its members' nonzero values and nothing
+        // else of their ids: gather them once here, in place of the ids (an
+        // in-place collect — `usize` and `f64` share a layout).
+        let (members, values) = if parent_id == 0 {
+            (
+                Vec::new(),
+                by_key.into_iter().map(|e| tensor.value(e)).collect(),
+            )
+        } else {
+            (by_key, Vec::new())
+        };
         let mut col_modes = parent.col_modes.clone();
         col_modes.extend_from_slice(&d_modes);
         let entries = entry_idx.len() / span;
@@ -369,7 +408,8 @@ impl DimTree {
             col_modes,
             d_modes,
             group_ptr,
-            members: by_key,
+            members,
+            values,
             contract_idx,
             entries,
             seg_grain,
@@ -435,6 +475,12 @@ impl DimTree {
         self.nodes[id].col_modes.iter().map(|&t| ranks[t]).product()
     }
 
+    /// [`Self::node_width`] in checked arithmetic: `None` when the product
+    /// overflows `usize`.
+    pub(crate) fn checked_node_width(&self, id: usize, ranks: &[usize]) -> Option<usize> {
+        (self.nodes[id].col_modes.iter()).try_fold(1usize, |w, &t| w.checked_mul(ranks[t]))
+    }
+
     /// Whether `mode`'s leaf already produces the canonical (ascending
     /// foreign-mode) column order.
     pub fn leaf_is_canonical(&self, mode: usize) -> bool {
@@ -487,7 +533,7 @@ impl DimTree {
             let wd: u64 = d_lens.iter().map(|&l| l as u64).product();
             let width = self.width_of(node, ranks) as u64;
             let wp = width / wd.max(1);
-            let members = node.members.len() as u64;
+            let members = node.num_members() as u64;
             let entries = node.num_entries() as u64;
             let parent_is_root = node.parent == 0;
             let per_member_flops = if parent_is_root {
@@ -527,11 +573,12 @@ impl DimTree {
     }
 
     /// Measured memory footprint of the tree's symbolic grouping in bytes:
-    /// every node's member lists, contract-index arrays, CSR offsets,
-    /// segment schedules and retained projection tuples.  The per-node
-    /// *value* matrices live in the [`crate::HooiWorkspace`] and are
-    /// counted there; together the two make up a dimension-tree plan's
-    /// cache footprint ([`crate::TuckerSession::memory_bytes`]).
+    /// every node's member lists (ids, or the root children's gathered
+    /// values), contract-index arrays, CSR offsets, segment schedules and
+    /// retained projection tuples.  The per-node *value* matrices live in
+    /// the [`crate::HooiWorkspace`] and are counted there; together the two
+    /// make up a dimension-tree plan's cache footprint
+    /// ([`crate::TuckerSession::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
         let words: usize = self
             .nodes
@@ -541,6 +588,7 @@ impl DimTree {
                     + n.d_modes.len()
                     + n.group_ptr.len()
                     + n.members.len()
+                    + n.values.len()
                     + n.contract_idx.len()
                     + n.seg_ptr.len()
                     + n.seg_entry.len()
@@ -552,17 +600,20 @@ impl DimTree {
     }
 
     /// Number of privatized partial rows node `id`'s computation needs —
-    /// the height of the `partials` buffer [`compute_node_into`] takes
+    /// the height of the `partials` buffer [`compute_node_into_isa`] takes
     /// (zero when no entry's member group exceeds the segmentation grain).
     ///
-    /// [`compute_node_into`]: Self::compute_node_into
+    /// [`compute_node_into_isa`]: Self::compute_node_into_isa
     pub fn node_segments(&self, id: usize) -> usize {
         self.nodes[id].num_segments()
     }
 
     /// Computes node `id`'s value matrix from its parent's, parallel over
-    /// the node's entries.  `parent_values` must be `None` exactly when the
-    /// parent is the root (the tensor itself); `out` must be
+    /// the node's entries, at the given kernel tier (the solver threads its
+    /// plan-resolved [`KernelIsa`] through, see
+    /// [`crate::TuckerSolver::kernel_isa`]).  `parent_values` must be `None`
+    /// exactly when the parent is the root (the tensor itself, whose values
+    /// the root's children gathered at build time); `out` must be
     /// `num_entries × node_width` and is overwritten; `partials` must be
     /// `node_segments × node_width` scratch (see [`Self::node_segments`]).
     ///
@@ -578,34 +629,9 @@ impl DimTree {
     ///
     /// # Panics
     /// Panics on shape mismatches.
-    pub fn compute_node_into(
-        &self,
-        id: usize,
-        tensor: &SparseTensor,
-        factors: &[Matrix],
-        parent_values: Option<&Matrix>,
-        out: &mut Matrix,
-        partials: &mut Matrix,
-    ) {
-        self.compute_node_into_isa(
-            id,
-            tensor,
-            factors,
-            parent_values,
-            out,
-            partials,
-            KernelIsa::resolved_default(),
-        );
-    }
-
-    /// [`Self::compute_node_into`] at an explicit kernel ISA — the form the
-    /// solver threads its plan-resolved [`KernelIsa`] through (see
-    /// [`crate::TuckerSolver::kernel_isa`]).
-    #[allow(clippy::too_many_arguments)]
     pub fn compute_node_into_isa(
         &self,
         id: usize,
-        tensor: &SparseTensor,
         factors: &[Matrix],
         parent_values: Option<&Matrix>,
         out: &mut Matrix,
@@ -616,8 +642,6 @@ impl DimTree {
         assert_ne!(id, 0, "the root is the tensor itself and is never computed");
         let ranks: Vec<usize> = factors.iter().map(|u| u.ncols()).collect();
         let width = self.width_of(node, &ranks);
-        let d_len = node.d_modes.len();
-        let wd: usize = node.d_modes.iter().map(|&t| ranks[t]).product();
         assert_eq!(
             out.shape(),
             (node.num_entries(), width),
@@ -644,6 +668,16 @@ impl DimTree {
         if width == 0 || node.num_entries() == 0 {
             return;
         }
+        // The group kernels contract one mode, or two at the root; only the
+        // wider contractions of order ≥ 5 trees need per-worker scratch.
+        let d_len = node.d_modes.len();
+        let wide = d_len > if parent_values.is_none() { 2 } else { 1 };
+        let kron_len = if wide {
+            node.d_modes.iter().map(|&t| ranks[t]).product()
+        } else {
+            0
+        };
+        let scratch = || (Vec::with_capacity(d_len), vec![0.0; kron_len]);
         // Sweep 1: split-entry segments into private partial rows, spans
         // weighted by segment member counts.
         if node.num_segments() > 0 {
@@ -657,27 +691,19 @@ impl DimTree {
                 .as_mut_slice()
                 .par_chunks_mut(width)
                 .enumerate()
-                .for_each_init_weighted(
-                    &seg_costs,
-                    || (vec![0.0; wd], vec![0.0; width], Vec::with_capacity(d_len)),
-                    |(kbuf, sbuf, d_rows), (s, seg_out)| {
-                        let g = node.seg_entry[s];
-                        let (klo, khi) = node.segment_members(g, s);
-                        self.accumulate_members(
-                            node,
-                            klo,
-                            khi,
-                            tensor,
-                            factors,
-                            parent_values,
-                            seg_out,
-                            kbuf,
-                            sbuf,
-                            d_rows,
-                            isa,
-                        );
-                    },
-                );
+                .for_each_init_weighted(&seg_costs, scratch, |scratch, (s, seg_out)| {
+                    let g = node.seg_entry[s];
+                    let (klo, khi) = node.segment_members(g, s);
+                    self.accumulate_members(
+                        node,
+                        klo..khi,
+                        factors,
+                        parent_values,
+                        seg_out,
+                        scratch,
+                        isa,
+                    );
+                });
         }
         // Sweep 2: unsplit entries accumulate directly; split entries merge
         // their partial rows in ascending segment order.  Weights: member
@@ -698,90 +724,80 @@ impl DimTree {
         out.as_mut_slice()
             .par_chunks_mut(width)
             .enumerate()
-            .for_each_init_weighted(
-                &entry_costs,
-                || (vec![0.0; wd], vec![0.0; width], Vec::with_capacity(d_len)),
-                |(kbuf, sbuf, d_rows), (g, row_out)| {
-                    let (s0, s1) = (node.seg_ptr[g], node.seg_ptr[g + 1]);
-                    if s1 > s0 {
-                        row_out.iter_mut().for_each(|v| *v = 0.0);
-                        for s in s0..s1 {
-                            for (a, &p) in row_out.iter_mut().zip(partials.row(s).iter()) {
-                                *a += p;
-                            }
+            .for_each_init_weighted(&entry_costs, scratch, |scratch, (g, row_out)| {
+                let (s0, s1) = (node.seg_ptr[g], node.seg_ptr[g + 1]);
+                if s1 > s0 {
+                    row_out.iter_mut().for_each(|v| *v = 0.0);
+                    for s in s0..s1 {
+                        for (a, &p) in row_out.iter_mut().zip(partials.row(s).iter()) {
+                            *a += p;
                         }
-                    } else {
-                        self.accumulate_members(
-                            node,
-                            node.group_ptr[g],
-                            node.group_ptr[g + 1],
-                            tensor,
-                            factors,
-                            parent_values,
-                            row_out,
-                            kbuf,
-                            sbuf,
-                            d_rows,
-                            isa,
-                        );
                     }
-                },
-            );
+                } else {
+                    let members = node.group_ptr[g]..node.group_ptr[g + 1];
+                    self.accumulate_members(
+                        node,
+                        members,
+                        factors,
+                        parent_values,
+                        row_out,
+                        scratch,
+                        isa,
+                    );
+                }
+            });
     }
 
-    /// Zeroes `row_out` and accumulates the contributions of members
-    /// `klo..khi` (absolute indices into the node's member array) into it —
-    /// a whole entry for unsplit groups, one segment for split ones.
+    /// Overwrites `row_out` with the contributions of `members` (absolute
+    /// indices into the node's member groups) — a whole entry for unsplit
+    /// groups, one segment for split ones.  `scratch` (contracted rows and
+    /// their Kronecker product) is only touched by the wide fallback.
     #[allow(clippy::too_many_arguments)]
     fn accumulate_members<'a>(
         &self,
         node: &Node,
-        klo: usize,
-        khi: usize,
-        tensor: &SparseTensor,
+        members: Range<usize>,
         factors: &'a [Matrix],
         parent_values: Option<&Matrix>,
         row_out: &mut [f64],
-        kbuf: &mut [f64],
-        sbuf: &mut [f64],
-        d_rows: &mut Vec<&'a [f64]>,
+        (rows, kron): &mut (Vec<&'a [f64]>, Vec<f64>),
         isa: KernelIsa,
     ) {
-        row_out.iter_mut().for_each(|v| *v = 0.0);
-        let d_len = node.d_modes.len();
-        for k in klo..khi {
-            let e = node.members[k];
-            let d_idx = &node.contract_idx[k * d_len..(k + 1) * d_len];
-            d_rows.clear();
-            for (j, &t) in node.d_modes.iter().enumerate() {
-                d_rows.push(factors[t].row(d_idx[j]));
+        let (d, idx) = (&node.d_modes[..], &node.contract_idx[..]);
+        match (parent_values, d.len()) {
+            // Child of the root contracting one mode: `row = Σ x·U_t(i)`.
+            (None, 1) => {
+                let u = &factors[d[0]];
+                let member = |k: usize| (node.values[k], u.row(idx[k]));
+                simd::axpy_group(isa, members, member, row_out);
             }
-            match parent_values {
-                // Child of the root: contract the factor rows against the
-                // scalar nonzero value.
-                None => accumulate_scaled_kron_isa(isa, tensor.value(e), d_rows, row_out, sbuf),
-                // Deeper node: `row += parent_value ⊗ K`, a single bilinear
-                // accumulate that reuses everything already contracted.
-                Some(pv) => {
-                    let parent_row = pv.row(e);
-                    if d_len == 1 {
-                        accumulate_scaled_kron_isa(
-                            isa,
-                            1.0,
-                            &[parent_row, d_rows[0]],
-                            row_out,
-                            sbuf,
-                        );
-                    } else {
-                        let wd = kbuf.len();
-                        kron_rows(d_rows, kbuf);
-                        accumulate_scaled_kron_isa(
-                            isa,
-                            1.0,
-                            &[parent_row, &kbuf[..wd]],
-                            row_out,
-                            sbuf,
-                        );
+            // Child of the root contracting two: `row = Σ x·(U_s(i) ⊗ U_t(j))`.
+            (None, 2) => {
+                let (u, v) = (&factors[d[0]], &factors[d[1]]);
+                let member = |k: usize| (node.values[k], u.row(idx[2 * k]), v.row(idx[2 * k + 1]));
+                simd::scaled_outer2_group(isa, members, (u.ncols(), v.ncols()), member, row_out);
+            }
+            // Deeper node contracting one mode: `row = Σ parent_row ⊗ U_t(i)`,
+            // reusing everything the parent already contracted.
+            (Some(pv), 1) => {
+                let v = &factors[d[0]];
+                let member = |k: usize| (1.0, pv.row(node.members[k]), v.row(idx[k]));
+                simd::scaled_outer2_group(isa, members, (pv.ncols(), v.ncols()), member, row_out);
+            }
+            // Wider contractions (order ≥ 5 trees): materialize the
+            // contracted rows' Kronecker product per member.
+            (pv, d_len) => {
+                row_out.fill(0.0);
+                for k in members {
+                    let d_idx = &idx[k * d_len..(k + 1) * d_len];
+                    rows.clear();
+                    rows.extend(d.iter().zip(d_idx).map(|(&t, &i)| factors[t].row(i)));
+                    kron_rows(rows, kron);
+                    match pv {
+                        None => simd::axpy(isa, node.values[k], kron, row_out),
+                        Some(pv) => {
+                            simd::scaled_outer2(isa, 1.0, pv.row(node.members[k]), kron, row_out)
+                        }
                     }
                 }
             }
@@ -798,7 +814,13 @@ impl DimTree {
         symbolic: &SymbolicTtmc,
         factors: &[Matrix],
     ) -> Vec<Matrix> {
+        debug_assert_eq!(
+            tensor.nnz(),
+            self.nnz,
+            "the tree was built for another tensor"
+        );
         let ranks: Vec<usize> = factors.iter().map(|u| u.ncols()).collect();
+        let isa = KernelIsa::resolved_default();
         let mut values: Vec<Matrix> = self
             .nodes
             .iter()
@@ -820,7 +842,7 @@ impl DimTree {
                 Some(&before[parent])
             };
             let mut partials = Matrix::zeros(self.node_segments(id), self.node_width(id, &ranks));
-            self.compute_node_into(id, tensor, factors, pv, &mut rest[0], &mut partials);
+            self.compute_node_into_isa(id, factors, pv, &mut rest[0], &mut partials, isa);
         }
         (0..self.order)
             .map(|mode| {
@@ -861,29 +883,9 @@ pub(crate) fn permute_columns(src: &Matrix, perm: &[usize], dst: &mut Matrix) {
 /// Node validity lives in the workspace ([`HooiWorkspace::ensure_tree`]
 /// resets it per solve); after each factor update the caller must call
 /// [`factor_updated`] so nodes contracted with the stale factor are rebuilt
-/// on their next use.
-pub fn serve_mode_into(
-    tree: &DimTree,
-    tensor: &SparseTensor,
-    sym: &SymbolicMode,
-    factors: &[Matrix],
-    mode: usize,
-    workspace: &mut HooiWorkspace,
-) {
-    serve_mode_into_isa(
-        tree,
-        tensor,
-        sym,
-        factors,
-        mode,
-        workspace,
-        KernelIsa::resolved_default(),
-    );
-}
-
-/// [`serve_mode_into`] at an explicit kernel ISA — the form the HOOI sweep
-/// threads its plan-resolved [`KernelIsa`] through (see
-/// [`crate::TuckerSolver::kernel_isa`]).
+/// on their next use.  `tensor` must be the one the tree was built for (its
+/// children of the root carry its values); `isa` is the plan-resolved kernel
+/// tier (see [`crate::TuckerSolver::kernel_isa`]).
 #[allow(clippy::too_many_arguments)]
 pub fn serve_mode_into_isa(
     tree: &DimTree,
@@ -895,6 +897,11 @@ pub fn serve_mode_into_isa(
     isa: KernelIsa,
 ) {
     let leaf = tree.leaf_of_mode(mode);
+    debug_assert_eq!(
+        tree.nnz(),
+        tensor.nnz(),
+        "the tree was built for another tensor"
+    );
     debug_assert_eq!(tree.node_entries(leaf), sym.num_rows());
     // Stale chain from the leaf upward; ancestors above the first valid node
     // are valid too (staleness propagates downward: a factor outside an
@@ -921,7 +928,6 @@ pub fn serve_mode_into_isa(
             };
             tree.compute_node_into_isa(
                 id,
-                tensor,
                 factors,
                 parent_values,
                 &mut ws.compact[mode],
@@ -937,7 +943,6 @@ pub fn serve_mode_into_isa(
             };
             tree.compute_node_into_isa(
                 id,
-                tensor,
                 factors,
                 parent_values,
                 &mut rest[0],
@@ -1019,11 +1024,36 @@ mod tests {
         for id in 1..tree.num_nodes() {
             let node = &tree.nodes[id];
             let parent_entries = tree.nodes[node.parent].num_entries();
-            let mut seen: Vec<usize> = node.members.clone();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..parent_entries).collect::<Vec<_>>());
-            assert_eq!(*node.group_ptr.last().unwrap(), node.members.len());
+            assert_eq!(node.num_members(), parent_entries);
             assert_eq!(node.group_ptr.len(), node.num_entries() + 1);
+            if node.parent != 0 {
+                let mut seen: Vec<usize> = node.members.clone();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..parent_entries).collect::<Vec<_>>());
+                assert!(node.values.is_empty());
+                continue;
+            }
+            // Children of the root keep their members' values instead of
+            // their ids: the nonzeros ordered by (projection onto the
+            // child's range, id), which is group order.
+            assert!(node.members.is_empty());
+            let mut order: Vec<usize> = (0..t.nnz()).collect();
+            order.sort_by_key(|&e| (t.index(e)[node.lo..node.hi].to_vec(), e));
+            let expected: Vec<u64> = order.iter().map(|&e| t.value(e).to_bits()).collect();
+            let got: Vec<u64> = node.values.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                got, expected,
+                "node {id}: gathered values out of group order"
+            );
+            let d_len = node.d_modes.len();
+            for (k, &e) in order.iter().enumerate() {
+                let contracted: Vec<usize> =
+                    node.d_modes.iter().map(|&t_| t.index(e)[t_]).collect();
+                assert_eq!(
+                    node.contract_idx[k * d_len..(k + 1) * d_len],
+                    contracted[..]
+                );
+            }
         }
     }
 
@@ -1183,6 +1213,7 @@ mod tests {
             d_modes: Vec::new(),
             group_ptr: group_ptr.to_vec(),
             members: Vec::new(),
+            values: Vec::new(),
             contract_idx: Vec::new(),
             entries: 4,
             seg_grain: grain,

@@ -36,6 +36,16 @@ pub enum TuckerError {
         /// The offending mode.
         mode: usize,
     },
+    /// A buffer whose size follows from the ranks — a mode's compact TTMc
+    /// result (`|J_n| × Π_{t≠n} R_t`), a dimension-tree node (entries ×
+    /// width), or the core (`Π R_t`) — has more elements than `usize`
+    /// counts, or the allocator refused it.  The solve is rejected before it
+    /// runs; the session, and a service holding it, keep serving.
+    BufferTooLarge {
+        /// Which buffer, naming its mode or tree node (e.g. "compact TTMc
+        /// of mode 2", "dimension-tree node 5").
+        buffer: String,
+    },
     /// The solver's thread pool could not be built; carries the pool
     /// runtime's reason (e.g. an absurd thread count or an OS spawn
     /// failure).
@@ -136,6 +146,12 @@ impl fmt::Display for TuckerError {
             TuckerError::ZeroRank { mode } => {
                 write!(f, "requested rank for mode {mode} is zero")
             }
+            TuckerError::BufferTooLarge { buffer } => {
+                write!(
+                    f,
+                    "the {buffer} buffer is too large to allocate at these ranks"
+                )
+            }
             TuckerError::PoolFailure(reason) => {
                 write!(f, "failed to build the solver thread pool: {reason}")
             }
@@ -213,6 +229,11 @@ mod tests {
         assert!(TuckerError::PoolFailure("oom".into())
             .to_string()
             .contains("oom"));
+        let msg = TuckerError::BufferTooLarge {
+            buffer: "compact TTMc of mode 4".into(),
+        }
+        .to_string();
+        assert!(msg.contains("mode 4") && msg.contains("too large"));
     }
 
     #[test]

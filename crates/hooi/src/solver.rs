@@ -494,9 +494,15 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
     }
 
     /// Checks a configuration against the planned tensor without running
-    /// anything; returns the effective (clamped) per-mode ranks.
+    /// anything; returns the effective (clamped) per-mode ranks.  Besides
+    /// the rank checks of [`TuckerConfig::validated_ranks`], every buffer
+    /// the ranks size (compact TTMc results, tree nodes, core) must have an
+    /// element count `usize` can hold, or the answer is
+    /// [`TuckerError::BufferTooLarge`] naming the mode or node.
     pub fn validate(&self, config: &TuckerConfig) -> Result<Vec<usize>, TuckerError> {
-        config.validated_ranks(self.tensor.borrow().dims())
+        let ranks = config.validated_ranks(self.tensor.borrow().dims())?;
+        HooiWorkspace::check_sizes(&self.symbolic, self.dimtree.as_ref(), &ranks)?;
+        Ok(ranks)
     }
 
     /// Runs HOOI with this configuration, reusing the session's symbolic
@@ -561,7 +567,7 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
         let result = match pool {
             Some(pool) => pool.install(run),
             None => run(),
-        };
+        }?;
         self.completed_solves += 1;
         Ok(result)
     }
@@ -601,7 +607,10 @@ impl<T: std::borrow::Borrow<SparseTensor>> std::fmt::Debug for TuckerSession<T> 
 /// The pool-agnostic HOOI driver behind every solve: numeric TTMc
 /// (per-mode sweeps, or dimension-tree serves when `tree` is given) + TRSVD
 /// over preplanned symbolic data, core extraction from the last mode's
-/// result, fit monitoring, observer callbacks, and per-phase timing.
+/// result, fit monitoring, observer callbacks, and per-phase timing.  Fails
+/// only when the workspace cannot be allocated at `ranks`, before any
+/// numeric work, and then leaves the workspace empty rather than
+/// half-shaped.
 #[allow(clippy::too_many_arguments)]
 fn run_hooi(
     tensor: &SparseTensor,
@@ -615,13 +624,21 @@ fn run_hooi(
     pool_time: Duration,
     isa: KernelIsa,
     observer: &mut dyn IterationObserver,
-) -> TuckerDecomposition {
+) -> Result<TuckerDecomposition, TuckerError> {
     let order = tensor.order();
     let mut timings = TimingBreakdown {
         symbolic: symbolic_time,
         pool: pool_time,
         ..TimingBreakdown::default()
     };
+
+    let shaped = workspace
+        .try_ensure(symbolic, ranks)
+        .and_then(|()| tree.map_or(Ok(()), |tree| workspace.try_ensure_tree(tree, ranks)));
+    if let Err(e) = shaped {
+        *workspace = HooiWorkspace::for_order(order);
+        return Err(e);
+    }
 
     // Factor initialization.
     let t_init = Instant::now();
@@ -630,11 +647,6 @@ fn run_hooi(
         Initialization::Hosvd => hosvd_factors(tensor, ranks, DEFAULT_HOSVD_MAX_COLS, config.seed),
     };
     timings.init = t_init.elapsed();
-
-    workspace.ensure(symbolic, ranks);
-    if let Some(tree) = tree {
-        workspace.ensure_tree(tree, ranks);
-    }
 
     let mut fits: Vec<f64> = Vec::with_capacity(config.max_iterations);
     let mut singular_values = vec![Vec::new(); order];
@@ -727,14 +739,14 @@ fn run_hooi(
         }
     }
 
-    TuckerDecomposition {
+    Ok(TuckerDecomposition {
         core: workspace.core().clone(),
         factors,
         fits,
         iterations,
         singular_values,
         timings,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -17,9 +17,13 @@
 //!
 //! [`ensure`](HooiWorkspace::ensure) reshapes lazily: solving the same
 //! configuration twice reallocates nothing, switching ranks reallocates only
-//! the buffers whose shape actually changed.
+//! the buffers whose shape actually changed.  Every size is computed in
+//! checked arithmetic and every buffer allocated fallibly, so ranks whose
+//! products no machine can hold are a [`TuckerError::BufferTooLarge`], not
+//! an overflow panic or an allocation abort.
 
 use crate::dimtree::DimTree;
+use crate::error::TuckerError;
 use crate::symbolic::SymbolicTtmc;
 use linalg::lanczos::LanczosWorkspace;
 use linalg::Matrix;
@@ -41,7 +45,7 @@ pub struct HooiWorkspace {
     pub(crate) tree_valid: Vec<bool>,
     /// Per-node privatized partial rows for segmented (split) member groups:
     /// one row per segment of the node, merged in ascending segment order by
-    /// [`crate::dimtree::DimTree::compute_node_into`].  Nodes whose groups
+    /// [`crate::dimtree::DimTree::compute_node_into_isa`].  Nodes whose groups
     /// are all below the segmentation grain have zero rows here.
     pub(crate) tree_partials: Vec<Matrix>,
     /// Column permutation serving each mode's leaf into canonical order
@@ -71,35 +75,70 @@ impl HooiWorkspace {
 
     /// Allocates the buffers for the given symbolic data and (clamped)
     /// Tucker ranks.
+    ///
+    /// # Panics
+    /// Panics where [`ensure`](Self::ensure) does.
     pub fn new(symbolic: &SymbolicTtmc, ranks: &[usize]) -> Self {
         let mut ws = HooiWorkspace::for_order(symbolic.order());
         ws.ensure(symbolic, ranks);
         ws
     }
 
+    /// Checks, without allocating, that every buffer a solve at `ranks`
+    /// shapes — the compact TTMc results, the dimension-tree nodes and their
+    /// partial rows when `tree` is given, and the core — has an element
+    /// count `usize` can hold: the overflow half of solve validation.
+    pub(crate) fn check_sizes(
+        symbolic: &SymbolicTtmc,
+        tree: Option<&DimTree>,
+        ranks: &[usize],
+    ) -> Result<(), TuckerError> {
+        for mode in 0..ranks.len() {
+            compact_shape(symbolic, ranks, mode)?;
+        }
+        if let Some(tree) = tree {
+            for id in 1..tree.num_nodes() {
+                node_shapes(tree, id, ranks)?;
+            }
+        }
+        core_len(ranks).map(drop)
+    }
+
     /// Shapes the buffers for a solve at `ranks`, reallocating only those
     /// whose shape changed since the previous solve.  The core buffer is
     /// zeroed so no state can leak between solves.
+    ///
+    /// # Panics
+    /// Panics with the [`TuckerError::BufferTooLarge`] message when a buffer
+    /// cannot be allocated at these ranks; the solver takes the error as a
+    /// value instead.
     pub fn ensure(&mut self, symbolic: &SymbolicTtmc, ranks: &[usize]) {
+        if let Err(e) = self.try_ensure(symbolic, ranks) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`ensure`](Self::ensure) with the allocation failure as a value.
+    pub(crate) fn try_ensure(
+        &mut self,
+        symbolic: &SymbolicTtmc,
+        ranks: &[usize],
+    ) -> Result<(), TuckerError> {
         assert_eq!(symbolic.order(), self.compact.len());
         assert_eq!(ranks.len(), self.compact.len());
         for mode in 0..self.compact.len() {
-            let width: usize = ranks
-                .iter()
-                .enumerate()
-                .filter(|&(t, _)| t != mode)
-                .map(|(_, &r)| r)
-                .product();
-            let rows = symbolic.mode(mode).num_rows();
-            if self.compact[mode].shape() != (rows, width) {
-                self.compact[mode] = Matrix::zeros(rows, width);
+            let shape = compact_shape(symbolic, ranks, mode)?;
+            if self.compact[mode].shape() != shape {
+                self.compact[mode] = try_matrix(shape, || compact_name(mode))?;
             }
         }
         if self.core.dims() == ranks {
             self.core.as_mut_slice().fill(0.0);
         } else {
-            self.core = DenseTensor::zeros(ranks.to_vec());
+            let data = try_zeros(core_len(ranks)?, || CORE.to_string())?;
+            self.core = DenseTensor::from_vec(ranks.to_vec(), data);
         }
+        Ok(())
     }
 
     /// Shapes the dimension-tree node buffers for a solve at `ranks` (called
@@ -108,7 +147,22 @@ impl HooiWorkspace {
     /// strategy runs), recomputes the leaf column permutations, and marks
     /// every node stale so the first sweep rebuilds the tree against the
     /// fresh factors.  Same-shape solves reallocate nothing.
+    ///
+    /// # Panics
+    /// Panics where [`ensure`](Self::ensure) does.
     pub fn ensure_tree(&mut self, tree: &DimTree, ranks: &[usize]) {
+        if let Err(e) = self.try_ensure_tree(tree, ranks) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`ensure_tree`](Self::ensure_tree) with the allocation failure as a
+    /// value.
+    pub(crate) fn try_ensure_tree(
+        &mut self,
+        tree: &DimTree,
+        ranks: &[usize],
+    ) -> Result<(), TuckerError> {
         let nodes = tree.num_nodes();
         if self.tree_values.len() != nodes {
             self.tree_values = (0..nodes).map(|_| Matrix::zeros(0, 0)).collect();
@@ -119,24 +173,24 @@ impl HooiWorkspace {
         // Buffer shapes and leaf permutations depend only on the tree and
         // the ranks; a same-rank solve reuses both untouched.
         if self.tree_ranks != ranks {
+            // Half-reshaped buffers must not pass for shaped ones if an
+            // allocation below fails.
+            self.tree_ranks.clear();
             for id in 1..nodes {
+                let (values, partials) = node_shapes(tree, id, ranks)?;
                 // Canonical leaves compute straight into the compact
                 // buffers; only internal nodes and permuted leaves need
                 // storage here.
                 let needs_buffer = !tree.is_leaf(id) || !tree.leaf_is_canonical(tree.leaf_mode(id));
-                let shape = if needs_buffer {
-                    (tree.node_entries(id), tree.node_width(id, ranks))
-                } else {
-                    (0, 0)
-                };
-                if self.tree_values[id].shape() != shape {
-                    self.tree_values[id] = Matrix::zeros(shape.0, shape.1);
+                let values = if needs_buffer { values } else { (0, 0) };
+                if self.tree_values[id].shape() != values {
+                    self.tree_values[id] = try_matrix(values, || node_name(id))?;
                 }
                 // Privatized partial rows for split member groups, one row
                 // per segment; nodes with no segments keep an empty matrix.
-                let pshape = (tree.node_segments(id), tree.node_width(id, ranks));
-                if self.tree_partials[id].shape() != pshape {
-                    self.tree_partials[id] = Matrix::zeros(pshape.0, pshape.1);
+                if self.tree_partials[id].shape() != partials {
+                    self.tree_partials[id] =
+                        try_matrix(partials, || format!("partial rows of {}", node_name(id)))?;
                 }
             }
             self.leaf_perms = (0..tree.order())
@@ -146,6 +200,7 @@ impl HooiWorkspace {
         }
         self.tree_valid.fill(false);
         self.tree_valid[0] = true; // the root is the tensor itself
+        Ok(())
     }
 
     /// Total number of `f64` entries held by the dimension-tree node
@@ -216,6 +271,79 @@ impl HooiWorkspace {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+const CORE: &str = "core tensor";
+
+fn compact_name(mode: usize) -> String {
+    format!("compact TTMc of mode {mode}")
+}
+
+fn node_name(id: usize) -> String {
+    format!("dimension-tree node {id}")
+}
+
+fn too_large(buffer: String) -> TuckerError {
+    TuckerError::BufferTooLarge { buffer }
+}
+
+/// `(|J_n|, Π_{t≠n} R_t)`, the shape of mode `mode`'s compact TTMc buffer,
+/// in checked arithmetic.
+fn compact_shape(
+    symbolic: &SymbolicTtmc,
+    ranks: &[usize],
+    mode: usize,
+) -> Result<(usize, usize), TuckerError> {
+    let rows = symbolic.mode(mode).num_rows();
+    (ranks.iter().enumerate())
+        .filter(|&(t, _)| t != mode)
+        .try_fold(1usize, |w, (_, &r)| w.checked_mul(r))
+        .filter(|&width| rows.checked_mul(width).is_some())
+        .map(|width| (rows, width))
+        .ok_or_else(|| too_large(compact_name(mode)))
+}
+
+type NodeShapes = ((usize, usize), (usize, usize));
+
+/// The shapes of tree node `id`'s value matrix (entries × width) and of its
+/// partial rows (segments × width), in checked arithmetic.
+fn node_shapes(tree: &DimTree, id: usize, ranks: &[usize]) -> Result<NodeShapes, TuckerError> {
+    let (entries, segments) = (tree.node_entries(id), tree.node_segments(id));
+    tree.checked_node_width(id, ranks)
+        .filter(|&w| entries.checked_mul(w).is_some() && segments.checked_mul(w).is_some())
+        .map(|w| ((entries, w), (segments, w)))
+        .ok_or_else(|| too_large(node_name(id)))
+}
+
+/// `Π R_t`, the core's element count, in checked arithmetic.
+fn core_len(ranks: &[usize]) -> Result<usize, TuckerError> {
+    (ranks.iter())
+        .try_fold(1usize, |n, &r| n.checked_mul(r))
+        .ok_or_else(|| too_large(CORE.to_string()))
+}
+
+/// `len` zeros whose storage is reserved fallibly: a size the allocator
+/// refuses is the [`TuckerError::BufferTooLarge`] naming `buffer`, not an
+/// abort.
+fn try_zeros(len: usize, buffer: impl FnOnce() -> String) -> Result<Vec<f64>, TuckerError> {
+    let mut data = Vec::new();
+    data.try_reserve_exact(len)
+        .map_err(|_| too_large(buffer()))?;
+    data.resize(len, 0.0);
+    Ok(data)
+}
+
+/// A zeroed matrix of a shape the `*_shape` helpers checked, allocated by
+/// [`try_zeros`].
+fn try_matrix(
+    (rows, cols): (usize, usize),
+    buffer: impl FnOnce() -> String,
+) -> Result<Matrix, TuckerError> {
+    Ok(Matrix::from_vec(
+        rows,
+        cols,
+        try_zeros(rows * cols, buffer)?,
+    ))
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@
 //! [`gemv`] sidesteps this by putting four *rows* in a vector — each lane
 //! accumulates one row's dot product in exact scalar order.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Which instruction set the f64 kernels run.
@@ -280,6 +281,92 @@ pub fn scaled_outer3(isa: KernelIsa, x: f64, u: &[f64], v: &[f64], w: &[f64], ou
     scaled_outer3_scalar(x, u, v, w, out);
 }
 
+/// `out = Σ_k x_k·(u_k ⊗ v_k)` over `members`, where `member(k)` returns
+/// `(x_k, u_k, v_k)`: one dimension-tree entry's row summed over its member
+/// group.  `out` is row-major `rows × cols`; every `u_k` has `rows` entries
+/// and every `v_k` has `cols`.
+///
+/// Bits (all ISAs): each output element is one add chain from `+0.0` in
+/// member order, each term `(x_k·u_k[i])·v_k[j]` with the multiplies and the
+/// add rounded separately — the same bits as zeroing `out` and calling
+/// [`scaled_outer2`] once per member (its zero-coefficient skip is invisible
+/// for finite input, see there).  The scalar tier *is* that loop, and so is
+/// the AVX2 tier for a group of one member, where it measured faster.  The
+/// AVX2 tier sums a group of two to four members in one pass over `out`,
+/// and a larger one in register tiles of up to 12 accumulator vectors held
+/// across every 64 members, so each element is stored once per pass or
+/// chunk instead of once per member; tail lanes are masked, not padded.
+///
+/// # Panics
+/// Panics if `out` does not hold `rows × cols` elements or a member's rows
+/// do not match that shape.
+#[inline]
+pub fn scaled_outer2_group<'a, F>(
+    isa: KernelIsa,
+    members: Range<usize>,
+    (rows, cols): (usize, usize),
+    member: F,
+    out: &mut [f64],
+) where
+    F: Fn(usize) -> (f64, &'a [f64], &'a [f64]),
+{
+    assert_eq!(
+        rows.checked_mul(cols),
+        Some(out.len()),
+        "the output is not rows × cols"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if isa == KernelIsa::Avx2 && avx2_available() && members.len() > 1 && !out.is_empty() {
+        // SAFETY: AVX2 availability and the member count were just checked,
+        // and the shape above.
+        unsafe { x86::scaled_outer2_group_avx2(members, (rows, cols), member, out) };
+        return;
+    }
+    out.fill(0.0);
+    for k in members {
+        let (x, u, v) = member(k);
+        assert!(
+            u.len() == rows && v.len() == cols,
+            "member rows do not match the output"
+        );
+        scaled_outer2(isa, x, u, v, out);
+    }
+}
+
+/// `out = Σ_k x_k·u_k` over `members`, where `member(k)` returns
+/// `(x_k, u_k)` and every `u_k` has `out.len()` entries: the arity-1 twin of
+/// [`scaled_outer2_group`], with the same bit contract against zeroing `out`
+/// and calling [`axpy`] once per member, and the same paths; its AVX2 group
+/// path is that kernel's with a one-entry `u` of `1.0`.
+///
+/// # Panics
+/// Panics if a member's row does not match `out`'s length.
+#[inline]
+pub fn axpy_group<'a, F>(isa: KernelIsa, members: Range<usize>, member: F, out: &mut [f64])
+where
+    F: Fn(usize) -> (f64, &'a [f64]),
+{
+    #[cfg(target_arch = "x86_64")]
+    if isa == KernelIsa::Avx2 && avx2_available() && members.len() > 1 && !out.is_empty() {
+        // `x·u` is bitwise `(x·1)·u`: the arity-2 body with a one-entry `u`.
+        let one: &[f64] = &[1.0];
+        let member = |k| {
+            let (x, u) = member(k);
+            (x, one, u)
+        };
+        // SAFETY: AVX2 availability and the member count were just checked;
+        // `out` is one row.
+        unsafe { x86::scaled_outer2_group_avx2(members, (1, out.len()), member, out) };
+        return;
+    }
+    out.fill(0.0);
+    for k in members {
+        let (x, u) = member(k);
+        assert_eq!(u.len(), out.len(), "member row does not match the output");
+        axpy(isa, x, u, out);
+    }
+}
+
 /// Row-major matrix–vector product `y = A·x` (`A` is `rows × cols`, stored
 /// row-major in `a`).
 ///
@@ -473,6 +560,8 @@ fn scaled_outer3_scalar(x: f64, u: &[f64], v: &[f64], w: &[f64], out: &mut [f64]
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
+    use std::mem::MaybeUninit;
+    use std::ops::Range;
 
     /// AVX2 axpy: 8-wide (two 4-lane vectors for ILP) + 4-wide + scalar
     /// remainder.  Separate `mul`/`add` per element — bit-identical to the
@@ -723,6 +812,7 @@ mod x86 {
     }
 
     /// Lane mask selecting the first `lanes` (0–4) of a vector.
+    #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn lane_mask(lanes: usize) -> __m256i {
         let on = |l: usize| -((lanes > l) as i64);
@@ -791,6 +881,335 @@ mod x86 {
             let (lo, hi) = pair(gp.add((p0 + p) * cols + q0));
             _mm256_maskstore_pd(lo as *mut f64, m0, acc[0]);
             _mm256_maskstore_pd(hi as *mut f64, m1, acc[1]);
+        }
+    }
+
+    /// Accumulator vectors one register tile of the group kernel holds; of
+    /// the sixteen `ymm` registers the rest carry the member's `v` vectors
+    /// and the broadcast coefficient.
+    const TILE_VECS: usize = 12;
+
+    /// Tile height at a tile width of `v` vectors: `TILE_VECS / v`.
+    const TILE_HEIGHT: [usize; TILE_VECS + 1] = [0, 12, 6, 4, 3, 2, 2, 1, 1, 1, 1, 1, 1];
+
+    /// Panel width in vectors for an output of `min(rows, 4)` rows: three
+    /// vectors, or more when too few rows would fill a tile.
+    const PANEL_VECS: [usize; 5] = [TILE_VECS, 12, 6, 4, 3];
+
+    /// Groups of at most this many members — the two-member groups of sparse
+    /// leaves among them — skip the register tiles: one pass over `out`
+    /// ([`outer2_few_avx2`]) costs less than the tiles' set-up when so few
+    /// terms meet in each element.
+    const SMALL_GROUP: usize = 4;
+
+    /// AVX2 [`scaled_outer2_group`](super::scaled_outer2_group) (and, with a
+    /// one-entry `u`, [`axpy_group`](super::axpy_group)) for a group of at
+    /// least two members: at most `SMALL_GROUP` in one pass over `out`, more
+    /// in register tiles.  The path follows from the member count alone, and
+    /// both return the per-member loop's bits.
+    ///
+    /// # Safety
+    /// Caller must ensure the host supports AVX2, that `out` holds
+    /// `rows × cols` elements, and that `members` holds at least two.
+    #[inline]
+    pub unsafe fn scaled_outer2_group_avx2<'a, F>(
+        members: Range<usize>,
+        shape: (usize, usize),
+        member: F,
+        out: &mut [f64],
+    ) where
+        F: Fn(usize) -> (f64, &'a [f64], &'a [f64]),
+    {
+        // Two functions, each calling `member` from one place, so that it
+        // inlines into both.
+        if members.len() <= SMALL_GROUP {
+            small_group_avx2(members, shape, member, out);
+        } else {
+            tiled_group_avx2(members, shape, member, out);
+        }
+    }
+
+    /// A group of two to `SMALL_GROUP` members, gathered and handed to
+    /// [`outer2_few_avx2`].
+    ///
+    /// # Safety
+    /// As [`scaled_outer2_group_avx2`].
+    #[inline]
+    unsafe fn small_group_avx2<'a, F>(
+        members: Range<usize>,
+        (rows, cols): (usize, usize),
+        member: F,
+        out: &mut [f64],
+    ) where
+        F: Fn(usize) -> (f64, &'a [f64], &'a [f64]),
+    {
+        let mut few = [(0.0, std::ptr::null(), std::ptr::null()); SMALL_GROUP];
+        for (slot, k) in few.iter_mut().zip(members.clone()) {
+            let (x, u, v) = member(k);
+            assert!(
+                u.len() == rows && v.len() == cols,
+                "member rows do not match the output"
+            );
+            *slot = (x, u.as_ptr(), v.as_ptr());
+        }
+        // SAFETY (every call): the caller vouches for AVX2 and `out`; the
+        // members in use point at rows of `rows` and `cols` entries, live
+        // for `'a`.
+        match members.len() {
+            2 => outer2_few_avx2(few.first_chunk::<2>().unwrap(), (rows, cols), out),
+            3 => outer2_few_avx2(few.first_chunk::<3>().unwrap(), (rows, cols), out),
+            _ => outer2_few_avx2(&few, (rows, cols), out),
+        }
+    }
+
+    /// `N` members in one pass over `out`: per element vector
+    /// `+0.0 + t₀ + … + t_{N−1}`, each `tₖ = (xₖ·uₖ[i])·vₖ[j]`, in member
+    /// order — the per-member loop's add chain — stored once, tail lanes
+    /// masked.
+    ///
+    /// # Safety
+    /// Caller must ensure the host supports AVX2, that `out` holds
+    /// `rows × cols` elements, and that every member points at live rows of
+    /// `rows` and `cols` entries.
+    #[target_feature(enable = "avx2")]
+    unsafe fn outer2_few_avx2<const N: usize>(
+        few: &[(f64, *const f64, *const f64); N],
+        (rows, cols): (usize, usize),
+        out: &mut [f64],
+    ) {
+        let (whole, mask) = (cols - cols % 4, lane_mask(cols % 4));
+        for i in 0..rows {
+            let c: [__m256d; N] =
+                std::array::from_fn(|k| _mm256_set1_pd(few[k].0 * *few[k].1.add(i)));
+            let row = out.as_mut_ptr().add(i * cols);
+            let mut j = 0;
+            while j < whole {
+                let mut acc = _mm256_setzero_pd();
+                for (c, m) in c.iter().zip(few) {
+                    acc = _mm256_add_pd(acc, _mm256_mul_pd(*c, _mm256_loadu_pd(m.2.add(j))));
+                }
+                _mm256_storeu_pd(row.add(j), acc);
+                j += 4;
+            }
+            if j < cols {
+                // Masked-off lanes are neither read nor written.
+                let mut acc = _mm256_setzero_pd();
+                for (c, m) in c.iter().zip(few) {
+                    let v = _mm256_maskload_pd(m.2.wrapping_add(j), mask);
+                    acc = _mm256_add_pd(acc, _mm256_mul_pd(*c, v));
+                }
+                _mm256_maskstore_pd(row.add(j), mask, acc);
+            }
+        }
+    }
+
+    /// Members the group kernel gathers at a time.  Every tile then walks
+    /// the chunk from flat arrays instead of calling back per member and
+    /// tile, and parks its accumulators in `out` between chunks — a store
+    /// and reload are exact, so the bits do not move.
+    const CHUNK: usize = 64;
+
+    /// One chunk of members: `x_k`, and `u_k`, `v_k` as pointers to their
+    /// first entries; the first `len` of each are written.  Three arrays of
+    /// words, written and read word by word, because a tuple copied whole can
+    /// miss store-to-load forwarding.
+    struct Chunk {
+        len: usize,
+        x: [MaybeUninit<f64>; CHUNK],
+        u: [MaybeUninit<*const f64>; CHUNK],
+        v: [MaybeUninit<*const f64>; CHUNK],
+    }
+
+    impl Chunk {
+        /// Member `i < len`.
+        ///
+        /// # Safety
+        /// `i` must be below `len`.
+        #[inline(always)]
+        unsafe fn get(&self, i: usize) -> (f64, *const f64, *const f64) {
+            (
+                self.x.get_unchecked(i).assume_init(),
+                self.u.get_unchecked(i).assume_init(),
+                self.v.get_unchecked(i).assume_init(),
+            )
+        }
+    }
+
+    /// Where one register tile sits: rows `r0..r0 + H`, columns
+    /// `c0..c0 + width` (`V` vectors, the last one masked to its lanes) of a
+    /// row-major output with `cols` columns.  A `fresh` tile starts from
+    /// zero, the others from the partial sums `out` holds.
+    struct Tile {
+        r0: usize,
+        c0: usize,
+        width: usize,
+        cols: usize,
+        fresh: bool,
+    }
+
+    /// Calls `$tile::<H, V>` for the runtime `(vecs, height)` pair, over the
+    /// pairs listed (every `H·V ≤ TILE_VECS`).
+    macro_rules! by_shape {
+        ($vecs:expr, $height:expr, $tile:ident $args:tt;
+         $($v:literal => [$($h:literal)*]),* $(,)?) => {
+            match ($vecs, $height) {
+                $($(($v, $h) => $tile::<$h, $v> $args,)*)*
+                shape => unreachable!("no register tile of shape {shape:?}"),
+            }
+        };
+    }
+
+    /// A group of more than `SMALL_GROUP` members: gathered a chunk at a
+    /// time — plain code, where the caller's `member` inlines — and summed
+    /// chunk by chunk into `out` by [`outer2_chunk_avx2`].
+    ///
+    /// # Safety
+    /// As [`scaled_outer2_group_avx2`].
+    unsafe fn tiled_group_avx2<'a, F>(
+        members: Range<usize>,
+        (rows, cols): (usize, usize),
+        member: F,
+        out: &mut [f64],
+    ) where
+        F: Fn(usize) -> (f64, &'a [f64], &'a [f64]),
+    {
+        let mut chunk = Chunk {
+            len: 0,
+            x: [const { MaybeUninit::uninit() }; CHUNK],
+            u: [const { MaybeUninit::uninit() }; CHUNK],
+            v: [const { MaybeUninit::uninit() }; CHUNK],
+        };
+        let mut start = members.start;
+        loop {
+            chunk.len = CHUNK.min(members.end.saturating_sub(start));
+            for i in 0..chunk.len {
+                let (x, u, v) = member(start + i);
+                assert!(
+                    u.len() == rows && v.len() == cols,
+                    "member rows do not match the output"
+                );
+                chunk.x[i].write(x);
+                chunk.u[i].write(u.as_ptr());
+                chunk.v[i].write(v.as_ptr());
+            }
+            // SAFETY: the caller vouches for AVX2; `out` holds `rows × cols`
+            // elements, and the chunk's first `len` members point at rows of
+            // `rows` and `cols` entries borrowed for `'a`, beyond this call.
+            outer2_chunk_avx2(&chunk, (rows, cols), start == members.start, out);
+            start += chunk.len;
+            if start >= members.end {
+                break;
+            }
+        }
+    }
+
+    /// One chunk of [`tiled_group_avx2`].  The output is cut into
+    /// column panels — 3 vectors wide, or up to 12 when there are too few
+    /// rows to fill a tile — and each panel into row tiles of at most
+    /// `TILE_VECS / vectors` rows (a 10 × 10 output runs as 4 + 4 + 2 rows of
+    /// three vectors); each tile sums the chunk in registers and stores every
+    /// element once.  `fresh` tiles start from zero, the others from `out`.
+    ///
+    /// # Safety
+    /// Caller must ensure the host supports AVX2, that `out` holds
+    /// `rows × cols` elements, and that the chunk's first `len` members
+    /// point at live rows of `rows` and `cols` entries.
+    #[target_feature(enable = "avx2")]
+    unsafe fn outer2_chunk_avx2(
+        chunk: &Chunk,
+        (rows, cols): (usize, usize),
+        fresh: bool,
+        out: &mut [f64],
+    ) {
+        let panel = 4 * cols.div_ceil(4).min(PANEL_VECS[rows.min(4)]);
+        // `while`, not `step_by`: a stepped range divides to count its steps,
+        // which small groups notice.
+        let mut c0 = 0;
+        while c0 < cols {
+            let width = panel.min(cols - c0);
+            let vecs = width.div_ceil(4);
+            let mut r0 = 0;
+            while r0 < rows {
+                let height = TILE_HEIGHT[vecs].min(rows - r0);
+                let tile = Tile {
+                    r0,
+                    c0,
+                    width,
+                    cols,
+                    fresh,
+                };
+                by_shape!(vecs, height, outer2_tile(chunk, &tile, out);
+                    1 => [1 2 3 4 5 6 7 8 9 10 11 12],
+                    2 => [1 2 3 4 5 6],
+                    3 => [1 2 3 4],
+                    4 => [1 2 3],
+                    5 => [1 2],
+                    6 => [1 2],
+                    7 => [1],
+                    8 => [1],
+                    9 => [1],
+                    10 => [1],
+                    11 => [1],
+                    12 => [1],
+                );
+                r0 += height;
+            }
+            c0 += width;
+        }
+    }
+
+    /// One `H × V`-vector tile over one chunk: per member, the tile's `V`
+    /// vectors of `v_k`, then per row `c = x_k·u_k[i]` broadcast and
+    /// `acc = add(acc, mul(c, v))` — the scalar body's two roundings.
+    // Kept out of line: with every shape inlined, the chunk kernel grew
+    // into one function whose fixed cost per call doubled.
+    #[inline(never)]
+    #[target_feature(enable = "avx2")]
+    unsafe fn outer2_tile<const H: usize, const V: usize>(
+        chunk: &Chunk,
+        tile: &Tile,
+        out: &mut [f64],
+    ) {
+        let tail = tile.width - 4 * (V - 1);
+        let (mask, full) = (lane_mask(tail), tail == 4);
+        // Masked-off lanes are neither read nor written, but their addresses
+        // may lie past the row: no `add` on them.
+        let lanes = |p: *const f64, j: usize| p.wrapping_add(4 * j);
+        let load = |p: *const f64, j: usize| {
+            if j + 1 < V || full {
+                _mm256_loadu_pd(lanes(p, j))
+            } else {
+                _mm256_maskload_pd(lanes(p, j), mask)
+            }
+        };
+        let base = out.as_mut_ptr();
+        let row = |r: usize| base.add((tile.r0 + r) * tile.cols + tile.c0);
+        let mut acc = [[_mm256_setzero_pd(); V]; H];
+        if !tile.fresh {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                *acc = std::array::from_fn(|j| load(row(r), j));
+            }
+        }
+        for i in 0..chunk.len {
+            let (x, u, v) = chunk.get(i);
+            let (u, v) = (u.add(tile.r0), v.add(tile.c0));
+            let vv: [__m256d; V] = std::array::from_fn(|j| load(v, j));
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let c = _mm256_set1_pd(x * *u.add(r));
+                for (a, &vj) in acc.iter_mut().zip(&vv) {
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(c, vj));
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            let p = row(r);
+            for (j, &a) in acc.iter().enumerate() {
+                if j + 1 < V || full {
+                    _mm256_storeu_pd(p.wrapping_add(4 * j), a);
+                } else {
+                    _mm256_maskstore_pd(p.wrapping_add(4 * j), mask, a);
+                }
+            }
         }
     }
 

@@ -110,22 +110,6 @@ pub fn accumulate_scaled_kron_isa(
     }
 }
 
-/// Pairwise (left-fold) variant of the scaled Kronecker accumulation used by
-/// the `kron_ablation` bench: always materializes the full product via
-/// [`kron_rows`] and then axpy's it, regardless of the number of factors.
-pub fn accumulate_scaled_kron_materialized(
-    alpha: f64,
-    rows: &[&[f64]],
-    acc: &mut [f64],
-    scratch: &mut [f64],
-) {
-    let len: usize = rows.iter().map(|r| r.len()).product::<usize>().max(1);
-    kron_rows(rows, &mut scratch[..len]);
-    for (a, &s) in acc.iter_mut().zip(scratch[..len].iter()) {
-        *a += alpha * s;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,13 +174,13 @@ mod tests {
     fn accumulate_two_factors_matches_materialized() {
         let u = [1.0, -2.0];
         let v = [0.5, 3.0, 1.0];
-        let mut acc1 = vec![1.0; 6];
-        let mut acc2 = vec![1.0; 6];
+        let mut acc = vec![1.0; 6];
         let mut scratch = vec![0.0; 6];
-        accumulate_scaled_kron(1.5, &[&u, &v], &mut acc1, &mut scratch);
-        accumulate_scaled_kron_materialized(1.5, &[&u, &v], &mut acc2, &mut scratch);
-        for (a, b) in acc1.iter().zip(&acc2) {
-            assert!((a - b).abs() < 1e-14);
+        accumulate_scaled_kron(1.5, &[&u, &v], &mut acc, &mut scratch);
+        let mut kron = vec![0.0; 6];
+        kron_rows(&[&u, &v], &mut kron);
+        for (a, k) in acc.iter().zip(&kron) {
+            assert!((a - (1.0 + 1.5 * k)).abs() < 1e-14);
         }
     }
 

@@ -161,6 +161,62 @@ fn solver_errors_are_values_across_the_facade() {
     ));
 }
 
+/// Ranks whose products no machine can hold are a typed error on every
+/// entry point, never an overflow panic or an allocation abort — and the
+/// session and the service stay usable.  `Π_{t≠n} R_t` of the order-9
+/// probe overflows `usize` (caught by checked arithmetic at validation);
+/// the order-5 one fits in `usize` but not in any address space (caught by
+/// the fallible allocation).
+#[test]
+fn oversized_rank_products_are_typed_errors_not_aborts() {
+    let too_large = |r: Result<TuckerDecomposition, TuckerError>| match r {
+        Err(TuckerError::BufferTooLarge { buffer }) => buffer,
+        other => panic!("expected BufferTooLarge, got {other:?}"),
+    };
+    for (order, dim) in [(9usize, 256usize), (5, 4096)] {
+        let tensor = random_tensor(&vec![dim; order], 100, 3);
+        let huge = TuckerConfig::new(vec![dim; order]).max_iterations(1);
+        let small = TuckerConfig::new(vec![2; order]).max_iterations(1);
+        assert!(too_large(tucker_hooi(&tensor, &huge)).contains("mode"));
+        let mut solver = TuckerSolver::plan(&tensor, PlanOptions::new().num_threads(1)).unwrap();
+        // Only the overflowing probe is rejected before allocating.
+        match solver.validate(&huge) {
+            Err(TuckerError::BufferTooLarge { .. }) => assert_eq!(order, 9),
+            other => assert!(other.is_ok() && order == 5, "{other:?}"),
+        }
+        too_large(solver.solve(&huge));
+        assert_eq!(solver.completed_solves(), 0);
+        assert!(solver.solve(&small).unwrap().final_fit().is_finite());
+
+        let mut svc = DecompositionService::new(ServiceOptions::new().num_threads(1)).unwrap();
+        svc.submit(
+            "t",
+            Request::Ingest {
+                tensor_id: "probe".into(),
+                tensor: std::sync::Arc::new(tensor.clone()),
+            },
+        );
+        for ranks in [vec![dim; order], vec![2; order]] {
+            svc.submit(
+                "t",
+                Request::Decompose {
+                    tensor_id: "probe".into(),
+                    ranks,
+                    seed: 1,
+                    max_iters: 1,
+                    deadline: None,
+                },
+            );
+        }
+        let done = svc.run_until_idle();
+        assert!(matches!(
+            done[1].outcome,
+            Err(TuckerError::BufferTooLarge { .. })
+        ));
+        assert!(matches!(done[2].outcome, Ok(Response::Decomposed { .. })));
+    }
+}
+
 #[test]
 fn observer_can_budget_iterations_from_outside() {
     let tensor = random_tensor(&[20, 20, 20], 1_000, 5);

@@ -10,10 +10,14 @@
 //!   `scaled_outer3`, `gemv`, and the Kronecker accumulation at every
 //!   arity) over arbitrary lengths, remainder lanes 1–3 included, and
 //!   regardless of buffer address (aligned vs deliberately misaligned);
+//! * the dimension tree's group kernels (`scaled_outer2_group`,
+//!   `axpy_group`) against the per-member loop they replace, on both tiers;
 //! * the arity-2 zero-coefficient skip asymmetry documented on
-//!   `accumulate_scaled_kron` — the exact test the kron docs reference;
+//!   `accumulate_scaled_kron` — the exact test the kron docs reference —
+//!   through the per-mode kernels and a dimension-tree plan;
 //! * full solves bit-identical between `Scalar` and `Avx2` on every
-//!   generated dataset profile;
+//!   generated dataset profile, at ranks whose rows fill whole vectors and
+//!   ranks that end in masked lanes;
 //! * the `KernelIsa` parse/resolve surface.
 //!
 //! Vector tests self-skip on hosts without AVX2.  Assertions that depend
@@ -186,6 +190,88 @@ proptest! {
     }
 }
 
+/// The dimension tree's group kernels equal the per-member loop they
+/// replace — zero the row, then one `scaled_outer2` / `axpy` per member at
+/// forced scalar — bit for bit at both tiers: every `u`/`v` length 1–17
+/// (whole vectors and 1–3 masked lanes), member counts from none to 1000
+/// (either side of the one-pass/register-tile switch at 4 members and of
+/// the 64-member gather chunk), an accumulator at a misaligned address,
+/// and coefficients that are `±0.0` or subnormal.
+#[test]
+fn group_kernels_match_the_per_member_loop_bitwise() {
+    const COUNTS: [usize; 11] = [0, 1, 2, 3, 4, 5, 7, 33, 64, 65, 1000];
+    let isas: Vec<KernelIsa> = [KernelIsa::Scalar, KernelIsa::Avx2]
+        .into_iter()
+        .filter(|isa| isa.supported())
+        .collect();
+    let specials = [0.0, -0.0, 5e-324, -1.5e-310, 2.2e-308, 1.0];
+    let coeff = |k: usize, seed: u64| match k % 5 {
+        0 => specials[(k / 5) % specials.len()],
+        _ => lcg_vec(1, seed ^ k as u64)[0] * 4.0,
+    };
+    // A pool of rows the members pick from, as tree members pick factor
+    // rows; some entries exactly zero so the scalar skip fires.
+    let pool = |len: usize, seed: u64| -> Vec<Vec<f64>> {
+        (0..37)
+            .map(|i| {
+                let mut row = lcg_vec(len, seed ^ (i as u64) << 8);
+                row[i % len] = 0.0;
+                row
+            })
+            .collect()
+    };
+    // Runs `body` into an aligned and a misaligned accumulator holding
+    // garbage (the kernels overwrite, they do not accumulate).
+    let run = |len: usize, body: &dyn Fn(&mut [f64])| -> [Vec<u64>; 2] {
+        let mut aligned = AlignedVec::zeros(len);
+        aligned.fill(f64::NAN);
+        body(&mut aligned);
+        let mut backing = vec![f64::NAN; len + 1];
+        body(&mut backing[1..]);
+        [bits(&aligned), bits(&backing[1..])]
+    };
+    for ra in 1..=17usize {
+        let us = pool(ra, 11 + ra as u64);
+        for rb in 1..=17usize {
+            let vs = pool(rb, 23 + rb as u64);
+            for count in COUNTS {
+                let seed = (ra * 100 + rb) as u64;
+                let member = |k: usize| (coeff(k, seed), &us[k % 37][..], &vs[(k * 7) % 37][..]);
+                let mut reference = vec![0.0; ra * rb];
+                for k in 0..count {
+                    let (x, u, v) = member(k);
+                    simd::scaled_outer2(KernelIsa::Scalar, x, u, v, &mut reference);
+                }
+                for &isa in &isas {
+                    let got = run(ra * rb, &|out| {
+                        simd::scaled_outer2_group(isa, 0..count, (ra, rb), member, out)
+                    });
+                    for got in got {
+                        assert_eq!(
+                            got,
+                            bits(&reference),
+                            "outer2 {ra}x{rb}, {count} members, {isa}"
+                        );
+                    }
+                }
+            }
+        }
+        for count in COUNTS {
+            let member = |k: usize| (coeff(k, ra as u64), &us[(k * 5) % 37][..]);
+            let mut reference = vec![0.0; ra];
+            for k in 0..count {
+                let (x, u) = member(k);
+                simd::axpy(KernelIsa::Scalar, x, u, &mut reference);
+            }
+            for &isa in &isas {
+                for got in run(ra, &|out| simd::axpy_group(isa, 0..count, member, out)) {
+                    assert_eq!(got, bits(&reference), "axpy {ra}, {count} members, {isa}");
+                }
+            }
+        }
+    }
+}
+
 /// The regression test the `accumulate_scaled_kron` docs reference: zero
 /// factor entries exercise the arity-2 zero-coefficient **skip** (rows
 /// whose hoisted `alpha·uᵢ` is `0.0` are not touched) against the
@@ -273,21 +359,21 @@ fn zero_factor_entries_keep_all_arities_bit_identical() {
     // TTMc level: factor matrices with zeroed entries flowing through the
     // per-nonzero kernels of all three index layouts must still match the
     // COO gather bit for bit, at Scalar and Avx2.
-    let tensor = random_tensor(&[9, 8, 7, 6], 300, 41);
-    let factors: Vec<Matrix> = tensor
-        .dims()
-        .iter()
-        .enumerate()
-        .map(|(m, &d)| {
-            let mut f = Matrix::random(d, 3, 90 + m as u64);
-            for (j, x) in f.as_mut_slice().iter_mut().enumerate() {
-                if j % 4 == 0 {
-                    *x = 0.0;
+    let zeroed_factors = |tensor: &SparseTensor| -> Vec<Matrix> {
+        (tensor.dims().iter().enumerate())
+            .map(|(m, &d)| {
+                let mut f = Matrix::random(d, 3, 90 + m as u64);
+                for (j, x) in f.as_mut_slice().iter_mut().enumerate() {
+                    if j % 4 == 0 {
+                        *x = 0.0;
+                    }
                 }
-            }
-            f
-        })
-        .collect();
+                f
+            })
+            .collect()
+    };
+    let tensor = random_tensor(&[9, 8, 7, 6], 300, 41);
+    let factors = zeroed_factors(&tensor);
     let coo = SymbolicTtmc::build_without_layout(&tensor);
     let sorted = SymbolicTtmc::build(&tensor);
     let mut csf = SymbolicTtmc::build_without_layout(&tensor);
@@ -302,11 +388,53 @@ fn zero_factor_entries_keep_all_arities_bit_identical() {
             );
         }
     }
+
+    // Dimension-tree level: the scalar tier's per-member loop skips zero
+    // coefficients, the AVX2 group kernel never does; every node shape the
+    // tree runs (a root child contracting one mode or two, a deeper node
+    // contracting one) must serve the same bits either way.
+    use tucker_repro::hooi::dimtree::serve_mode_into_isa;
+    use tucker_repro::hooi::{DimTree, HooiWorkspace};
+    for tensor in [tensor, random_tensor(&[9, 8, 7], 300, 43)] {
+        let factors = zeroed_factors(&tensor);
+        let ranks = vec![3; tensor.order()];
+        let sym = SymbolicTtmc::build_without_layout(&tensor);
+        let tree = DimTree::build(&tensor);
+        let serve = |isa: KernelIsa| -> Vec<Vec<u64>> {
+            let mut ws = HooiWorkspace::new(&sym, &ranks);
+            ws.ensure_tree(&tree, &ranks);
+            (0..tensor.order())
+                .map(|mode| {
+                    serve_mode_into_isa(
+                        &tree,
+                        &tensor,
+                        sym.mode(mode),
+                        &factors,
+                        mode,
+                        &mut ws,
+                        isa,
+                    );
+                    bits(ws.compact(mode).as_slice())
+                })
+                .collect()
+        };
+        let reference = serve(KernelIsa::Scalar);
+        for &isa in &isas {
+            assert_eq!(
+                serve(isa),
+                reference,
+                "order {}: tree diverged with zero factors under {isa}",
+                tensor.order()
+            );
+        }
+    }
 }
 
 /// End-to-end: full solves planned at `Scalar` and at `Avx2` produce
 /// bit-identical fits, cores and factors on every generated dataset
-/// profile — the kernel tier is invisible to results.
+/// profile — the kernel tier is invisible to results — at rank 3, at ranks
+/// 5, 7 and 10 whose rows end in masked lanes, and (rank 10 on order 3) at
+/// the `dense3` / `nell3` benchmark shape.
 #[test]
 fn solves_are_bit_identical_scalar_vs_avx2_on_all_profiles() {
     if !KernelIsa::Avx2.supported() {
@@ -316,28 +444,31 @@ fn solves_are_bit_identical_scalar_vs_avx2_on_all_profiles() {
     for name in ProfileName::all() {
         let profile = DatasetProfile::new(name);
         let tensor = profile.generate(2_500, 13);
-        let ranks: Vec<usize> = tensor.dims().iter().map(|&d| d.min(3)).collect();
-        let config = TuckerConfig::new(ranks).max_iterations(2).seed(5);
-        let solve = |isa: KernelIsa| {
-            TuckerSolver::plan(&tensor, PlanOptions::new().num_threads(2).kernel_isa(isa))
-                .unwrap()
-                .solve(&config)
-                .unwrap()
+        let plan = |isa: KernelIsa| {
+            TuckerSolver::plan(&tensor, PlanOptions::new().num_threads(2).kernel_isa(isa)).unwrap()
         };
-        let scalar = solve(KernelIsa::Scalar);
-        let avx2 = solve(KernelIsa::Avx2);
-        assert_eq!(scalar.fits, avx2.fits, "{name:?}: fits diverged");
-        assert_eq!(
-            bits(scalar.core.as_slice()),
-            bits(avx2.core.as_slice()),
-            "{name:?}: core diverged"
-        );
-        for (u, v) in scalar.factors.iter().zip(avx2.factors.iter()) {
+        let (mut scalar_plan, mut avx2_plan) = (plan(KernelIsa::Scalar), plan(KernelIsa::Avx2));
+        for rank in [3usize, 5, 7, 10] {
+            let ranks: Vec<usize> = tensor.dims().iter().map(|&d| d.min(rank)).collect();
+            let config = TuckerConfig::new(ranks).max_iterations(2).seed(5);
+            let scalar = scalar_plan.solve(&config).unwrap();
+            let avx2 = avx2_plan.solve(&config).unwrap();
             assert_eq!(
-                bits(u.as_slice()),
-                bits(v.as_slice()),
-                "{name:?}: factor diverged"
+                scalar.fits, avx2.fits,
+                "{name:?} rank {rank}: fits diverged"
             );
+            assert_eq!(
+                bits(scalar.core.as_slice()),
+                bits(avx2.core.as_slice()),
+                "{name:?} rank {rank}: core diverged"
+            );
+            for (u, v) in scalar.factors.iter().zip(avx2.factors.iter()) {
+                assert_eq!(
+                    bits(u.as_slice()),
+                    bits(v.as_slice()),
+                    "{name:?} rank {rank}: factor diverged"
+                );
+            }
         }
     }
 }
