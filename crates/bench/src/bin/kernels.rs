@@ -43,14 +43,14 @@
 //! A fourth section, `tree_group`, is the dimension tree's node kernel: one
 //! node of entries whose member groups each sum `x·(u ⊗ v)` over factor
 //! rows picked at random from 1 024-row pools, by the group kernel
-//! ([`simd::scaled_outer2_group`]: one pass over the row for up to four
-//! members, register tiles beyond) against the per-member loop it replaced
-//! (zero the row, one [`simd::scaled_outer2`] per member), on both tiers,
-//! bits asserted equal, interleaved, minimum of [`REPEATS`], in ns per
-//! member.  Group sizes 1–2 are `nell3`'s mode-0 leaf, 333 is `dense3`'s.
-//! The group kernel *is* the per-member loop on the scalar tier, and for a
-//! one-member group on AVX2 too (the one-pass body measured 0.85–0.93x of
-//! it at ranks 4, 5 and 8), so those cells read 1.0x by construction.
+//! ([`simd::scaled_outer2_group`]: register tiles) against the per-member
+//! loop it replaced (zero the row, one [`simd::scaled_outer2`] per member),
+//! on both tiers, bits asserted equal, interleaved, minimum of [`REPEATS`],
+//! in ns per member.  Group sizes 1–2 are `nell3`'s mode-0 leaf, 333 is
+//! `dense3`'s.  The group kernel *is* the per-member loop on the scalar
+//! tier, and for a one-member group on AVX2 too (the register tiles
+//! measured 0.72–0.90x of it at ranks 4–16), so those cells read 1.0x by
+//! construction.
 //!
 //! Machine-readable output goes to `BENCH_kernels.json` (override with
 //! `--out <path>`), including the host's `cpu_features` so a 1.0x speedup

@@ -471,12 +471,16 @@ impl DimTree {
 
     /// Width of a node's value vectors at the given ranks
     /// (`Π_{t ∉ [lo,hi)} R_t`).
+    ///
+    /// # Panics
+    /// Panics if the product overflows `usize` (solve validation rejects
+    /// such ranks first, see [`Self::checked_node_width`]).
     pub fn node_width(&self, id: usize, ranks: &[usize]) -> usize {
-        self.nodes[id].col_modes.iter().map(|&t| ranks[t]).product()
+        self.checked_node_width(id, ranks)
+            .expect("dimension-tree node width overflows usize")
     }
 
-    /// [`Self::node_width`] in checked arithmetic: `None` when the product
-    /// overflows `usize`.
+    /// [`Self::node_width`], or `None` when the product overflows `usize`.
     pub(crate) fn checked_node_width(&self, id: usize, ranks: &[usize]) -> Option<usize> {
         (self.nodes[id].col_modes.iter()).try_fold(1usize, |w, &t| w.checked_mul(ranks[t]))
     }
@@ -497,8 +501,9 @@ impl DimTree {
         if self.leaf_is_canonical(mode) {
             return None;
         }
-        let col_modes = &self.nodes[self.leaf_of_mode[mode]].col_modes;
-        let width: usize = col_modes.iter().map(|&t| ranks[t]).product();
+        let leaf = self.leaf_of_mode[mode];
+        let col_modes = &self.nodes[leaf].col_modes;
+        let width = self.node_width(leaf, ranks);
         // Canonical strides: ascending foreign modes, last fastest.
         let mut sorted = col_modes.clone();
         sorted.sort_unstable();
@@ -528,10 +533,10 @@ impl DimTree {
     /// serving non-canonical leaves into canonical order.
     pub fn costs(&self, ranks: &[usize]) -> TtmcCosts {
         let mut costs = TtmcCosts::default();
-        for node in self.nodes.iter().skip(1) {
+        for (id, node) in self.nodes.iter().enumerate().skip(1) {
             let d_lens: Vec<usize> = node.d_modes.iter().map(|&t| ranks[t]).collect();
             let wd: u64 = d_lens.iter().map(|&l| l as u64).product();
-            let width = self.width_of(node, ranks) as u64;
+            let width = self.node_width(id, ranks) as u64;
             let wp = width / wd.max(1);
             let members = node.num_members() as u64;
             let entries = node.num_entries() as u64;
@@ -566,10 +571,6 @@ impl DimTree {
             }
         }
         costs
-    }
-
-    fn width_of(&self, node: &Node, ranks: &[usize]) -> usize {
-        node.col_modes.iter().map(|&t| ranks[t]).product()
     }
 
     /// Measured memory footprint of the tree's symbolic grouping in bytes:
@@ -641,7 +642,7 @@ impl DimTree {
         let node = &self.nodes[id];
         assert_ne!(id, 0, "the root is the tensor itself and is never computed");
         let ranks: Vec<usize> = factors.iter().map(|u| u.ncols()).collect();
-        let width = self.width_of(node, &ranks);
+        let width = self.node_width(id, &ranks);
         assert_eq!(
             out.shape(),
             (node.num_entries(), width),
@@ -661,7 +662,7 @@ impl DimTree {
             let parent = &self.nodes[node.parent];
             assert_eq!(
                 pv.shape(),
-                (parent.num_entries(), self.width_of(parent, &ranks)),
+                (parent.num_entries(), self.node_width(node.parent, &ranks)),
                 "parent value buffer has the wrong shape"
             );
         }
@@ -883,9 +884,13 @@ pub(crate) fn permute_columns(src: &Matrix, perm: &[usize], dst: &mut Matrix) {
 /// Node validity lives in the workspace ([`HooiWorkspace::ensure_tree`]
 /// resets it per solve); after each factor update the caller must call
 /// [`factor_updated`] so nodes contracted with the stale factor are rebuilt
-/// on their next use.  `tensor` must be the one the tree was built for (its
-/// children of the root carry its values); `isa` is the plan-resolved kernel
-/// tier (see [`crate::TuckerSolver::kernel_isa`]).
+/// on their next use.  `tensor` is only checked against the tree: the
+/// values come from the tree's children of the root, gathered when it was
+/// built, so `tensor` must be the one the tree was built for.  `isa` is the
+/// plan-resolved kernel tier (see [`crate::TuckerSolver::kernel_isa`]).
+///
+/// # Panics
+/// Panics if `tensor`'s nonzero count differs from the tree's.
 #[allow(clippy::too_many_arguments)]
 pub fn serve_mode_into_isa(
     tree: &DimTree,
@@ -897,7 +902,7 @@ pub fn serve_mode_into_isa(
     isa: KernelIsa,
 ) {
     let leaf = tree.leaf_of_mode(mode);
-    debug_assert_eq!(
+    assert_eq!(
         tree.nnz(),
         tensor.nnz(),
         "the tree was built for another tensor"

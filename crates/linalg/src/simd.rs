@@ -292,10 +292,9 @@ pub fn scaled_outer3(isa: KernelIsa, x: f64, u: &[f64], v: &[f64], w: &[f64], ou
 /// [`scaled_outer2`] once per member (its zero-coefficient skip is invisible
 /// for finite input, see there).  The scalar tier *is* that loop, and so is
 /// the AVX2 tier for a group of one member, where it measured faster.  The
-/// AVX2 tier sums a group of two to four members in one pass over `out`,
-/// and a larger one in register tiles of up to 12 accumulator vectors held
-/// across every 64 members, so each element is stored once per pass or
-/// chunk instead of once per member; tail lanes are masked, not padded.
+/// AVX2 tier sums a larger group in register tiles of up to 12 accumulator
+/// vectors held across every 64 members, so each element is stored once
+/// per chunk instead of once per member; tail lanes are masked, not padded.
 ///
 /// # Panics
 /// Panics if `out` does not hold `rows × cols` elements or a member's rows
@@ -889,119 +888,12 @@ mod x86 {
     /// and the broadcast coefficient.
     const TILE_VECS: usize = 12;
 
-    /// Tile height at a tile width of `v` vectors: `TILE_VECS / v`.
-    const TILE_HEIGHT: [usize; TILE_VECS + 1] = [0, 12, 6, 4, 3, 2, 2, 1, 1, 1, 1, 1, 1];
+    /// Column panel width in vectors: with `TILE_VECS / PANEL_VECS` rows a
+    /// tile holds `TILE_VECS` accumulators.
+    const PANEL_VECS: usize = 3;
 
-    /// Panel width in vectors for an output of `min(rows, 4)` rows: three
-    /// vectors, or more when too few rows would fill a tile.
-    const PANEL_VECS: [usize; 5] = [TILE_VECS, 12, 6, 4, 3];
-
-    /// Groups of at most this many members — the two-member groups of sparse
-    /// leaves among them — skip the register tiles: one pass over `out`
-    /// ([`outer2_few_avx2`]) costs less than the tiles' set-up when so few
-    /// terms meet in each element.
-    const SMALL_GROUP: usize = 4;
-
-    /// AVX2 [`scaled_outer2_group`](super::scaled_outer2_group) (and, with a
-    /// one-entry `u`, [`axpy_group`](super::axpy_group)) for a group of at
-    /// least two members: at most `SMALL_GROUP` in one pass over `out`, more
-    /// in register tiles.  The path follows from the member count alone, and
-    /// both return the per-member loop's bits.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2, that `out` holds
-    /// `rows × cols` elements, and that `members` holds at least two.
-    #[inline]
-    pub unsafe fn scaled_outer2_group_avx2<'a, F>(
-        members: Range<usize>,
-        shape: (usize, usize),
-        member: F,
-        out: &mut [f64],
-    ) where
-        F: Fn(usize) -> (f64, &'a [f64], &'a [f64]),
-    {
-        // Two functions, each calling `member` from one place, so that it
-        // inlines into both.
-        if members.len() <= SMALL_GROUP {
-            small_group_avx2(members, shape, member, out);
-        } else {
-            tiled_group_avx2(members, shape, member, out);
-        }
-    }
-
-    /// A group of two to `SMALL_GROUP` members, gathered and handed to
-    /// [`outer2_few_avx2`].
-    ///
-    /// # Safety
-    /// As [`scaled_outer2_group_avx2`].
-    #[inline]
-    unsafe fn small_group_avx2<'a, F>(
-        members: Range<usize>,
-        (rows, cols): (usize, usize),
-        member: F,
-        out: &mut [f64],
-    ) where
-        F: Fn(usize) -> (f64, &'a [f64], &'a [f64]),
-    {
-        let mut few = [(0.0, std::ptr::null(), std::ptr::null()); SMALL_GROUP];
-        for (slot, k) in few.iter_mut().zip(members.clone()) {
-            let (x, u, v) = member(k);
-            assert!(
-                u.len() == rows && v.len() == cols,
-                "member rows do not match the output"
-            );
-            *slot = (x, u.as_ptr(), v.as_ptr());
-        }
-        // SAFETY (every call): the caller vouches for AVX2 and `out`; the
-        // members in use point at rows of `rows` and `cols` entries, live
-        // for `'a`.
-        match members.len() {
-            2 => outer2_few_avx2(few.first_chunk::<2>().unwrap(), (rows, cols), out),
-            3 => outer2_few_avx2(few.first_chunk::<3>().unwrap(), (rows, cols), out),
-            _ => outer2_few_avx2(&few, (rows, cols), out),
-        }
-    }
-
-    /// `N` members in one pass over `out`: per element vector
-    /// `+0.0 + t₀ + … + t_{N−1}`, each `tₖ = (xₖ·uₖ[i])·vₖ[j]`, in member
-    /// order — the per-member loop's add chain — stored once, tail lanes
-    /// masked.
-    ///
-    /// # Safety
-    /// Caller must ensure the host supports AVX2, that `out` holds
-    /// `rows × cols` elements, and that every member points at live rows of
-    /// `rows` and `cols` entries.
-    #[target_feature(enable = "avx2")]
-    unsafe fn outer2_few_avx2<const N: usize>(
-        few: &[(f64, *const f64, *const f64); N],
-        (rows, cols): (usize, usize),
-        out: &mut [f64],
-    ) {
-        let (whole, mask) = (cols - cols % 4, lane_mask(cols % 4));
-        for i in 0..rows {
-            let c: [__m256d; N] =
-                std::array::from_fn(|k| _mm256_set1_pd(few[k].0 * *few[k].1.add(i)));
-            let row = out.as_mut_ptr().add(i * cols);
-            let mut j = 0;
-            while j < whole {
-                let mut acc = _mm256_setzero_pd();
-                for (c, m) in c.iter().zip(few) {
-                    acc = _mm256_add_pd(acc, _mm256_mul_pd(*c, _mm256_loadu_pd(m.2.add(j))));
-                }
-                _mm256_storeu_pd(row.add(j), acc);
-                j += 4;
-            }
-            if j < cols {
-                // Masked-off lanes are neither read nor written.
-                let mut acc = _mm256_setzero_pd();
-                for (c, m) in c.iter().zip(few) {
-                    let v = _mm256_maskload_pd(m.2.wrapping_add(j), mask);
-                    acc = _mm256_add_pd(acc, _mm256_mul_pd(*c, v));
-                }
-                _mm256_maskstore_pd(row.add(j), mask, acc);
-            }
-        }
-    }
+    /// Tile height at a tile width of `v ≤ PANEL_VECS` vectors.
+    const TILE_HEIGHT: [usize; PANEL_VECS + 1] = [0, TILE_VECS, TILE_VECS / 2, TILE_VECS / 3];
 
     /// Members the group kernel gathers at a time.  Every tile then walks
     /// the chunk from flat arrays instead of calling back per member and
@@ -1059,13 +951,16 @@ mod x86 {
         };
     }
 
-    /// A group of more than `SMALL_GROUP` members: gathered a chunk at a
-    /// time — plain code, where the caller's `member` inlines — and summed
-    /// chunk by chunk into `out` by [`outer2_chunk_avx2`].
+    /// AVX2 [`scaled_outer2_group`](super::scaled_outer2_group) (and, with a
+    /// one-entry `u`, [`axpy_group`](super::axpy_group)) for a group of at
+    /// least two members: gathered a chunk at a time — plain code, where the
+    /// caller's `member` inlines — and summed chunk by chunk into `out` by
+    /// [`outer2_chunk_avx2`].
     ///
     /// # Safety
-    /// As [`scaled_outer2_group_avx2`].
-    unsafe fn tiled_group_avx2<'a, F>(
+    /// Caller must ensure the host supports AVX2, that `out` holds
+    /// `rows × cols` elements, and that `members` is not empty.
+    pub unsafe fn scaled_outer2_group_avx2<'a, F>(
         members: Range<usize>,
         (rows, cols): (usize, usize),
         member: F,
@@ -1103,12 +998,12 @@ mod x86 {
         }
     }
 
-    /// One chunk of [`tiled_group_avx2`].  The output is cut into
-    /// column panels — 3 vectors wide, or up to 12 when there are too few
-    /// rows to fill a tile — and each panel into row tiles of at most
-    /// `TILE_VECS / vectors` rows (a 10 × 10 output runs as 4 + 4 + 2 rows of
-    /// three vectors); each tile sums the chunk in registers and stores every
-    /// element once.  `fresh` tiles start from zero, the others from `out`.
+    /// One chunk of [`scaled_outer2_group_avx2`].  The output is cut into
+    /// column panels of `PANEL_VECS` vectors, and each panel into row tiles
+    /// of at most `TILE_VECS / vectors` rows (a 10 × 10 output runs as
+    /// 4 + 4 + 2 rows of three vectors); each tile sums the chunk in
+    /// registers and stores every element once.  `fresh` tiles start from
+    /// zero, the others from `out`.
     ///
     /// # Safety
     /// Caller must ensure the host supports AVX2, that `out` holds
@@ -1121,7 +1016,7 @@ mod x86 {
         fresh: bool,
         out: &mut [f64],
     ) {
-        let panel = 4 * cols.div_ceil(4).min(PANEL_VECS[rows.min(4)]);
+        let panel = 4 * PANEL_VECS;
         // `while`, not `step_by`: a stepped range divides to count its steps,
         // which small groups notice.
         let mut c0 = 0;
@@ -1142,15 +1037,6 @@ mod x86 {
                     1 => [1 2 3 4 5 6 7 8 9 10 11 12],
                     2 => [1 2 3 4 5 6],
                     3 => [1 2 3 4],
-                    4 => [1 2 3],
-                    5 => [1 2],
-                    6 => [1 2],
-                    7 => [1],
-                    8 => [1],
-                    9 => [1],
-                    10 => [1],
-                    11 => [1],
-                    12 => [1],
                 );
                 r0 += height;
             }
