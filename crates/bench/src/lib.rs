@@ -1,9 +1,12 @@
 //! Shared helpers for the experiment harness.
 //!
-//! Every table of the paper's evaluation section has a binary in
-//! `src/bin/` that regenerates it on scaled-down synthetic data (see
-//! DESIGN.md and EXPERIMENTS.md), and the design choices called out in
-//! DESIGN.md have Criterion ablation benches under `benches/`.
+//! Every table of the paper's evaluation section (Tables I–V) has a binary
+//! in `src/bin/` that regenerates it on scaled-down synthetic data or a
+//! `--tns` file; `tests/tables_golden.rs` snapshots their `--tns` output.
+//! Beside them live three gates (`kernels`, `chaos`, `ingest`), the fixture
+//! generator and the partitioner bench under `benches/`.  End-to-end and
+//! per-layer performance is measured by the repo benchmark in `benchmark/`
+//! (see its README), not here.
 
 use datagen::{DatasetProfile, ProfileName};
 use distsim::{DistributedSetup, Grain, MachineModel, PartitionMethod, SimConfig};
@@ -75,7 +78,7 @@ pub fn simulated_iteration_seconds(
     cost.total_seconds()
 }
 
-/// Command-line options shared by the table/executor binaries: an optional
+/// Command-line options shared by the table and ingest binaries: an optional
 /// real `.tns` tensor to run on instead of the synthetic profiles
 /// (ROADMAP "Large-scale validation"), and the Tucker ranks to use for it.
 #[derive(Debug, Default, Clone)]
@@ -224,7 +227,7 @@ pub fn cli_tensor(args: &CliArgs) -> Option<(String, SparseTensor, Vec<usize>)> 
 /// flat gather must be the same IEEE accumulation, not merely close.
 /// Returns the number of modes checked; exits with a diagnostic on any
 /// divergence (this backs the table binaries' `--check` flag).
-pub fn check_layout_bit_identity(tensor: &SparseTensor, ranks: &[usize]) -> usize {
+fn check_layout_bit_identity(tensor: &SparseTensor, ranks: &[usize]) -> usize {
     let config = TuckerConfig::new(ranks.to_vec())
         .max_iterations(2)
         .fit_tolerance(-1.0)

@@ -1,8 +1,7 @@
 //! Uniform random sparse tensors.
 //!
-//! Used for the paper's MET comparison ("a random tensor of size
-//! 10K × 10K × 10K with 1M nonzeros") and as a neutral workload for the
-//! Criterion microbenchmarks.
+//! The neutral, skew-free workload of the unit, property and integration
+//! tests and of the service's request-mix replay.
 
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::SmallRng;

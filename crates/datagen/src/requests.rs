@@ -1,12 +1,12 @@
 //! Zipf-skewed multi-tenant request mixes for the decomposition service.
 //!
-//! The `service_load` bench replays a stream of service requests — ingest a
-//! tensor, decompose it, predict entries, evict it — issued by several
-//! tenants.  Real serving workloads are skewed twice over: a few tenants
-//! issue most of the traffic, and a few hot tensors receive most of the
-//! requests.  This module generates such streams deterministically from a
-//! seed, with both skews drawn from [`ZipfSampler`], so every bench run and
-//! every CI check replays the exact same mix.
+//! The service's replay test (`tests/service.rs`) drives a stream of
+//! service requests — ingest a tensor, decompose it, predict entries, evict
+//! it — issued by several tenants.  Real serving workloads are skewed twice
+//! over: a few tenants issue most of the traffic, and a few hot tensors
+//! receive most of the requests.  This module generates such streams deterministically from a
+//! seed, with both skews drawn from [`ZipfSampler`], so every run replays
+//! the exact same mix.
 //!
 //! The generator is *abstract*: events name tenants and tensors by small
 //! integer ids and carry only scalar parameters (rank, iteration budget,

@@ -1233,9 +1233,7 @@ fn execute(
     options: &ExecOptions,
     plan: &FaultPlan,
 ) -> Result<(ChaosRun, [f64; 2]), TuckerError> {
-    if tensor.order() == 0 || tensor.nnz() == 0 {
-        return Err(TuckerError::EmptyTensor);
-    }
+    hooi::error::validate_tensor(tensor)?;
     let ranks = config.validated_ranks(tensor.dims())?;
     assert_eq!(
         setup.dims,
@@ -1303,8 +1301,9 @@ fn execute(
 /// together with the per-rank measured communication.
 ///
 /// Validation mirrors the shared-memory solver ([`TuckerError::EmptyTensor`],
-/// [`TuckerError::OrderMismatch`], [`TuckerError::ZeroRank`]); asking for
-/// the TCP backend in an environment that forbids sockets surfaces as
+/// [`TuckerError::NonFiniteValue`], [`TuckerError::OrderMismatch`],
+/// [`TuckerError::ZeroRank`]); asking for the TCP backend in an
+/// environment that forbids sockets surfaces as
 /// [`TuckerError::PoolFailure`] carrying the I/O reason.  A rank failure
 /// mid-run (dead peer, timeout, corrupt frame, panic in a rank body)
 /// surfaces as [`TuckerError::RankFailed`] within the configured
@@ -1658,6 +1657,12 @@ mod tests {
             )
             .unwrap_err(),
             TuckerError::EmptyTensor
+        );
+        let mut poisoned = t.clone();
+        *poisoned.value_mut(7) = f64::NAN;
+        assert_eq!(
+            distributed_hooi(&poisoned, &setup, &TuckerConfig::new(vec![2, 2, 2])).unwrap_err(),
+            TuckerError::NonFiniteValue { nonzero: 7 }
         );
     }
 

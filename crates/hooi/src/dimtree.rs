@@ -474,7 +474,7 @@ impl DimTree {
     ///
     /// # Panics
     /// Panics if the product overflows `usize` (solve validation rejects
-    /// such ranks first, see [`Self::checked_node_width`]).
+    /// such ranks first with [`crate::TuckerError::BufferTooLarge`]).
     pub fn node_width(&self, id: usize, ranks: &[usize]) -> usize {
         self.checked_node_width(id, ranks)
             .expect("dimension-tree node width overflows usize")
@@ -879,7 +879,7 @@ pub(crate) fn permute_columns(src: &Matrix, perm: &[usize], dst: &mut Matrix) {
 /// Recomputes the stale ancestors of `mode`'s leaf and serves the leaf's
 /// compact TTMc (canonical column order) into the workspace's compact buffer
 /// for `mode` — the dimension-tree replacement for
-/// [`crate::ttmc::ttmc_mode_into`] inside the HOOI sweep.
+/// [`crate::ttmc::ttmc_mode_into_isa`] inside the HOOI sweep.
 ///
 /// Node validity lives in the workspace ([`HooiWorkspace::ensure_tree`]
 /// resets it per solve); after each factor update the caller must call

@@ -24,6 +24,14 @@ pub enum TuckerError {
     /// The tensor has no modes or no stored nonzeros; there is nothing to
     /// decompose (the fit is undefined for a zero-norm tensor).
     EmptyTensor,
+    /// A stored value is NaN or infinite.  Norms, TTMc and the TRSVD's
+    /// eigensolver all assume finite arithmetic, so such a tensor is
+    /// rejected before anything is planned.
+    NonFiniteValue {
+        /// Position of the first non-finite value among the stored
+        /// nonzeros (the COO id, as in [`sptensor::SparseTensor::value`]).
+        nonzero: usize,
+    },
     /// The configuration's rank count does not match the tensor order.
     OrderMismatch {
         /// Number of ranks in the configuration.
@@ -136,6 +144,9 @@ impl fmt::Display for TuckerError {
             TuckerError::EmptyTensor => {
                 write!(f, "tensor has no modes or no stored nonzeros")
             }
+            TuckerError::NonFiniteValue { nonzero } => {
+                write!(f, "stored nonzero {nonzero} is NaN or infinite")
+            }
             TuckerError::OrderMismatch {
                 config_modes,
                 tensor_modes,
@@ -209,6 +220,20 @@ impl fmt::Display for TuckerError {
 }
 
 impl std::error::Error for TuckerError {}
+
+/// The tensor checks every solver entry point runs before planning:
+/// [`TuckerError::EmptyTensor`] for a tensor with no modes or no stored
+/// nonzeros, [`TuckerError::NonFiniteValue`] for the first NaN or infinite
+/// value (one pass over the values).
+pub fn validate_tensor(tensor: &sptensor::SparseTensor) -> Result<(), TuckerError> {
+    if tensor.order() == 0 || tensor.nnz() == 0 {
+        return Err(TuckerError::EmptyTensor);
+    }
+    match tensor.values().iter().position(|v| !v.is_finite()) {
+        Some(nonzero) => Err(TuckerError::NonFiniteValue { nonzero }),
+        None => Ok(()),
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -326,6 +351,26 @@ mod tests {
             msg.contains("line 7") && msg.contains("ingestion"),
             "conversion lost the reader's context: {msg}"
         );
+    }
+
+    #[test]
+    fn validate_tensor_names_the_first_non_finite_value() {
+        let mut tensor = sptensor::SparseTensor::new(vec![3, 3]);
+        assert_eq!(validate_tensor(&tensor), Err(TuckerError::EmptyTensor));
+        for (i, v) in [1.0, f64::INFINITY, f64::NAN].into_iter().enumerate() {
+            tensor.push(&[i, i], v);
+        }
+        assert_eq!(
+            validate_tensor(&tensor),
+            Err(TuckerError::NonFiniteValue { nonzero: 1 })
+        );
+        *tensor.value_mut(1) = -2.0;
+        *tensor.value_mut(2) = f64::NEG_INFINITY;
+        let err = validate_tensor(&tensor).unwrap_err();
+        assert_eq!(err, TuckerError::NonFiniteValue { nonzero: 2 });
+        assert!(err.to_string().contains("nonzero 2"));
+        *tensor.value_mut(2) = 0.5;
+        assert_eq!(validate_tensor(&tensor), Ok(()));
     }
 
     #[test]

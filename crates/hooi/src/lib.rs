@@ -26,11 +26,8 @@
 //!    [`TimingBreakdown`]) and the one-shot [`tucker_hooi`] convenience
 //!    wrapper over a single-use solver session.
 //!
-//! Baselines and extras:
+//! Supporting modules:
 //!
-//! * [`met`] — a MET-style (Kolda & Sun) TTM-chain baseline that
-//!   materializes semi-sparse intermediates, used in the paper's
-//!   single-core comparison;
 //! * [`hosvd`] — HOSVD-style initialization for small tensors plus the
 //!   default random initialization;
 //! * [`core_tensor`], [`fit`] — core extraction and fit/error metrics.
@@ -42,7 +39,6 @@ pub mod error;
 pub mod fit;
 pub mod hooi;
 pub mod hosvd;
-pub mod met;
 pub mod observers;
 pub mod solver;
 pub mod symbolic;
@@ -60,8 +56,5 @@ pub use solver::{
 };
 pub use sptensor::simd::KernelIsa;
 pub use symbolic::{SymbolicMode, SymbolicTtmc};
-pub use ttmc::{
-    ttmc_contribution_into, ttmc_mode, ttmc_mode_into, ttmc_mode_into_isa, ttmc_mode_sequential,
-    ttmc_row_into,
-};
+pub use ttmc::{ttmc_contribution_into, ttmc_mode, ttmc_mode_into_isa, ttmc_row_into};
 pub use workspace::HooiWorkspace;

@@ -43,7 +43,7 @@
 use crate::config::{IndexLayout, Initialization, TtmcStrategy, TuckerConfig};
 use crate::core_tensor::core_from_last_ttmc_into;
 use crate::dimtree::{self, DimTree};
-use crate::error::TuckerError;
+use crate::error::{validate_tensor, TuckerError};
 use crate::fit::fit_from_norms;
 use crate::hooi::{TimingBreakdown, TuckerDecomposition};
 use crate::hosvd::{hosvd_factors, random_factors, DEFAULT_HOSVD_MAX_COLS};
@@ -330,15 +330,11 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
     /// context.
     ///
     /// Returns [`TuckerError::EmptyTensor`] for a tensor with no modes or
-    /// no stored nonzeros and [`TuckerError::PoolFailure`] (carrying the
-    /// pool runtime's reason) if the pool cannot be built.
+    /// no stored nonzeros, [`TuckerError::NonFiniteValue`] for a NaN or
+    /// infinite value, and [`TuckerError::PoolFailure`] (carrying the pool
+    /// runtime's reason) if the pool cannot be built.
     pub fn plan(tensor: T, options: PlanOptions) -> Result<Self, TuckerError> {
-        {
-            let tensor = tensor.borrow();
-            if tensor.order() == 0 || tensor.nnz() == 0 {
-                return Err(TuckerError::EmptyTensor);
-            }
-        }
+        validate_tensor(tensor.borrow())?;
         let t_pool = Instant::now();
         let pool = if options.use_caller_pool {
             // No workers of our own: parallel regions run on whatever pool

@@ -234,15 +234,6 @@ impl SymbolicTtmc {
         SymbolicTtmc { modes }
     }
 
-    /// Sequential variant, used to measure the benefit of mode-parallel
-    /// symbolic construction.
-    pub fn build_sequential(tensor: &SparseTensor) -> Self {
-        let modes: Vec<SymbolicMode> = (0..tensor.order())
-            .map(|m| SymbolicMode::build(tensor, m))
-            .collect();
-        SymbolicTtmc { modes }
-    }
-
     /// The symbolic data for one mode.
     pub fn mode(&self, mode: usize) -> &SymbolicMode {
         &self.modes[mode]
@@ -447,15 +438,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_builds_agree() {
+    fn mode_parallel_build_matches_per_mode_builds() {
         let t = sample();
         let a = SymbolicTtmc::build(&t);
-        let b = SymbolicTtmc::build_sequential(&t);
-        assert_eq!(a.order(), b.order());
+        assert_eq!(a.order(), 3);
         for m in 0..3 {
-            assert_eq!(a.mode(m).rows, b.mode(m).rows);
-            assert_eq!(a.mode(m).row_ptr, b.mode(m).row_ptr);
-            assert_eq!(a.mode(m).nonzero_ids, b.mode(m).nonzero_ids);
+            let b = SymbolicMode::build(&t, m);
+            assert_eq!(a.mode(m).rows, b.rows);
+            assert_eq!(a.mode(m).row_ptr, b.row_ptr);
+            assert_eq!(a.mode(m).nonzero_ids, b.nonzero_ids);
         }
     }
 

@@ -70,31 +70,12 @@ pub struct TrsvdResult {
 ///
 /// * `compact` — `|J_n| × Π_{t≠n} R_t` TTMc result,
 /// * `sym` — the symbolic data of the mode (provides the row mapping),
-/// * `dim` — the full mode size `I_n`.
-pub fn trsvd_factor(
-    compact: &Matrix,
-    sym: &SymbolicMode,
-    dim: usize,
-    rank: usize,
-    backend: TrsvdBackend,
-    seed: u64,
-) -> TrsvdResult {
-    trsvd_factor_with(
-        compact,
-        sym,
-        dim,
-        rank,
-        backend,
-        seed,
-        &mut LanczosWorkspace::new(),
-    )
-}
-
-/// [`trsvd_factor`] with caller-provided TRSVD scratch: a Lanczos solve
-/// that iterates draws its Krylov basis and product vector from `scratch`
-/// instead of allocating per call — the HOOI loop passes the workspace
-/// buffers here (see [`crate::workspace::HooiWorkspace`]).  The direct
-/// regimes and the dense backend ignore the scratch.
+/// * `dim` — the full mode size `I_n`,
+/// * `scratch` — TRSVD scratch: a Lanczos solve that iterates draws its
+///   Krylov basis and product vector from it instead of allocating per
+///   call — the HOOI loop passes the workspace buffers here (see
+///   [`crate::workspace::HooiWorkspace`]).  The direct regimes and the
+///   dense backend ignore it.
 pub fn trsvd_factor_with(
     compact: &Matrix,
     sym: &SymbolicMode,
@@ -178,7 +159,8 @@ mod tests {
     fn factor_has_orthonormal_nonzero_rows() {
         let (t, factors, sym) = setup();
         let compact = ttmc_mode(&t, sym.mode(0), &factors, 0);
-        let result = trsvd_factor(&compact, sym.mode(0), 40, 4, TrsvdBackend::Lanczos, 5);
+        let ws = &mut LanczosWorkspace::new();
+        let result = trsvd_factor_with(&compact, sym.mode(0), 40, 4, TrsvdBackend::Lanczos, 5, ws);
         assert_eq!(result.factor.shape(), (40, 4));
         // All 40 slices are nonempty with 2000 nonzeros, so the factor's
         // columns should be orthonormal.
@@ -189,8 +171,9 @@ mod tests {
     fn backends_agree_on_singular_values() {
         let (t, factors, sym) = setup();
         let compact = ttmc_mode(&t, sym.mode(1), &factors, 1);
-        let lanczos = trsvd_factor(&compact, sym.mode(1), 30, 3, TrsvdBackend::Lanczos, 5);
-        let dense = trsvd_factor(&compact, sym.mode(1), 30, 3, TrsvdBackend::Dense, 5);
+        let ws = &mut LanczosWorkspace::new();
+        let lanczos = trsvd_factor_with(&compact, sym.mode(1), 30, 3, TrsvdBackend::Lanczos, 5, ws);
+        let dense = trsvd_factor_with(&compact, sym.mode(1), 30, 3, TrsvdBackend::Dense, 5, ws);
         for i in 0..3 {
             assert!(
                 (lanczos.singular_values[i] - dense.singular_values[i]).abs()
@@ -244,9 +227,16 @@ mod tests {
                     let (rows, width) = y.shape();
                     let subspace = 2 * ranks[n] + 10;
                     let dim = tensor.dims()[n];
-                    let applications =
-                        trsvd_factor(&y, sym.mode(n), dim, ranks[n], TrsvdBackend::Lanczos, 3)
-                            .operator_applications;
+                    let applications = trsvd_factor_with(
+                        &y,
+                        sym.mode(n),
+                        dim,
+                        ranks[n],
+                        TrsvdBackend::Lanczos,
+                        3,
+                        &mut LanczosWorkspace::new(),
+                    )
+                    .operator_applications;
                     let formed = applications == width + ranks[n];
                     let tall_and_large = rows >= width && width > subspace;
                     assert_eq!(
@@ -294,7 +284,8 @@ mod tests {
             let sym = SymbolicTtmc::build(&tensor);
             let y = ttmc_mode(&tensor, sym.mode(0), &result.factors, 0);
             assert_eq!(y.shape(), (30, 25));
-            let step = trsvd_factor(&y, sym.mode(0), 40, 5, TrsvdBackend::Lanczos, 4);
+            let ws = &mut LanczosWorkspace::new();
+            let step = trsvd_factor_with(&y, sym.mode(0), 40, 5, TrsvdBackend::Lanczos, 4, ws);
             assert_eq!(step.operator_applications, 25 + 5, "formed path");
             assert_eq!(step.singular_values.len(), 5);
             for (j, &sigma) in step.singular_values.iter().enumerate() {
@@ -323,7 +314,8 @@ mod tests {
         ];
         let sym = SymbolicTtmc::build(&t);
         let compact = ttmc_mode(&t, sym.mode(0), &factors, 0);
-        let result = trsvd_factor(&compact, sym.mode(0), 10, 2, TrsvdBackend::Dense, 1);
+        let ws = &mut LanczosWorkspace::new();
+        let result = trsvd_factor_with(&compact, sym.mode(0), 10, 2, TrsvdBackend::Dense, 1, ws);
         for i in 0..10 {
             let row_norm: f64 = result.factor.row(i).iter().map(|x| x * x).sum();
             if i == 2 || i == 7 {
@@ -348,7 +340,8 @@ mod tests {
         let sym = SymbolicTtmc::build(&t);
         let compact = ttmc_mode(&t, sym.mode(0), &factors, 0);
         // Only 2 nonempty rows but rank 4 requested.
-        let result = trsvd_factor(&compact, sym.mode(0), 5, 4, TrsvdBackend::Lanczos, 1);
+        let ws = &mut LanczosWorkspace::new();
+        let result = trsvd_factor_with(&compact, sym.mode(0), 5, 4, TrsvdBackend::Lanczos, 1, ws);
         assert_eq!(result.factor.shape(), (5, 4));
         assert_eq!(result.singular_values.len(), 4);
     }
@@ -357,7 +350,8 @@ mod tests {
     fn singular_values_descending() {
         let (t, factors, sym) = setup();
         let compact = ttmc_mode(&t, sym.mode(2), &factors, 2);
-        let result = trsvd_factor(&compact, sym.mode(2), 20, 4, TrsvdBackend::Lanczos, 2);
+        let ws = &mut LanczosWorkspace::new();
+        let result = trsvd_factor_with(&compact, sym.mode(2), 20, 4, TrsvdBackend::Lanczos, 2, ws);
         for w in result.singular_values.windows(2) {
             assert!(w[0] >= w[1] - 1e-9);
         }

@@ -4,8 +4,8 @@
 //! computed row by row: row `i_n` accumulates
 //! `Σ_{x ∈ ul_n(i_n)} x · ⊗_{t≠n} U_t(i_t, :)`.
 //!
-//! Rows are independent, so the parallel variant hands each row of `J_n` to
-//! rayon (the OpenMP `parallel for` with dynamic scheduling of the paper).
+//! Rows are independent, so the sweep hands each row of `J_n` to rayon
+//! (the OpenMP `parallel for` with dynamic scheduling of the paper).
 //! The result is returned in *compact* form: one row per non-empty slice,
 //! `|J_n| × Π_{t≠n} R_t`; rows of the full matricization outside `J_n` are
 //! identically zero and never materialized.
@@ -444,39 +444,28 @@ pub fn ttmc_mode(
     mode: usize,
 ) -> Matrix {
     let mut out = Matrix::zeros(sym.num_rows(), ttmc_result_width(factors, mode));
-    ttmc_mode_into(tensor, sym, factors, mode, &mut out);
-    out
-}
-
-/// Numeric TTMc for one mode, writing into a caller-provided compact result
-/// matrix — the allocation-free entry point the HOOI loop uses so the
-/// `|J_n| × Π_{t≠mode} R_t` buffer is reused across iterations (see
-/// [`crate::workspace::HooiWorkspace`]).
-///
-/// # Panics
-/// Panics if the factor matrices do not match the tensor's mode sizes or
-/// `out` does not have shape `|J_n| × Π_{t≠mode} R_t`.
-pub fn ttmc_mode_into(
-    tensor: &SparseTensor,
-    sym: &SymbolicMode,
-    factors: &[Matrix],
-    mode: usize,
-    out: &mut Matrix,
-) {
     ttmc_mode_into_isa(
         tensor,
         sym,
         factors,
         mode,
-        out,
+        &mut out,
         KernelIsa::resolved_default(),
     );
+    out
 }
 
-/// [`ttmc_mode_into`] at an explicit kernel ISA — the form the planned
-/// solver session uses, with the ISA it resolved at plan time
+/// Numeric TTMc for one mode at an explicit kernel ISA, writing into a
+/// caller-provided compact result matrix — the allocation-free form the
+/// planned solver session uses, so the `|J_n| × Π_{t≠mode} R_t` buffer is
+/// reused across iterations (see [`crate::workspace::HooiWorkspace`]) and
+/// every sweep runs the ISA resolved at plan time
 /// ([`crate::TuckerSolver::kernel_isa`]).  `Scalar` and `Avx2` are
 /// bit-identical.
+///
+/// # Panics
+/// Panics if the factor matrices do not match the tensor's mode sizes or
+/// `out` does not have shape `|J_n| × Π_{t≠mode} R_t`.
 pub fn ttmc_mode_into_isa(
     tensor: &SparseTensor,
     sym: &SymbolicMode,
@@ -490,7 +479,7 @@ pub fn ttmc_mode_into_isa(
     assert_eq!(
         out.shape(),
         (sym.num_rows(), width),
-        "ttmc_mode_into: result buffer has the wrong shape"
+        "ttmc_mode_into_isa: result buffer has the wrong shape"
     );
     if width == 0 {
         return;
@@ -520,9 +509,9 @@ pub fn ttmc_mode_into_isa(
 ///
 /// `row_position` indexes the non-empty rows of `sym` (`sym.rows[p]` is the
 /// tensor index along `mode`); `out` must have length `Π_{t≠mode} R_t` and
-/// `scratch` at least that length.  This is the per-task kernel the parallel
-/// and sequential sweeps share; the distributed executor also calls it
-/// directly for rows whose update list is entirely local to one rank.
+/// `scratch` at least that length.  This is the per-task kernel of the
+/// parallel sweep; the distributed executor also calls it directly for rows
+/// whose update list is entirely local to one rank.
 pub fn ttmc_row_into(
     tensor: &SparseTensor,
     sym: &SymbolicMode,
@@ -580,41 +569,6 @@ pub fn ttmc_contribution_into<'a>(
         rows.push(factors[t].row(index[t]));
     }
     accumulate_scaled_kron_isa(KernelIsa::resolved_default(), value, rows, out, scratch);
-}
-
-/// Sequential numeric TTMc (used for verification, the single-thread
-/// baselines of Table V, and inside the per-rank loops of the distributed
-/// simulator where parallelism is across ranks instead).
-pub fn ttmc_mode_sequential(
-    tensor: &SparseTensor,
-    sym: &SymbolicMode,
-    factors: &[Matrix],
-    mode: usize,
-) -> Matrix {
-    validate_factors(tensor, factors, mode);
-    let width = ttmc_result_width(factors, mode);
-    let nrows = sym.num_rows();
-    let mut out = Matrix::zeros(nrows, width);
-    let mut scratch = vec![0.0; width];
-    let mut rows = Vec::with_capacity(tensor.order() - 1);
-    let isa = KernelIsa::resolved_default();
-    for p in 0..nrows {
-        let row_start = p * width;
-        // Split borrow: compute into a temporary row slice.
-        let row = &mut out.as_mut_slice()[row_start..row_start + width];
-        compute_row(
-            tensor,
-            sym,
-            factors,
-            mode,
-            p,
-            row,
-            &mut scratch,
-            &mut rows,
-            isa,
-        );
-    }
-    out
 }
 
 /// Number of floating point operations performed by the nonzero-based TTMc
@@ -731,15 +685,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
+    fn parallel_sweep_matches_row_by_row() {
         let t = random_tensor(&[30, 25, 20], 1500, 7);
         let ranks = [4, 4, 4];
         let factors = factors_for(&t, &ranks, 1);
         let sym = SymbolicTtmc::build(&t);
         for mode in 0..3 {
-            let a = ttmc_mode(&t, sym.mode(mode), &factors, mode);
-            let b = ttmc_mode_sequential(&t, sym.mode(mode), &factors, mode);
-            assert!(a.frobenius_distance(&b) < 1e-10 * a.frobenius_norm().max(1.0));
+            let sm = sym.mode(mode);
+            let swept = ttmc_mode(&t, sm, &factors, mode);
+            let width = ttmc_result_width(&factors, mode);
+            let mut row = vec![0.0; width];
+            let mut scratch = vec![0.0; width];
+            for p in 0..sm.num_rows() {
+                ttmc_row_into(&t, sm, &factors, mode, p, &mut row, &mut scratch);
+                assert_eq!(swept.row(p), &row[..], "mode {mode} row {p}");
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 //! same buffers to every sweep:
 //!
 //! * the per-mode compact TTMc result matrices
-//!   ([`crate::ttmc::ttmc_mode_into`] writes into them),
+//!   ([`crate::ttmc::ttmc_mode_into_isa`] writes into them),
 //! * the TRSVD scratch ([`linalg::lanczos::LanczosWorkspace`]: the short
 //!   Krylov basis vectors and the one `|J_n|`-long product vector),
 //! * the core tensor buffer

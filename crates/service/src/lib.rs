@@ -37,9 +37,11 @@
 //!   requests are charged zero flops — the fairness accounts never bill
 //!   work that produced nothing.
 //!
-//! The `service_load` bench bin replays a Zipf-skewed multi-tenant mix
-//! (`datagen::requests`) against this service and emits latency,
-//! throughput, cache and fairness metrics.
+//! `tests/service.rs` replays a Zipf-skewed multi-tenant mix
+//! (`datagen::requests`) against this service under two queue
+//! interleavings and cache budgets and asserts bit-identical responses and
+//! fair picks; the repo benchmark's `service-mix` workload measures its
+//! latency, cache and fairness metrics.
 
 mod cache;
 mod request;

@@ -60,7 +60,7 @@ impl ServiceStats {
     /// was never charged).  Under a demand-balanced mix a fair scheduler
     /// keeps this close to 1; it says nothing by itself under a skewed mix,
     /// where the interesting quantity is the pick-time deficit (asserted by
-    /// the `service_load --check` gate instead).
+    /// the request-mix replay test in `tests/service.rs` instead).
     pub fn fairness_spread(&self) -> f64 {
         let mut lo = u64::MAX;
         let mut hi = 0u64;

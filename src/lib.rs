@@ -7,7 +7,7 @@
 //! individual crates for the actual implementations:
 //!
 //! * [`hooi`] — the shared-memory parallel HOOI solver (symbolic TTMc,
-//!   nonzero-based TTMc, matrix-free TRSVD, MET baseline),
+//!   nonzero-based TTMc, dimension trees, matrix-free TRSVD),
 //! * [`distsim`] — the distributed-memory simulator (coarse/fine grain,
 //!   statistics and cost model) and the message-passing executor that runs
 //!   Algorithm 4 over real channel/TCP backends, bit-identically to the

@@ -1,9 +1,12 @@
 //! Integration tests for the multi-tenant decomposition service: the
 //! determinism contract (bit-identical responses across cache states and
-//! submission interleavings) and the plan cache's eviction behaviour.
+//! submission interleavings), fair scheduling, and the plan cache's
+//! eviction behaviour.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::thread;
+use tucker_repro::datagen::requests::{request_mix, RequestEvent, RequestKind, RequestMixSpec};
 use tucker_repro::prelude::*;
 
 fn tensor(seed: u64) -> Arc<SparseTensor> {
@@ -347,4 +350,203 @@ fn non_finite_tns_values_stop_at_the_reader_before_ingest() {
     svc.submit("tenant", decompose("t", 1));
     let done = svc.run_until_idle();
     assert!(decomposition(&done[1].outcome).final_fit().is_finite());
+}
+
+/// An in-memory tensor carrying a NaN never reaches a plan: the ingest
+/// answers the typed error without charging the tenant, the id stays
+/// unregistered, and the service keeps answering the tenant's requests.
+#[test]
+fn non_finite_in_memory_tensor_is_rejected_at_ingest() {
+    let mut poisoned = random_tensor(&[16, 14, 12], 500, 3);
+    *poisoned.value_mut(42) = f64::NAN;
+    let mut svc = DecompositionService::new(ServiceOptions::new().num_threads(1)).unwrap();
+    svc.submit(
+        "tenant",
+        Request::Ingest {
+            tensor_id: "bad".into(),
+            tensor: Arc::new(poisoned),
+        },
+    );
+    svc.submit("tenant", decompose("bad", 1));
+    svc.submit("tenant", ingest("good", 3));
+    svc.submit("tenant", decompose("good", 1));
+    let done = svc.run_until_idle();
+    assert_eq!(
+        done[0].outcome.as_ref().unwrap_err(),
+        &TuckerError::NonFiniteValue { nonzero: 42 }
+    );
+    assert_eq!(done[0].charged_flops, 0);
+    assert!(matches!(
+        done[1].outcome,
+        Err(TuckerError::UnknownTensorId { .. })
+    ));
+    assert!(decomposition(&done[3].outcome).final_fit().is_finite());
+    assert_eq!(svc.tensor_ids(), vec!["good".to_string()]);
+}
+
+/// Tenants of the request-mix replay; tensor `t` belongs to tenant
+/// `t % MIX_TENANTS`, so per-tenant FIFO order implies per-tensor order and
+/// the responses are a function of the mix alone.
+const MIX_TENANTS: usize = 3;
+
+/// The replayed tensors: small enough for a debug build, with plan
+/// footprints that differ from tensor to tensor.
+fn mix_pool(count: usize) -> Vec<Arc<SparseTensor>> {
+    (0..count)
+        .map(|i| {
+            let dims = [14 + 2 * (i % 3), 12 + 2 * (i % 4), 10 + i % 5];
+            Arc::new(random_tensor(&dims, 300 + 100 * (i % 4), 50 + i as u64))
+        })
+        .collect()
+}
+
+/// The service request for the `index`-th event of the mix; predict
+/// queries are a fixed function of the event index.
+fn mix_request(event: &RequestEvent, index: usize, pool: &[Arc<SparseTensor>]) -> Request {
+    let tensor_id = format!("tensor{}", event.tensor);
+    let tensor = &pool[event.tensor];
+    match event.kind {
+        RequestKind::Ingest => Request::Ingest {
+            tensor_id,
+            tensor: Arc::clone(tensor),
+        },
+        RequestKind::Decompose {
+            rank,
+            max_iters,
+            seed,
+        } => Request::Decompose {
+            tensor_id,
+            ranks: vec![rank; tensor.order()],
+            seed,
+            max_iters,
+            deadline: None,
+        },
+        RequestKind::Predict { queries } => Request::Predict {
+            tensor_id,
+            indices: (0..queries)
+                .map(|q| {
+                    let dims = tensor.dims().iter().enumerate();
+                    dims.map(|(m, &d)| (31 * index + 7 * q + 13 * m) % d)
+                        .collect()
+                })
+                .collect(),
+        },
+        RequestKind::Evict => Request::Evict { tensor_id },
+    }
+}
+
+/// What a tenant consumes from a response, as bits.  The cache-state
+/// fields (`plan_bytes`, `plan_was_cached`, `plan_cache_hit`) describe the
+/// cache, not the answer, and are left out.
+fn response_bits(outcome: &Result<Response, TuckerError>) -> Result<Vec<u64>, TuckerError> {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    Ok(match outcome.as_ref().map_err(Clone::clone)? {
+        Response::Ingested { .. } | Response::Evicted { .. } => Vec::new(),
+        Response::Decomposed {
+            decomposition,
+            truncated,
+        } => {
+            let mut v = vec![decomposition.iterations as u64, *truncated as u64];
+            v.extend(bits(decomposition.core.as_slice()));
+            for factor in &decomposition.factors {
+                v.extend(bits(factor.as_slice()));
+            }
+            v
+        }
+        Response::Predicted { values } => bits(values),
+    })
+}
+
+/// One replay of a request mix.
+struct Replay {
+    /// Response bits by request id (ids follow submission order).
+    responses: BTreeMap<u64, Result<Vec<u64>, TuckerError>>,
+    /// Largest plan footprint an ingest reported.
+    max_plan_bytes: usize,
+    /// Steps that served a tenant charged above the least-charged
+    /// backlogged tenant.
+    unfair_picks: usize,
+    stats: ServiceStats,
+}
+
+/// Submits the mix `window` requests at a time, stepping the service dry
+/// after each window and checking every pick against the tenants'
+/// accounts read just before the step.
+fn replay(
+    events: &[RequestEvent],
+    pool: &[Arc<SparseTensor>],
+    options: ServiceOptions,
+    window: usize,
+) -> Replay {
+    let mut svc = DecompositionService::new(options).unwrap();
+    let mut responses = BTreeMap::new();
+    let (mut max_plan_bytes, mut unfair_picks) = (0, 0);
+    for (w, chunk) in events.chunks(window).enumerate() {
+        for (i, event) in chunk.iter().enumerate() {
+            let request = mix_request(event, w * window + i, pool);
+            svc.submit(&format!("tenant{}", event.tensor % MIX_TENANTS), request);
+        }
+        loop {
+            let backlogged = svc.pending_by_tenant();
+            let charged = svc.charged_flops().clone();
+            let charge = |tenant: &String| charged.get(tenant).copied().unwrap_or(0);
+            let Some(least) = backlogged.keys().map(charge).min() else {
+                break;
+            };
+            let done = svc.step().expect("a backlogged service steps");
+            unfair_picks += usize::from(charge(&done.tenant) > least);
+            if let Ok(Response::Ingested {
+                plan_bytes: Some(bytes),
+                ..
+            }) = done.outcome
+            {
+                max_plan_bytes = max_plan_bytes.max(bytes);
+            }
+            responses.insert(done.request_id, response_bits(&done.outcome));
+        }
+    }
+    Replay {
+        responses,
+        max_plan_bytes,
+        unfair_picks,
+        stats: svc.stats(),
+    }
+}
+
+/// A Zipf-skewed multi-tenant mix of ingests, decompositions, predictions
+/// and evictions answers bit-identically whether it is submitted in small
+/// windows under a roomy cache or all up front (the widest reordering
+/// freedom) under a cache squeezed to 1.5× the largest plan — which must
+/// really evict and re-plan — and the scheduler never serves a tenant
+/// charged above the least-charged backlogged one.
+#[test]
+fn request_mix_replays_bit_identically_under_reordering_and_cache_pressure() {
+    const TENSORS: usize = 6;
+    let events = request_mix(&RequestMixSpec::new(MIX_TENANTS, TENSORS, 120, 1));
+    let pool = mix_pool(TENSORS);
+    let options = || ServiceOptions::new().num_threads(2);
+    let windowed = replay(&events, &pool, options(), 8);
+    let budget = windowed.max_plan_bytes + windowed.max_plan_bytes / 2;
+    let squeezed = replay(
+        &events,
+        &pool,
+        options().plan_cache_bytes(budget),
+        events.len(),
+    );
+
+    assert_eq!(windowed.responses.len(), events.len());
+    assert!(windowed.stats.decomposes > 0 && windowed.stats.predicts > 0);
+    assert!(
+        squeezed.responses == windowed.responses,
+        "responses diverged between the windowed and the squeezed replay"
+    );
+    assert!(
+        !squeezed.stats.evicted_plans.is_empty(),
+        "the squeezed cache never evicted"
+    );
+    assert!(
+        squeezed.stats.plan_cache_misses > 0,
+        "the squeezed cache never re-planned"
+    );
+    assert_eq!((windowed.unfair_picks, squeezed.unfair_picks), (0, 0));
 }
