@@ -123,11 +123,13 @@ fn main() {
     let word = std::mem::size_of::<usize>();
     let bound = chunk * (coo.order() + 2) * word;
     println!(
-        "streamed COO read: {} nnz in {} chunks, peak buffer {} bytes (bound {} bytes)",
+        "streamed COO read: {} nnz in {} chunks, peak buffer {} bytes (bound {} bytes), \
+         raw text window {} bytes",
         coo.nnz(),
         stats.chunks,
         stats.peak_buffer_bytes,
-        bound
+        bound,
+        stats.peak_window_bytes
     );
     assert!(
         stats.peak_buffer_bytes <= bound,

@@ -52,6 +52,17 @@
 //! gathered once at build time in member order, in place of the ids that
 //! only that gather read (the same 8 bytes per member).
 //!
+//! Building the grouping: a child groups its parent's entries by their
+//! projection onto the child's range with stable LSD counting passes, one
+//! per projected mode, fastest mode first and slowest last; each key is an
+//! index below `dims[t]`, so no pass compares anything.  Stability keeps
+//! members ascending within a group, so the groups come out in the sorted
+//! unique order a comparison sort of `(projected tuple, entry id)` gives.
+//! Below the root, a node's entries are stored in ascending tuple order,
+//! so its left child — whose key is a prefix of that tuple — is grouped
+//! already and takes a single run scan.  The root stores no tuples of its
+//! own: its children key straight off the tensor's indices.
+//!
 //! [`DimTree::costs`] / [`per_mode_costs`] count the floating-point
 //! operations and memory words each strategy performs per iteration as
 //! deterministic functions of the sparsity structure and the ranks, so the
@@ -203,6 +214,39 @@ fn segment_schedule(group_ptr: &[usize]) -> (usize, Vec<usize>, Vec<usize>) {
     (grain, seg_ptr, seg_entry)
 }
 
+/// Orders the entries `0..n` by their projected tuples — `key(e, t)` for
+/// `t` in `modes`, each below `dims[t]` — ties by entry id: one stable
+/// counting pass per mode, the fastest mode first and the slowest last —
+/// the order a comparison sort of `(tuple, e)` gives, without comparing.
+fn group_order(
+    n: usize,
+    modes: Range<usize>,
+    dims: &[usize],
+    key: impl Fn(usize, usize) -> usize,
+) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut next = vec![0usize; n];
+    let mut keys = vec![0usize; n];
+    let mut offsets = Vec::new();
+    for t in modes.rev() {
+        offsets.clear();
+        offsets.resize(dims[t] + 1, 0usize);
+        for (k, &e) in keys.iter_mut().zip(&order) {
+            *k = key(e, t);
+            offsets[*k + 1] += 1;
+        }
+        for b in 1..offsets.len() {
+            offsets[b] += offsets[b - 1];
+        }
+        for (&k, &e) in keys.iter().zip(&order) {
+            next[offsets[k]] = e;
+            offsets[k] += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
+    }
+    order
+}
+
 /// A binary dimension tree over the modes of one sparse tensor: structure
 /// plus the per-node symbolic grouping, built once at plan time and reused
 /// by every iteration of every solve.
@@ -290,12 +334,8 @@ impl DimTree {
         let order = tensor.order();
         assert!(order >= 2, "a dimension tree needs at least two modes");
         assert!(tensor.nnz() > 0, "a dimension tree needs nonzeros");
-        // Root: one entry per nonzero, the full index tuple, nothing
-        // contracted.
-        let mut entry_idx = Vec::with_capacity(tensor.nnz() * order);
-        for t in 0..tensor.nnz() {
-            entry_idx.extend_from_slice(tensor.index(t));
-        }
+        // Root: one entry per nonzero, nothing contracted.  Its children
+        // read the index tuples straight from the tensor.
         let root = Node {
             lo: 0,
             hi: order,
@@ -311,7 +351,7 @@ impl DimTree {
             seg_grain: MIN_SEGMENT_MEMBERS,
             seg_ptr: Vec::new(),
             seg_entry: Vec::new(),
-            entry_idx,
+            entry_idx: Vec::new(),
         };
         let mut tree = DimTree {
             order,
@@ -325,6 +365,9 @@ impl DimTree {
     }
 
     /// Recursively splits `node_id` (preorder, so parents precede children).
+    /// Subtrees are built one after the other: building the root's two
+    /// children at once doubles the transient sort buffers, and the
+    /// benchmark's peak RSS rose with it.
     fn split(&mut self, node_id: usize, tensor: &SparseTensor) {
         let (lo, hi) = (self.nodes[node_id].lo, self.nodes[node_id].hi);
         if hi - lo == 1 {
@@ -347,10 +390,11 @@ impl DimTree {
         self.nodes[node_id].entry_idx = Vec::new();
     }
 
-    /// Builds the symbolic grouping of a child `[lo, hi)` of `parent_id`.
+    /// Builds the symbolic grouping of a child `[lo, hi)` of `parent_id`:
+    /// the parent's entries grouped by their projection onto `[lo, hi)`,
+    /// groups in ascending tuple order, members ascending within a group.
     fn make_child(&self, parent_id: usize, lo: usize, hi: usize, tensor: &SparseTensor) -> Node {
         let parent = &self.nodes[parent_id];
-        let span_p = parent.span();
         let span = hi - lo;
         let off = lo - parent.lo;
         let d_modes: Vec<usize> = (parent.lo..parent.hi)
@@ -362,10 +406,28 @@ impl DimTree {
         // suffix (left child) of the parent tuple.
         let d_off = if lo == parent.lo { span } else { 0 };
         let n_parent = parent.num_entries();
-        let key = |e: usize| &parent.entry_idx[e * span_p + off..e * span_p + off + span];
+        // A parent entry's tuple over `[parent.lo, parent.hi)`: the nonzero's
+        // full index at the root, the stored projection below it.
+        let span_p = parent.span();
+        let is_root = parent_id == 0;
+        let tuple = |e: usize| -> &[usize] {
+            if is_root {
+                tensor.index(e)
+            } else {
+                &parent.entry_idx[e * span_p..(e + 1) * span_p]
+            }
+        };
+        let key = |e: usize| &tuple(e)[off..off + span];
 
-        let mut by_key: Vec<usize> = (0..n_parent).collect();
-        by_key.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        // Below the root, parent entries are in ascending tuple order, so a
+        // left child — whose key is a prefix of that tuple — is grouped already.
+        let by_key: Vec<usize> = if is_root || off > 0 {
+            group_order(n_parent, lo..hi, tensor.dims(), |e, t| {
+                tuple(e)[t - parent.lo]
+            })
+        } else {
+            (0..n_parent).collect()
+        };
 
         let mut group_ptr = vec![0usize];
         let mut entry_idx = Vec::new();
@@ -377,8 +439,7 @@ impl DimTree {
                 }
                 entry_idx.extend_from_slice(key(e));
             }
-            let d_src = e * span_p + d_off;
-            contract_idx.extend_from_slice(&parent.entry_idx[d_src..d_src + d_len]);
+            contract_idx.extend_from_slice(&tuple(e)[d_off..d_off + d_len]);
         }
         group_ptr.push(n_parent);
         if n_parent == 0 {
@@ -388,7 +449,7 @@ impl DimTree {
         // A child of the root reads its members' nonzero values and nothing
         // else of their ids: gather them once here, in place of the ids (an
         // in-place collect — `usize` and `f64` share a layout).
-        let (members, values) = if parent_id == 0 {
+        let (members, values) = if is_root {
             (
                 Vec::new(),
                 by_key.into_iter().map(|e| tensor.value(e)).collect(),
@@ -1283,6 +1344,208 @@ mod tests {
                     results[mode].as_slice(),
                     "mode {mode} differs at {threads} threads"
                 );
+            }
+        }
+    }
+
+    /// The grouping as the tree built it before the counting sorts: the
+    /// root's index tuples copied out, every child grouped by a comparison
+    /// sort of `(projected tuple, entry id)`, subtrees built in sequence.
+    /// The test-only reference [`DimTree::build`] must match field for field.
+    fn reference_tree(tensor: &SparseTensor) -> DimTree {
+        let order = tensor.order();
+        let mut root_idx = Vec::with_capacity(tensor.nnz() * order);
+        for t in 0..tensor.nnz() {
+            root_idx.extend_from_slice(tensor.index(t));
+        }
+        let root = Node {
+            lo: 0,
+            hi: order,
+            parent: NONE,
+            children: [NONE, NONE],
+            col_modes: Vec::new(),
+            d_modes: Vec::new(),
+            group_ptr: Vec::new(),
+            members: Vec::new(),
+            values: Vec::new(),
+            contract_idx: Vec::new(),
+            entries: tensor.nnz(),
+            seg_grain: MIN_SEGMENT_MEMBERS,
+            seg_ptr: Vec::new(),
+            seg_entry: Vec::new(),
+            entry_idx: root_idx,
+        };
+        let mut tree = DimTree {
+            order,
+            nnz: tensor.nnz(),
+            nodes: vec![root],
+            leaf_of_mode: vec![NONE; order],
+        };
+        reference_split(&mut tree, 0, tensor);
+        tree.nodes[0].entry_idx = Vec::new();
+        tree
+    }
+
+    fn reference_split(tree: &mut DimTree, node_id: usize, tensor: &SparseTensor) {
+        let (lo, hi) = (tree.nodes[node_id].lo, tree.nodes[node_id].hi);
+        if hi - lo == 1 {
+            tree.leaf_of_mode[lo] = node_id;
+            return;
+        }
+        let mid = lo + (hi - lo) / 2;
+        for (a, b, side) in [(lo, mid, 0), (mid, hi, 1)] {
+            let child = reference_child(&tree.nodes[node_id], node_id, a, b, tensor);
+            let child_id = tree.nodes.len();
+            tree.nodes.push(child);
+            tree.nodes[node_id].children[side] = child_id;
+            reference_split(tree, child_id, tensor);
+        }
+        if node_id != 0 {
+            tree.nodes[node_id].entry_idx = Vec::new();
+        }
+    }
+
+    fn reference_child(
+        parent: &Node,
+        parent_id: usize,
+        lo: usize,
+        hi: usize,
+        tensor: &SparseTensor,
+    ) -> Node {
+        let (span_p, span, off) = (parent.span(), hi - lo, lo - parent.lo);
+        let d_modes: Vec<usize> = (parent.lo..parent.hi)
+            .filter(|t| !(lo..hi).contains(t))
+            .collect();
+        let d_len = d_modes.len();
+        let d_off = if lo == parent.lo { span } else { 0 };
+        let n_parent = parent.num_entries();
+        let key = |e: usize| &parent.entry_idx[e * span_p + off..e * span_p + off + span];
+        let mut by_key: Vec<usize> = (0..n_parent).collect();
+        by_key.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        let mut group_ptr = vec![0usize];
+        let mut entry_idx = Vec::new();
+        let mut contract_idx = Vec::new();
+        for (pos, &e) in by_key.iter().enumerate() {
+            if pos == 0 || key(by_key[pos - 1]) != key(e) {
+                if pos > 0 {
+                    group_ptr.push(pos);
+                }
+                entry_idx.extend_from_slice(key(e));
+            }
+            let d_src = e * span_p + d_off;
+            contract_idx.extend_from_slice(&parent.entry_idx[d_src..d_src + d_len]);
+        }
+        group_ptr.push(n_parent);
+        let (members, values) = if parent_id == 0 {
+            (
+                Vec::new(),
+                by_key.iter().map(|&e| tensor.value(e)).collect(),
+            )
+        } else {
+            (by_key, Vec::new())
+        };
+        let mut col_modes = parent.col_modes.clone();
+        col_modes.extend_from_slice(&d_modes);
+        let (seg_grain, seg_ptr, seg_entry) = segment_schedule(&group_ptr);
+        Node {
+            lo,
+            hi,
+            parent: parent_id,
+            children: [NONE, NONE],
+            col_modes,
+            d_modes,
+            group_ptr,
+            members,
+            values,
+            contract_idx,
+            entries: entry_idx.len() / span,
+            seg_grain,
+            seg_ptr,
+            seg_entry,
+            entry_idx,
+        }
+    }
+
+    fn assert_same_tree(got: &DimTree, want: &DimTree, what: &str) {
+        assert_eq!(got.nodes.len(), want.nodes.len(), "{what}");
+        assert_eq!(got.leaf_of_mode, want.leaf_of_mode, "{what}");
+        assert_eq!((got.order, got.nnz), (want.order, want.nnz), "{what}");
+        for (id, (g, w)) in got.nodes.iter().zip(&want.nodes).enumerate() {
+            let at = format!("{what}, node {id}");
+            assert_eq!(
+                (g.lo, g.hi, g.parent, g.children),
+                (w.lo, w.hi, w.parent, w.children),
+                "{at}"
+            );
+            assert_eq!(
+                (&g.col_modes, &g.d_modes),
+                (&w.col_modes, &w.d_modes),
+                "{at}"
+            );
+            assert_eq!(g.group_ptr, w.group_ptr, "{at}: group_ptr");
+            assert_eq!(g.members, w.members, "{at}: members");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&g.values), bits(&w.values), "{at}: values");
+            assert_eq!(g.contract_idx, w.contract_idx, "{at}: contract_idx");
+            assert_eq!(g.entry_idx, w.entry_idx, "{at}: entry_idx");
+            assert_eq!(g.entries, w.entries, "{at}: entries");
+            assert_eq!(
+                (g.seg_grain, &g.seg_ptr, &g.seg_entry),
+                (w.seg_grain, &w.seg_ptr, &w.seg_entry),
+                "{at}: segments"
+            );
+        }
+        assert_eq!(got.memory_bytes(), want.memory_bytes(), "{what}");
+    }
+
+    #[test]
+    fn counting_sort_grouping_matches_the_comparison_sort_reference() {
+        let mut tensors = Vec::new();
+        let shapes: [&[usize]; 9] = [
+            &[9, 7],
+            &[1, 5],
+            &[4, 1, 6],
+            &[3, 3, 3],
+            &[40, 2, 30],
+            &[6, 5, 1, 4],
+            &[2, 2, 2, 2],
+            &[5, 1, 4, 3, 2],
+            &[3, 4, 2, 5, 3],
+        ];
+        for (k, dims) in shapes.iter().enumerate() {
+            let capacity: usize = dims.iter().product();
+            // Sparse, and nearly full: full projections collide heavily.
+            for nnz in [capacity.div_ceil(5), capacity * 9 / 10] {
+                tensors.push(random_tensor(dims, nnz.max(1), 100 + k as u64));
+            }
+        }
+        // Repeated coordinates tie on every key: the entry ids decide.
+        let repeats: Vec<(Vec<usize>, f64)> = (0..300usize)
+            .map(|k| (vec![k % 3, (k * 7) % 2, (k * 5) % 4, k % 2], k as f64 + 0.5))
+            .collect();
+        tensors.push(SparseTensor::from_entries(vec![3, 2, 4, 2], &repeats));
+        // A large tensor, so the pool's parallel paths take part.
+        tensors.push(random_tensor(&[60, 50, 40, 30], 20_000, 7));
+
+        let pools: Vec<rayon::ThreadPool> = (1..=3)
+            .map(|w| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(w)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        for t in &tensors {
+            let want = reference_tree(t);
+            for pool in &pools {
+                let got = pool.install(|| DimTree::build(t));
+                let what = format!(
+                    "dims {:?}, nnz {}, width {}",
+                    t.dims(),
+                    t.nnz(),
+                    pool.current_num_threads()
+                );
+                assert_same_tree(&got, &want, &what);
             }
         }
     }

@@ -43,6 +43,23 @@ impl SparseTensor {
         t
     }
 
+    /// Wraps flat index and value buffers whose indices the caller has
+    /// already checked against `dims` (the `.tns` reader validates every
+    /// index as it parses), without copying them.
+    pub(crate) fn from_validated_parts(
+        dims: Vec<usize>,
+        indices: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        let tensor = SparseTensor {
+            dims,
+            indices,
+            values,
+        };
+        debug_assert!(tensor.validate().is_ok(), "{:?}", tensor.validate());
+        tensor
+    }
+
     /// Builds a tensor from parallel slices of index tuples and values.
     ///
     /// # Panics

@@ -3,8 +3,8 @@
 //! exactly or fail with an error value, never a panic).
 
 use sptensor::io::{
-    external_sort_tns, read_tns, read_tns_file, read_tns_streamed, write_tns, write_tns_file,
-    DuplicatePolicy, StreamOptions, TensorIoError,
+    external_sort_tns, read_tns, read_tns_file, read_tns_streamed, stream_tns, write_tns,
+    write_tns_file, DuplicatePolicy, StreamOptions, TensorIoError,
 };
 use sptensor::SparseTensor;
 use std::io::Cursor;
@@ -315,4 +315,196 @@ fn malformed_inputs_are_errors_not_panics() {
     // A missing file is an I/O error value.
     let err = read_tns_file("/nonexistent/definitely/missing.tns", None).unwrap_err();
     assert!(matches!(err, TensorIoError::Io(_)));
+}
+
+/// What one read of a `.tns` text produced: the tensor (dims, flat indices,
+/// value bits) and the line numbers of each chunk handed to the sink — or
+/// the first error's variant, line and message.
+type Outcome = Result<(Vec<usize>, Vec<usize>, Vec<u64>, Vec<Vec<usize>>), String>;
+
+fn outcome(data: &[u8], options: &StreamOptions) -> Outcome {
+    let mut chunks = Vec::new();
+    stream_tns(Cursor::new(data), options, |chunk| {
+        chunks.push(chunk.lines.to_vec());
+        Ok(())
+    })
+    .map_err(|e| format!("{e:?}"))?;
+    let (t, _) = read_tns_streamed(Cursor::new(data), options).map_err(|e| format!("{e:?}"))?;
+    let indices = (0..t.nnz()).flat_map(|k| t.index(k).to_vec()).collect();
+    let bits = t.values().iter().map(|v| v.to_bits()).collect();
+    Ok((t.dims().to_vec(), indices, bits, chunks))
+}
+
+/// Reads `data` in pools of width 1, 2 and 3 with chunks of 1, 2, 7 and the
+/// default size.  Per chunk size, every width must give the same outcome
+/// (chunk sequence included); across chunk sizes the same tensor or the
+/// same error.  Returns the default-chunk outcome.
+fn read_everywhere(data: &[u8], pools: &[rayon::ThreadPool]) -> Outcome {
+    let what = || {
+        String::from_utf8_lossy(data)
+            .chars()
+            .take(80)
+            .collect::<String>()
+    };
+    let mut reference: Option<Outcome> = None;
+    for chunk in [1, 2, 7, StreamOptions::new().chunk_nonzeros] {
+        let options = StreamOptions::new().chunk_nonzeros(chunk);
+        let at_one = pools[0].install(|| outcome(data, &options));
+        for pool in &pools[1..] {
+            let here = pool.install(|| outcome(data, &options));
+            assert_eq!(
+                here,
+                at_one,
+                "{:?}: width {} differs from width 1 at chunk {chunk}",
+                what(),
+                pool.current_num_threads()
+            );
+        }
+        let tensor_or_error = at_one.clone().map(|(d, i, v, _)| (d, i, v));
+        match &reference {
+            None => {}
+            Some(r) => assert_eq!(
+                r.clone().map(|(d, i, v, _)| (d, i, v)),
+                tensor_or_error,
+                "{:?}: chunk {chunk} reads another tensor or error",
+                what()
+            ),
+        }
+        reference = Some(at_one);
+    }
+    reference.unwrap()
+}
+
+fn pools() -> Vec<rayon::ThreadPool> {
+    (1..=3)
+        .map(|w| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(w)
+                .build()
+                .unwrap()
+        })
+        .collect()
+}
+
+/// `n` order-2 entry lines, each followed by a 1 KiB comment line: bulk
+/// for the windows without many lines to parse.
+fn filler(n: usize) -> Vec<u8> {
+    let comment = format!("#{}\n", "-".repeat(1022));
+    (0..n)
+        .flat_map(|k| format!("{} {} {k}.5\n{comment}", k % 9 + 1, k % 7 + 1).into_bytes())
+        .collect()
+}
+
+/// Entries read, or the expected error's variant and line.
+type Expect = Result<usize, (&'static str, usize)>;
+
+#[test]
+fn hostile_inputs_read_the_same_at_every_pool_width_and_chunk_size() {
+    // (input after a good first line, expected error variant and line, or
+    // `Ok` with the number of entries).  Every input has order 2.
+    let nbsp = "\u{a0}";
+    let cases: Vec<(Vec<u8>, Expect)> = vec![
+        (b"1 1 1.0\n2 2 2.0".to_vec(), Ok(2)),
+        (b"1 1 1.0\r\n2 2 2.0\r\n\r\n".to_vec(), Ok(2)),
+        (b"1 1 1.0\n+2 +2 +2.5\n".to_vec(), Ok(2)),
+        (b"1 1 1.0\n2\t2\x0c 2.0 \n".to_vec(), Ok(2)),
+        (
+            b"1 1 1.0\n1 18446744073709551616 1.0\n".to_vec(),
+            Err(("Parse", 2)),
+        ),
+        (b"1 1 1.0\n1 -1 1.0\n".to_vec(), Err(("Parse", 2))),
+        (b"1 1 1.0\n1 1\x00 1.0\n".to_vec(), Err(("Parse", 2))),
+        (b"1 1 1.0\n\x00\n".to_vec(), Err(("Parse", 2))),
+        (b"1 1 1.0\n\xff\xfe garbage\n".to_vec(), Err(("Parse", 2))),
+        (b"1 1 1.0\n# caf\xe9\n2 2 2.0\n".to_vec(), Err(("Parse", 2))),
+        (b"1 1 1.0\n2 2 2.\xe9\n".to_vec(), Err(("Parse", 2))),
+        (
+            format!("1 1 1.0\n2{nbsp}2 2.0\n").into_bytes(),
+            Err(("Parse", 2)),
+        ),
+        (
+            format!("1 1 1.0\n2 2{nbsp}2.0\n").into_bytes(),
+            Err(("Parse", 2)),
+        ),
+        (b"1 1 1.0\n2\x0b2 2.0\n".to_vec(), Err(("Parse", 2))),
+        (b"1 1 1.0\n2 2 inf\n".to_vec(), Err(("Parse", 2))),
+        (b"1 1 1.0\n2 2 2.0\n0 1 3.0\n".to_vec(), Err(("Parse", 3))),
+    ];
+    let pools = pools();
+    let check = |data: &[u8], expect: Expect| {
+        let got = read_everywhere(data, &pools);
+        match (got, expect) {
+            (Ok((_, _, values, _)), Ok(n)) => assert_eq!(values.len(), n),
+            (Err(e), Err((variant, line))) => assert!(
+                e.starts_with(&format!("{variant}({line},")),
+                "{:?}: expected {variant} on line {line}, got {e}",
+                String::from_utf8_lossy(data)
+            ),
+            (got, expect) => panic!(
+                "{:?}: expected {expect:?}, got {got:?}",
+                String::from_utf8_lossy(data)
+            ),
+        }
+    };
+    // Behind 200 good entries (≈ 200 KiB, so a window is split across the
+    // pool) and ahead of 30 more.
+    let (before, after) = (200, 30);
+    for (input, expect) in cases {
+        check(&input, expect);
+        let mut data = filler(before);
+        data.extend_from_slice(&input);
+        let unterminated = !input.ends_with(b"\n");
+        if unterminated {
+            data.push(b'\n');
+        }
+        data.extend_from_slice(&filler(after));
+        let shifted = expect
+            .map(|n| before + n + after)
+            .map_err(|(variant, line)| (variant, 2 * before + line));
+        check(&data, shifted);
+    }
+    // The typed errors name the offending field or the encoding.
+    let err = read_tns(Cursor::new(&b"1 1 1.0\n\xff\n"[..]), None).unwrap_err();
+    assert!(format!("{err}").contains("not valid UTF-8"), "{err}");
+    let err = read_tns(Cursor::new(format!("7{nbsp}7 1.0\n")), None).unwrap_err();
+    assert!(
+        format!("{err}").contains("invalid index '7\u{a0}7'"),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_line_cut_by_the_read_window_parses_the_same_at_every_byte() {
+    // The reader fills its window from the source 256 KiB at a time: put
+    // each byte of the probe line on that boundary in turn.
+    const BLOCK: usize = 256 * 1024;
+    let pools = pools();
+    for (probe, expect) in [
+        (&b"123 45 6.75\r\n"[..], Ok(())),
+        (&b"123 4\xff5 6.75\n"[..], Err("Parse(")),
+    ] {
+        for k in 0..=probe.len() {
+            let mut data = filler(BLOCK / 1100);
+            // Pad with a comment so the probe starts at BLOCK - k.
+            let pad = BLOCK - k - data.len();
+            data.push(b'#');
+            data.extend(std::iter::repeat_n(b'x', pad - 2));
+            data.push(b'\n');
+            data.extend_from_slice(probe);
+            data.extend_from_slice(&filler(5));
+            let probe_line = 2 * (BLOCK / 1100) + 2;
+            match (read_everywhere(&data, &pools), expect) {
+                (Ok((_, indices, _, _)), Ok(())) => {
+                    assert_eq!(&indices[2 * (BLOCK / 1100)..][..2], &[122, 44], "k {k}");
+                }
+                (Err(e), Err(prefix)) => {
+                    assert!(
+                        e.starts_with(&format!("{prefix}{probe_line},")),
+                        "k {k}: {e}"
+                    );
+                }
+                (got, _) => panic!("k {k}: {got:?}"),
+            }
+        }
+    }
 }
