@@ -3,7 +3,7 @@
 //! Every table of the paper's evaluation section (Tables I–V) has a binary
 //! in `src/bin/` that regenerates it on scaled-down synthetic data or a
 //! `--tns` file; `tests/tables_golden.rs` snapshots their `--tns` output.
-//! Beside them live three gates (`kernels`, `chaos`, `ingest`), the fixture
+//! Beside them live two gates (`kernels`, `chaos`), the fixture
 //! generator and the partitioner bench under `benches/`.  End-to-end and
 //! per-layer performance is measured by the repo benchmark in `benchmark/`
 //! (see its README), not here.
@@ -78,7 +78,7 @@ pub fn simulated_iteration_seconds(
     cost.total_seconds()
 }
 
-/// Command-line options shared by the table and ingest binaries: an optional
+/// Command-line options shared by the table binaries: an optional
 /// real `.tns` tensor to run on instead of the synthetic profiles
 /// (ROADMAP "Large-scale validation"), and the Tucker ranks to use for it.
 #[derive(Debug, Default, Clone)]
@@ -174,7 +174,7 @@ pub fn cli_args() -> CliArgs {
 }
 
 /// Builds the streaming-reader options the CLI flags ask for.
-pub fn stream_options(args: &CliArgs) -> StreamOptions {
+fn stream_options(args: &CliArgs) -> StreamOptions {
     let mut options = StreamOptions::new();
     if let Some(chunk) = args.chunk {
         options = options.chunk_nonzeros(chunk);

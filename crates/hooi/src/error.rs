@@ -124,7 +124,7 @@ pub enum TuckerError {
         detail: String,
     },
     /// A `.tns` ingestion failure — parse error, index out of the declared
-    /// range, rejected duplicate, truncated file, or an I/O fault — with
+    /// range, empty or truncated file, or an I/O fault — with
     /// the reader's message (line numbers included) carried as a string so
     /// the error stays `Eq`-comparable.  Produced by the `From`
     /// conversion from [`sptensor::io::TensorIoError`], so `?` works across

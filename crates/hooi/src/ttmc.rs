@@ -177,10 +177,13 @@ fn prefetch(row: &[f64]) {
 
 /// Order-3 micro-kernel: accumulates `Σ_k x_k · (U_a(i_a) ⊗ U_b(i_b))` into
 /// `out`, streaming the mode-sorted `values`/`coords` arrays.  The scaled
-/// outer product of the two factor rows is written directly (coefficient
-/// hoisted per `a`-entry, inner axpy on SIMD lanes); the per-element
-/// operations and their order match [`accumulate_scaled_kron`]'s two-factor
-/// branch exactly, so the result is bit-identical to the generic path.
+/// outer product of the two factor rows is written directly by
+/// [`simd::scaled_outer2`] (coefficient hoisted per `a`-entry with a
+/// zero-coefficient skip, bit-transparent for finite inputs; inner axpy on
+/// SIMD lanes); the per-element operations and their order match
+/// [`accumulate_scaled_kron`]'s two-factor branch exactly, so the result is
+/// bit-identical to the generic path, and the CSF kernel calls the same
+/// body, so the two layouts run byte-for-byte the same arithmetic.
 ///
 /// [`accumulate_scaled_kron`]: sptensor::kron::accumulate_scaled_kron
 fn compute_row3(
@@ -198,31 +201,15 @@ fn compute_row3(
         }
         let u = fa.row(coords[2 * k]);
         let v = fb.row(coords[2 * k + 1]);
-        scaled_outer2(isa, x, u, v, out);
+        simd::scaled_outer2(isa, x, u, v, out);
     }
-}
-
-/// The per-nonzero body of the order-3 kernel: `out += x · (u ⊗ v)`,
-/// coefficient hoisted per `u`-entry with a **zero-coefficient skip**
-/// (bit-transparent for finite inputs; see
-/// [`sptensor::kron::accumulate_scaled_kron_isa`] for the contract), inner
-/// axpy on the runtime-dispatched SIMD lanes ([`sptensor::simd`]).  Shared
-/// by the mode-sorted and CSF streaming kernels so the two layouts run
-/// byte-for-byte the same arithmetic; `Scalar` and `Avx2` produce identical
-/// bits.
-///
-/// `out` is row-major `u.len() × v.len()`.  Public so the kernel microbench
-/// (`bench --bin kernels`) and the equivalence tests drive exactly the body
-/// the TTMc sweeps run.
-#[inline(always)]
-pub fn scaled_outer2(isa: KernelIsa, x: f64, u: &[f64], v: &[f64], out: &mut [f64]) {
-    simd::scaled_outer2(isa, x, u, v, out);
 }
 
 /// Order-4 micro-kernel: accumulates
 /// `Σ_k x_k · (U_a(i_a) ⊗ U_b(i_b) ⊗ U_c(i_c))` into `out`, streaming the
 /// mode-sorted `values`/`coords` arrays without materializing the Kronecker
-/// product.
+/// product; [`simd::scaled_outer3`] is the per-nonzero body, shared with
+/// the CSF kernel.
 ///
 /// Bit-identity contract: the generic path ([`accumulate_scaled_kron`]'s
 /// arity ≥ 3 branch) expands `((1.0·u_i)·v_j)·w_k` via [`kron_rows`] and
@@ -252,26 +239,8 @@ fn compute_row4(
         let u = fa.row(coords[3 * k]);
         let v = fb.row(coords[3 * k + 1]);
         let w = fc.row(coords[3 * k + 2]);
-        scaled_outer3(isa, x, u, v, w, out);
+        simd::scaled_outer3(isa, x, u, v, w, out);
     }
-}
-
-/// The per-nonzero body of the order-4 kernel:
-/// `out += x · (u ⊗ v ⊗ w)` without materializing the Kronecker product, on
-/// the runtime-dispatched SIMD lanes ([`sptensor::simd`]).  Shared by the
-/// mode-sorted and CSF streaming kernels so the two layouts run
-/// byte-for-byte the same arithmetic.
-///
-/// Contract: each element computes `t = (u_i·v_j)·w_k` then `acc += x·t` —
-/// `x` multiplies **last** and there is **no** zero-coefficient skip,
-/// matching the materialized arity-3 path of
-/// [`sptensor::kron::accumulate_scaled_kron_isa`] bit for bit (see the
-/// zero-coefficient contract there for why the arity-2 skip is nonetheless
-/// equivalent).  `out` is row-major `u.len()·v.len() × w.len()`.  Public
-/// for the kernel microbench and the equivalence tests.
-#[inline(always)]
-pub fn scaled_outer3(isa: KernelIsa, x: f64, u: &[f64], v: &[f64], w: &[f64], out: &mut [f64]) {
-    simd::scaled_outer3(isa, x, u, v, w, out);
 }
 
 /// Computes one row of the compact TTMc result from a CSF fiber hierarchy,
@@ -280,8 +249,8 @@ pub fn scaled_outer3(isa: KernelIsa, x: f64, u: &[f64], v: &[f64], w: &[f64], ou
 /// Root slice `row_position` of the hierarchy aligns with the symbolic
 /// data's `rows[row_position]` because the hierarchy is built from the same
 /// update-list permutation.  Arities 2 and 3 stream through the shared
-/// per-nonzero bodies of the flat micro-kernels ([`scaled_outer2`] /
-/// [`scaled_outer3`]) with the factor-row lookups hoisted per fiber; every
+/// per-nonzero bodies of the flat micro-kernels ([`simd::scaled_outer2`] /
+/// [`simd::scaled_outer3`]) with the factor-row lookups hoisted per fiber; every
 /// other arity walks the hierarchy and feeds [`accumulate_scaled_kron`] with
 /// the factor rows in ascending foreign-mode order — exactly what the COO
 /// gather does — so all layouts produce the same bits.
@@ -321,7 +290,7 @@ fn compute_row_csf<'a, I: CsfIndex>(
 }
 
 /// Order-3 CSF kernel: one `U_a` row lookup per level-0 fiber, the leaf
-/// level streams `(i_b, x)` pairs through [`scaled_outer2`].
+/// level streams `(i_b, x)` pairs through [`simd::scaled_outer2`].
 fn compute_row3_csf<I: CsfIndex>(
     csf: &CsfData<I>,
     p: usize,
@@ -340,13 +309,13 @@ fn compute_row3_csf<I: CsfIndex>(
                 prefetch(fb.row(ids[k + 1].to_usize()));
             }
             let v = fb.row(ids[k].to_usize());
-            scaled_outer2(isa, x, u, v, out);
+            simd::scaled_outer2(isa, x, u, v, out);
         }
     }
 }
 
 /// Order-4 CSF kernel: `U_a` hoisted per level-0 fiber, `U_b` per level-1
-/// fiber, leaves stream `(i_c, x)` through [`scaled_outer3`].
+/// fiber, leaves stream `(i_c, x)` through [`simd::scaled_outer3`].
 #[allow(clippy::too_many_arguments)]
 fn compute_row4_csf<I: CsfIndex>(
     csf: &CsfData<I>,
@@ -370,7 +339,7 @@ fn compute_row4_csf<I: CsfIndex>(
                     prefetch(fc.row(ids[k + 1].to_usize()));
                 }
                 let w = fc.row(ids[k].to_usize());
-                scaled_outer3(isa, x, u, v, w, out);
+                simd::scaled_outer3(isa, x, u, v, w, out);
             }
         }
     }

@@ -108,16 +108,6 @@ impl ParRange {
         }
     }
 
-    /// Groups the indices into consecutive chunks of `size` (the last chunk
-    /// may be shorter); each chunk is one item downstream.
-    pub fn chunks(self, size: usize) -> ParRangeChunks {
-        assert!(size > 0, "chunk size must be positive");
-        ParRangeChunks {
-            range: self.range,
-            size,
-        }
-    }
-
     /// Runs `f` on every index.
     pub fn for_each<F>(self, f: F)
     where
@@ -177,75 +167,6 @@ impl<F> ParRangeMap<F> {
         F: Fn(usize) -> T + Sync,
     {
         self.reduce(T::default, |a, b| a + b)
-    }
-}
-
-/// `chunks` adapter over a parallel range: items are `Vec<usize>` index
-/// chunks.
-pub struct ParRangeChunks {
-    range: Range<usize>,
-    size: usize,
-}
-
-impl ParRangeChunks {
-    /// Maps every index chunk through `f`.
-    pub fn map<T, F>(self, f: F) -> ParRangeChunksMap<F>
-    where
-        T: Send,
-        F: Fn(Vec<usize>) -> T + Sync,
-    {
-        ParRangeChunksMap {
-            range: self.range,
-            size: self.size,
-            f,
-        }
-    }
-}
-
-/// `chunks(..).map(..)` adapter over a parallel range.
-pub struct ParRangeChunksMap<F> {
-    range: Range<usize>,
-    size: usize,
-    f: F,
-}
-
-impl<F> ParRangeChunksMap<F> {
-    /// The chunk with index `c` as the concrete index vector it stands for.
-    fn chunk_indices(&self, c: usize) -> Vec<usize> {
-        let lo = self.range.start + c * self.size;
-        let hi = (lo + self.size).min(self.range.end);
-        (lo..hi).collect()
-    }
-
-    /// Folds the mapped chunk values with `op`, seeding every span with
-    /// `identity()` and folding span results in chunk order.
-    pub fn reduce<T>(self, identity: impl Fn() -> T + Sync, op: impl Fn(T, T) -> T + Sync) -> T
-    where
-        T: Send,
-        F: Fn(Vec<usize>) -> T + Sync,
-    {
-        let num_chunks = self.range.len().div_ceil(self.size);
-        let this = &self;
-        reduce_spans(num_chunks, &identity, &op, |mut acc, span| {
-            for c in span {
-                acc = op(acc, (this.f)(this.chunk_indices(c)));
-            }
-            acc
-        })
-    }
-
-    /// Collects the mapped chunk values in chunk order.
-    pub fn collect<T, C>(self) -> C
-    where
-        T: Send,
-        F: Fn(Vec<usize>) -> T + Sync,
-        C: From<Vec<T>>,
-    {
-        let num_chunks = self.range.len().div_ceil(self.size);
-        let this = &self;
-        C::from(collect_spans(num_chunks, |span| {
-            span.map(|c| (this.f)(this.chunk_indices(c))).collect()
-        }))
     }
 }
 

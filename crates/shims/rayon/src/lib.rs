@@ -3,9 +3,9 @@
 //! The build environment has no access to crates.io, so the workspace ships
 //! this data-parallelism runtime with the subset of the rayon API the
 //! repository uses: `par_iter_mut`, `par_chunks_mut`, `into_par_iter` on
-//! ranges and vectors (with `map`/`chunks`/`collect`/`reduce`/
-//! `for_each_init`), [`current_num_threads`], [`join`], [`scope`], and
-//! [`ThreadPoolBuilder`] / [`ThreadPool`] with `install`.
+//! ranges and vectors (with `map`/`collect`/`reduce`/`for_each_init`),
+//! [`current_num_threads`], [`join`], [`scope`], and [`ThreadPoolBuilder`] /
+//! [`ThreadPool`] with `install`.
 //!
 //! Unlike a mock, this is a *real* parallel runtime — and since the rewrite
 //! in [`pool`] it is a **persistent work-stealing one**: a pool's worker
@@ -31,7 +31,7 @@ pub mod pool;
 
 pub use iter::{
     IntoParallelIterator, ParChunksMut, ParChunksMutEnumerate, ParIterMut, ParIterMutEnumerate,
-    ParRange, ParRangeChunks, ParRangeChunksMap, ParRangeMap, ParVec, ParVecMap, ParallelSliceMut,
+    ParRange, ParRangeMap, ParVec, ParVecMap, ParallelSliceMut,
 };
 pub use pool::{
     current_num_threads, join, scope, weighted_span_boundaries, worker_threads_spawned, Scope,
@@ -52,16 +52,6 @@ mod tests {
     fn range_map_collect_preserves_order() {
         let v: Vec<usize> = (0..1000).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(v, (0..1000).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_chunks_map_reduce_sums() {
-        let total: u64 = (0..10_000usize)
-            .into_par_iter()
-            .chunks(64)
-            .map(|chunk| chunk.iter().map(|&i| i as u64).sum::<u64>())
-            .reduce(|| 0, |a, b| a + b);
-        assert_eq!(total, 10_000 * 9_999 / 2);
     }
 
     #[test]
@@ -136,16 +126,15 @@ mod tests {
 
     #[test]
     fn reduce_with_nontrivial_identity() {
-        let acc = (0..257usize)
+        let concat = |mut a: Vec<usize>, mut b: Vec<usize>| {
+            a.append(&mut b);
+            a
+        };
+        let acc = (0..257)
             .into_par_iter()
-            .chunks(16)
-            .map(|chunk| vec![chunk.len()])
-            .reduce(Vec::new, |mut a, mut b| {
-                a.append(&mut b);
-                a
-            });
-        let total: usize = acc.iter().sum();
-        assert_eq!(total, 257);
+            .map(|i| vec![i])
+            .reduce(Vec::new, concat);
+        assert_eq!(acc, (0..257).collect::<Vec<_>>());
     }
 
     #[test]

@@ -41,27 +41,15 @@ proptest! {
     }
 
     #[test]
-    fn range_chunks_reduce_matches_serial(len in 0usize..600, chunk in 1usize..48, threads in 1usize..9) {
+    fn range_map_reduce_matches_serial(len in 0usize..600, threads in 1usize..9) {
         let parallel: u64 = pool_with(threads).install(|| {
             (0..len)
                 .into_par_iter()
-                .chunks(chunk)
-                .map(|c| c.iter().map(|&i| (i as u64) * (i as u64)).sum::<u64>())
+                .map(|i| (i as u64) * (i as u64))
                 .reduce(|| 0, |a, b| a + b)
         });
         let serial: u64 = (0..len).map(|i| (i as u64) * (i as u64)).sum();
         prop_assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn order_sensitive_chunk_collect(len in 0usize..500, chunk in 1usize..40, threads in 1usize..9) {
-        // Collecting the chunks themselves is order-sensitive: concatenated
-        // output must reproduce 0..len exactly.
-        let chunks: Vec<Vec<usize>> = pool_with(threads).install(|| {
-            (0..len).into_par_iter().chunks(chunk).map(|c| c).collect()
-        });
-        let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-        prop_assert_eq!(flat, (0..len).collect::<Vec<_>>());
     }
 
     #[test]
@@ -145,14 +133,13 @@ proptest! {
     }
 
     #[test]
-    fn order_sensitive_concat_reduce(len in 0usize..250, chunk in 1usize..24, threads in 1usize..9) {
+    fn order_sensitive_concat_reduce(len in 0usize..250, threads in 1usize..9) {
         // Concatenation is associative but not commutative: the reduce
         // contract (span-order fold) must reproduce the serial sequence.
         let parallel: Vec<usize> = pool_with(threads).install(|| {
             (0..len)
                 .into_par_iter()
-                .chunks(chunk)
-                .map(|c| c)
+                .map(|i| vec![i])
                 .reduce(Vec::new, |mut a, mut b| {
                     a.append(&mut b);
                     a

@@ -6,7 +6,6 @@
 //! coordinates contiguous — the access pattern of the nonzero-based TTMc.
 
 use crate::hash::FxHashMap;
-use std::cmp::Ordering;
 
 /// An order-`N` sparse tensor in coordinate format with `f64` values.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,52 +159,6 @@ impl SparseTensor {
         } else {
             self.nnz() as f64 / total
         }
-    }
-
-    /// Sorts the nonzeros lexicographically by index tuple (stable order for
-    /// reproducible parallel runs and I/O).
-    pub fn sort(&mut self) {
-        let n = self.order();
-        let mut perm: Vec<usize> = (0..self.nnz()).collect();
-        let indices = &self.indices;
-        perm.sort_by(|&a, &b| {
-            let ia = &indices[a * n..(a + 1) * n];
-            let ib = &indices[b * n..(b + 1) * n];
-            ia.cmp(ib)
-        });
-        self.apply_permutation(&perm);
-    }
-
-    /// Sorts the nonzeros by their index in `mode` (ties broken
-    /// lexicographically); this groups together the nonzeros of each
-    /// mode-`mode` slice, the layout assumed by the coarse-grain owner-of-row
-    /// task definition.
-    pub fn sort_by_mode(&mut self, mode: usize) {
-        assert!(mode < self.order());
-        let n = self.order();
-        let mut perm: Vec<usize> = (0..self.nnz()).collect();
-        let indices = &self.indices;
-        perm.sort_by(|&a, &b| {
-            let ia = &indices[a * n..(a + 1) * n];
-            let ib = &indices[b * n..(b + 1) * n];
-            match ia[mode].cmp(&ib[mode]) {
-                Ordering::Equal => ia.cmp(ib),
-                other => other,
-            }
-        });
-        self.apply_permutation(&perm);
-    }
-
-    fn apply_permutation(&mut self, perm: &[usize]) {
-        let n = self.order();
-        let mut new_indices = Vec::with_capacity(self.indices.len());
-        let mut new_values = Vec::with_capacity(self.values.len());
-        for &p in perm {
-            new_indices.extend_from_slice(&self.indices[p * n..(p + 1) * n]);
-            new_values.push(self.values[p]);
-        }
-        self.indices = new_indices;
-        self.values = new_values;
     }
 
     /// Merges duplicate coordinates by summing their values and drops exact
@@ -390,26 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_lexicographic() {
-        let mut t = sample3();
-        t.sort();
-        let firsts: Vec<usize> = (0..t.nnz()).map(|k| t.index(k)[0]).collect();
-        assert_eq!(firsts, vec![0, 0, 1, 2]);
-        assert_eq!(t.index(0), &[0, 0, 0]);
-        assert_eq!(t.index(1), &[0, 1, 1]);
-    }
-
-    #[test]
-    fn sort_by_mode_groups_slices() {
-        let mut t = sample3();
-        t.sort_by_mode(2);
-        let thirds: Vec<usize> = (0..t.nnz()).map(|k| t.index(k)[2]).collect();
-        let mut sorted = thirds.clone();
-        sorted.sort_unstable();
-        assert_eq!(thirds, sorted);
-    }
-
-    #[test]
     fn coalesce_merges_duplicates() {
         let mut t = SparseTensor::from_entries(
             vec![2, 2],
@@ -424,7 +357,7 @@ mod tests {
         let removed = t.coalesce();
         assert_eq!(removed, 3);
         assert_eq!(t.nnz(), 2);
-        t.sort();
+        // Survivors come out in lexicographic index order.
         assert_eq!(t.index(0), &[0, 0]);
         assert_eq!(t.value(0), 3.0);
         assert_eq!(t.index(1), &[1, 1]);

@@ -211,7 +211,8 @@ impl<I: CsfIndex> CsfData<I> {
     }
 }
 
-/// Incremental fiber-hierarchy builder shared by the COO and streamed paths.
+/// Incremental fiber-hierarchy builder: rows in order, then each row's
+/// nonzeros in leaf order.
 #[derive(Debug)]
 struct RawBuilder<I: CsfIndex> {
     mode: usize,
@@ -367,15 +368,6 @@ impl CsfMode {
         }
     }
 
-    /// Builds the hierarchy for `mode` directly from a COO tensor, deriving
-    /// the mode-sorted permutation (stable counting sort: root slices in
-    /// ascending index order, nonzeros within a slice in ascending COO id
-    /// order — exactly the symbolic update-list order).
-    pub fn from_coo(tensor: &SparseTensor, mode: usize) -> CsfMode {
-        let (perm, row_ptr) = mode_permutation(tensor, mode);
-        Self::build(tensor, mode, &perm, &row_ptr)
-    }
-
     /// The mode this hierarchy is rooted at.
     pub fn mode(&self) -> usize {
         dispatch!(self, d => d.mode())
@@ -453,212 +445,6 @@ fn build_from_perm<I: CsfIndex>(
     b.finish()
 }
 
-/// The mode-sorted permutation of a tensor's nonzeros: a stable counting
-/// sort by the mode-`mode` index (ascending slice index, ties in ascending
-/// COO id order) plus compressed row pointers over the non-empty slices.
-/// This matches the update-list order of the symbolic TTMc data, so layouts
-/// built from it accumulate in the same order as the COO kernels.
-pub fn mode_permutation(tensor: &SparseTensor, mode: usize) -> (Vec<usize>, Vec<usize>) {
-    let dim = tensor.dims()[mode];
-    let nnz = tensor.nnz();
-    let mut counts = vec![0usize; dim];
-    for id in 0..nnz {
-        counts[tensor.index(id)[mode]] += 1;
-    }
-    let mut starts = vec![0usize; dim];
-    let mut acc = 0usize;
-    for (s, &c) in starts.iter_mut().zip(counts.iter()) {
-        *s = acc;
-        acc += c;
-    }
-    let mut perm = vec![0usize; nnz];
-    {
-        let mut cursor = starts.clone();
-        for id in 0..nnz {
-            let slot = &mut cursor[tensor.index(id)[mode]];
-            perm[*slot] = id;
-            *slot += 1;
-        }
-    }
-    let mut row_ptr = Vec::new();
-    row_ptr.push(0);
-    for (i, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            row_ptr.push(starts[i] + c);
-        }
-    }
-    (perm, row_ptr)
-}
-
-/// Streamed fiber-hierarchy builder: accepts nonzeros grouped by their
-/// mode-`mode` index (non-decreasing root order, as produced by an external
-/// sort) without materializing COO first.
-#[derive(Debug)]
-pub struct CsfModeBuilder {
-    mode: usize,
-    inner: BuilderInner,
-    last_root: Option<usize>,
-    coords: Vec<usize>,
-}
-
-#[derive(Debug)]
-enum BuilderInner {
-    Small(RawBuilder<u32>),
-    Wide(RawBuilder<usize>),
-}
-
-impl CsfModeBuilder {
-    /// Starts a builder for `mode` of a tensor with the given dimensions and
-    /// (exact or upper-bound) nonzero count; the count participates in the
-    /// `u32`-vs-`usize` width decision, so it must not under-report.
-    pub fn new(mode: usize, dims: &[usize], nnz: usize) -> Self {
-        assert!(mode < dims.len());
-        let arity = dims.len() - 1;
-        let inner = if CsfMode::fits_u32(dims, mode, nnz) {
-            BuilderInner::Small(RawBuilder::new(mode, arity, nnz))
-        } else {
-            BuilderInner::Wide(RawBuilder::new(mode, arity, nnz))
-        };
-        CsfModeBuilder {
-            mode,
-            inner,
-            last_root: None,
-            coords: vec![0; arity],
-        }
-    }
-
-    /// Appends one nonzero; `index` holds all modes' indices.
-    ///
-    /// # Panics
-    /// Panics if the stream is not grouped by non-decreasing mode index —
-    /// the upstream sort is expected to have established that order.
-    pub fn push(&mut self, index: &[usize], value: f64) {
-        let root = index[self.mode];
-        let new_row = self.last_root != Some(root);
-        if new_row {
-            assert!(
-                self.last_root.is_none_or(|r| root > r),
-                "CSF stream must be grouped by non-decreasing mode index"
-            );
-            self.last_root = Some(root);
-        }
-        let mut c = 0;
-        for (t, &i) in index.iter().enumerate() {
-            if t != self.mode {
-                self.coords[c] = i;
-                c += 1;
-            }
-        }
-        match &mut self.inner {
-            BuilderInner::Small(b) => {
-                if new_row {
-                    b.start_row(root);
-                }
-                b.push_foreign(&self.coords, value);
-            }
-            BuilderInner::Wide(b) => {
-                if new_row {
-                    b.start_row(root);
-                }
-                b.push_foreign(&self.coords, value);
-            }
-        }
-    }
-
-    /// Number of nonzeros pushed so far.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            BuilderInner::Small(b) => b.values.len(),
-            BuilderInner::Wide(b) => b.values.len(),
-        }
-    }
-
-    /// Whether no nonzeros have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Finalizes the hierarchy.
-    pub fn finish(self) -> CsfMode {
-        match self.inner {
-            BuilderInner::Small(b) => CsfMode::Small(b.finish()),
-            BuilderInner::Wide(b) => CsfMode::Wide(b.finish()),
-        }
-    }
-}
-
-/// All modes' fiber hierarchies of one tensor — the standalone compressed
-/// representation for tensors ingested from disk.
-#[derive(Debug, Clone)]
-pub struct CsfTensor {
-    dims: Vec<usize>,
-    nnz: usize,
-    modes: Vec<CsfMode>,
-}
-
-impl CsfTensor {
-    /// Builds every mode's hierarchy from a COO tensor.
-    pub fn from_coo(tensor: &SparseTensor) -> Self {
-        let modes = (0..tensor.order())
-            .map(|m| CsfMode::from_coo(tensor, m))
-            .collect();
-        CsfTensor {
-            dims: tensor.dims().to_vec(),
-            nnz: tensor.nnz(),
-            modes,
-        }
-    }
-
-    /// Assembles a tensor from per-mode hierarchies built elsewhere (e.g. by
-    /// streamed ingestion).  Every hierarchy must store the same nonzeros.
-    pub fn from_modes(dims: Vec<usize>, modes: Vec<CsfMode>) -> Self {
-        assert_eq!(dims.len(), modes.len(), "one hierarchy per mode");
-        let nnz = modes.first().map_or(0, CsfMode::nnz);
-        for m in &modes {
-            assert_eq!(m.nnz(), nnz, "mode hierarchies disagree on nnz");
-        }
-        CsfTensor { dims, nnz, modes }
-    }
-
-    /// The tensor dimensions.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Number of modes.
-    pub fn order(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Number of nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// The fiber hierarchy rooted at `mode`.
-    pub fn mode(&self, mode: usize) -> &CsfMode {
-        &self.modes[mode]
-    }
-
-    /// Approximate memory footprint in bytes, summed over all modes.
-    pub fn memory_bytes(&self) -> usize {
-        self.modes.iter().map(CsfMode::memory_bytes).sum()
-    }
-
-    /// Reconstructs the COO tensor from the mode-0 hierarchy (leaf order),
-    /// mainly for tests and round-trip checks.
-    pub fn to_coo(&self) -> SparseTensor {
-        let mut t = SparseTensor::with_capacity(self.dims.clone(), self.nnz);
-        let mut index = vec![0usize; self.order()];
-        self.modes[0].for_each_nonzero(|root, foreign, value| {
-            index[0] = root;
-            index[1..].copy_from_slice(foreign);
-            t.push(&index, value);
-        });
-        t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,21 +463,25 @@ mod tests {
         )
     }
 
-    #[test]
-    fn mode_permutation_matches_stable_sort() {
-        let t = sample();
-        let (perm, row_ptr) = mode_permutation(&t, 1);
-        // Slice 0 owns ids {0, 1, 5}, slice 1 owns {2, 3}, slice 2 owns {4}.
-        assert_eq!(perm, vec![0, 1, 5, 2, 3, 4]);
-        assert_eq!(row_ptr, vec![0, 3, 5, 6]);
+    /// Builds `mode`'s hierarchy in update-list order: ids stably sorted by
+    /// their mode-`mode` index, one row per non-empty slice.
+    fn build_sorted(t: &SparseTensor, mode: usize) -> (CsfMode, Vec<usize>) {
+        let mut perm: Vec<usize> = (0..t.nnz()).collect();
+        perm.sort_by_key(|&id| t.index(id)[mode]);
+        let mut row_ptr = vec![0];
+        for k in 1..=perm.len() {
+            if k == perm.len() || t.index(perm[k])[mode] != t.index(perm[k - 1])[mode] {
+                row_ptr.push(k);
+            }
+        }
+        (CsfMode::build(t, mode, &perm, &row_ptr), perm)
     }
 
     #[test]
     fn leaf_order_is_permutation_order() {
         let t = sample();
         for mode in 0..t.order() {
-            let (perm, row_ptr) = mode_permutation(&t, mode);
-            let csf = CsfMode::build(&t, mode, &perm, &row_ptr);
+            let (csf, perm) = build_sorted(&t, mode);
             assert_eq!(csf.nnz(), t.nnz());
             let mut seen = Vec::new();
             csf.for_each_nonzero(|root, foreign, value| {
@@ -712,7 +502,7 @@ mod tests {
     #[test]
     fn fibers_compress_shared_prefixes() {
         let t = sample();
-        let csf = CsfMode::from_coo(&t, 0);
+        let (csf, _) = build_sorted(&t, 0);
         // Mode 0: slices {0, 2, 3}; slice 0 has leaves (0,0) (0,2) (1,2):
         // two level-0 fibers (j=0 with two leaves, j=1 with one).
         assert_eq!(csf.num_rows(), 3);
@@ -726,10 +516,11 @@ mod tests {
         let huge = (u32::MAX as usize) + 2;
         assert!(!CsfMode::fits_u32(&[4, huge, 5], 0, 10));
         assert!(CsfMode::fits_u32(&[4, huge, 5], 1, 10));
-        let mut b = CsfModeBuilder::new(0, &[4, huge, 5], 2);
-        b.push(&[0, huge - 1, 1], 1.5);
-        b.push(&[2, 3, 0], -1.0);
-        let csf = b.finish();
+        let t = SparseTensor::from_entries(
+            vec![4, huge, 5],
+            &[(vec![0, huge - 1, 1], 1.5), (vec![2, 3, 0], -1.0)],
+        );
+        let csf = CsfMode::build(&t, 0, &[0, 1], &[0, 1, 2]);
         assert!(!csf.is_narrow());
         let mut coords = Vec::new();
         csf.for_each_nonzero(|r, c, v| coords.push((r, c.to_vec(), v)));
@@ -738,55 +529,12 @@ mod tests {
     }
 
     #[test]
-    fn streamed_builder_matches_from_coo() {
-        let mut t = sample();
-        t.sort_by_mode(1);
-        let mut b = CsfModeBuilder::new(1, t.dims(), t.nnz());
-        for (idx, val) in t.iter() {
-            b.push(idx, val);
-        }
-        let streamed = b.finish();
-        let direct = CsfMode::from_coo(&t, 1);
-        let mut a = Vec::new();
-        let mut c = Vec::new();
-        streamed.for_each_nonzero(|r, f, v| a.push((r, f.to_vec(), v)));
-        direct.for_each_nonzero(|r, f, v| c.push((r, f.to_vec(), v)));
-        assert_eq!(a, c);
-        assert_eq!(streamed.num_fibers(0), direct.num_fibers(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn streamed_builder_rejects_unsorted_roots() {
-        let mut b = CsfModeBuilder::new(0, &[4, 4, 4], 3);
-        b.push(&[2, 0, 0], 1.0);
-        b.push(&[1, 0, 0], 1.0);
-    }
-
-    #[test]
-    fn csf_tensor_roundtrip_and_memory() {
-        let mut t = sample();
-        t.sort();
-        let csf = CsfTensor::from_coo(&t);
-        assert_eq!(csf.order(), 3);
-        assert_eq!(csf.nnz(), t.nnz());
-        assert!(csf.memory_bytes() > 0);
-        let back = csf.to_coo();
-        assert_eq!(back.nnz(), t.nnz());
-        let mut entries: Vec<_> = back.iter().map(|(i, v)| (i.to_vec(), v)).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut expect: Vec<_> = t.iter().map(|(i, v)| (i.to_vec(), v)).collect();
-        expect.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(entries, expect);
-    }
-
-    #[test]
     fn order_two_hierarchy_has_no_internal_levels() {
         let t = SparseTensor::from_entries(
             vec![3, 4],
             &[(vec![0, 1], 1.0), (vec![0, 3], 2.0), (vec![2, 0], 3.0)],
         );
-        let csf = CsfMode::from_coo(&t, 0);
+        let (csf, _) = build_sorted(&t, 0);
         assert_eq!(csf.arity(), 1);
         assert_eq!(csf.num_rows(), 2);
         let mut leaves = Vec::new();

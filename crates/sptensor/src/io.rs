@@ -23,17 +23,16 @@
 //! part per worker, and each worker parses its lines straight into its own
 //! slots of the chunk buffers, which are packed in line order before the
 //! sink sees them — so the chunks, the tensor and the first error are the
-//! same at every pool width.  On top of it:
+//! same at every pool width.  On top of it, [`read_tns`] /
+//! [`read_tns_file`] / [`read_tns_streamed`] / [`read_tns_file_streamed`]
+//! collect the chunks into a COO tensor, from which a plan derives every
+//! per-mode index structure.
 //!
-//! * [`read_tns`] / [`read_tns_file`] / [`read_tns_streamed`] — collect the
-//!   chunks into a COO tensor; convenient for anything that fits
-//!   comfortably in RAM.
-//! * [`external_sort_tns`] — an external merge sort: chunks are sorted and
-//!   spilled to binary run files in a temp directory, then
-//!   [`SortedRuns::for_each`] k-way-merges them back in sorted order with a
-//!   configurable [`DuplicatePolicy`] — the path by which a tensor larger
-//!   than RAM becomes a set of [`CsfMode`](crate::csf::CsfMode) hierarchies
-//!   ([`read_csf_tns_file`]) without ever existing as full COO.
+//! No reader rejects or merges a duplicated coordinate: it is kept as two
+//! nonzeros.  TTMc adds them linearly, but
+//! [`SparseTensor::frobenius_norm`] sums `a² + b²` where the tensor holds
+//! `(a + b)²`; call [`SparseTensor::coalesce`] on input that may repeat a
+//! coordinate.
 //!
 //! Fields are separated by ASCII whitespace (space, tab, CR, form feed);
 //! any other byte, Unicode whitespace such as U+00A0 included, belongs to a
@@ -47,13 +46,10 @@
 
 use crate::coo::SparseTensor;
 use rayon::prelude::*;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::ops::Range;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::path::Path;
 
 /// Errors produced while reading a tensor file.
 #[derive(Debug)]
@@ -75,14 +71,6 @@ pub enum TensorIoError {
         /// The declared size of that mode.
         size: usize,
     },
-    /// Two entries carried identical indices and the duplicate policy was
-    /// [`DuplicatePolicy::Reject`].
-    Duplicate {
-        /// 1-based line number of the later duplicate.
-        line: usize,
-        /// 1-based line number of the earlier occurrence.
-        earlier_line: usize,
-    },
     /// The file contained no nonzeros.
     Empty,
 }
@@ -100,10 +88,6 @@ impl std::fmt::Display for TensorIoError {
             } => write!(
                 f,
                 "index out of range on line {line}: index {index} of mode {mode} exceeds the declared size {size}"
-            ),
-            TensorIoError::Duplicate { line, earlier_line } => write!(
-                f,
-                "duplicate nonzero on line {line}: same indices as line {earlier_line}"
             ),
             TensorIoError::Empty => write!(f, "tensor file contains no nonzeros"),
         }
@@ -175,9 +159,9 @@ pub struct TnsInfo {
 pub struct StreamStats {
     /// Number of chunks handed to the sink.
     pub chunks: usize,
-    /// Peak bytes resident in the reader's nonzero buffers (indices, values
-    /// and line numbers), measured from the buffers' capacities: at most
-    /// `min(chunk_nonzeros, lines read) · (order + 2)` words, since the
+    /// Peak bytes resident in the reader's nonzero buffers (indices and
+    /// values), measured from the buffers' capacities: at most
+    /// `min(chunk_nonzeros, lines read) · (order + 1)` words, since the
     /// buffers grow only by the lines actually read.  Excludes the raw text
     /// ([`peak_window_bytes`](Self::peak_window_bytes)) and whatever the
     /// sink itself retains.
@@ -197,8 +181,6 @@ pub struct TnsChunk<'a> {
     pub indices: &'a [usize],
     /// One value per entry.
     pub values: &'a [f64],
-    /// 1-based source line of each entry.
-    pub lines: &'a [usize],
 }
 
 impl TnsChunk<'_> {
@@ -506,7 +488,6 @@ fn check_index(
 struct ChunkBuffers {
     indices: Vec<usize>,
     values: Vec<f64>,
-    lines: Vec<usize>,
 }
 
 impl ChunkBuffers {
@@ -515,16 +496,13 @@ impl ChunkBuffers {
     }
 
     fn capacity_bytes(&self) -> usize {
-        let word = std::mem::size_of::<usize>();
-        self.indices.capacity() * word
+        self.indices.capacity() * std::mem::size_of::<usize>()
             + self.values.capacity() * std::mem::size_of::<f64>()
-            + self.lines.capacity() * word
     }
 
     fn clear(&mut self) {
         self.indices.clear();
         self.values.clear();
-        self.lines.clear();
     }
 }
 
@@ -535,7 +513,6 @@ struct Part<'a> {
     first_line: usize,
     indices: &'a mut [usize],
     values: &'a mut [f64],
-    lines: &'a mut [usize],
     /// Entries parsed so far, packed at the front of the slots.
     entries: usize,
     /// Per-mode maxima of the 1-based indices parsed.
@@ -568,7 +545,6 @@ impl Part<'_> {
         let slot = self.entries;
         let index = &mut self.indices[slot * order..(slot + 1) * order];
         self.values[slot] = parse_entry(text, lineno, declared, index)?;
-        self.lines[slot] = lineno;
         for (max, &i) in self.maxes.iter_mut().zip(index.iter()) {
             *max = (*max).max(i + 1);
         }
@@ -613,34 +589,25 @@ fn parse_window(
     let filled = buffers.len();
     let lines: usize = part_lines.iter().sum();
     let slots = filled + lines;
-    for (buf, len) in [
-        (&mut buffers.indices, slots * order),
-        (&mut buffers.lines, slots),
-    ] {
-        buf.reserve_exact(len - buf.len());
-        buf.resize(len, 0);
-    }
+    buffers.indices.reserve_exact(lines * order);
+    buffers.indices.resize(slots * order, 0);
     buffers.values.reserve_exact(lines);
     buffers.values.resize(slots, 0.0);
 
     let mut parts = Vec::with_capacity(part_lines.len());
     let mut indices = &mut buffers.indices[filled * order..];
     let mut values = &mut buffers.values[filled..];
-    let mut line_nos = &mut buffers.lines[filled..];
     let mut line = first_line;
     for (span, &n) in cuts.windows(2).zip(&part_lines) {
         let (part_indices, rest) = std::mem::take(&mut indices).split_at_mut(n * order);
         indices = rest;
         let (part_values, rest) = std::mem::take(&mut values).split_at_mut(n);
         values = rest;
-        let (part_line_nos, rest) = std::mem::take(&mut line_nos).split_at_mut(n);
-        line_nos = rest;
         parts.push(Part {
             text: &text[span[0]..span[1]],
             first_line: line,
             indices: part_indices,
             values: part_values,
-            lines: part_line_nos,
             entries: 0,
             maxes: vec![0; order],
             error: None,
@@ -659,7 +626,7 @@ fn parse_window(
             *max = (*max).max(part_max);
         }
         packed.push((slot, part.entries));
-        slot += part.lines.len();
+        slot += part.values.len();
     }
     let mut len = filled;
     for (from, entries) in packed {
@@ -667,12 +634,10 @@ fn parse_window(
             .indices
             .copy_within(from * order..(from + entries) * order, len * order);
         buffers.values.copy_within(from..from + entries, len);
-        buffers.lines.copy_within(from..from + entries, len);
         len += entries;
     }
     buffers.indices.truncate(len * order);
     buffers.values.truncate(len);
-    buffers.lines.truncate(len);
     Ok(())
 }
 
@@ -727,7 +692,6 @@ where
             order,
             indices: &buffers.indices,
             values: &buffers.values,
-            lines: &buffers.lines,
         })?;
         buffers.clear();
         Ok(())
@@ -901,311 +865,6 @@ pub fn write_tns_file_with_header<P: AsRef<Path>>(
     write_tns_with_header(tensor, &mut writer)
 }
 
-// ---------------------------------------------------------------------------
-// External merge sort: spill sorted runs, k-way merge them back.
-// ---------------------------------------------------------------------------
-
-/// How [`SortedRuns::for_each`] treats entries with identical indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DuplicatePolicy {
-    /// Emit every entry, duplicates included (deterministic file order
-    /// within equal keys).
-    Keep,
-    /// Merge duplicates by summing their values; the merged entry keeps the
-    /// earliest line number.
-    Sum,
-    /// Fail with [`TensorIoError::Duplicate`] naming both lines.
-    Reject,
-}
-
-static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// The spilled, sorted runs of one external-sort pass over a `.tns` stream.
-///
-/// Run files live in the spill directory until the value is dropped.  Each
-/// record is `(order + 2) × 8` bytes: the 0-based indices, the source line,
-/// and the value, all little-endian.
-#[derive(Debug)]
-pub struct SortedRuns {
-    info: TnsInfo,
-    stats: StreamStats,
-    runs: Vec<PathBuf>,
-    sort_mode: Option<usize>,
-}
-
-impl Drop for SortedRuns {
-    fn drop(&mut self) {
-        for run in &self.runs {
-            std::fs::remove_file(run).ok();
-        }
-    }
-}
-
-/// Streams a `.tns` reader into sorted runs spilled under `spill_dir`.
-///
-/// Each chunk of `options.chunk_nonzeros` entries is sorted — by the
-/// `sort_mode` index first when given (ties full-lexicographic), plain
-/// lexicographic otherwise, with the source line as the final tie-break —
-/// and written to its own binary run file, so peak memory stays bounded by
-/// the chunk size regardless of the tensor's total size.
-pub fn external_sort_tns<R: BufRead>(
-    reader: R,
-    options: &StreamOptions,
-    sort_mode: Option<usize>,
-    spill_dir: &Path,
-) -> Result<SortedRuns, TensorIoError> {
-    std::fs::create_dir_all(spill_dir)?;
-    let mut runs: Vec<PathBuf> = Vec::new();
-    let result = stream_tns(reader, options, |chunk| {
-        let n = chunk.len();
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.sort_unstable_by(|&a, &b| {
-            compare_keys(chunk.index(a), chunk.index(b), sort_mode)
-                .then_with(|| chunk.lines[a].cmp(&chunk.lines[b]))
-        });
-        let run_id = RUN_COUNTER.fetch_add(1, AtomicOrdering::Relaxed);
-        let path = spill_dir.join(format!("tns_run_{}_{run_id}.bin", std::process::id()));
-        let mut writer = BufWriter::new(File::create(&path)?);
-        for &k in &perm {
-            for &i in chunk.index(k) {
-                writer.write_all(&(i as u64).to_le_bytes())?;
-            }
-            writer.write_all(&(chunk.lines[k] as u64).to_le_bytes())?;
-            writer.write_all(&chunk.values[k].to_le_bytes())?;
-        }
-        writer.flush()?;
-        runs.push(path);
-        Ok(())
-    });
-    match result {
-        Ok((info, stats)) => Ok(SortedRuns {
-            info,
-            stats,
-            runs,
-            sort_mode,
-        }),
-        Err(e) => {
-            for run in &runs {
-                std::fs::remove_file(run).ok();
-            }
-            Err(e)
-        }
-    }
-}
-
-fn compare_keys(a: &[usize], b: &[usize], sort_mode: Option<usize>) -> Ordering {
-    match sort_mode {
-        Some(m) => a[m].cmp(&b[m]).then_with(|| a.cmp(b)),
-        None => a.cmp(b),
-    }
-}
-
-struct RunCursor {
-    reader: BufReader<File>,
-    order: usize,
-}
-
-impl RunCursor {
-    /// Reads the next record, or `None` at a clean end of file.
-    fn next(&mut self) -> Result<Option<(Vec<usize>, usize, f64)>, TensorIoError> {
-        let mut buf = vec![0u8; (self.order + 2) * 8];
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            let n = self.reader.read(&mut buf[filled..])?;
-            if n == 0 {
-                if filled == 0 {
-                    return Ok(None);
-                }
-                return Err(TensorIoError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "truncated spill run record",
-                )));
-            }
-            filled += n;
-        }
-        let mut index = Vec::with_capacity(self.order);
-        for m in 0..self.order {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&buf[m * 8..(m + 1) * 8]);
-            index.push(u64::from_le_bytes(w) as usize);
-        }
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&buf[self.order * 8..(self.order + 1) * 8]);
-        let line = u64::from_le_bytes(w) as usize;
-        w.copy_from_slice(&buf[(self.order + 1) * 8..(self.order + 2) * 8]);
-        let value = f64::from_le_bytes(w);
-        Ok(Some((index, line, value)))
-    }
-}
-
-struct MergeEntry {
-    index: Vec<usize>,
-    line: usize,
-    value: f64,
-    run: usize,
-    sort_mode: Option<usize>,
-}
-
-impl PartialEq for MergeEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for MergeEntry {}
-impl PartialOrd for MergeEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        compare_keys(&self.index, &other.index, self.sort_mode)
-            .then_with(|| self.line.cmp(&other.line))
-            .then_with(|| self.run.cmp(&other.run))
-    }
-}
-
-impl SortedRuns {
-    /// What the ingestion pass learned about the tensor.
-    pub fn info(&self) -> &TnsInfo {
-        &self.info
-    }
-
-    /// Buffer accounting of the ingestion pass.
-    pub fn stats(&self) -> &StreamStats {
-        &self.stats
-    }
-
-    /// Number of spilled run files.
-    pub fn num_runs(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// The mode the runs are sorted by, if any.
-    pub fn sort_mode(&self) -> Option<usize> {
-        self.sort_mode
-    }
-
-    /// K-way-merges the runs and visits every entry in globally sorted
-    /// order as `(index, value)`.  Resident memory is one record plus a
-    /// small read buffer per run.  Returns the number of entries emitted
-    /// (which [`DuplicatePolicy::Sum`] can make smaller than the ingested
-    /// count).
-    pub fn for_each<F: FnMut(&[usize], f64)>(
-        &self,
-        policy: DuplicatePolicy,
-        mut f: F,
-    ) -> Result<usize, TensorIoError> {
-        let order = self.info.order;
-        let mut cursors: Vec<RunCursor> = Vec::with_capacity(self.runs.len());
-        for path in &self.runs {
-            cursors.push(RunCursor {
-                reader: BufReader::with_capacity(16 * 1024, File::open(path)?),
-                order,
-            });
-        }
-        let mut heap: BinaryHeap<std::cmp::Reverse<MergeEntry>> = BinaryHeap::new();
-        for (run, cursor) in cursors.iter_mut().enumerate() {
-            if let Some((index, line, value)) = cursor.next()? {
-                heap.push(std::cmp::Reverse(MergeEntry {
-                    index,
-                    line,
-                    value,
-                    run,
-                    sort_mode: self.sort_mode,
-                }));
-            }
-        }
-        let mut pending: Option<(Vec<usize>, usize, f64)> = None;
-        let mut emitted = 0usize;
-        while let Some(std::cmp::Reverse(entry)) = heap.pop() {
-            if let Some((index, line, value)) = cursors[entry.run].next()? {
-                heap.push(std::cmp::Reverse(MergeEntry {
-                    index,
-                    line,
-                    value,
-                    run: entry.run,
-                    sort_mode: self.sort_mode,
-                }));
-            }
-            match &mut pending {
-                Some((pidx, pline, pval)) if *pidx == entry.index => match policy {
-                    DuplicatePolicy::Keep => {
-                        f(pidx, *pval);
-                        emitted += 1;
-                        *pline = entry.line;
-                        *pval = entry.value;
-                    }
-                    DuplicatePolicy::Sum => {
-                        *pval += entry.value;
-                    }
-                    DuplicatePolicy::Reject => {
-                        return Err(TensorIoError::Duplicate {
-                            line: entry.line,
-                            earlier_line: *pline,
-                        });
-                    }
-                },
-                Some((pidx, _, pval)) => {
-                    f(pidx, *pval);
-                    emitted += 1;
-                    pending = Some((entry.index, entry.line, entry.value));
-                }
-                None => {
-                    pending = Some((entry.index, entry.line, entry.value));
-                }
-            }
-        }
-        if let Some((pidx, _, pval)) = pending {
-            f(&pidx, pval);
-            emitted += 1;
-        }
-        Ok(emitted)
-    }
-}
-
-/// Streams a `.tns` file into per-mode CSF hierarchies without ever holding
-/// the tensor as full COO: one external-sort pass per mode, each bounded by
-/// `options.chunk_nonzeros` resident entries plus per-run merge buffers.
-/// Returns the assembled [`CsfTensor`](crate::csf::CsfTensor) and the worst
-/// buffer accounting across the passes.
-pub fn read_csf_tns_file<P: AsRef<Path>>(
-    path: P,
-    options: &StreamOptions,
-    policy: DuplicatePolicy,
-    spill_dir: &Path,
-) -> Result<(crate::csf::CsfTensor, StreamStats), TensorIoError> {
-    let path = path.as_ref();
-    let mut modes = Vec::new();
-    let mut dims: Vec<usize> = Vec::new();
-    let mut stats = StreamStats::default();
-    let mut mode = 0usize;
-    loop {
-        let file = File::open(path)?;
-        let mut opts = options.clone();
-        if mode > 0 {
-            // Later passes reuse the dimensions the first pass established,
-            // so every index is validated even when the file has no header.
-            opts.declared_dims = Some(dims.clone());
-        }
-        let runs = external_sort_tns(BufReader::new(file), &opts, Some(mode), spill_dir)?;
-        if mode == 0 {
-            dims = runs.info().dims.clone();
-        }
-        stats.chunks += runs.stats().chunks;
-        stats.peak_buffer_bytes = stats.peak_buffer_bytes.max(runs.stats().peak_buffer_bytes);
-        stats.peak_window_bytes = stats.peak_window_bytes.max(runs.stats().peak_window_bytes);
-        let mut builder = crate::csf::CsfModeBuilder::new(mode, &dims, runs.info().nnz);
-        runs.for_each(policy, |index, value| builder.push(index, value))?;
-        modes.push(builder.finish());
-        mode += 1;
-        if mode >= dims.len() {
-            break;
-        }
-    }
-    Ok((crate::csf::CsfTensor::from_modes(dims, modes), stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1337,9 +996,9 @@ mod tests {
         assert_eq!(chunk_sizes, vec![4, 4, 4, 4, 4, 4, 1]);
         assert_eq!(stats.chunks, 7);
         // The buffers grow by exactly the lines read, up to the chunk:
-        // chunk * (order + 2) words.
+        // chunk * (order + 1) words.
         let word = std::mem::size_of::<usize>();
-        assert_eq!(stats.peak_buffer_bytes, 4 * (3 + 2) * word);
+        assert_eq!(stats.peak_buffer_bytes, 4 * (3 + 1) * word);
         // The raw window holds the whole (small) text plus one read block.
         assert!(stats.peak_window_bytes >= data.len());
         assert!(stats.peak_window_bytes <= data.len() + READ_BLOCK);
@@ -1363,103 +1022,6 @@ mod tests {
         assert_eq!(info.nnz, 8);
         assert_eq!(chunk_sizes, vec![4, 4]);
         assert_eq!(stats.chunks, 2);
-    }
-
-    #[test]
-    fn external_sort_merges_runs_in_mode_order() {
-        // Unsorted input; chunk 2 forces three runs.
-        let data = "3 1 1 3.0\n1 2 2 1.0\n2 1 1 2.0\n1 1 1 0.5\n2 2 2 2.5\n";
-        let options = StreamOptions::new().chunk_nonzeros(2);
-        let dir = std::env::temp_dir().join("sptensor_extsort_test");
-        let runs = external_sort_tns(Cursor::new(data), &options, Some(0), &dir).unwrap();
-        assert_eq!(runs.num_runs(), 3);
-        let mut merged = Vec::new();
-        let emitted = runs
-            .for_each(DuplicatePolicy::Reject, |idx, v| {
-                merged.push((idx.to_vec(), v))
-            })
-            .unwrap();
-        assert_eq!(emitted, 5);
-        assert_eq!(
-            merged,
-            vec![
-                (vec![0, 0, 0], 0.5),
-                (vec![0, 1, 1], 1.0),
-                (vec![1, 0, 0], 2.0),
-                (vec![1, 1, 1], 2.5),
-                (vec![2, 0, 0], 3.0),
-            ]
-        );
-        drop(runs);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn duplicate_policies_reject_sum_keep() {
-        let data = "1 1 1.0\n2 2 5.0\n1 1 2.5\n";
-        let dir = std::env::temp_dir().join("sptensor_dup_test");
-        let options = StreamOptions::new().chunk_nonzeros(2);
-
-        let runs = external_sort_tns(Cursor::new(data), &options, None, &dir).unwrap();
-        match runs.for_each(DuplicatePolicy::Reject, |_, _| {}) {
-            Err(TensorIoError::Duplicate { line, earlier_line }) => {
-                assert_eq!((earlier_line, line), (1, 3));
-            }
-            other => panic!("expected Duplicate, got {other:?}"),
-        }
-
-        let runs = external_sort_tns(Cursor::new(data), &options, None, &dir).unwrap();
-        let mut merged = Vec::new();
-        let emitted = runs
-            .for_each(DuplicatePolicy::Sum, |idx, v| {
-                merged.push((idx.to_vec(), v))
-            })
-            .unwrap();
-        assert_eq!(emitted, 2);
-        assert_eq!(merged, vec![(vec![0, 0], 3.5), (vec![1, 1], 5.0)]);
-
-        let runs = external_sort_tns(Cursor::new(data), &options, None, &dir).unwrap();
-        let emitted = runs.for_each(DuplicatePolicy::Keep, |_, _| {}).unwrap();
-        assert_eq!(emitted, 3);
-        drop(runs);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn csf_from_file_matches_coo_roundtrip() {
-        let t = SparseTensor::from_entries(
-            vec![5, 4, 6],
-            &[
-                (vec![4, 0, 3], -1.0),
-                (vec![0, 1, 2], 2.0),
-                (vec![2, 3, 5], 3.0),
-                (vec![0, 0, 0], 4.0),
-                (vec![2, 1, 1], 5.0),
-            ],
-        );
-        let dir = std::env::temp_dir().join("sptensor_csf_stream_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.tns");
-        write_tns_file_with_header(&t, &path).unwrap();
-        let options = StreamOptions::new().chunk_nonzeros(2);
-        let (csf, stats) =
-            read_csf_tns_file(&path, &options, DuplicatePolicy::Reject, &dir).unwrap();
-        assert_eq!(csf.dims(), t.dims());
-        assert_eq!(csf.nnz(), t.nnz());
-        assert!(stats.peak_buffer_bytes > 0);
-        // Every mode's hierarchy must agree with the one built from sorted COO.
-        for m in 0..t.order() {
-            let mut sorted = t.clone();
-            sorted.sort_by_mode(m);
-            let expect = crate::csf::CsfMode::from_coo(&sorted, m);
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            csf.mode(m)
-                .for_each_nonzero(|r, c, v| a.push((r, c.to_vec(), v)));
-            expect.for_each_nonzero(|r, c, v| b.push((r, c.to_vec(), v)));
-            assert_eq!(a, b, "mode {m}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1529,9 +1091,9 @@ mod tests {
         assert_eq!(parse_index(max.as_bytes()), Some(usize::MAX));
     }
 
-    /// A window's entries (indices, value bits, lines) and per-mode
-    /// maxima, or its first error's `Debug`.
-    type WindowOutcome = Result<(Vec<usize>, Vec<u64>, Vec<usize>, Vec<usize>), String>;
+    /// A window's entries (indices, value bits) and per-mode maxima, or its
+    /// first error's `Debug`.
+    type WindowOutcome = Result<(Vec<usize>, Vec<u64>, Vec<usize>), String>;
 
     /// Parses `text` through `parse_window` at `width` after two entries
     /// already in the chunk.
@@ -1539,7 +1101,6 @@ mod tests {
         let mut buffers = ChunkBuffers {
             indices: vec![0, 0, 0, 1, 1, 1],
             values: vec![0.5, 1.5],
-            lines: vec![1, 2],
         };
         let mut maxes = vec![2, 2, 2];
         parse_window(
@@ -1552,7 +1113,7 @@ mod tests {
         )
         .map_err(|e| format!("{e:?}"))?;
         let bits = buffers.values.iter().map(|v| v.to_bits()).collect();
-        Ok((buffers.indices, bits, buffers.lines, maxes))
+        Ok((buffers.indices, bits, maxes))
     }
 
     #[test]
@@ -1578,8 +1139,7 @@ mod tests {
                 );
             }
         }
-        let (indices, _, lines, maxes) = window_outcome(cases[0].as_slice(), 1).unwrap();
-        assert_eq!(lines, vec![1, 2, 3, 6, 7, 9, 10]);
+        let (indices, _, maxes) = window_outcome(cases[0].as_slice(), 1).unwrap();
         assert_eq!(
             &indices[6..],
             &[0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 0, 0, 1, 1, 1]
@@ -1618,7 +1178,7 @@ mod tests {
             let (t, stats) = read_tns_streamed(Cursor::new(data), &options).unwrap();
             assert_eq!(t, expect, "chunk {chunk}");
             // Buffers are sized by the two lines read, not by the request.
-            assert_eq!(stats.peak_buffer_bytes, 2 * (2 + 2) * 8);
+            assert_eq!(stats.peak_buffer_bytes, 2 * (2 + 1) * 8);
             assert_eq!(stats.chunks, 1);
         }
     }
@@ -1661,9 +1221,9 @@ mod tests {
         // The whole lines reach the sink; the cut line is dropped and the
         // read error is the result.
         let options = StreamOptions::new().chunk_nonzeros(1);
-        let mut seen = Vec::new();
+        let mut seen = 0;
         let err = stream_tns(flaky("1 1 1.0\n2 2 2.0\n3 3"), &options, |chunk| {
-            seen.extend_from_slice(chunk.lines);
+            seen += chunk.len();
             Ok(())
         })
         .unwrap_err();
@@ -1671,7 +1231,7 @@ mod tests {
             matches!(&err, TensorIoError::Io(e) if e.to_string() == "disk on fire"),
             "{err:?}"
         );
-        assert_eq!(seen, vec![1, 2]);
+        assert_eq!(seen, 2);
         // A bad line before the failure is the first error.
         let err = read_tns(flaky("1 1 1.0\n2 x 2.0\n3 3"), None).unwrap_err();
         assert!(matches!(err, TensorIoError::Parse(2, _)), "{err:?}");
@@ -1691,10 +1251,5 @@ mod tests {
         };
         let s = format!("{e}");
         assert!(s.contains("line 7") && s.contains("size 5"));
-        let e = TensorIoError::Duplicate {
-            line: 9,
-            earlier_line: 2,
-        };
-        assert!(format!("{e}").contains("line 9"));
     }
 }

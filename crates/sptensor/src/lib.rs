@@ -5,8 +5,8 @@
 //! small dense tensors (TTMc results and the core tensor).  This crate
 //! provides:
 //!
-//! * [`coo::SparseTensor`] — order-`N` COO tensor with sorting, coalescing
-//!   and slice/statistics helpers,
+//! * [`coo::SparseTensor`] — order-`N` COO tensor with coalescing and
+//!   slice/statistics helpers,
 //! * [`dense::DenseTensor`] — dense order-`N` tensor with C-order (last mode
 //!   fastest) layout, mode-`n` unfoldings and dense TTM,
 //! * [`kron::kron_rows`] and friends — the Kronecker-product-of-rows kernel
@@ -14,12 +14,11 @@
 //! * [`layout::ModeSortedNonzeros`] — cache-resident per-mode copies of the
 //!   nonzero data (values + foreign-mode indices permuted into update-list
 //!   order) so the numeric TTMc streams instead of gathering through COO ids,
-//! * [`csf::CsfMode`] / [`csf::CsfTensor`] — compressed sparse fiber (CSF)
-//!   hierarchies with `u32` ids where the dimensions permit, built from COO
-//!   or streamed from a sorted nonzero stream,
-//! * [`io`] — FROSTT-style `.tns` text I/O, including a bounded-memory
-//!   chunked reader and an external-sort spill/merge pipeline for tensors
-//!   larger than RAM,
+//! * [`csf::CsfMode`] — one mode's compressed sparse fiber (CSF)
+//!   hierarchy with `u32` ids where the dimensions permit, built from the
+//!   symbolic TTMc's update-list permutation,
+//! * [`io`] — FROSTT-style `.tns` text I/O through one bounded-memory,
+//!   chunk-parallel reader,
 //! * [`stats`] — per-mode nonzero statistics used by the experiment tables,
 //! * [`hash`] — a small fast hasher for integer keys (FxHash-style), used by
 //!   coalescing and the data generators.
@@ -50,7 +49,7 @@ pub use linalg::simd;
 pub use linalg::simd::KernelIsa;
 
 pub use coo::SparseTensor;
-pub use csf::{CsfData, CsfIndex, CsfMode, CsfModeBuilder, CsfTensor};
+pub use csf::{CsfData, CsfIndex, CsfMode};
 pub use dense::DenseTensor;
 pub use kron::{accumulate_scaled_kron, accumulate_scaled_kron_isa, kron_rows};
 pub use layout::ModeSortedNonzeros;

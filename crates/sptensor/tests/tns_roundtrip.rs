@@ -3,8 +3,8 @@
 //! exactly or fail with an error value, never a panic).
 
 use sptensor::io::{
-    external_sort_tns, read_tns, read_tns_file, read_tns_streamed, stream_tns, write_tns,
-    write_tns_file, DuplicatePolicy, StreamOptions, TensorIoError,
+    read_tns, read_tns_file, read_tns_file_streamed, read_tns_streamed, stream_tns, write_tns,
+    write_tns_file, StreamOptions, TensorIoError,
 };
 use sptensor::SparseTensor;
 use std::io::Cursor;
@@ -159,37 +159,6 @@ fn truncated_files_are_parse_errors_with_the_right_line() {
 }
 
 #[test]
-fn rejected_duplicates_name_both_lines() {
-    // Lines 2 and 4 collide (line 1 is the header).  The merge surfaces
-    // both 1-based line numbers so a user can fix the file.
-    let data = "# dims: 4 4 4\n2 3 4 1.0\n1 1 1 2.0\n2 3 4 5.0\n";
-    let dir = std::env::temp_dir().join(format!("sptensor_dup_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let options = StreamOptions::new().chunk_nonzeros(2);
-    let runs = external_sort_tns(Cursor::new(data), &options, Some(0), &dir).unwrap();
-    let err = runs
-        .for_each(DuplicatePolicy::Reject, |_, _| {})
-        .unwrap_err();
-    match err {
-        TensorIoError::Duplicate { line, earlier_line } => {
-            assert_eq!((earlier_line, line), (2, 4));
-        }
-        other => panic!("expected duplicate error, got {other:?}"),
-    }
-
-    // Sum keeps one merged entry instead.
-    let runs = external_sort_tns(Cursor::new(data), &options, Some(0), &dir).unwrap();
-    let mut merged = Vec::new();
-    runs.for_each(DuplicatePolicy::Sum, |idx, v| {
-        merged.push((idx.to_vec(), v))
-    })
-    .unwrap();
-    assert_eq!(merged.len(), 2);
-    assert!(merged.contains(&(vec![1, 2, 3], 6.0)));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn out_of_range_indices_fail_during_streaming_with_line_numbers() {
     // The declared dims (here via the header) are enforced while the file
     // streams, so a bad index fails fast with its line — the file is never
@@ -211,7 +180,6 @@ fn out_of_range_indices_fail_during_streaming_with_line_numbers() {
 
 #[test]
 fn non_finite_values_are_parse_errors_at_every_entry_point() {
-    use sptensor::io::{read_csf_tns_file, read_tns_file_streamed};
     let dir = std::env::temp_dir().join(format!("sptensor_nonfinite_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let options = StreamOptions::new().chunk_nonzeros(2);
@@ -250,14 +218,6 @@ fn non_finite_values_are_parse_errors_at_every_entry_point() {
         expect(
             read_tns_file_streamed(&path, &options).map(drop),
             "read_tns_file_streamed",
-        );
-        expect(
-            external_sort_tns(Cursor::new(&data), &options, Some(1), &dir).map(drop),
-            "external_sort_tns",
-        );
-        expect(
-            read_csf_tns_file(&path, &options, DuplicatePolicy::Reject, &dir).map(drop),
-            "read_csf_tns_file",
         );
     }
     // Large but finite values, and zeros of either sign, still load.
@@ -318,14 +278,14 @@ fn malformed_inputs_are_errors_not_panics() {
 }
 
 /// What one read of a `.tns` text produced: the tensor (dims, flat indices,
-/// value bits) and the line numbers of each chunk handed to the sink — or
-/// the first error's variant, line and message.
-type Outcome = Result<(Vec<usize>, Vec<usize>, Vec<u64>, Vec<Vec<usize>>), String>;
+/// value bits) and the size of each chunk handed to the sink — or the first
+/// error's variant, line and message.
+type Outcome = Result<(Vec<usize>, Vec<usize>, Vec<u64>, Vec<usize>), String>;
 
 fn outcome(data: &[u8], options: &StreamOptions) -> Outcome {
     let mut chunks = Vec::new();
     stream_tns(Cursor::new(data), options, |chunk| {
-        chunks.push(chunk.lines.to_vec());
+        chunks.push(chunk.len());
         Ok(())
     })
     .map_err(|e| format!("{e:?}"))?;

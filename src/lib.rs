@@ -84,9 +84,9 @@ pub mod prelude {
     pub use partition::{fine_grain_hypergraph, hypergraph::Hypergraph};
     pub use service::{DecompositionService, Request, Response, ServiceOptions, ServiceStats};
     pub use sptensor::{
-        io::read_csf_tns_file, io::read_tns_file, io::read_tns_file_streamed, io::write_tns_file,
-        io::write_tns_file_with_header, io::DuplicatePolicy, io::StreamOptions, io::StreamStats,
-        CsfTensor, DenseTensor, SparseTensor,
+        io::read_tns_file, io::read_tns_file_streamed, io::write_tns_file,
+        io::write_tns_file_with_header, io::StreamOptions, io::StreamStats, DenseTensor,
+        SparseTensor,
     };
 }
 

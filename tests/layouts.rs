@@ -224,7 +224,7 @@ fn streamed_roundtrip_preserves_solves_bitwise() {
     assert_eq!(back.dims(), tensor.dims());
     assert_eq!(back.nnz(), tensor.nnz());
     let word = std::mem::size_of::<usize>();
-    assert!(stats.peak_buffer_bytes <= 97 * (3 + 2) * word);
+    assert!(stats.peak_buffer_bytes <= 97 * (3 + 1) * word);
 
     let config = TuckerConfig::new(vec![3, 3, 3]).max_iterations(2).seed(2);
     let solve = |t: &SparseTensor| {
