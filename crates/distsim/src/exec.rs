@@ -82,12 +82,11 @@ use hooi::config::{Initialization, TuckerConfig};
 use hooi::core_tensor::core_from_last_ttmc_into;
 use hooi::error::TuckerError;
 use hooi::fit::fit_from_norms;
-use hooi::hosvd::{hosvd_factors, random_factors, DEFAULT_HOSVD_MAX_COLS};
 use hooi::symbolic::{SymbolicMode, SymbolicTtmc};
 use hooi::trsvd::trsvd_factor_with;
 use hooi::ttmc::{ttmc_contribution_into, ttmc_result_width, ttmc_row_into};
 use hooi::workspace::HooiWorkspace;
-use hooi::{TimingBreakdown, TuckerDecomposition};
+use hooi::{initial_factors, TimingBreakdown, TuckerDecomposition};
 use linalg::Matrix;
 use sptensor::SparseTensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -872,28 +871,21 @@ struct ExecContext<'a> {
     rank_threads: usize,
 }
 
-/// Replicated factor initialization: random factors are seeded identically
-/// everywhere; HOSVD factors are computed once at the root and broadcast
+/// Replicated factor initialization ([`initial_factors`], so mode 0 is a
+/// `0 × R_0` placeholder whenever an iteration will run): random factors
+/// are seeded identically everywhere; HOSVD factors are computed once at
+/// the root and broadcast — placeholder included, as a `[0, R_0]` message —
 /// so all ranks start from the same bits.
 fn init_factors<C: Communicator>(
     comm: &mut C,
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<Matrix>, CommError> {
     match ctx.config.initialization {
-        Initialization::Random => Ok(random_factors(
-            ctx.tensor.dims(),
-            ctx.ranks,
-            ctx.config.seed,
-        )),
+        Initialization::Random => Ok(initial_factors(ctx.tensor, ctx.ranks, ctx.config)),
         Initialization::Hosvd => {
             let order = ctx.tensor.order();
             if comm.rank() == ROOT {
-                let factors = hosvd_factors(
-                    ctx.tensor,
-                    ctx.ranks,
-                    DEFAULT_HOSVD_MAX_COLS,
-                    ctx.config.seed,
-                );
+                let factors = initial_factors(ctx.tensor, ctx.ranks, ctx.config);
                 for (m, u) in factors.iter().enumerate() {
                     comm.broadcast(
                         ROOT,
@@ -1010,6 +1002,11 @@ fn rank_body<C: Communicator>(
                 );
                 factors[mode] = result.factor;
                 singular_values[mode] = result.singular_values;
+            }
+            if factors[mode].nrows() != ctx.tensor.dims()[mode] {
+                // The placeholder of a mode no initial value was built for:
+                // the rows this rank receives land in a full-height matrix.
+                factors[mode] = Matrix::zeros(ctx.tensor.dims()[mode], ranks[mode]);
             }
             scatter_and_expand(comm, mp, &mut factors[mode], mode, iter as u32)
                 .map_err(|e| RankFailure::observed(rank, Phase::Scatter, iter as u32, e))?;
@@ -1416,6 +1413,7 @@ mod tests {
     use crate::setup::{PartitionMethod, SimConfig};
     use crate::stats::iteration_stats;
     use datagen::random_tensor;
+    use hooi::hosvd::{hosvd_factors, random_factors, DEFAULT_HOSVD_MAX_COLS};
     use hooi::ttmc::ttmc_mode;
     use hooi::{PlanOptions, TtmcStrategy, TuckerSolver};
 
@@ -1716,6 +1714,33 @@ mod tests {
         let dec = chaos.outcome.expect("empty plan completes cleanly");
         assert_identical(&dec, &clean.decomposition, "empty fault plan");
         assert_eq!(chaos.comm, clean.comm, "counters must be untouched");
+    }
+
+    #[test]
+    fn zero_iteration_run_returns_every_initial_factor() {
+        let t = tensor();
+        let ranks = [3, 2, 3];
+        let config = SimConfig::new(3, Grain::Fine, PartitionMethod::Random, ranks.to_vec());
+        let setup = DistributedSetup::build(&t, &config);
+        for (init, expected) in [
+            (Initialization::Random, random_factors(t.dims(), &ranks, 4)),
+            (
+                Initialization::Hosvd,
+                hosvd_factors(&t, &ranks, DEFAULT_HOSVD_MAX_COLS, 4),
+            ),
+        ] {
+            let tucker = TuckerConfig::new(ranks.to_vec())
+                .max_iterations(0)
+                .seed(4)
+                .initialization(init);
+            let dist = distributed_hooi(&t, &setup, &tucker).unwrap();
+            assert_eq!(dist.iterations, 0);
+            assert!(dist.fits.is_empty());
+            for (m, (u, e)) in dist.factors.iter().zip(expected.iter()).enumerate() {
+                assert_eq!(u.shape(), (t.dims()[m], ranks[m]), "{init:?} mode {m}");
+                assert_eq!(bits(u), bits(e), "{init:?} mode {m}");
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,10 @@ pub struct TimingBreakdown {
     /// zero here because the persistent workers are reused, not respawned —
     /// a nonzero value marks the one solve that paid for pool bring-up).
     pub pool: Duration,
-    /// Factor initialization (random or HOSVD), once per solve.
+    /// Factor initialization (random or HOSVD), once per solve.  Only the
+    /// factors HOOI reads are built ([`initial_factors`](crate::initial_factors)):
+    /// mode 0 is overwritten by its first TRSVD before anything reads it, so
+    /// a solve of at least one iteration builds no initial mode-0 factor.
     pub init: Duration,
     /// Numeric TTMc across all iterations and modes.
     pub ttmc: Duration,

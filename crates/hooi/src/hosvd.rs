@@ -7,7 +7,11 @@
 //! HOSVD initialization generally improves the fit reached within a fixed
 //! number of iterations, so it is provided here for small tensors where the
 //! mode unfoldings can be assembled.
+//!
+//! Each initializer is built per mode ([`random_factor`], [`hosvd_factor`]);
+//! [`initial_factors`] builds only the modes whose initial value HOOI reads.
 
+use crate::config::{Initialization, TuckerConfig};
 use linalg::lanczos::{lanczos_svd, LanczosOptions};
 use linalg::operator::LinearOperator;
 use linalg::qr::orthonormalize_columns;
@@ -21,25 +25,72 @@ use sptensor::SparseTensor;
 /// the executor's bit-identity contract.
 pub const DEFAULT_HOSVD_MAX_COLS: usize = 2_000_000;
 
-/// Generates random orthonormal factor matrices, one per mode.
+/// The random orthonormal initial factor of mode `mode`: `dim × rank`,
+/// drawn from [`Matrix::random_signed`] under a per-mode seed derived from
+/// `seed`, with orthonormalized columns.  When `rank > dim` the `dim`
+/// orthonormal columns are padded with zero columns up to `rank`.
+pub fn random_factor(dim: usize, rank: usize, seed: u64, mode: usize) -> Matrix {
+    let mut u = Matrix::random_signed(dim, rank.min(dim), seed ^ ((mode as u64 + 1) * 0x9e37_79b9));
+    orthonormalize_columns(&mut u);
+    if rank > dim {
+        // Pad with zero columns if the rank was clamped (degenerate
+        // configuration kept consistent for the caller).
+        let mut padded = Matrix::zeros(dim, rank);
+        for j in 0..dim {
+            padded.set_col(j, &u.col(j));
+        }
+        padded
+    } else {
+        u
+    }
+}
+
+/// Generates random orthonormal factor matrices, one per mode: the
+/// [`random_factor`] of every mode.  A solve starts from these with mode 0
+/// left out (see [`initial_factors`]); every other mode's factor is the
+/// same bits.
 pub fn random_factors(dims: &[usize], ranks: &[usize], seed: u64) -> Vec<Matrix> {
     assert_eq!(dims.len(), ranks.len());
     dims.iter()
         .zip(ranks.iter())
         .enumerate()
-        .map(|(m, (&d, &r))| {
-            let mut u = Matrix::random_signed(d, r.min(d), seed ^ ((m as u64 + 1) * 0x9e37_79b9));
-            orthonormalize_columns(&mut u);
-            if r > d {
-                // Pad with zero columns if the rank was clamped (degenerate
-                // configuration kept consistent for the caller).
-                let mut padded = Matrix::zeros(d, r);
-                for j in 0..d {
-                    padded.set_col(j, &u.col(j));
+        .map(|(mode, (&d, &r))| random_factor(d, r, seed, mode))
+        .collect()
+}
+
+/// The factors a solve of `config` starts from: the initial factor of
+/// every mode whose initial value HOOI reads, under
+/// [`TuckerConfig::initialization`].
+///
+/// HOOI updates mode 0 first, from the other modes' factors alone, and
+/// overwrites it with its TRSVD before anything reads it.  So when
+/// `config.max_iterations ≥ 1`, mode 0 gets a `0 × R_0` placeholder
+/// instead of an initial factor: its width is all the first TTMc reads,
+/// and any row read of it panics.  Every other mode's factor is the bits
+/// of [`random_factors`] / [`hosvd_factors`].  A zero-iteration solve
+/// returns its factors untouched, so then every mode is built.
+pub fn initial_factors(
+    tensor: &SparseTensor,
+    ranks: &[usize],
+    config: &TuckerConfig,
+) -> Vec<Matrix> {
+    assert_eq!(tensor.order(), ranks.len());
+    (0..tensor.order())
+        .map(|mode| {
+            if mode == 0 && config.max_iterations > 0 {
+                return Matrix::zeros(0, ranks[0]);
+            }
+            match config.initialization {
+                Initialization::Random => {
+                    random_factor(tensor.dims()[mode], ranks[mode], config.seed, mode)
                 }
-                padded
-            } else {
-                u
+                Initialization::Hosvd => hosvd_factor(
+                    tensor,
+                    ranks[mode],
+                    DEFAULT_HOSVD_MAX_COLS,
+                    config.seed,
+                    mode,
+                ),
             }
         })
         .collect()
@@ -50,7 +101,7 @@ pub fn random_factors(dims: &[usize], ranks: &[usize], seed: u64) -> Vec<Matrix>
 /// `X_(n)` has `I_n` rows and `Π_{t≠n} I_t` columns; the operator never
 /// materializes it and applies MxV / MTxV in `O(nnz)` time.  Note that the
 /// *column dimension* can be astronomically large, so the right-hand vectors
-/// themselves can be too big to allocate; [`hosvd_factors`] therefore guards
+/// themselves can be too big to allocate; [`hosvd_factor`] therefore guards
 /// on the column count before using this operator.
 pub struct SparseUnfoldingOperator<'a> {
     tensor: &'a SparseTensor,
@@ -123,12 +174,50 @@ impl LinearOperator for SparseUnfoldingOperator<'_> {
     }
 }
 
-/// HOSVD-style initialization: for each mode, the leading left singular
-/// vectors of the sparse mode unfolding, computed matrix-free.
+/// The HOSVD-style initial factor of mode `mode`: the leading `rank` left
+/// singular vectors of the sparse mode unfolding, computed matrix-free and
+/// zero-padded to `rank` columns.
 ///
-/// When a mode's unfolding has more than `max_cols` columns (so even a
-/// single right-hand Krylov vector would be too large), that mode falls back
-/// to a random orthonormal factor.  Returns one factor per mode.
+/// When the unfolding has more than `max_cols` columns (so even a single
+/// right-hand Krylov vector would be too large), or the tensor has no
+/// nonzeros, the mode falls back to its [`random_factor`].
+pub fn hosvd_factor(
+    tensor: &SparseTensor,
+    rank: usize,
+    max_cols: usize,
+    seed: u64,
+    mode: usize,
+) -> Matrix {
+    let cols: u128 = tensor
+        .dims()
+        .iter()
+        .enumerate()
+        .filter(|&(t, _)| t != mode)
+        .map(|(_, &d)| d as u128)
+        .product();
+    if cols > max_cols as u128 || tensor.nnz() == 0 {
+        return random_factor(tensor.dims()[mode], rank, seed, mode);
+    }
+    let op = SparseUnfoldingOperator::new(tensor, mode);
+    let svd = lanczos_svd(
+        &op,
+        rank.min(op.nrows()).min(op.ncols()).max(1),
+        &LanczosOptions {
+            seed: seed ^ (mode as u64),
+            ..LanczosOptions::default()
+        },
+    );
+    // Pad to the requested rank if necessary.
+    let mut u = Matrix::zeros(op.nrows(), rank);
+    for j in 0..svd.u.ncols().min(rank) {
+        u.set_col(j, &svd.u.col(j));
+    }
+    u
+}
+
+/// HOSVD-style initialization: the [`hosvd_factor`] of every mode, each
+/// falling back to its random factor when its unfolding is wider than
+/// `max_cols` columns.  Returns one factor per mode.
 pub fn hosvd_factors(
     tensor: &SparseTensor,
     ranks: &[usize],
@@ -136,36 +225,8 @@ pub fn hosvd_factors(
     seed: u64,
 ) -> Vec<Matrix> {
     assert_eq!(tensor.order(), ranks.len());
-    let fallback = random_factors(tensor.dims(), ranks, seed);
     (0..tensor.order())
-        .map(|mode| {
-            let cols: u128 = tensor
-                .dims()
-                .iter()
-                .enumerate()
-                .filter(|&(t, _)| t != mode)
-                .map(|(_, &d)| d as u128)
-                .product();
-            if cols > max_cols as u128 || tensor.nnz() == 0 {
-                return fallback[mode].clone();
-            }
-            let op = SparseUnfoldingOperator::new(tensor, mode);
-            let rank = ranks[mode].min(op.nrows()).min(op.ncols()).max(1);
-            let svd = lanczos_svd(
-                &op,
-                rank,
-                &LanczosOptions {
-                    seed: seed ^ (mode as u64),
-                    ..LanczosOptions::default()
-                },
-            );
-            // Pad to the requested rank if necessary.
-            let mut u = Matrix::zeros(op.nrows(), ranks[mode]);
-            for j in 0..svd.u.ncols().min(ranks[mode]) {
-                u.set_col(j, &svd.u.col(j));
-            }
-            u
-        })
+        .map(|mode| hosvd_factor(tensor, ranks[mode], max_cols, seed, mode))
         .collect()
 }
 
@@ -194,6 +255,28 @@ mod tests {
         let b = random_factors(&[10, 10], &[3, 3], 5);
         assert_eq!(a[0], b[0]);
         assert_eq!(a[1], b[1]);
+    }
+
+    #[test]
+    fn initial_factors_leave_out_only_the_first_updated_mode() {
+        let t = random_tensor(&[12, 10, 8], 200, 4);
+        let ranks = [3, 2, 4];
+        for (init, full) in [
+            (Initialization::Random, random_factors(t.dims(), &ranks, 6)),
+            (
+                Initialization::Hosvd,
+                hosvd_factors(&t, &ranks, DEFAULT_HOSVD_MAX_COLS, 6),
+            ),
+        ] {
+            let config = TuckerConfig::new(ranks.to_vec())
+                .seed(6)
+                .initialization(init);
+            let solving = initial_factors(&t, &ranks, &config.clone().max_iterations(1));
+            assert_eq!(solving[0].shape(), (0, 3), "{init:?}");
+            assert_eq!(&solving[1..], &full[1..], "{init:?}");
+            let idle = initial_factors(&t, &ranks, &config.max_iterations(0));
+            assert_eq!(idle, full, "{init:?}");
+        }
     }
 
     #[test]

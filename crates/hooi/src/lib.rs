@@ -29,7 +29,8 @@
 //! Supporting modules:
 //!
 //! * [`hosvd`] — HOSVD-style initialization for small tensors plus the
-//!   default random initialization;
+//!   default random initialization, built per mode; [`initial_factors`]
+//!   skips the mode HOOI overwrites before reading it;
 //! * [`core_tensor`], [`fit`] — core extraction and fit/error metrics.
 
 pub mod config;
@@ -50,6 +51,7 @@ pub use config::{IndexLayout, Initialization, TrsvdBackend, TtmcStrategy, Tucker
 pub use dimtree::{per_mode_costs, DimTree, TtmcCosts};
 pub use error::TuckerError;
 pub use hooi::{tucker_hooi, TimingBreakdown, TuckerDecomposition};
+pub use hosvd::initial_factors;
 pub use observers::DeadlineObserver;
 pub use solver::{
     IterationControl, IterationObserver, IterationReport, PlanOptions, TuckerSession, TuckerSolver,

@@ -40,13 +40,13 @@
 //! # Ok::<(), hooi::TuckerError>(())
 //! ```
 
-use crate::config::{IndexLayout, Initialization, TtmcStrategy, TuckerConfig};
+use crate::config::{IndexLayout, TtmcStrategy, TuckerConfig};
 use crate::core_tensor::core_from_last_ttmc_into;
 use crate::dimtree::{self, DimTree};
 use crate::error::{validate_tensor, TuckerError};
 use crate::fit::fit_from_norms;
 use crate::hooi::{TimingBreakdown, TuckerDecomposition};
-use crate::hosvd::{hosvd_factors, random_factors, DEFAULT_HOSVD_MAX_COLS};
+use crate::hosvd::initial_factors;
 use crate::symbolic::SymbolicTtmc;
 use crate::trsvd::trsvd_factor_with;
 use crate::ttmc::ttmc_mode_into_isa;
@@ -636,12 +636,10 @@ fn run_hooi(
         return Err(e);
     }
 
-    // Factor initialization.
+    // Factor initialization: mode 0 holds a `0 × R_0` placeholder until
+    // its first TRSVD replaces it (see `initial_factors`).
     let t_init = Instant::now();
-    let mut factors = match config.initialization {
-        Initialization::Random => random_factors(tensor.dims(), ranks, config.seed),
-        Initialization::Hosvd => hosvd_factors(tensor, ranks, DEFAULT_HOSVD_MAX_COLS, config.seed),
-    };
+    let mut factors = initial_factors(tensor, ranks, config);
     timings.init = t_init.elapsed();
 
     let mut fits: Vec<f64> = Vec::with_capacity(config.max_iterations);
@@ -748,8 +746,9 @@ fn run_hooi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TrsvdBackend;
+    use crate::config::{Initialization, TrsvdBackend};
     use crate::hooi::tucker_hooi;
+    use crate::hosvd::{hosvd_factors, random_factors, DEFAULT_HOSVD_MAX_COLS};
     use datagen::random_tensor;
 
     #[test]
@@ -926,6 +925,26 @@ mod tests {
         assert_eq!(empty_run.iterations, 0);
         assert!(empty_run.fits.is_empty());
         assert_eq!(empty_run.core.frobenius_norm(), 0.0);
+        // With no iteration to overwrite mode 0, every initial factor is
+        // built at full shape and returned as is.
+        for (init, expected) in [
+            (
+                Initialization::Random,
+                random_factors(t.dims(), &[2, 2, 2], config.seed),
+            ),
+            (
+                Initialization::Hosvd,
+                hosvd_factors(&t, &[2, 2, 2], DEFAULT_HOSVD_MAX_COLS, config.seed),
+            ),
+        ] {
+            let run = solver
+                .solve(&config.clone().max_iterations(0).initialization(init))
+                .unwrap();
+            for (m, (u, e)) in run.factors.iter().zip(expected.iter()).enumerate() {
+                assert_eq!(u.shape(), (t.dims()[m], 2), "{init:?} mode {m}");
+                assert_eq!(u, e, "{init:?} mode {m}");
+            }
+        }
     }
 
     #[test]

@@ -94,7 +94,10 @@ impl Matrix {
         Matrix { nrows, ncols, data }
     }
 
-    /// Creates a matrix with entries drawn uniformly from `[-1, 1)`: centered
+    /// Creates a matrix with entries drawn uniformly from `[-1, 1)`.  This is
+    /// the generator of the solver's random initial factors (`hooi`'s
+    /// `random_factor` orthonormalizes its columns), so its bits per seed
+    /// are part of every randomly initialized solve; it also makes centered
     /// test data for the kernels' tests and benches.
     pub fn random_signed(nrows: usize, ncols: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
