@@ -6,7 +6,6 @@ use bench::{
     cli_args, cli_tensor, layout_memory_report, print_header, run_requested_check, table_nnz,
 };
 use datagen::{DatasetProfile, ProfileName};
-use hooi::IndexLayout;
 use sptensor::stats::{format_count, tensor_stats};
 
 fn main() {
@@ -39,8 +38,6 @@ fn main() {
         for (layout, bytes) in layout_memory_report(&tensor) {
             println!("  {:<12} {:>12} bytes", format!("{layout:?}"), bytes);
         }
-        let resolved = IndexLayout::Auto.resolve_for(tensor.order(), tensor.nnz());
-        println!("  auto resolves to {resolved:?} for this tensor");
         run_requested_check(&args, &tensor, &ranks);
         return;
     }

@@ -18,14 +18,13 @@ use bench::{
 };
 use datagen::ProfileName;
 use distsim::{Grain, PartitionMethod};
-use hooi::{IndexLayout, PlanOptions, TtmcStrategy, TuckerConfig, TuckerSolver};
+use hooi::{PlanOptions, TtmcStrategy, TuckerConfig, TuckerSolver};
 use std::time::Instant;
 
 fn measured_seconds_per_iteration(
     tensor: &sptensor::SparseTensor,
     ranks: &[usize],
     threads: usize,
-    layout: IndexLayout,
     strategy: TtmcStrategy,
 ) -> f64 {
     // The session's pool is fixed at plan time, so the thread sweep plans
@@ -33,8 +32,7 @@ fn measured_seconds_per_iteration(
     // analysis stays outside the measurement, as in the paper's tables).
     let options = PlanOptions::new()
         .num_threads(threads)
-        .ttmc_strategy(strategy)
-        .index_layout(layout);
+        .ttmc_strategy(strategy);
     let mut solver = TuckerSolver::plan(tensor, options).expect("plan failed");
     let config = TuckerConfig::new(ranks.to_vec())
         .max_iterations(2)
@@ -83,13 +81,8 @@ fn main() {
                 .iter()
                 .filter(|&&t| t <= (2 * host_cores).max(2))
             {
-                let secs = measured_seconds_per_iteration(
-                    &tensor,
-                    &ranks,
-                    threads,
-                    args.layout,
-                    TtmcStrategy::Auto,
-                );
+                let secs =
+                    measured_seconds_per_iteration(&tensor, &ranks, threads, TtmcStrategy::Auto);
                 println!("{threads:>8} {secs:>14.4}  (meas, this host)");
             }
             println!();
@@ -161,13 +154,7 @@ fn main() {
         for (name, _) in datasets {
             let (profile, tensor) = profile_tensor(name, nnz, 42);
             let ranks = profile.paper_ranks().to_vec();
-            let secs = measured_seconds_per_iteration(
-                &tensor,
-                &ranks,
-                threads,
-                IndexLayout::Auto,
-                TtmcStrategy::Auto,
-            );
+            let secs = measured_seconds_per_iteration(&tensor, &ranks, threads, TtmcStrategy::Auto);
             row.push_str(&format!("{:>14.4}", secs));
         }
         println!("{row}  (meas, single node on this host)");

@@ -10,7 +10,10 @@
 
 use datagen::{DatasetProfile, ProfileName};
 use distsim::{DistributedSetup, Grain, MachineModel, PartitionMethod, SimConfig};
-use hooi::{IndexLayout, PlanOptions, TtmcStrategy, TuckerConfig, TuckerSolver};
+use hooi::symbolic::SymbolicTtmc;
+use hooi::ttmc::ttmc_mode;
+use hooi::{IndexLayout, PlanOptions, TtmcStrategy, TuckerSolver};
+use linalg::Matrix;
 use sptensor::io::StreamOptions;
 use sptensor::SparseTensor;
 
@@ -88,37 +91,20 @@ pub struct CliArgs {
     /// Ranks passed via `--ranks r1,r2,…` (only meaningful with `--tns`;
     /// defaults to 4 per mode).
     pub ranks: Option<Vec<usize>>,
-    /// Per-mode index layout passed via `--layout coo|modesorted|csf|auto`;
-    /// defaults to `auto` (resolved from the tensor size at plan time).
-    pub layout: IndexLayout,
     /// Streaming chunk size (nonzeros resident per parser chunk) passed via
     /// `--chunk <n>`; `None` keeps the reader's default.
     pub chunk: Option<usize>,
     /// `--sim-only`: skip wall-clock-measured sweeps so the output is a
     /// deterministic function of the input (used by the golden-file tests).
     pub sim_only: bool,
-    /// `--check`: verify that the CSF and flat TTMc paths produce
-    /// bit-identical decompositions on the loaded tensor before reporting.
+    /// `--check`: verify that the CSF walk and the COO gather produce
+    /// bit-identical TTMc results on the loaded tensor before reporting.
     pub check: bool,
 }
 
-fn parse_layout(spec: &str) -> IndexLayout {
-    match spec.to_ascii_lowercase().as_str() {
-        "coo" => IndexLayout::Coo,
-        "modesorted" | "mode-sorted" | "sorted" => IndexLayout::ModeSorted,
-        "csf" => IndexLayout::Csf,
-        "auto" => IndexLayout::Auto,
-        other => {
-            eprintln!("unknown --layout '{other}' (expected coo|modesorted|csf|auto)");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Parses the shared flags (`--tns <path>`, `--ranks r1,r2,…`,
-/// `--layout coo|modesorted|csf|auto`, `--chunk <n>`, `--sim-only`,
-/// `--check`) from the process arguments, ignoring anything else (so
-/// Cargo's own flags pass through).
+/// `--chunk <n>`, `--sim-only`, `--check`) from the process arguments,
+/// ignoring anything else (so Cargo's own flags pass through).
 pub fn cli_args() -> CliArgs {
     let mut out = CliArgs::default();
     let mut args = std::env::args().skip(1);
@@ -144,13 +130,6 @@ pub fn cli_args() -> CliArgs {
                         std::process::exit(2);
                     }
                 }
-            }
-            "--layout" => {
-                let spec = args.next().unwrap_or_else(|| {
-                    eprintln!("--layout requires a value: coo|modesorted|csf|auto");
-                    std::process::exit(2);
-                });
-                out.layout = parse_layout(&spec);
             }
             "--chunk" => {
                 let spec = args.next().unwrap_or_else(|| {
@@ -221,46 +200,30 @@ pub fn cli_tensor(args: &CliArgs) -> Option<(String, SparseTensor, Vec<usize>)> 
     Some((label, tensor, ranks))
 }
 
-/// Plans one single-threaded per-mode session per index layout, solves the
-/// same configuration in each, and asserts that the factor matrices, core
-/// tensor and fit trajectories agree **bit for bit** — the CSF walk and the
-/// flat gather must be the same IEEE accumulation, not merely close.
-/// Returns the number of modes checked; exits with a diagnostic on any
-/// divergence (this backs the table binaries' `--check` flag).
+/// Computes every mode's TTMc twice from the same seeded factors at
+/// `ranks` — once walking the per-mode CSF hierarchies a per-mode plan
+/// streams, once gathering each nonzero through its COO id — and asserts
+/// the results agree **bit for bit**: the CSF walk and the gather must be
+/// the same IEEE accumulation, not merely close.  Returns the number of
+/// modes checked; exits with a diagnostic on any divergence (this backs the
+/// table binaries' `--check` flag).
 fn check_layout_bit_identity(tensor: &SparseTensor, ranks: &[usize]) -> usize {
-    let config = TuckerConfig::new(ranks.to_vec())
-        .max_iterations(2)
-        .fit_tolerance(-1.0)
-        .seed(7);
-    let mut reference: Option<(IndexLayout, hooi::TuckerDecomposition)> = None;
-    for layout in [IndexLayout::Coo, IndexLayout::ModeSorted, IndexLayout::Csf] {
-        let options = PlanOptions::new()
-            .num_threads(1)
-            .ttmc_strategy(TtmcStrategy::PerMode)
-            .index_layout(layout);
-        let mut solver = TuckerSolver::plan(tensor, options)
-            .unwrap_or_else(|e| fail_check(&format!("planning with {layout:?} failed: {e}")));
-        let result = solver
-            .solve(&config)
-            .unwrap_or_else(|e| fail_check(&format!("solving with {layout:?} failed: {e}")));
-        match &reference {
-            None => reference = Some((layout, result)),
-            Some((base_layout, base)) => {
-                let same_core = bits_equal(base.core.as_slice(), result.core.as_slice());
-                let same_factors = base
-                    .factors
-                    .iter()
-                    .zip(result.factors.iter())
-                    .all(|(a, b)| bits_equal(a.as_slice(), b.as_slice()));
-                let same_fits = bits_equal(&base.fits, &result.fits);
-                if !(same_core && same_factors && same_fits) {
-                    fail_check(&format!(
-                        "{layout:?} diverges from {base_layout:?} \
-                         (core equal: {same_core}, factors equal: {same_factors}, \
-                         fits equal: {same_fits})"
-                    ));
-                }
-            }
+    let factors: Vec<Matrix> = tensor
+        .dims()
+        .iter()
+        .zip(ranks)
+        .enumerate()
+        .map(|(mode, (&dim, &rank))| Matrix::random(dim, rank, 7 + mode as u64))
+        .collect();
+    let csf = SymbolicTtmc::build(tensor);
+    let coo = SymbolicTtmc::build_without_layout(tensor);
+    for mode in 0..tensor.order() {
+        let walked = ttmc_mode(tensor, csf.mode(mode), &factors, mode);
+        let gathered = ttmc_mode(tensor, coo.mode(mode), &factors, mode);
+        if !bits_equal(walked.as_slice(), gathered.as_slice()) {
+            fail_check(&format!(
+                "mode {mode}: CSF walk diverges from the COO gather"
+            ));
         }
     }
     tensor.order()
@@ -284,25 +247,25 @@ fn fail_check(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Plans the tensor once per concrete index layout (single worker thread,
-/// per-mode strategy) and reports each plan's measured memory footprint —
-/// the number Table I's `--tns` mode prints so the layout choice is
-/// auditable.  Returns `(layout, plan bytes)` rows in a fixed order.
+/// Reports the plan footprint with and without the per-mode index
+/// structure — the number Table I's `--tns` mode prints so its cost is
+/// auditable: a single-threaded per-mode plan (which streams CSF) and the
+/// same symbolic data without the hierarchies (what the COO gather reads).
+/// A plan's workspace is empty until its first solve, so both rows are
+/// plan footprints.  Returns `(layout, plan bytes)` rows in a fixed order.
 pub fn layout_memory_report(tensor: &SparseTensor) -> Vec<(IndexLayout, usize)> {
-    [IndexLayout::Coo, IndexLayout::ModeSorted, IndexLayout::Csf]
-        .into_iter()
-        .map(|layout| {
-            let options = PlanOptions::new()
-                .num_threads(1)
-                .ttmc_strategy(TtmcStrategy::PerMode)
-                .index_layout(layout);
-            let solver = TuckerSolver::plan(tensor, options).unwrap_or_else(|e| {
-                eprintln!("planning with {layout:?} failed: {e}");
-                std::process::exit(2);
-            });
-            (layout, solver.memory_bytes())
-        })
-        .collect()
+    let options = PlanOptions::new()
+        .num_threads(1)
+        .ttmc_strategy(TtmcStrategy::PerMode);
+    let solver = TuckerSolver::plan(tensor, options).unwrap_or_else(|e| {
+        eprintln!("planning the per-mode strategy failed: {e}");
+        std::process::exit(2);
+    });
+    let coo = SymbolicTtmc::build_without_layout(tensor).memory_bytes();
+    vec![
+        (IndexLayout::Coo, coo),
+        (solver.index_layout(), solver.memory_bytes()),
+    ]
 }
 
 /// JSON fragment reporting the host's SIMD capabilities (one line, with a
@@ -374,15 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_spec_parses_all_variants() {
-        assert_eq!(parse_layout("coo"), IndexLayout::Coo);
-        assert_eq!(parse_layout("modesorted"), IndexLayout::ModeSorted);
-        assert_eq!(parse_layout("mode-sorted"), IndexLayout::ModeSorted);
-        assert_eq!(parse_layout("CSF"), IndexLayout::Csf);
-        assert_eq!(parse_layout("auto"), IndexLayout::Auto);
-    }
-
-    #[test]
     fn stream_options_honour_chunk_flag() {
         let args = CliArgs {
             chunk: Some(128),
@@ -401,15 +355,15 @@ mod tests {
     }
 
     #[test]
-    fn layout_memory_report_covers_all_layouts() {
+    fn layout_memory_report_covers_both_layouts() {
         let (_, tensor) = profile_tensor(ProfileName::Netflix, 4_000, 5);
         let report = layout_memory_report(&tensor);
-        assert_eq!(report.len(), 3);
+        assert_eq!(report.len(), 2);
         assert_eq!(report[0].0, IndexLayout::Coo);
-        assert!(report.iter().all(|&(_, bytes)| bytes > 0));
-        // Attaching any streaming layout can only grow the plan.
+        assert_eq!(report[1].0, IndexLayout::Csf);
+        assert!(report[0].1 > 0);
+        // Attaching the CSF hierarchies can only grow the plan.
         assert!(report[1].1 > report[0].1);
-        assert!(report[2].1 > report[0].1);
     }
 
     #[test]

@@ -49,18 +49,6 @@ pub fn random_tensor(dims: &[usize], nnz: usize, seed: u64) -> SparseTensor {
     tensor
 }
 
-/// Generates a random tensor whose values are drawn from `{1, …, max_value}`
-/// (integer ratings, like the Netflix scores).  Coordinates are distinct.
-pub fn random_rating_tensor(dims: &[usize], nnz: usize, max_value: u32, seed: u64) -> SparseTensor {
-    let mut t = random_tensor(dims, nnz, seed);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
-    let dist = Uniform::new(1, max_value + 1);
-    for k in 0..t.nnz() {
-        *t.value_mut(k) = dist.sample(&mut rng) as f64;
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,15 +91,6 @@ mod tests {
         let t = random_tensor(&[40, 40, 40], 2000, 5);
         for (_, v) in t.iter() {
             assert!((0.0..1.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn rating_tensor_values_are_integer_ratings() {
-        let t = random_rating_tensor(&[30, 30, 12], 500, 5, 11);
-        for (_, v) in t.iter() {
-            assert!((1.0..=5.0).contains(&v));
-            assert_eq!(v.fract(), 0.0);
         }
     }
 

@@ -296,17 +296,6 @@ impl DistributedSetup {
         }
         RowRelations { modes }
     }
-
-    /// The number of rows of `U_n` owned by each rank (task counts).
-    pub fn owned_rows_per_rank(&self, mode: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; self.config.num_ranks];
-        for &r in &self.row_owner[mode] {
-            if r != u32::MAX {
-                counts[r as usize] += 1;
-            }
-        }
-        counts
-    }
 }
 
 /// Holder/needer relations of one mode (see
@@ -479,17 +468,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn owned_rows_sum_to_nonempty_slices() {
-        let t = tensor();
-        let config = SimConfig::new(4, Grain::Fine, PartitionMethod::Random, vec![3, 3, 3]);
-        let s = DistributedSetup::build(&t, &config);
-        for mode in 0..3 {
-            let owned: usize = s.owned_rows_per_rank(mode).iter().sum();
-            assert_eq!(owned, t.nonempty_slices(mode));
         }
     }
 }

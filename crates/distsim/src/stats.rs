@@ -86,15 +86,6 @@ impl IterationStats {
             .sum()
     }
 
-    /// Maximum per-rank communication volume over all modes.
-    pub fn max_comm_volume(&self) -> u64 {
-        self.modes
-            .iter()
-            .map(|m| ModeRankStats::max(&m.comm_volume))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Predicted expand words per rank, summed over modes — sent plus
     /// received, per HOOI iteration.
     pub fn expand_words_per_rank(&self) -> Vec<u64> {

@@ -42,69 +42,22 @@ pub enum TtmcStrategy {
     Auto,
 }
 
-/// Which per-mode nonzero index structure the per-mode numeric TTMc
-/// streams.
+/// Which per-mode index structure a planned session holds — reported by
+/// [`crate::TuckerSession::index_layout`], not chosen by the caller.
 ///
-/// All three concrete layouts accumulate every output row in the same
-/// order with the same arithmetic, so solves are bit-identical across
-/// them — the choice trades memory footprint against streaming speed:
-///
-/// * [`Coo`](Self::Coo) stores nothing beyond the symbolic update lists
-///   and gathers each nonzero through its COO id (slowest, zero extra
-///   memory),
-/// * [`ModeSorted`](Self::ModeSorted) copies values + foreign indices per
-///   mode into update-list order (fastest streaming, `order²·nnz` words),
-/// * [`Csf`](Self::Csf) compresses shared foreign-index prefixes into
-///   fiber hierarchies with `u32` ids where the dimensions permit (smaller
-///   than `ModeSorted`, hoists one factor-row lookup per fiber).
-///
-/// Only per-mode plans consult this knob; dimension-tree plans serve TTMc
-/// from their own node structures and carry no per-mode layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Every per-mode plan streams one CSF hierarchy per mode; dimension-tree
+/// plans serve TTMc from their own node structures and hold none.  The
+/// per-mode kernel's COO gather (used when no hierarchy is attached)
+/// accumulates every output row in the same order with the same arithmetic
+/// as the CSF walk, so the two are bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexLayout {
-    /// Gather through COO ids; no per-mode copy of the nonzero data.
+    /// No per-mode structure (dimension-tree plans): the per-mode kernel
+    /// would gather each nonzero through its COO id.
     Coo,
-    /// Mode-sorted value/index copies per mode (the PR 5 layout).
-    ModeSorted,
-    /// Compressed sparse fiber hierarchies per mode.
+    /// Compressed sparse fiber hierarchies per mode, with `u32` ids where
+    /// the dimensions permit (every per-mode plan).
     Csf,
-    /// Resolve at plan time from the tensor's size: [`Csf`](Self::Csf)
-    /// when the estimated `ModeSorted` footprint exceeds
-    /// [`AUTO_CSF_THRESHOLD_BYTES`](Self::AUTO_CSF_THRESHOLD_BYTES),
-    /// [`ModeSorted`](Self::ModeSorted) otherwise.  A pure function of
-    /// `(order, nnz)`, so the resolution is deterministic per tensor.
-    #[default]
-    Auto,
-}
-
-impl IndexLayout {
-    /// [`Auto`](Self::Auto) switches to CSF above this estimated
-    /// `ModeSorted` footprint (64 MiB): small tensors keep the flat copies
-    /// cache-resident, large ones take the compressed hierarchies.
-    pub const AUTO_CSF_THRESHOLD_BYTES: usize = 64 << 20;
-
-    /// Estimated total `ModeSorted` footprint for a tensor shape: per mode,
-    /// `nnz` values plus `(order-1)·nnz` word-sized indices, across `order`
-    /// modes.
-    pub fn mode_sorted_estimate_bytes(order: usize, nnz: usize) -> usize {
-        order * order * nnz * std::mem::size_of::<usize>()
-    }
-
-    /// The concrete layout this knob selects for a tensor with the given
-    /// order and nonzero count; identity on everything but
-    /// [`Auto`](Self::Auto).
-    pub fn resolve_for(self, order: usize, nnz: usize) -> IndexLayout {
-        match self {
-            IndexLayout::Auto => {
-                if Self::mode_sorted_estimate_bytes(order, nnz) > Self::AUTO_CSF_THRESHOLD_BYTES {
-                    IndexLayout::Csf
-                } else {
-                    IndexLayout::ModeSorted
-                }
-            }
-            concrete => concrete,
-        }
-    }
 }
 
 /// Which truncated-SVD backend updates the factor matrices.
@@ -155,11 +108,6 @@ impl TuckerConfig {
             trsvd: TrsvdBackend::Lanczos,
             seed: 0x7c4a_u64 ^ 0x00c0_ffee,
         }
-    }
-
-    /// Uniform rank `r` across `order` modes.
-    pub fn with_uniform_rank(order: usize, r: usize) -> Self {
-        TuckerConfig::new(vec![r; order])
     }
 
     /// Builder-style setter for the iteration count.
@@ -245,12 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_rank_constructor() {
-        let c = TuckerConfig::with_uniform_rank(4, 5);
-        assert_eq!(c.ranks, vec![5, 5, 5, 5]);
-    }
-
-    #[test]
     fn builder_setters() {
         let c = TuckerConfig::new(vec![3, 3])
             .max_iterations(12)
@@ -299,40 +241,5 @@ mod tests {
     fn validated_ranks_clamp_to_dims() {
         let c = TuckerConfig::new(vec![10, 10, 10]);
         assert_eq!(c.validated_ranks(&[100, 5, 50]).unwrap(), vec![10, 5, 10]);
-    }
-
-    #[test]
-    fn index_layout_auto_resolves_by_memory_estimate() {
-        // Concrete layouts are fixed points.
-        for l in [IndexLayout::Coo, IndexLayout::ModeSorted, IndexLayout::Csf] {
-            assert_eq!(l.resolve_for(3, 1), l);
-            assert_eq!(l.resolve_for(5, 1_000_000_000), l);
-        }
-        // Auto: small tensors keep the flat mode-sorted copies …
-        assert_eq!(
-            IndexLayout::Auto.resolve_for(3, 60_000),
-            IndexLayout::ModeSorted
-        );
-        // … and tensors whose estimated ModeSorted footprint exceeds the
-        // threshold switch to CSF.  order²·nnz·8 > 64 MiB at order 3 means
-        // nnz > ~932k.
-        assert_eq!(
-            IndexLayout::Auto.resolve_for(3, 1_000_000),
-            IndexLayout::Csf
-        );
-        assert_eq!(
-            IndexLayout::Auto.resolve_for(4, 30_000_000),
-            IndexLayout::Csf
-        );
-        // The boundary is exactly the threshold: equality stays flat.
-        let just_fits = IndexLayout::AUTO_CSF_THRESHOLD_BYTES / (3 * 3 * 8);
-        assert_eq!(
-            IndexLayout::Auto.resolve_for(3, just_fits),
-            IndexLayout::ModeSorted
-        );
-        assert_eq!(
-            IndexLayout::Auto.resolve_for(3, just_fits + 1),
-            IndexLayout::Csf
-        );
     }
 }

@@ -12,27 +12,16 @@ use linalg::blas::gemm_tn;
 use linalg::Matrix;
 use sptensor::{DenseTensor, SparseTensor};
 
-/// Forms the core tensor from the *last mode's* TTMc result.
+/// Forms the core tensor from the *last mode's* TTMc result, writing into
+/// an existing `R_1 × … × R_N` tensor and overwriting every entry — the HOOI
+/// loop passes the workspace's core buffer every iteration.
 ///
 /// * `compact` — the compact TTMc result of the last mode
 ///   (`|J_{N-1}| × Π_{t≠N-1} R_t`),
 /// * `sym` — symbolic data of the last mode (row mapping),
 /// * `factor_last` — the just-updated factor matrix `U_{N-1}` (`I_{N-1} × R_{N-1}`),
-/// * `ranks` — the rank of every mode, used to shape the core.
-pub fn core_from_last_ttmc(
-    compact: &Matrix,
-    sym: &SymbolicMode,
-    factor_last: &Matrix,
-    ranks: &[usize],
-) -> DenseTensor {
-    let mut core = DenseTensor::zeros(ranks.to_vec());
-    core_from_last_ttmc_into(compact, sym, factor_last, ranks, &mut core);
-    core
-}
-
-/// [`core_from_last_ttmc`] writing into an existing `R_1 × … × R_N` tensor,
-/// overwriting every entry — the buffer-reusing variant the HOOI loop calls
-/// with the workspace's core buffer every iteration.
+/// * `ranks` — the rank of every mode, used to shape the core,
+/// * `out` — the core buffer, shaped `ranks`.
 pub fn core_from_last_ttmc_into(
     compact: &Matrix,
     sym: &SymbolicMode,
@@ -126,7 +115,8 @@ mod tests {
         let sym = SymbolicTtmc::build(&t);
         let last = 2;
         let compact = ttmc_mode(&t, sym.mode(last), &factors, last);
-        let g1 = core_from_last_ttmc(&compact, sym.mode(last), &factors[last], &ranks);
+        let mut g1 = DenseTensor::zeros(ranks.to_vec());
+        core_from_last_ttmc_into(&compact, sym.mode(last), &factors[last], &ranks, &mut g1);
         let g2 = core_from_scratch(&t, &factors);
         assert_eq!(g1.dims(), &ranks);
         assert!(g1.frobenius_distance(&g2) < 1e-9 * g2.frobenius_norm().max(1.0));
@@ -140,7 +130,8 @@ mod tests {
         let sym = SymbolicTtmc::build(&t);
         let last = 3;
         let compact = ttmc_mode(&t, sym.mode(last), &factors, last);
-        let g1 = core_from_last_ttmc(&compact, sym.mode(last), &factors[last], &ranks);
+        let mut g1 = DenseTensor::zeros(ranks.to_vec());
+        core_from_last_ttmc_into(&compact, sym.mode(last), &factors[last], &ranks, &mut g1);
         let g2 = core_from_scratch(&t, &factors);
         assert!(g1.frobenius_distance(&g2) < 1e-9 * g2.frobenius_norm().max(1.0));
     }

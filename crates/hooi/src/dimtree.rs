@@ -300,9 +300,10 @@ fn accumulate_flops(lens: &[usize]) -> u64 {
 }
 
 /// Per-iteration cost of the baseline per-mode strategy: every mode visits
-/// every nonzero once, accumulating one scaled Kronecker product, streaming
-/// the mode-sorted layout (value + foreign indices + factor rows) and
-/// writing the compact result once.
+/// every nonzero once, accumulating one scaled Kronecker product, reading
+/// its value, foreign indices and factor rows (an upper bound for the CSF
+/// walk, which shares index and factor-row reads per fiber) and writing the
+/// compact result once.
 pub fn per_mode_costs(symbolic: &SymbolicTtmc, nnz: usize, ranks: &[usize]) -> TtmcCosts {
     let order = ranks.len();
     let mut costs = TtmcCosts::default();

@@ -19,7 +19,7 @@ use std::time::Duration;
 /// let err = TuckerSolver::plan(&empty, PlanOptions::new()).unwrap_err();
 /// assert_eq!(err, TuckerError::EmptyTensor);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TuckerError {
     /// The tensor has no modes or no stored nonzeros; there is nothing to
     /// decompose (the fit is undefined for a zero-norm tensor).
@@ -31,6 +31,18 @@ pub enum TuckerError {
         /// Position of the first non-finite value among the stored
         /// nonzeros (the COO id, as in [`sptensor::SparseTensor::value`]).
         nonzero: usize,
+    },
+    /// Every value is finite, but the sum of their squares is not a normal
+    /// `f64`: it overflows to infinity (values around `1e155` and beyond),
+    /// or it is positive but below [`f64::MIN_POSITIVE`], or it underflows
+    /// to zero although some value is nonzero (values around `1e-155` and
+    /// below).  The Gram matrices of the TRSVD and the fit's norm ratio are
+    /// computed from the same squares, so such a tensor would panic in the
+    /// eigensolver or report a wrong fit; rescaling its values fixes it.
+    NormOutOfRange {
+        /// `Σ x²` over the stored values, summed in
+        /// [`sptensor::SparseTensor::frobenius_norm`]'s order.
+        squared_norm: f64,
     },
     /// The configuration's rank count does not match the tensor order.
     OrderMismatch {
@@ -147,6 +159,11 @@ impl fmt::Display for TuckerError {
             TuckerError::NonFiniteValue { nonzero } => {
                 write!(f, "stored nonzero {nonzero} is NaN or infinite")
             }
+            TuckerError::NormOutOfRange { squared_norm } => write!(
+                f,
+                "the squared Frobenius norm of the values ({squared_norm:e}) is outside the \
+                 normal f64 range; rescale the values"
+            ),
             TuckerError::OrderMismatch {
                 config_modes,
                 tensor_modes,
@@ -219,20 +236,40 @@ impl fmt::Display for TuckerError {
     }
 }
 
+// `squared_norm` is never NaN: `validate_tensor` rejects non-finite
+// values before it sums their squares, so equality stays total.
+impl Eq for TuckerError {}
+
 impl std::error::Error for TuckerError {}
 
 /// The tensor checks every solver entry point runs before planning:
 /// [`TuckerError::EmptyTensor`] for a tensor with no modes or no stored
 /// nonzeros, [`TuckerError::NonFiniteValue`] for the first NaN or infinite
-/// value (one pass over the values).
+/// value, and [`TuckerError::NormOutOfRange`] when `Σ x²` overflows or
+/// underflows (one pass over the values).  A tensor of explicit zeros
+/// passes: its norm is exactly zero, not an underflow.
 pub fn validate_tensor(tensor: &sptensor::SparseTensor) -> Result<(), TuckerError> {
     if tensor.order() == 0 || tensor.nnz() == 0 {
         return Err(TuckerError::EmptyTensor);
     }
-    match tensor.values().iter().position(|v| !v.is_finite()) {
-        Some(nonzero) => Err(TuckerError::NonFiniteValue { nonzero }),
-        None => Ok(()),
+    let mut squared_norm = 0.0f64;
+    let mut any_nonzero = false;
+    for (nonzero, &v) in tensor.values().iter().enumerate() {
+        if !v.is_finite() {
+            return Err(TuckerError::NonFiniteValue { nonzero });
+        }
+        squared_norm += v * v;
+        any_nonzero |= v != 0.0;
     }
+    let underflow = if squared_norm == 0.0 {
+        any_nonzero
+    } else {
+        squared_norm < f64::MIN_POSITIVE
+    };
+    if squared_norm.is_infinite() || underflow {
+        return Err(TuckerError::NormOutOfRange { squared_norm });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -371,6 +408,27 @@ mod tests {
         assert!(err.to_string().contains("nonzero 2"));
         *tensor.value_mut(2) = 0.5;
         assert_eq!(validate_tensor(&tensor), Ok(()));
+    }
+
+    #[test]
+    fn validate_tensor_rejects_norms_outside_the_normal_range() {
+        let with = |values: &[f64]| {
+            let mut t = sptensor::SparseTensor::new(vec![4, 4]);
+            for (i, &v) in values.iter().enumerate() {
+                t.push(&[i, i], v);
+            }
+            validate_tensor(&t)
+        };
+        let out_of_range = |squared_norm| Err(TuckerError::NormOutOfRange { squared_norm });
+        // Overflow, a subnormal sum, and an underflow to zero.
+        assert_eq!(with(&[1.0, 1e160]), out_of_range(f64::INFINITY));
+        assert_eq!(with(&[1e-160, 0.0]), out_of_range(1e-160 * 1e-160));
+        assert_eq!(with(&[1e-200, -1e-200]), out_of_range(0.0));
+        // Explicit zeros and large-but-representable values pass.
+        assert_eq!(with(&[0.0, -0.0]), Ok(()));
+        assert_eq!(with(&[1e150, -1e150, 3.0]), Ok(()));
+        let msg = out_of_range(f64::INFINITY).unwrap_err().to_string();
+        assert!(msg.contains("inf") && msg.contains("rescale"), "{msg}");
     }
 
     #[test]

@@ -22,12 +22,6 @@ pub fn fit_from_norms(tensor_norm: f64, core_norm: f64) -> f64 {
     1.0 - residual_sq.sqrt() / tensor_norm
 }
 
-/// The relative residual `sqrt(max(0, ‖X‖² − ‖G‖²)) / ‖X‖` — the quantity
-/// the paper calls the change-monitored fit measure.  0 = perfect.
-pub fn relative_residual_from_norms(tensor_norm: f64, core_norm: f64) -> f64 {
-    1.0 - fit_from_norms(tensor_norm, core_norm)
-}
-
 /// Root-mean-square error of the model evaluated at the stored nonzeros
 /// only: `sqrt(Σ (x − x̂)² / nnz)`.  This is the metric recommender-system
 /// applications of Tucker actually care about, and it does not require the
@@ -91,14 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn residual_complements_fit() {
-        let f = fit_from_norms(5.0, 3.0);
-        let r = relative_residual_from_norms(5.0, 3.0);
-        assert!((f + r - 1.0).abs() < 1e-12);
-        assert!((r - 4.0 / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn exact_lowrank_model_has_zero_rmse() {
         let lr = lowrank_tensor(&LowRankSpec {
             dims: vec![15, 12, 10],
@@ -137,8 +123,7 @@ mod tests {
         });
         let core = core_from_scratch(&lr.tensor, &lr.factors);
         let full_err = full_relative_error(&lr.tensor, &core, &lr.factors, 1_000_000);
-        let norm_err =
-            relative_residual_from_norms(lr.tensor.frobenius_norm(), core.frobenius_norm());
+        let norm_err = 1.0 - fit_from_norms(lr.tensor.frobenius_norm(), core.frobenius_norm());
         assert!(
             (full_err - norm_err).abs() < 1e-8,
             "{full_err} vs {norm_err}"

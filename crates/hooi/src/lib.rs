@@ -9,8 +9,8 @@
 //!    lock-free and all index arithmetic is hoisted out of the HOOI loop.
 //! 2. [`ttmc`] — the *nonzero-based* numeric TTMc (paper Eq. (4) /
 //!    Algorithm 2): each nonzero contributes `x · ⊗_{t≠n} U_t(i_t, :)` to
-//!    its row, computed in parallel over rows with rayon, streaming the
-//!    mode-sorted nonzero layout; [`dimtree`] — the flop-sharing
+//!    its row, computed in parallel over rows with rayon, streaming one
+//!    CSF fiber hierarchy per mode; [`dimtree`] — the flop-sharing
 //!    dimension-tree variant that materializes shared partial contractions
 //!    once per iteration and serves every mode from them (the solver's
 //!    default, [`TtmcStrategy::DimensionTree`]).

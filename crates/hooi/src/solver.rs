@@ -57,6 +57,10 @@ use std::time::{Duration, Instant};
 
 /// Options fixed at planning time: everything the session keeps alive
 /// across solves, as opposed to the per-solve [`TuckerConfig`].
+///
+/// The per-mode index structure is not an option: every per-mode plan
+/// streams one CSF hierarchy per mode, and
+/// [`TuckerSession::index_layout`] reports what a plan holds.
 #[derive(Debug, Clone, Default)]
 pub struct PlanOptions {
     /// Worker thread count of the session's pool; `0` (the default) uses
@@ -69,13 +73,6 @@ pub struct PlanOptions {
     /// modeled flops for this tensor and keeps the cheaper one.  Single-
     /// mode tensors fall back to [`TtmcStrategy::PerMode`] silently.
     pub ttmc_strategy: TtmcStrategy,
-    /// Which per-mode index layout the session's TTMc streams when the
-    /// per-mode strategy runs; defaults to [`IndexLayout::Auto`], which
-    /// resolves from the tensor's size at plan time (flat mode-sorted
-    /// copies while they stay cache-friendly, compressed fiber hierarchies
-    /// beyond).  Dimension-tree plans ignore this knob — the tree serves
-    /// TTMc from its own node structures.
-    pub index_layout: IndexLayout,
     /// Which SIMD kernel tier the session's numeric kernels run at; defaults
     /// to [`KernelIsa::Auto`] (the widest tier that stays bit-identical to
     /// scalar — AVX2 where the hardware has it).  Resolved to a concrete
@@ -115,12 +112,6 @@ impl PlanOptions {
         self
     }
 
-    /// Builder-style setter for the per-mode index layout of the session.
-    pub fn index_layout(mut self, layout: IndexLayout) -> Self {
-        self.index_layout = layout;
-        self
-    }
-
     /// Builder-style setter for the SIMD kernel tier of the session.
     pub fn kernel_isa(mut self, isa: KernelIsa) -> Self {
         self.kernel_isa = isa;
@@ -145,24 +136,17 @@ const AUTO_RANK_HINT: usize = 8;
 
 /// Plan-time TTMc strategy resolution of [`TuckerSolver::plan`]: turns the
 /// requested strategy into concrete plan artifacts — the symbolic analysis
-/// (with per-mode streaming layouts exactly when the per-mode kernel will
-/// run them) and the dimension tree when that strategy won.
+/// (with the per-mode CSF hierarchies exactly when the per-mode kernel will
+/// stream them) and the dimension tree when that strategy won.
 ///
 /// [`TtmcStrategy::Auto`] builds the tree's symbolic grouping, prices both
 /// strategies with the plan-time cost model ([`DimTree::costs`] vs
 /// [`dimtree::per_mode_costs`]) at a fixed rank hint, and keeps the cheaper
 /// one; ties resolve to the simpler per-mode sweep.  Order-1 tensors always
 /// run per-mode (there is no tree over a single mode).
-fn resolve_plan(
-    tensor: &SparseTensor,
-    requested: TtmcStrategy,
-    layout: IndexLayout,
-) -> (SymbolicTtmc, Option<DimTree>) {
-    let layout = layout.resolve_for(tensor.order(), tensor.nnz());
+fn resolve_plan(tensor: &SparseTensor, requested: TtmcStrategy) -> (SymbolicTtmc, Option<DimTree>) {
     if tensor.order() < 2 || requested == TtmcStrategy::PerMode {
-        let mut symbolic = SymbolicTtmc::build_without_layout(tensor);
-        apply_index_layout(&mut symbolic, tensor, layout);
-        return (symbolic, None);
+        return (SymbolicTtmc::build(tensor), None);
     }
     if requested == TtmcStrategy::DimensionTree {
         return (
@@ -182,23 +166,10 @@ fn resolve_plan(
     if tree_flops < per_mode_flops {
         (symbolic, Some(tree))
     } else {
-        // The per-mode kernel won: give it the streaming index structures
-        // the tree plan skipped.
-        apply_index_layout(&mut symbolic, tensor, layout);
+        // The per-mode kernel won: give it the CSF hierarchies the tree
+        // plan skipped.
+        symbolic.attach_csf_layouts(tensor);
         (symbolic, None)
-    }
-}
-
-/// Attaches the per-mode streaming structures a resolved [`IndexLayout`]
-/// calls for to layout-free symbolic data.  [`IndexLayout::Coo`] attaches
-/// nothing — the kernel then gathers through COO ids.
-fn apply_index_layout(symbolic: &mut SymbolicTtmc, tensor: &SparseTensor, layout: IndexLayout) {
-    match layout {
-        IndexLayout::Coo => {}
-        IndexLayout::Csf => symbolic.attach_csf_layouts(tensor),
-        // `Auto` was resolved by the caller; treat it like its default arm
-        // for robustness.
-        IndexLayout::ModeSorted | IndexLayout::Auto => symbolic.attach_layouts(tensor),
     }
 }
 
@@ -357,16 +328,15 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
         // The dimension tree's symbolic grouping is part of the plan: built
         // once here, reused by every solve.  [`resolve_plan`] settles an
         // `Auto` request here too, so solves never re-decide; a tree plan
-        // skips the per-mode streaming layouts — its TTMc never runs the
+        // skips the per-mode CSF hierarchies — its TTMc never runs the
         // per-mode kernel, and they would duplicate the nonzero data once
         // per mode.
         let (symbolic, dimtree) = {
             let t = tensor.borrow();
             let strategy = options.ttmc_strategy;
-            let layout = options.index_layout;
             match &pool {
-                Some(pool) => pool.install(|| resolve_plan(t, strategy, layout)),
-                None => resolve_plan(t, strategy, layout),
+                Some(pool) => pool.install(|| resolve_plan(t, strategy)),
+                None => resolve_plan(t, strategy),
             }
         };
         let symbolic_time = t0.elapsed();
@@ -415,17 +385,13 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
         self.dimtree.as_ref()
     }
 
-    /// The concrete per-mode index layout this session's TTMc streams: the
-    /// plan-time option with [`IndexLayout::Auto`] resolved.  Derived from
-    /// the symbolic structures themselves, so it reports what is actually
-    /// attached; dimension-tree plans carry no per-mode structures and
-    /// report [`IndexLayout::Coo`] (the per-mode kernel's gather fallback).
+    /// The per-mode index structure this session holds, derived from the
+    /// symbolic data itself: [`IndexLayout::Csf`] on every per-mode plan,
+    /// [`IndexLayout::Coo`] on dimension-tree plans, which carry no per-mode
+    /// structure (the per-mode kernel's gather fallback).
     pub fn index_layout(&self) -> IndexLayout {
-        let m = self.symbolic.mode(0);
-        if m.csf().is_some() {
+        if self.symbolic.mode(0).csf().is_some() {
             IndexLayout::Csf
-        } else if m.layout().is_some() {
-            IndexLayout::ModeSorted
         } else {
             IndexLayout::Coo
         }
@@ -474,7 +440,7 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
     }
 
     /// Measured memory footprint of the plan in bytes: the symbolic TTMc
-    /// structures (update lists, mode-sorted layouts), the dimension tree's
+    /// structures (update lists, CSF hierarchies), the dimension tree's
     /// node groupings when that strategy runs, and the workspace scratch
     /// (compact TTMc buffers, tree value/partial matrices, Lanczos scratch,
     /// core buffer).  The tensor itself is *not* counted — it is owned (or
@@ -996,74 +962,6 @@ mod tests {
         assert_eq!(result.factors, reference.factors);
         assert_eq!(result.core.as_slice(), reference.core.as_slice());
         assert_eq!(shared.install(|| session.num_threads()), 2);
-    }
-
-    #[test]
-    fn index_layout_is_fixed_at_plan_time_and_solves_bitwise_equal() {
-        let t = random_tensor(&[22, 18, 14], 900, 21);
-        let config = TuckerConfig::new(vec![3, 3, 3]).max_iterations(3).seed(2);
-        let mut results = Vec::new();
-        for layout in [IndexLayout::Coo, IndexLayout::ModeSorted, IndexLayout::Csf] {
-            let mut solver = TuckerSolver::plan(
-                &t,
-                PlanOptions::new()
-                    .num_threads(1)
-                    .ttmc_strategy(TtmcStrategy::PerMode)
-                    .index_layout(layout),
-            )
-            .unwrap();
-            assert_eq!(solver.index_layout(), layout);
-            results.push(solver.solve(&config).unwrap());
-        }
-        for r in &results[1..] {
-            assert_eq!(r.factors, results[0].factors);
-            assert_eq!(r.core.as_slice(), results[0].core.as_slice());
-            assert_eq!(r.fits, results[0].fits);
-        }
-    }
-
-    #[test]
-    fn auto_layout_resolves_to_mode_sorted_on_small_tensors() {
-        let t = random_tensor(&[15, 12, 10], 400, 23);
-        let solver = TuckerSolver::plan(
-            &t,
-            PlanOptions::new()
-                .num_threads(1)
-                .ttmc_strategy(TtmcStrategy::PerMode),
-        )
-        .unwrap();
-        assert_eq!(solver.index_layout(), IndexLayout::ModeSorted);
-        // Dimension-tree plans carry no per-mode layout at all.
-        let tree = TuckerSolver::plan(
-            &t,
-            PlanOptions::new()
-                .num_threads(1)
-                .ttmc_strategy(TtmcStrategy::DimensionTree),
-        )
-        .unwrap();
-        assert_eq!(tree.index_layout(), IndexLayout::Coo);
-    }
-
-    #[test]
-    fn csf_plan_is_smaller_than_mode_sorted_plan() {
-        let t = random_tensor(&[40, 35, 30], 6000, 27);
-        let plan_with = |layout: IndexLayout| {
-            TuckerSolver::plan(
-                &t,
-                PlanOptions::new()
-                    .num_threads(1)
-                    .ttmc_strategy(TtmcStrategy::PerMode)
-                    .index_layout(layout),
-            )
-            .unwrap()
-            .memory_bytes()
-        };
-        let flat = plan_with(IndexLayout::ModeSorted);
-        let csf = plan_with(IndexLayout::Csf);
-        assert!(
-            csf < flat,
-            "CSF plan ({csf} bytes) should undercut ModeSorted ({flat} bytes)"
-        );
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use rayon::prelude::*;
 use sptensor::csf::CsfMode;
-use sptensor::layout::ModeSortedNonzeros;
 use sptensor::SparseTensor;
 
 /// Update lists for one mode, in CSR-like form.
@@ -36,46 +35,39 @@ pub struct SymbolicMode {
     /// lookup per nonzero in the build and per `position_of` call, replacing
     /// the previous hash-map probe on both hot paths.
     row_pos: Vec<usize>,
-    /// The nonzero data (values + foreign-mode indices) permuted into
-    /// update-list order so the per-mode numeric TTMc streams contiguously.
-    /// Costs one extra copy of the nonzero data per mode (`nnz` values +
-    /// `(order-1)·nnz` indices) — the same memory/speed trade the per-mode
-    /// CSF layouts of the follow-up literature make — so it is only
-    /// materialized where that kernel actually runs: `None` on
-    /// dimension-tree plans (the tree streams its own per-node
-    /// contract-index arrays instead), in which case
-    /// [`crate::ttmc`] gathers through COO ids in the identical
-    /// accumulation order.
-    layout: Option<ModeSortedNonzeros>,
-    /// Compressed fiber hierarchy for this mode, present exactly when the
-    /// plan resolved to the CSF index layout
-    /// ([`crate::config::IndexLayout::Csf`]).  Built from
+    /// Compressed fiber hierarchy for this mode — the per-mode index
+    /// structure the numeric TTMc streams.  Only materialized where that
+    /// kernel runs: `None` on dimension-tree plans (the tree streams its own
+    /// per-node contract-index arrays instead), in which case
+    /// [`crate::ttmc`] gathers through COO ids.  Built from
     /// [`nonzero_ids`](Self::nonzero_ids) / [`row_ptr`](Self::row_ptr), so
     /// its leaf order *is* the update-list order and the CSF kernel
-    /// accumulates bit-identically to the COO and mode-sorted paths.
+    /// accumulates bit-identically to the COO gather.
     csf: Option<CsfMode>,
 }
 
 impl SymbolicMode {
-    /// Builds the update lists for `mode` with a counting pass followed by a
-    /// filling pass (two passes over the nonzeros, no sort), then the
-    /// mode-sorted nonzero layout the per-mode numeric kernel streams.
+    /// Builds the update lists for `mode`, then the CSF hierarchy the
+    /// per-mode numeric kernel streams.
     pub fn build(tensor: &SparseTensor, mode: usize) -> Self {
-        SymbolicMode::build_with_layout(tensor, mode, true)
+        let mut symbolic = SymbolicMode::update_lists(tensor, mode);
+        symbolic.attach_csf(tensor);
+        symbolic
     }
 
-    /// [`build`](Self::build) with the mode-sorted layout made optional:
-    /// dimension-tree plans pass `false` and skip the per-mode value/index
-    /// copies (the tree serves TTMc from its own node structures).
+    /// The update lists for `mode` alone, with a counting pass followed by a
+    /// filling pass (two passes over the nonzeros, no sort) — what
+    /// dimension-tree plans keep, since the tree serves TTMc from its own
+    /// node structures.
     ///
-    /// The update lists themselves ([`nonzero_ids`](Self::nonzero_ids)) are
-    /// always built, even though the tree path reads only
-    /// [`rows`](Self::rows): they are the paper's symbolic-TTMc artifact
-    /// and what keeps [`update_list`](Self::update_list) and the per-mode
-    /// kernel's COO-gather fallback valid on *every* plan — a deliberate
+    /// The update lists ([`nonzero_ids`](Self::nonzero_ids)) are built even
+    /// though the tree path reads only [`rows`](Self::rows): they are the
+    /// paper's symbolic-TTMc artifact and what keeps
+    /// [`update_list`](Self::update_list) and the per-mode kernel's
+    /// COO-gather fallback valid on *every* plan — a deliberate
     /// `order·nnz`-word trade against silently breaking this type's public
     /// invariants on tree plans.
-    pub fn build_with_layout(tensor: &SparseTensor, mode: usize, with_layout: bool) -> Self {
+    fn update_lists(tensor: &SparseTensor, mode: usize) -> Self {
         assert!(mode < tensor.order());
         let dim = tensor.dims()[mode];
         // Pass 1: count nonzeros per row.
@@ -103,14 +95,12 @@ impl SymbolicMode {
             nonzero_ids[cursor[p]] = t;
             cursor[p] += 1;
         }
-        let layout = with_layout.then(|| ModeSortedNonzeros::build(tensor, mode, &nonzero_ids));
         SymbolicMode {
             mode,
             rows,
             row_ptr,
             nonzero_ids,
             row_pos,
-            layout,
             csf: None,
         }
     }
@@ -133,21 +123,10 @@ impl SymbolicMode {
         }
     }
 
-    /// The mode-sorted nonzero layout: values and foreign-mode indices in
-    /// update-list order, aligned with [`row_ptr`](Self::row_ptr) /
-    /// [`nonzero_ids`](Self::nonzero_ids).  `None` when the symbolic data
-    /// was built for a dimension-tree plan
+    /// The compressed fiber hierarchy for this mode.  `None` when the
+    /// symbolic data was built for a dimension-tree plan
     /// ([`SymbolicTtmc::build_without_layout`]); the per-mode kernel then
     /// gathers through COO ids instead, in the same accumulation order.
-    #[inline]
-    pub fn layout(&self) -> Option<&ModeSortedNonzeros> {
-        self.layout.as_ref()
-    }
-
-    /// The compressed fiber hierarchy for this mode, if the plan resolved to
-    /// the CSF index layout.  The numeric kernel checks this before
-    /// [`layout`](Self::layout); both produce bit-identical results, they
-    /// differ only in memory footprint and streaming pattern.
     #[inline]
     pub fn csf(&self) -> Option<&CsfMode> {
         self.csf.as_ref()
@@ -173,24 +152,12 @@ impl SymbolicMode {
             .collect()
     }
 
-    /// Builds and attaches the mode-sorted layout if absent — the upgrade
-    /// path for an `Auto` plan that built its symbolic data layout-free for
-    /// the cost comparison and then resolved to the per-mode strategy.
-    pub fn attach_layout(&mut self, tensor: &SparseTensor) {
-        if self.layout.is_none() {
-            self.layout = Some(ModeSortedNonzeros::build(
-                tensor,
-                self.mode,
-                &self.nonzero_ids,
-            ));
-        }
-    }
-
     /// Builds and attaches the compressed fiber hierarchy if absent — the
-    /// plan-time upgrade path for the CSF index layout.  The hierarchy is
-    /// built from the update-list permutation, so root slice `p` aligns with
-    /// [`rows`](Self::rows)`[p]` and the leaf order matches the COO-gather
-    /// accumulation order exactly.
+    /// upgrade path for an `Auto` plan that built its symbolic data
+    /// structure-free for the cost comparison and then resolved to the
+    /// per-mode strategy.  The hierarchy is built from the update-list
+    /// permutation, so root slice `p` aligns with [`rows`](Self::rows)`[p]`
+    /// and the leaf order matches the COO-gather accumulation order exactly.
     pub fn attach_csf(&mut self, tensor: &SparseTensor) {
         if self.csf.is_none() {
             self.csf = Some(CsfMode::build(
@@ -211,9 +178,9 @@ pub struct SymbolicTtmc {
 }
 
 impl SymbolicTtmc {
-    /// Builds the update lists of all modes; modes are processed in parallel
-    /// (the "symbolic TTMc of each dimension can be performed independently"
-    /// observation of the paper).
+    /// Builds the update lists and CSF hierarchies of all modes; modes are
+    /// processed in parallel (the "symbolic TTMc of each dimension can be
+    /// performed independently" observation of the paper).
     pub fn build(tensor: &SparseTensor) -> Self {
         let modes: Vec<SymbolicMode> = (0..tensor.order())
             .into_par_iter()
@@ -222,14 +189,14 @@ impl SymbolicTtmc {
         SymbolicTtmc { modes }
     }
 
-    /// [`build`](Self::build) without the mode-sorted nonzero layouts —
-    /// what a dimension-tree plan uses, since its TTMc never runs the
-    /// per-mode streaming kernel and the layouts would be one dead copy of
-    /// the nonzero data per mode.
+    /// [`build`](Self::build) without the CSF hierarchies — what a
+    /// dimension-tree plan uses, since its TTMc never runs the per-mode
+    /// streaming kernel and the hierarchies would be one dead copy of the
+    /// nonzero data per mode.
     pub fn build_without_layout(tensor: &SparseTensor) -> Self {
         let modes: Vec<SymbolicMode> = (0..tensor.order())
             .into_par_iter()
-            .map(|m| SymbolicMode::build_with_layout(tensor, m, false))
+            .map(|m| SymbolicMode::update_lists(tensor, m))
             .collect();
         SymbolicTtmc { modes }
     }
@@ -237,20 +204,6 @@ impl SymbolicTtmc {
     /// The symbolic data for one mode.
     pub fn mode(&self, mode: usize) -> &SymbolicMode {
         &self.modes[mode]
-    }
-
-    /// Attaches the mode-sorted layouts to every mode that lacks one (see
-    /// [`SymbolicMode::attach_layout`]); modes are processed in parallel
-    /// like the build itself.
-    pub fn attach_layouts(&mut self, tensor: &SparseTensor) {
-        let modes = std::mem::take(&mut self.modes);
-        self.modes = modes
-            .into_par_iter()
-            .map(|mut m| {
-                m.attach_layout(tensor);
-                m
-            })
-            .collect::<SymbolicMode, Vec<SymbolicMode>>();
     }
 
     /// Attaches the compressed fiber hierarchies to every mode that lacks
@@ -267,6 +220,14 @@ impl SymbolicTtmc {
             .collect::<SymbolicMode, Vec<SymbolicMode>>();
     }
 
+    /// Forwards to [`attach_csf_layouts`](Self::attach_csf_layouts).  Kept
+    /// only because the repository benchmark's traced replay still calls
+    /// it; ROADMAP item 4 deletes that replay, and this forward with it.
+    #[doc(hidden)]
+    pub fn attach_layouts(&mut self, tensor: &SparseTensor) {
+        self.attach_csf_layouts(tensor);
+    }
+
     /// Number of modes.
     pub fn order(&self) -> usize {
         self.modes.len()
@@ -280,7 +241,6 @@ impl SymbolicTtmc {
             .map(|m| {
                 (m.rows.len() + m.row_ptr.len() + m.nonzero_ids.len() + m.row_pos.len())
                     * std::mem::size_of::<usize>()
-                    + m.layout.as_ref().map_or(0, |l| l.memory_bytes())
                     + m.csf.as_ref().map_or(0, |c| c.memory_bytes())
             })
             .sum()
@@ -349,46 +309,25 @@ mod tests {
     }
 
     #[test]
-    fn layout_mirrors_update_list_order() {
+    fn structure_free_build_matches_update_lists() {
         let t = sample();
+        let bare = SymbolicTtmc::build_without_layout(&t);
+        let full = SymbolicTtmc::build(&t);
         for mode in 0..3 {
-            let s = SymbolicMode::build(&t, mode);
-            let lay = s.layout().expect("default build carries the layout");
-            assert_eq!(lay.len(), t.nnz());
-            for (pos, &id) in s.nonzero_ids.iter().enumerate() {
-                assert_eq!(lay.value(pos), t.value(id));
-                let full = t.index(id);
-                let expect: Vec<usize> = full
-                    .iter()
-                    .enumerate()
-                    .filter(|&(m, _)| m != mode)
-                    .map(|(_, &i)| i)
-                    .collect();
-                assert_eq!(lay.coords(pos), &expect[..], "mode {mode} pos {pos}");
-            }
-        }
-    }
-
-    #[test]
-    fn layoutless_build_matches_update_lists() {
-        let t = sample();
-        for mode in 0..3 {
-            let with = SymbolicMode::build(&t, mode);
-            let without = SymbolicMode::build_with_layout(&t, mode, false);
-            assert!(without.layout().is_none());
+            let (with, without) = (full.mode(mode), bare.mode(mode));
+            assert!(with.csf().is_some() && without.csf().is_none());
             assert_eq!(with.rows, without.rows);
             assert_eq!(with.row_ptr, without.row_ptr);
             assert_eq!(with.nonzero_ids, without.nonzero_ids);
         }
-        let bare = SymbolicTtmc::build_without_layout(&t);
-        assert!(bare.memory_bytes() < SymbolicTtmc::build(&t).memory_bytes());
+        assert!(bare.memory_bytes() < full.memory_bytes());
     }
 
     #[test]
     fn attached_csf_mirrors_update_list_order() {
         let t = sample();
         for mode in 0..3 {
-            let mut s = SymbolicMode::build_with_layout(&t, mode, false);
+            let mut s = SymbolicMode::update_lists(&t, mode);
             assert!(s.csf().is_none());
             s.attach_csf(&t);
             let csf = s.csf().expect("csf attached");

@@ -128,14 +128,6 @@ pub fn trsvd_factor_with(
     }
 }
 
-/// Work measure of the TRSVD step used by the paper's Table III
-/// (`W_TRSVD`): the number of rows the iterative solver multiplies per
-/// MxV/MTxV pass, i.e. the number of (compact) rows of `Y_(n)` owned.  In
-/// the shared-memory case this is simply `|J_n|`.
-pub fn trsvd_work(sym: &SymbolicMode) -> usize {
-    sym.num_rows()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,12 +347,5 @@ mod tests {
         for w in result.singular_values.windows(2) {
             assert!(w[0] >= w[1] - 1e-9);
         }
-    }
-
-    #[test]
-    fn trsvd_work_is_row_count() {
-        let (t, _, sym) = setup();
-        assert_eq!(trsvd_work(sym.mode(0)), sym.mode(0).num_rows());
-        let _ = t;
     }
 }

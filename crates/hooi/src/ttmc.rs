@@ -10,13 +10,14 @@
 //! `|J_n| × Π_{t≠n} R_t`; rows of the full matricization outside `J_n` are
 //! identically zero and never materialized.
 //!
-//! The numeric kernel streams the mode-sorted layout built by the symbolic
-//! step ([`SymbolicMode::layout`]) — values and foreign-mode indices in
-//! update-list order — instead of gathering each nonzero through COO ids,
-//! and order-3 tensors (the common case) take a specialized two-row
-//! outer-product micro-kernel with an unrolled inner axpy.  Both changes
-//! keep the accumulation order of every row, so results stay bit-identical
-//! to the id-gathering formulation the distributed executor replays.
+//! Per-mode plans stream the CSF fiber hierarchy built by the symbolic step
+//! ([`SymbolicMode::csf`]) — the one per-mode index structure — instead of
+//! gathering each nonzero through its COO id: factor-row lookups are hoisted
+//! per fiber, and orders 3 and 4 (the common cases) take fused outer-product
+//! micro-kernels.  The walk keeps the accumulation order of every row, so
+//! results stay bit-identical to the COO gather, which remains the fallback
+//! for symbolic data without a hierarchy (dimension-tree plans) and the
+//! formulation the distributed executor replays.
 
 use crate::symbolic::SymbolicMode;
 use linalg::Matrix;
@@ -42,9 +43,9 @@ pub fn ttmc_result_width(factors: &[Matrix], mode: usize) -> usize {
 /// `out` must have length `Π_{t≠mode} R_t` and is overwritten; `rows` is
 /// caller-owned scratch for the factor-row list so the parallel sweep hoists
 /// its allocation into the per-worker state.  When the symbolic data
-/// carries a mode-sorted layout the kernel streams it (order 3 through the
-/// specialized micro-kernel); otherwise it gathers through COO ids in the
-/// identical accumulation order, so both paths produce the same bits.
+/// carries a CSF hierarchy the kernel walks it; otherwise it gathers each
+/// nonzero through its COO id in the identical accumulation order, so both
+/// paths produce the same bits.
 #[allow(clippy::too_many_arguments)]
 fn compute_row<'a>(
     tensor: &SparseTensor,
@@ -58,86 +59,31 @@ fn compute_row<'a>(
     isa: KernelIsa,
 ) {
     out.iter_mut().for_each(|v| *v = 0.0);
-    if let Some(csf) = sym.csf() {
-        // CSF plans stream the fiber hierarchy: factor-row lookups are
+    match sym.csf() {
+        // Per-mode plans stream the fiber hierarchy: factor-row lookups are
         // hoisted per fiber, but every per-element multiply/add runs in the
-        // exact order of the flat kernels below, so the bits match.
-        match csf {
-            CsfMode::Small(d) => {
-                compute_row_csf(d, row_position, factors, mode, out, scratch, rows, isa)
-            }
-            CsfMode::Wide(d) => {
-                compute_row_csf(d, row_position, factors, mode, out, scratch, rows, isa)
-            }
+        // exact order of the COO gather below, so the bits match.
+        Some(CsfMode::Small(d)) => {
+            compute_row_csf(d, row_position, factors, mode, out, scratch, rows, isa)
         }
-        return;
-    }
-    let lo = sym.row_ptr[row_position];
-    let hi = sym.row_ptr[row_position + 1];
-    let Some(layout) = sym.layout() else {
-        // No layout (dimension-tree plans): gather each nonzero's value and
-        // indices from the COO arrays.
-        for &id in sym.update_list(row_position) {
-            let index = tensor.index(id);
-            rows.clear();
-            for (t, factor) in factors.iter().enumerate() {
-                if t == mode {
-                    continue;
+        Some(CsfMode::Wide(d)) => {
+            compute_row_csf(d, row_position, factors, mode, out, scratch, rows, isa)
+        }
+        // No per-mode structure (dimension-tree plans): gather each
+        // nonzero's value and indices from the COO arrays.
+        None => {
+            for &id in sym.update_list(row_position) {
+                let index = tensor.index(id);
+                rows.clear();
+                for (t, factor) in factors.iter().enumerate() {
+                    if t == mode {
+                        continue;
+                    }
+                    rows.push(factor.row(index[t]));
                 }
-                rows.push(factor.row(index[t]));
+                accumulate_scaled_kron_isa(isa, tensor.value(id), rows, out, scratch);
             }
-            accumulate_scaled_kron_isa(isa, tensor.value(id), rows, out, scratch);
         }
-        return;
-    };
-    let arity = layout.arity();
-    if arity == 2 {
-        // Order 3: the dominant case gets the specialized micro-kernel.
-        let (a, b) = foreign_pair(mode);
-        compute_row3(
-            layout.values_range(lo, hi),
-            layout.coords_range(lo, hi),
-            &factors[a],
-            &factors[b],
-            out,
-            isa,
-        );
-        return;
-    }
-    if arity == 3 {
-        // Order 4 (the paper's Delicious/Flickr shapes): fused three-row
-        // kernel, no scratch materialization.
-        let (a, b, c) = foreign_triple(mode);
-        compute_row4(
-            layout.values_range(lo, hi),
-            layout.coords_range(lo, hi),
-            &factors[a],
-            &factors[b],
-            &factors[c],
-            out,
-            isa,
-        );
-        return;
-    }
-    let values = layout.values_range(lo, hi);
-    let coords = layout.coords_range(lo, hi);
-    for (k, &value) in values.iter().enumerate() {
-        let c = &coords[k * arity..(k + 1) * arity];
-        if k + 1 < values.len() {
-            // The next entry's first factor row is a gather through an
-            // index array; start pulling its cache line now.
-            prefetch(factors[if mode == 0 { 1 } else { 0 }].row(coords[(k + 1) * arity]));
-        }
-        rows.clear();
-        let mut j = 0;
-        for (t, factor) in factors.iter().enumerate() {
-            if t == mode {
-                continue;
-            }
-            rows.push(factor.row(c[j]));
-            j += 1;
-        }
-        accumulate_scaled_kron_isa(isa, value, rows, out, scratch);
     }
 }
 
@@ -175,85 +121,19 @@ fn prefetch(row: &[f64]) {
     let _ = row;
 }
 
-/// Order-3 micro-kernel: accumulates `Σ_k x_k · (U_a(i_a) ⊗ U_b(i_b))` into
-/// `out`, streaming the mode-sorted `values`/`coords` arrays.  The scaled
-/// outer product of the two factor rows is written directly by
-/// [`simd::scaled_outer2`] (coefficient hoisted per `a`-entry with a
-/// zero-coefficient skip, bit-transparent for finite inputs; inner axpy on
-/// SIMD lanes); the per-element operations and their order match
-/// [`accumulate_scaled_kron`]'s two-factor branch exactly, so the result is
-/// bit-identical to the generic path, and the CSF kernel calls the same
-/// body, so the two layouts run byte-for-byte the same arithmetic.
-///
-/// [`accumulate_scaled_kron`]: sptensor::kron::accumulate_scaled_kron
-fn compute_row3(
-    values: &[f64],
-    coords: &[usize],
-    fa: &Matrix,
-    fb: &Matrix,
-    out: &mut [f64],
-    isa: KernelIsa,
-) {
-    for (k, &x) in values.iter().enumerate() {
-        if k + 1 < values.len() {
-            prefetch(fa.row(coords[2 * (k + 1)]));
-            prefetch(fb.row(coords[2 * (k + 1) + 1]));
-        }
-        let u = fa.row(coords[2 * k]);
-        let v = fb.row(coords[2 * k + 1]);
-        simd::scaled_outer2(isa, x, u, v, out);
-    }
-}
-
-/// Order-4 micro-kernel: accumulates
-/// `Σ_k x_k · (U_a(i_a) ⊗ U_b(i_b) ⊗ U_c(i_c))` into `out`, streaming the
-/// mode-sorted `values`/`coords` arrays without materializing the Kronecker
-/// product; [`simd::scaled_outer3`] is the per-nonzero body, shared with
-/// the CSF kernel.
-///
-/// Bit-identity contract: the generic path ([`accumulate_scaled_kron`]'s
-/// arity ≥ 3 branch) expands `((1.0·u_i)·v_j)·w_k` via [`kron_rows`] and
-/// then adds `x · s` — `1.0·u_i` is bitwise `u_i`, so the fused form
-/// `t = (u_i·v_j)·w_k; acc += x·t` performs the identical multiplies and
-/// add, in the identical order, for every output element.  In particular
-/// `x` multiplies *last* and there is no zero-coefficient skip, matching
-/// the generic branch exactly.
-///
-/// [`kron_rows`]: sptensor::kron::kron_rows
-#[allow(clippy::too_many_arguments)]
-fn compute_row4(
-    values: &[f64],
-    coords: &[usize],
-    fa: &Matrix,
-    fb: &Matrix,
-    fc: &Matrix,
-    out: &mut [f64],
-    isa: KernelIsa,
-) {
-    for (k, &x) in values.iter().enumerate() {
-        if k + 1 < values.len() {
-            prefetch(fa.row(coords[3 * (k + 1)]));
-            prefetch(fb.row(coords[3 * (k + 1) + 1]));
-            prefetch(fc.row(coords[3 * (k + 1) + 2]));
-        }
-        let u = fa.row(coords[3 * k]);
-        let v = fb.row(coords[3 * k + 1]);
-        let w = fc.row(coords[3 * k + 2]);
-        simd::scaled_outer3(isa, x, u, v, w, out);
-    }
-}
-
 /// Computes one row of the compact TTMc result from a CSF fiber hierarchy,
 /// accumulating into a pre-zeroed `out`.
 ///
 /// Root slice `row_position` of the hierarchy aligns with the symbolic
 /// data's `rows[row_position]` because the hierarchy is built from the same
-/// update-list permutation.  Arities 2 and 3 stream through the shared
-/// per-nonzero bodies of the flat micro-kernels ([`simd::scaled_outer2`] /
-/// [`simd::scaled_outer3`]) with the factor-row lookups hoisted per fiber; every
-/// other arity walks the hierarchy and feeds [`accumulate_scaled_kron`] with
-/// the factor rows in ascending foreign-mode order — exactly what the COO
-/// gather does — so all layouts produce the same bits.
+/// update-list permutation.  Arities 2 and 3 stream through the fused
+/// per-nonzero bodies [`simd::scaled_outer2`] / [`simd::scaled_outer3`]
+/// with the factor-row lookups hoisted per fiber; every other arity walks
+/// the hierarchy and feeds [`accumulate_scaled_kron`] with the factor rows
+/// in ascending foreign-mode order — exactly what the COO gather does — so
+/// both paths produce the same bits.
+///
+/// [`accumulate_scaled_kron`]: sptensor::kron::accumulate_scaled_kron
 #[allow(clippy::too_many_arguments)]
 fn compute_row_csf<'a, I: CsfIndex>(
     csf: &CsfData<I>,
@@ -290,7 +170,12 @@ fn compute_row_csf<'a, I: CsfIndex>(
 }
 
 /// Order-3 CSF kernel: one `U_a` row lookup per level-0 fiber, the leaf
-/// level streams `(i_b, x)` pairs through [`simd::scaled_outer2`].
+/// level streams `(i_b, x)` pairs through [`simd::scaled_outer2`], whose
+/// per-element operations and their order match [`accumulate_scaled_kron`]'s
+/// two-factor branch exactly (the zero-coefficient skip is bit-transparent
+/// for finite inputs).
+///
+/// [`accumulate_scaled_kron`]: sptensor::kron::accumulate_scaled_kron
 fn compute_row3_csf<I: CsfIndex>(
     csf: &CsfData<I>,
     p: usize,
@@ -316,6 +201,15 @@ fn compute_row3_csf<I: CsfIndex>(
 
 /// Order-4 CSF kernel: `U_a` hoisted per level-0 fiber, `U_b` per level-1
 /// fiber, leaves stream `(i_c, x)` through [`simd::scaled_outer3`].
+///
+/// Bit-identity contract: [`accumulate_scaled_kron`]'s arity ≥ 3 branch
+/// expands `((1.0·u_i)·v_j)·w_k` via [`kron_rows`] and then adds `x · s` —
+/// `1.0·u_i` is bitwise `u_i`, so the fused `t = (u_i·v_j)·w_k; acc += x·t`
+/// performs the identical multiplies and add, in the identical order, for
+/// every output element (`x` multiplies last, no zero-coefficient skip).
+///
+/// [`accumulate_scaled_kron`]: sptensor::kron::accumulate_scaled_kron
+/// [`kron_rows`]: sptensor::kron::kron_rows
 #[allow(clippy::too_many_arguments)]
 fn compute_row4_csf<I: CsfIndex>(
     csf: &CsfData<I>,
@@ -540,20 +434,6 @@ pub fn ttmc_contribution_into<'a>(
     accumulate_scaled_kron_isa(KernelIsa::resolved_default(), value, rows, out, scratch);
 }
 
-/// Number of floating point operations performed by the nonzero-based TTMc
-/// for one mode: every nonzero contributes `2 · Π_{t≠mode} R_t` flops (one
-/// multiply and one add per output entry, amortizing the Kronecker
-/// expansion).  This is the `W_TTMc` work measure of the paper's Table III.
-pub fn ttmc_work(tensor: &SparseTensor, ranks: &[usize], mode: usize) -> usize {
-    let width: usize = ranks
-        .iter()
-        .enumerate()
-        .filter(|&(t, _)| t != mode)
-        .map(|(_, &r)| r)
-        .product();
-    2 * tensor.nnz() * width
-}
-
 fn validate_factors(tensor: &SparseTensor, factors: &[Matrix], mode: usize) {
     assert_eq!(
         factors.len(),
@@ -748,35 +628,10 @@ mod tests {
     }
 
     #[test]
-    fn layoutless_symbolic_gives_bit_identical_results() {
-        // Dimension-tree plans build the symbolic data without the
-        // mode-sorted layout; the per-mode kernel's COO-gather fallback must
-        // reproduce the streaming path bit for bit (same accumulation
-        // order, same arithmetic).
-        for (dims, nnz) in [(vec![14, 11, 9], 400usize), (vec![7, 6, 5, 4], 250)] {
-            let t = random_tensor(&dims, nnz, 29);
-            let ranks: Vec<usize> = dims.iter().map(|_| 3).collect();
-            let factors = factors_for(&t, &ranks, 31);
-            let with = SymbolicTtmc::build(&t);
-            let without = SymbolicTtmc::build_without_layout(&t);
-            for mode in 0..dims.len() {
-                let a = ttmc_mode(&t, with.mode(mode), &factors, mode);
-                let b = ttmc_mode(&t, without.mode(mode), &factors, mode);
-                assert_eq!(
-                    a.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    b.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "order {} mode {mode}",
-                    dims.len()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn csf_symbolic_gives_bit_identical_results() {
-        // The CSF plan must reproduce the mode-sorted streaming kernel and
-        // the COO gather bit for bit, across the specialized arities (2, 3)
-        // and the generic walker (arity 1 and ≥ 4).
+        // The CSF walk must reproduce the COO gather bit for bit, across the
+        // specialized arities (2, 3) and the generic walker (arity 1 and
+        // ≥ 4); `build` and a later attach give the same hierarchy.
         for (dims, nnz) in [
             (vec![20, 15], 120usize),
             (vec![14, 11, 9], 400),
@@ -786,12 +641,12 @@ mod tests {
             let t = random_tensor(&dims, nnz, 37);
             let ranks: Vec<usize> = dims.iter().map(|_| 3).collect();
             let factors = factors_for(&t, &ranks, 41);
-            let with = SymbolicTtmc::build(&t);
+            let built = SymbolicTtmc::build(&t);
             let coo = SymbolicTtmc::build_without_layout(&t);
             let mut csf = SymbolicTtmc::build_without_layout(&t);
             csf.attach_csf_layouts(&t);
             for mode in 0..dims.len() {
-                let a = ttmc_mode(&t, with.mode(mode), &factors, mode);
+                let a = ttmc_mode(&t, built.mode(mode), &factors, mode);
                 let b = ttmc_mode(&t, csf.mode(mode), &factors, mode);
                 let c = ttmc_mode(&t, coo.mode(mode), &factors, mode);
                 let bits =
@@ -800,13 +655,6 @@ mod tests {
                 assert_eq!(bits(&c), bits(&b), "order {} mode {mode}", dims.len());
             }
         }
-    }
-
-    #[test]
-    fn ttmc_work_formula() {
-        let t = random_tensor(&[10, 10, 10], 100, 1);
-        assert_eq!(ttmc_work(&t, &[10, 10, 10], 0), 2 * 100 * 100);
-        assert_eq!(ttmc_work(&t, &[2, 3, 4], 1), 2 * 100 * 8);
     }
 
     #[test]

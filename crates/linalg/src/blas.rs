@@ -432,18 +432,6 @@ pub fn gram(a: &Matrix) -> Matrix {
     gemm_tn(a, a)
 }
 
-/// Column-wise Euclidean norms of a matrix.
-pub fn column_norms(a: &Matrix) -> Vec<f64> {
-    let mut norms = vec![0.0; a.ncols()];
-    for i in 0..a.nrows() {
-        for (j, &v) in a.row(i).iter().enumerate() {
-            norms[j] += v * v;
-        }
-    }
-    norms.iter_mut().for_each(|n| *n = n.sqrt());
-    norms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,16 +767,6 @@ mod tests {
             for j in 0..6 {
                 assert!(approx_eq(g[(i, j)], g[(j, i)], 1e-12));
             }
-        }
-    }
-
-    #[test]
-    fn column_norms_match_cols() {
-        let a = Matrix::random(15, 3, 21);
-        let norms = column_norms(&a);
-        for j in 0..3 {
-            let col = a.col(j);
-            assert!(approx_eq(norms[j], nrm2(&col), 1e-12));
         }
     }
 }

@@ -34,10 +34,6 @@ pub use qr::orthonormalize_columns;
 pub use simd::KernelIsa;
 pub use svd::dense_svd;
 
-/// Tolerance used throughout the crate when comparing floating point values
-/// in debug assertions and convergence checks.
-pub const DEFAULT_EPS: f64 = 1e-10;
-
 /// Returns `true` when `a` and `b` agree to within `tol` in absolute or
 /// relative terms, whichever is looser.  Used by tests across the workspace.
 pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {

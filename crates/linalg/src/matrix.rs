@@ -182,12 +182,6 @@ impl Matrix {
         }
     }
 
-    /// Overwrites row `i` with the entries of `v`.
-    pub fn set_row(&mut self, i: usize, v: &[f64]) {
-        assert_eq!(v.len(), self.ncols);
-        self.row_mut(i).copy_from_slice(v);
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.ncols, self.nrows);
@@ -245,11 +239,6 @@ impl Matrix {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Largest absolute entry (`max |a_ij|`), 0 for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
-    }
-
     /// Entrywise difference norm `‖self - other‖_F`.
     pub fn frobenius_distance(&self, other: &Matrix) -> f64 {
         assert_eq!(self.shape(), other.shape());
@@ -259,15 +248,6 @@ impl Matrix {
             .map(|(a, b)| (a - b) * (a - b))
             .sum::<f64>()
             .sqrt()
-    }
-
-    /// Returns an iterator over (row, col, value) of all entries.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        let ncols = self.ncols;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(k, &v)| (k / ncols, k % ncols, v))
     }
 }
 
@@ -364,9 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn set_row_and_col() {
-        let mut m = Matrix::zeros(2, 2);
-        m.set_row(0, &[1.0, 2.0]);
+    fn set_col_overwrites_one_column() {
+        let mut m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 0.0, 0.0]);
         m.set_col(1, &[9.0, 8.0]);
         assert_eq!(m.as_slice(), &[1.0, 9.0, 0.0, 8.0]);
     }
@@ -425,19 +404,5 @@ mod tests {
         assert_eq!(a, b);
         let c = Matrix::random(5, 5, 124);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn max_abs_value() {
-        let m = Matrix::from_vec(2, 2, vec![-7.0, 2.0, 3.0, 5.0]);
-        assert_eq!(m.max_abs(), 7.0);
-    }
-
-    #[test]
-    fn iter_entries_covers_all() {
-        let m = Matrix::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
-        let entries: Vec<_> = m.iter_entries().collect();
-        assert_eq!(entries.len(), 4);
-        assert_eq!(entries[3], (1, 1, 3.0));
     }
 }

@@ -129,18 +129,6 @@ fn fill_orthogonal_complement(col: &mut [f64], basis: &[Vec<f64>], hint: usize, 
     col.iter_mut().for_each(|x| *x = 0.0);
 }
 
-/// Convenience: returns the leading `k` left singular vectors of `a` as the
-/// columns of an `m × k` matrix.
-pub fn leading_left_singular_vectors(a: &Matrix, k: usize) -> Matrix {
-    let svd = dense_svd(a);
-    let k = k.min(svd.u.ncols());
-    let mut out = Matrix::zeros(a.nrows(), k);
-    for j in 0..k {
-        out.set_col(j, &svd.u.col(j));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,14 +209,6 @@ mod tests {
         let svd = dense_svd(&a);
         let ssq: f64 = svd.singular_values.iter().map(|s| s * s).sum();
         assert!(approx_eq(ssq, a.frobenius_norm().powi(2), 1e-8));
-    }
-
-    #[test]
-    fn leading_vectors_shape_and_orthonormal() {
-        let a = Matrix::random(25, 10, 2);
-        let u = leading_left_singular_vectors(&a, 4);
-        assert_eq!(u.shape(), (25, 4));
-        assert!(orthogonality_error(&u) < 1e-8);
     }
 
     #[test]

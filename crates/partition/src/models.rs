@@ -112,18 +112,6 @@ pub fn coarse_grain_hypergraph(tensor: &SparseTensor, mode: usize) -> Hypergraph
     h
 }
 
-/// The net id ranges of the fine-grain model, one `(start, end)` per mode;
-/// useful for mode-wise analysis of the cutsize.
-pub fn fine_grain_net_ranges(tensor: &SparseTensor) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::with_capacity(tensor.order());
-    let mut start = 0usize;
-    for &d in tensor.dims() {
-        ranges.push((start, start + d));
-        start += d;
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,13 +191,6 @@ mod tests {
                 assert_eq!(sorted.len(), pins.len(), "duplicate pins in net {net}");
             }
         }
-    }
-
-    #[test]
-    fn net_ranges_cover_all_modes() {
-        let t = sample();
-        let ranges = fine_grain_net_ranges(&t);
-        assert_eq!(ranges, vec![(0, 3), (3, 7), (7, 9)]);
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! one nonzero, each internal level groups runs of nonzeros that share a
 //! prefix of foreign-mode indices into *fibers*, and the leaf level holds the
 //! last foreign index plus the value.  Index arrays narrow to `u32` whenever
-//! the foreign dimensions and the nonzero count permit, so the structure is
-//! both smaller than [`ModeSortedNonzeros`](crate::layout::ModeSortedNonzeros)
-//! (which repeats every foreign index per nonzero) and friendlier to the
-//! numeric kernel, which hoists one factor-row lookup per fiber instead of
-//! one per nonzero.
+//! the foreign dimensions and the nonzero count permit, and the numeric
+//! kernel hoists one factor-row lookup per fiber instead of one per nonzero.
+//! It is the one per-mode index structure of the per-mode TTMc; without it
+//! the kernel gathers each nonzero through its COO id.
 //!
 //! Fibers only compress *consecutive* equal prefixes, so building a
 //! `CsfMode` from an arbitrary permutation of nonzeros is always correct —

@@ -11,12 +11,10 @@
 //!   fastest) layout, mode-`n` unfoldings and dense TTM,
 //! * [`kron::kron_rows`] and friends — the Kronecker-product-of-rows kernel
 //!   at the heart of the nonzero-based TTMc formulation (paper Eq. (4)),
-//! * [`layout::ModeSortedNonzeros`] — cache-resident per-mode copies of the
-//!   nonzero data (values + foreign-mode indices permuted into update-list
-//!   order) so the numeric TTMc streams instead of gathering through COO ids,
 //! * [`csf::CsfMode`] — one mode's compressed sparse fiber (CSF)
 //!   hierarchy with `u32` ids where the dimensions permit, built from the
-//!   symbolic TTMc's update-list permutation,
+//!   symbolic TTMc's update-list permutation: the one per-mode index
+//!   structure the numeric TTMc streams instead of gathering through COO ids,
 //! * [`io`] — FROSTT-style `.tns` text I/O through one bounded-memory,
 //!   chunk-parallel reader,
 //! * [`stats`] — per-mode nonzero statistics used by the experiment tables,
@@ -39,7 +37,6 @@ pub mod dense;
 pub mod hash;
 pub mod io;
 pub mod kron;
-pub mod layout;
 pub mod stats;
 
 /// Runtime-dispatched SIMD kernel layer (re-exported from `linalg` so the
@@ -52,7 +49,6 @@ pub use coo::SparseTensor;
 pub use csf::{CsfData, CsfIndex, CsfMode};
 pub use dense::DenseTensor;
 pub use kron::{accumulate_scaled_kron, accumulate_scaled_kron_isa, kron_rows};
-pub use layout::ModeSortedNonzeros;
 
 /// Computes the product of a slice of dimensions, used for unfolding sizes.
 /// Returns 1 for an empty slice.

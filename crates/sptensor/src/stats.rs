@@ -79,18 +79,6 @@ pub fn tensor_stats(tensor: &SparseTensor) -> TensorStats {
     }
 }
 
-/// Formats a tensor's headline properties as a row of the paper's Table I
-/// (`I_1 I_2 … I_N  #nonzeros`).
-pub fn table1_row(name: &str, tensor: &SparseTensor) -> String {
-    let dims: Vec<String> = tensor.dims().iter().map(|d| format_count(*d)).collect();
-    format!(
-        "{:<12} {:>10} {:>12}",
-        name,
-        dims.join(" x "),
-        format_count(tensor.nnz())
-    )
-}
-
 /// Human-readable count with K/M suffixes (e.g. `480K`, `100M`), mirroring
 /// the notation of Table I in the paper.
 pub fn format_count(n: usize) -> String {
@@ -172,13 +160,5 @@ mod tests {
         assert_eq!(format_count(480_000), "480K");
         assert_eq!(format_count(3_200_000), "3.2M");
         assert_eq!(format_count(100_000_000), "100M");
-    }
-
-    #[test]
-    fn table1_row_contains_name_and_nnz() {
-        let t = skewed_tensor();
-        let row = table1_row("Tiny", &t);
-        assert!(row.contains("Tiny"));
-        assert!(row.contains('5'));
     }
 }

@@ -175,6 +175,60 @@ fn non_finite_values_are_typed_errors_not_panics() {
     }
 }
 
+/// Finite values whose squares leave the normal `f64` range are a typed
+/// error on the solver (both TTMc strategies) and the executor: at `1e160`
+/// `Σ x²` overflows and the TRSVD's eigensolver would panic; at `1e-200`
+/// it underflows to zero and the solve would report a perfect fit of 1.0
+/// (the unscaled tensor fits 0.27).  Tensors inside the range keep their
+/// exact results, and a tensor of explicit zeros keeps its fit of 1.0.
+#[test]
+fn extreme_magnitudes_are_typed_errors_not_wrong_fits() {
+    let base = random_tensor(&[6, 5, 4], 40, 7);
+    let scaled = |s: f64| {
+        let mut t = base.clone();
+        for id in 0..t.nnz() {
+            *t.value_mut(id) *= s;
+        }
+        t
+    };
+    let config = TuckerConfig::new(vec![2, 2, 2]).max_iterations(3).seed(1);
+    let solve = |t: &SparseTensor, strategy: TtmcStrategy| {
+        let options = PlanOptions::new().num_threads(1).ttmc_strategy(strategy);
+        TuckerSolver::plan(t, options).and_then(|mut s| s.solve(&config))
+    };
+    let strategies = [TtmcStrategy::PerMode, TtmcStrategy::DimensionTree];
+    let sim = SimConfig::new(2, Grain::Fine, PartitionMethod::Random, vec![2, 2, 2]);
+    let setup = DistributedSetup::build(&base, &sim);
+    for s in [1e160, 1e-200] {
+        let t = scaled(s);
+        let squared_norm = t.values().iter().map(|v| v * v).sum::<f64>();
+        let expected = TuckerError::NormOutOfRange { squared_norm };
+        for strategy in strategies {
+            assert_eq!(
+                solve(&t, strategy).unwrap_err(),
+                expected,
+                "{s:e} {strategy:?}"
+            );
+        }
+        let executed = execute_hooi(&t, &setup, &config, &ExecOptions::default());
+        assert_eq!(executed.unwrap_err(), expected, "{s:e} executor");
+    }
+    // In range, the check must change nothing: the fits are pinned bit for
+    // bit.
+    let in_range = scaled(1e150);
+    for (strategy, bits) in strategies
+        .into_iter()
+        .zip([0x3fd1_643a_f018_90f2u64, 0x3fd1_643a_f018_90f6])
+    {
+        let fit = solve(&in_range, strategy).unwrap().final_fit();
+        assert_eq!(fit.to_bits(), bits, "{strategy:?}: fit {fit}");
+    }
+    let zeros = SparseTensor::from_entries(vec![6, 5, 4], &[(vec![1, 2, 3], 0.0)]);
+    for strategy in strategies {
+        assert_eq!(solve(&zeros, strategy).unwrap().final_fit(), 1.0);
+    }
+}
+
 /// Ranks whose products no machine can hold are a typed error on every
 /// entry point, never an overflow panic or an allocation abort — and the
 /// session and the service stay usable.  `Π_{t≠n} R_t` of the order-9

@@ -1,13 +1,13 @@
-//! Index-layout contracts: the CSF fiber walk and the flat gathers are the
-//! **same IEEE accumulation**, not merely close.
+//! Index-structure contracts: the CSF fiber walk every per-mode plan
+//! streams and the COO gather are the **same IEEE accumulation**, not
+//! merely close.
 //!
 //! The CSF hierarchies are built from the symbolic update-list permutation,
-//! so their leaf order equals the flat paths' accumulation order; the
-//! per-nonzero kernel bodies are literally shared between the layouts.
-//! That makes the contract here exact bit identity — on random tensors of
-//! orders 3 through 5, at 1/2/4 threads, for the raw TTMc and for full
-//! solves — which is what lets a plan pick its layout purely on memory
-//! footprint without changing a single output bit.
+//! so their leaf order equals the gather's accumulation order.  That makes
+//! the contract here exact bit identity — on random tensors of orders 3
+//! through 5 and on every dataset profile, at 1/2/4 threads — and
+//! [`TuckerSession::index_layout`] reports which structure a plan holds:
+//! CSF on every per-mode plan, none (`Coo`) on dimension-tree plans.
 
 use proptest::prelude::*;
 use tucker_repro::hooi::symbolic::SymbolicTtmc;
@@ -47,26 +47,19 @@ fn ttmc_bits(
     })
 }
 
-/// Asserts the TTMc of every mode is bit-identical across the COO gather,
-/// the flat mode-sorted stream, and the CSF fiber walk, at 1/2/4 threads.
+/// Asserts the TTMc of every mode is bit-identical between the COO gather
+/// and the CSF fiber walk, at 1/2/4 threads.
 fn assert_layouts_bit_identical(tensor: &SparseTensor, ranks: &[usize], seed: u64) {
     let factors = factors_for(tensor, ranks, seed);
     let coo = SymbolicTtmc::build_without_layout(tensor);
-    let sorted = SymbolicTtmc::build(tensor); // attaches mode-sorted layouts
-    let mut csf = SymbolicTtmc::build_without_layout(tensor);
-    csf.attach_csf_layouts(tensor);
+    let csf = SymbolicTtmc::build(tensor);
     for mode in 0..tensor.order() {
+        assert!(coo.mode(mode).csf().is_none());
         assert!(csf.mode(mode).csf().is_some());
-        assert!(sorted.mode(mode).layout().is_some());
     }
     for threads in [1usize, 2, 4] {
         let coo_bits = ttmc_bits(tensor, &coo, &factors, threads);
-        let sorted_bits = ttmc_bits(tensor, &sorted, &factors, threads);
         let csf_bits = ttmc_bits(tensor, &csf, &factors, threads);
-        assert_eq!(
-            coo_bits, sorted_bits,
-            "mode-sorted diverged from COO at {threads} threads"
-        );
         assert_eq!(
             coo_bits, csf_bits,
             "CSF diverged from COO at {threads} threads"
@@ -107,72 +100,98 @@ proptest! {
         assert_layouts_bit_identical(&tensor, &[r1, r2, r3, r1, r2], seed ^ 0x63);
     }
 
-    // The Auto resolution is a pure function of (order, nnz): below the
-    // memory threshold the flat copies win, above it the plan compresses.
-    #[test]
-    fn auto_layout_resolution_is_monotone_in_size(
-        args in (2usize..6, 1usize..1_000_000_000),
-    ) {
-        let (order, nnz) = args;
-        let resolved = IndexLayout::Auto.resolve_for(order, nnz);
-        prop_assert!(resolved == IndexLayout::ModeSorted || resolved == IndexLayout::Csf);
-        // Monotone: if this size compresses, every larger size does too.
-        if resolved == IndexLayout::Csf {
-            prop_assert_eq!(
-                IndexLayout::Auto.resolve_for(order, nnz.saturating_mul(2)),
-                IndexLayout::Csf
-            );
-        }
-        // Concrete layouts never re-resolve.
-        for fixed in [IndexLayout::Coo, IndexLayout::ModeSorted, IndexLayout::Csf] {
-            prop_assert_eq!(fixed.resolve_for(order, nnz), fixed);
-        }
-    }
 }
 
-/// End-to-end: on every generated dataset profile, full solves under the
-/// three concrete layouts produce bit-identical factors, core and fits, at
-/// every pool width — so the layout knob is invisible to results.
+/// The structure a plan reports is the structure it holds: CSF on every
+/// per-mode plan — explicit, `Auto` resolved to per-mode, and the order-1
+/// fallback of a tree request — and none (`Coo`) on every tree plan.
+#[test]
+fn plans_report_csf_per_mode_and_coo_for_trees() {
+    let plan = |tensor: &SparseTensor, strategy: TtmcStrategy| {
+        let solver = TuckerSolver::plan(
+            tensor,
+            PlanOptions::new().num_threads(1).ttmc_strategy(strategy),
+        )
+        .unwrap();
+        let held = (0..tensor.order())
+            .filter(|&m| solver.symbolic().mode(m).csf().is_some())
+            .count();
+        (solver.ttmc_strategy(), solver.index_layout(), held)
+    };
+    for dims in [
+        vec![40],
+        vec![12, 10],
+        vec![12, 10, 8],
+        vec![9, 8, 7, 6],
+        vec![6, 5, 4, 5, 4],
+    ] {
+        let order = dims.len();
+        let tensor = random_tensor(&dims, 150, 3 + order as u64);
+        assert_eq!(
+            plan(&tensor, TtmcStrategy::PerMode),
+            (TtmcStrategy::PerMode, IndexLayout::Csf, order),
+            "order {order}"
+        );
+        let expect_tree = if order == 1 {
+            // No tree over a single mode: the request falls back to per-mode.
+            (TtmcStrategy::PerMode, IndexLayout::Csf, 1)
+        } else {
+            (TtmcStrategy::DimensionTree, IndexLayout::Coo, 0)
+        };
+        assert_eq!(
+            plan(&tensor, TtmcStrategy::DimensionTree),
+            expect_tree,
+            "order {order}"
+        );
+    }
+    // A hyper-diagonal tensor: no two nonzeros share a projection, so
+    // sharing cannot pay and `Auto` resolves to the per-mode sweep.
+    let n = 40usize;
+    let entries: Vec<(Vec<usize>, f64)> = (0..n)
+        .map(|i| (vec![i, i, i], 1.0 + i as f64 * 0.5))
+        .collect();
+    let diagonal = SparseTensor::from_entries(vec![n, n, n], &entries);
+    assert_eq!(
+        plan(&diagonal, TtmcStrategy::Auto),
+        (TtmcStrategy::PerMode, IndexLayout::Csf, 3)
+    );
+}
+
+/// On every generated dataset profile the CSF walk matches the COO gather
+/// bit for bit at 1/2/4 threads, and per-mode solves — which stream CSF —
+/// give bit-identical factors, core and fits at every pool width.
 #[test]
 fn solves_are_bit_identical_across_layouts_on_all_profiles() {
     for name in ProfileName::all() {
         let profile = DatasetProfile::new(name);
         let tensor = profile.generate(2_500, 13);
         let ranks: Vec<usize> = tensor.dims().iter().map(|&d| d.min(3)).collect();
+        assert_layouts_bit_identical(&tensor, &ranks, 0x64);
         let config = TuckerConfig::new(ranks).max_iterations(2).seed(5);
+        let mut reference: Option<TuckerDecomposition> = None;
         for threads in [1usize, 2, 4] {
-            let mut reference: Option<TuckerDecomposition> = None;
-            for layout in [IndexLayout::Coo, IndexLayout::ModeSorted, IndexLayout::Csf] {
-                let mut solver = TuckerSolver::plan(
-                    &tensor,
-                    PlanOptions::new()
-                        .num_threads(threads)
-                        .ttmc_strategy(TtmcStrategy::PerMode)
-                        .index_layout(layout),
-                )
-                .unwrap();
-                assert_eq!(solver.index_layout(), layout, "{name:?}");
-                let result = solver.solve(&config).unwrap();
-                match &reference {
-                    None => reference = Some(result),
-                    Some(base) => {
-                        assert_eq!(
-                            base.fits, result.fits,
-                            "{name:?} @ {threads} threads, {layout:?}"
-                        );
-                        assert_eq!(
-                            base.core.as_slice(),
-                            result.core.as_slice(),
-                            "{name:?} @ {threads} threads, {layout:?}: core diverged"
-                        );
-                        for (u, v) in base.factors.iter().zip(result.factors.iter()) {
-                            let ub: Vec<u64> = u.as_slice().iter().map(|x| x.to_bits()).collect();
-                            let vb: Vec<u64> = v.as_slice().iter().map(|x| x.to_bits()).collect();
-                            assert_eq!(
-                                ub, vb,
-                                "{name:?} @ {threads} threads, {layout:?}: factor diverged"
-                            );
-                        }
+            let mut solver = TuckerSolver::plan(
+                &tensor,
+                PlanOptions::new()
+                    .num_threads(threads)
+                    .ttmc_strategy(TtmcStrategy::PerMode),
+            )
+            .unwrap();
+            assert_eq!(solver.index_layout(), IndexLayout::Csf, "{name:?}");
+            let result = solver.solve(&config).unwrap();
+            match &reference {
+                None => reference = Some(result),
+                Some(base) => {
+                    assert_eq!(base.fits, result.fits, "{name:?} @ {threads} threads");
+                    assert_eq!(
+                        base.core.as_slice(),
+                        result.core.as_slice(),
+                        "{name:?} @ {threads} threads: core diverged"
+                    );
+                    for (u, v) in base.factors.iter().zip(result.factors.iter()) {
+                        let ub: Vec<u64> = u.as_slice().iter().map(|x| x.to_bits()).collect();
+                        let vb: Vec<u64> = v.as_slice().iter().map(|x| x.to_bits()).collect();
+                        assert_eq!(ub, vb, "{name:?} @ {threads} threads: factor diverged");
                     }
                 }
             }
@@ -180,38 +199,10 @@ fn solves_are_bit_identical_across_layouts_on_all_profiles() {
     }
 }
 
-/// The point of CSF: on tensors whose foreign indices fit `u32`, the
-/// compressed plan is strictly smaller than the flat mode-sorted plan.
-#[test]
-fn csf_plan_is_smaller_than_mode_sorted_on_profiles() {
-    for name in ProfileName::all() {
-        let profile = DatasetProfile::new(name);
-        let tensor = profile.generate(6_000, 17);
-        let plan_bytes = |layout| {
-            TuckerSolver::plan(
-                &tensor,
-                PlanOptions::new()
-                    .num_threads(1)
-                    .ttmc_strategy(TtmcStrategy::PerMode)
-                    .index_layout(layout),
-            )
-            .unwrap()
-            .memory_bytes()
-        };
-        let coo = plan_bytes(IndexLayout::Coo);
-        let sorted = plan_bytes(IndexLayout::ModeSorted);
-        let csf = plan_bytes(IndexLayout::Csf);
-        assert!(coo < csf, "{name:?}: CSF adds structure over bare COO");
-        assert!(
-            csf < sorted,
-            "{name:?}: CSF plan ({csf} bytes) not below mode-sorted ({sorted} bytes)"
-        );
-    }
-}
-
 /// Streamed ingestion feeds the same solves: a tensor written to disk with
 /// a `# dims:` header, read back through the bounded chunked reader, and
-/// solved under CSF matches the in-memory original bit for bit.
+/// solved by a per-mode (CSF) plan matches the in-memory original bit for
+/// bit.
 #[test]
 fn streamed_roundtrip_preserves_solves_bitwise() {
     let tensor = random_tensor(&[40, 30, 20], 2_000, 29);
@@ -232,8 +223,7 @@ fn streamed_roundtrip_preserves_solves_bitwise() {
             t,
             PlanOptions::new()
                 .num_threads(1)
-                .ttmc_strategy(TtmcStrategy::PerMode)
-                .index_layout(IndexLayout::Csf),
+                .ttmc_strategy(TtmcStrategy::PerMode),
         )
         .unwrap()
         .solve(&config)

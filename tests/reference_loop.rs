@@ -5,13 +5,15 @@
 //! reads it.  The reference loop below starts instead from *every* mode's
 //! initial factor (`random_factors` / `hosvd_factors`), exactly as
 //! Algorithm 1 of the paper writes it, and must reach the same factors,
-//! fits and core bit for bit — across orders, TTMc strategies, index
-//! layouts and pool widths.
+//! fits and core bit for bit — across orders, TTMc strategies and pool
+//! widths.  The reference gathers every nonzero through its COO id, so on
+//! per-mode plans it also checks the solver's CSF walk solve-wide.
 
 use tucker_repro::hooi::core_tensor::core_from_last_ttmc_into;
 use tucker_repro::hooi::dimtree::{factor_updated, serve_mode_into_isa};
 use tucker_repro::hooi::fit::fit_from_norms;
 use tucker_repro::hooi::hosvd::{hosvd_factors, random_factors, DEFAULT_HOSVD_MAX_COLS};
+use tucker_repro::hooi::symbolic::SymbolicTtmc;
 use tucker_repro::hooi::trsvd::trsvd_factor_with;
 use tucker_repro::hooi::{ttmc_mode_into_isa, HooiWorkspace};
 use tucker_repro::prelude::*;
@@ -41,8 +43,9 @@ fn bits_of(factors: &[Matrix], fits: &[f64], core: &DenseTensor) -> Bits {
 }
 
 /// Algorithm 1 over the session's plan, call for call as the solver makes
-/// them, from full initial factors.  Runs in a pool as wide as the
-/// session's: the TRSVD's sums are chunked by pool width.
+/// them, from full initial factors, with the per-mode TTMc gathering
+/// through COO ids (update lists without CSF hierarchies).  Runs in a pool
+/// as wide as the session's: the TRSVD's sums are chunked by pool width.
 fn reference_solve(session: &TuckerSolver<'_>, config: &TuckerConfig, width: usize) -> Bits {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(width)
@@ -50,7 +53,7 @@ fn reference_solve(session: &TuckerSolver<'_>, config: &TuckerConfig, width: usi
         .unwrap();
     pool.install(|| {
         let tensor = session.tensor();
-        let symbolic = session.symbolic();
+        let symbolic = &SymbolicTtmc::build_without_layout(tensor);
         let tree = session.dimtree();
         let isa = session.kernel_isa();
         let ranks = &config.ranks;
@@ -137,27 +140,20 @@ fn assert_solve_matches_reference(
     );
 }
 
-/// The plans every case runs on: the per-mode strategy over each index
-/// layout, and the dimension tree.
+/// The plans every case runs on: the per-mode strategy (which streams
+/// CSF) and the dimension tree.
 fn plans(width: usize) -> Vec<(String, PlanOptions)> {
     let base = PlanOptions::new().num_threads(width);
-    let mut plans: Vec<(String, PlanOptions)> =
-        [IndexLayout::Coo, IndexLayout::ModeSorted, IndexLayout::Csf]
-            .into_iter()
-            .map(|layout| {
-                (
-                    format!("per-mode/{layout:?}/width {width}"),
-                    base.clone()
-                        .ttmc_strategy(TtmcStrategy::PerMode)
-                        .index_layout(layout),
-                )
-            })
-            .collect();
-    plans.push((
-        format!("tree/width {width}"),
-        base.ttmc_strategy(TtmcStrategy::DimensionTree),
-    ));
-    plans
+    vec![
+        (
+            format!("per-mode/width {width}"),
+            base.clone().ttmc_strategy(TtmcStrategy::PerMode),
+        ),
+        (
+            format!("tree/width {width}"),
+            base.ttmc_strategy(TtmcStrategy::DimensionTree),
+        ),
+    ]
 }
 
 #[test]

@@ -384,6 +384,40 @@ fn non_finite_in_memory_tensor_is_rejected_at_ingest() {
     assert_eq!(svc.tensor_ids(), vec!["good".to_string()]);
 }
 
+/// A tensor whose finite values square out of the normal `f64` range —
+/// overflowing, or underflowing to zero — never reaches a plan either: the
+/// ingest answers the typed error uncharged and the id stays unregistered.
+#[test]
+fn out_of_range_norms_are_rejected_at_ingest() {
+    let mut svc = DecompositionService::new(ServiceOptions::new().num_threads(1)).unwrap();
+    for (id, scale) in [("huge", 1e160), ("tiny", 1e-200)] {
+        let mut t = random_tensor(&[6, 5, 4], 40, 7);
+        for nz in 0..t.nnz() {
+            *t.value_mut(nz) *= scale;
+        }
+        let squared_norm = t.values().iter().map(|v| v * v).sum::<f64>();
+        svc.submit(
+            "tenant",
+            Request::Ingest {
+                tensor_id: id.into(),
+                tensor: Arc::new(t),
+            },
+        );
+        let done = svc.run_until_idle();
+        assert_eq!(
+            done[0].outcome.as_ref().unwrap_err(),
+            &TuckerError::NormOutOfRange { squared_norm },
+            "{id}"
+        );
+        assert_eq!(done[0].charged_flops, 0);
+    }
+    svc.submit("tenant", ingest("good", 3));
+    svc.submit("tenant", decompose("good", 1));
+    let done = svc.run_until_idle();
+    assert!(decomposition(&done[1].outcome).final_fit().is_finite());
+    assert_eq!(svc.tensor_ids(), vec!["good".to_string()]);
+}
+
 /// Tenants of the request-mix replay; tensor `t` belongs to tenant
 /// `t % MIX_TENANTS`, so per-tenant FIFO order implies per-tensor order and
 /// the responses are a function of the mix alone.
