@@ -12,6 +12,7 @@ use linalg::Matrix;
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sptensor::dense::reconstruct_at;
 use sptensor::hash::FxHashSet;
 use sptensor::{DenseTensor, SparseTensor};
 
@@ -105,7 +106,7 @@ pub fn lowrank_tensor(spec: &LowRankSpec) -> LowRankTensor {
         if !seen.insert(key) {
             continue;
         }
-        let mut value = evaluate_tucker(&core, &factors, &index);
+        let mut value = reconstruct_at(&core, &factors, &index);
         if spec.noise > 0.0 {
             value += spec.noise * value_noise.sample(&mut rng);
         }
@@ -117,31 +118,6 @@ pub fn lowrank_tensor(spec: &LowRankSpec) -> LowRankTensor {
         core,
         factors,
     }
-}
-
-/// Evaluates the Tucker model `G ×₁ U₁ … ×_N U_N` at a single coordinate.
-pub fn evaluate_tucker(core: &DenseTensor, factors: &[Matrix], index: &[usize]) -> f64 {
-    debug_assert_eq!(factors.len(), core.order());
-    debug_assert_eq!(index.len(), core.order());
-    // Accumulate Σ_{r_1..r_N} g(r) Π_n U_n(i_n, r_n) by iterating the core.
-    let mut sum = 0.0;
-    let mut ridx = vec![0usize; core.order()];
-    for pos in 0..core.len() {
-        core.unlinearize(pos, &mut ridx);
-        let g = core.as_slice()[pos];
-        if g == 0.0 {
-            continue;
-        }
-        let mut prod = g;
-        for (n, &r) in ridx.iter().enumerate() {
-            prod *= factors[n][(index[n], r)];
-            if prod == 0.0 {
-                break;
-            }
-        }
-        sum += prod;
-    }
-    sum
 }
 
 #[cfg(test)]
@@ -177,7 +153,7 @@ mod tests {
     fn values_match_planted_model() {
         let lr = lowrank_tensor(&small_spec());
         for (idx, v) in lr.tensor.iter().take(50) {
-            let expected = evaluate_tucker(&lr.core, &lr.factors, idx);
+            let expected = reconstruct_at(&lr.core, &lr.factors, idx);
             assert!((v - expected).abs() < 1e-12);
         }
     }

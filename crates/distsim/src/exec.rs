@@ -6,7 +6,9 @@
 //! the algorithm's actual communication pattern: every rank is a long-lived
 //! concurrent worker holding only its own nonzeros (per the
 //! [`DistributedSetup`] ownership maps), and all coordination happens
-//! through typed messages.  Per HOOI iteration and mode `n`:
+//! through typed messages.  Each rank starts from its own replica of the
+//! seeded random initial factors ([`initial_factors`]), so nothing is sent
+//! before the first iteration.  Per HOOI iteration and mode `n`:
 //!
 //! 1. **Local TTMc** — each rank runs the nonzero-based TTMc on its local
 //!    tensor.  Rows whose update list is entirely local are accumulated
@@ -73,12 +75,12 @@
 //! under a seeded [`FaultPlan`] for reproducible chaos testing.
 
 use crate::comm::{
-    channel_transports, channel_world, tcp_transports, CommBackend, CommCounters, CommDeadline,
-    CommError, Communicator, Endpoint, Message, Phase, Tag, Transport,
+    channel_transports, tcp_transports, CommBackend, CommCounters, CommDeadline, CommError,
+    Communicator, Endpoint, Message, Phase, Tag, Transport,
 };
 use crate::fault::{FaultPlan, FaultProbe};
 use crate::setup::{DistributedSetup, Grain};
-use hooi::config::{Initialization, TuckerConfig};
+use hooi::config::TuckerConfig;
 use hooi::core_tensor::core_from_last_ttmc_into;
 use hooi::error::TuckerError;
 use hooi::fit::fit_from_norms;
@@ -96,7 +98,6 @@ use std::time::{Duration, Instant};
 /// convergence decision, and returns the decomposition.
 pub const ROOT: usize = 0;
 
-const STEP_INIT: u32 = 0xffff_0000;
 const STEP_FINAL_BARRIER: u32 = 0xffff_0001;
 const STEP_FINAL_ALLREDUCE: u32 = 0xffff_0002;
 
@@ -871,60 +872,6 @@ struct ExecContext<'a> {
     rank_threads: usize,
 }
 
-/// Replicated factor initialization ([`initial_factors`], so mode 0 is a
-/// `0 × R_0` placeholder whenever an iteration will run): random factors
-/// are seeded identically everywhere; HOSVD factors are computed once at
-/// the root and broadcast — placeholder included, as a `[0, R_0]` message —
-/// so all ranks start from the same bits.
-fn init_factors<C: Communicator>(
-    comm: &mut C,
-    ctx: &ExecContext<'_>,
-) -> Result<Vec<Matrix>, CommError> {
-    match ctx.config.initialization {
-        Initialization::Random => Ok(initial_factors(ctx.tensor, ctx.ranks, ctx.config)),
-        Initialization::Hosvd => {
-            let order = ctx.tensor.order();
-            if comm.rank() == ROOT {
-                let factors = initial_factors(ctx.tensor, ctx.ranks, ctx.config);
-                for (m, u) in factors.iter().enumerate() {
-                    comm.broadcast(
-                        ROOT,
-                        Message {
-                            tag: Tag::new(Phase::Control, m, STEP_INIT),
-                            ints: vec![u.nrows() as u64, u.ncols() as u64],
-                            floats: u.as_slice().to_vec(),
-                        },
-                    )?;
-                }
-                Ok(factors)
-            } else {
-                (0..order)
-                    .map(|m| {
-                        let msg = comm.broadcast(
-                            ROOT,
-                            Message::empty(Tag::new(Phase::Control, m, STEP_INIT)),
-                        )?;
-                        if msg.ints.len() != 2
-                            || msg.floats.len() != (msg.ints[0] * msg.ints[1]) as usize
-                        {
-                            return Err(CommError::Corrupt {
-                                rank: comm.rank(),
-                                peer: ROOT,
-                                detail: "malformed factor broadcast".to_string(),
-                            });
-                        }
-                        Ok(Matrix::from_vec(
-                            msg.ints[0] as usize,
-                            msg.ints[1] as usize,
-                            msg.floats,
-                        ))
-                    })
-                    .collect()
-            }
-        }
-    }
-}
-
 /// One rank's whole life: build local state, initialize factors, run the
 /// HOOI iterations under the root's convergence decisions.  Returns the
 /// decomposition at the root, `None` elsewhere; the first communication
@@ -945,9 +892,9 @@ fn rank_body<C: Communicator>(
     let mut global_ws = (rank == ROOT).then(|| HooiWorkspace::new(ctx.global_sym, ranks));
     timings.symbolic = t_build.elapsed();
 
+    // Seeded identically everywhere: every rank builds its own replica.
     let t_init = Instant::now();
-    let mut factors =
-        init_factors(comm, ctx).map_err(|e| RankFailure::observed(rank, Phase::Control, 0, e))?;
+    let mut factors = initial_factors(ctx.tensor, ranks, config);
     timings.init = t_init.elapsed();
 
     let tensor_norm = if rank == ROOT {
@@ -1354,58 +1301,6 @@ pub fn distributed_hooi(
     Ok(execute_hooi(tensor, setup, config, &ExecOptions::default())?.decomposition)
 }
 
-/// Computes one mode's merged compact TTMc result through the
-/// message-passing executor (channel backend): each rank computes its
-/// local contributions, split rows fold to their owners, and the owners'
-/// reduced rows gather at the root, which returns the assembled
-/// `|J_mode| × Π_{t≠mode} R_t` matrix — bit-identical to
-/// [`hooi::ttmc::ttmc_mode`] on the full tensor.
-pub fn distributed_ttmc(
-    tensor: &SparseTensor,
-    setup: &DistributedSetup,
-    global_sym: &SymbolicTtmc,
-    factors: &[Matrix],
-    mode: usize,
-) -> Matrix {
-    let p = setup.config.num_ranks;
-    let plan = ExecPlan::build(tensor, setup, global_sym);
-    let pseudo_ranks: Vec<usize> = factors.iter().map(|u| u.ncols()).collect();
-    let width = ttmc_result_width(factors, mode);
-    let world = channel_world(p);
-    std::thread::scope(|s| {
-        let plan = &plan;
-        let pseudo_ranks = &pseudo_ranks;
-        let handles: Vec<_> = world
-            .into_iter()
-            .map(|mut comm| {
-                s.spawn(move || {
-                    let rank = comm.rank();
-                    let mut state = RankState::build(rank, tensor, setup, pseudo_ranks);
-                    let mp = &plan.modes[mode];
-                    local_ttmc_and_fold(&mut state, &mut comm, mp, factors, mode, 0)
-                        .expect("fault-free distributed_ttmc");
-                    if rank == ROOT {
-                        let gsm = global_sym.mode(mode);
-                        let mut out = Matrix::zeros(gsm.num_rows(), width);
-                        assemble_at_root(&state, &mut comm, mp, global_sym, &mut out, mode, 0)
-                            .expect("fault-free distributed_ttmc");
-                        Some(out)
-                    } else {
-                        gather_to_root(&state, &mut comm, mp, width, mode, 0)
-                            .expect("fault-free distributed_ttmc");
-                        None
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("rank thread panicked"))
-            .next()
-            .expect("root returns the merged result")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1413,8 +1308,7 @@ mod tests {
     use crate::setup::{PartitionMethod, SimConfig};
     use crate::stats::iteration_stats;
     use datagen::random_tensor;
-    use hooi::hosvd::{hosvd_factors, random_factors, DEFAULT_HOSVD_MAX_COLS};
-    use hooi::ttmc::ttmc_mode;
+    use hooi::hosvd::random_factors;
     use hooi::{PlanOptions, TtmcStrategy, TuckerSolver};
 
     fn tensor() -> SparseTensor {
@@ -1444,32 +1338,6 @@ mod tests {
                 .collect::<Vec<_>>(),
             "{label}: core not bit-identical"
         );
-    }
-
-    #[test]
-    fn distributed_ttmc_is_bit_identical_to_shared_memory() {
-        let t = tensor();
-        let factors = random_factors(t.dims(), &[3, 3, 3], 5);
-        let sym = SymbolicTtmc::build(&t);
-        for (grain, method, p) in [
-            (Grain::Fine, PartitionMethod::Random, 6),
-            (Grain::Fine, PartitionMethod::Hypergraph, 6),
-            (Grain::Coarse, PartitionMethod::Block, 5),
-            (Grain::Coarse, PartitionMethod::Hypergraph, 5),
-        ] {
-            let config = SimConfig::new(p, grain, method, vec![3, 3, 3]);
-            let setup = DistributedSetup::build(&t, &config);
-            for mode in 0..3 {
-                let dist = distributed_ttmc(&t, &setup, &sym, &factors, mode);
-                let shared = ttmc_mode(&t, sym.mode(mode), &factors, mode);
-                assert_eq!(dist.shape(), shared.shape());
-                assert_eq!(
-                    bits(&dist),
-                    bits(&shared),
-                    "{grain:?}/{method:?} mode {mode}: fold/merge not bit-exact"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1722,45 +1590,14 @@ mod tests {
         let ranks = [3, 2, 3];
         let config = SimConfig::new(3, Grain::Fine, PartitionMethod::Random, ranks.to_vec());
         let setup = DistributedSetup::build(&t, &config);
-        for (init, expected) in [
-            (Initialization::Random, random_factors(t.dims(), &ranks, 4)),
-            (
-                Initialization::Hosvd,
-                hosvd_factors(&t, &ranks, DEFAULT_HOSVD_MAX_COLS, 4),
-            ),
-        ] {
-            let tucker = TuckerConfig::new(ranks.to_vec())
-                .max_iterations(0)
-                .seed(4)
-                .initialization(init);
-            let dist = distributed_hooi(&t, &setup, &tucker).unwrap();
-            assert_eq!(dist.iterations, 0);
-            assert!(dist.fits.is_empty());
-            for (m, (u, e)) in dist.factors.iter().zip(expected.iter()).enumerate() {
-                assert_eq!(u.shape(), (t.dims()[m], ranks[m]), "{init:?} mode {m}");
-                assert_eq!(bits(u), bits(e), "{init:?} mode {m}");
-            }
-        }
-    }
-
-    #[test]
-    fn hosvd_initialization_is_broadcast_consistently() {
-        let t = random_tensor(&[15, 12, 10], 400, 21);
-        let tucker = TuckerConfig::new(vec![2, 2, 2])
-            .max_iterations(2)
-            .seed(2)
-            .initialization(Initialization::Hosvd);
-        let mut solver = TuckerSolver::plan(
-            &t,
-            PlanOptions::new()
-                .num_threads(1)
-                .ttmc_strategy(TtmcStrategy::PerMode),
-        )
-        .unwrap();
-        let shared = solver.solve(&tucker).unwrap();
-        let config = SimConfig::new(3, Grain::Fine, PartitionMethod::Hypergraph, vec![2, 2, 2]);
-        let setup = DistributedSetup::build(&t, &config);
+        let expected = random_factors(t.dims(), &ranks, 4);
+        let tucker = TuckerConfig::new(ranks.to_vec()).max_iterations(0).seed(4);
         let dist = distributed_hooi(&t, &setup, &tucker).unwrap();
-        assert_identical(&dist, &shared, "hosvd init");
+        assert_eq!(dist.iterations, 0);
+        assert!(dist.fits.is_empty());
+        for (m, (u, e)) in dist.factors.iter().zip(expected.iter()).enumerate() {
+            assert_eq!(u.shape(), (t.dims()[m], ranks[m]), "mode {m}");
+            assert_eq!(bits(u), bits(e), "mode {m}");
+        }
     }
 }

@@ -47,9 +47,10 @@
 //!   drops, delays, disconnects, or corrupts exact messages so chaos tests
 //!   are reproducible,
 //! * [`exec`] — the message-passing executor
-//!   ([`exec::distributed_hooi`], [`exec::execute_hooi`],
-//!   [`exec::distributed_ttmc`], and the chaos entry point
-//!   [`exec::execute_hooi_chaos`]).
+//!   ([`exec::distributed_hooi`], [`exec::execute_hooi`], and the chaos
+//!   entry point [`exec::execute_hooi_chaos`]); every rank builds the same
+//!   seeded random initial factors itself, so no message precedes the
+//!   first iteration.
 //!
 //! The executor's failure model: every receive is bounded by the
 //! endpoint's deadline, any observed [`comm::CommError`] triggers a poison
@@ -71,8 +72,8 @@ pub use comm::{
 };
 pub use cost::{simulate_iteration, IterationCost};
 pub use exec::{
-    distributed_hooi, distributed_ttmc, execute_hooi, execute_hooi_chaos, ChaosRun, DistributedRun,
-    ExecOptions, FailureSource, RankFailure,
+    distributed_hooi, execute_hooi, execute_hooi_chaos, ChaosRun, DistributedRun, ExecOptions,
+    FailureSource, RankFailure,
 };
 pub use fault::{FaultAction, FaultOp, FaultPlan, FaultProbe, FaultTrigger, FaultyTransport};
 pub use machine::MachineModel;

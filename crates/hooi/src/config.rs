@@ -2,20 +2,6 @@
 
 use crate::error::TuckerError;
 
-/// How the factor matrices are initialized before the first HOOI iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Initialization {
-    /// Random orthonormal columns (the default; cheap and what the paper's
-    /// scalability experiments effectively measure, since the per-iteration
-    /// cost does not depend on the starting point).
-    Random,
-    /// HOSVD-style initialization: leading left singular vectors of each
-    /// mode unfolding.  Only sensible for small tensors; falls back to
-    /// random when the unfolding is too large to handle (see
-    /// [`crate::hosvd`]).
-    Hosvd,
-}
-
 /// How the per-iteration TTMc sweep is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TtmcStrategy {
@@ -82,11 +68,10 @@ pub struct TuckerConfig {
     pub max_iterations: usize,
     /// Stop when the fit improves by less than this between iterations.
     pub fit_tolerance: f64,
-    /// Factor initialization scheme.
-    pub initialization: Initialization,
     /// TRSVD backend.
     pub trsvd: TrsvdBackend,
-    /// RNG seed (initialization and iterative TRSVD starting vectors).
+    /// RNG seed (random initial factors and iterative TRSVD starting
+    /// vectors).
     pub seed: u64,
 }
 
@@ -104,7 +89,6 @@ impl TuckerConfig {
             ranks,
             max_iterations: 5,
             fit_tolerance: 1e-5,
-            initialization: Initialization::Random,
             trsvd: TrsvdBackend::Lanczos,
             seed: 0x7c4a_u64 ^ 0x00c0_ffee,
         }
@@ -119,12 +103,6 @@ impl TuckerConfig {
     /// Builder-style setter for the fit tolerance.
     pub fn fit_tolerance(mut self, tol: f64) -> Self {
         self.fit_tolerance = tol;
-        self
-    }
-
-    /// Builder-style setter for the initialization scheme.
-    pub fn initialization(mut self, init: Initialization) -> Self {
-        self.initialization = init;
         self
     }
 
@@ -189,7 +167,6 @@ mod tests {
         let c = TuckerConfig::new(vec![10, 10, 10]);
         assert_eq!(c.max_iterations, 5);
         assert_eq!(c.trsvd, TrsvdBackend::Lanczos);
-        assert_eq!(c.initialization, Initialization::Random);
     }
 
     #[test]
@@ -197,12 +174,10 @@ mod tests {
         let c = TuckerConfig::new(vec![3, 3])
             .max_iterations(12)
             .fit_tolerance(1e-9)
-            .initialization(Initialization::Hosvd)
             .trsvd(TrsvdBackend::Dense)
             .seed(99);
         assert_eq!(c.max_iterations, 12);
         assert_eq!(c.fit_tolerance, 1e-9);
-        assert_eq!(c.initialization, Initialization::Hosvd);
         assert_eq!(c.trsvd, TrsvdBackend::Dense);
         assert_eq!(c.seed, 99);
     }

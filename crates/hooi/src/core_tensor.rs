@@ -64,30 +64,6 @@ pub fn core_from_scratch(tensor: &SparseTensor, factors: &[Matrix]) -> DenseTens
     DenseTensor::from_vec(ranks, data)
 }
 
-/// Reconstructs the value of the Tucker model `[[G; U₁,…,U_N]]` at a single
-/// coordinate.
-pub fn reconstruct_at(core: &DenseTensor, factors: &[Matrix], index: &[usize]) -> f64 {
-    debug_assert_eq!(factors.len(), core.order());
-    let mut sum = 0.0;
-    let mut ridx = vec![0usize; core.order()];
-    for pos in 0..core.len() {
-        let g = core.as_slice()[pos];
-        if g == 0.0 {
-            continue;
-        }
-        core.unlinearize(pos, &mut ridx);
-        let mut prod = g;
-        for (n, &r) in ridx.iter().enumerate() {
-            prod *= factors[n][(index[n], r)];
-            if prod == 0.0 {
-                break;
-            }
-        }
-        sum += prod;
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,21 +129,6 @@ mod tests {
         }
         let g = core_from_scratch(&t, &factors);
         assert!(g.frobenius_distance(&reference) < 1e-9 * reference.frobenius_norm().max(1.0));
-    }
-
-    #[test]
-    fn reconstruct_at_matches_full_reconstruction() {
-        let t = random_tensor(&[6, 5, 4], 40, 8);
-        let ranks = [2, 2, 2];
-        let factors = orthonormal_factors(t.dims(), &ranks, 11);
-        let g = core_from_scratch(&t, &factors);
-        let factor_refs: Vec<&Matrix> = factors.iter().collect();
-        let full = g.ttm_chain(&factor_refs, false);
-        for (idx, _) in t.iter().take(20) {
-            let a = reconstruct_at(&g, &factors, idx);
-            let b = full.get(idx);
-            assert!((a - b).abs() < 1e-10);
-        }
     }
 
     #[test]

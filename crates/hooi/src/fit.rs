@@ -5,8 +5,8 @@
 //! from the core norm alone (the `(|X| − |G|)/|X|` measure the paper checks
 //! at the end of each iteration) without ever reconstructing the tensor.
 
-use crate::core_tensor::reconstruct_at;
 use linalg::Matrix;
+use sptensor::dense::reconstruct_at;
 use sptensor::{DenseTensor, SparseTensor};
 
 /// The fit of a Tucker approximation computed from norms:

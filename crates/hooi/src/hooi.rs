@@ -18,10 +18,10 @@
 //! buffers across solves.
 
 use crate::config::TuckerConfig;
-use crate::core_tensor::reconstruct_at;
 use crate::error::TuckerError;
 use crate::solver::{PlanOptions, TuckerSolver};
 use linalg::Matrix;
+use sptensor::dense::reconstruct_at;
 use sptensor::{DenseTensor, SparseTensor};
 use std::time::Duration;
 
@@ -35,7 +35,7 @@ pub struct TimingBreakdown {
     /// zero here because the persistent workers are reused, not respawned —
     /// a nonzero value marks the one solve that paid for pool bring-up).
     pub pool: Duration,
-    /// Factor initialization (random or HOSVD), once per solve.  Only the
+    /// Random factor initialization, once per solve.  Only the
     /// factors HOOI reads are built ([`initial_factors`](crate::initial_factors)):
     /// mode 0 is overwritten by its first TRSVD before anything reads it, so
     /// a solve of at least one iteration builds no initial mode-0 factor.
@@ -200,7 +200,7 @@ pub fn tucker_hooi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Initialization, TrsvdBackend};
+    use crate::config::TrsvdBackend;
     use crate::fit::{full_relative_error, rmse_at_nonzeros};
     use datagen::{lowrank_tensor, random_tensor, LowRankSpec};
     use linalg::qr::orthogonality_error;
@@ -343,27 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn hosvd_init_at_least_as_good_as_random_on_lowrank() {
-        let lr = lowrank_tensor(&LowRankSpec {
-            dims: vec![15, 12, 10],
-            ranks: vec![2, 2, 2],
-            nnz: 15 * 12 * 10,
-            noise: 0.01,
-            seed: 21,
-        });
-        let base = TuckerConfig::new(vec![2, 2, 2]).max_iterations(1).seed(4);
-        let random = tucker_hooi(&lr.tensor, &base.clone()).unwrap();
-        let hosvd = tucker_hooi(
-            &lr.tensor,
-            &base.clone().initialization(Initialization::Hosvd),
-        )
-        .unwrap();
-        // After a single iteration the HOSVD start should not be worse by
-        // more than a small margin (it is usually better).
-        assert!(hosvd.final_fit() >= random.final_fit() - 0.05);
-    }
-
-    #[test]
     fn timing_breakdown_is_populated() {
         let t = random_tensor(&[40, 40, 40], 4000, 7);
         let config = TuckerConfig::new(vec![4, 4, 4]).max_iterations(2);
@@ -394,7 +373,7 @@ mod tests {
         let config = TuckerConfig::new(vec![3, 3, 3]).max_iterations(2);
         let result = tucker_hooi(&t, &config).unwrap();
         for (idx, _) in t.iter().take(10) {
-            let direct = crate::core_tensor::reconstruct_at(&result.core, &result.factors, idx);
+            let direct = reconstruct_at(&result.core, &result.factors, idx);
             assert_eq!(result.predict(idx), direct);
         }
     }

@@ -28,9 +28,8 @@
 //!
 //! Supporting modules:
 //!
-//! * [`hosvd`] — HOSVD-style initialization for small tensors plus the
-//!   default random initialization, built per mode; [`initial_factors`]
-//!   skips the mode HOOI overwrites before reading it;
+//! * [`hosvd`] — random orthonormal initial factors, built per mode;
+//!   [`initial_factors`] skips the mode HOOI overwrites before reading it;
 //! * [`core_tensor`], [`fit`] — core extraction and fit/error metrics.
 
 pub mod config;
@@ -47,7 +46,7 @@ pub mod trsvd;
 pub mod ttmc;
 pub mod workspace;
 
-pub use config::{IndexLayout, Initialization, TrsvdBackend, TtmcStrategy, TuckerConfig};
+pub use config::{IndexLayout, TrsvdBackend, TtmcStrategy, TuckerConfig};
 pub use dimtree::{per_mode_costs, DimTree, TtmcCosts};
 pub use error::TuckerError;
 pub use hooi::{tucker_hooi, TimingBreakdown, TuckerDecomposition};

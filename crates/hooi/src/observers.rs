@@ -40,7 +40,8 @@ use std::time::{Duration, Instant};
 /// ```
 #[derive(Debug)]
 pub struct DeadlineObserver {
-    deadline: Instant,
+    /// `None` for a budget too large to represent: it never expires.
+    deadline: Option<Instant>,
     stopped_early: bool,
     best_fit: Option<f64>,
     iterations_seen: usize,
@@ -48,15 +49,21 @@ pub struct DeadlineObserver {
 
 impl DeadlineObserver {
     /// An observer that stops the solve at the first completed iteration
-    /// after `budget` of wall-clock time, counted from this call.
+    /// after `budget` of wall-clock time, counted from this call.  A budget
+    /// too large to add to the current [`Instant`] (`Duration::MAX`, say)
+    /// never expires.
     pub fn after(budget: Duration) -> Self {
-        DeadlineObserver::at(Instant::now() + budget)
+        DeadlineObserver::until(Instant::now().checked_add(budget))
     }
 
     /// An observer that stops the solve at the first completed iteration
     /// after the absolute `deadline` — what a service uses when the budget
     /// is counted from the request's *arrival*, not from the solve start.
     pub fn at(deadline: Instant) -> Self {
+        DeadlineObserver::until(Some(deadline))
+    }
+
+    fn until(deadline: Option<Instant>) -> Self {
         DeadlineObserver {
             deadline,
             stopped_early: false,
@@ -98,7 +105,7 @@ impl IterationObserver for DeadlineObserver {
         if report.fit > *best {
             *best = report.fit;
         }
-        if Instant::now() >= self.deadline {
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
             self.stopped_early = true;
             IterationControl::Stop
         } else {
@@ -140,6 +147,22 @@ mod tests {
         let mut obs = DeadlineObserver::after(Duration::from_secs(3600));
         let watched = solver.solve_with_observer(&config, &mut obs).unwrap();
         assert!(!obs.stopped_early());
+        assert_eq!(watched.fits, plain.fits);
+        assert_eq!(watched.factors, plain.factors);
+    }
+
+    #[test]
+    fn unrepresentable_budget_never_expires() {
+        let t = random_tensor(&[12, 12, 12], 400, 9);
+        let mut solver = TuckerSolver::plan(&t, PlanOptions::new().num_threads(1)).unwrap();
+        let config = TuckerConfig::new(vec![2, 2, 2])
+            .max_iterations(4)
+            .fit_tolerance(-1.0);
+        let plain = solver.solve(&config).unwrap();
+        let mut obs = DeadlineObserver::after(Duration::MAX);
+        let watched = solver.solve_with_observer(&config, &mut obs).unwrap();
+        assert!(!obs.stopped_early());
+        assert_eq!(obs.iterations_seen(), 4);
         assert_eq!(watched.fits, plain.fits);
         assert_eq!(watched.factors, plain.factors);
     }

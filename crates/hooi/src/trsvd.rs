@@ -45,7 +45,7 @@
 
 use crate::config::TrsvdBackend;
 use crate::symbolic::SymbolicMode;
-use linalg::lanczos::{lanczos_svd_with, LanczosOptions, LanczosWorkspace};
+use linalg::lanczos::{lanczos_svd_with, LanczosWorkspace};
 use linalg::operator::DenseOperator;
 use linalg::svd::dense_svd;
 use linalg::Matrix;
@@ -93,11 +93,7 @@ pub fn trsvd_factor_with(
         match backend {
             TrsvdBackend::Lanczos => {
                 let op = DenseOperator::parallel(compact);
-                let opts = LanczosOptions {
-                    seed,
-                    ..LanczosOptions::default()
-                };
-                let svd = lanczos_svd_with(&op, effective_rank, &opts, scratch);
+                let svd = lanczos_svd_with(&op, effective_rank, seed, scratch);
                 (svd.u, svd.singular_values, svd.operator_applications)
             }
             TrsvdBackend::Dense => {

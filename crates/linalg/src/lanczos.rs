@@ -36,7 +36,7 @@
 //!      ([`crate::blas::par_gemv_normal`]);
 //!    * the small projected problem is a symmetric tridiagonal matrix, solved
 //!      by [`crate::eig`]; a Ritz triplet is accepted when
-//!      `β_k·|s_{k,i}| ≤ tol·σ_max·σ_i`.
+//!      `β_k·|s_{k,i}| ≤ 10⁻⁸·σ_max·σ_i`.
 //!
 //! Regimes 2 and 3 end in the same code: the singular vectors of the
 //! **long** side are recovered in one block product
@@ -63,31 +63,13 @@ use crate::svd::dense_svd;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Options controlling the Lanczos truncated SVD.
-#[derive(Debug, Clone)]
-pub struct LanczosOptions {
-    /// Maximum dimension of the Krylov subspace (per restart).  Defaults to
-    /// `2 * rank + 10`.
-    pub max_subspace: Option<usize>,
-    /// Maximum number of restarts before giving up and returning the best
-    /// available approximation.
-    pub max_restarts: usize,
-    /// Relative residual tolerance on each requested singular triplet.
-    pub tol: f64,
-    /// Seed for the random starting vector.
-    pub seed: u64,
-}
+/// Most passes over the Krylov loop: the subspace grows by half on each
+/// restart, and the best available approximation is returned after this
+/// many.
+const MAX_RESTARTS: usize = 8;
 
-impl Default for LanczosOptions {
-    fn default() -> Self {
-        LanczosOptions {
-            max_subspace: None,
-            max_restarts: 8,
-            tol: 1e-8,
-            seed: 0x5eed_1a2c,
-        }
-    }
-}
+/// Relative residual tolerance on each requested singular triplet.
+const TOL: f64 = 1e-8;
 
 /// Reusable scratch buffers for the Krylov path of [`lanczos_svd_with`] (the
 /// two direct regimes neither draw from it nor park anything in it).
@@ -102,15 +84,15 @@ impl Default for LanczosOptions {
 /// first.
 ///
 /// ```
-/// use linalg::lanczos::{lanczos_svd, lanczos_svd_with, LanczosOptions, LanczosWorkspace};
+/// use linalg::lanczos::{lanczos_svd, lanczos_svd_with, LanczosWorkspace};
 /// use linalg::operator::DenseOperator;
 /// use linalg::Matrix;
 ///
 /// let a = Matrix::random(40, 12, 7);
 /// let op = DenseOperator::new(&a);
 /// let mut ws = LanczosWorkspace::new();
-/// let with_ws = lanczos_svd_with(&op, 3, &LanczosOptions::default(), &mut ws);
-/// let fresh = lanczos_svd(&op, 3, &LanczosOptions::default());
+/// let with_ws = lanczos_svd_with(&op, 3, 42, &mut ws);
+/// let fresh = lanczos_svd(&op, 3, 42);
 /// assert_eq!(with_ws.singular_values, fresh.singular_values);
 /// ```
 #[derive(Debug, Default)]
@@ -181,7 +163,8 @@ pub struct TruncatedSvd {
     pub converged: bool,
 }
 
-/// Computes the `rank` leading singular triplets of a matrix-free operator.
+/// Computes the `rank` leading singular triplets of a matrix-free operator;
+/// `seed` draws the Krylov loop's random starting vector.
 ///
 /// Allocates fresh scratch buffers; callers running many solves of similar
 /// shape should prefer [`lanczos_svd_with`] and a long-lived
@@ -189,8 +172,8 @@ pub struct TruncatedSvd {
 ///
 /// # Panics
 /// Panics if `rank == 0`.
-pub fn lanczos_svd(op: &dyn LinearOperator, rank: usize, opts: &LanczosOptions) -> TruncatedSvd {
-    lanczos_svd_with(op, rank, opts, &mut LanczosWorkspace::new())
+pub fn lanczos_svd(op: &dyn LinearOperator, rank: usize, seed: u64) -> TruncatedSvd {
+    lanczos_svd_with(op, rank, seed, &mut LanczosWorkspace::new())
 }
 
 /// [`lanczos_svd`] with caller-provided scratch buffers: the Krylov vectors
@@ -202,7 +185,7 @@ pub fn lanczos_svd(op: &dyn LinearOperator, rank: usize, opts: &LanczosOptions) 
 pub fn lanczos_svd_with(
     op: &dyn LinearOperator,
     rank: usize,
-    opts: &LanczosOptions,
+    seed: u64,
     ws: &mut LanczosWorkspace,
 ) -> TruncatedSvd {
     assert!(rank > 0, "lanczos_svd: rank must be positive");
@@ -221,10 +204,7 @@ pub fn lanczos_svd_with(
         };
     }
 
-    let mut subspace = opts
-        .max_subspace
-        .unwrap_or(2 * rank + 10)
-        .clamp(rank, short);
+    let mut subspace = (2 * rank + 10).clamp(rank, short);
 
     // When the Krylov subspace would cover the whole small dimension anyway,
     // a Krylov method has no advantage.  Fall back to an exact dense SVD
@@ -263,7 +243,7 @@ pub fn lanczos_svd_with(
         }
     }
 
-    let mut rng = SmallRng::seed_from_u64(opts.seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut random_direction =
         |q: &mut [f64]| q.iter_mut().for_each(|x| *x = rng.gen::<f64>() - 0.5);
     let mut product = resized(std::mem::take(&mut ws.product), m.max(n));
@@ -332,14 +312,14 @@ pub fn lanczos_svd_with(
         let ritz = symmetric_eig(&tridiagonal);
 
         // Residual of the i-th Ritz pair of B: β_k·|s_{k,i}|.  Its square
-        // root is what moves σ_i, hence the bound tol·σ_max·σ_i — with σ_i
+        // root is what moves σ_i, hence the bound TOL·σ_max·σ_i — with σ_i
         // floored where its square drops below the rounding of σ_max².
         let sigma = |i: usize| ritz.values[i].max(0.0).sqrt();
         let sigma_max = sigma(0);
         let negligible = f64::EPSILON.sqrt() * sigma_max;
         let converged = (0..rank).all(|i| {
             let residual = betas[k - 1] * ritz.vectors[(k - 1, i)].abs();
-            residual <= opts.tol * sigma_max * sigma(i).max(negligible)
+            residual <= TOL * sigma_max * sigma(i).max(negligible)
         });
 
         // Thick restart would be the production choice; for the subspace
@@ -349,7 +329,7 @@ pub fn lanczos_svd_with(
         // toward the larger bound.
         restarts += 1;
         let enlarged = (subspace + subspace / 2 + 1).min(short);
-        if converged || enlarged == subspace || restarts >= opts.max_restarts {
+        if converged || enlarged == subspace || restarts >= MAX_RESTARTS {
             break (ritz, converged);
         }
         subspace = enlarged;
@@ -432,12 +412,14 @@ mod tests {
     use crate::qr::orthogonality_error;
     use crate::svd::dense_svd as reference_svd;
 
+    const SEED: u64 = 0x5eed_1a2c;
+
     #[test]
     fn lanczos_matches_dense_svd_values() {
         let a = Matrix::random(60, 24, 7);
         let op = DenseOperator::new(&a);
         let reference = reference_svd(&a);
-        let result = lanczos_svd(&op, 5, &LanczosOptions::default());
+        let result = lanczos_svd(&op, 5, SEED);
         assert_eq!(result.singular_values.len(), 5);
         for i in 0..5 {
             assert!(
@@ -457,7 +439,7 @@ mod tests {
     fn lanczos_left_vectors_orthonormal() {
         let a = Matrix::random(80, 30, 11);
         let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 6, &LanczosOptions::default());
+        let result = lanczos_svd(&op, 6, SEED);
         assert!(orthogonality_error(&result.u) < 1e-6);
         assert!(orthogonality_error(&result.v) < 1e-6);
     }
@@ -469,7 +451,7 @@ mod tests {
         let c = Matrix::random(4, 20, 4);
         let a = gemm(&b, &c);
         let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 4, &LanczosOptions::default());
+        let result = lanczos_svd(&op, 4, SEED);
         // Reconstruct and compare.
         let mut s = Matrix::zeros(4, 4);
         for i in 0..4 {
@@ -486,7 +468,7 @@ mod tests {
         let c = Matrix::random(2, 15, 6);
         let a = gemm(&b, &c); // rank 2
         let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 5, &LanczosOptions::default());
+        let result = lanczos_svd(&op, 5, SEED);
         // Requested 5 but only 2 nonzero singular values exist.
         assert!(result.singular_values[0] > 1e-6);
         assert!(result.singular_values[1] > 1e-6);
@@ -500,7 +482,7 @@ mod tests {
         let a = Matrix::random(500, 8, 21);
         let op = DenseOperator::new(&a);
         let reference = reference_svd(&a);
-        let result = lanczos_svd(&op, 3, &LanczosOptions::default());
+        let result = lanczos_svd(&op, 3, SEED);
         for i in 0..3 {
             assert!(approx_eq(
                 result.singular_values[i],
@@ -515,7 +497,7 @@ mod tests {
         let a = Matrix::random(10, 300, 22);
         let op = DenseOperator::new(&a);
         let reference = reference_svd(&a);
-        let result = lanczos_svd(&op, 4, &LanczosOptions::default());
+        let result = lanczos_svd(&op, 4, SEED);
         for i in 0..4 {
             assert!(approx_eq(
                 result.singular_values[i],
@@ -529,7 +511,7 @@ mod tests {
     fn lanczos_zero_operator() {
         let a = Matrix::zeros(10, 10);
         let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 3, &LanczosOptions::default());
+        let result = lanczos_svd(&op, 3, SEED);
         for &s in &result.singular_values {
             assert!(s.abs() < 1e-12);
         }
@@ -539,7 +521,7 @@ mod tests {
     fn lanczos_rank_capped_by_dimensions() {
         let a = Matrix::random(20, 3, 2);
         let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 10, &LanczosOptions::default());
+        let result = lanczos_svd(&op, 10, SEED);
         assert!(result.singular_values.len() <= 3);
     }
 
@@ -547,7 +529,7 @@ mod tests {
     fn lanczos_counts_applications() {
         let a = Matrix::random(40, 12, 2);
         let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 2, &LanczosOptions::default());
+        let result = lanczos_svd(&op, 2, SEED);
         assert!(result.operator_applications > 0);
     }
 
@@ -555,18 +537,17 @@ mod tests {
     fn workspace_reuse_is_bitwise_identical_and_pools_buffers() {
         let a = Matrix::random(70, 20, 9);
         let op = DenseOperator::new(&a);
-        let opts = LanczosOptions::default();
-        let fresh = lanczos_svd(&op, 4, &opts);
+        let fresh = lanczos_svd(&op, 4, SEED);
 
         let mut ws = LanczosWorkspace::new();
-        let first = lanczos_svd_with(&op, 4, &opts, &mut ws);
+        let first = lanczos_svd_with(&op, 4, SEED, &mut ws);
         let pooled_after_first = ws.pooled_floats();
         // The short Krylov vectors and the one long product vector.
         assert!(
             pooled_after_first > 70,
             "buffers should be parked for reuse"
         );
-        let second = lanczos_svd_with(&op, 4, &opts, &mut ws);
+        let second = lanczos_svd_with(&op, 4, SEED, &mut ws);
 
         // The workspace must never change the numbers.
         assert_eq!(first.singular_values, fresh.singular_values);
@@ -675,7 +656,7 @@ mod tests {
         let sigma_1 = expected[0];
         for (parallel, expose_normal) in [(false, true), (true, false), (true, true)] {
             let op = Spy::new(a, parallel, expose_normal);
-            let svd = lanczos_svd(&op, rank, &LanczosOptions::default());
+            let svd = lanczos_svd(&op, rank, SEED);
             let formed = parallel && expose_normal && within_gate(m, n, rank);
             assert_eq!(op.formed(), formed, "{m}x{n}, rank {rank}");
             if formed {
@@ -780,11 +761,7 @@ mod tests {
         let a = Matrix::random_signed(900, 60, 31);
         let op = DenseOperator::parallel(&a);
         let solve = |seed: u64, ws: &mut LanczosWorkspace| {
-            let opts = LanczosOptions {
-                seed,
-                ..LanczosOptions::default()
-            };
-            let svd = lanczos_svd_with(&op, 4, &opts, ws);
+            let svd = lanczos_svd_with(&op, 4, seed, ws);
             assert_eq!(svd.operator_applications, 60 + 4);
             (svd.u, svd.singular_values, svd.v)
         };
@@ -792,12 +769,7 @@ mod tests {
         // Warm: a Krylov solve (wide operator) has parked its buffers.
         let mut ws = LanczosWorkspace::new();
         let wide = Matrix::random_signed(30, 500, 2);
-        lanczos_svd_with(
-            &DenseOperator::parallel(&wide),
-            4,
-            &LanczosOptions::default(),
-            &mut ws,
-        );
+        lanczos_svd_with(&DenseOperator::parallel(&wide), 4, SEED, &mut ws);
         let parked = ws.pooled_floats();
         assert!(parked > 0);
         assert_eq!(solve(2, &mut ws), cold);
@@ -810,6 +782,6 @@ mod tests {
     fn lanczos_rejects_zero_rank() {
         let a = Matrix::random(5, 5, 1);
         let op = DenseOperator::new(&a);
-        let _ = lanczos_svd(&op, 0, &LanczosOptions::default());
+        let _ = lanczos_svd(&op, 0, SEED);
     }
 }

@@ -27,7 +27,7 @@ pub mod qr;
 pub mod simd;
 pub mod svd;
 
-pub use lanczos::{lanczos_svd, LanczosOptions, TruncatedSvd};
+pub use lanczos::{lanczos_svd, TruncatedSvd};
 pub use matrix::Matrix;
 pub use operator::{DenseOperator, LinearOperator};
 pub use qr::orthonormalize_columns;

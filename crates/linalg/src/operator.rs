@@ -2,10 +2,10 @@
 //!
 //! The TRSVD step of HOOI (paper §III-A2, §III-B) never needs the matricized
 //! TTMc result `Y_(n)` as an explicit assembled matrix — only the products
-//! `y ← Y_(n) x` (MxV) and `xᵀ ← yᵀ Y_(n)` (MTxV).  The shared-memory solver
-//! applies them on the dense compact `Y_(n)` ([`DenseOperator`]), the HOSVD
-//! initialization on a sparse unfolding; both implement this trait and are
-//! handed to the Krylov solver in [`crate::lanczos`] unchanged.  The solver
+//! `y ← Y_(n) x` (MxV) and `xᵀ ← yᵀ Y_(n)` (MTxV).  The solver applies them
+//! on the dense compact `Y_(n)` ([`DenseOperator`]); the Krylov solver in
+//! [`crate::lanczos`] sees only this trait, so any other implementation
+//! (the tests substitute a counting fake) plugs in unchanged.  The solver
 //! asks for the two products back to back ([`LinearOperator::apply_normal`]),
 //! for a block of forward products ([`LinearOperator::apply_many`]) and,
 //! when the short side is small, for the normal matrix itself

@@ -2,10 +2,9 @@
 //!
 //! HOOI needs orthonormal factor matrices: the columns of each `U_n` are the
 //! leading left singular vectors of the matricized TTMc result.
-//! HOSVD-style initialization orthonormalizes random factor matrices with
-//! these routines before the first iteration (the TRSVD solver's tall result
-//! goes through the row-block-parallel [`crate::blas::par_cholesky_qr`]
-//! instead).
+//! The random initial factors are orthonormalized with these routines before
+//! the first iteration (the TRSVD solver's tall result goes through the
+//! row-block-parallel [`crate::blas::par_cholesky_qr`] instead).
 
 use crate::blas::{axpy, dot, nrm2};
 use crate::matrix::Matrix;

@@ -413,13 +413,16 @@ impl DecompositionService {
         let config = TuckerConfig::new(ranks)
             .max_iterations(max_iters)
             .seed(seed);
+        // A deadline too far out to represent as an `Instant` never
+        // expires: the request solves as if it had none.
+        let expires = deadline.and_then(|d| arrival.checked_add(d));
         // The solve runs behind `catch_unwind` so a panicking request is an
         // answer, not an outage: the shared pool survives (workers re-throw
         // into the caller), the poisoned session is dropped instead of
         // being re-cached, and only this tensor's entry is quarantined.
-        let attempt = catch_unwind(AssertUnwindSafe(|| match deadline {
-            Some(d) => {
-                let mut observer = DeadlineObserver::at(arrival + d);
+        let attempt = catch_unwind(AssertUnwindSafe(|| match expires {
+            Some(at) => {
+                let mut observer = DeadlineObserver::at(at);
                 let outcome = self
                     .pool
                     .install(|| session.solve_with_observer(&config, &mut observer));
@@ -766,6 +769,41 @@ mod tests {
         // A deadline that never fires changes nothing: same bits as the
         // deadline-free request.
         assert_eq!(factors(&done[1]).factors, factors(&done[2]).factors);
+        assert_eq!(svc.stats().truncated_decomposes, 0);
+    }
+
+    #[test]
+    fn unrepresentable_deadline_solves_as_if_unbounded() {
+        let mut svc = service(usize::MAX);
+        svc.submit(
+            "a",
+            Request::Ingest {
+                tensor_id: "t".into(),
+                tensor: toy(),
+            },
+        );
+        svc.submit(
+            "a",
+            Request::Decompose {
+                tensor_id: "t".into(),
+                ranks: vec![2, 2, 2],
+                seed: 9,
+                max_iters: 3,
+                deadline: Some(Duration::MAX),
+            },
+        );
+        let done = svc.run_until_idle();
+        match done[1].outcome.as_ref().unwrap() {
+            Response::Decomposed { truncated, .. } => assert!(!truncated),
+            other => panic!("expected a decomposition, got {other:?}"),
+        }
+        assert_eq!(svc.stats().panicked, 0);
+        // Nothing was quarantined: another tenant's deadline-free request
+        // on the same tensor gets the same bits.
+        svc.submit("b", decompose("t", 9));
+        let again = svc.run_until_idle();
+        assert_eq!(factors(&done[1]).factors, factors(&again[0]).factors);
+        assert_eq!(svc.stats().panicked, 0);
         assert_eq!(svc.stats().truncated_decomposes, 0);
     }
 

@@ -254,9 +254,59 @@ impl DenseTensor {
     }
 }
 
+/// The value of the Tucker model `[[G; U₁,…,U_N]]` at one coordinate:
+/// `Σ_r g(r) Π_n U_n(i_n, r_n)` over the nonzero core entries in ascending
+/// position, each product cut short once it reaches zero.
+pub fn reconstruct_at(core: &DenseTensor, factors: &[Matrix], index: &[usize]) -> f64 {
+    debug_assert_eq!(factors.len(), core.order());
+    debug_assert_eq!(index.len(), core.order());
+    let mut sum = 0.0;
+    let mut ridx = vec![0usize; core.order()];
+    for pos in 0..core.len() {
+        let g = core.as_slice()[pos];
+        if g == 0.0 {
+            continue;
+        }
+        core.unlinearize(pos, &mut ridx);
+        let mut prod = g;
+        for (n, &r) in ridx.iter().enumerate() {
+            prod *= factors[n][(index[n], r)];
+            if prod == 0.0 {
+                break;
+            }
+        }
+        sum += prod;
+    }
+    sum
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reconstruct_at_matches_full_reconstruction() {
+        // A core with zero entries, so the skipped terms are exercised too.
+        let g = DenseTensor::from_fn(vec![2, 3, 2], |idx| {
+            if (idx[0] + idx[1] + idx[2]) % 3 == 0 {
+                0.0
+            } else {
+                1.0 + idx[0] as f64 - 0.5 * idx[1] as f64 + 0.25 * idx[2] as f64
+            }
+        });
+        let factors = [
+            Matrix::random(6, 2, 1),
+            Matrix::random(5, 3, 2),
+            Matrix::random(4, 2, 3),
+        ];
+        let full = g.ttm_chain(&[&factors[0], &factors[1], &factors[2]], false);
+        let mut idx = vec![0; 3];
+        for pos in 0..full.len() {
+            full.unlinearize(pos, &mut idx);
+            let a = reconstruct_at(&g, &factors, &idx);
+            assert!((a - full.get(&idx)).abs() < 1e-10, "at {idx:?}");
+        }
+    }
 
     #[test]
     fn zeros_and_len() {

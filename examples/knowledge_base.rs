@@ -27,11 +27,9 @@ fn main() -> Result<(), TuckerError> {
         );
     }
 
-    // Decompose with HOSVD initialization (cheap here because the relation
-    // mode is tiny) and the paper's rank 10.
+    // Decompose from a seeded random start at the paper's rank 10.
     let config = TuckerConfig::new(vec![10, 10, 10])
         .max_iterations(6)
-        .initialization(Initialization::Random)
         .seed(11);
     let model = tucker_hooi(&tensor, &config)?;
     println!(

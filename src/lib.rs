@@ -76,9 +76,9 @@ pub mod prelude {
         RankFailure, SimConfig,
     };
     pub use hooi::{
-        tucker_hooi, DeadlineObserver, DimTree, IndexLayout, Initialization, IterationControl,
-        IterationObserver, IterationReport, KernelIsa, PlanOptions, TrsvdBackend, TtmcCosts,
-        TtmcStrategy, TuckerConfig, TuckerDecomposition, TuckerError, TuckerSession, TuckerSolver,
+        tucker_hooi, DeadlineObserver, DimTree, IndexLayout, IterationControl, IterationObserver,
+        IterationReport, KernelIsa, PlanOptions, TrsvdBackend, TtmcCosts, TtmcStrategy,
+        TuckerConfig, TuckerDecomposition, TuckerError, TuckerSession, TuckerSolver,
     };
     pub use linalg::Matrix;
     pub use partition::{fine_grain_hypergraph, hypergraph::Hypergraph};

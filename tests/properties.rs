@@ -64,19 +64,34 @@ proptest! {
         num_ranks in 2usize..6,
         seed in 0u64..100,
     ) {
-        let factors: Vec<Matrix> = tensor
-            .dims()
-            .iter()
-            .enumerate()
-            .map(|(m, &d)| Matrix::random(d, 2, seed + m as u64))
-            .collect();
-        let sym = hooi::symbolic::SymbolicTtmc::build(&tensor);
-        let shared = hooi::ttmc::ttmc_mode(&tensor, sym.mode(0), &factors, 0);
+        // One executor iteration folds and merges every mode's TTMc across
+        // the partition; its factors, core and fit must equal a width-1
+        // per-mode solve's bit for bit, however the nonzeros are spread.
+        let config = TuckerConfig::new(vec![2, 2, 2]).max_iterations(1).seed(seed);
+        let shared = TuckerSolver::plan(
+            &tensor,
+            PlanOptions::new().num_threads(1).ttmc_strategy(TtmcStrategy::PerMode),
+        )
+        .unwrap()
+        .solve(&config)
+        .unwrap();
+        let bits = |d: &TuckerDecomposition| -> Vec<u64> {
+            d.factors
+                .iter()
+                .flat_map(|u| u.as_slice().iter())
+                .chain(d.core.as_slice().iter())
+                .chain(d.fits.iter())
+                .map(|x| x.to_bits())
+                .collect()
+        };
         for grain in [Grain::Fine, Grain::Coarse] {
-            let config = SimConfig::new(num_ranks, grain, PartitionMethod::Random, vec![2, 2, 2]);
-            let setup = DistributedSetup::build(&tensor, &config);
-            let dist = distsim::exec::distributed_ttmc(&tensor, &setup, &sym, &factors, 0);
-            prop_assert!(dist.frobenius_distance(&shared) < 1e-9 * shared.frobenius_norm().max(1.0));
+            let sim = SimConfig {
+                seed,
+                ..SimConfig::new(num_ranks, grain, PartitionMethod::Random, vec![2, 2, 2])
+            };
+            let setup = DistributedSetup::build(&tensor, &sim);
+            let dist = execute_hooi(&tensor, &setup, &config, &ExecOptions::new()).unwrap();
+            prop_assert_eq!(bits(&dist.decomposition), bits(&shared), "{:?}", grain);
         }
     }
 

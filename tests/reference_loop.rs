@@ -3,7 +3,7 @@
 //! The solver builds no initial factor for mode 0: HOOI updates it first,
 //! from the other modes' factors alone, and overwrites it before anything
 //! reads it.  The reference loop below starts instead from *every* mode's
-//! initial factor (`random_factors` / `hosvd_factors`), exactly as
+//! random initial factor (`random_factors`), exactly as
 //! Algorithm 1 of the paper writes it, and must reach the same factors,
 //! fits and core bit for bit — across orders, TTMc strategies and pool
 //! widths.  The reference gathers every nonzero through its COO id, so on
@@ -12,7 +12,7 @@
 use tucker_repro::hooi::core_tensor::core_from_last_ttmc_into;
 use tucker_repro::hooi::dimtree::{factor_updated, serve_mode_into_isa};
 use tucker_repro::hooi::fit::fit_from_norms;
-use tucker_repro::hooi::hosvd::{hosvd_factors, random_factors, DEFAULT_HOSVD_MAX_COLS};
+use tucker_repro::hooi::hosvd::random_factors;
 use tucker_repro::hooi::symbolic::SymbolicTtmc;
 use tucker_repro::hooi::trsvd::trsvd_factor_with;
 use tucker_repro::hooi::{ttmc_mode_into_isa, HooiWorkspace};
@@ -58,12 +58,7 @@ fn reference_solve(session: &TuckerSolver<'_>, config: &TuckerConfig, width: usi
         let isa = session.kernel_isa();
         let ranks = &config.ranks;
         let order = tensor.order();
-        let mut factors = match config.initialization {
-            Initialization::Random => random_factors(tensor.dims(), ranks, config.seed),
-            Initialization::Hosvd => {
-                hosvd_factors(tensor, ranks, DEFAULT_HOSVD_MAX_COLS, config.seed)
-            }
-        };
+        let mut factors = random_factors(tensor.dims(), ranks, config.seed);
         let mut ws = HooiWorkspace::new(symbolic, ranks);
         if let Some(tree) = tree {
             ws.ensure_tree(tree, ranks);
@@ -177,36 +172,4 @@ fn random_init_solves_match_the_reference_loop() {
             }
         }
     }
-}
-
-#[test]
-fn hosvd_init_solve_matches_the_reference_loop() {
-    let tensor = random_tensor(&[16, 14, 12], 500, 3);
-    let config = TuckerConfig::new(vec![3, 2, 3])
-        .max_iterations(2)
-        .fit_tolerance(-1.0)
-        .seed(5)
-        .initialization(Initialization::Hosvd);
-    for (plan, options) in plans(2) {
-        assert_solve_matches_reference(&tensor, options, &config, &format!("hosvd {plan}"));
-    }
-}
-
-#[test]
-fn hosvd_init_with_a_random_fallback_mode_matches_the_reference_loop() {
-    // Mode 1's unfolding has 1500 · 1500 columns, beyond the HOSVD cap:
-    // that mode starts from its random factor, the others from the SVD.
-    let dims = [1500, 4, 1500];
-    assert!(dims[0] * dims[2] > DEFAULT_HOSVD_MAX_COLS);
-    assert!(dims[0] * dims[1] <= DEFAULT_HOSVD_MAX_COLS);
-    let tensor = random_tensor(&dims, 300, 17);
-    let config = TuckerConfig::new(vec![2, 2, 2])
-        .max_iterations(2)
-        .fit_tolerance(-1.0)
-        .seed(3)
-        .initialization(Initialization::Hosvd);
-    let options = PlanOptions::new()
-        .num_threads(1)
-        .ttmc_strategy(TtmcStrategy::DimensionTree);
-    assert_solve_matches_reference(&tensor, options, &config, "hosvd with fallback");
 }
