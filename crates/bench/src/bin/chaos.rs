@@ -1,5 +1,5 @@
 //! Chaos matrix for the fault-tolerant executor: N seeded [`FaultPlan`]s
-//! replayed on both comm backends, each run classified as a clean
+//! replayed on the executor's channels, each run classified as a clean
 //! completion or a typed failure, with wall time against a budget.
 //!
 //! The displayed claim: *no schedule hangs and no schedule panics*.  Every
@@ -18,10 +18,7 @@
 //! wrong bits, or fails without a typed error on some rank.
 
 use distsim::exec::{execute_hooi, execute_hooi_chaos, ChaosRun, ExecOptions};
-use distsim::{
-    loopback_tcp_available, CommBackend, CommDeadline, DistributedSetup, FaultPlan, Grain,
-    PartitionMethod, SimConfig,
-};
+use distsim::{DistributedSetup, FaultPlan, Grain, PartitionMethod, SimConfig};
 use hooi::{TuckerConfig, TuckerDecomposition, TuckerError};
 use sptensor::SparseTensor;
 use std::time::Duration;
@@ -71,7 +68,7 @@ fn parse_args() -> BinArgs {
     out
 }
 
-/// What one (seed, backend) cell resolved to.
+/// What one seed's run resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Verdict {
     /// No trigger fired; bits matched the fault-free reference.
@@ -104,7 +101,6 @@ impl Verdict {
 
 struct Cell {
     seed: u64,
-    backend: CommBackend,
     fired: u64,
     verdict: Verdict,
     wall_ms: f64,
@@ -143,36 +139,24 @@ fn run_matrix(tensor: &SparseTensor, args: &BinArgs) -> Vec<Cell> {
     let sim = SimConfig::new(num_ranks, Grain::Fine, PartitionMethod::Random, ranks);
     let setup = DistributedSetup::build(tensor, &sim);
 
-    let mut backends = vec![CommBackend::Channel];
-    if loopback_tcp_available() {
-        backends.push(CommBackend::Tcp);
-    } else {
-        eprintln!("loopback sockets unavailable; chaos matrix runs on channels only");
-    }
-
-    let mut cells = Vec::new();
-    for &backend in &backends {
-        let options = ExecOptions::new()
-            .backend(backend)
-            .deadline(CommDeadline::with_recv_timeout(RECV_TIMEOUT));
-        let reference = execute_hooi(tensor, &setup, &config, &options)
-            .expect("fault-free reference run")
-            .decomposition;
-        for i in 0..args.plans {
+    let options = ExecOptions::new().recv_timeout(RECV_TIMEOUT);
+    let reference = execute_hooi(tensor, &setup, &config, &options)
+        .expect("fault-free reference run")
+        .decomposition;
+    (0..args.plans)
+        .map(|i| {
             let seed = args.base_seed.wrapping_add(i as u64);
             let plan = FaultPlan::seeded(seed, num_ranks, RECV_TIMEOUT);
             let run = execute_hooi_chaos(tensor, &setup, &config, &options, &plan)
                 .expect("chaos entry point accepts the configuration");
-            cells.push(Cell {
+            Cell {
                 seed,
-                backend,
                 fired: run.faults_fired,
                 verdict: classify(&run, &reference),
                 wall_ms: run.wall.as_secs_f64() * 1e3,
-            });
-        }
-    }
-    cells
+            }
+        })
+        .collect()
 }
 
 fn to_json(args: &BinArgs, cells: &[Cell]) -> String {
@@ -192,10 +176,9 @@ fn to_json(args: &BinArgs, cells: &[Cell]) -> String {
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"seed\": {}, \"backend\": \"{:?}\", \"faults_fired\": {}, \
-             \"verdict\": \"{}\", \"wall_ms\": {:.3}}}{}\n",
+            "    {{\"seed\": {}, \"faults_fired\": {}, \"verdict\": \"{}\", \
+             \"wall_ms\": {:.3}}}{}\n",
             c.seed,
-            c.backend,
             c.fired,
             c.verdict.label(),
             c.wall_ms,
@@ -211,7 +194,7 @@ fn main() {
     bench::print_header(
         "Chaos matrix — seeded fault plans vs the fault-tolerant executor",
         &format!(
-            "{} seeded plans per backend, 3 ranks, recv deadline {:?}, wall budget {:?}.\n\
+            "{} seeded plans, 3 ranks, recv deadline {:?}, wall budget {:?}.\n\
              Every run must resolve to a typed RankFailed on all ranks or complete\n\
              bit-identically to the fault-free reference.",
             args.plans, RECV_TIMEOUT, WALL_BUDGET
@@ -221,13 +204,12 @@ fn main() {
     let cells = run_matrix(&tensor, &args);
 
     println!(
-        "{:<12} {:>10} {:>8} {:>18} {:>10}",
-        "backend", "seed", "fired", "verdict", "wall-ms"
+        "{:>10} {:>8} {:>18} {:>10}",
+        "seed", "fired", "verdict", "wall-ms"
     );
     for c in &cells {
         println!(
-            "{:<12} {:>10} {:>8} {:>18} {:>10.2}",
-            format!("{:?}", c.backend),
+            "{:>10} {:>8} {:>18} {:>10.2}",
             c.seed,
             c.fired,
             c.verdict.label(),
@@ -258,9 +240,8 @@ fn main() {
         } else {
             for c in &failures {
                 println!(
-                    "--check FAILED: seed {} on {:?} resolved {}",
+                    "--check FAILED: seed {} resolved {}",
                     c.seed,
-                    c.backend,
                     c.verdict.label()
                 );
             }

@@ -1,10 +1,10 @@
 //! Deterministic fault injection for the distributed executor.
 //!
-//! [`FaultyTransport`] wraps any [`Transport`] and perturbs exactly the
-//! operations named by a [`FaultPlan`]: the plan's triggers fire at precise
-//! `(rank, peer, op, nth)` coordinates — the `nth` send or receive this
-//! rank performs on that link — so a chaos run is a *pure function of the
-//! plan*, with no wall-clock randomness.  The same seed always injects the
+//! The executor wraps every rank's [`Transport`] in a fault-injecting
+//! decorator that perturbs exactly the operations named by a [`FaultPlan`]:
+//! the plan's triggers fire at precise `(rank, peer, op, nth)` coordinates
+//! — the `nth` send or receive this rank performs on that link — so a chaos
+//! run is a *pure function of the plan*, with no wall-clock randomness.  The same seed always injects the
 //! same fault at the same protocol step, which is what makes chaos tests
 //! reproducible and CI-gateable.
 //!
@@ -21,13 +21,13 @@
 //!   the triggering operation and every later one on the link fail with
 //!   [`CommError::PeerDisconnected`].
 //! * [`FaultAction::Corrupt`] on a receive consumes the inbound message
-//!   and reports [`CommError::Corrupt`], modeling a checksum failure; on a
-//!   send it mangles the outgoing tag so the receiver observes a typed
-//!   [`CommError::TagMismatch`].
+//!   and reports [`CommError::Corrupt`], modeling a payload destroyed in
+//!   transit; on a send it mangles the outgoing tag so the receiver
+//!   observes a typed [`CommError::TagMismatch`].
 //!
 //! An **empty plan is an exact pass-through**: every operation reaches the
 //! inner transport unmodified, so wrapping with `FaultPlan::empty()` is
-//! bit-identical to the unwrapped backend, with identical
+//! bit-identical to the unwrapped channels, with identical
 //! [`crate::CommCounters`].  The tests in `tests/faults.rs` pin this.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +54,7 @@ pub enum FaultAction {
     Delay(Duration),
     /// Cut this side of the link permanently.
     Disconnect,
-    /// Destroy the frame: `recv` reports [`CommError::Corrupt`], `send`
+    /// Destroy the message: `recv` reports [`CommError::Corrupt`], `send`
     /// mangles the tag so the receiver sees a mismatch.
     Corrupt,
 }
@@ -195,7 +195,7 @@ impl FaultPlan {
     }
 
     /// Wraps a whole world of transports with this plan, sharing `probe`.
-    pub fn wrap<T: Transport>(
+    pub(crate) fn wrap<T: Transport>(
         &self,
         transports: Vec<T>,
         probe: &FaultProbe,
@@ -219,18 +219,18 @@ impl FaultPlan {
 /// failures everywhere; an unfired one must leave the run bit-identical to
 /// fault-free execution.
 #[derive(Debug, Clone, Default)]
-pub struct FaultProbe {
+pub(crate) struct FaultProbe {
     fired: Arc<AtomicU64>,
 }
 
 impl FaultProbe {
     /// A fresh probe with zero recorded firings.
-    pub fn new() -> FaultProbe {
+    pub(crate) fn new() -> FaultProbe {
         FaultProbe::default()
     }
 
     /// How many triggers have fired so far.
-    pub fn fired(&self) -> u64 {
+    pub(crate) fn fired(&self) -> u64 {
         self.fired.load(Ordering::SeqCst)
     }
 
@@ -242,7 +242,7 @@ impl FaultProbe {
 /// A [`Transport`] wrapper that injects the faults of a [`FaultPlan`] at
 /// exact operation counts.  With an empty plan it is a bit-identical
 /// pass-through.
-pub struct FaultyTransport<T: Transport> {
+pub(crate) struct FaultyTransport<T: Transport> {
     inner: T,
     plan: FaultPlan,
     probe: FaultProbe,
@@ -253,7 +253,7 @@ pub struct FaultyTransport<T: Transport> {
 
 impl<T: Transport> FaultyTransport<T> {
     /// Wraps `inner` with the triggers of `plan` that name its rank.
-    pub fn new(inner: T, plan: FaultPlan, probe: FaultProbe) -> Self {
+    fn new(inner: T, plan: FaultPlan, probe: FaultProbe) -> Self {
         let n = inner.num_ranks();
         FaultyTransport {
             inner,
@@ -365,12 +365,12 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             Some(FaultAction::Corrupt) => {
                 self.probe.record();
                 // Consume the inbound message (if any) and report it
-                // destroyed, modeling a checksum failure.
+                // destroyed in transit.
                 self.inner.recv_raw(from, timeout)?;
                 Err(CommError::Corrupt {
                     rank: self.inner.rank(),
                     peer: from,
-                    detail: "injected frame corruption".to_string(),
+                    detail: "injected message corruption".to_string(),
                 })
             }
         }
@@ -380,18 +380,15 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{channel_transports, Communicator, Endpoint};
+    use crate::comm::{channel_transports, ChannelTransport, Endpoint};
+
+    type FaultyEndpoint = Endpoint<FaultyTransport<ChannelTransport>>;
 
     fn tag(step: u32) -> Tag {
         Tag::new(Phase::Fold, 1, step)
     }
 
-    fn two_rank_world(
-        plan: FaultPlan,
-    ) -> (
-        Vec<Endpoint<FaultyTransport<crate::comm::ChannelTransport>>>,
-        FaultProbe,
-    ) {
+    fn two_rank_world(plan: FaultPlan) -> (Vec<FaultyEndpoint>, FaultProbe) {
         let probe = FaultProbe::new();
         let world = plan
             .wrap(channel_transports(2), &probe)
@@ -402,9 +399,9 @@ mod tests {
     }
 
     fn run_pair<R: Send + 'static>(
-        world: Vec<Endpoint<FaultyTransport<crate::comm::ChannelTransport>>>,
-        rank0: impl FnOnce(&mut dyn Communicator) -> R + Send,
-        rank1: impl FnOnce(&mut dyn Communicator) -> R + Send,
+        world: Vec<FaultyEndpoint>,
+        rank0: impl FnOnce(&mut FaultyEndpoint) -> R + Send,
+        rank1: impl FnOnce(&mut FaultyEndpoint) -> R + Send,
     ) -> (R, R) {
         let mut it = world.into_iter();
         let mut e0 = it.next().unwrap();
@@ -476,11 +473,10 @@ mod tests {
             action: FaultAction::Drop,
         });
         let probe = FaultProbe::new();
-        let deadline = crate::comm::CommDeadline::with_recv_timeout(Duration::from_millis(30));
         let mut it = plan
             .wrap(channel_transports(2), &probe)
             .into_iter()
-            .map(|t| Endpoint::with_deadline(t, deadline));
+            .map(|t| Endpoint::with_recv_timeout(t, Duration::from_millis(30)));
         let mut e0 = it.next().unwrap();
         let mut e1 = it.next().unwrap();
         let err = std::thread::scope(|s| {

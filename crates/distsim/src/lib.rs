@@ -13,21 +13,19 @@
 //!   BlueGene/Q-like [`machine`] model.  It scales to 256 ranks in
 //!   milliseconds and regenerates the paper's tables.
 //! * **The executor** ([`comm`] + [`exec`]) actually *runs* Algorithm 4 as
-//!   message-passing ranks: long-lived concurrent workers that hold only
-//!   their own nonzeros and exchange expand/fold messages through the
-//!   [`comm::Communicator`] trait.  Two backends prove the boundary is
-//!   honest — in-process channels ([`comm::channel_world`]) and real
-//!   loopback TCP sockets ([`comm::tcp_world`]).  The executor's
-//!   owner-ordered fold reduction makes its factors and core
+//!   message-passing ranks: long-lived concurrent threads that hold only
+//!   their own nonzeros and exchange expand/fold messages through their
+//!   [`comm::Endpoint`]s over in-process channels
+//!   ([`comm::channel_world`]); nothing but messages passes between them.
+//!   The executor's owner-ordered fold reduction makes its factors and core
 //!   **bit-identical** to [`hooi::TuckerSolver`] at matching pool width,
 //!   and its measured per-phase byte counters are asserted equal to the
 //!   simulator's predicted expand/fold volumes — the cost model is a
 //!   tested artifact, not a free-standing formula.
 //!
 //! Pick the simulator to sweep configurations and regenerate tables; pick
-//! the executor (channel backend) to validate numerics and measure real
-//! wall time on one machine; pick the TCP backend when you need evidence
-//! that the algorithm, not shared memory, produced the result.
+//! the executor to validate numerics, measure per-phase traffic and real
+//! wall time on one machine.
 //!
 //! Components:
 //!
@@ -39,13 +37,13 @@
 //!   volumes, and the executor-facing expand/fold word predictions,
 //! * [`cost`] — statistics + machine model → per-iteration times (Tables
 //!   II, IV and V),
-//! * [`comm`] — the `Communicator` trait, counters, typed
-//!   [`comm::CommError`]s with per-endpoint [`comm::CommDeadline`]s, and
-//!   the channel/TCP backends,
+//! * [`comm`] — the counted [`comm::Endpoint`] and its collectives, typed
+//!   [`comm::CommError`]s with a per-endpoint receive timeout, and the
+//!   in-process channel transport,
 //! * [`fault`] — deterministic fault injection: a seeded
-//!   [`fault::FaultPlan`] drives a [`fault::FaultyTransport`] wrapper that
-//!   drops, delays, disconnects, or corrupts exact messages so chaos tests
-//!   are reproducible,
+//!   [`fault::FaultPlan`] drives a transport wrapper that drops, delays,
+//!   disconnects, or corrupts exact messages so chaos tests are
+//!   reproducible,
 //! * [`exec`] — the message-passing executor
 //!   ([`exec::distributed_hooi`], [`exec::execute_hooi`], and the chaos
 //!   entry point [`exec::execute_hooi_chaos`]); every rank builds the same
@@ -66,16 +64,12 @@ pub mod machine;
 pub mod setup;
 pub mod stats;
 
-pub use comm::{
-    channel_world, loopback_tcp_available, tcp_world, tcp_world_with, CommBackend, CommCounters,
-    CommDeadline, CommError, Communicator, Message, Phase, Tag,
-};
+pub use comm::{channel_world, CommCounters, CommError, Message, Phase, Tag};
 pub use cost::{simulate_iteration, IterationCost};
 pub use exec::{
     distributed_hooi, execute_hooi, execute_hooi_chaos, ChaosRun, DistributedRun, ExecOptions,
-    FailureSource, RankFailure,
 };
-pub use fault::{FaultAction, FaultOp, FaultPlan, FaultProbe, FaultTrigger, FaultyTransport};
+pub use fault::{FaultAction, FaultOp, FaultPlan, FaultTrigger};
 pub use machine::MachineModel;
 pub use setup::{DistributedSetup, Grain, ModeRelations, PartitionMethod, RowRelations, SimConfig};
 pub use stats::{iteration_stats, IterationStats, ModeRankStats};

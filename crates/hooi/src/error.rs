@@ -103,8 +103,18 @@ pub enum TuckerError {
         /// The id the request asked for.
         tensor_id: String,
     },
+    /// A predict request named a coordinate outside the tensor: `index` is
+    /// not below the `size` of mode `mode`.
+    IndexOutOfRange {
+        /// The mode whose coordinate is out of range.
+        mode: usize,
+        /// The requested coordinate.
+        index: usize,
+        /// The size of that mode.
+        size: usize,
+    },
     /// A rank of the distributed executor failed mid-solve — a peer
-    /// disconnected, a receive timed out, or a frame arrived corrupt — and
+    /// disconnected, a receive timed out, or a message arrived corrupt — and
     /// the failure was propagated to every surviving rank through the
     /// executor's abort protocol.  `rank` is the rank that first observed
     /// the fault (the *origin*), so all survivors agree on the attribution;
@@ -207,6 +217,10 @@ impl fmt::Display for TuckerError {
                     "tensor '{tensor_id}' has no completed decomposition to predict from"
                 )
             }
+            TuckerError::IndexOutOfRange { mode, index, size } => write!(
+                f,
+                "index {index} is out of range for mode {mode} of size {size}"
+            ),
             TuckerError::RankFailed {
                 rank,
                 phase,
@@ -339,6 +353,13 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains("flickr") && msg.contains("decomposition"));
+        let msg = TuckerError::IndexOutOfRange {
+            mode: 0,
+            index: 8,
+            size: 8,
+        }
+        .to_string();
+        assert!(msg.contains("index 8") && msg.contains("mode 0") && msg.contains("size 8"));
     }
 
     #[test]

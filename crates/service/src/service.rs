@@ -502,6 +502,7 @@ impl DecompositionService {
             return (Err(TuckerError::NothingDecomposed { tensor_id }), 0, None);
         };
         let order = latest.factors.len();
+        let dims = entry.tensor.dims();
         for index in &indices {
             if index.len() != order {
                 return (
@@ -513,10 +514,25 @@ impl DecompositionService {
                     None,
                 );
             }
+            // A coordinate outside the tensor is the request's fault, not
+            // the model's: answer it without touching the model, so the
+            // entry stays healthy for every tenant.
+            if let Some((mode, (&index, &size))) = index
+                .iter()
+                .zip(dims)
+                .enumerate()
+                .find(|(_, (i, d))| i >= d)
+            {
+                return (
+                    Err(TuckerError::IndexOutOfRange { mode, index, size }),
+                    0,
+                    None,
+                );
+            }
         }
-        // Model reads panic on out-of-range indices; catch it here so a
-        // poisoned query answers as a value and quarantines only this
-        // tensor's entry.
+        // Every coordinate is in range; a predict that panics anyway means
+        // a poisoned model, so it answers as a value and quarantines only
+        // this tensor's entry.
         let core_len = latest.core.len();
         let attempt = catch_unwind(AssertUnwindSafe(|| latest.predict_many(&indices)));
         match attempt {
@@ -585,6 +601,14 @@ mod tests {
                 .plan_cache_bytes(plan_cache_bytes),
         )
         .unwrap()
+    }
+
+    /// Poisons a stored model white-box: factor 0 becomes its transpose, so
+    /// an in-range predict reads past the factor's rows and panics.
+    fn poison_latest(svc: &mut DecompositionService, tensor_id: &str) {
+        let entry = svc.registry.get_mut(tensor_id).unwrap();
+        let latest = entry.latest.as_mut().unwrap();
+        latest.factors[0] = latest.factors[0].transpose();
     }
 
     fn factors(completed: &Completed) -> &TuckerDecomposition {
@@ -882,13 +906,14 @@ mod tests {
             svc.submit("a", decompose(id, 3));
         }
         svc.run_until_idle();
-        // Out-of-range indices panic inside predict_many; the service must
-        // answer, not die.
+        // An in-range predict panics inside predict_many on the poisoned
+        // model; the service must answer, not die.
+        poison_latest(&mut svc, "poisoned");
         svc.submit(
             "a",
             Request::Predict {
                 tensor_id: "poisoned".into(),
-                indices: vec![vec![1000, 1000, 1000]],
+                indices: vec![vec![5, 0, 0]],
             },
         );
         let done = svc.run_until_idle();
@@ -945,6 +970,54 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_predict_is_a_typed_error_that_quarantines_nothing() {
+        let mut svc = service(usize::MAX);
+        svc.submit(
+            "owner",
+            Request::Ingest {
+                tensor_id: "shared".into(),
+                tensor: Arc::new(random_tensor(&[8, 7, 6], 120, 5)),
+            },
+        );
+        svc.submit("owner", decompose("shared", 1));
+        svc.run_until_idle();
+        // Another tenant asks for a coordinate one past mode 0's end.
+        svc.submit(
+            "mallory",
+            Request::Predict {
+                tensor_id: "shared".into(),
+                indices: vec![vec![8, 0, 0]],
+            },
+        );
+        let done = svc.run_until_idle();
+        assert_eq!(
+            done[0].outcome.as_ref().unwrap_err(),
+            &TuckerError::IndexOutOfRange {
+                mode: 0,
+                index: 8,
+                size: 8,
+            }
+        );
+        assert_eq!(done[0].charged_flops, 0);
+        let stats = svc.stats();
+        assert_eq!(stats.failed, 1);
+        assert_eq!(stats.panicked, 0);
+        assert!(stats.quarantined_tensors.is_empty());
+        // The owner's next requests on the tensor are answered.
+        svc.submit("owner", decompose("shared", 2));
+        svc.submit(
+            "owner",
+            Request::Predict {
+                tensor_id: "shared".into(),
+                indices: vec![vec![7, 6, 5]],
+            },
+        );
+        let done = svc.run_until_idle();
+        assert!(matches!(done[0].outcome, Ok(Response::Decomposed { .. })));
+        assert!(matches!(done[1].outcome, Ok(Response::Predicted { .. })));
+    }
+
+    #[test]
     fn evict_works_on_a_quarantined_tensor() {
         let mut svc = service(usize::MAX);
         svc.submit(
@@ -955,13 +1028,21 @@ mod tests {
             },
         );
         svc.submit("a", decompose("t", 1));
+        svc.run_until_idle();
+        poison_latest(&mut svc, "t");
         svc.submit(
             "a",
             Request::Predict {
                 tensor_id: "t".into(),
-                indices: vec![vec![999, 999, 999]],
+                indices: vec![vec![5, 0, 0]],
             },
         );
+        let done = svc.run_until_idle();
+        assert!(matches!(
+            done[0].outcome,
+            Err(TuckerError::SolvePanicked { .. })
+        ));
+        assert_eq!(svc.stats().quarantined_tensors, vec!["t".to_string()]);
         svc.submit(
             "a",
             Request::Evict {
@@ -969,11 +1050,7 @@ mod tests {
             },
         );
         let done = svc.run_until_idle();
-        assert!(matches!(
-            done[2].outcome,
-            Err(TuckerError::SolvePanicked { .. })
-        ));
-        assert!(matches!(done[3].outcome, Ok(Response::Evicted { .. })));
+        assert!(matches!(done[0].outcome, Ok(Response::Evicted { .. })));
         assert!(svc.tensor_ids().is_empty());
         assert!(svc.stats().quarantined_tensors.is_empty());
     }

@@ -1,8 +1,8 @@
 //! Distributed-memory scenario, in three acts:
 //!
 //! 1. **Execute** the distributed algorithm for real: 8 message-passing
-//!    ranks (long-lived threads exchanging expand/fold messages through the
-//!    `Communicator` abstraction) decompose a Flickr-profile tensor and the
+//!    ranks (long-lived threads that share nothing and exchange expand/fold
+//!    messages over channels) decompose a Flickr-profile tensor and the
 //!    result is compared *bit for bit* against the shared-memory
 //!    `TuckerSolver`.
 //! 2. **Cross-validate** the cost model: the words the executor actually
@@ -29,8 +29,8 @@ fn main() -> Result<(), TuckerError> {
         ranks
     );
 
-    // 1. Execute: 8 fine-grain ranks over the channel backend must
-    //    reproduce the shared-memory result exactly, not approximately.
+    // 1. Execute: 8 fine-grain message-passing ranks must reproduce the
+    //    shared-memory result exactly, not approximately.
     let tucker = TuckerConfig::new(ranks.clone()).max_iterations(3).seed(17);
     // The executor replays the per-mode TTMc arithmetic, so the reference
     // solver pins `PerMode` (the dimension-tree default reassociates the
@@ -49,29 +49,13 @@ fn main() -> Result<(), TuckerError> {
         && run.decomposition.core.as_slice() == shared.core.as_slice()
         && run.decomposition.fits == shared.fits;
     println!(
-        "\n8 ranks, fine-hp, {} backend: fit {:.6} in {:.1} ms wall — bit-identical to TuckerSolver: {}",
-        run.backend.label(),
+        "\n8 ranks, fine-hp: fit {:.6} in {:.1} ms wall, {} KB moved — bit-identical to TuckerSolver: {}",
         run.decomposition.final_fit(),
         run.wall.as_secs_f64() * 1e3,
+        run.total_bytes() / 1024,
         identical
     );
     assert!(identical, "executor must match the solver exactly");
-    if loopback_tcp_available() {
-        let tcp = execute_hooi(
-            &tensor,
-            &setup,
-            &tucker,
-            &ExecOptions::new().backend(CommBackend::Tcp),
-        )?;
-        println!(
-            "same run over real loopback TCP sockets: fit {:.6} in {:.1} ms wall, {} KB through the kernel",
-            tcp.decomposition.final_fit(),
-            tcp.wall.as_secs_f64() * 1e3,
-            tcp.total_bytes() / 1024
-        );
-    } else {
-        println!("(loopback TCP unavailable here — skipping the socket backend)");
-    }
 
     // 2. Cross-validate: measured expand/fold words vs the analytic
     //    prediction, rank by rank.

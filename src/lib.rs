@@ -10,7 +10,7 @@
 //!   nonzero-based TTMc, dimension trees, matrix-free TRSVD),
 //! * [`distsim`] — the distributed-memory simulator (coarse/fine grain,
 //!   statistics and cost model) and the message-passing executor that runs
-//!   Algorithm 4 over real channel/TCP backends, bit-identically to the
+//!   Algorithm 4 over in-process channels, bit-identically to the
 //!   shared-memory solver, with typed comm errors, recv deadlines, a
 //!   graceful abort protocol and deterministic fault injection
 //!   ([`distsim::FaultPlan`]),
@@ -69,11 +69,9 @@ pub use sptensor;
 pub mod prelude {
     pub use datagen::{lowrank_tensor, random_tensor, DatasetProfile, LowRankSpec, ProfileName};
     pub use distsim::{
-        distributed_hooi, execute_hooi, execute_hooi_chaos, loopback_tcp_available,
-        simulate_iteration, ChaosRun, CommBackend, CommCounters, CommDeadline, CommError,
-        Communicator, DistributedRun, DistributedSetup, ExecOptions, FailureSource, FaultAction,
-        FaultOp, FaultPlan, FaultProbe, FaultTrigger, Grain, MachineModel, PartitionMethod,
-        RankFailure, SimConfig,
+        distributed_hooi, execute_hooi, execute_hooi_chaos, simulate_iteration, ChaosRun,
+        CommCounters, CommError, DistributedRun, DistributedSetup, ExecOptions, FaultAction,
+        FaultOp, FaultPlan, FaultTrigger, Grain, MachineModel, PartitionMethod, SimConfig,
     };
     pub use hooi::{
         tucker_hooi, DeadlineObserver, DimTree, IndexLayout, IterationControl, IterationObserver,

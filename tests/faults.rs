@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
-use tucker_repro::distsim::{tcp_world_with, Message, Phase, Tag};
+use tucker_repro::distsim::Phase;
 use tucker_repro::prelude::*;
 
 /// Per-recv deadline for chaos runs: long enough for real work on a loaded
@@ -47,12 +47,6 @@ fn with_watchdog<T: Send + 'static>(label: String, f: impl FnOnce() -> T + Send 
     }
 }
 
-fn chaos_options(backend: CommBackend) -> ExecOptions {
-    ExecOptions::new()
-        .backend(backend)
-        .deadline(CommDeadline::with_recv_timeout(CHAOS_TIMEOUT))
-}
-
 /// One chaos case: run the plan under the watchdog and return the chaos
 /// run next to a fault-free reference run with the same options.
 fn chaos_case(
@@ -60,17 +54,16 @@ fn chaos_case(
     num_ranks: usize,
     ranks: Vec<usize>,
     seed: u64,
-    backend: CommBackend,
     plan: FaultPlan,
 ) -> (ChaosRun, DistributedRun) {
-    let label = format!("{backend:?} seed {seed} p={num_ranks}");
+    let label = format!("seed {seed} p={num_ranks}");
     with_watchdog(label, move || {
         let config = TuckerConfig::new(ranks.clone())
             .max_iterations(3)
             .seed(seed);
         let sim = SimConfig::new(num_ranks, Grain::Fine, PartitionMethod::Random, ranks);
         let setup = DistributedSetup::build(&tensor, &sim);
-        let opts = chaos_options(backend);
+        let opts = ExecOptions::new().recv_timeout(CHAOS_TIMEOUT);
         let chaos = execute_hooi_chaos(&tensor, &setup, &config, &opts, &plan)
             .expect("chaos entry point accepts the configuration");
         let clean = execute_hooi(&tensor, &setup, &config, &opts).expect("fault-free reference");
@@ -133,8 +126,8 @@ fn assert_chaos_contract(chaos: &ChaosRun, clean: &DistributedRun, label: &str) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    // The tentpole property on the channel backend, over order-3 and
-    // order-4 tensors and 2-4 ranks: every decisive injected fault yields
+    // The tentpole property, over order-3 and order-4 tensors and 2-4
+    // ranks: every decisive injected fault yields
     // typed `RankFailed` on all ranks within the deadline, and plans that
     // never fire are bit-invisible.
     #[test]
@@ -150,74 +143,31 @@ proptest! {
             (random_tensor(&[11, 9, 8], 300, tensor_seed), vec![2, 2, 2])
         };
         let plan = FaultPlan::seeded_decisive(fault_seed, num_ranks);
-        let (chaos, clean) = chaos_case(
-            tensor,
-            num_ranks,
-            ranks,
-            tensor_seed,
-            CommBackend::Channel,
-            plan,
-        );
+        let (chaos, clean) = chaos_case(tensor, num_ranks, ranks, tensor_seed, plan);
         assert_chaos_contract(&chaos, &clean, &format!("channel fault_seed={fault_seed}"));
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    // The same property over real loopback sockets (skipped where the
-    // sandbox forbids them), which additionally exercises reader-thread
-    // teardown on every faulted run.
-    #[test]
-    fn seeded_faults_resolve_to_typed_failures_on_tcp(
-        fault_seed in 0u64..100_000,
-        num_ranks in 2usize..4,
-        tensor_seed in 0u64..1_000,
-    ) {
-        if !loopback_tcp_available() {
-            return;
-        }
-        let tensor = random_tensor(&[10, 8, 7], 250, tensor_seed);
-        let plan = FaultPlan::seeded_decisive(fault_seed, num_ranks);
-        let (chaos, clean) = chaos_case(
-            tensor,
-            num_ranks,
-            vec![2, 2, 2],
-            tensor_seed,
-            CommBackend::Tcp,
-            plan,
-        );
-        assert_chaos_contract(&chaos, &clean, &format!("tcp fault_seed={fault_seed}"));
-    }
-}
-
-/// The empty plan is exact pass-through on both backends: the fault-free
-/// `execute_hooi` adapter and the fault-plan-taking body it wraps return a
-/// bit-identical decomposition and word-identical counters, and the
-/// adapter's cluster digest is the sum of those counters.
+/// The empty plan is exact pass-through: the fault-free `execute_hooi`
+/// adapter and the fault-plan-taking body it wraps return a bit-identical
+/// decomposition and word-identical counters, and the adapter's cluster
+/// digest is the sum of those counters.
 #[test]
-fn empty_plan_is_bit_identical_on_both_backends() {
-    for backend in [CommBackend::Channel, CommBackend::Tcp] {
-        if backend == CommBackend::Tcp && !loopback_tcp_available() {
-            eprintln!("skipping TCP empty-plan check: loopback sockets unavailable");
-            continue;
-        }
-        let tensor = random_tensor(&[14, 12, 10], 500, 21);
-        let (chaos, clean) = chaos_case(tensor, 3, vec![3, 2, 2], 21, backend, FaultPlan::empty());
-        assert_eq!(chaos.faults_fired, 0);
-        assert_chaos_contract(&chaos, &clean, &format!("{backend:?} empty plan"));
-        assert!(chaos.rank_errors.iter().all(Option::is_none));
-        assert_eq!(chaos.backend, clean.backend);
-        let totals = CommCounters::merged(&chaos.comm);
-        assert_eq!(
-            clean.cluster_expand_floats,
-            totals.phase(Phase::Expand).floats_sent as f64
-        );
-        assert_eq!(
-            clean.cluster_fold_floats,
-            totals.phase(Phase::Fold).floats_sent as f64
-        );
-    }
+fn empty_plan_is_bit_identical_to_the_fault_free_run() {
+    let tensor = random_tensor(&[14, 12, 10], 500, 21);
+    let (chaos, clean) = chaos_case(tensor, 3, vec![3, 2, 2], 21, FaultPlan::empty());
+    assert_eq!(chaos.faults_fired, 0);
+    assert_chaos_contract(&chaos, &clean, "empty plan");
+    assert!(chaos.rank_errors.iter().all(Option::is_none));
+    let totals = CommCounters::merged(&chaos.comm);
+    assert_eq!(
+        clean.cluster_expand_floats,
+        totals.phase(Phase::Expand).floats_sent as f64
+    );
+    assert_eq!(
+        clean.cluster_fold_floats,
+        totals.phase(Phase::Fold).floats_sent as f64
+    );
 }
 
 /// A permanent one-sided link cut is the harshest decisive fault; it must
@@ -233,7 +183,7 @@ fn explicit_disconnect_attributes_the_origin_consistently() {
         nth: 0,
         action: FaultAction::Disconnect,
     });
-    let (chaos, clean) = chaos_case(tensor, 3, vec![2, 2, 2], 3, CommBackend::Channel, plan);
+    let (chaos, clean) = chaos_case(tensor, 3, vec![2, 2, 2], 3, plan);
     assert!(chaos.faults_fired >= 1, "the one trigger must fire");
     assert_chaos_contract(&chaos, &clean, "explicit disconnect");
     match &chaos.outcome {
@@ -244,59 +194,10 @@ fn explicit_disconnect_attributes_the_origin_consistently() {
     }
 }
 
-/// Satellite: repeated `tcp_world` setup/teardown must leak neither
-/// threads nor sockets — twenty full worlds built and dropped (half of
-/// them mid-conversation) under one watchdog.
-#[test]
-fn repeated_tcp_world_setup_and_teardown_is_clean() {
-    if !loopback_tcp_available() {
-        eprintln!("skipping TCP stress test: loopback sockets unavailable");
-        return;
-    }
-    with_watchdog("tcp setup/teardown stress".to_string(), || {
-        for round in 0..20u64 {
-            let mut world =
-                tcp_world_with(3, CommDeadline::with_recv_timeout(Duration::from_secs(5)))
-                    .expect("loopback world");
-            if round % 2 == 0 {
-                // Exchange one ring of messages before tearing down.
-                let handles: Vec<_> = world
-                    .drain(..)
-                    .map(|mut ep| {
-                        thread::spawn(move || {
-                            let rank = ep.rank();
-                            let p = ep.num_ranks();
-                            let tag = Tag {
-                                phase: Phase::Expand,
-                                mode: 0,
-                                step: round as u32,
-                            };
-                            let msg = Message {
-                                tag,
-                                ints: vec![rank as u64],
-                                floats: vec![],
-                            };
-                            ep.send((rank + 1) % p, &msg).unwrap();
-                            let got = ep.recv((rank + p - 1) % p, tag).unwrap();
-                            assert_eq!(got.ints, vec![((rank + p - 1) % p) as u64]);
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().unwrap();
-                }
-            }
-            // Odd rounds: drop the whole world immediately after the
-            // connection phase; Endpoint::drop must join every reader.
-            drop(world);
-        }
-    });
-}
-
 /// Satellite: a silently dropped message cannot hang the run — it fails
 /// fast and typed, either by the recv deadline (the receiver waited for a
-/// frame that never came), by the closed link when the sender has since
-/// unwound, or by a tag mismatch when a later frame arrived in its place.
+/// message that never came), by the closed link when the sender has since
+/// unwound, or by a tag mismatch when a later message arrived in its place.
 #[test]
 fn dropped_message_fails_by_deadline_not_by_hang() {
     let tensor = random_tensor(&[12, 10, 8], 350, 8);
@@ -307,7 +208,7 @@ fn dropped_message_fails_by_deadline_not_by_hang() {
         nth: 2,
         action: FaultAction::Drop,
     });
-    let (chaos, _clean) = chaos_case(tensor, 2, vec![2, 2, 2], 8, CommBackend::Channel, plan);
+    let (chaos, _clean) = chaos_case(tensor, 2, vec![2, 2, 2], 8, plan);
     assert!(chaos.faults_fired >= 1);
     match &chaos.outcome {
         Err(TuckerError::RankFailed { source, .. }) => {
