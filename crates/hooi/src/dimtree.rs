@@ -48,16 +48,30 @@
 //! what [`DimTree::costs`] counts — not once per member; both tiers return
 //! the per-member loop's bits.  The deeper multi-mode contractions of order ≥ 5
 //! trees materialize their Kronecker factor per member instead.  Children of
-//! the root keep no member ids: they hold their members' nonzero values,
-//! gathered once at build time in member order, in place of the ids that
-//! only that gather read (the same 8 bytes per member).
+//! the root keep no member ids: they hold their members' nonzero values
+//! in member order, in place of the ids that would only be used to look
+//! the values up (the same 8 bytes per member).
 //!
 //! Building the grouping: a child groups its parent's entries by their
-//! projection onto the child's range with stable LSD counting passes, one
-//! per projected mode, fastest mode first and slowest last; each key is an
-//! index below `dims[t]`, so no pass compares anything.  Stability keeps
-//! members ascending within a group, so the groups come out in the sorted
-//! unique order a comparison sort of `(projected tuple, entry id)` gives.
+//! projection onto the child's range with stable LSD counting passes that
+//! move whole records, not entry ids to be gathered through afterwards.
+//! A record is an entry's key, its contracted indices, and its payload:
+//! the nonzero's value for a child of the root, the parent entry id below
+//! it.  When the child's key space (the product of its retained modes'
+//! sizes) is one mode, or no larger than the parent's entry count, one
+//! pass by the whole key streams the parent's entries in storage order
+//! straight into the node's final arrays, and the non-empty buckets are
+//! the groups.  Otherwise records, with the key packed into one word (more
+//! only when it needs more bits), take one pass per retained mode, fastest
+//! first: the parent's entries into one scratch set, the scratch into the
+//! final arrays, and the groups are cut where the packed key changes — one
+//! compare per member.  Record words are 4 bytes wide whenever the mode
+//! sizes allow.  A stable sort's output is unique, so the groups come out
+//! in the sorted unique order a comparison sort of `(projected tuple,
+//! entry id)` gives, members ascending within a group, and every node is
+//! the same at any pool width — although from 65 536 records per chunk
+//! (`PASS_GRAIN`) each pass splits its histogram and its scatter across
+//! the pool.
 //! Below the root, a node's entries are stored in ascending tuple order,
 //! so its left child — whose key is a prefix of that tuple — is grouped
 //! already and takes a single run scan.  The root stores no tuples of its
@@ -76,6 +90,7 @@ use rayon::prelude::*;
 use sptensor::kron::kron_rows;
 use sptensor::simd::{self, KernelIsa};
 use sptensor::SparseTensor;
+use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Sentinel for "no node" in parent/child links.
@@ -117,9 +132,9 @@ struct Node {
     /// for children of the root, which keep [`values`](Self::values)
     /// instead.
     members: Vec<usize>,
-    /// Children of the root only: each member's nonzero value, gathered once
-    /// at build time in member order — the member ids served nothing else,
-    /// so the values take their place (same 8 bytes per member).
+    /// Children of the root only: each member's nonzero value, in member
+    /// order — the member ids served nothing else, so the values take their
+    /// place (same 8 bytes per member).
     values: Vec<f64>,
     /// For each member, the `d_modes` indices of that parent entry
     /// (`d_modes.len()` entries per member, streamed by the kernel).
@@ -214,37 +229,432 @@ fn segment_schedule(group_ptr: &[usize]) -> (usize, Vec<usize>, Vec<usize>) {
     (grain, seg_ptr, seg_entry)
 }
 
-/// Orders the entries `0..n` by their projected tuples — `key(e, t)` for
-/// `t` in `modes`, each below `dims[t]` — ties by entry id: one stable
-/// counting pass per mode, the fastest mode first and the slowest last —
-/// the order a comparison sort of `(tuple, e)` gives, without comparing.
-fn group_order(
-    n: usize,
-    modes: Range<usize>,
-    dims: &[usize],
-    key: impl Fn(usize, usize) -> usize,
-) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut next = vec![0usize; n];
-    let mut keys = vec![0usize; n];
-    let mut offsets = Vec::new();
-    for t in modes.rev() {
-        offsets.clear();
-        offsets.resize(dims[t] + 1, 0usize);
-        for (k, &e) in keys.iter_mut().zip(&order) {
-            *k = key(e, t);
-            offsets[*k + 1] += 1;
+/// Records per chunk below which a counting pass runs on one thread.  A
+/// constant, not a knob: chunking pays only once the scatter outweighs the
+/// extra histograms and the fork, and passes chunked regardless of size
+/// ran slower on 10k–40k-nonzero trees.
+const PASS_GRAIN: usize = 1 << 16;
+
+/// Disjoint mutable access to one output buffer from the chunks of a
+/// counting pass, which hands every output position to exactly one input.
+struct Scatter<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _buf: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: `ptr` and `len` describe a buffer borrowed mutably for `'a`, so
+// nothing else reaches it while the `Scatter` lives; threads reach it only
+// through `slot`, whose contract keeps their writes disjoint, and `T: Send`
+// lets them write its elements.
+unsafe impl<T: Send> Sync for Scatter<'_, T> {}
+
+impl<'a, T> Scatter<'a, T> {
+    fn new(buf: &'a mut [T]) -> Self {
+        Scatter {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+            _buf: PhantomData,
         }
-        for b in 1..offsets.len() {
-            offsets[b] += offsets[b - 1];
-        }
-        for (&k, &e) in keys.iter().zip(&order) {
-            next[offsets[k]] = e;
-            offsets[k] += 1;
-        }
-        std::mem::swap(&mut order, &mut next);
     }
-    order
+
+    /// The `width` elements of record `pos`.
+    ///
+    /// # Safety
+    /// No two slots in use at once may be the same record: call it only
+    /// with the position [`counting_pass`] handed to one input.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slot(&self, pos: usize, width: usize) -> &mut [T] {
+        assert!((pos + 1) * width <= self.len, "scatter slot out of bounds");
+        // SAFETY: in bounds (checked above) and exclusive (the caller's
+        // contract).
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(pos * width), width) }
+    }
+}
+
+/// One stable counting pass over the inputs `0..n` by `digit(i) < buckets`:
+/// hands every input its output position through `put(i, pos)`, inputs of
+/// one bucket in input order, and returns where every bucket ends.
+/// From [`PASS_GRAIN`] records per chunk (and no more buckets than
+/// records, which bounds the per-chunk histograms) contiguous chunks of
+/// inputs count and scatter in parallel; a chunk's cursor in each bucket
+/// starts where the chunks before it end, so every position — and the
+/// pass's output — is the same at any pool width.  `digit` must be a pure
+/// function of the input: positions are handed out once each only if it
+/// names the same bucket when counting and when scattering.
+fn counting_pass(
+    n: usize,
+    buckets: usize,
+    digit: impl Fn(usize) -> usize + Sync,
+    put: impl Fn(usize, usize) + Sync,
+) -> Vec<usize> {
+    let chunks = if buckets <= n {
+        (n / PASS_GRAIN).clamp(1, rayon::current_num_threads())
+    } else {
+        1
+    };
+    let inputs = |c: usize| n * c / chunks..n * (c + 1) / chunks;
+    // Allocated here, not in the chunks: worker threads would take them
+    // from their own allocator arenas, which keep the pages afterwards.
+    let mut cursors: Vec<Vec<usize>> = (0..chunks).map(|_| vec![0; buckets]).collect();
+    cursors.par_iter_mut().enumerate().for_each(|(c, counts)| {
+        for i in inputs(c) {
+            counts[digit(i)] += 1;
+        }
+    });
+    let mut at = 0;
+    if let [counts] = &mut cursors[..] {
+        // One chunk (the common case): a plain exclusive scan.
+        for count in counts.iter_mut() {
+            (*count, at) = (at, at + *count);
+        }
+    } else {
+        for b in 0..buckets {
+            for chunk in cursors.iter_mut() {
+                (chunk[b], at) = (at, at + chunk[b]);
+            }
+        }
+    }
+    cursors.par_iter_mut().enumerate().for_each(|(c, cursor)| {
+        for i in inputs(c) {
+            let b = digit(i);
+            put(i, cursor[b]);
+            cursor[b] += 1;
+        }
+    });
+    // The last chunk's cursors have run to the end of every bucket.
+    cursors
+        .pop()
+        .expect("a counting pass has at least one chunk")
+}
+
+/// Bits an index below `dim` needs.
+fn index_bits(dim: usize) -> u32 {
+    usize::BITS - dim.saturating_sub(1).leading_zeros()
+}
+
+/// A word of a packed sort record: `u32` when every field fits, else `u64`.
+trait Word: Copy + Default + Eq + Send + Sync {
+    const BITS: u32;
+    /// The low [`Self::BITS`] bits of `x`.
+    fn truncate(x: u64) -> Self;
+    /// The word, zero-extended.
+    fn widen(self) -> u64;
+}
+
+impl Word for u32 {
+    const BITS: u32 = 32;
+    fn truncate(x: u64) -> Self {
+        x as u32
+    }
+    fn widen(self) -> u64 {
+        self.into()
+    }
+}
+
+impl Word for u64 {
+    const BITS: u32 = 64;
+    fn truncate(x: u64) -> Self {
+        x
+    }
+    fn widen(self) -> u64 {
+        self
+    }
+}
+
+/// Where one index lives in a packed record: its word, shift and mask.
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    word: usize,
+    shift: u32,
+    mask: u64,
+}
+
+impl Field {
+    fn read<W: Word>(&self, record: &[W]) -> usize {
+        ((record[self.word].widen() >> self.shift) & self.mask) as usize
+    }
+
+    /// ORs `value` in: the record must be zero there.
+    fn write<W: Word>(&self, record: &mut [W], value: usize) {
+        let word = &mut record[self.word];
+        *word = W::truncate(word.widen() | (value as u64) << self.shift);
+    }
+}
+
+/// Packs fields of the given bit widths into `word_bits`-bit words from
+/// word `first` on, in order, none straddling two words.  Returns the
+/// fields and the first word after them.
+fn pack_fields(bits: &[u32], word_bits: u32, first: usize) -> (Vec<Field>, usize) {
+    let (mut word, mut used) = (first, 0);
+    let fields = bits
+        .iter()
+        .map(|&b| {
+            if b == 0 {
+                // Always zero: any word reads back as zero through an
+                // empty mask.
+                return Field {
+                    word: 0,
+                    shift: 0,
+                    mask: 0,
+                };
+            }
+            if used + b > word_bits {
+                (word, used) = (word + 1, 0);
+            }
+            used += b;
+            Field {
+                word,
+                shift: used - b,
+                mask: u64::MAX >> (64 - b),
+            }
+        })
+        .collect();
+    (fields, if used > 0 { word + 1 } else { word })
+}
+
+/// A child's member grouping as [`DimTree::make_child`] assembles it: CSR
+/// offsets, the distinct projected tuples in order, every member's
+/// contracted indices, and every member's payload — its nonzero value's
+/// bits for a child of the root, its parent entry id below it.
+struct Grouping {
+    group_ptr: Vec<usize>,
+    entry_idx: Vec<usize>,
+    contract_idx: Vec<usize>,
+    payload: Vec<u64>,
+}
+
+/// Where a child's grouping reads its parent's entries: a parent entry's
+/// index tuple over the parent's range (the nonzero's full index at the
+/// root, the stored projection below it) and its payload.
+struct Source<'a> {
+    tensor: &'a SparseTensor,
+    /// The parent's projection tuples, `span` per entry; `None` at the root.
+    parent_idx: Option<&'a [usize]>,
+    span: usize,
+    entries: usize,
+}
+
+impl Source<'_> {
+    fn tuple(&self, e: usize) -> &[usize] {
+        match self.parent_idx {
+            None => self.tensor.index(e),
+            Some(idx) => &idx[e * self.span..(e + 1) * self.span],
+        }
+    }
+
+    fn payload(&self, e: usize) -> u64 {
+        match self.parent_idx {
+            None => self.tensor.value(e).to_bits(),
+            Some(_) => e as u64,
+        }
+    }
+
+    fn payload_bits(&self) -> u32 {
+        match self.parent_idx {
+            None => 64,
+            Some(_) => index_bits(self.entries),
+        }
+    }
+}
+
+/// The positions, within a parent tuple, of a child's key (`span` indices
+/// from `off`) and of its contracted indices (`d_len` from `d_off`).
+#[derive(Debug, Clone, Copy)]
+struct ChildShape {
+    off: usize,
+    span: usize,
+    d_off: usize,
+    d_len: usize,
+}
+
+/// A left child below the root: the parent stores its entries in ascending
+/// tuple order and the child's key is a prefix of that tuple, so the
+/// entries are grouped already — one run scan, members in parent order.
+fn prefix_grouping(src: &Source, shape: ChildShape) -> Grouping {
+    let ChildShape {
+        span, d_off, d_len, ..
+    } = shape;
+    let n = src.entries;
+    let mut group_ptr = vec![0usize];
+    let mut entry_idx = Vec::new();
+    let mut contract_idx = Vec::with_capacity(n * d_len);
+    for e in 0..n {
+        let tuple = src.tuple(e);
+        if e == 0 || src.tuple(e - 1)[..span] != tuple[..span] {
+            if e > 0 {
+                group_ptr.push(e);
+            }
+            entry_idx.extend_from_slice(&tuple[..span]);
+        }
+        contract_idx.extend_from_slice(&tuple[d_off..d_off + d_len]);
+    }
+    group_ptr.push(n);
+    Grouping {
+        group_ptr,
+        entry_idx,
+        contract_idx,
+        payload: (0..n as u64).collect(),
+    }
+}
+
+/// A child whose key space — the product of its retained modes' sizes —
+/// is one mode, or no larger than the parent's entry count: one counting
+/// pass by the whole key (mixed radix, last mode fastest) streams the
+/// parent's entries in storage order straight into the node's final
+/// arrays, and the non-empty buckets are the groups.
+fn single_pass_grouping(src: &Source, shape: ChildShape, key_dims: &[usize]) -> Grouping {
+    let ChildShape {
+        off,
+        span,
+        d_off,
+        d_len,
+    } = shape;
+    let n = src.entries;
+    let buckets = key_dims.iter().product();
+    let digit = |e: usize| {
+        let key = &src.tuple(e)[off..off + span];
+        (key.iter().zip(key_dims)).fold(0, |b, (&i, &d)| b * d + i)
+    };
+    let mut contract_idx = vec![0usize; n * d_len];
+    let mut payload = vec![0u64; n];
+    let ends = {
+        let (contract, out) = (Scatter::new(&mut contract_idx), Scatter::new(&mut payload));
+        counting_pass(n, buckets, digit, |e, pos| {
+            // SAFETY: `counting_pass` hands each position to one input.
+            let (c, p) = unsafe { (contract.slot(pos, d_len), out.slot(pos, 1)) };
+            c.copy_from_slice(&src.tuple(e)[d_off..d_off + d_len]);
+            p[0] = src.payload(e);
+        })
+    };
+    let mut group_ptr = vec![0usize];
+    let mut entry_idx = Vec::new();
+    for (b, &end) in ends.iter().enumerate() {
+        if end > *group_ptr.last().expect("group_ptr starts at 0") {
+            group_ptr.push(end);
+            let at = entry_idx.len();
+            entry_idx.resize(at + span, 0);
+            let mut rest = b;
+            for (slot, &d) in entry_idx[at..].iter_mut().zip(key_dims).rev() {
+                *slot = rest % d;
+                rest /= d;
+            }
+        }
+    }
+    Grouping {
+        group_ptr,
+        entry_idx,
+        contract_idx,
+        payload,
+    }
+}
+
+/// A child whose key space is larger than its parent's entry count: whole
+/// records — the packed key, the contracted indices and the payload — move
+/// through one stable counting pass per key mode, fastest mode first.  The
+/// first pass streams the parent's entries in storage order, each later
+/// pass the previous pass's records; one sequential sweep over the sorted
+/// records then fills the node's final arrays and cuts the groups where
+/// the packed key changes, one compare per member while the key fits a
+/// word.  Records use 4-byte words whenever every key and contracted index
+/// fits one.
+fn multi_pass_grouping(src: &Source, shape: ChildShape, dims: &[usize]) -> Grouping {
+    if dims.iter().all(|&d| index_bits(d) <= 32) {
+        multi_pass::<u32>(src, shape, dims)
+    } else {
+        multi_pass::<u64>(src, shape, dims)
+    }
+}
+
+/// [`multi_pass_grouping`] with `W`-bit record words.  `dims` are the
+/// parent tuple's mode sizes.
+fn multi_pass<W: Word>(src: &Source, shape: ChildShape, dims: &[usize]) -> Grouping {
+    let ChildShape {
+        off,
+        span,
+        d_off,
+        d_len,
+    } = shape;
+    let n = src.entries;
+    // Record layout: key words, contracted-index words, payload words.
+    let bits =
+        |range: Range<usize>| -> Vec<u32> { dims[range].iter().map(|&d| index_bits(d)).collect() };
+    let (key, key_words) = pack_fields(&bits(off..off + span), W::BITS, 0);
+    // At least one key word, so every field (a zero-width one reads word
+    // 0) lies inside the key the groups are cut by.
+    let key_words = key_words.max(1);
+    let (contract, at) = pack_fields(&bits(d_off..d_off + d_len), W::BITS, key_words);
+    let width = at + src.payload_bits().div_ceil(W::BITS).max(1) as usize;
+    let record = |i: usize| i * width..(i + 1) * width;
+
+    // The first pass: the parent's entries, by the fastest key mode.
+    let mut records = vec![W::default(); n * width];
+    {
+        let out = Scatter::new(&mut records);
+        let fastest = off + span - 1;
+        counting_pass(
+            n,
+            dims[fastest],
+            |e| src.tuple(e)[fastest],
+            |e, pos| {
+                // SAFETY: `counting_pass` hands each position to one input.
+                let r = unsafe { out.slot(pos, width) };
+                let tuple = src.tuple(e);
+                r.fill(W::default());
+                for (f, &i) in key.iter().zip(&tuple[off..off + span]) {
+                    f.write(r, i);
+                }
+                for (f, &i) in contract.iter().zip(&tuple[d_off..d_off + d_len]) {
+                    f.write(r, i);
+                }
+                let mut p = src.payload(e);
+                for w in &mut r[at..] {
+                    *w = W::truncate(p);
+                    p = p.checked_shr(W::BITS).unwrap_or(0);
+                }
+            },
+        );
+    }
+    // The other passes, slower modes last: records to records.
+    let mut sorted = vec![W::default(); n * width];
+    for k in (0..span - 1).rev() {
+        {
+            let out = Scatter::new(&mut sorted);
+            let rs = &records;
+            counting_pass(
+                n,
+                dims[off + k],
+                |i| key[k].read(&rs[record(i)]),
+                // SAFETY: `counting_pass` hands each position to one input.
+                |i, pos| unsafe { out.slot(pos, width) }.copy_from_slice(&rs[record(i)]),
+            );
+        }
+        std::mem::swap(&mut records, &mut sorted);
+    }
+    drop(sorted);
+    // One sweep in sorted order: final arrays, groups where the key changes.
+    let mut group_ptr = vec![0usize];
+    let mut entry_idx = Vec::new();
+    let mut contract_idx = Vec::with_capacity(n * d_len);
+    let mut payload = Vec::with_capacity(n);
+    for (pos, r) in records.chunks_exact(width).enumerate() {
+        if pos == 0 || records[record(pos - 1)][..key_words] != r[..key_words] {
+            if pos > 0 {
+                group_ptr.push(pos);
+            }
+            entry_idx.extend(key.iter().map(|f| f.read(r)));
+        }
+        contract_idx.extend(contract.iter().map(|f| f.read(r)));
+        let words = r[at..].iter().enumerate();
+        payload.push(words.fold(0, |p, (k, w)| p | w.widen() << (k as u32 * W::BITS)));
+    }
+    group_ptr.push(n);
+    Grouping {
+        group_ptr,
+        entry_idx,
+        contract_idx,
+        payload,
+    }
 }
 
 /// A binary dimension tree over the modes of one sparse tensor: structure
@@ -401,62 +811,49 @@ impl DimTree {
         let d_modes: Vec<usize> = (parent.lo..parent.hi)
             .filter(|t| !(lo..hi).contains(t))
             .collect();
-        let d_len = d_modes.len();
         // Positions of the contracted modes within the parent tuple: the
         // range split is contiguous, so they are a prefix (right child) or a
         // suffix (left child) of the parent tuple.
-        let d_off = if lo == parent.lo { span } else { 0 };
-        let n_parent = parent.num_entries();
-        // A parent entry's tuple over `[parent.lo, parent.hi)`: the nonzero's
-        // full index at the root, the stored projection below it.
-        let span_p = parent.span();
+        let shape = ChildShape {
+            off,
+            span,
+            d_off: if lo == parent.lo { span } else { 0 },
+            d_len: d_modes.len(),
+        };
         let is_root = parent_id == 0;
-        let tuple = |e: usize| -> &[usize] {
-            if is_root {
-                tensor.index(e)
-            } else {
-                &parent.entry_idx[e * span_p..(e + 1) * span_p]
-            }
+        let src = Source {
+            tensor,
+            parent_idx: (!is_root).then_some(&parent.entry_idx[..]),
+            span: parent.span(),
+            entries: parent.num_entries(),
         };
-        let key = |e: usize| &tuple(e)[off..off + span];
-
-        // Below the root, parent entries are in ascending tuple order, so a
-        // left child — whose key is a prefix of that tuple — is grouped already.
-        let by_key: Vec<usize> = if is_root || off > 0 {
-            group_order(n_parent, lo..hi, tensor.dims(), |e, t| {
-                tuple(e)[t - parent.lo]
-            })
+        let dims = &tensor.dims()[parent.lo..parent.hi];
+        let key_space = (dims[off..off + span].iter()).try_fold(1usize, |b, &d| b.checked_mul(d));
+        let Grouping {
+            group_ptr,
+            entry_idx,
+            contract_idx,
+            payload,
+        } = if !is_root && off == 0 {
+            prefix_grouping(&src, shape)
+        } else if span == 1 || key_space.is_some_and(|b| b <= src.entries) {
+            single_pass_grouping(&src, shape, &dims[off..off + span])
         } else {
-            (0..n_parent).collect()
+            multi_pass_grouping(&src, shape, dims)
         };
-
-        let mut group_ptr = vec![0usize];
-        let mut entry_idx = Vec::new();
-        let mut contract_idx = Vec::with_capacity(n_parent * d_len);
-        for (pos, &e) in by_key.iter().enumerate() {
-            if pos == 0 || key(by_key[pos - 1]) != key(e) {
-                if pos > 0 {
-                    group_ptr.push(pos);
-                }
-                entry_idx.extend_from_slice(key(e));
-            }
-            contract_idx.extend_from_slice(&tuple(e)[d_off..d_off + d_len]);
-        }
-        group_ptr.push(n_parent);
-        if n_parent == 0 {
-            group_ptr = Vec::new();
-        }
-
         // A child of the root reads its members' nonzero values and nothing
-        // else of their ids: gather them once here, in place of the ids (an
-        // in-place collect — `usize` and `f64` share a layout).
+        // else of their ids, so the passes carried the values in place of
+        // the ids (in-place collects: all three types share a layout).
         let (members, values) = if is_root {
             (
                 Vec::new(),
-                by_key.into_iter().map(|e| tensor.value(e)).collect(),
+                payload.into_iter().map(f64::from_bits).collect(),
             )
         } else {
-            (by_key, Vec::new())
+            (
+                payload.into_iter().map(|e| e as usize).collect(),
+                Vec::new(),
+            )
         };
         let mut col_modes = parent.col_modes.clone();
         col_modes.extend_from_slice(&d_modes);
@@ -636,9 +1033,9 @@ impl DimTree {
     }
 
     /// Measured memory footprint of the tree's symbolic grouping in bytes:
-    /// every node's member lists (ids, or the root children's gathered
-    /// values), contract-index arrays, CSR offsets, segment schedules and
-    /// retained projection tuples.  The per-node *value* matrices live in
+    /// every node's member lists (ids, or the root children's values),
+    /// contract-index arrays, CSR offsets, segment schedules and retained
+    /// projection tuples.  The per-node *value* matrices live in
     /// the [`crate::HooiWorkspace`] and are counted there; together the two
     /// make up a dimension-tree plan's cache footprint
     /// ([`crate::TuckerSession::memory_bytes`]).
@@ -676,7 +1073,7 @@ impl DimTree {
     /// plan-resolved [`KernelIsa`] through, see
     /// [`crate::TuckerSolver::kernel_isa`]).  `parent_values` must be `None`
     /// exactly when the parent is the root (the tensor itself, whose values
-    /// the root's children gathered at build time); `out` must be
+    /// the root's children copied at build time); `out` must be
     /// `num_entries × node_width` and is overwritten; `partials` must be
     /// `node_segments × node_width` scratch (see [`Self::node_segments`]).
     ///
@@ -947,7 +1344,7 @@ pub(crate) fn permute_columns(src: &Matrix, perm: &[usize], dst: &mut Matrix) {
 /// resets it per solve); after each factor update the caller must call
 /// [`factor_updated`] so nodes contracted with the stale factor are rebuilt
 /// on their next use.  `tensor` is only checked against the tree: the
-/// values come from the tree's children of the root, gathered when it was
+/// values come from the tree's children of the root, copied when it was
 /// built, so `tensor` must be the one the tree was built for.  `isa` is the
 /// plan-resolved kernel tier (see [`crate::TuckerSolver::kernel_isa`]).
 ///
@@ -1108,10 +1505,7 @@ mod tests {
             order.sort_by_key(|&e| (t.index(e)[node.lo..node.hi].to_vec(), e));
             let expected: Vec<u64> = order.iter().map(|&e| t.value(e).to_bits()).collect();
             let got: Vec<u64> = node.values.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                got, expected,
-                "node {id}: gathered values out of group order"
-            );
+            assert_eq!(got, expected, "node {id}: values out of group order");
             let d_len = node.d_modes.len();
             for (k, &e) in order.iter().enumerate() {
                 let contracted: Vec<usize> =
@@ -1527,6 +1921,32 @@ mod tests {
         tensors.push(SparseTensor::from_entries(vec![3, 2, 4, 2], &repeats));
         // A large tensor, so the pool's parallel paths take part.
         tensors.push(random_tensor(&[60, 50, 40, 30], 20_000, 7));
+        // Above the pass grain at every width (three chunks at width 3):
+        // root children keyed in one pass ([0,1), and [0,2) by two modes
+        // at once) and in one pass per mode ([1,3), [2,4): key spaces past
+        // the nonzero count).
+        tensors.push(random_tensor(&[300, 700, 800], 3 * PASS_GRAIN + 9, 8));
+        tensors.push(random_tensor(&[20, 30, 500, 600], 3 * PASS_GRAIN + 9, 9));
+        // Skewed past the segmentation grain: half the nonzeros share mode-0
+        // index 0, so that slice's groups are split into segments.
+        let skewed: Vec<(Vec<usize>, f64)> = (0..2 * PASS_GRAIN + 5)
+            .map(|k| {
+                let h = k.wrapping_mul(2_654_435_761);
+                let i = if k % 2 == 0 { 0 } else { h % 400 };
+                (vec![i, (h >> 9) % 500, (h >> 18) % 600], k as f64 * 0.25)
+            })
+            .collect();
+        let skewed = SparseTensor::from_entries(vec![400, 500, 600], &skewed);
+        let tree = DimTree::build(&skewed);
+        assert!((1..tree.num_nodes()).any(|id| tree.node_segments(id) > 0));
+        tensors.push(skewed);
+        // Keys needing more bits than one 32-bit record word: two 17-bit
+        // modes, and three 12-bit modes (three passes).
+        tensors.push(random_tensor(&[5, 70_000, 70_000], 3_000, 10));
+        tensors.push(random_tensor(&[3, 3, 3_000, 3_000, 3_000], 2_000, 11));
+        // Order 6: a right child below the root keyed by two modes, so
+        // records carry parent entry ids instead of values.
+        tensors.push(random_tensor(&[3, 40, 50, 4, 30, 40], 600, 12));
 
         let pools: Vec<rayon::ThreadPool> = (1..=3)
             .map(|w| {
@@ -1549,6 +1969,38 @@ mod tests {
                 assert_same_tree(&got, &want, &what);
             }
         }
+    }
+
+    #[test]
+    fn wide_record_words_group_like_narrow_ones() {
+        // 64-bit record words are only chosen for modes past 2^32, whose
+        // counting passes no test can allocate; drive both widths directly.
+        let t = random_tensor(&[7, 90, 80], 500, 13);
+        let src = Source {
+            tensor: &t,
+            parent_idx: None,
+            span: 3,
+            entries: t.nnz(),
+        };
+        let shape = ChildShape {
+            off: 1,
+            span: 2,
+            d_off: 0,
+            d_len: 1,
+        };
+        let narrow = multi_pass::<u32>(&src, shape, t.dims());
+        let wide = multi_pass::<u64>(&src, shape, t.dims());
+        assert_eq!(narrow.group_ptr, wide.group_ptr);
+        assert_eq!(narrow.entry_idx, wide.entry_idx);
+        assert_eq!(narrow.contract_idx, wide.contract_idx);
+        assert_eq!(narrow.payload, wide.payload);
+        // The reference drops an inner node's tuples, so compare the rest.
+        let reference = reference_tree(&t);
+        let want = &reference.nodes[reference.nodes[0].children[1]];
+        assert_eq!(wide.group_ptr, want.group_ptr);
+        assert_eq!(wide.contract_idx, want.contract_idx);
+        let values: Vec<u64> = want.values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(wide.payload, values);
     }
 
     #[test]

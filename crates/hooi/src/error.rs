@@ -60,10 +60,13 @@ pub enum TuckerError {
     /// result (`|J_n| × Π_{t≠n} R_t`), a dimension-tree node (entries ×
     /// width), or the core (`Π R_t`) — has more elements than `usize`
     /// counts, or the allocator refused it.  The solve is rejected before it
-    /// runs; the session, and a service holding it, keep serving.
+    /// runs; the session, and a service holding it, keep serving.  Planning
+    /// rejects a mode whose `dim + 1` index words (the per-index tables
+    /// the symbolic step and the tree's counting passes allocate) would
+    /// exceed `isize::MAX` bytes the same way, before allocating anything.
     BufferTooLarge {
         /// Which buffer, naming its mode or tree node (e.g. "compact TTMc
-        /// of mode 2", "dimension-tree node 5").
+        /// of mode 2", "dimension-tree node 5", "index table of mode 0").
         buffer: String,
     },
     /// The solver's thread pool could not be built; carries the pool
@@ -185,10 +188,7 @@ impl fmt::Display for TuckerError {
                 write!(f, "requested rank for mode {mode} is zero")
             }
             TuckerError::BufferTooLarge { buffer } => {
-                write!(
-                    f,
-                    "the {buffer} buffer is too large to allocate at these ranks"
-                )
+                write!(f, "the {buffer} buffer is too large to allocate")
             }
             TuckerError::PoolFailure(reason) => {
                 write!(f, "failed to build the solver thread pool: {reason}")
@@ -259,12 +259,23 @@ impl std::error::Error for TuckerError {}
 /// The tensor checks every solver entry point runs before planning:
 /// [`TuckerError::EmptyTensor`] for a tensor with no modes or no stored
 /// nonzeros, [`TuckerError::NonFiniteValue`] for the first NaN or infinite
-/// value, and [`TuckerError::NormOutOfRange`] when `Σ x²` overflows or
-/// underflows (one pass over the values).  A tensor of explicit zeros
-/// passes: its norm is exactly zero, not an underflow.
+/// value, [`TuckerError::NormOutOfRange`] when `Σ x²` overflows or
+/// underflows (one pass over the values), and
+/// [`TuckerError::BufferTooLarge`] for a mode too large to index (checked
+/// arithmetic only).  A tensor of explicit zeros passes: its norm is
+/// exactly zero, not an underflow.
 pub fn validate_tensor(tensor: &sptensor::SparseTensor) -> Result<(), TuckerError> {
     if tensor.order() == 0 || tensor.nnz() == 0 {
         return Err(TuckerError::EmptyTensor);
+    }
+    let word = std::mem::size_of::<usize>();
+    for (mode, &dim) in tensor.dims().iter().enumerate() {
+        let table_bytes = dim.checked_add(1).and_then(|w| w.checked_mul(word));
+        if table_bytes.is_none_or(|b| b > isize::MAX as usize) {
+            return Err(TuckerError::BufferTooLarge {
+                buffer: format!("index table of mode {mode}"),
+            });
+        }
     }
     let mut squared_norm = 0.0f64;
     let mut any_nonzero = false;
@@ -450,6 +461,29 @@ mod tests {
         assert_eq!(with(&[1e150, -1e150, 3.0]), Ok(()));
         let msg = out_of_range(f64::INFINITY).unwrap_err().to_string();
         assert!(msg.contains("inf") && msg.contains("rescale"), "{msg}");
+    }
+
+    #[test]
+    fn validate_tensor_rejects_modes_too_large_to_index() {
+        // The largest mode whose `dim + 1` index words fit in `isize::MAX`
+        // bytes passes; one more fails, and so does `usize::MAX`, whose
+        // `dim + 1` overflows.  Only arithmetic runs: nothing is allocated.
+        let largest = (isize::MAX as usize) / std::mem::size_of::<usize>() - 1;
+        let with = |dim: usize| {
+            let t = sptensor::SparseTensor::from_entries(vec![3, dim], &[(vec![1, 0], 1.0)]);
+            validate_tensor(&t)
+        };
+        assert_eq!(with(largest), Ok(()));
+        for dim in [largest + 1, 1 << 61, usize::MAX] {
+            let err = with(dim).unwrap_err();
+            assert_eq!(
+                err,
+                TuckerError::BufferTooLarge {
+                    buffer: "index table of mode 1".into()
+                }
+            );
+            assert!(err.to_string().contains("mode 1"), "{err}");
+        }
     }
 
     #[test]

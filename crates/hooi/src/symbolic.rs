@@ -221,8 +221,9 @@ impl SymbolicTtmc {
     }
 
     /// Forwards to [`attach_csf_layouts`](Self::attach_csf_layouts).  Kept
-    /// only because the repository benchmark's traced replay still calls
-    /// it; ROADMAP item 4 deletes that replay, and this forward with it.
+    /// because the repository benchmark's traced replay calls it, and that
+    /// replay is part of the benchmark: this forward stays as long as the
+    /// benchmark does.
     #[doc(hidden)]
     pub fn attach_layouts(&mut self, tensor: &SparseTensor) {
         self.attach_csf_layouts(tensor);

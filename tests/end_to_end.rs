@@ -285,6 +285,32 @@ fn oversized_rank_products_are_typed_errors_not_aborts() {
     }
 }
 
+/// A mode too large to index — `dim + 1` words past `isize::MAX` bytes —
+/// is a typed error naming the mode, found by arithmetic before the
+/// symbolic step or the tree allocates anything sized by it (a
+/// `[1 << 61, 2, 2]` plan used to abort with `capacity overflow`).
+#[test]
+fn overflow_sized_modes_are_typed_errors_not_panics() {
+    for mode in 0..3 {
+        let mut dims = vec![2, 2, 2];
+        dims[mode] = 1 << 61;
+        let tensor = SparseTensor::from_entries(dims, &[(vec![0, 1, 0], 1.0)]);
+        for threads in [1, 2] {
+            match TuckerSolver::plan(&tensor, PlanOptions::new().num_threads(threads)) {
+                Err(TuckerError::BufferTooLarge { buffer }) => {
+                    assert_eq!(buffer, format!("index table of mode {mode}"))
+                }
+                other => panic!("mode {mode}: expected BufferTooLarge, got {other:?}"),
+            }
+        }
+        let config = TuckerConfig::new(vec![1, 1, 1]);
+        assert!(matches!(
+            tucker_hooi(&tensor, &config),
+            Err(TuckerError::BufferTooLarge { .. })
+        ));
+    }
+}
+
 #[test]
 fn observer_can_budget_iterations_from_outside() {
     let tensor = random_tensor(&[20, 20, 20], 1_000, 5);
