@@ -898,6 +898,14 @@ impl DimTree {
         self.leaf_of_mode[mode]
     }
 
+    /// The rows of `mode`'s leaf: the sorted set `J_n` of mode indices with
+    /// at least one nonzero, one per leaf entry — a leaf's projected tuples
+    /// are single indices, grouped in ascending order, and it is never
+    /// split, so it keeps them.
+    pub(crate) fn leaf_rows(&self, mode: usize) -> &[usize] {
+        &self.nodes[self.leaf_of_mode[mode]].entry_idx
+    }
+
     /// Parent id of a node (`usize::MAX` for the root).
     pub fn parent_of(&self, id: usize) -> usize {
         self.nodes[id].parent
@@ -1336,8 +1344,8 @@ pub(crate) fn permute_columns(src: &Matrix, perm: &[usize], dst: &mut Matrix) {
 }
 
 /// Recomputes the stale ancestors of `mode`'s leaf and serves the leaf's
-/// compact TTMc (canonical column order) into the workspace's compact buffer
-/// for `mode` — the dimension-tree replacement for
+/// compact TTMc (canonical column order) into the workspace's compact
+/// buffer, shaped as `mode`'s `Y` — the dimension-tree replacement for
 /// [`crate::ttmc::ttmc_mode_into_isa`] inside the HOOI sweep.
 ///
 /// Node validity lives in the workspace ([`HooiWorkspace::ensure_tree`]
@@ -1367,6 +1375,9 @@ pub fn serve_mode_into_isa(
         "the tree was built for another tensor"
     );
     debug_assert_eq!(tree.node_entries(leaf), sym.num_rows());
+    // The one compact buffer becomes this mode's `Y`; the leaf's kernel or
+    // its permutation overwrites all of it below.
+    workspace.shape_compact(mode);
     // Stale chain from the leaf upward; ancestors above the first valid node
     // are valid too (staleness propagates downward: a factor outside an
     // ancestor's range is also outside every descendant's range).
@@ -1394,7 +1405,7 @@ pub fn serve_mode_into_isa(
                 id,
                 factors,
                 parent_values,
-                &mut ws.compact[mode],
+                &mut ws.compact,
                 &mut ws.tree_partials[id],
                 isa,
             );
@@ -1418,11 +1429,7 @@ pub fn serve_mode_into_isa(
     }
     if !tree.leaf_is_canonical(mode) {
         let ws = &mut *workspace;
-        permute_columns(
-            &ws.tree_values[leaf],
-            &ws.leaf_perms[mode],
-            &mut ws.compact[mode],
-        );
+        permute_columns(&ws.tree_values[leaf], &ws.leaf_perms[mode], &mut ws.compact);
     }
 }
 

@@ -7,8 +7,8 @@
 //! persistent worker pool (threads spawn at plan time and serve every
 //! solve — [`TimingBreakdown::pool`](crate::TimingBreakdown::pool) is
 //! nonzero only on the first solve) plus the [`HooiWorkspace`] scratch
-//! (compact TTMc buffers, the short Lanczos basis and its product vector,
-//! the core buffer);
+//! (the compact TTMc buffer, the short Lanczos basis and its product
+//! vector, the core buffer);
 //! [`TuckerSolver::solve`] then runs HOOI at any rank/seed/backend without
 //! re-planning, and [`TuckerSolver::solve_many`] amortizes one plan across
 //! a batch of configurations — the shape a long-lived decomposition service
@@ -136,41 +136,39 @@ const AUTO_RANK_HINT: usize = 8;
 
 /// Plan-time TTMc strategy resolution of [`TuckerSolver::plan`]: turns the
 /// requested strategy into concrete plan artifacts — the symbolic analysis
-/// (with the per-mode CSF hierarchies exactly when the per-mode kernel will
-/// stream them) and the dimension tree when that strategy won.
+/// and the dimension tree when that strategy runs.  Each plan holds only
+/// what its solves read: a per-mode plan the update lists and the CSF
+/// hierarchies its kernel streams ([`SymbolicTtmc::build`]), a tree plan
+/// the tree plus each mode's row set, read off the tree's leaves
+/// ([`SymbolicTtmc::from_tree`]) with no pass over the nonzeros.
 ///
-/// [`TtmcStrategy::Auto`] builds the tree's symbolic grouping, prices both
-/// strategies with the plan-time cost model ([`DimTree::costs`] vs
-/// [`dimtree::per_mode_costs`]) at a fixed rank hint, and keeps the cheaper
-/// one; ties resolve to the simpler per-mode sweep.  Order-1 tensors always
-/// run per-mode (there is no tree over a single mode).
+/// [`TtmcStrategy::Auto`] builds the tree, prices both strategies with the
+/// plan-time cost model ([`DimTree::costs`] vs [`dimtree::per_mode_costs`],
+/// which reads only the row counts) at a fixed rank hint, and keeps the
+/// cheaper one; ties resolve to the simpler per-mode sweep, whose symbolic
+/// analysis is built only then.  Order-1 tensors always run per-mode (there
+/// is no tree over a single mode).
 fn resolve_plan(tensor: &SparseTensor, requested: TtmcStrategy) -> (SymbolicTtmc, Option<DimTree>) {
     if tensor.order() < 2 || requested == TtmcStrategy::PerMode {
         return (SymbolicTtmc::build(tensor), None);
     }
-    if requested == TtmcStrategy::DimensionTree {
-        return (
-            SymbolicTtmc::build_without_layout(tensor),
-            Some(DimTree::build(tensor)),
-        );
-    }
-    let mut symbolic = SymbolicTtmc::build_without_layout(tensor);
     let tree = DimTree::build(tensor);
-    let hint: Vec<usize> = tensor
-        .dims()
-        .iter()
-        .map(|&d| d.min(AUTO_RANK_HINT))
-        .collect();
-    let tree_flops = tree.costs(&hint).flops;
-    let per_mode_flops = dimtree::per_mode_costs(&symbolic, tensor.nnz(), &hint).flops;
-    if tree_flops < per_mode_flops {
-        (symbolic, Some(tree))
-    } else {
-        // The per-mode kernel won: give it the CSF hierarchies the tree
-        // plan skipped.
-        symbolic.attach_csf_layouts(tensor);
-        (symbolic, None)
+    let rows = SymbolicTtmc::from_tree(&tree, tensor.dims());
+    if requested == TtmcStrategy::Auto {
+        let hint: Vec<usize> = tensor
+            .dims()
+            .iter()
+            .map(|&d| d.min(AUTO_RANK_HINT))
+            .collect();
+        let tree_flops = tree.costs(&hint).flops;
+        let per_mode_flops = dimtree::per_mode_costs(&rows, tensor.nnz(), &hint).flops;
+        if tree_flops >= per_mode_flops {
+            // The per-mode sweep won: free the tree before its lists grow.
+            drop(tree);
+            return (SymbolicTtmc::build(tensor), None);
+        }
     }
+    (rows, Some(tree))
 }
 
 /// What one completed HOOI iteration looked like, as handed to an
@@ -328,9 +326,8 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
         // The dimension tree's symbolic grouping is part of the plan: built
         // once here, reused by every solve.  [`resolve_plan`] settles an
         // `Auto` request here too, so solves never re-decide; a tree plan
-        // skips the per-mode CSF hierarchies — its TTMc never runs the
-        // per-mode kernel, and they would duplicate the nonzero data once
-        // per mode.
+        // skips the per-mode update lists and CSF hierarchies — its TTMc
+        // never runs the per-mode kernel.
         let (symbolic, dimtree) = {
             let t = tensor.borrow();
             let strategy = options.ttmc_strategy;
@@ -440,11 +437,13 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
     }
 
     /// Measured memory footprint of the plan in bytes: the symbolic TTMc
-    /// structures (update lists, CSF hierarchies), the dimension tree's
-    /// node groupings when that strategy runs, and the workspace scratch
-    /// (compact TTMc buffers, tree value/partial matrices, Lanczos scratch,
-    /// core buffer).  The tensor itself is *not* counted — it is owned (or
-    /// shared) independently of the plan.
+    /// structures (on a per-mode plan the update lists and CSF hierarchies,
+    /// on a tree plan the row sets and their position maps alone), the
+    /// dimension tree's node groupings when that strategy runs, and the
+    /// workspace scratch (the one compact TTMc buffer, sized to the widest
+    /// mode, tree value/partial matrices, Lanczos scratch, core buffer).
+    /// The tensor itself is *not* counted — it is owned (or shared)
+    /// independently of the plan.
     ///
     /// The workspace part grows on the first solve at each rank shape, so a
     /// service that budgets its plan cache by this number should re-measure
@@ -976,6 +975,105 @@ mod tests {
             .solve(&TuckerConfig::new(vec![3, 3, 3, 3]).max_iterations(1))
             .unwrap();
         assert_eq!(solver.memory_bytes(), after_solve);
+    }
+
+    /// Tree sessions of orders 2–5 on tensors with empty slices hold the
+    /// row sets the full symbolic analysis finds and no update lists, and
+    /// their footprint after a solve is exactly the row maps, the tree, one
+    /// compact buffer as long as the widest mode's `Y`, the tree's node
+    /// values, partial rows and leaf permutations, the core and the Lanczos
+    /// pool.
+    #[test]
+    fn tree_plans_hold_only_what_a_solve_reads() {
+        let cases: [(&[usize], usize, &[usize]); 4] = [
+            (&[30, 9], 25, &[3, 2]),
+            (&[30, 25, 12], 60, &[3, 2, 3]),
+            (&[40, 14, 12, 10], 80, &[2, 3, 2, 2]),
+            (&[40, 10, 9, 8, 7], 90, &[2, 2, 3, 2, 2]),
+        ];
+        let word = std::mem::size_of::<usize>();
+        for (seed, (dims, nnz, ranks)) in cases.into_iter().enumerate() {
+            let t = random_tensor(dims, nnz, 50 + seed as u64);
+            let options = PlanOptions::new()
+                .num_threads(1)
+                .ttmc_strategy(TtmcStrategy::DimensionTree);
+            let mut session = TuckerSolver::plan(&t, options).unwrap();
+            let full = SymbolicTtmc::build(&t);
+            let order = dims.len();
+            let at = format!("order {order}");
+            assert!(
+                (0..order).any(|n| full.mode(n).num_rows() < dims[n]),
+                "{at}: no empty slice"
+            );
+            for n in 0..order {
+                let held = session.symbolic().mode(n);
+                assert_eq!(held.rows, full.mode(n).rows, "{at} mode {n}");
+                assert!(held.row_ptr.is_empty() && held.nonzero_ids.is_empty());
+                assert!(held.csf().is_none());
+                for (p, &i) in held.rows.iter().enumerate() {
+                    assert_eq!(held.position_of(i), Some(p), "{at} mode {n}");
+                }
+            }
+            session
+                .solve(&TuckerConfig::new(ranks.to_vec()).max_iterations(2))
+                .unwrap();
+
+            let tree = session.dimtree().unwrap();
+            let row_maps: usize = (0..order)
+                .map(|n| (full.mode(n).num_rows() + dims[n]) * word)
+                .sum();
+            let width =
+                |n: usize| -> usize { (0..order).filter(|&t| t != n).map(|t| ranks[t]).product() };
+            let widest_y = (0..order)
+                .map(|n| full.mode(n).num_rows() * width(n))
+                .max()
+                .unwrap();
+            let (mut values, mut partials, mut perms) = (0, 0, 0);
+            for id in 1..tree.num_nodes() {
+                let w = tree.node_width(id, ranks);
+                let canonical = tree.is_leaf(id) && tree.leaf_is_canonical(tree.leaf_mode(id));
+                if !canonical {
+                    values += tree.node_entries(id) * w;
+                }
+                partials += tree.node_segments(id) * w;
+                if tree.is_leaf(id) && !canonical {
+                    perms += w;
+                }
+            }
+            let core: usize = ranks.iter().product();
+            let pool = session.workspace.trsvd.pooled_floats();
+            let floats = widest_y + values + partials + core + pool;
+            let expected = row_maps
+                + tree.memory_bytes()
+                + floats * 8
+                + (perms + order) * word
+                + tree.num_nodes();
+            assert_eq!(session.memory_bytes(), expected, "{at}");
+            assert_eq!(session.workspace.len(), widest_y, "{at}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "holds row sets only")]
+    fn tree_plan_row_sets_refuse_update_list_reads() {
+        let t = random_tensor(&[12, 10, 8], 120, 3);
+        let options = PlanOptions::new()
+            .num_threads(1)
+            .ttmc_strategy(TtmcStrategy::DimensionTree);
+        let session = TuckerSolver::plan(&t, options).unwrap();
+        session.symbolic().mode(1).update_list(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds row sets only")]
+    fn tree_plan_row_sets_refuse_the_per_mode_kernel() {
+        let t = random_tensor(&[12, 10, 8], 120, 3);
+        let options = PlanOptions::new()
+            .num_threads(1)
+            .ttmc_strategy(TtmcStrategy::DimensionTree);
+        let session = TuckerSolver::plan(&t, options).unwrap();
+        let factors = random_factors(t.dims(), &[2, 2, 2], 1);
+        crate::ttmc::ttmc_mode(&t, session.symbolic().mode(0), &factors, 0);
     }
 
     #[test]

@@ -12,13 +12,22 @@
 //! different rank configurations) follow.
 //!
 //! The update lists store nonzero *ids* (positions in the COO arrays), not
-//! copies of the nonzeros, exactly as the paper describes.
+//! copies of the nonzeros, exactly as the paper describes.  Only the
+//! per-mode kernel reads them: a dimension-tree plan keeps each mode's row
+//! set `J_n` alone, read off the tree's leaves, which already hold it.
 
+use crate::dimtree::DimTree;
 use rayon::prelude::*;
 use sptensor::csf::CsfMode;
 use sptensor::SparseTensor;
 
 /// Update lists for one mode, in CSR-like form.
+///
+/// On dimension-tree plans only the row set is held, read off the tree's
+/// leaves: [`row_ptr`](Self::row_ptr) and
+/// [`nonzero_ids`](Self::nonzero_ids) are empty, and everything that reads
+/// the update lists ([`update_list`](Self::update_list), the per-mode
+/// kernel) panics naming that requirement instead of indexing them.
 #[derive(Debug, Clone)]
 pub struct SymbolicMode {
     /// The mode this structure describes.
@@ -26,9 +35,11 @@ pub struct SymbolicMode {
     /// Sorted list of row indices with at least one nonzero (`J_n`).
     pub rows: Vec<usize>,
     /// Offsets into [`nonzero_ids`](Self::nonzero_ids); `row_ptr[p]..row_ptr[p+1]`
-    /// is the update list of `rows[p]`.
+    /// is the update list of `rows[p]`.  Empty when the update lists were
+    /// not built (dimension-tree plans).
     pub row_ptr: Vec<usize>,
-    /// Nonzero ids grouped by row.
+    /// Nonzero ids grouped by row.  Empty when the update lists were not
+    /// built (dimension-tree plans).
     pub nonzero_ids: Vec<usize>,
     /// Dense inverse map from a global row index to its position in
     /// [`rows`](Self::rows); `usize::MAX` marks an empty row.  One `Vec`
@@ -38,8 +49,9 @@ pub struct SymbolicMode {
     /// Compressed fiber hierarchy for this mode — the per-mode index
     /// structure the numeric TTMc streams.  Only materialized where that
     /// kernel runs: `None` on dimension-tree plans (the tree streams its own
-    /// per-node contract-index arrays instead), in which case
-    /// [`crate::ttmc`] gathers through COO ids.  Built from
+    /// per-node contract-index arrays instead, and holds no update lists
+    /// either) and on [`SymbolicTtmc::build_without_layout`]'s update lists,
+    /// which [`crate::ttmc`] gathers through COO ids.  Built from
     /// [`nonzero_ids`](Self::nonzero_ids) / [`row_ptr`](Self::row_ptr), so
     /// its leaf order *is* the update-list order and the CSF kernel
     /// accumulates bit-identically to the COO gather.
@@ -56,17 +68,9 @@ impl SymbolicMode {
     }
 
     /// The update lists for `mode` alone, with a counting pass followed by a
-    /// filling pass (two passes over the nonzeros, no sort) — what
-    /// dimension-tree plans keep, since the tree serves TTMc from its own
-    /// node structures.
-    ///
-    /// The update lists ([`nonzero_ids`](Self::nonzero_ids)) are built even
-    /// though the tree path reads only [`rows`](Self::rows): they are the
-    /// paper's symbolic-TTMc artifact and what keeps
-    /// [`update_list`](Self::update_list) and the per-mode kernel's
-    /// COO-gather fallback valid on *every* plan — a deliberate
-    /// `order·nnz`-word trade against silently breaking this type's public
-    /// invariants on tree plans.
+    /// filling pass (two passes over the nonzeros, no sort) — the form
+    /// [`SymbolicTtmc::build_without_layout`] returns, which the per-mode
+    /// kernel reads through its COO-gather fallback.
     fn update_lists(tensor: &SparseTensor, mode: usize) -> Self {
         assert!(mode < tensor.order());
         let dim = tensor.dims()[mode];
@@ -105,13 +109,52 @@ impl SymbolicMode {
         }
     }
 
+    /// The row set of `mode` alone — `rows` is `J_n`, ascending — with the
+    /// inverse map [`position_of`](Self::position_of) reads and no update
+    /// lists: what a dimension-tree plan holds, since the tree serves TTMc
+    /// from its own node structures and the TRSVD scatter and the core read
+    /// only the rows.
+    fn from_rows(mode: usize, rows: Vec<usize>, dim: usize) -> Self {
+        let mut row_pos = vec![usize::MAX; dim];
+        for (p, &i) in rows.iter().enumerate() {
+            row_pos[i] = p;
+        }
+        SymbolicMode {
+            mode,
+            rows,
+            row_ptr: Vec::new(),
+            nonzero_ids: Vec::new(),
+            row_pos,
+            csf: None,
+        }
+    }
+
+    /// Panics unless the update lists were built: on a dimension-tree plan's
+    /// row-set-only data, `row_ptr` and `nonzero_ids` are empty, and reading
+    /// them as offsets would index nothing meaningful.  (A built mode always
+    /// has `row_ptr.len() == num_rows() + 1 ≥ 1`.)
+    fn require_update_lists(&self) {
+        assert!(
+            !self.row_ptr.is_empty(),
+            "mode {}: this symbolic data holds row sets only (a dimension-tree \
+             plan); update lists and the per-mode kernel need \
+             SymbolicTtmc::build or build_without_layout",
+            self.mode
+        );
+    }
+
     /// Number of non-empty rows (`|J_n|`).
     pub fn num_rows(&self) -> usize {
         self.rows.len()
     }
 
     /// The update list (nonzero ids) of the `p`-th non-empty row.
+    ///
+    /// # Panics
+    /// Panics on row-set-only data (dimension-tree plans), which has no
+    /// update lists.
     pub fn update_list(&self, p: usize) -> &[usize] {
+        self.require_update_lists();
         &self.nonzero_ids[self.row_ptr[p]..self.row_ptr[p + 1]]
     }
 
@@ -123,10 +166,11 @@ impl SymbolicMode {
         }
     }
 
-    /// The compressed fiber hierarchy for this mode.  `None` when the
-    /// symbolic data was built for a dimension-tree plan
-    /// ([`SymbolicTtmc::build_without_layout`]); the per-mode kernel then
-    /// gathers through COO ids instead, in the same accumulation order.
+    /// The compressed fiber hierarchy for this mode.  `None` on a
+    /// dimension-tree plan's row sets and on
+    /// [`SymbolicTtmc::build_without_layout`]'s update lists; on the latter
+    /// the per-mode kernel gathers through COO ids instead, in the same
+    /// accumulation order.
     #[inline]
     pub fn csf(&self) -> Option<&CsfMode> {
         self.csf.as_ref()
@@ -135,6 +179,7 @@ impl SymbolicMode {
     /// The length of the longest update list — the largest atomic task in
     /// this mode, which bounds the parallel load imbalance.
     pub fn max_update_list_len(&self) -> usize {
+        self.require_update_lists();
         (0..self.num_rows())
             .map(|p| self.row_ptr[p + 1] - self.row_ptr[p])
             .max()
@@ -147,6 +192,7 @@ impl SymbolicMode {
     /// relative flop count — exactly what the weighted chunked-span
     /// scheduler needs to balance spans by work instead of by row count.
     pub fn row_costs(&self) -> Vec<u64> {
+        self.require_update_lists();
         (0..self.num_rows())
             .map(|p| (self.row_ptr[p + 1] - self.row_ptr[p]) as u64)
             .collect()
@@ -160,6 +206,7 @@ impl SymbolicMode {
     /// and the leaf order matches the COO-gather accumulation order exactly.
     pub fn attach_csf(&mut self, tensor: &SparseTensor) {
         if self.csf.is_none() {
+            self.require_update_lists();
             self.csf = Some(CsfMode::build(
                 tensor,
                 self.mode,
@@ -189,14 +236,31 @@ impl SymbolicTtmc {
         SymbolicTtmc { modes }
     }
 
-    /// [`build`](Self::build) without the CSF hierarchies — what a
-    /// dimension-tree plan uses, since its TTMc never runs the per-mode
-    /// streaming kernel and the hierarchies would be one dead copy of the
-    /// nonzero data per mode.
+    /// [`build`](Self::build) without the CSF hierarchies: the update lists
+    /// alone.  No plan holds this form — per-mode plans stream CSF, and
+    /// dimension-tree plans keep row sets only — but the per-mode kernel accepts it through its COO gather, which
+    /// is the accumulation order the CSF walk is checked against, and
+    /// [`attach_csf_layouts`](Self::attach_csf_layouts) upgrades it to
+    /// [`build`](Self::build)'s result.
     pub fn build_without_layout(tensor: &SparseTensor) -> Self {
         let modes: Vec<SymbolicMode> = (0..tensor.order())
             .into_par_iter()
             .map(|m| SymbolicMode::update_lists(tensor, m))
+            .collect();
+        SymbolicTtmc { modes }
+    }
+
+    /// The row sets of every mode read off a dimension tree's leaves, with
+    /// no pass over the nonzeros and no update lists: the leaf of mode `n`
+    /// holds one entry per row of `J_n`, ascending, which is all a
+    /// dimension-tree plan's solves read here (the TRSVD scatters through
+    /// the rows, the core selects factor rows by them).  `dims` are the
+    /// tensor's mode sizes, which size the [`SymbolicMode::position_of`]
+    /// maps.
+    pub(crate) fn from_tree(tree: &DimTree, dims: &[usize]) -> Self {
+        let modes: Vec<SymbolicMode> = (0..tree.order())
+            .into_par_iter()
+            .map(|m| SymbolicMode::from_rows(m, tree.leaf_rows(m).to_vec(), dims[m]))
             .collect();
         SymbolicTtmc { modes }
     }

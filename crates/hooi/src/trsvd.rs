@@ -335,6 +335,29 @@ mod tests {
     }
 
     #[test]
+    fn rank_deficient_normal_matrices_resolve() {
+        // Fewer nonzeros than columns of `Y`: the formed normal matrices
+        // carry a block of zero eigenvalues at rounding level, which the
+        // eigensolver's neighbour-relative splitting test alone once cycled
+        // on past its iteration budget (the second sweep's mode 1 here).
+        let t = random_tensor(&[3000, 400, 300], 500, 7);
+        let sym = SymbolicTtmc::build(&t);
+        let mut factors = crate::hosvd::random_factors(t.dims(), &[16; 3], 3);
+        let ws = &mut LanczosWorkspace::new();
+        for _ in 0..2 {
+            for mode in 0..3 {
+                let y = ttmc_mode(&t, sym.mode(mode), &factors, mode);
+                let seed = 3 ^ ((mode as u64 + 1) << 8);
+                let dim = t.dims()[mode];
+                let result =
+                    trsvd_factor_with(&y, sym.mode(mode), dim, 16, TrsvdBackend::Lanczos, seed, ws);
+                assert!(orthogonality_error(&result.factor) < 1e-8, "mode {mode}");
+                factors[mode] = result.factor;
+            }
+        }
+    }
+
+    #[test]
     fn singular_values_descending() {
         let (t, factors, sym) = setup();
         let compact = ttmc_mode(&t, sym.mode(2), &factors, 2);

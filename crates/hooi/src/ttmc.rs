@@ -16,8 +16,10 @@
 //! per fiber, and orders 3 and 4 (the common cases) take fused outer-product
 //! micro-kernels.  The walk keeps the accumulation order of every row, so
 //! results stay bit-identical to the COO gather, which remains the fallback
-//! for symbolic data without a hierarchy (dimension-tree plans) and the
-//! formulation the distributed executor replays.
+//! for update lists without a hierarchy
+//! ([`SymbolicTtmc::build_without_layout`](crate::symbolic::SymbolicTtmc::build_without_layout))
+//! and the formulation the distributed executor replays.  A dimension-tree
+//! plan's symbolic data holds row sets only; the kernel refuses it.
 
 use crate::symbolic::SymbolicMode;
 use linalg::Matrix;
@@ -69,8 +71,8 @@ fn compute_row<'a>(
         Some(CsfMode::Wide(d)) => {
             compute_row_csf(d, row_position, factors, mode, out, scratch, rows, isa)
         }
-        // No per-mode structure (dimension-tree plans): gather each
-        // nonzero's value and indices from the COO arrays.
+        // Update lists without a hierarchy: gather each nonzero's value and
+        // indices from the COO arrays.
         None => {
             for &id in sym.update_list(row_position) {
                 let index = tensor.index(id);

@@ -1,15 +1,22 @@
 //! Reusable scratch state for the HOOI iteration loop.
 //!
-//! Per iteration, every mode `n` produces a compact TTMc result of shape
-//! `|J_n| × Π_{t≠n} R_t`, runs a TRSVD on it, and the last mode's result is
-//! folded into the core tensor.  All of that scratch depends only on the
-//! symbolic data and the (clamped) Tucker ranks — neither changes across
-//! iterations, and across *solves* of one planned [`crate::TuckerSolver`]
-//! only the ranks can change — so the workspace owns it all and hands the
-//! same buffers to every sweep:
+//! Per iteration, every mode `n` produces a compact TTMc result `Y` of
+//! shape `|J_n| × Π_{t≠n} R_t`, runs a TRSVD on it, and the last mode's
+//! result is folded into the core tensor.  All of that scratch depends only
+//! on the symbolic data and the (clamped) Tucker ranks — neither changes
+//! across iterations, and across *solves* of one planned
+//! [`crate::TuckerSolver`] only the ranks can change — so the workspace
+//! owns it all and hands the same buffers to every sweep:
 //!
-//! * the per-mode compact TTMc result matrices
-//!   ([`crate::ttmc::ttmc_mode_into_isa`] writes into them),
+//! * **one** compact TTMc buffer, sized to the widest mode's `Y`: a sweep
+//!   reads each mode's `Y` once, in its TRSVD, before the next mode's TTMc
+//!   writes (and the core reads the last mode's, before the next sweep), so
+//!   [`compact_mut`](HooiWorkspace::compact_mut) reshapes that one
+//!   allocation to the mode asked for instead of keeping one buffer per
+//!   mode.  The reshape neither reallocates nor fills: every kernel that
+//!   writes `Y` ([`crate::ttmc::ttmc_mode_into_isa`],
+//!   [`crate::dimtree::serve_mode_into_isa`]) overwrites its whole shape,
+//!   so a fill would only cost a write of every entry per mode;
 //! * the TRSVD scratch ([`linalg::lanczos::LanczosWorkspace`]: the short
 //!   Krylov basis vectors and the one `|J_n|`-long product vector),
 //! * the core tensor buffer
@@ -17,7 +24,7 @@
 //!
 //! [`ensure`](HooiWorkspace::ensure) reshapes lazily: solving the same
 //! configuration twice reallocates nothing, switching ranks reallocates only
-//! the buffers whose shape actually changed.  Every size is computed in
+//! the buffers whose size actually changed.  Every size is computed in
 //! checked arithmetic and every buffer allocated fallibly, so ranks whose
 //! products no machine can hold are a [`TuckerError::BufferTooLarge`], not
 //! an overflow panic or an allocation abort.
@@ -33,8 +40,14 @@ use sptensor::DenseTensor;
 /// the solves of one planned solver session.
 #[derive(Debug)]
 pub struct HooiWorkspace {
-    pub(crate) compact: Vec<Matrix>,
-    trsvd: LanczosWorkspace,
+    /// The compact TTMc buffer, shaped as the `Y` of the mode it was last
+    /// shaped for ([`shape_compact`](Self::shape_compact)) over one
+    /// allocation as long as the widest mode's.
+    pub(crate) compact: Matrix,
+    /// `(|J_n|, Π_{t≠n} R_t)` of every mode at the ranks of the last
+    /// [`ensure`](Self::ensure); all `(0, 0)` before the first.
+    compact_shapes: Vec<(usize, usize)>,
+    pub(crate) trsvd: LanczosWorkspace,
     core: DenseTensor,
     /// Per-node value matrices of the dimension tree (empty for the root,
     /// for canonical leaves — those compute straight into `compact` — and
@@ -62,7 +75,8 @@ impl HooiWorkspace {
     pub fn for_order(order: usize) -> Self {
         assert!(order > 0, "workspace needs at least one mode");
         HooiWorkspace {
-            compact: (0..order).map(|_| Matrix::zeros(0, 0)).collect(),
+            compact: Matrix::zeros(0, 0),
+            compact_shapes: vec![(0, 0); order],
             trsvd: LanczosWorkspace::new(),
             core: DenseTensor::zeros(vec![0; order]),
             tree_values: Vec::new(),
@@ -105,8 +119,9 @@ impl HooiWorkspace {
     }
 
     /// Shapes the buffers for a solve at `ranks`, reallocating only those
-    /// whose shape changed since the previous solve.  The core buffer is
-    /// zeroed so no state can leak between solves.
+    /// whose size changed since the previous solve (the one compact buffer
+    /// when the widest mode's `Y` did).  The core buffer is zeroed so no
+    /// state can leak between solves.
     ///
     /// # Panics
     /// Panics with the [`TuckerError::BufferTooLarge`] message when a buffer
@@ -124,14 +139,24 @@ impl HooiWorkspace {
         symbolic: &SymbolicTtmc,
         ranks: &[usize],
     ) -> Result<(), TuckerError> {
-        assert_eq!(symbolic.order(), self.compact.len());
-        assert_eq!(ranks.len(), self.compact.len());
-        for mode in 0..self.compact.len() {
-            let shape = compact_shape(symbolic, ranks, mode)?;
-            if self.compact[mode].shape() != shape {
-                self.compact[mode] = try_matrix(shape, || compact_name(mode))?;
-            }
+        let order = self.compact_shapes.len();
+        assert_eq!(symbolic.order(), order);
+        assert_eq!(ranks.len(), order);
+        let shapes = (0..order)
+            .map(|mode| compact_shape(symbolic, ranks, mode))
+            .collect::<Result<Vec<_>, _>>()?;
+        // `compact_shape` checked every product.
+        let widest = (0..order)
+            .max_by_key(|&m| shapes[m].0 * shapes[m].1)
+            .expect("a workspace has at least one mode");
+        if shapes[widest].0 * shapes[widest].1 != self.len() {
+            // A failed allocation must not leave shapes the buffer cannot
+            // hold.
+            self.compact = Matrix::zeros(0, 0);
+            self.compact_shapes.fill((0, 0));
+            self.compact = try_matrix(shapes[widest], || compact_name(widest))?;
         }
+        self.compact_shapes = shapes;
         if self.core.dims() == ranks {
             self.core.as_mut_slice().fill(0.0);
         } else {
@@ -209,27 +234,48 @@ impl HooiWorkspace {
         self.tree_values.iter().map(|m| m.as_slice().len()).sum()
     }
 
-    /// The compact TTMc buffer of `mode`, for writing.
-    pub fn compact_mut(&mut self, mode: usize) -> &mut Matrix {
-        &mut self.compact[mode]
+    /// Reshapes the compact buffer to `mode`'s `Y` over the same
+    /// allocation ([`Matrix::reshape_in_place`]), without reallocating or
+    /// writing: the entries are whatever the buffer last held, so a caller
+    /// must overwrite the whole shape before reading it — as every TTMc
+    /// kernel does.
+    pub(crate) fn shape_compact(&mut self, mode: usize) {
+        let (rows, cols) = self.compact_shapes[mode];
+        self.compact.reshape_in_place(rows, cols);
     }
 
-    /// The compact TTMc buffer of `mode`, for reading (e.g. the core-tensor
-    /// extraction from the last mode's result).
-    pub fn compact(&self, mode: usize) -> &Matrix {
-        &self.compact[mode]
+    /// The compact TTMc buffer shaped as `mode`'s `Y`, for writing.  The
+    /// workspace holds one buffer for every mode, so this reshapes it — no
+    /// reallocation, no fill: its entries are stale until the caller
+    /// overwrites them, which every TTMc kernel does in full.
+    pub fn compact_mut(&mut self, mode: usize) -> &mut Matrix {
+        self.shape_compact(mode);
+        &mut self.compact
+    }
+
+    /// The compact TTMc buffer, for reading: the `Y` of the mode most
+    /// recently written or shaped (after a solve, the last mode's, which the
+    /// core was extracted from).  One buffer serves every mode, so `_mode`
+    /// selects nothing; an earlier mode's `Y` is gone once a later mode's
+    /// TTMc ran.
+    pub fn compact(&self, _mode: usize) -> &Matrix {
+        &self.compact
     }
 
     /// The compact TTMc result of `mode` together with the TRSVD scratch —
-    /// what one factor update reads and mutates.
+    /// what one factor update reads and mutates.  Valid right after `mode`'s
+    /// TTMc wrote the buffer.
     pub fn trsvd_buffers(&mut self, mode: usize) -> (&Matrix, &mut LanczosWorkspace) {
-        (&self.compact[mode], &mut self.trsvd)
+        self.shape_compact(mode);
+        (&self.compact, &mut self.trsvd)
     }
 
     /// The compact TTMc result of `mode` together with the core buffer —
-    /// what the core extraction reads and writes.
+    /// what the core extraction reads and writes.  Valid right after
+    /// `mode`'s TTMc wrote the buffer.
     pub fn core_buffers(&mut self, mode: usize) -> (&Matrix, &mut DenseTensor) {
-        (&self.compact[mode], &mut self.core)
+        self.shape_compact(mode);
+        (&self.compact, &mut self.core)
     }
 
     /// The core tensor written by the most recent iteration.
@@ -237,20 +283,24 @@ impl HooiWorkspace {
         &self.core
     }
 
-    /// Total number of `f64` entries held by the compact TTMc buffers.
+    /// Number of `f64` entries the compact TTMc buffer holds: the widest
+    /// mode's `|J_n|·Π_{t≠n} R_t`, whichever mode it is shaped for.
     pub fn len(&self) -> usize {
-        self.compact.iter().map(|m| m.as_slice().len()).sum()
+        (self.compact_shapes.iter())
+            .map(|&(rows, cols)| rows * cols)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Measured memory footprint of all scratch owned by this workspace, in
-    /// bytes: the compact TTMc buffers, the dimension-tree node values and
-    /// privatized partials, the leaf permutations, the core buffer, and the
-    /// pooled Lanczos basis and product vector (the TRSVD's per-call
-    /// results and kernel partials are freed before it returns and are not
-    /// held).  This is the
-    /// workspace's share of a plan's cache footprint
-    /// ([`crate::TuckerSession::memory_bytes`]); it grows on the first
-    /// solve at each rank shape and is stable afterwards.
+    /// bytes: the one compact TTMc buffer at its full length (the widest
+    /// mode's `Y`, whichever mode it is shaped for), the dimension-tree node
+    /// values and privatized partials, the leaf permutations, the core
+    /// buffer, and the pooled Lanczos basis and product vector (the TRSVD's
+    /// per-call results and kernel partials are freed before it returns and
+    /// are not held).  This is the workspace's share of a plan's cache
+    /// footprint ([`crate::TuckerSession::memory_bytes`]); it grows on the
+    /// first solve at each rank shape and is stable afterwards.
     pub fn memory_bytes(&self) -> usize {
         let floats = self.len()
             + self.tree_len()
@@ -267,7 +317,8 @@ impl HooiWorkspace {
             + self.tree_valid.len() * std::mem::size_of::<bool>()
     }
 
-    /// Whether the compact TTMc buffers hold no data (all modes empty).
+    /// Whether the compact TTMc buffer holds no data (every mode's `Y` is
+    /// empty).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -367,12 +418,45 @@ mod tests {
     fn buffers_have_compact_shapes() {
         let t = sample();
         let sym = SymbolicTtmc::build(&t);
-        let ws = HooiWorkspace::new(&sym, &[2, 3, 4]);
-        assert_eq!(ws.compact(0).shape(), (sym.mode(0).num_rows(), 12));
-        assert_eq!(ws.compact(1).shape(), (sym.mode(1).num_rows(), 8));
-        assert_eq!(ws.compact(2).shape(), (sym.mode(2).num_rows(), 6));
+        let mut ws = HooiWorkspace::new(&sym, &[2, 3, 4]);
+        let widths = [12, 8, 6];
+        // One allocation, as long as the widest mode's `Y`, serves every
+        // mode: shaping a mode neither moves nor regrows it, and `compact`
+        // reads back the mode shaped last.
+        let widest = (0..3).map(|m| sym.mode(m).num_rows() * widths[m]).max();
+        assert_eq!(Some(ws.len()), widest);
+        let ptr = ws.compact_mut(0).as_slice().as_ptr();
+        for mode in [0, 1, 2, 1, 0, 2] {
+            let shape = (sym.mode(mode).num_rows(), widths[mode]);
+            assert_eq!(ws.compact_mut(mode).shape(), shape, "mode {mode}");
+            assert_eq!(ws.compact(mode).shape(), shape, "mode {mode}");
+            assert_eq!(ws.compact(mode).as_slice().as_ptr(), ptr, "mode {mode}");
+            assert_eq!(ws.len(), widest.unwrap());
+        }
+        assert_eq!(ws.trsvd_buffers(1).0.shape(), (sym.mode(1).num_rows(), 8));
+        assert_eq!(ws.core_buffers(0).0.shape(), (sym.mode(0).num_rows(), 12));
         assert_eq!(ws.core().dims(), &[2, 3, 4]);
         assert!(!ws.is_empty());
+    }
+
+    #[test]
+    fn reshaping_keeps_what_the_buffer_held() {
+        // Shrinking and regrowing the shape writes nothing: the entries a
+        // narrower mode did not cover come back as they were left.
+        let t = sample();
+        let sym = SymbolicTtmc::build(&t);
+        let mut ws = HooiWorkspace::new(&sym, &[2, 3, 4]);
+        let (wide, narrow) = (0, 2);
+        let n = ws.compact_mut(wide).as_slice().len();
+        for (k, x) in ws.compact_mut(wide).as_mut_slice().iter_mut().enumerate() {
+            *x = k as f64;
+        }
+        assert!(ws.compact_mut(narrow).as_slice().len() < n);
+        ws.compact_mut(narrow).as_mut_slice().fill(-1.0);
+        let back = ws.compact_mut(wide).as_slice();
+        let m = sym.mode(narrow).num_rows() * 6;
+        assert!(back[..m].iter().all(|&x| x == -1.0));
+        assert!((m..n).all(|k| back[k] == k as f64));
     }
 
     #[test]
@@ -452,7 +536,7 @@ mod tests {
         assert!(small > empty, "shaping buffers must grow the footprint");
         ws.ensure(&sym, &[3, 3, 3]);
         assert!(ws.memory_bytes() > small, "larger ranks, larger footprint");
-        // At minimum the compact buffers and core are counted as f64s.
+        // At minimum the compact buffer and core are counted as f64s.
         assert!(ws.memory_bytes() >= (ws.len() + ws.core().as_slice().len()) * 8);
     }
 
@@ -463,9 +547,11 @@ mod tests {
         let mut ws = HooiWorkspace::new(&sym, &[2, 2, 2]);
         ws.ensure(&sym, &[3, 2, 2]);
         // Mode 0 keeps width 4 = 2·2, but modes 1 and 2 now see rank 3.
-        assert_eq!(ws.compact(0).ncols(), 4);
-        assert_eq!(ws.compact(1).ncols(), 6);
-        assert_eq!(ws.compact(2).ncols(), 6);
+        assert_eq!(ws.compact_mut(0).ncols(), 4);
+        assert_eq!(ws.compact_mut(1).ncols(), 6);
+        assert_eq!(ws.compact_mut(2).ncols(), 6);
+        let widest = (0..3).map(|m| sym.mode(m).num_rows() * [4, 6, 6][m]);
+        assert_eq!(Some(ws.len()), widest.max());
         assert_eq!(ws.core().dims(), &[3, 2, 2]);
     }
 }

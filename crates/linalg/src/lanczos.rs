@@ -54,14 +54,24 @@
 //! subspace, and the paper reports SLEPc converging in fewer than 5 outer
 //! iterations on these strongly decaying spectra; the Krylov path typically
 //! needs one pass of `2·rank + 10` steps.
+//!
+//! Squaring also narrows the range of magnitudes each regime can take:
+//! the formed and dense regimes square the operator once (their Gram
+//! matrix must lie in [`crate::svd`]'s band), the Krylov loop twice (the
+//! norm of a normal-operator product `‖AᵀA q‖` is a sum of fourth powers).
+//! An operator outside its regime's band — checked on the Gram matrix's
+//! diagonal, or on the loop's first product — is solved instead as a copy
+//! scaled by a power of two, and its singular values scaled back; inside
+//! the band nothing changes, bit for bit.
 
 use crate::blas::{axpy, dot, normalize, nrm2, par_cholesky_qr, scal};
 use crate::eig::symmetric_eig;
 use crate::matrix::Matrix;
-use crate::operator::{apply_columnwise, LinearOperator};
-use crate::svd::dense_svd;
+use crate::operator::{apply_columnwise, DenseOperator, LinearOperator};
+use crate::svd::{dense_svd, max_diagonal, normalizing_exponent, pow2, scale_pow2, GRAM_BAND};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::RangeInclusive;
 
 /// Most passes over the Krylov loop: the subspace grows by half on each
 /// restart, and the best available approximation is returned after this
@@ -70,6 +80,12 @@ const MAX_RESTARTS: usize = 8;
 
 /// Relative residual tolerance on each requested singular triplet.
 const TOL: f64 = 1e-8;
+
+/// The norms of the Krylov loop's first normal-operator product `‖AᵀA q‖`
+/// (a squared magnitude of the operator) at which the loop runs on the
+/// operator as given: the norms of its later products square it again, so
+/// the band is about half [`GRAM_BAND`]'s in exponent.
+const KRYLOV_BAND: RangeInclusive<f64> = pow2(-400)..=pow2(400);
 
 /// Reusable scratch buffers for the Krylov path of [`lanczos_svd_with`] (the
 /// two direct regimes neither draw from it nor park anything in it).
@@ -188,6 +204,38 @@ pub fn lanczos_svd_with(
     seed: u64,
     ws: &mut LanczosWorkspace,
 ) -> TruncatedSvd {
+    solve(op, rank, seed, ws, true)
+}
+
+/// [`lanczos_svd_with`] on a copy of `op` scaled by the power of two that
+/// brings its largest entry into `[1, 2)`, with the singular values scaled
+/// back — or on `op` as given when it is zero.  The copy has `op`'s shape,
+/// so it takes the same regime.
+fn solve_rescaled(
+    op: &dyn LinearOperator,
+    rank: usize,
+    seed: u64,
+    ws: &mut LanczosWorkspace,
+) -> TruncatedSvd {
+    let mut a = op.to_dense();
+    let Some(k) = normalizing_exponent(a.as_slice()) else {
+        return solve(op, rank, seed, ws, false);
+    };
+    scale_pow2(a.as_mut_slice(), k);
+    let mut svd = solve(&DenseOperator::parallel(&a), rank, seed, ws, false);
+    scale_pow2(&mut svd.singular_values, -k);
+    svd
+}
+
+/// The body of [`lanczos_svd_with`]; with `guard`, an operator outside its
+/// regime's magnitude band is handed to [`solve_rescaled`] instead.
+fn solve(
+    op: &dyn LinearOperator,
+    rank: usize,
+    seed: u64,
+    ws: &mut LanczosWorkspace,
+    guard: bool,
+) -> TruncatedSvd {
     assert!(rank > 0, "lanczos_svd: rank must be positive");
     let m = op.nrows();
     let n = op.ncols();
@@ -237,6 +285,9 @@ pub fn lanczos_svd_with(
     // short-side singular vectors the Krylov loop below would converge to.
     if tall && n <= FORMED_NORMAL_MAX_SUBSPACES * subspace {
         if let Some(normal) = op.normal_matrix() {
+            if guard && !GRAM_BAND.contains(&max_diagonal(&normal)) {
+                return solve_rescaled(op, rank, seed, ws);
+            }
             let eig = symmetric_eig(&normal);
             let short_vectors = Matrix::from_fn(rank, n, |i, j| eig.vectors[(j, i)]);
             return recover_long_side(op, short_vectors, n + rank, true);
@@ -275,6 +326,12 @@ pub fn lanczos_svd_with(
                 op.apply(&product, &mut w);
             }
             scale = scale.max(nrm2(&w));
+            if guard && j == 0 && !KRYLOV_BAND.contains(&scale) {
+                ws.basis.append(&mut basis);
+                ws.basis.push(w);
+                ws.product = product;
+                return solve_rescaled(op, rank, seed, ws);
+            }
             alphas.push(dot(&basis[j], &w));
             if j + 1 == short {
                 // The basis spans the whole space: the relation is exact.
@@ -572,6 +629,30 @@ mod tests {
             }
         }
         crate::blas::gemm_nt(&u, &v)
+    }
+
+    /// Scaling an operator by a power of two commutes with every regime —
+    /// dense fallback, formed normal matrix, Krylov loop — bit for bit:
+    /// inside the magnitude bands every operation is exact under such a
+    /// scaling, and outside them the solver runs on a copy scaled back into
+    /// them by another power of two.
+    #[test]
+    fn power_of_two_scalings_commute_with_every_regime() {
+        let spectrum = [9.0, 5.0, 3.0, 2.0, 1.5, 1.0, 0.5];
+        for (m, n) in [(20, 12), (400, 30), (40, 120)] {
+            let a = with_spectrum(m, n, &spectrum, 7);
+            let base = lanczos_svd(&DenseOperator::parallel(&a), 3, SEED);
+            for k in [-900, -520, -20, 20, 300, 600] {
+                let mut scaled = a.clone();
+                crate::svd::scale_pow2(scaled.as_mut_slice(), k);
+                let svd = lanczos_svd(&DenseOperator::parallel(&scaled), 3, SEED);
+                let mut values = svd.singular_values.clone();
+                crate::svd::scale_pow2(&mut values, -k);
+                assert_eq!(values, base.singular_values, "{m}x{n} at 2^{k}");
+                assert_eq!(svd.u, base.u, "{m}x{n} at 2^{k}");
+                assert_eq!(svd.v, base.v, "{m}x{n} at 2^{k}");
+            }
+        }
     }
 
     /// A dense operator that records whether the solver took its formed

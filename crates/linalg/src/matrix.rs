@@ -11,21 +11,75 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// A dense, row-major, `f64` matrix.
-#[derive(Clone, PartialEq)]
 pub struct Matrix {
     nrows: usize,
     ncols: usize,
+    /// The entries, `nrows · ncols` of them.
     data: Vec<f64>,
+    /// How many entries of `data`'s allocation hold initialized values: at
+    /// least `data.len()`, and more after
+    /// [`reshape_in_place`](Self::reshape_in_place) shrank the shape; never
+    /// more than `data.capacity()`.
+    filled: usize,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix::owning(self.nrows, self.ncols, self.data.clone())
+    }
+}
+
+impl PartialEq for Matrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape() == other.shape() && self.data == other.data
+    }
 }
 
 impl Matrix {
-    /// Creates an `nrows × ncols` matrix filled with zeros.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
+    /// The matrix over `data`, which holds exactly `nrows · ncols` entries.
+    fn owning(nrows: usize, ncols: usize, data: Vec<f64>) -> Self {
+        let filled = data.len();
         Matrix {
             nrows,
             ncols,
-            data: vec![0.0; nrows * ncols],
+            data,
+            filled,
         }
+    }
+
+    /// Creates an `nrows × ncols` matrix filled with zeros.
+    pub fn zeros(nrows: usize, ncols: usize) -> Self {
+        Matrix::owning(nrows, ncols, vec![0.0; nrows * ncols])
+    }
+
+    /// Reshapes to `nrows × ncols` over the same allocation.  Up to the
+    /// longest length this matrix has held, nothing is reallocated or
+    /// written: the entries are whatever the buffer last held at those
+    /// positions, so a caller must overwrite the whole shape before reading
+    /// it.  Past that length the buffer grows, with zeros.  This is how one
+    /// buffer serves results of different shapes in turn (the compact TTMc
+    /// results of a HOOI sweep) without a fill per switch.
+    ///
+    /// # Panics
+    /// Panics if `nrows · ncols` overflows `usize`.
+    pub fn reshape_in_place(&mut self, nrows: usize, ncols: usize) {
+        let len = nrows
+            .checked_mul(ncols)
+            .expect("matrix shape overflows usize");
+        if len <= self.data.len() {
+            self.data.truncate(len);
+        } else if len <= self.filled {
+            // SAFETY: `len ≤ filled ≤ capacity`, and the first `filled`
+            // entries of the allocation were initialized: `filled` only
+            // grows to a length `data` had, and truncating a `Vec<f64>`
+            // drops nothing and writes nothing.
+            unsafe { self.data.set_len(len) };
+        } else {
+            self.data.resize(len, 0.0);
+            self.filled = len;
+        }
+        self.nrows = nrows;
+        self.ncols = ncols;
     }
 
     /// Creates an `n × n` identity matrix.
@@ -45,7 +99,7 @@ impl Matrix {
                 data.push(f(i, j));
             }
         }
-        Matrix { nrows, ncols, data }
+        Matrix::owning(nrows, ncols, data)
     }
 
     /// Creates a matrix that takes ownership of a row-major buffer.
@@ -61,7 +115,7 @@ impl Matrix {
             nrows,
             ncols
         );
-        Matrix { nrows, ncols, data }
+        Matrix::owning(nrows, ncols, data)
     }
 
     /// Creates a matrix from a slice of rows.
@@ -78,11 +132,7 @@ impl Matrix {
             assert_eq!(r.len(), ncols, "ragged rows");
             data.extend_from_slice(r);
         }
-        Matrix {
-            nrows: rows.len(),
-            ncols,
-            data,
-        }
+        Matrix::owning(rows.len(), ncols, data)
     }
 
     /// Creates a matrix with entries drawn uniformly from `[0, 1)` using a
@@ -91,7 +141,7 @@ impl Matrix {
         let mut rng = SmallRng::seed_from_u64(seed);
         let dist = Uniform::new(0.0, 1.0);
         let data = (0..nrows * ncols).map(|_| dist.sample(&mut rng)).collect();
-        Matrix { nrows, ncols, data }
+        Matrix::owning(nrows, ncols, data)
     }
 
     /// Creates a matrix with entries drawn uniformly from `[-1, 1)`.  This is
@@ -103,7 +153,7 @@ impl Matrix {
         let mut rng = SmallRng::seed_from_u64(seed);
         let dist = Uniform::new(-1.0, 1.0);
         let data = (0..nrows * ncols).map(|_| dist.sample(&mut rng)).collect();
-        Matrix { nrows, ncols, data }
+        Matrix::owning(nrows, ncols, data)
     }
 
     /// Number of rows.
@@ -404,5 +454,32 @@ mod tests {
         assert_eq!(a, b);
         let c = Matrix::random(5, 5, 124);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn reshape_in_place_reuses_the_allocation_without_writing() {
+        let mut m = Matrix::from_fn(4, 6, |i, j| (i * 6 + j) as f64);
+        let ptr = m.as_slice().as_ptr();
+        m.reshape_in_place(2, 5);
+        assert_eq!(m.shape(), (2, 5));
+        m.fill(-1.0);
+        // Back up to the longest shape held: the same buffer, the entries
+        // past the narrower shape as they were left.
+        m.reshape_in_place(3, 8);
+        assert_eq!(m.as_slice().as_ptr(), ptr);
+        assert!(m.as_slice()[..10].iter().all(|&x| x == -1.0));
+        assert!((10..24).all(|k| m.as_slice()[k] == k as f64));
+        // Past it, the buffer grows with zeros.
+        m.reshape_in_place(5, 5);
+        assert!(m.as_slice()[24..].iter().all(|&x| x == 0.0));
+        // A clone holds only its own shape's entries.
+        let mut c = Matrix::from_fn(3, 3, |_, _| 2.0);
+        c.reshape_in_place(1, 2);
+        let mut d = c.clone();
+        assert_eq!(c, d);
+        d.reshape_in_place(3, 3);
+        assert_eq!(&d.as_slice()[2..], &[0.0; 7]);
+        c.reshape_in_place(3, 3);
+        assert_eq!(c.as_slice(), &[2.0; 9]);
     }
 }

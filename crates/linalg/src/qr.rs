@@ -12,6 +12,12 @@ use crate::matrix::Matrix;
 /// Orthonormalizes the columns of `a` in place using modified Gram-Schmidt
 /// with one reorthogonalization pass, returning the numerical rank found
 /// (columns that become numerically zero are replaced by zero vectors).
+///
+/// "Numerically zero" is an absolute floor, `1e-12·√m`, not one relative
+/// to the input's scale: a matrix of uniformly tiny entries reports rank 0.
+/// The solver only orthonormalizes its random initial factors, whose entries
+/// lie in `[-1, 1)` whatever the tensor's scale; a relative floor would
+/// cost every solve's initialization one more pass over each column.
 pub fn orthonormalize_columns(a: &mut Matrix) -> usize {
     let n = a.ncols();
     let m = a.nrows();

@@ -11,6 +11,51 @@
 use crate::blas::{gemm, gemm_nt, gemm_tn, normalize};
 use crate::eig::symmetric_eig;
 use crate::matrix::Matrix;
+use std::ops::RangeInclusive;
+
+/// The squared magnitudes — the largest diagonal entry of a formed Gram
+/// matrix `AᵀA` or `AAᵀ` — at which the Gram-based solvers ([`dense_svd`],
+/// the formed regime of [`crate::lanczos`]) run on a matrix as given.  Below
+/// `2⁻⁸⁰⁰` the Gram matrix's small eigenvalues sink into subnormals and the
+/// eigensolver's splitting test underflows (it stops converging); above
+/// `2¹⁰¹⁶` its QL shifts overflow.  Outside the band the solvers run on a
+/// copy scaled by the exact power of two that brings the largest entry into
+/// `[1, 2)` and scale the singular values back: the vectors are the scaled
+/// matrix's, and inside the band nothing changes, bit for bit.
+pub(crate) const GRAM_BAND: RangeInclusive<f64> = pow2(-800)..=pow2(1016);
+
+/// `2^k` for `-1022 ≤ k ≤ 1023`.
+pub(crate) const fn pow2(k: i32) -> f64 {
+    f64::from_bits(((1023 + k) as u64) << 52)
+}
+
+/// `⌊log₂ x⌋` for a finite `x > 0`, subnormals included.
+fn floor_log2(x: f64) -> i32 {
+    match ((x.to_bits() >> 52) & 0x7ff) as i32 {
+        0 => floor_log2(x * pow2(64)) - 64,
+        biased => biased - 1023,
+    }
+}
+
+/// The exponent `k` for which `2^k` brings the largest magnitude in `a`
+/// into `[1, 2)`; `None` when `a` is zero or not finite, which no scaling
+/// helps.
+pub(crate) fn normalizing_exponent(a: &[f64]) -> Option<i32> {
+    let max = a.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    (max > 0.0 && max.is_finite()).then(|| -floor_log2(max))
+}
+
+/// Multiplies every entry of `x` by `2^k` (`|k| ≤ 2044`), in two steps so
+/// each factor is representable: exact wherever the result is normal.
+pub(crate) fn scale_pow2(x: &mut [f64], k: i32) {
+    let (a, b) = (pow2(k / 2), pow2(k - k / 2));
+    x.iter_mut().for_each(|v| *v = *v * a * b);
+}
+
+/// The largest diagonal entry of a square matrix.
+pub(crate) fn max_diagonal(gram: &Matrix) -> f64 {
+    (0..gram.nrows()).fold(0.0f64, |m, i| m.max(gram[(i, i)]))
+}
 
 /// Result of a (possibly truncated) dense SVD `A ≈ U diag(σ) Vᵀ`.
 #[derive(Debug, Clone)]
@@ -27,8 +72,12 @@ pub struct DenseSvd {
 ///
 /// The Gram matrix of the smaller dimension is formed and eigendecomposed;
 /// the other side's singular vectors are recovered by multiplication.  Tiny
-/// singular values (below `1e-13 * σ_max`) get zero vectors on the recovered
-/// side rather than amplified noise.
+/// singular values (at most `1e-12 · σ_max`) get vectors completing an
+/// orthonormal basis on the recovered side rather than amplified noise.  A
+/// Gram matrix whose largest diagonal entry lies outside `[2⁻⁸⁰⁰, 2¹⁰¹⁶]`
+/// is formed again from a copy of `a` scaled by the power of two that
+/// brings its largest entry into `[1, 2)`, and the singular values are
+/// scaled back.
 pub fn dense_svd(a: &Matrix) -> DenseSvd {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
@@ -38,9 +87,18 @@ pub fn dense_svd(a: &Matrix) -> DenseSvd {
             v: Matrix::zeros(n, 0),
         };
     }
+    let gram = if n <= m { gemm_tn(a, a) } else { gemm_nt(a, a) };
+    if !GRAM_BAND.contains(&max_diagonal(&gram)) {
+        if let Some(k) = normalizing_exponent(a.as_slice()) {
+            let mut scaled = a.clone();
+            scale_pow2(scaled.as_mut_slice(), k);
+            let mut svd = dense_svd(&scaled);
+            scale_pow2(&mut svd.singular_values, -k);
+            return svd;
+        }
+    }
     if n <= m {
         // Eigendecompose AᵀA (n × n).
-        let gram = gemm_tn(a, a);
         let eig = symmetric_eig(&gram);
         let singular_values: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
         let v = eig.vectors;
@@ -55,7 +113,6 @@ pub fn dense_svd(a: &Matrix) -> DenseSvd {
         }
     } else {
         // Eigendecompose AAᵀ (m × m).
-        let gram = gemm_nt(a, a);
         let eig = symmetric_eig(&gram);
         let singular_values: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
         let u = eig.vectors;
@@ -72,7 +129,9 @@ pub fn dense_svd(a: &Matrix) -> DenseSvd {
 
 /// Recovers the singular vectors of the "other" side from the product
 /// `A·V` (or `Aᵀ·U`), dividing by the singular values and completing the
-/// directions whose singular value is numerically zero to an orthonormal
+/// directions whose singular value is numerically zero — at most
+/// `1e-12 · σ_max`, a floor relative to the matrix's own scale, so a
+/// matrix of small entries keeps its singular vectors — to an orthonormal
 /// basis.  HOOI relies on the factor matrices having orthonormal columns
 /// even when the matricized TTMc result is rank deficient, so degenerate
 /// columns are filled by orthogonalizing canonical basis vectors against the
@@ -81,7 +140,7 @@ fn recover_side(product: &Matrix, singular_values: &[f64]) -> Matrix {
     let m = product.nrows();
     let k = product.ncols();
     let smax = singular_values.first().copied().unwrap_or(0.0);
-    let tol = 1e-12 * smax.max(1.0);
+    let tol = 1e-12 * smax;
     let mut cols: Vec<Vec<f64>> = Vec::with_capacity(k);
     for j in 0..k {
         let mut col = product.col(j);

@@ -8,6 +8,12 @@
 //! fits and core bit for bit — across orders, TTMc strategies and pool
 //! widths.  The reference gathers every nonzero through its COO id, so on
 //! per-mode plans it also checks the solver's CSF walk solve-wide.
+//!
+//! The workspace holds one compact-`Y` buffer for every mode and reshapes
+//! it without clearing it, which is sound only if every TTMc kernel
+//! overwrites the whole shape.  A poisoned variant of the reference fills
+//! the buffer with NaN before every TTMc: one entry left unwritten would
+//! carry a NaN into the factors and the fit.
 
 use tucker_repro::hooi::core_tensor::core_from_last_ttmc_into;
 use tucker_repro::hooi::dimtree::{factor_updated, serve_mode_into_isa};
@@ -46,7 +52,13 @@ fn bits_of(factors: &[Matrix], fits: &[f64], core: &DenseTensor) -> Bits {
 /// them, from full initial factors, with the per-mode TTMc gathering
 /// through COO ids (update lists without CSF hierarchies).  Runs in a pool
 /// as wide as the session's: the TRSVD's sums are chunked by pool width.
-fn reference_solve(session: &TuckerSolver<'_>, config: &TuckerConfig, width: usize) -> Bits {
+/// With `poison`, the compact buffer is filled with NaN before every TTMc.
+fn reference_solve(
+    session: &TuckerSolver<'_>,
+    config: &TuckerConfig,
+    width: usize,
+    poison: bool,
+) -> Bits {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(width)
         .build()
@@ -66,6 +78,9 @@ fn reference_solve(session: &TuckerSolver<'_>, config: &TuckerConfig, width: usi
         let mut fits = Vec::new();
         for _ in 0..config.max_iterations {
             for mode in 0..order {
+                if poison {
+                    ws.compact_mut(mode).as_mut_slice().fill(f64::NAN);
+                }
                 match tree {
                     Some(tree) => serve_mode_into_isa(
                         tree,
@@ -122,12 +137,13 @@ fn assert_solve_matches_reference(
     options: PlanOptions,
     config: &TuckerConfig,
     label: &str,
+    poison: bool,
 ) {
     let width = options.num_threads;
     let mut session = TuckerSolver::plan(tensor, options).unwrap();
     let solved = session.solve(config).unwrap();
     assert_eq!(solved.iterations, config.max_iterations, "{label}");
-    let expected = reference_solve(&session, config, width);
+    let expected = reference_solve(&session, config, width, poison);
     assert_eq!(
         bits_of(&solved.factors, &solved.fits, &solved.core),
         expected,
@@ -168,7 +184,30 @@ fn random_init_solves_match_the_reference_loop() {
         for width in 1..=3 {
             for (plan, options) in plans(width) {
                 let label = format!("order {} {plan}", dims.len());
-                assert_solve_matches_reference(&tensor, options, &config, &label);
+                assert_solve_matches_reference(&tensor, options, &config, &label, false);
+            }
+        }
+    }
+}
+
+/// Every TTMc overwrites its whole compact `Y`: a reference that poisons
+/// the shared buffer before each one still matches `solve()` bit for bit.
+#[test]
+fn poisoned_compact_buffers_match_the_reference_loop() {
+    let cases: [(&[usize], usize, &[usize]); 2] = [
+        (&[14, 12, 10], 400, &[3, 2, 3]),
+        (&[10, 9, 8, 6], 400, &[2, 3, 2, 2]),
+    ];
+    for (seed, (dims, nnz, ranks)) in cases.into_iter().enumerate() {
+        let tensor = random_tensor(dims, nnz, 60 + seed as u64);
+        let config = TuckerConfig::new(ranks.to_vec())
+            .max_iterations(2)
+            .fit_tolerance(-1.0)
+            .seed(11 + seed as u64);
+        for width in [1, 2] {
+            for (plan, options) in plans(width) {
+                let label = format!("poisoned order {} {plan}", dims.len());
+                assert_solve_matches_reference(&tensor, options, &config, &label, true);
             }
         }
     }

@@ -323,6 +323,16 @@ fn auto_selects_lower_modeled_flops_strategy_per_profile() {
             expected == TtmcStrategy::DimensionTree,
             "{name:?}: plan artifacts disagree with the resolved strategy"
         );
+        // A tree plan holds each mode's row set alone; a per-mode plan the
+        // update lists its kernel streams, as the full analysis builds them.
+        for n in 0..tensor.order() {
+            let (held, full) = (solver.symbolic().mode(n), sym.mode(n));
+            assert_eq!(held.rows, full.rows, "{name:?} mode {n}");
+            match expected {
+                TtmcStrategy::DimensionTree => assert!(held.nonzero_ids.is_empty()),
+                _ => assert_eq!(held.nonzero_ids, full.nonzero_ids, "{name:?} mode {n}"),
+            }
+        }
     }
 }
 
