@@ -79,15 +79,27 @@ fn table5_matches_snapshot() {
 
 /// The fixture itself must stay loadable through the bounded streaming
 /// reader at an adversarially small chunk size, with the documented peak
-/// buffer bound holding exactly.
+/// buffer bound holding exactly; the tensor reader, which parses straight
+/// into the tensor, loads it whole.
 #[test]
 fn fixture_streams_under_a_tiny_chunk() {
     let options = sptensor::io::StreamOptions::new().chunk_nonzeros(7);
+    let file = std::io::BufReader::new(std::fs::File::open(fixture_path()).unwrap());
+    let mut seen = 0;
+    let (info, stats) = sptensor::io::stream_tns(file, &options, |chunk| {
+        assert!(chunk.len() <= 7);
+        seen += chunk.len();
+        Ok(())
+    })
+    .expect("fixture streams");
+    assert_eq!((info.nnz, seen, info.order), (500, 500, 3));
+    let word = std::mem::size_of::<usize>();
+    assert!(stats.peak_buffer_bytes <= 7 * (3 + 1) * word);
+    assert_eq!(stats.chunks, 500usize.div_ceil(7));
+
     let (tensor, stats) =
         sptensor::io::read_tns_file_streamed(fixture_path(), &options).expect("fixture reads");
     assert_eq!(tensor.nnz(), 500);
     assert_eq!(tensor.order(), 3);
-    let word = std::mem::size_of::<usize>();
-    assert!(stats.peak_buffer_bytes <= 7 * (3 + 1) * word);
-    assert_eq!(stats.chunks, 500usize.div_ceil(7));
+    assert_eq!((stats.chunks, stats.peak_buffer_bytes), (1, 0));
 }

@@ -83,6 +83,7 @@
 //! flop reduction is assertable in tests rather than inferred from wall
 //! time.
 
+use crate::error::{try_filled, TuckerError};
 use crate::symbolic::{SymbolicMode, SymbolicTtmc};
 use crate::workspace::HooiWorkspace;
 use linalg::Matrix;
@@ -281,13 +282,16 @@ impl<'a, T> Scatter<'a, T> {
 /// starts where the chunks before it end, so every position — and the
 /// pass's output — is the same at any pool width.  `digit` must be a pure
 /// function of the input: positions are handed out once each only if it
-/// names the same bucket when counting and when scattering.
+/// names the same bucket when counting and when scattering.  The digit is
+/// an index of `mode`; histograms the allocator refuses are the
+/// [`TuckerError::BufferTooLarge`] naming it.
 fn counting_pass(
     n: usize,
     buckets: usize,
+    mode: usize,
     digit: impl Fn(usize) -> usize + Sync,
     put: impl Fn(usize, usize) + Sync,
-) -> Vec<usize> {
+) -> Result<Vec<usize>, TuckerError> {
     let chunks = if buckets <= n {
         (n / PASS_GRAIN).clamp(1, rayon::current_num_threads())
     } else {
@@ -296,7 +300,13 @@ fn counting_pass(
     let inputs = |c: usize| n * c / chunks..n * (c + 1) / chunks;
     // Allocated here, not in the chunks: worker threads would take them
     // from their own allocator arenas, which keep the pages afterwards.
-    let mut cursors: Vec<Vec<usize>> = (0..chunks).map(|_| vec![0; buckets]).collect();
+    let mut cursors: Vec<Vec<usize>> = (0..chunks)
+        .map(|_| {
+            try_filled(buckets, 0, || {
+                format!("counting-pass histogram of mode {mode}")
+            })
+        })
+        .collect::<Result<_, _>>()?;
     cursors.par_iter_mut().enumerate().for_each(|(c, counts)| {
         for i in inputs(c) {
             counts[digit(i)] += 1;
@@ -323,9 +333,9 @@ fn counting_pass(
         }
     });
     // The last chunk's cursors have run to the end of every bucket.
-    cursors
+    Ok(cursors
         .pop()
-        .expect("a counting pass has at least one chunk")
+        .expect("a counting pass has at least one chunk"))
 }
 
 /// Bits an index below `dim` needs.
@@ -502,8 +512,14 @@ fn prefix_grouping(src: &Source, shape: ChildShape) -> Grouping {
 /// is one mode, or no larger than the parent's entry count: one counting
 /// pass by the whole key (mixed radix, last mode fastest) streams the
 /// parent's entries in storage order straight into the node's final
-/// arrays, and the non-empty buckets are the groups.
-fn single_pass_grouping(src: &Source, shape: ChildShape, key_dims: &[usize]) -> Grouping {
+/// arrays, and the non-empty buckets are the groups.  `mode` is the key's
+/// first mode.
+fn single_pass_grouping(
+    src: &Source,
+    shape: ChildShape,
+    key_dims: &[usize],
+    mode: usize,
+) -> Result<Grouping, TuckerError> {
     let ChildShape {
         off,
         span,
@@ -520,12 +536,12 @@ fn single_pass_grouping(src: &Source, shape: ChildShape, key_dims: &[usize]) -> 
     let mut payload = vec![0u64; n];
     let ends = {
         let (contract, out) = (Scatter::new(&mut contract_idx), Scatter::new(&mut payload));
-        counting_pass(n, buckets, digit, |e, pos| {
+        counting_pass(n, buckets, mode, digit, |e, pos| {
             // SAFETY: `counting_pass` hands each position to one input.
             let (c, p) = unsafe { (contract.slot(pos, d_len), out.slot(pos, 1)) };
             c.copy_from_slice(&src.tuple(e)[d_off..d_off + d_len]);
             p[0] = src.payload(e);
-        })
+        })?
     };
     let mut group_ptr = vec![0usize];
     let mut entry_idx = Vec::new();
@@ -541,12 +557,12 @@ fn single_pass_grouping(src: &Source, shape: ChildShape, key_dims: &[usize]) -> 
             }
         }
     }
-    Grouping {
+    Ok(Grouping {
         group_ptr,
         entry_idx,
         contract_idx,
         payload,
-    }
+    })
 }
 
 /// A child whose key space is larger than its parent's entry count: whole
@@ -557,18 +573,28 @@ fn single_pass_grouping(src: &Source, shape: ChildShape, key_dims: &[usize]) -> 
 /// records then fills the node's final arrays and cuts the groups where
 /// the packed key changes, one compare per member while the key fits a
 /// word.  Records use 4-byte words whenever every key and contracted index
-/// fits one.
-fn multi_pass_grouping(src: &Source, shape: ChildShape, dims: &[usize]) -> Grouping {
+/// fits one.  `dims` are the parent tuple's mode sizes, the first of them
+/// mode `first_mode`'s.
+fn multi_pass_grouping(
+    src: &Source,
+    shape: ChildShape,
+    dims: &[usize],
+    first_mode: usize,
+) -> Result<Grouping, TuckerError> {
     if dims.iter().all(|&d| index_bits(d) <= 32) {
-        multi_pass::<u32>(src, shape, dims)
+        multi_pass::<u32>(src, shape, dims, first_mode)
     } else {
-        multi_pass::<u64>(src, shape, dims)
+        multi_pass::<u64>(src, shape, dims, first_mode)
     }
 }
 
-/// [`multi_pass_grouping`] with `W`-bit record words.  `dims` are the
-/// parent tuple's mode sizes.
-fn multi_pass<W: Word>(src: &Source, shape: ChildShape, dims: &[usize]) -> Grouping {
+/// [`multi_pass_grouping`] with `W`-bit record words.
+fn multi_pass<W: Word>(
+    src: &Source,
+    shape: ChildShape,
+    dims: &[usize],
+    first_mode: usize,
+) -> Result<Grouping, TuckerError> {
     let ChildShape {
         off,
         span,
@@ -595,6 +621,7 @@ fn multi_pass<W: Word>(src: &Source, shape: ChildShape, dims: &[usize]) -> Group
         counting_pass(
             n,
             dims[fastest],
+            first_mode + fastest,
             |e| src.tuple(e)[fastest],
             |e, pos| {
                 // SAFETY: `counting_pass` hands each position to one input.
@@ -613,7 +640,7 @@ fn multi_pass<W: Word>(src: &Source, shape: ChildShape, dims: &[usize]) -> Group
                     p = p.checked_shr(W::BITS).unwrap_or(0);
                 }
             },
-        );
+        )?;
     }
     // The other passes, slower modes last: records to records.
     let mut sorted = vec![W::default(); n * width];
@@ -624,10 +651,11 @@ fn multi_pass<W: Word>(src: &Source, shape: ChildShape, dims: &[usize]) -> Group
             counting_pass(
                 n,
                 dims[off + k],
+                first_mode + off + k,
                 |i| key[k].read(&rs[record(i)]),
                 // SAFETY: `counting_pass` hands each position to one input.
                 |i, pos| unsafe { out.slot(pos, width) }.copy_from_slice(&rs[record(i)]),
-            );
+            )?;
         }
         std::mem::swap(&mut records, &mut sorted);
     }
@@ -649,12 +677,12 @@ fn multi_pass<W: Word>(src: &Source, shape: ChildShape, dims: &[usize]) -> Group
         payload.push(words.fold(0, |p, (k, w)| p | w.widen() << (k as u32 * W::BITS)));
     }
     group_ptr.push(n);
-    Grouping {
+    Ok(Grouping {
         group_ptr,
         entry_idx,
         contract_idx,
         payload,
-    }
+    })
 }
 
 /// A binary dimension tree over the modes of one sparse tensor: structure
@@ -740,8 +768,17 @@ impl DimTree {
     ///
     /// # Panics
     /// Panics if the tensor has fewer than two modes (callers fall back to
-    /// the per-mode strategy there) or no nonzeros.
+    /// the per-mode strategy there) or no nonzeros, and with the
+    /// [`TuckerError::BufferTooLarge`] message where [`Self::try_build`]
+    /// returns it.
     pub fn build(tensor: &SparseTensor) -> Self {
+        Self::try_build(tensor).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::build`], with a counting-pass histogram — one word per index
+    /// of a mode — that the allocator refuses returned as the
+    /// [`TuckerError::BufferTooLarge`] naming the mode instead of aborting.
+    pub(crate) fn try_build(tensor: &SparseTensor) -> Result<Self, TuckerError> {
         let order = tensor.order();
         assert!(order >= 2, "a dimension tree needs at least two modes");
         assert!(tensor.nnz() > 0, "a dimension tree needs nonzeros");
@@ -770,41 +807,48 @@ impl DimTree {
             nodes: vec![root],
             leaf_of_mode: vec![NONE; order],
         };
-        tree.split(0, tensor);
+        tree.split(0, tensor)?;
         debug_assert!(tree.leaf_of_mode.iter().all(|&id| id != NONE));
-        tree
+        Ok(tree)
     }
 
     /// Recursively splits `node_id` (preorder, so parents precede children).
     /// Subtrees are built one after the other: building the root's two
     /// children at once doubles the transient sort buffers, and the
     /// benchmark's peak RSS rose with it.
-    fn split(&mut self, node_id: usize, tensor: &SparseTensor) {
+    fn split(&mut self, node_id: usize, tensor: &SparseTensor) -> Result<(), TuckerError> {
         let (lo, hi) = (self.nodes[node_id].lo, self.nodes[node_id].hi);
         if hi - lo == 1 {
             self.leaf_of_mode[lo] = node_id;
-            return;
+            return Ok(());
         }
         let mid = lo + (hi - lo) / 2;
-        let left = self.make_child(node_id, lo, mid, tensor);
+        let left = self.make_child(node_id, lo, mid, tensor)?;
         let left_id = self.nodes.len();
         self.nodes.push(left);
         self.nodes[node_id].children[0] = left_id;
-        self.split(left_id, tensor);
-        let right = self.make_child(node_id, mid, hi, tensor);
+        self.split(left_id, tensor)?;
+        let right = self.make_child(node_id, mid, hi, tensor)?;
         let right_id = self.nodes.len();
         self.nodes.push(right);
         self.nodes[node_id].children[1] = right_id;
-        self.split(right_id, tensor);
+        self.split(right_id, tensor)?;
         // Both children are grouped; the projected tuples have served their
         // purpose (see the field docs) — free them.
         self.nodes[node_id].entry_idx = Vec::new();
+        Ok(())
     }
 
     /// Builds the symbolic grouping of a child `[lo, hi)` of `parent_id`:
     /// the parent's entries grouped by their projection onto `[lo, hi)`,
     /// groups in ascending tuple order, members ascending within a group.
-    fn make_child(&self, parent_id: usize, lo: usize, hi: usize, tensor: &SparseTensor) -> Node {
+    fn make_child(
+        &self,
+        parent_id: usize,
+        lo: usize,
+        hi: usize,
+        tensor: &SparseTensor,
+    ) -> Result<Node, TuckerError> {
         let parent = &self.nodes[parent_id];
         let span = hi - lo;
         let off = lo - parent.lo;
@@ -837,9 +881,9 @@ impl DimTree {
         } = if !is_root && off == 0 {
             prefix_grouping(&src, shape)
         } else if span == 1 || key_space.is_some_and(|b| b <= src.entries) {
-            single_pass_grouping(&src, shape, &dims[off..off + span])
+            single_pass_grouping(&src, shape, &dims[off..off + span], lo)?
         } else {
-            multi_pass_grouping(&src, shape, dims)
+            multi_pass_grouping(&src, shape, dims, parent.lo)?
         };
         // A child of the root reads its members' nonzero values and nothing
         // else of their ids, so the passes carried the values in place of
@@ -859,7 +903,7 @@ impl DimTree {
         col_modes.extend_from_slice(&d_modes);
         let entries = entry_idx.len() / span;
         let (seg_grain, seg_ptr, seg_entry) = segment_schedule(&group_ptr);
-        Node {
+        Ok(Node {
             lo,
             hi,
             parent: parent_id,
@@ -875,7 +919,7 @@ impl DimTree {
             seg_ptr,
             seg_entry,
             entry_idx,
-        }
+        })
     }
 
     /// Number of modes the tree spans.
@@ -1995,8 +2039,8 @@ mod tests {
             d_off: 0,
             d_len: 1,
         };
-        let narrow = multi_pass::<u32>(&src, shape, t.dims());
-        let wide = multi_pass::<u64>(&src, shape, t.dims());
+        let narrow = multi_pass::<u32>(&src, shape, t.dims(), 0).unwrap();
+        let wide = multi_pass::<u64>(&src, shape, t.dims(), 0).unwrap();
         assert_eq!(narrow.group_ptr, wide.group_ptr);
         assert_eq!(narrow.entry_idx, wide.entry_idx);
         assert_eq!(narrow.contract_idx, wide.contract_idx);

@@ -63,7 +63,8 @@ pub enum TuckerError {
     /// runs; the session, and a service holding it, keep serving.  Planning
     /// rejects a mode whose `dim + 1` index words (the per-index tables
     /// the symbolic step and the tree's counting passes allocate) would
-    /// exceed `isize::MAX` bytes the same way, before allocating anything.
+    /// exceed `isize::MAX` bytes the same way, before allocating anything,
+    /// and a mode whose tables the allocator refuses once it tries.
     BufferTooLarge {
         /// Which buffer, naming its mode or tree node (e.g. "compact TTMc
         /// of mode 2", "dimension-tree node 5", "index table of mode 0").
@@ -265,6 +266,13 @@ impl std::error::Error for TuckerError {}
 /// arithmetic only).  A tensor of explicit zeros passes: its norm is
 /// exactly zero, not an underflow.
 pub fn validate_tensor(tensor: &sptensor::SparseTensor) -> Result<(), TuckerError> {
+    validated_squared_norm(tensor).map(drop)
+}
+
+/// [`validate_tensor`], returning the `Σ x²` it summed — in storage order,
+/// as [`SparseTensor::frobenius_norm`](sptensor::SparseTensor::frobenius_norm)
+/// sums it, so its square root is that norm bit for bit.
+pub(crate) fn validated_squared_norm(tensor: &sptensor::SparseTensor) -> Result<f64, TuckerError> {
     if tensor.order() == 0 || tensor.nnz() == 0 {
         return Err(TuckerError::EmptyTensor);
     }
@@ -294,7 +302,22 @@ pub fn validate_tensor(tensor: &sptensor::SparseTensor) -> Result<(), TuckerErro
     if squared_norm.is_infinite() || underflow {
         return Err(TuckerError::NormOutOfRange { squared_norm });
     }
-    Ok(())
+    Ok(squared_norm)
+}
+
+/// `len` copies of `value` in storage reserved fallibly: a size the
+/// allocator refuses is the [`TuckerError::BufferTooLarge`] naming
+/// `buffer`, not an abort.
+pub(crate) fn try_filled<T: Clone>(
+    len: usize,
+    value: T,
+    buffer: impl FnOnce() -> String,
+) -> Result<Vec<T>, TuckerError> {
+    let mut data = Vec::new();
+    data.try_reserve_exact(len)
+        .map_err(|_| TuckerError::BufferTooLarge { buffer: buffer() })?;
+    data.resize(len, value);
+    Ok(data)
 }
 
 #[cfg(test)]

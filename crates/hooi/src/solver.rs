@@ -43,7 +43,7 @@
 use crate::config::{IndexLayout, TtmcStrategy, TuckerConfig};
 use crate::core_tensor::core_from_last_ttmc_into;
 use crate::dimtree::{self, DimTree};
-use crate::error::{validate_tensor, TuckerError};
+use crate::error::{validated_squared_norm, TuckerError};
 use crate::fit::fit_from_norms;
 use crate::hooi::{TimingBreakdown, TuckerDecomposition};
 use crate::hosvd::initial_factors;
@@ -148,12 +148,15 @@ const AUTO_RANK_HINT: usize = 8;
 /// cheaper one; ties resolve to the simpler per-mode sweep, whose symbolic
 /// analysis is built only then.  Order-1 tensors always run per-mode (there
 /// is no tree over a single mode).
-fn resolve_plan(tensor: &SparseTensor, requested: TtmcStrategy) -> (SymbolicTtmc, Option<DimTree>) {
+fn resolve_plan(
+    tensor: &SparseTensor,
+    requested: TtmcStrategy,
+) -> Result<(SymbolicTtmc, Option<DimTree>), TuckerError> {
     if tensor.order() < 2 || requested == TtmcStrategy::PerMode {
-        return (SymbolicTtmc::build(tensor), None);
+        return Ok((SymbolicTtmc::try_build(tensor)?, None));
     }
-    let tree = DimTree::build(tensor);
-    let rows = SymbolicTtmc::from_tree(&tree, tensor.dims());
+    let tree = DimTree::try_build(tensor)?;
+    let rows = SymbolicTtmc::from_tree(&tree, tensor.dims())?;
     if requested == TtmcStrategy::Auto {
         let hint: Vec<usize> = tensor
             .dims()
@@ -165,10 +168,10 @@ fn resolve_plan(tensor: &SparseTensor, requested: TtmcStrategy) -> (SymbolicTtmc
         if tree_flops >= per_mode_flops {
             // The per-mode sweep won: free the tree before its lists grow.
             drop(tree);
-            return (SymbolicTtmc::build(tensor), None);
+            return Ok((SymbolicTtmc::try_build(tensor)?, None));
         }
     }
-    (rows, Some(tree))
+    Ok((rows, Some(tree)))
 }
 
 /// What one completed HOOI iteration looked like, as handed to an
@@ -300,10 +303,13 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
     ///
     /// Returns [`TuckerError::EmptyTensor`] for a tensor with no modes or
     /// no stored nonzeros, [`TuckerError::NonFiniteValue`] for a NaN or
-    /// infinite value, and [`TuckerError::PoolFailure`] (carrying the pool
-    /// runtime's reason) if the pool cannot be built.
+    /// infinite value, [`TuckerError::BufferTooLarge`] naming the mode when
+    /// a table with one word per index of a mode cannot be allocated, and
+    /// [`TuckerError::PoolFailure`] (carrying the pool runtime's reason) if
+    /// the pool cannot be built.
     pub fn plan(tensor: T, options: PlanOptions) -> Result<Self, TuckerError> {
-        validate_tensor(tensor.borrow())?;
+        // Validation sums the values' squares once; the norm is its root.
+        let squared_norm = validated_squared_norm(tensor.borrow())?;
         let t_pool = Instant::now();
         let pool = if options.use_caller_pool {
             // No workers of our own: parallel regions run on whatever pool
@@ -335,16 +341,13 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
                 Some(pool) => pool.install(|| resolve_plan(t, strategy)),
                 None => resolve_plan(t, strategy),
             }
-        };
+        }?;
         let symbolic_time = t0.elapsed();
-        let (order, norm) = {
-            let t = tensor.borrow();
-            (t.order(), t.frobenius_norm())
-        };
+        let order = tensor.borrow().order();
         Ok(TuckerSession {
             tensor,
             workspace: HooiWorkspace::for_order(order),
-            tensor_norm: norm,
+            tensor_norm: squared_norm.sqrt(),
             symbolic,
             dimtree,
             pool,

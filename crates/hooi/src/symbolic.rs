@@ -17,6 +17,7 @@
 //! set `J_n` alone, read off the tree's leaves, which already hold it.
 
 use crate::dimtree::DimTree;
+use crate::error::{try_filled, TuckerError};
 use rayon::prelude::*;
 use sptensor::csf::CsfMode;
 use sptensor::SparseTensor;
@@ -61,30 +62,37 @@ pub struct SymbolicMode {
 impl SymbolicMode {
     /// Builds the update lists for `mode`, then the CSF hierarchy the
     /// per-mode numeric kernel streams.
+    ///
+    /// # Panics
+    /// With the [`TuckerError::BufferTooLarge`] message when a table of the
+    /// mode's size cannot be allocated.
     pub fn build(tensor: &SparseTensor, mode: usize) -> Self {
-        let mut symbolic = SymbolicMode::update_lists(tensor, mode);
+        Self::try_build(tensor, mode).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::build`], with a per-index table the allocator refuses
+    /// returned as the [`TuckerError::BufferTooLarge`] naming the mode.
+    fn try_build(tensor: &SparseTensor, mode: usize) -> Result<Self, TuckerError> {
+        let mut symbolic = SymbolicMode::update_lists(tensor, mode)?;
         symbolic.attach_csf(tensor);
-        symbolic
+        Ok(symbolic)
     }
 
     /// The update lists for `mode` alone, with a counting pass followed by a
     /// filling pass (two passes over the nonzeros, no sort) — the form
     /// [`SymbolicTtmc::build_without_layout`] returns, which the per-mode
     /// kernel reads through its COO-gather fallback.
-    fn update_lists(tensor: &SparseTensor, mode: usize) -> Self {
+    fn update_lists(tensor: &SparseTensor, mode: usize) -> Result<Self, TuckerError> {
         assert!(mode < tensor.order());
         let dim = tensor.dims()[mode];
         // Pass 1: count nonzeros per row.
-        let mut counts = vec![0usize; dim];
+        let mut counts = try_filled(dim, 0usize, || row_table_name(mode))?;
         for t in 0..tensor.nnz() {
             counts[tensor.index(t)[mode]] += 1;
         }
         // Compact to nonempty rows.
         let rows: Vec<usize> = (0..dim).filter(|&i| counts[i] > 0).collect();
-        let mut row_pos = vec![usize::MAX; dim];
-        for (p, &i) in rows.iter().enumerate() {
-            row_pos[i] = p;
-        }
+        let row_pos = row_positions(mode, &rows, dim)?;
         let mut row_ptr = Vec::with_capacity(rows.len() + 1);
         row_ptr.push(0usize);
         for &i in &rows {
@@ -99,14 +107,14 @@ impl SymbolicMode {
             nonzero_ids[cursor[p]] = t;
             cursor[p] += 1;
         }
-        SymbolicMode {
+        Ok(SymbolicMode {
             mode,
             rows,
             row_ptr,
             nonzero_ids,
             row_pos,
             csf: None,
-        }
+        })
     }
 
     /// The row set of `mode` alone — `rows` is `J_n`, ascending — with the
@@ -114,19 +122,16 @@ impl SymbolicMode {
     /// lists: what a dimension-tree plan holds, since the tree serves TTMc
     /// from its own node structures and the TRSVD scatter and the core read
     /// only the rows.
-    fn from_rows(mode: usize, rows: Vec<usize>, dim: usize) -> Self {
-        let mut row_pos = vec![usize::MAX; dim];
-        for (p, &i) in rows.iter().enumerate() {
-            row_pos[i] = p;
-        }
-        SymbolicMode {
+    fn from_rows(mode: usize, rows: Vec<usize>, dim: usize) -> Result<Self, TuckerError> {
+        let row_pos = row_positions(mode, &rows, dim)?;
+        Ok(SymbolicMode {
             mode,
             rows,
             row_ptr: Vec::new(),
             nonzero_ids: Vec::new(),
             row_pos,
             csf: None,
-        }
+        })
     }
 
     /// Panics unless the update lists were built: on a dimension-tree plan's
@@ -217,6 +222,21 @@ impl SymbolicMode {
     }
 }
 
+/// Names the per-index tables of `mode` in [`TuckerError::BufferTooLarge`].
+fn row_table_name(mode: usize) -> String {
+    format!("row table of mode {mode}")
+}
+
+/// The inverse of `rows` over `0..dim`: each row's position, `usize::MAX`
+/// for the empty ones.
+fn row_positions(mode: usize, rows: &[usize], dim: usize) -> Result<Vec<usize>, TuckerError> {
+    let mut row_pos = try_filled(dim, usize::MAX, || row_table_name(mode))?;
+    for (p, &i) in rows.iter().enumerate() {
+        row_pos[i] = p;
+    }
+    Ok(row_pos)
+}
+
 /// Symbolic TTMc data for every mode of a tensor.
 #[derive(Debug, Clone)]
 pub struct SymbolicTtmc {
@@ -228,12 +248,24 @@ impl SymbolicTtmc {
     /// Builds the update lists and CSF hierarchies of all modes; modes are
     /// processed in parallel (the "symbolic TTMc of each dimension can be
     /// performed independently" observation of the paper).
+    ///
+    /// # Panics
+    /// With the [`TuckerError::BufferTooLarge`] message where
+    /// [`Self::try_build`] returns it.
     pub fn build(tensor: &SparseTensor) -> Self {
-        let modes: Vec<SymbolicMode> = (0..tensor.order())
+        Self::try_build(tensor).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::build`], with a per-index table the allocator refuses
+    /// returned as the [`TuckerError::BufferTooLarge`] naming its mode.
+    pub(crate) fn try_build(tensor: &SparseTensor) -> Result<Self, TuckerError> {
+        let modes: Vec<Result<SymbolicMode, TuckerError>> = (0..tensor.order())
             .into_par_iter()
-            .map(|m| SymbolicMode::build(tensor, m))
+            .map(|m| SymbolicMode::try_build(tensor, m))
             .collect();
-        SymbolicTtmc { modes }
+        Ok(SymbolicTtmc {
+            modes: modes.into_iter().collect::<Result<_, _>>()?,
+        })
     }
 
     /// [`build`](Self::build) without the CSF hierarchies: the update lists
@@ -245,7 +277,7 @@ impl SymbolicTtmc {
     pub fn build_without_layout(tensor: &SparseTensor) -> Self {
         let modes: Vec<SymbolicMode> = (0..tensor.order())
             .into_par_iter()
-            .map(|m| SymbolicMode::update_lists(tensor, m))
+            .map(|m| SymbolicMode::update_lists(tensor, m).unwrap_or_else(|e| panic!("{e}")))
             .collect();
         SymbolicTtmc { modes }
     }
@@ -256,13 +288,16 @@ impl SymbolicTtmc {
     /// dimension-tree plan's solves read here (the TRSVD scatters through
     /// the rows, the core selects factor rows by them).  `dims` are the
     /// tensor's mode sizes, which size the [`SymbolicMode::position_of`]
-    /// maps.
-    pub(crate) fn from_tree(tree: &DimTree, dims: &[usize]) -> Self {
-        let modes: Vec<SymbolicMode> = (0..tree.order())
+    /// maps, which the allocator may refuse
+    /// ([`TuckerError::BufferTooLarge`]).
+    pub(crate) fn from_tree(tree: &DimTree, dims: &[usize]) -> Result<Self, TuckerError> {
+        let modes: Vec<Result<SymbolicMode, TuckerError>> = (0..tree.order())
             .into_par_iter()
             .map(|m| SymbolicMode::from_rows(m, tree.leaf_rows(m).to_vec(), dims[m]))
             .collect();
-        SymbolicTtmc { modes }
+        Ok(SymbolicTtmc {
+            modes: modes.into_iter().collect::<Result<_, _>>()?,
+        })
     }
 
     /// The symbolic data for one mode.
@@ -392,7 +427,7 @@ mod tests {
     fn attached_csf_mirrors_update_list_order() {
         let t = sample();
         for mode in 0..3 {
-            let mut s = SymbolicMode::update_lists(&t, mode);
+            let mut s = SymbolicMode::update_lists(&t, mode).unwrap();
             assert!(s.csf().is_none());
             s.attach_csf(&t);
             let csf = s.csf().expect("csf attached");

@@ -30,7 +30,7 @@
 //! an overflow panic or an allocation abort.
 
 use crate::dimtree::DimTree;
-use crate::error::TuckerError;
+use crate::error::{try_filled, TuckerError};
 use crate::symbolic::SymbolicTtmc;
 use linalg::lanczos::LanczosWorkspace;
 use linalg::Matrix;
@@ -160,7 +160,7 @@ impl HooiWorkspace {
         if self.core.dims() == ranks {
             self.core.as_mut_slice().fill(0.0);
         } else {
-            let data = try_zeros(core_len(ranks)?, || CORE.to_string())?;
+            let data = try_filled(core_len(ranks)?, 0.0, || CORE.to_string())?;
             self.core = DenseTensor::from_vec(ranks.to_vec(), data);
         }
         Ok(())
@@ -373,19 +373,8 @@ fn core_len(ranks: &[usize]) -> Result<usize, TuckerError> {
         .ok_or_else(|| too_large(CORE.to_string()))
 }
 
-/// `len` zeros whose storage is reserved fallibly: a size the allocator
-/// refuses is the [`TuckerError::BufferTooLarge`] naming `buffer`, not an
-/// abort.
-fn try_zeros(len: usize, buffer: impl FnOnce() -> String) -> Result<Vec<f64>, TuckerError> {
-    let mut data = Vec::new();
-    data.try_reserve_exact(len)
-        .map_err(|_| too_large(buffer()))?;
-    data.resize(len, 0.0);
-    Ok(data)
-}
-
 /// A zeroed matrix of a shape the `*_shape` helpers checked, allocated by
-/// [`try_zeros`].
+/// [`try_filled`].
 fn try_matrix(
     (rows, cols): (usize, usize),
     buffer: impl FnOnce() -> String,
@@ -393,7 +382,7 @@ fn try_matrix(
     Ok(Matrix::from_vec(
         rows,
         cols,
-        try_zeros(rows * cols, buffer)?,
+        try_filled(rows * cols, 0.0, buffer)?,
     ))
 }
 

@@ -283,15 +283,22 @@ fn malformed_inputs_are_errors_not_panics() {
 type Outcome = Result<(Vec<usize>, Vec<usize>, Vec<u64>, Vec<usize>), String>;
 
 fn outcome(data: &[u8], options: &StreamOptions) -> Outcome {
-    let mut chunks = Vec::new();
+    let (mut chunks, mut streamed) = (Vec::new(), (Vec::new(), Vec::new()));
     stream_tns(Cursor::new(data), options, |chunk| {
         chunks.push(chunk.len());
+        streamed.0.extend_from_slice(chunk.indices);
+        streamed.1.extend(chunk.values.iter().map(|v| v.to_bits()));
         Ok(())
     })
     .map_err(|e| format!("{e:?}"))?;
     let (t, _) = read_tns_streamed(Cursor::new(data), options).map_err(|e| format!("{e:?}"))?;
-    let indices = (0..t.nnz()).flat_map(|k| t.index(k).to_vec()).collect();
-    let bits = t.values().iter().map(|v| v.to_bits()).collect();
+    let indices: Vec<usize> = (0..t.nnz()).flat_map(|k| t.index(k).to_vec()).collect();
+    let bits: Vec<u64> = t.values().iter().map(|v| v.to_bits()).collect();
+    // Both entry points read the same entries.
+    assert!(
+        streamed == (indices.clone(), bits.clone()),
+        "stream_tns and read_tns_streamed differ"
+    );
     Ok((t.dims().to_vec(), indices, bits, chunks))
 }
 
@@ -466,5 +473,321 @@ fn a_line_cut_by_the_read_window_parses_the_same_at_every_byte() {
                 (got, _) => panic!("k {k}: {got:?}"),
             }
         }
+    }
+}
+
+/// A tensor's dims, flat indices and value bits, or the first error's
+/// variant and line.
+type Reference = Result<(Vec<usize>, Vec<usize>, Vec<u64>), (&'static str, usize)>;
+
+/// Blank lines reserve no entry slots beyond what their bytes could hold: a
+/// wide first entry followed by millions of empty lines used to ask the
+/// allocator for one `order`-wide slot per line — terabytes — and abort.
+#[test]
+fn blank_lines_after_a_wide_entry_reserve_next_to_nothing() {
+    let order = 100_000;
+    let mut data = "1 ".repeat(order).into_bytes();
+    data.extend_from_slice(b"-1.5\n");
+    data.extend(std::iter::repeat_n(b'\n', 3_000_000));
+    data.extend_from_slice(b"2 ");
+    data.extend_from_within(2..2 * order + 5);
+    let (t, _) = read_tns_streamed(Cursor::new(&data), &StreamOptions::new()).unwrap();
+    assert_eq!((t.order(), t.nnz()), (order, 2));
+    assert_eq!(t.index(1)[0], 1);
+    let (info, stats) = stream_tns(Cursor::new(&data), &StreamOptions::new(), |_| Ok(())).unwrap();
+    assert_eq!(info.nnz, 2);
+    let word = std::mem::size_of::<usize>();
+    assert!(
+        stats.peak_buffer_bytes <= 4 * (order + 1) * word,
+        "{stats:?}"
+    );
+}
+
+/// The documented grammar read the plain way — whole lines, `trim_ascii`,
+/// fields split on ASCII whitespace, `str::parse` — as a reference for the
+/// streaming reader: the dims, flat indices and value bits, or the first
+/// error's variant and line (`("Empty", 0)` for a text without entries).
+fn reference_read(data: &[u8]) -> Reference {
+    let parse = |line| Err(("Parse", line));
+    let mut declared: Option<Vec<usize>> = None;
+    let mut maxes: Vec<usize> = Vec::new();
+    let (mut indices, mut bits) = (Vec::new(), Vec::new());
+    let mut order = None;
+    let mut lines: Vec<&[u8]> = data.split(|&b| b == b'\n').collect();
+    if data.ends_with(b"\n") {
+        lines.pop();
+    }
+    for (k, line) in lines.into_iter().enumerate() {
+        let lineno = k + 1;
+        let Ok(line) = std::str::from_utf8(line) else {
+            return parse(lineno);
+        };
+        let trimmed = line.trim_ascii();
+        if trimmed.is_empty() || trimmed.starts_with(['#', '%']) {
+            if order.is_none() && declared.is_none() {
+                let header = (trimmed.strip_prefix(['#', '%']))
+                    .and_then(|body| body.trim_ascii_start().strip_prefix("dims:"));
+                declared = header.and_then(|rest| {
+                    let dims: Option<Vec<usize>> = rest
+                        .split_ascii_whitespace()
+                        .map(|f| f.parse().ok())
+                        .collect();
+                    dims.filter(|d| !d.is_empty())
+                });
+            }
+            continue;
+        }
+        let fields: Vec<&str> = trimmed.split_ascii_whitespace().collect();
+        if fields.len() < 2 {
+            return parse(lineno);
+        }
+        let n = *order.get_or_insert(fields.len() - 1);
+        if fields.len() - 1 != n || declared.as_ref().is_some_and(|d| d.len() != n) {
+            return parse(lineno);
+        }
+        maxes.resize(n, 0);
+        for (mode, field) in fields[..n].iter().enumerate() {
+            match field.parse::<usize>() {
+                Ok(0) | Err(_) => return parse(lineno),
+                Ok(i) if declared.as_ref().is_some_and(|d| i > d[mode]) => {
+                    return Err(("IndexOutOfRange", lineno))
+                }
+                Ok(i) => {
+                    indices.push(i - 1);
+                    maxes[mode] = maxes[mode].max(i);
+                }
+            }
+        }
+        match fields[n].parse::<f64>() {
+            Ok(v) if v.is_finite() => bits.push(v.to_bits()),
+            _ => return parse(lineno),
+        }
+    }
+    if order.is_none() {
+        return Err(("Empty", 0));
+    }
+    Ok((declared.unwrap_or(maxes), indices, bits))
+}
+
+/// A `.tns` text drawn from the grammar: an optional (sometimes wrong)
+/// `# dims:` header, entry lines with runs of every ASCII whitespace byte
+/// between fields, `+` signs, leading zeros, out-of-range and overflowing
+/// indices, values in every float syntax, comments, blank lines, the odd
+/// line of the wrong arity, CRLF endings and sometimes no final newline.
+/// Unless `hostile`, every line is well formed.
+fn grammar_text(rng: &mut Rng, lines: usize, hostile: bool) -> Vec<u8> {
+    const SPACE: &[u8] = b" \t\r\x0c";
+    const VALUES: &[&str] = &[
+        "1",
+        "-2.5",
+        "+3.",
+        ".5",
+        "-.25",
+        "1e10",
+        "1E-5",
+        "-0.0",
+        "0",
+        "4e-320",
+        "1.7976931348623157e308",
+        "2.2250738585072014e-308",
+        "inf",
+        "-inf",
+        "NaN",
+        "infinity",
+        "1e999",
+        "-1e999",
+        "0x10",
+        "1_0",
+        "1e",
+        "e5",
+        "--1",
+        "+-1",
+        "1.5.2",
+        "",
+    ];
+    // The well-formed values come first.
+    const FINITE: usize = 12;
+    let pick = |rng: &mut Rng, n: usize, well_formed: usize| {
+        if hostile {
+            rng.below(n)
+        } else {
+            rng.below(well_formed)
+        }
+    };
+    let order = 1 + rng.below(4);
+    let dims: Vec<usize> = (0..order).map(|_| 1 + rng.below(12)).collect();
+    let space = |rng: &mut Rng| -> Vec<u8> {
+        (0..1 + rng.below(3))
+            .map(|_| SPACE[rng.below(SPACE.len())])
+            .collect()
+    };
+    let mut text = Vec::new();
+    if rng.below(2) == 0 {
+        let mut header = dims.clone();
+        match pick(rng, 6, 2) {
+            4 => header.push(3),
+            5 => header[0] = header[0].saturating_sub(1),
+            _ => {}
+        }
+        let marker = if rng.below(4) == 0 { "%" } else { "#" };
+        let list: Vec<String> = header.iter().map(|d| d.to_string()).collect();
+        text.extend_from_slice(format!("{marker} dims: {}\n", list.join(" ")).as_bytes());
+    }
+    for _ in 0..lines {
+        if rng.below(10) == 0 {
+            text.extend(space(rng));
+        }
+        match rng.below(20) {
+            0 => text.extend_from_slice(b"# a comment, 1 2 3\t4"),
+            1 => text.extend_from_slice(b"%"),
+            2 => {}
+            3 => text.extend(space(rng)),
+            _ => {
+                let arity = match pick(rng, 40, 38) {
+                    38 => order + 1,
+                    39 => order.saturating_sub(1),
+                    _ => order,
+                };
+                for mode in 0..arity {
+                    let dim = dims[mode % order];
+                    let index = match pick(rng, 60, 55) {
+                        0 => format!("+{}", 1 + rng.below(dim)),
+                        1 => format!("000000000000000000000{}", 1 + rng.below(dim)),
+                        55 => "0".to_string(),
+                        56 => "18446744073709551616".to_string(),
+                        57 => "18446744073709551615".to_string(),
+                        58 => format!("{}", dim + 1),
+                        59 => "-1".to_string(),
+                        _ => format!("{}", 1 + rng.below(dim)),
+                    };
+                    text.extend_from_slice(index.as_bytes());
+                    text.extend(space(rng));
+                }
+                let value = if rng.below(3) == 0 {
+                    VALUES[pick(rng, VALUES.len(), FINITE)].to_string()
+                } else if rng.below(2) == 0 {
+                    format!("{:e}", rng.value())
+                } else {
+                    format!("{}", rng.value())
+                };
+                text.extend_from_slice(value.as_bytes());
+            }
+        }
+        if rng.below(8) == 0 {
+            text.extend(space(rng));
+        }
+        text.extend_from_slice(if rng.below(8) == 0 { b"\r\n" } else { b"\n" });
+    }
+    if rng.below(5) == 0 {
+        text.pop();
+    }
+    text
+}
+
+/// Byte-level mutations: a byte replaced, inserted or deleted — among them
+/// the vertical tab `\x0b` (not a separator), newlines, signs, digits and
+/// bytes ≥ 0x80 that are or are not valid UTF-8.
+fn mutate(rng: &mut Rng, text: &mut Vec<u8>) {
+    const BYTES: &[&[u8]] = &[
+        b"\x0b",
+        b" ",
+        b"\t",
+        b"\n",
+        b"\r",
+        b"\x0c",
+        b"#",
+        b"%",
+        b"+",
+        b"-",
+        b"0",
+        b"9",
+        b".",
+        b"e",
+        b"\x00",
+        b"\xff",
+        b"\xe9",
+        b"\xc2\xa0",
+        "é".as_bytes(),
+        b"\xc2",
+    ];
+    for _ in 0..1 + rng.below(3) {
+        let at = rng.below(text.len() + 1);
+        let bytes = BYTES[rng.below(BYTES.len())];
+        match rng.below(3) {
+            0 if at < text.len() => {
+                text.splice(at..at + 1, bytes.iter().copied());
+            }
+            1 if at < text.len() => {
+                text.remove(at);
+            }
+            _ => {
+                text.splice(at..at, bytes.iter().copied());
+            }
+        }
+    }
+}
+
+#[test]
+fn grammar_texts_and_byte_mutations_read_as_the_reference_does() {
+    let pools = pools();
+    let mut rng = Rng(0x0b7e_5ca1_ab1e);
+    let check = |data: &[u8], case: usize| {
+        let got = read_everywhere(data, &pools);
+        let want = reference_read(data);
+        let what = || {
+            String::from_utf8_lossy(data)
+                .chars()
+                .take(200)
+                .collect::<String>()
+        };
+        match (&got, &want) {
+            (Ok((dims, indices, bits, _)), Ok(want)) => {
+                assert_eq!(
+                    &(dims.clone(), indices.clone(), bits.clone()),
+                    want,
+                    "case {case}: {:?}",
+                    what()
+                )
+            }
+            (Err(e), Err(("Empty", _))) => assert_eq!(e, "Empty", "case {case}: {:?}", what()),
+            (Err(e), Err(("IndexOutOfRange", line))) => assert!(
+                e.starts_with(&format!("IndexOutOfRange {{ line: {line},")),
+                "case {case}: {:?}: expected IndexOutOfRange on line {line}, got {e}",
+                what()
+            ),
+            (Err(e), Err((variant, line))) => assert!(
+                e.starts_with(&format!("{variant}({line},")),
+                "case {case}: {:?}: expected {variant} on line {line}, got {e}",
+                what()
+            ),
+            _ => panic!(
+                "case {case}: {:?}: read {got:?}, reference {want:?}",
+                what()
+            ),
+        }
+    };
+    for case in 0..2000 {
+        let lines = rng.below(12);
+        let mut text = grammar_text(&mut rng, lines, case % 4 > 0);
+        if case % 3 > 0 {
+            mutate(&mut rng, &mut text);
+        }
+        check(&text, case);
+    }
+    // Well-formed texts long enough to be cut into several parts per window
+    // at every width (parts hold 1 MiB / width or more), the last into
+    // several windows (2 MiB each), some mutated in their second half.
+    for (case, lines) in [12_000, 50_000, 50_000, 200_000].into_iter().enumerate() {
+        let mut text = grammar_text(&mut rng, lines, false);
+        while lines > 100_000 && text.len() <= 4 << 20 {
+            text = grammar_text(&mut rng, lines, false);
+        }
+        if case == 1 || case == 2 {
+            let half = text.split_off(text.len() / 2);
+            let mut tail = half;
+            mutate(&mut rng, &mut tail);
+            text.extend(tail);
+        }
+        check(&text, 2000 + case);
     }
 }

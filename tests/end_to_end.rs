@@ -311,6 +311,45 @@ fn overflow_sized_modes_are_typed_errors_not_panics() {
     }
 }
 
+/// A mode far too large for any allocator but inside `isize` words — here
+/// declared by a `.tns` header, as a hostile file would — fails planning
+/// with the typed error naming the mode, at every strategy and pool width,
+/// instead of aborting the process in a per-index table.
+#[test]
+fn impractical_modes_are_typed_errors_not_aborts() {
+    for mode in 0..3 {
+        let mut dims = [2, 2, 2];
+        dims[mode] = 1 << 59;
+        let text = format!(
+            "# dims: {} {} {}\n1 1 1 1.0\n2 1 2 -0.5\n1 2 2 0.25\n",
+            dims[0], dims[1], dims[2]
+        );
+        let tensor =
+            tucker_repro::sptensor::io::read_tns(std::io::Cursor::new(text), None).unwrap();
+        assert_eq!(tensor.dims(), &dims[..]);
+        for strategy in [
+            TtmcStrategy::Auto,
+            TtmcStrategy::DimensionTree,
+            TtmcStrategy::PerMode,
+        ] {
+            for threads in [1, 2] {
+                let options = PlanOptions::new()
+                    .num_threads(threads)
+                    .ttmc_strategy(strategy);
+                match TuckerSolver::plan(&tensor, options) {
+                    Err(TuckerError::BufferTooLarge { buffer }) => assert!(
+                        buffer.ends_with(&format!("of mode {mode}")),
+                        "mode {mode}, {strategy:?}: {buffer}"
+                    ),
+                    other => {
+                        panic!("mode {mode}, {strategy:?}: expected BufferTooLarge, got {other:?}")
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn observer_can_budget_iterations_from_outside() {
     let tensor = random_tensor(&[20, 20, 20], 1_000, 5);

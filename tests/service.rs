@@ -387,6 +387,40 @@ fn non_finite_in_memory_tensor_is_rejected_at_ingest() {
     assert_eq!(svc.tensor_ids(), vec!["good".to_string()]);
 }
 
+/// A mode far too large for any allocator fails the ingest's plan with the
+/// typed error naming it — it used to abort the whole process, every
+/// tenant's requests with it — and the service answers the next request.
+#[test]
+fn impractical_modes_are_rejected_at_ingest_and_the_service_keeps_serving() {
+    let mut svc = DecompositionService::new(ServiceOptions::new().num_threads(2)).unwrap();
+    let huge = SparseTensor::from_entries(
+        vec![2, 1 << 59, 2],
+        &[
+            (vec![0, 0, 0], 1.0),
+            (vec![1, 5, 1], -0.5),
+            (vec![0, 7, 1], 0.25),
+        ],
+    );
+    svc.submit(
+        "tenant",
+        Request::Ingest {
+            tensor_id: "huge".into(),
+            tensor: Arc::new(huge),
+        },
+    );
+    svc.submit("tenant", ingest("good", 3));
+    svc.submit("tenant", decompose("good", 1));
+    let done = svc.run_until_idle();
+    match done[0].outcome.as_ref().unwrap_err() {
+        TuckerError::BufferTooLarge { buffer } => {
+            assert!(buffer.ends_with("of mode 1"), "{buffer}")
+        }
+        other => panic!("expected BufferTooLarge, got {other:?}"),
+    }
+    assert!(decomposition(&done[2].outcome).final_fit().is_finite());
+    assert_eq!(svc.tensor_ids(), vec!["good".to_string()]);
+}
+
 /// A tensor whose finite values square out of the normal `f64` range —
 /// overflowing, or underflowing to zero — never reaches a plan either: the
 /// ingest answers the typed error uncharged and the id stays unregistered.
