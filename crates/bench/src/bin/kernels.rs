@@ -69,7 +69,7 @@ use linalg::blas::{par_gemm_nt_into, par_gemv, par_gemv_normal, par_gemv_t, par_
 use linalg::eig::symmetric_eig;
 use linalg::simd::{self, AlignedVec, KernelIsa};
 use linalg::Matrix;
-use sptensor::kron::accumulate_scaled_kron_isa;
+use sptensor::kron::accumulate_scaled_kron;
 use std::time::Instant;
 
 /// Rank grid: powers of two for the full-lane fast path, odd sizes for the
@@ -178,13 +178,9 @@ impl Case {
             "axpy" => simd::axpy(isa, self.alpha, &self.u, out),
             "scaled_outer2" => simd::scaled_outer2(isa, self.alpha, &self.u, &self.v, out),
             "scaled_outer3" => simd::scaled_outer3(isa, self.alpha, &self.u, &self.v, &self.w, out),
-            "kron3_materialized" => accumulate_scaled_kron_isa(
-                isa,
-                self.alpha,
-                &[&self.u, &self.v, &self.w],
-                out,
-                scratch,
-            ),
+            "kron3_materialized" => {
+                accumulate_scaled_kron(isa, self.alpha, &[&self.u, &self.v, &self.w], out, scratch)
+            }
             other => unreachable!("unknown kernel {other}"),
         }
     }
@@ -282,7 +278,7 @@ fn measure_case(case: &Case, isas: &[KernelIsa]) -> Vec<f64> {
             simd::scaled_outer3(isa, case.alpha, &case.u, &case.v, &case.w, out)
         }),
         "kron3_materialized" => measure_cell(case.out_len, isas, |isa, out, s| {
-            accumulate_scaled_kron_isa(isa, case.alpha, &[&case.u, &case.v, &case.w], out, s)
+            accumulate_scaled_kron(isa, case.alpha, &[&case.u, &case.v, &case.w], out, s)
         }),
         other => unreachable!("unknown kernel {other}"),
     }

@@ -1155,7 +1155,8 @@ fn execute(
     );
     let p = setup.config.num_ranks;
     let t0 = Instant::now();
-    let global_sym = SymbolicTtmc::build(tensor);
+    // The root reads only each mode's row set and its positions: no CSF.
+    let global_sym = SymbolicTtmc::build_without_layout(tensor);
     let exec_plan = ExecPlan::build(tensor, setup, &global_sym);
     let ctx = ExecContext {
         tensor,

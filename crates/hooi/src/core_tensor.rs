@@ -10,6 +10,8 @@
 use crate::symbolic::SymbolicMode;
 use linalg::blas::gemm_tn;
 use linalg::Matrix;
+use sptensor::kron::accumulate_scaled_kron;
+use sptensor::simd::KernelIsa;
 use sptensor::{DenseTensor, SparseTensor};
 
 /// Forms the core tensor from the *last mode's* TTMc result, writing into
@@ -59,7 +61,13 @@ pub fn core_from_scratch(tensor: &SparseTensor, factors: &[Matrix]) -> DenseTens
         for (t, &i) in idx.iter().enumerate() {
             rows.push(factors[t].row(i));
         }
-        sptensor::kron::accumulate_scaled_kron(value, &rows, &mut data, &mut scratch);
+        accumulate_scaled_kron(
+            KernelIsa::resolved_default(),
+            value,
+            &rows,
+            &mut data,
+            &mut scratch,
+        );
     }
     DenseTensor::from_vec(ranks, data)
 }

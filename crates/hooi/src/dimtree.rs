@@ -769,8 +769,8 @@ impl DimTree {
     /// # Panics
     /// Panics if the tensor has fewer than two modes (callers fall back to
     /// the per-mode strategy there) or no nonzeros, and with the
-    /// [`TuckerError::BufferTooLarge`] message where [`Self::try_build`]
-    /// returns it.
+    /// [`TuckerError::BufferTooLarge`] message when a per-index table is
+    /// larger than the allocator grants.
     pub fn build(tensor: &SparseTensor) -> Self {
         Self::try_build(tensor).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -935,11 +935,6 @@ impl DimTree {
     /// Number of nodes (`2·order − 1`).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Id of the leaf node of `mode`.
-    pub fn leaf_of_mode(&self, mode: usize) -> usize {
-        self.leaf_of_mode[mode]
     }
 
     /// The rows of `mode`'s leaf: the sorted set `J_n` of mode indices with
@@ -1121,8 +1116,8 @@ impl DimTree {
     }
 
     /// Computes node `id`'s value matrix from its parent's, parallel over
-    /// the node's entries, at the given kernel tier (the solver threads its
-    /// plan-resolved [`KernelIsa`] through, see
+    /// the node's entries, at the given kernel tier (the solver threads the
+    /// process tier through, see
     /// [`crate::TuckerSolver::kernel_isa`]).  `parent_values` must be `None`
     /// exactly when the parent is the root (the tensor itself, whose values
     /// the root's children copied at build time); `out` must be
@@ -1398,7 +1393,7 @@ pub(crate) fn permute_columns(src: &Matrix, perm: &[usize], dst: &mut Matrix) {
 /// on their next use.  `tensor` is only checked against the tree: the
 /// values come from the tree's children of the root, copied when it was
 /// built, so `tensor` must be the one the tree was built for.  `isa` is the
-/// plan-resolved kernel tier (see [`crate::TuckerSolver::kernel_isa`]).
+/// kernel tier (the solver's is [`crate::TuckerSolver::kernel_isa`]).
 ///
 /// # Panics
 /// Panics if `tensor`'s nonzero count differs from the tree's.
@@ -1412,7 +1407,7 @@ pub fn serve_mode_into_isa(
     workspace: &mut HooiWorkspace,
     isa: KernelIsa,
 ) {
-    let leaf = tree.leaf_of_mode(mode);
+    let leaf = tree.leaf_of_mode[mode];
     assert_eq!(
         tree.nnz(),
         tensor.nnz(),
@@ -1510,7 +1505,7 @@ mod tests {
         assert_eq!(tree.num_nodes(), 7);
         assert_eq!(tree.order(), 4);
         for mode in 0..4 {
-            let leaf = tree.leaf_of_mode(mode);
+            let leaf = tree.leaf_of_mode[mode];
             assert!(tree.is_leaf(leaf));
             assert!(tree.node_contains_mode(leaf, mode));
         }
@@ -1575,7 +1570,7 @@ mod tests {
         let tree = DimTree::build(&t);
         let sym = SymbolicTtmc::build(&t);
         for mode in 0..4 {
-            let node = &tree.nodes[tree.leaf_of_mode(mode)];
+            let node = &tree.nodes[tree.leaf_of_mode[mode]];
             assert_eq!(node.entry_idx, sym.mode(mode).rows, "mode {mode}");
         }
     }

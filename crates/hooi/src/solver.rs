@@ -73,14 +73,6 @@ pub struct PlanOptions {
     /// modeled flops for this tensor and keeps the cheaper one.  Single-
     /// mode tensors fall back to [`TtmcStrategy::PerMode`] silently.
     pub ttmc_strategy: TtmcStrategy,
-    /// Which SIMD kernel tier the session's numeric kernels run at; defaults
-    /// to [`KernelIsa::Auto`] (the widest tier that stays bit-identical to
-    /// scalar — AVX2 where the hardware has it).  Resolved to a concrete
-    /// tier at plan time ([`KernelIsa::resolve`], which also honors the
-    /// `TUCKER_KERNEL` environment override) and fixed for the session's
-    /// lifetime, so every solve of one plan runs the same kernels;
-    /// [`TuckerSession::kernel_isa`] reports the resolution.
-    pub kernel_isa: KernelIsa,
     /// When `true`, the session builds **no pool of its own**: the symbolic
     /// analysis and every solve run in whatever thread context the caller
     /// establishes (e.g. inside `shared_pool.install(..)`).  This is how a
@@ -109,12 +101,6 @@ impl PlanOptions {
     /// Builder-style setter for the TTMc strategy of the session.
     pub fn ttmc_strategy(mut self, strategy: TtmcStrategy) -> Self {
         self.ttmc_strategy = strategy;
-        self
-    }
-
-    /// Builder-style setter for the SIMD kernel tier of the session.
-    pub fn kernel_isa(mut self, isa: KernelIsa) -> Self {
-        self.kernel_isa = isa;
         self
     }
 
@@ -280,8 +266,6 @@ pub struct TuckerSession<T: std::borrow::Borrow<SparseTensor>> {
     symbolic_time: Duration,
     pool_build_time: Duration,
     completed_solves: usize,
-    /// Concrete kernel tier resolved at plan time; every solve runs it.
-    kernel_isa: KernelIsa,
 }
 
 /// The borrowing [`TuckerSession`]: plans against `&'a SparseTensor`, so
@@ -354,7 +338,6 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
             symbolic_time,
             pool_build_time,
             completed_solves: 0,
-            kernel_isa: options.kernel_isa.resolve(),
         })
     }
 
@@ -397,13 +380,12 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
         }
     }
 
-    /// The concrete SIMD kernel tier this session's numeric kernels run at:
-    /// the plan-time [`PlanOptions::kernel_isa`] request after
-    /// [`KernelIsa::resolve`] applied the `TUCKER_KERNEL` environment
-    /// override and downgraded tiers the hardware lacks.  Never
-    /// [`KernelIsa::Auto`].
+    /// The SIMD kernel tier this session's numeric kernels run at: the
+    /// process-wide [`KernelIsa::resolved_default`] (AVX2 where the hardware
+    /// has it, unless `TUCKER_KERNEL` forces a tier), the same for every
+    /// session and every solve.
     pub fn kernel_isa(&self) -> KernelIsa {
-        self.kernel_isa
+        KernelIsa::resolved_default()
     }
 
     /// Wall-clock time the one-time symbolic analysis took.
@@ -506,13 +488,11 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
             dimtree,
             workspace,
             pool,
-            kernel_isa,
             ..
         } = self;
         let tensor: &SparseTensor = (*tensor).borrow();
         let tensor_norm = *tensor_norm;
         let tree = dimtree.as_ref();
-        let isa = *kernel_isa;
         let mut run = move || {
             run_hooi(
                 tensor,
@@ -524,7 +504,6 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
                 config,
                 symbolic_time,
                 pool_time,
-                isa,
                 observer,
             )
         };
@@ -586,10 +565,10 @@ fn run_hooi(
     config: &TuckerConfig,
     symbolic_time: Duration,
     pool_time: Duration,
-    isa: KernelIsa,
     observer: &mut dyn IterationObserver,
 ) -> Result<TuckerDecomposition, TuckerError> {
     let order = tensor.order();
+    let isa = KernelIsa::resolved_default();
     let mut timings = TimingBreakdown {
         symbolic: symbolic_time,
         pool: pool_time,
@@ -1080,24 +1059,12 @@ mod tests {
     }
 
     #[test]
-    fn kernel_isa_is_resolved_concrete_at_plan_time() {
+    fn kernel_isa_is_the_process_tier() {
         let t = random_tensor(&[10, 10, 10], 200, 3);
         let solver = TuckerSolver::plan(&t, PlanOptions::new().num_threads(1)).unwrap();
         let isa = solver.kernel_isa();
-        assert_ne!(isa, KernelIsa::Auto);
+        assert_eq!(isa, KernelIsa::resolved_default());
         assert!(isa.supported());
-        // An explicit scalar request sticks unless the `TUCKER_KERNEL`
-        // environment override redirects every resolution.
-        if KernelIsa::from_env().is_none() {
-            let solver = TuckerSolver::plan(
-                &t,
-                PlanOptions::new()
-                    .num_threads(1)
-                    .kernel_isa(KernelIsa::Scalar),
-            )
-            .unwrap();
-            assert_eq!(solver.kernel_isa(), KernelIsa::Scalar);
-        }
     }
 
     #[test]

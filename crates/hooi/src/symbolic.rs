@@ -181,16 +181,6 @@ impl SymbolicMode {
         self.csf.as_ref()
     }
 
-    /// The length of the longest update list — the largest atomic task in
-    /// this mode, which bounds the parallel load imbalance.
-    pub fn max_update_list_len(&self) -> usize {
-        self.require_update_lists();
-        (0..self.num_rows())
-            .map(|p| self.row_ptr[p + 1] - self.row_ptr[p])
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Per-row scheduling weights: `costs[p]` is the update-list length of
     /// the `p`-th non-empty row.  Every nonzero contributes the same
     /// `2·Π_{t≠n} R_t` flops to its row, so the list length *is* the row's
@@ -250,8 +240,8 @@ impl SymbolicTtmc {
     /// performed independently" observation of the paper).
     ///
     /// # Panics
-    /// With the [`TuckerError::BufferTooLarge`] message where
-    /// [`Self::try_build`] returns it.
+    /// With the [`TuckerError::BufferTooLarge`] message when a per-index
+    /// table is larger than the allocator grants.
     pub fn build(tensor: &SparseTensor) -> Self {
         Self::try_build(tensor).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -468,15 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn max_update_list_len_matches_histogram() {
-        let t = sample();
-        let s = SymbolicMode::build(&t, 0);
-        assert_eq!(s.max_update_list_len(), 2);
-        let s1 = SymbolicMode::build(&t, 1);
-        assert_eq!(s1.max_update_list_len(), 2);
-    }
-
-    #[test]
     fn mode_parallel_build_matches_per_mode_builds() {
         let t = sample();
         let a = SymbolicTtmc::build(&t);
@@ -494,7 +475,6 @@ mod tests {
         let t = SparseTensor::new(vec![3, 3]);
         let s = SymbolicTtmc::build(&t);
         assert_eq!(s.mode(0).num_rows(), 0);
-        assert_eq!(s.mode(0).max_update_list_len(), 0);
     }
 
     #[test]

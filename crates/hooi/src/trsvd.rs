@@ -45,8 +45,7 @@
 
 use crate::config::TrsvdBackend;
 use crate::symbolic::SymbolicMode;
-use linalg::lanczos::{lanczos_svd_with, LanczosWorkspace};
-use linalg::operator::DenseOperator;
+use linalg::lanczos::{lanczos_svd, LanczosWorkspace};
 use linalg::svd::dense_svd;
 use linalg::Matrix;
 
@@ -92,8 +91,7 @@ pub fn trsvd_factor_with(
     } else {
         match backend {
             TrsvdBackend::Lanczos => {
-                let op = DenseOperator::parallel(compact);
-                let svd = lanczos_svd_with(&op, effective_rank, seed, scratch);
+                let svd = lanczos_svd(compact, effective_rank, seed, scratch);
                 (svd.u, svd.singular_values, svd.operator_applications)
             }
             TrsvdBackend::Dense => {

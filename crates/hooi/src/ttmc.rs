@@ -25,7 +25,7 @@ use crate::symbolic::SymbolicMode;
 use linalg::Matrix;
 use rayon::prelude::*;
 use sptensor::csf::{CsfData, CsfIndex, CsfMode};
-use sptensor::kron::accumulate_scaled_kron_isa;
+use sptensor::kron::accumulate_scaled_kron;
 use sptensor::simd::{self, KernelIsa};
 use sptensor::SparseTensor;
 
@@ -83,7 +83,7 @@ fn compute_row<'a>(
                     }
                     rows.push(factor.row(index[t]));
                 }
-                accumulate_scaled_kron_isa(isa, tensor.value(id), rows, out, scratch);
+                accumulate_scaled_kron(isa, tensor.value(id), rows, out, scratch);
             }
         }
     }
@@ -262,7 +262,7 @@ fn walk_csf<'a, I: CsfIndex>(
     if arity == 0 {
         // Order-1 tensor: no foreign modes, each leaf adds its value.
         for k in lo..hi {
-            accumulate_scaled_kron_isa(isa, csf.value(k), rows, out, scratch);
+            accumulate_scaled_kron(isa, csf.value(k), rows, out, scratch);
         }
         return;
     }
@@ -271,7 +271,7 @@ fn walk_csf<'a, I: CsfIndex>(
         let (ids, values) = csf.leaves(lo, hi);
         for (k, &x) in values.iter().enumerate() {
             rows.push(factors[foreign].row(ids[k].to_usize()));
-            accumulate_scaled_kron_isa(isa, x, rows, out, scratch);
+            accumulate_scaled_kron(isa, x, rows, out, scratch);
             rows.pop();
         }
         return;
@@ -324,7 +324,7 @@ pub fn ttmc_mode(
 /// caller-provided compact result matrix — the allocation-free form the
 /// planned solver session uses, so the `|J_n| × Π_{t≠mode} R_t` buffer is
 /// reused across iterations (see [`crate::workspace::HooiWorkspace`]) and
-/// every sweep runs the ISA resolved at plan time
+/// every sweep runs the process tier
 /// ([`crate::TuckerSolver::kernel_isa`]).  `Scalar` and `Avx2` are
 /// bit-identical.
 ///
@@ -433,7 +433,7 @@ pub fn ttmc_contribution_into<'a>(
         }
         rows.push(factors[t].row(index[t]));
     }
-    accumulate_scaled_kron_isa(KernelIsa::resolved_default(), value, rows, out, scratch);
+    accumulate_scaled_kron(KernelIsa::resolved_default(), value, rows, out, scratch);
 }
 
 fn validate_factors(tensor: &SparseTensor, factors: &[Matrix], mode: usize) {

@@ -290,7 +290,7 @@ fn gram_rows_per_partial(nrows: usize) -> usize {
 /// ([`simd::gram_accumulate`]); the partials are summed in span order and
 /// the triangle mirrored.  Every entry is one add chain in row order within
 /// its span, so the bits depend on neither the pool width nor the tier
-/// `isa` (pass a [resolved](KernelIsa::resolve) one).
+/// `isa`.
 /// With `A = Y_(n)` this is the `Π R_t`-square matrix whose leading
 /// eigenvectors are the right singular vectors the TRSVD needs
 /// ([`crate::lanczos`]).
@@ -583,14 +583,12 @@ mod tests {
 
     #[test]
     fn fused_normal_product_equals_the_two_products_bit_for_bit() {
-        use crate::operator::{DenseOperator, LinearOperator};
         let both = |t: Vec<f64>, y: Vec<f64>| [t, y].concat();
         let fused = width_independent_bits(|a| {
             let (mut t, mut y) = (vec![f64::NAN; a.nrows()], vec![f64::NAN; a.ncols()]);
-            DenseOperator::parallel(a).apply_normal(&test_vector(a.ncols()), &mut t, &mut y);
+            par_gemv_normal(a, &test_vector(a.ncols()), &mut t, &mut y);
             both(t, y)
         });
-        // The trait's default body: `apply`, then `apply_transpose`.
         let composed = width_independent_bits(|a| {
             let (mut t, mut y) = (vec![f64::NAN; a.nrows()], vec![f64::NAN; a.ncols()]);
             par_gemv(a, &test_vector(a.ncols()), &mut t);
@@ -602,15 +600,13 @@ mod tests {
 
     #[test]
     fn block_product_equals_the_column_loop_bit_for_bit() {
-        use crate::operator::{DenseOperator, LinearOperator};
         for k in [1usize, 3, 5, 10] {
             let vectors = |a: &Matrix| Matrix::random_signed(k, a.ncols(), 77);
             let block = width_independent_bits(|a| {
                 let mut c = Matrix::from_fn(a.nrows(), k, |_, _| f64::NAN);
-                DenseOperator::parallel(a).apply_many(&vectors(a), &mut c);
+                par_gemm_nt_into(a, &vectors(a), &mut c);
                 c.into_vec()
             });
-            // The trait's default body: one `apply` per vector.
             let columns = width_independent_bits(|a| {
                 let b = vectors(a);
                 let mut c = Matrix::zeros(a.nrows(), k);

@@ -1,5 +1,5 @@
-//! Matrix-free truncated SVD on the normal matrix `AᵀA`: formed when it is
-//! small, iterated on (symmetric Lanczos) when it is not.
+//! Truncated SVD on the normal matrix `AᵀA`: formed when it is small,
+//! iterated on (symmetric Lanczos) when it is not.
 //!
 //! This is the Rust stand-in for the SLEPc iterative SVD solver the paper
 //! uses for the TRSVD step, in the formulation SLEPc ships as its `cross`
@@ -7,40 +7,38 @@
 //! leading eigenpairs of `AᵀA` (or `AAᵀ`, whichever is smaller).  Kaya &
 //! Uçar reject the Gram route because `Y_(n) Y_(n)ᵀ` is `I_n × I_n`; the
 //! matricized TTMc results are tall and skinny, and the *other* normal
-//! matrix is only `Π_{t≠n} R_t` square.  [`lanczos_svd_with`] picks one of
-//! three regimes from the operator's shape and the subspace size
+//! matrix is only `Π_{t≠n} R_t` square.  [`lanczos_svd`] picks one of
+//! three regimes from the shape `m × n` and the subspace size
 //! (`2·rank + 10`) alone — no option selects between them:
 //!
 //! 1. **Dense fallback** — the subspace would span the short side anyway
-//!    (and the operator has at most 4 M entries): materialize it and take
-//!    [`crate::svd::dense_svd`].
-//! 2. **Formed normal matrix** — a tall operator whose short side is at most
-//!    `8·subspace` wide, and which can hand over `AᵀA`
-//!    ([`LinearOperator::normal_matrix`]; a parallel dense operator does, in
-//!    one syrk-shaped sweep, [`crate::blas::par_gram`]): take
-//!    [`crate::eig::symmetric_eig`] of it and keep the leading eigenvectors.
-//!    Forming costs about as much as `ncols / 10` applications of the normal
-//!    operator where a Krylov run needs two subspaces' worth; the `ncols³`
-//!    eigensolve is what bounds the width (`BENCH_kernels.json`, `gram`).
-//!    Nothing here depends on the seed, the restart schedule or a
-//!    convergence test.
-//! 3. **Krylov** — everything else (wider, wide rather than tall, or an
-//!    operator known only through its products): symmetric Lanczos with full
-//!    reorthogonalization on `x ↦ Aᵀ(A x)`, **never formed**
-//!    ([`LinearOperator::apply_normal`]):
+//!    (and the matrix has at most 4 M entries): take
+//!    [`crate::svd::dense_svd`] of it.
+//! 2. **Formed normal matrix** — a tall matrix whose short side is at most
+//!    `8·subspace` wide: form `AᵀA` in one syrk-shaped sweep
+//!    ([`crate::blas::par_gram`]), take [`crate::eig::symmetric_eig`] of it
+//!    and keep the leading eigenvectors.  Forming costs about as much as
+//!    `ncols / 10` normal-operator products where a Krylov run needs two
+//!    subspaces' worth; the `ncols³` eigensolve is what bounds the width
+//!    (`BENCH_kernels.json`, `gram`).  Nothing here depends on the seed, the
+//!    restart schedule or a convergence test.
+//! 3. **Krylov** — everything else (wider, or wide rather than tall):
+//!    symmetric Lanczos with full reorthogonalization on `x ↦ Aᵀ(A x)`,
+//!    **never formed**:
 //!    * the Krylov basis lives on the **short** side, so full
 //!      reorthogonalization costs `O(subspace · min(m, n))` per step and no
 //!      long vector other than the one product `t = A x` is ever held;
-//!    * one Lanczos step is one application of the normal operator, which a
-//!      dense operator serves in a single sweep of its matrix
-//!      ([`crate::blas::par_gemv_normal`]);
+//!    * one Lanczos step on a tall matrix is a single sweep of it
+//!      ([`crate::blas::par_gemv_normal`]), on a wide one a
+//!      [`crate::blas::par_gemv_t`] and a [`crate::blas::par_gemv`];
 //!    * the small projected problem is a symmetric tridiagonal matrix, solved
 //!      by [`crate::eig`]; a Ritz triplet is accepted when
 //!      `β_k·|s_{k,i}| ≤ 10⁻⁸·σ_max·σ_i`.
 //!
 //! Regimes 2 and 3 end in the same code: the singular vectors of the
-//! **long** side are recovered in one block product
-//! ([`LinearOperator::apply_many`]) and orthonormalized by
+//! **long** side are recovered in one block product on a tall matrix
+//! ([`crate::blas::par_gemm_nt_into`]; one [`crate::blas::par_gemv_t`] per
+//! vector on a wide one) and orthonormalized by
 //! [`crate::blas::par_cholesky_qr`], whose column lengths `‖A v_i‖` are the
 //! singular values returned.
 //!
@@ -49,25 +47,28 @@
 //! singular values below `√ε·σ_max` are resolved only as a group, because
 //! their squares drown in the rounding of `σ_max²`.  The singular values
 //! themselves are measured on the recovered vectors, not read off the
-//! squared spectrum, so an exactly rank-deficient operator reports zeros
+//! squared spectrum, so an exactly rank-deficient matrix reports zeros
 //! (and zero vectors) rather than `√ε·σ_max`.  HOOI wants the dominant
 //! subspace, and the paper reports SLEPc converging in fewer than 5 outer
 //! iterations on these strongly decaying spectra; the Krylov path typically
 //! needs one pass of `2·rank + 10` steps.
 //!
 //! Squaring also narrows the range of magnitudes each regime can take:
-//! the formed and dense regimes square the operator once (their Gram
+//! the formed and dense regimes square the matrix once (their Gram
 //! matrix must lie in [`crate::svd`]'s band), the Krylov loop twice (the
 //! norm of a normal-operator product `‖AᵀA q‖` is a sum of fourth powers).
-//! An operator outside its regime's band — checked on the Gram matrix's
+//! A matrix outside its regime's band — checked on the Gram matrix's
 //! diagonal, or on the loop's first product — is solved instead as a copy
 //! scaled by a power of two, and its singular values scaled back; inside
 //! the band nothing changes, bit for bit.
 
-use crate::blas::{axpy, dot, normalize, nrm2, par_cholesky_qr, scal};
+use crate::blas::{
+    axpy, dot, normalize, nrm2, par_cholesky_qr, par_gemm_nt_into, par_gemv, par_gemv_normal,
+    par_gemv_t, par_gram, scal,
+};
 use crate::eig::symmetric_eig;
 use crate::matrix::Matrix;
-use crate::operator::{apply_columnwise, DenseOperator, LinearOperator};
+use crate::simd::KernelIsa;
 use crate::svd::{dense_svd, max_diagonal, normalizing_exponent, pow2, scale_pow2, GRAM_BAND};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -82,12 +83,12 @@ const MAX_RESTARTS: usize = 8;
 const TOL: f64 = 1e-8;
 
 /// The norms of the Krylov loop's first normal-operator product `‖AᵀA q‖`
-/// (a squared magnitude of the operator) at which the loop runs on the
-/// operator as given: the norms of its later products square it again, so
+/// (a squared magnitude of the matrix) at which the loop runs on the
+/// matrix as given: the norms of its later products square it again, so
 /// the band is about half [`GRAM_BAND`]'s in exponent.
 const KRYLOV_BAND: RangeInclusive<f64> = pow2(-400)..=pow2(400);
 
-/// Reusable scratch buffers for the Krylov path of [`lanczos_svd_with`] (the
+/// Reusable scratch buffers for the Krylov path of [`lanczos_svd`] (the
 /// two direct regimes neither draw from it nor park anything in it).
 ///
 /// One Lanczos solve needs `O(subspace)` Krylov vectors of length
@@ -100,16 +101,18 @@ const KRYLOV_BAND: RangeInclusive<f64> = pow2(-400)..=pow2(400);
 /// first.
 ///
 /// ```
-/// use linalg::lanczos::{lanczos_svd, lanczos_svd_with, LanczosWorkspace};
-/// use linalg::operator::DenseOperator;
+/// use linalg::lanczos::{lanczos_svd, LanczosWorkspace};
 /// use linalg::Matrix;
 ///
-/// let a = Matrix::random(40, 12, 7);
-/// let op = DenseOperator::new(&a);
+/// // Wide, so the Krylov loop answers and parks its buffers.
+/// let a = Matrix::random(30, 80, 7);
 /// let mut ws = LanczosWorkspace::new();
-/// let with_ws = lanczos_svd_with(&op, 3, 42, &mut ws);
-/// let fresh = lanczos_svd(&op, 3, 42);
-/// assert_eq!(with_ws.singular_values, fresh.singular_values);
+/// let first = lanczos_svd(&a, 3, 42, &mut ws);
+/// let warm = lanczos_svd(&a, 3, 42, &mut ws);
+/// let fresh = lanczos_svd(&a, 3, 42, &mut LanczosWorkspace::new());
+/// assert!(ws.pooled_floats() > 0);
+/// assert_eq!(first.singular_values, fresh.singular_values);
+/// assert_eq!(warm.u, fresh.u);
 /// ```
 #[derive(Debug, Default)]
 pub struct LanczosWorkspace {
@@ -144,7 +147,7 @@ fn resized(mut v: Vec<f64>, len: usize) -> Vec<f64> {
 }
 
 /// Widest short side, in Krylov subspaces (`2·rank + 10` columns each), at
-/// which a tall operator's normal matrix is formed and solved directly: 240
+/// which a tall matrix's normal matrix is formed and solved directly: 240
 /// columns at rank 10, 160 at rank 5.  Forming `AᵀA` costs about
 /// `ncols / 10` back-to-back fused sweeps of `A` (the `gram` cells of
 /// `BENCH_kernels.json`, AVX2 tier, 2 threads: 10 at 100 columns, 15 at
@@ -171,74 +174,50 @@ pub struct TruncatedSvd {
     /// stands for); `ncols + k` when the normal matrix was formed — the
     /// `ncols` products that pass stands for, whatever it cost, plus the
     /// same recovery, so the count is *higher* than a Krylov run's where the
-    /// time is lower; `ncols` when the operator was small enough to be
-    /// materialized and solved densely, however it was materialized.
+    /// time is lower; `ncols` when the matrix was small enough to be solved
+    /// densely.
     pub operator_applications: usize,
     /// Whether every requested triplet met the residual tolerance (always,
     /// on the two direct paths).
     pub converged: bool,
 }
 
-/// Computes the `rank` leading singular triplets of a matrix-free operator;
-/// `seed` draws the Krylov loop's random starting vector.
-///
-/// Allocates fresh scratch buffers; callers running many solves of similar
-/// shape should prefer [`lanczos_svd_with`] and a long-lived
-/// [`LanczosWorkspace`].
+/// Computes the `rank` leading singular triplets of `a`; `seed` draws the
+/// Krylov loop's random starting vector, whose basis and product vector are
+/// drawn from (and returned to) `ws` instead of being allocated per call.
 ///
 /// # Panics
 /// Panics if `rank == 0`.
-pub fn lanczos_svd(op: &dyn LinearOperator, rank: usize, seed: u64) -> TruncatedSvd {
-    lanczos_svd_with(op, rank, seed, &mut LanczosWorkspace::new())
+pub fn lanczos_svd(a: &Matrix, rank: usize, seed: u64, ws: &mut LanczosWorkspace) -> TruncatedSvd {
+    solve(a, rank, seed, ws, true)
 }
 
-/// [`lanczos_svd`] with caller-provided scratch buffers: the Krylov vectors
-/// and the long product vector are drawn from (and returned to) `ws` instead
-/// of being allocated per call.
-///
-/// # Panics
-/// Panics if `rank == 0`.
-pub fn lanczos_svd_with(
-    op: &dyn LinearOperator,
-    rank: usize,
-    seed: u64,
-    ws: &mut LanczosWorkspace,
-) -> TruncatedSvd {
-    solve(op, rank, seed, ws, true)
-}
-
-/// [`lanczos_svd_with`] on a copy of `op` scaled by the power of two that
-/// brings its largest entry into `[1, 2)`, with the singular values scaled
-/// back — or on `op` as given when it is zero.  The copy has `op`'s shape,
-/// so it takes the same regime.
-fn solve_rescaled(
-    op: &dyn LinearOperator,
-    rank: usize,
-    seed: u64,
-    ws: &mut LanczosWorkspace,
-) -> TruncatedSvd {
-    let mut a = op.to_dense();
+/// [`lanczos_svd`] on a copy of `a` scaled by the power of two that brings
+/// its largest entry into `[1, 2)`, with the singular values scaled back —
+/// or on `a` as given when it is zero.  The copy has `a`'s shape, so it
+/// takes the same regime.
+fn solve_rescaled(a: &Matrix, rank: usize, seed: u64, ws: &mut LanczosWorkspace) -> TruncatedSvd {
     let Some(k) = normalizing_exponent(a.as_slice()) else {
-        return solve(op, rank, seed, ws, false);
+        return solve(a, rank, seed, ws, false);
     };
-    scale_pow2(a.as_mut_slice(), k);
-    let mut svd = solve(&DenseOperator::parallel(&a), rank, seed, ws, false);
+    let mut scaled = a.clone();
+    scale_pow2(scaled.as_mut_slice(), k);
+    let mut svd = solve(&scaled, rank, seed, ws, false);
     scale_pow2(&mut svd.singular_values, -k);
     svd
 }
 
-/// The body of [`lanczos_svd_with`]; with `guard`, an operator outside its
-/// regime's magnitude band is handed to [`solve_rescaled`] instead.
+/// The body of [`lanczos_svd`]; with `guard`, a matrix outside its regime's
+/// magnitude band is handed to [`solve_rescaled`] instead.
 fn solve(
-    op: &dyn LinearOperator,
+    a: &Matrix,
     rank: usize,
     seed: u64,
     ws: &mut LanczosWorkspace,
     guard: bool,
 ) -> TruncatedSvd {
     assert!(rank > 0, "lanczos_svd: rank must be positive");
-    let m = op.nrows();
-    let n = op.ncols();
+    let (m, n) = a.shape();
     // The Krylov side: the normal operator acts on R^short.
     let short = m.min(n);
     let rank = rank.min(short.max(1));
@@ -255,14 +234,12 @@ fn solve(
     let mut subspace = (2 * rank + 10).clamp(rank, short);
 
     // When the Krylov subspace would cover the whole small dimension anyway,
-    // a Krylov method has no advantage.  Fall back to an exact dense SVD
-    // obtained by materializing the operator, provided that is affordable.
-    // In HOOI this branch only triggers for genuinely small matricized
-    // tensors.
+    // a Krylov method has no advantage.  Fall back to an exact dense SVD,
+    // provided that is affordable.  In HOOI this branch only triggers for
+    // genuinely small matricized tensors.
     const DENSE_FALLBACK_ENTRIES: usize = 4_000_000;
     if subspace >= short && m.saturating_mul(n) <= DENSE_FALLBACK_ENTRIES {
-        let dense = op.to_dense();
-        let svd = dense_svd(&dense);
+        let svd = dense_svd(a);
         let take = rank.min(svd.singular_values.len());
         let mut u = Matrix::zeros(m, take);
         let mut v = Matrix::zeros(n, take);
@@ -280,18 +257,17 @@ fn solve(
     }
 
     let tall = m >= n;
-    // A tall operator whose short side is a few subspaces wide: form the
+    // A tall matrix whose short side is a few subspaces wide: form the
     // normal matrix and solve it directly.  Its leading eigenvectors are the
     // short-side singular vectors the Krylov loop below would converge to.
     if tall && n <= FORMED_NORMAL_MAX_SUBSPACES * subspace {
-        if let Some(normal) = op.normal_matrix() {
-            if guard && !GRAM_BAND.contains(&max_diagonal(&normal)) {
-                return solve_rescaled(op, rank, seed, ws);
-            }
-            let eig = symmetric_eig(&normal);
-            let short_vectors = Matrix::from_fn(rank, n, |i, j| eig.vectors[(j, i)]);
-            return recover_long_side(op, short_vectors, n + rank, true);
+        let normal = par_gram(KernelIsa::resolved_default(), a);
+        if guard && !GRAM_BAND.contains(&max_diagonal(&normal)) {
+            return solve_rescaled(a, rank, seed, ws);
         }
+        let eig = symmetric_eig(&normal);
+        let short_vectors = Matrix::from_fn(rank, n, |i, j| eig.vectors[(j, i)]);
+        return recover_long_side(a, short_vectors, n + rank, true);
     }
 
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -320,17 +296,17 @@ fn solve(
             let j = alphas.len();
             let mut w = ws.take_basis_vector(short);
             if tall {
-                op.apply_normal(&basis[j], &mut product, &mut w);
+                par_gemv_normal(a, &basis[j], &mut product, &mut w);
             } else {
-                op.apply_transpose(&basis[j], &mut product);
-                op.apply(&product, &mut w);
+                par_gemv_t(a, &basis[j], &mut product);
+                par_gemv(a, &product, &mut w);
             }
             scale = scale.max(nrm2(&w));
             if guard && j == 0 && !KRYLOV_BAND.contains(&scale) {
                 ws.basis.append(&mut basis);
                 ws.basis.push(w);
                 ws.product = product;
-                return solve_rescaled(op, rank, seed, ws);
+                return solve_rescaled(a, rank, seed, ws);
             }
             alphas.push(dot(&basis[j], &w));
             if j + 1 == short {
@@ -344,7 +320,7 @@ fn solve(
             let mut beta = nrm2(&w);
             if beta <= scale * f64::EPSILON * f64::EPSILON {
                 // Breakdown: the Krylov space is invariant (a rank-deficient
-                // or zero operator, repeated singular values).  Continue in a
+                // or zero matrix, repeated singular values).  Continue in a
                 // fresh direction, uncoupled from the space built so far.
                 beta = 0.0;
                 random_direction(&mut w);
@@ -402,31 +378,31 @@ fn solve(
     }
     ws.basis.append(&mut basis);
     ws.product = product;
-    recover_long_side(op, short_vectors, 2 * k + rank, converged)
+    recover_long_side(a, short_vectors, 2 * k + rank, converged)
 }
 
-/// The end of every matrix-free solve: given the short-side singular vectors
-/// as the rows of `short_vectors`, recovers the long-side ones in one block
-/// product and reads the singular values off them.
+/// The end of every formed or Krylov solve: given the short-side singular
+/// vectors as the rows of `short_vectors`, recovers the long-side ones and
+/// reads the singular values off them.
 fn recover_long_side(
-    op: &dyn LinearOperator,
+    a: &Matrix,
     short_vectors: Matrix,
     operator_applications: usize,
     converged: bool,
 ) -> TruncatedSvd {
-    let (m, n) = (op.nrows(), op.ncols());
+    let (m, n) = a.shape();
     let tall = m >= n;
     // Long-side vectors: A v_i = σ_i u_i (or Aᵀ u_i = σ_i v_i), normalized
     // and cleaned of what the short-side vectors' errors mixed in.
     let mut long_vectors = Matrix::zeros(m.max(n), short_vectors.nrows());
     if tall {
-        op.apply_many(&short_vectors, &mut long_vectors);
+        par_gemm_nt_into(a, &short_vectors, &mut long_vectors);
     } else {
-        apply_columnwise(
-            |x, y| op.apply_transpose(x, y),
-            &short_vectors,
-            &mut long_vectors,
-        );
+        let mut column = vec![0.0; n];
+        for c in 0..short_vectors.nrows() {
+            par_gemv_t(a, short_vectors.row(c), &mut column);
+            long_vectors.set_col(c, &column);
+        }
     }
     // ‖A v_i‖ is √λ_i again, but measured on the vectors returned and
     // without the rounding of σ_max² that an eigenvalue of AᵀA carries.
@@ -465,40 +441,88 @@ mod tests {
     use super::*;
     use crate::approx_eq;
     use crate::blas::gemm;
-    use crate::operator::DenseOperator;
     use crate::qr::orthogonality_error;
     use crate::svd::dense_svd as reference_svd;
 
     const SEED: u64 = 0x5eed_1a2c;
 
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Regime {
+        Dense,
+        Formed,
+        Krylov,
+    }
+
+    /// Solves `a` from an empty workspace and reads off the result which
+    /// regime answered: only the Krylov loop parks buffers, and the direct
+    /// regimes count `ncols` (dense) or `ncols + rank` (formed) applications.
+    fn solve_with_regime(a: &Matrix, rank: usize, seed: u64) -> (TruncatedSvd, Regime) {
+        let mut ws = LanczosWorkspace::new();
+        let svd = lanczos_svd(a, rank, seed, &mut ws);
+        let regime = if ws.pooled_floats() > 0 {
+            Regime::Krylov
+        } else if svd.operator_applications == a.ncols() {
+            Regime::Dense
+        } else {
+            let rank = svd.singular_values.len();
+            assert_eq!(svd.operator_applications, a.ncols() + rank);
+            Regime::Formed
+        };
+        (svd, regime)
+    }
+
+    /// The regime of an `m × n` matrix at `rank`: the gates, restated.
+    fn expected_regime(m: usize, n: usize, rank: usize) -> Regime {
+        let short = m.min(n);
+        let subspace = (2 * rank.min(short) + 10).min(short);
+        if subspace >= short && m * n <= 4_000_000 {
+            Regime::Dense
+        } else if m >= n && n <= FORMED_NORMAL_MAX_SUBSPACES * subspace {
+            Regime::Formed
+        } else {
+            Regime::Krylov
+        }
+    }
+
+    /// [`solve_with_regime`], asserting that `expected_regime` answered.
+    fn solve_in(a: &Matrix, rank: usize, regime: Regime) -> TruncatedSvd {
+        let (m, n) = a.shape();
+        assert_eq!(expected_regime(m, n, rank), regime, "{m}x{n}, rank {rank}");
+        let (svd, answered) = solve_with_regime(a, rank, SEED);
+        assert_eq!(answered, regime, "{m}x{n}, rank {rank}");
+        svd
+    }
+
     #[test]
     fn lanczos_matches_dense_svd_values() {
         let a = Matrix::random(60, 24, 7);
-        let op = DenseOperator::new(&a);
         let reference = reference_svd(&a);
-        let result = lanczos_svd(&op, 5, SEED);
-        assert_eq!(result.singular_values.len(), 5);
-        for i in 0..5 {
-            assert!(
-                approx_eq(
+        for (a, regime) in [(a.clone(), Regime::Formed), (a.transpose(), Regime::Krylov)] {
+            let result = solve_in(&a, 5, regime);
+            assert_eq!(result.singular_values.len(), 5);
+            for i in 0..5 {
+                assert!(
+                    approx_eq(
+                        result.singular_values[i],
+                        reference.singular_values[i],
+                        1e-6
+                    ),
+                    "σ_{i}: {} vs {} ({regime:?})",
                     result.singular_values[i],
-                    reference.singular_values[i],
-                    1e-6
-                ),
-                "σ_{i}: {} vs {}",
-                result.singular_values[i],
-                reference.singular_values[i]
-            );
+                    reference.singular_values[i]
+                );
+            }
         }
     }
 
     #[test]
     fn lanczos_left_vectors_orthonormal() {
         let a = Matrix::random(80, 30, 11);
-        let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 6, SEED);
-        assert!(orthogonality_error(&result.u) < 1e-6);
-        assert!(orthogonality_error(&result.v) < 1e-6);
+        for (a, regime) in [(a.clone(), Regime::Formed), (a.transpose(), Regime::Krylov)] {
+            let result = solve_in(&a, 6, regime);
+            assert!(orthogonality_error(&result.u) < 1e-6);
+            assert!(orthogonality_error(&result.v) < 1e-6);
+        }
     }
 
     #[test]
@@ -507,16 +531,17 @@ mod tests {
         let b = Matrix::random(50, 4, 3);
         let c = Matrix::random(4, 20, 4);
         let a = gemm(&b, &c);
-        let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 4, SEED);
-        // Reconstruct and compare.
-        let mut s = Matrix::zeros(4, 4);
-        for i in 0..4 {
-            s[(i, i)] = result.singular_values[i];
+        for (a, regime) in [(a.clone(), Regime::Formed), (a.transpose(), Regime::Krylov)] {
+            let result = solve_in(&a, 4, regime);
+            // Reconstruct and compare.
+            let mut s = Matrix::zeros(4, 4);
+            for i in 0..4 {
+                s[(i, i)] = result.singular_values[i];
+            }
+            let us = gemm(&result.u, &s);
+            let rec = gemm(&us, &result.v.transpose());
+            assert!(a.frobenius_distance(&rec) < 1e-6 * a.frobenius_norm());
         }
-        let us = gemm(&result.u, &s);
-        let rec = gemm(&us, &result.v.transpose());
-        assert!(a.frobenius_distance(&rec) < 1e-6 * a.frobenius_norm());
     }
 
     #[test]
@@ -524,8 +549,7 @@ mod tests {
         let b = Matrix::random(30, 2, 5);
         let c = Matrix::random(2, 15, 6);
         let a = gemm(&b, &c); // rank 2
-        let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 5, SEED);
+        let result = solve_in(&a, 5, Regime::Dense);
         // Requested 5 but only 2 nonzero singular values exist.
         assert!(result.singular_values[0] > 1e-6);
         assert!(result.singular_values[1] > 1e-6);
@@ -537,9 +561,8 @@ mod tests {
     #[test]
     fn lanczos_on_tall_skinny() {
         let a = Matrix::random(500, 8, 21);
-        let op = DenseOperator::new(&a);
         let reference = reference_svd(&a);
-        let result = lanczos_svd(&op, 3, SEED);
+        let result = solve_in(&a, 3, Regime::Dense);
         for i in 0..3 {
             assert!(approx_eq(
                 result.singular_values[i],
@@ -552,9 +575,8 @@ mod tests {
     #[test]
     fn lanczos_on_wide_matrix() {
         let a = Matrix::random(10, 300, 22);
-        let op = DenseOperator::new(&a);
         let reference = reference_svd(&a);
-        let result = lanczos_svd(&op, 4, SEED);
+        let result = solve_in(&a, 4, Regime::Dense);
         for i in 0..4 {
             assert!(approx_eq(
                 result.singular_values[i],
@@ -566,9 +588,7 @@ mod tests {
 
     #[test]
     fn lanczos_zero_operator() {
-        let a = Matrix::zeros(10, 10);
-        let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 3, SEED);
+        let result = solve_in(&Matrix::zeros(10, 10), 3, Regime::Dense);
         for &s in &result.singular_values {
             assert!(s.abs() < 1e-12);
         }
@@ -576,35 +596,44 @@ mod tests {
 
     #[test]
     fn lanczos_rank_capped_by_dimensions() {
-        let a = Matrix::random(20, 3, 2);
-        let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 10, SEED);
+        let result = solve_in(&Matrix::random(20, 3, 2), 10, Regime::Dense);
         assert!(result.singular_values.len() <= 3);
     }
 
     #[test]
-    fn lanczos_counts_applications() {
-        let a = Matrix::random(40, 12, 2);
-        let op = DenseOperator::new(&a);
-        let result = lanczos_svd(&op, 2, SEED);
-        assert!(result.operator_applications > 0);
+    fn lanczos_counts_applications_per_regime() {
+        assert_eq!(
+            solve_in(&Matrix::random(40, 12, 2), 2, Regime::Dense).operator_applications,
+            12
+        );
+        let a = Matrix::random(60, 24, 2);
+        assert_eq!(
+            solve_in(&a, 5, Regime::Formed).operator_applications,
+            24 + 5
+        );
+        // Two per Lanczos step (at least one subspace of 20), plus the recovery.
+        let krylov = solve_in(&a.transpose(), 5, Regime::Krylov).operator_applications;
+        assert!(
+            krylov >= 2 * 20 + 5 && (krylov - 5).is_multiple_of(2),
+            "{krylov}"
+        );
     }
 
     #[test]
     fn workspace_reuse_is_bitwise_identical_and_pools_buffers() {
-        let a = Matrix::random(70, 20, 9);
-        let op = DenseOperator::new(&a);
-        let fresh = lanczos_svd(&op, 4, SEED);
+        // Wide, so the Krylov loop draws from the workspace.
+        let a = Matrix::random(20, 70, 9);
+        let fresh = solve_in(&a, 4, Regime::Krylov);
 
         let mut ws = LanczosWorkspace::new();
-        let first = lanczos_svd_with(&op, 4, SEED, &mut ws);
+        let first = lanczos_svd(&a, 4, SEED, &mut ws);
         let pooled_after_first = ws.pooled_floats();
         // The short Krylov vectors and the one long product vector.
         assert!(
             pooled_after_first > 70,
             "buffers should be parked for reuse"
         );
-        let second = lanczos_svd_with(&op, 4, SEED, &mut ws);
+        let second = lanczos_svd(&a, 4, SEED, &mut ws);
 
         // The workspace must never change the numbers.
         assert_eq!(first.singular_values, fresh.singular_values);
@@ -631,21 +660,26 @@ mod tests {
         crate::blas::gemm_nt(&u, &v)
     }
 
-    /// Scaling an operator by a power of two commutes with every regime —
-    /// dense fallback, formed normal matrix, Krylov loop — bit for bit:
-    /// inside the magnitude bands every operation is exact under such a
-    /// scaling, and outside them the solver runs on a copy scaled back into
-    /// them by another power of two.
+    /// Scaling a matrix by a power of two commutes with every regime —
+    /// dense fallback, formed normal matrix, Krylov loop on a wide and on a
+    /// tall matrix — bit for bit: inside the magnitude bands every operation
+    /// is exact under such a scaling, and outside them the solver runs on a
+    /// copy scaled back into them by another power of two.
     #[test]
     fn power_of_two_scalings_commute_with_every_regime() {
         let spectrum = [9.0, 5.0, 3.0, 2.0, 1.5, 1.0, 0.5];
-        for (m, n) in [(20, 12), (400, 30), (40, 120)] {
+        for (m, n, regime) in [
+            (20, 12, Regime::Dense),
+            (400, 30, Regime::Formed),
+            (40, 120, Regime::Krylov),
+            (700, 130, Regime::Krylov),
+        ] {
             let a = with_spectrum(m, n, &spectrum, 7);
-            let base = lanczos_svd(&DenseOperator::parallel(&a), 3, SEED);
+            let base = solve_in(&a, 3, regime);
             for k in [-900, -520, -20, 20, 300, 600] {
                 let mut scaled = a.clone();
                 crate::svd::scale_pow2(scaled.as_mut_slice(), k);
-                let svd = lanczos_svd(&DenseOperator::parallel(&scaled), 3, SEED);
+                let svd = solve_in(&scaled, 3, regime);
                 let mut values = svd.singular_values.clone();
                 crate::svd::scale_pow2(&mut values, -k);
                 assert_eq!(values, base.singular_values, "{m}x{n} at 2^{k}");
@@ -655,117 +689,41 @@ mod tests {
         }
     }
 
-    /// A dense operator that records whether the solver took its formed
-    /// normal matrix, and can withhold it so that the same matrix is solved
-    /// by the Krylov loop.
-    struct Spy<'a> {
-        inner: DenseOperator<'a>,
-        expose_normal: bool,
-        formed: std::sync::atomic::AtomicBool,
-    }
-
-    impl<'a> Spy<'a> {
-        fn new(a: &'a Matrix, parallel: bool, expose_normal: bool) -> Self {
-            let inner = if parallel {
-                DenseOperator::parallel(a)
-            } else {
-                DenseOperator::new(a)
-            };
-            Spy {
-                inner,
-                expose_normal,
-                formed: Default::default(),
-            }
-        }
-
-        fn formed(&self) -> bool {
-            self.formed.load(std::sync::atomic::Ordering::Relaxed)
-        }
-    }
-
-    impl LinearOperator for Spy<'_> {
-        fn nrows(&self) -> usize {
-            self.inner.nrows()
-        }
-        fn ncols(&self) -> usize {
-            self.inner.ncols()
-        }
-        fn apply(&self, x: &[f64], y: &mut [f64]) {
-            self.inner.apply(x, y)
-        }
-        fn apply_transpose(&self, x: &[f64], y: &mut [f64]) {
-            self.inner.apply_transpose(x, y)
-        }
-        fn apply_normal(&self, x: &[f64], t: &mut [f64], y: &mut [f64]) {
-            assert!(
-                !self.formed(),
-                "a Krylov step after the normal matrix was taken"
-            );
-            self.inner.apply_normal(x, t, y)
-        }
-        fn apply_many(&self, xs: &Matrix, y: &mut Matrix) {
-            self.inner.apply_many(xs, y)
-        }
-        fn normal_matrix(&self) -> Option<Matrix> {
-            let normal = self.inner.normal_matrix().filter(|_| self.expose_normal);
-            self.formed
-                .store(normal.is_some(), std::sync::atomic::Ordering::Relaxed);
-            normal
-        }
-    }
-
-    /// Whether the solver forms the normal matrix of a parallel dense
-    /// `m × n` operator at `rank`: the gate, restated.
-    fn within_gate(m: usize, n: usize, rank: usize) -> bool {
-        m >= n && n <= 8 * (2 * rank + 10)
-    }
-
-    /// The contract of the matrix-free paths on `a`, whose singular values
-    /// are `expected` (descending; `numerical_rank` of them nonzero):
+    /// The contract of the formed and Krylov regimes on `a`, whose singular
+    /// values are `expected` (descending; `numerical_rank` of them nonzero):
     /// singular values within `1e-8·σ_1`, orthonormal vectors for every
     /// nonzero singular value, zero long-side vectors beyond them, nothing
-    /// non-finite — from the Krylov loop (sequential operator; parallel
-    /// operator with its normal matrix withheld) and, on the near side of
-    /// the gate, from the formed normal matrix, each asserted to be the path
+    /// non-finite — from the regime the shape selects, asserted to be the one
     /// that answered.
     fn assert_solver_contract(a: &Matrix, rank: usize, expected: &[f64], numerical_rank: usize) {
         let (m, n) = a.shape();
-        assert!(
-            m.min(n) > 2 * rank + 10 || m * n > 4_000_000,
-            "would take the dense fallback"
-        );
-        let sigma_1 = expected[0];
-        for (parallel, expose_normal) in [(false, true), (true, false), (true, true)] {
-            let op = Spy::new(a, parallel, expose_normal);
-            let svd = lanczos_svd(&op, rank, SEED);
-            let formed = parallel && expose_normal && within_gate(m, n, rank);
-            assert_eq!(op.formed(), formed, "{m}x{n}, rank {rank}");
-            if formed {
-                assert_eq!(svd.operator_applications, n + rank);
-                assert!(svd.converged);
-            }
-            assert_eq!(svd.u.shape(), (m, rank));
-            assert_eq!(svd.v.shape(), (n, rank));
-            assert_eq!(svd.singular_values.len(), rank);
-            assert!(svd.u.as_slice().iter().all(|x| x.is_finite()));
-            assert!(svd.v.as_slice().iter().all(|x| x.is_finite()));
-            for (i, (got, want)) in svd.singular_values.iter().zip(expected).enumerate() {
-                assert!(
-                    (got - want).abs() <= 1e-8 * sigma_1,
-                    "σ_{i}: {got:e} vs {want:e} ({m}x{n}, rank {rank}, formed {formed})"
-                );
-            }
-            let kept = rank.min(numerical_rank);
-            let (long, short) = if m >= n {
-                (&svd.u, &svd.v)
-            } else {
-                (&svd.v, &svd.u)
-            };
-            assert!(orthogonality_error(&short.take_columns(kept)) < 1e-10);
-            assert!(orthogonality_error(&long.take_columns(kept)) < 1e-10);
-            for j in kept..rank {
-                assert!(long.col(j).iter().all(|&x| x == 0.0), "column {j}");
-            }
+        let regime = expected_regime(m, n, rank);
+        assert_ne!(regime, Regime::Dense, "{m}x{n}, rank {rank}");
+        let svd = solve_in(a, rank, regime);
+        if regime == Regime::Formed {
+            assert!(svd.converged);
+        }
+        assert_eq!(svd.u.shape(), (m, rank));
+        assert_eq!(svd.v.shape(), (n, rank));
+        assert_eq!(svd.singular_values.len(), rank);
+        assert!(svd.u.as_slice().iter().all(|x| x.is_finite()));
+        assert!(svd.v.as_slice().iter().all(|x| x.is_finite()));
+        for (i, (got, want)) in svd.singular_values.iter().zip(expected).enumerate() {
+            assert!(
+                (got - want).abs() <= 1e-8 * expected[0],
+                "σ_{i}: {got:e} vs {want:e} ({m}x{n}, rank {rank}, {regime:?})"
+            );
+        }
+        let kept = rank.min(numerical_rank);
+        let (long, short) = if m >= n {
+            (&svd.u, &svd.v)
+        } else {
+            (&svd.v, &svd.u)
+        };
+        assert!(orthogonality_error(&short.take_columns(kept)) < 1e-10);
+        assert!(orthogonality_error(&long.take_columns(kept)) < 1e-10);
+        for j in kept..rank {
+            assert!(long.col(j).iter().all(|&x| x == 0.0), "column {j}");
         }
     }
 
@@ -774,29 +732,38 @@ mod tests {
 
         // Graded spectra from flat (`decades = 0`: one repeated singular
         // value, so the Krylov space breaks down at once) to
-        // `σ_1/σ_rank = 1e6`, tall (both paths) and wide (Krylov only).
+        // `σ_1/σ_rank = 1e6`: tall within the gate (formed), wide (Krylov)
+        // and tall beyond the gate (Krylov).
         #[test]
         fn matrix_free_paths_match_dense_svd_on_graded_spectra(
             short in 25usize..60,
             extra in 0usize..300,
             rank in 1usize..6,
             decades in 0i32..7,
-            wide in 0usize..2,
+            shape in 0usize..3,
             seed in 0u64..1000,
         ) {
+            let (m, n) = match shape {
+                0 => (short + extra, short),
+                1 => (short, short + extra),
+                _ => {
+                    let n = FORMED_NORMAL_MAX_SUBSPACES * (2 * rank + 10) + short % 8 + 1;
+                    (n + extra, n)
+                }
+            };
             let step = f64::from(decades) / (rank.max(2) - 1) as f64;
-            let spectrum: Vec<f64> = (0..short)
+            let spectrum: Vec<f64> = (0..m.min(n))
                 .map(|i| 10f64.powf(-step * i as f64).max(1e-9))
                 .collect();
-            let (m, n) = if wide == 1 { (short, short + extra) } else { (short + extra, short) };
             let a = with_spectrum(m, n, &spectrum, seed);
-            assert_solver_contract(&a, rank, &reference_svd(&a).singular_values, short);
+            assert_solver_contract(&a, rank, &reference_svd(&a).singular_values, m.min(n));
         }
     }
 
     #[test]
     fn matrix_free_paths_on_exactly_rank_deficient_operators() {
-        for (m, n) in [(400, 40), (40, 400)] {
+        // Formed, Krylov on a wide matrix, Krylov on a tall one.
+        for (m, n) in [(400, 40), (40, 400), (900, 170)] {
             for numerical_rank in [1usize, 3] {
                 // Against the constructed spectrum: the dense SVD reports a
                 // zero singular value as √ε·σ_1.
@@ -813,8 +780,10 @@ mod tests {
     fn matrix_free_paths_on_zero_single_row_and_single_column_operators() {
         assert_solver_contract(&Matrix::zeros(300, 40), 3, &[0.0; 3], 0);
         assert_solver_contract(&Matrix::zeros(40, 300), 3, &[0.0; 3], 0);
+        assert_solver_contract(&Matrix::zeros(900, 170), 3, &[0.0; 3], 0);
         // Too large for the dense fallback, so the one-dimensional Krylov
-        // space — or the 1 × 1 normal matrix — is what answers.
+        // space (single row) or the 1 × 1 normal matrix (single column) is
+        // what answers.
         let long = 4_000_001;
         for a in [
             Matrix::random_signed(1, long, 3),
@@ -827,12 +796,13 @@ mod tests {
     #[test]
     fn the_gate_reads_the_shapes_alone_and_both_sides_honour_the_contract() {
         // 100 columns: within 8 subspaces at rank 2 (8·14), beyond them at
-        // rank 1 (8·12) — `assert_solver_contract` checks which path ran.
+        // rank 1 (8·12) — `assert_solver_contract` checks which regime ran.
         let spectrum: Vec<f64> = (0..100)
             .map(|i| 10f64.powf(-0.5 * i as f64).max(1e-9))
             .collect();
         let a = with_spectrum(600, 100, &spectrum, 17);
-        assert!(within_gate(600, 100, 2) && !within_gate(600, 100, 1));
+        assert_eq!(expected_regime(600, 100, 2), Regime::Formed);
+        assert_eq!(expected_regime(600, 100, 1), Regime::Krylov);
         assert_solver_contract(&a, 2, &spectrum, 100);
         assert_solver_contract(&a, 1, &spectrum, 100);
     }
@@ -840,17 +810,16 @@ mod tests {
     #[test]
     fn formed_normal_path_ignores_the_seed_and_the_workspace() {
         let a = Matrix::random_signed(900, 60, 31);
-        let op = DenseOperator::parallel(&a);
         let solve = |seed: u64, ws: &mut LanczosWorkspace| {
-            let svd = lanczos_svd_with(&op, 4, seed, ws);
+            let svd = lanczos_svd(&a, 4, seed, ws);
             assert_eq!(svd.operator_applications, 60 + 4);
             (svd.u, svd.singular_values, svd.v)
         };
         let cold = solve(1, &mut LanczosWorkspace::new());
-        // Warm: a Krylov solve (wide operator) has parked its buffers.
+        // Warm: a Krylov solve (wide matrix) has parked its buffers.
         let mut ws = LanczosWorkspace::new();
         let wide = Matrix::random_signed(30, 500, 2);
-        lanczos_svd_with(&DenseOperator::parallel(&wide), 4, SEED, &mut ws);
+        lanczos_svd(&wide, 4, SEED, &mut ws);
         let parked = ws.pooled_floats();
         assert!(parked > 0);
         assert_eq!(solve(2, &mut ws), cold);
@@ -861,8 +830,11 @@ mod tests {
     #[test]
     #[should_panic]
     fn lanczos_rejects_zero_rank() {
-        let a = Matrix::random(5, 5, 1);
-        let op = DenseOperator::new(&a);
-        let _ = lanczos_svd(&op, 0, SEED);
+        let _ = lanczos_svd(
+            &Matrix::random(5, 5, 1),
+            0,
+            SEED,
+            &mut LanczosWorkspace::new(),
+        );
     }
 }

@@ -7,11 +7,10 @@
 //! * Gram-Schmidt orthonormalization ([`qr`]) of initial factor matrices,
 //! * a symmetric eigensolver ([`eig`]) for small Gram matrices,
 //! * a dense SVD ([`svd`]) for small projected problems,
-//! * a matrix-free truncated SVD ([`lanczos`]) built on the
-//!   [`LinearOperator`] abstraction.  This is the
-//!   Rust stand-in for the PETSc/SLEPc iterative TRSVD solver the paper uses:
-//!   only matrix-vector (`MxV`) and matrix-transpose-vector (`MTxV`) products
-//!   are required; the `I_n × I_n` Gram matrix the paper rejects is never
+//! * a truncated SVD ([`lanczos`]) of a dense matrix.  This is the Rust
+//!   stand-in for the PETSc/SLEPc iterative TRSVD solver the paper uses: it
+//!   iterates on matrix-vector (`MxV`) and matrix-transpose-vector (`MTxV`)
+//!   products; the `I_n × I_n` Gram matrix the paper rejects is never
 //!   assembled, and the small `Π R_t`-square one only while it is cheaper
 //!   than iterating.
 //!
@@ -22,14 +21,12 @@ pub mod blas;
 pub mod eig;
 pub mod lanczos;
 pub mod matrix;
-pub mod operator;
 pub mod qr;
 pub mod simd;
 pub mod svd;
 
 pub use lanczos::{lanczos_svd, TruncatedSvd};
 pub use matrix::Matrix;
-pub use operator::{DenseOperator, LinearOperator};
 pub use qr::orthonormalize_columns;
 pub use simd::KernelIsa;
 pub use svd::dense_svd;

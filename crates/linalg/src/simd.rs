@@ -16,17 +16,20 @@
 //!   (index-layout equality, executor replay, cross-thread determinism)
 //!   hold with the vector path active.
 //!
-//! Dispatch is by *value*: callers resolve a [`KernelIsa`] once (per plan,
-//! per bench cell, …) and pass it down; the kernels branch on it per call,
-//! which is perfectly predicted in the hot loops.  Availability is
-//! re-checked inside the dispatch (a cached-atomic load via
-//! [`is_x86_feature_detected!`]), so even an unresolved or mismatched ISA
-//! value can never execute an unsupported instruction — it falls back to
-//! scalar.  Off x86_64 the vector arms compile away entirely.
+//! Dispatch is by *value*: callers pass a [`KernelIsa`] down — the solver
+//! and the plain BLAS wrappers the process-wide
+//! [`KernelIsa::resolved_default`], the equivalence tests and bench cells
+//! each tier explicitly — and the kernels branch on it per call, which is
+//! perfectly predicted in the hot loops.  Availability is re-checked inside
+//! the dispatch (a cached-atomic load via [`is_x86_feature_detected!`]), so
+//! a vector tier the host lacks can never execute an unsupported
+//! instruction — it falls back to scalar.  Off x86_64 the vector arms
+//! compile away entirely.
 //!
-//! The `TUCKER_KERNEL` environment variable (`scalar` | `avx2`)
-//! overrides every [`KernelIsa::resolve`] call in the process — the forcing
-//! knob the equivalence tests and CI use.  Unrecognized values are ignored.
+//! The `TUCKER_KERNEL` environment variable (`scalar` | `avx2`), read once
+//! by [`KernelIsa::resolved_default`], forces the process's tier — the
+//! forcing knob the equivalence tests and CI use.  Unrecognized values are
+//! ignored.
 //!
 //! Horizontal reductions (`dot`, `nrm2`) are deliberately *not* vectorized:
 //! summing lanes reassociates the additions.
@@ -38,14 +41,11 @@ use std::sync::OnceLock;
 
 /// Which instruction set the f64 kernels run.
 ///
-/// `Auto` (the default) resolves at plan/dispatch time to the fastest tier
-/// the host supports — [`Avx2`](KernelIsa::Avx2) on AVX2-capable x86_64,
+/// [`KernelIsa::resolved_default`] picks the fastest tier the host supports
+/// — [`Avx2`](KernelIsa::Avx2) on AVX2-capable x86_64,
 /// [`Scalar`](KernelIsa::Scalar) elsewhere.  Both compute the same bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelIsa {
-    /// Resolve to the fastest ISA the host supports.
-    #[default]
-    Auto,
     /// Portable scalar kernels — the reference arithmetic.
     Scalar,
     /// AVX2 `f64×4` lanes with separate mul+add: bit-identical to scalar.
@@ -57,7 +57,6 @@ impl KernelIsa {
     /// anything unrecognized.
     pub fn parse(s: &str) -> Option<KernelIsa> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(KernelIsa::Auto),
             "scalar" => Some(KernelIsa::Scalar),
             "avx2" => Some(KernelIsa::Avx2),
             _ => None,
@@ -72,42 +71,33 @@ impl KernelIsa {
             .and_then(|s| KernelIsa::parse(&s))
     }
 
-    /// Whether this host can execute the ISA.  `Auto` and `Scalar` are
-    /// always supported.
+    /// Whether this host can execute the ISA.  `Scalar` is always
+    /// supported.
     pub fn supported(self) -> bool {
         match self {
-            KernelIsa::Auto | KernelIsa::Scalar => true,
+            KernelIsa::Scalar => true,
             KernelIsa::Avx2 => avx2_available(),
         }
     }
 
-    /// Resolves a requested ISA to the concrete one the kernels will run:
-    /// the `TUCKER_KERNEL` environment override (which forces *every*
-    /// resolution in the process, for testing) takes precedence, then an
-    /// `Auto` or `Avx2` request becomes `Avx2` where the hardware has it and
-    /// `Scalar` elsewhere.
-    ///
-    /// The result is always `Scalar` or `Avx2`.
-    pub fn resolve(self) -> KernelIsa {
-        match KernelIsa::from_env().unwrap_or(self) {
-            KernelIsa::Auto | KernelIsa::Avx2 if avx2_available() => KernelIsa::Avx2,
-            _ => KernelIsa::Scalar,
-        }
-    }
-
-    /// The process-wide resolved default: [`KernelIsa::Auto`] resolved once
-    /// (environment override included) and cached.  Entry points that take
-    /// no explicit ISA — the plain BLAS wrappers, the one-shot kron helpers
-    /// — run at this tier.
+    /// The process-wide tier, resolved once and cached: the
+    /// `TUCKER_KERNEL` environment override when set, then `Avx2` where the
+    /// hardware has it and `Scalar` elsewhere (a forced `avx2` on a host
+    /// without it also gives `Scalar`).  The solver and every entry point
+    /// that takes no explicit ISA — the plain BLAS wrappers, the TRSVD, the
+    /// core — run at this tier.
     pub fn resolved_default() -> KernelIsa {
         static RESOLVED: OnceLock<KernelIsa> = OnceLock::new();
-        *RESOLVED.get_or_init(|| KernelIsa::Auto.resolve())
+        *RESOLVED.get_or_init(|| match KernelIsa::from_env() {
+            Some(KernelIsa::Scalar) => KernelIsa::Scalar,
+            _ if avx2_available() => KernelIsa::Avx2,
+            _ => KernelIsa::Scalar,
+        })
     }
 
     /// Stable lowercase name, matching what [`KernelIsa::parse`] accepts.
     pub fn as_str(self) -> &'static str {
         match self {
-            KernelIsa::Auto => "auto",
             KernelIsa::Scalar => "scalar",
             KernelIsa::Avx2 => "avx2",
         }
@@ -198,9 +188,7 @@ pub fn fma_available() -> bool {
 /// `y += alpha · x`, element-wise.  Bit-identical across `Scalar` and
 /// `Avx2`.
 ///
-/// Callers should pass a [resolved](KernelIsa::resolve) ISA; an unresolved
-/// `Auto` runs scalar, and a vector ISA the host lacks falls back to
-/// scalar.
+/// A vector ISA the host lacks falls back to scalar.
 #[inline]
 pub fn axpy(isa: KernelIsa, alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
@@ -1198,27 +1186,28 @@ mod tests {
         assert_eq!(KernelIsa::parse("scalar"), Some(KernelIsa::Scalar));
         assert_eq!(KernelIsa::parse("AVX2"), Some(KernelIsa::Avx2));
         assert_eq!(KernelIsa::parse(" avx2 "), Some(KernelIsa::Avx2));
-        assert_eq!(KernelIsa::parse("auto"), Some(KernelIsa::Auto));
+        assert_eq!(KernelIsa::parse("auto"), None);
         assert_eq!(KernelIsa::parse("sse9"), None);
         assert_eq!(KernelIsa::parse(""), None);
     }
 
     #[test]
     fn as_str_round_trips_through_parse() {
-        for isa in [KernelIsa::Auto, KernelIsa::Scalar, KernelIsa::Avx2] {
+        for isa in [KernelIsa::Scalar, KernelIsa::Avx2] {
             assert_eq!(KernelIsa::parse(isa.as_str()), Some(isa));
             assert_eq!(format!("{isa}"), isa.as_str());
         }
     }
 
     #[test]
-    fn resolve_is_concrete_and_hardware_safe() {
-        for isa in [KernelIsa::Auto, KernelIsa::Scalar, KernelIsa::Avx2] {
-            let r = isa.resolve();
-            assert_ne!(r, KernelIsa::Auto, "resolve must settle Auto");
-            assert!(r.supported(), "resolved ISA must run on this host: {r:?}");
+    fn resolved_default_is_hardware_safe_and_honours_the_override() {
+        let r = KernelIsa::resolved_default();
+        assert!(r.supported(), "resolved ISA must run on this host: {r:?}");
+        assert_eq!(r, KernelIsa::resolved_default());
+        match KernelIsa::from_env() {
+            Some(KernelIsa::Scalar) => assert_eq!(r, KernelIsa::Scalar),
+            _ => assert_eq!(r == KernelIsa::Avx2, avx2_available()),
         }
-        assert_eq!(KernelIsa::resolved_default(), KernelIsa::resolved_default());
     }
 
     #[test]

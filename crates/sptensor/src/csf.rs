@@ -102,12 +102,6 @@ impl<I: CsfIndex> CsfData<I> {
         self.values.len()
     }
 
-    /// The mode-`n` index of root slice `p`.
-    #[inline]
-    pub fn root_id(&self, p: usize) -> usize {
-        self.root_ids[p]
-    }
-
     /// The level-0 fiber range (or leaf range when `arity == 1`, or value
     /// range when `arity == 0`) owned by root slice `p`.
     #[inline]
@@ -129,12 +123,6 @@ impl<I: CsfIndex> CsfData<I> {
             self.level_ptr[level][f].to_usize(),
             self.level_ptr[level][f + 1].to_usize(),
         )
-    }
-
-    /// The last foreign-mode index of leaf `k`.
-    #[inline]
-    pub fn leaf_id(&self, k: usize) -> usize {
-        self.leaf_ids[k].to_usize()
     }
 
     /// The value of leaf `k`.
@@ -385,11 +373,6 @@ impl CsfMode {
     /// Number of nonzeros stored.
     pub fn nnz(&self) -> usize {
         dispatch!(self, d => d.nnz())
-    }
-
-    /// The mode-`n` index of root slice `p`.
-    pub fn root_id(&self, p: usize) -> usize {
-        dispatch!(self, d => d.root_id(p))
     }
 
     /// Number of fibers at internal level `level`.

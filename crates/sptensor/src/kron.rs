@@ -7,6 +7,8 @@
 //! increasing order, the first factor varying slowest, which matches the
 //! column ordering of [`crate::dense::DenseTensor::unfold`].
 
+use crate::simd::KernelIsa;
+
 /// Computes the Kronecker product of a list of row vectors into `out`.
 ///
 /// `out.len()` must equal the product of the row lengths.  With zero rows the
@@ -39,28 +41,13 @@ pub fn kron_rows(rows: &[&[f64]], out: &mut [f64]) {
     }
 }
 
-/// Adds `alpha · (⊗ rows)` to `acc` without materializing the Kronecker
-/// product when there are one or two factor rows (the common 3- and 4-mode
-/// cases fall back to a scratch buffer supplied by the caller), running at
-/// the process-wide default kernel ISA
-/// ([`KernelIsa::resolved_default`](crate::simd::KernelIsa::resolved_default),
-/// which is bit-identical to scalar by construction).
+/// Adds `alpha · (⊗ rows)` to `acc` at kernel tier `isa` (bit-identical
+/// across tiers by construction) without materializing the Kronecker product
+/// when there are one or two factor rows (the common 3- and 4-mode cases
+/// fall back to a scratch buffer supplied by the caller).
 ///
 /// `acc.len()` must equal the product of the row lengths; `scratch` must be
 /// at least that long when `rows.len() > 2`.
-pub fn accumulate_scaled_kron(alpha: f64, rows: &[&[f64]], acc: &mut [f64], scratch: &mut [f64]) {
-    accumulate_scaled_kron_isa(
-        crate::simd::KernelIsa::resolved_default(),
-        alpha,
-        rows,
-        acc,
-        scratch,
-    )
-}
-
-/// [`accumulate_scaled_kron`] at an explicit kernel ISA — the form the
-/// solver threads its plan-resolved [`KernelIsa`](crate::simd::KernelIsa)
-/// through.
 ///
 /// # Zero-coefficient contract
 ///
@@ -75,8 +62,8 @@ pub fn accumulate_scaled_kron(alpha: f64, rows: &[&[f64]], acc: &mut [f64], scra
 /// and tensors with non-finite values are outside every kernel's contract.
 /// The regression test `zero_factor_entries_keep_all_arities_bit_identical`
 /// in `tests/simd_kernels.rs` pins this across arities, layouts, and ISAs.
-pub fn accumulate_scaled_kron_isa(
-    isa: crate::simd::KernelIsa,
+pub fn accumulate_scaled_kron(
+    isa: KernelIsa,
     alpha: f64,
     rows: &[&[f64]],
     acc: &mut [f64],
@@ -166,7 +153,7 @@ mod tests {
     fn accumulate_one_factor() {
         let u = [1.0, 2.0, 3.0];
         let mut acc = vec![10.0, 10.0, 10.0];
-        accumulate_scaled_kron(2.0, &[&u], &mut acc, &mut []);
+        accumulate_scaled_kron(KernelIsa::resolved_default(), 2.0, &[&u], &mut acc, &mut []);
         assert_eq!(acc, vec![12.0, 14.0, 16.0]);
     }
 
@@ -176,7 +163,13 @@ mod tests {
         let v = [0.5, 3.0, 1.0];
         let mut acc = vec![1.0; 6];
         let mut scratch = vec![0.0; 6];
-        accumulate_scaled_kron(1.5, &[&u, &v], &mut acc, &mut scratch);
+        accumulate_scaled_kron(
+            KernelIsa::resolved_default(),
+            1.5,
+            &[&u, &v],
+            &mut acc,
+            &mut scratch,
+        );
         let mut kron = vec![0.0; 6];
         kron_rows(&[&u, &v], &mut kron);
         for (a, k) in acc.iter().zip(&kron) {
@@ -191,7 +184,13 @@ mod tests {
         let w = [5.0, 6.0];
         let mut acc = vec![0.0; 8];
         let mut scratch = vec![0.0; 8];
-        accumulate_scaled_kron(1.0, &[&u, &v, &w], &mut acc, &mut scratch);
+        accumulate_scaled_kron(
+            KernelIsa::resolved_default(),
+            1.0,
+            &[&u, &v, &w],
+            &mut acc,
+            &mut scratch,
+        );
         let mut expected = vec![0.0; 8];
         kron_rows(&[&u, &v, &w], &mut expected);
         assert_eq!(acc, expected);
@@ -200,7 +199,7 @@ mod tests {
     #[test]
     fn accumulate_zero_factors_adds_scalar() {
         let mut acc = vec![1.0];
-        accumulate_scaled_kron(3.0, &[], &mut acc, &mut []);
+        accumulate_scaled_kron(KernelIsa::resolved_default(), 3.0, &[], &mut acc, &mut []);
         assert_eq!(acc, vec![4.0]);
     }
 
@@ -210,7 +209,13 @@ mod tests {
         let v = [1.0, 1.0];
         let mut acc = vec![5.0; 4];
         let mut scratch = vec![0.0; 4];
-        accumulate_scaled_kron(0.0, &[&u, &v], &mut acc, &mut scratch);
+        accumulate_scaled_kron(
+            KernelIsa::resolved_default(),
+            0.0,
+            &[&u, &v],
+            &mut acc,
+            &mut scratch,
+        );
         assert_eq!(acc, vec![5.0; 4]);
     }
 }

@@ -48,7 +48,7 @@ pub use linalg::simd::KernelIsa;
 pub use coo::SparseTensor;
 pub use csf::{CsfData, CsfIndex, CsfMode};
 pub use dense::DenseTensor;
-pub use kron::{accumulate_scaled_kron, accumulate_scaled_kron_isa, kron_rows};
+pub use kron::{accumulate_scaled_kron, kron_rows};
 
 /// Computes the product of a slice of dimensions, used for unfolding sizes.
 /// Returns 1 for an empty slice.

@@ -146,7 +146,7 @@ proptest! {
             sptensor::kron::kron_rows(&rows, &mut reference);
             let mut acc = vec![1.5; len];
             let mut scratch = vec![0.0; len];
-            sptensor::kron::accumulate_scaled_kron(alpha, &rows, &mut acc, &mut scratch);
+            sptensor::kron::accumulate_scaled_kron(KernelIsa::resolved_default(), alpha, &rows, &mut acc, &mut scratch);
             for (a, r) in acc.iter().zip(reference.iter()) {
                 prop_assert!((a - (1.5 + alpha * r)).abs() < 1e-12,
                     "{take} factors: {a} vs {}", 1.5 + alpha * r);

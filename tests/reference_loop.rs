@@ -14,6 +14,12 @@
 //! overwrites the whole shape.  A poisoned variant of the reference fills
 //! the buffer with NaN before every TTMc: one entry left unwritten would
 //! carry a NaN into the factors and the fit.
+//!
+//! The loop also takes its TTMc kernel tier explicitly, so one process
+//! checks that a solve is the same at `Scalar` and at `Avx2`; the TRSVD and
+//! the core run at the process tier, which only `TUCKER_KERNEL` switches —
+//! the profile test prints one digest per solve for a run under each forced
+//! tier to compare.
 
 use tucker_repro::hooi::core_tensor::core_from_last_ttmc_into;
 use tucker_repro::hooi::dimtree::{factor_updated, serve_mode_into_isa};
@@ -50,14 +56,16 @@ fn bits_of(factors: &[Matrix], fits: &[f64], core: &DenseTensor) -> Bits {
 
 /// Algorithm 1 over the session's plan, call for call as the solver makes
 /// them, from full initial factors, with the per-mode TTMc gathering
-/// through COO ids (update lists without CSF hierarchies).  Runs in a pool
-/// as wide as the session's: the TRSVD's sums are chunked by pool width.
-/// With `poison`, the compact buffer is filled with NaN before every TTMc.
+/// through COO ids (update lists without CSF hierarchies) at kernel tier
+/// `isa`.  Runs in a pool as wide as the session's: the TRSVD's sums are
+/// chunked by pool width.  With `poison`, the compact buffer is filled with
+/// NaN before every TTMc.
 fn reference_solve(
     session: &TuckerSolver<'_>,
     config: &TuckerConfig,
     width: usize,
     poison: bool,
+    isa: KernelIsa,
 ) -> Bits {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(width)
@@ -67,7 +75,6 @@ fn reference_solve(
         let tensor = session.tensor();
         let symbolic = &SymbolicTtmc::build_without_layout(tensor);
         let tree = session.dimtree();
-        let isa = session.kernel_isa();
         let ranks = &config.ranks;
         let order = tensor.order();
         let mut factors = random_factors(tensor.dims(), ranks, config.seed);
@@ -143,7 +150,7 @@ fn assert_solve_matches_reference(
     let mut session = TuckerSolver::plan(tensor, options).unwrap();
     let solved = session.solve(config).unwrap();
     assert_eq!(solved.iterations, config.max_iterations, "{label}");
-    let expected = reference_solve(&session, config, width, poison);
+    let expected = reference_solve(&session, config, width, poison, session.kernel_isa());
     assert_eq!(
         bits_of(&solved.factors, &solved.fits, &solved.core),
         expected,
@@ -209,6 +216,60 @@ fn poisoned_compact_buffers_match_the_reference_loop() {
                 let label = format!("poisoned order {} {plan}", dims.len());
                 assert_solve_matches_reference(&tensor, options, &config, &label, true);
             }
+        }
+    }
+}
+
+/// FNV-1a over every bit of a solve.
+fn digest(bits: &Bits) -> u64 {
+    let shapes = bits
+        .factors
+        .iter()
+        .flat_map(|(shape, _)| [shape.0, shape.1]);
+    let words = bits
+        .factors
+        .iter()
+        .flat_map(|(_, data)| data.iter().copied());
+    shapes
+        .map(|x| x as u64)
+        .chain(words)
+        .chain(bits.fits.iter().copied())
+        .chain(bits.core.iter().copied())
+        .fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+            (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Every generated dataset profile at ranks 3, 5, 7 and 10 (rows that fill
+/// whole vectors and rows that end in masked lanes), solved at pool width
+/// 2: the reference loop with its TTMc at `Scalar` and at `Avx2` must each
+/// equal `solve()` bit for bit.  Prints `digest <profile> rank <r> <hash>`
+/// per solve for the cross-tier comparison of whole solves.
+#[test]
+fn profile_solves_match_the_reference_loop_at_either_kernel_tier() {
+    let isas: Vec<KernelIsa> = [KernelIsa::Scalar, KernelIsa::Avx2]
+        .into_iter()
+        .filter(|isa| isa.supported())
+        .collect();
+    for name in ProfileName::all() {
+        let tensor = DatasetProfile::new(name).generate(2_500, 13);
+        let mut session = TuckerSolver::plan(&tensor, PlanOptions::new().num_threads(2)).unwrap();
+        for rank in [3usize, 5, 7, 10] {
+            let ranks = tensor.dims().iter().map(|&d| d.min(rank)).collect();
+            let config = TuckerConfig::new(ranks)
+                .max_iterations(2)
+                .fit_tolerance(-1.0)
+                .seed(5);
+            let solved = session.solve(&config).unwrap();
+            let bits = bits_of(&solved.factors, &solved.fits, &solved.core);
+            for &isa in &isas {
+                assert_eq!(
+                    reference_solve(&session, &config, 2, false, isa),
+                    bits,
+                    "{name:?} rank {rank}: the reference at {isa} diverged from solve()"
+                );
+            }
+            println!("digest {name:?} rank {rank} {:016x}", digest(&bits));
         }
     }
 }

@@ -15,10 +15,9 @@
 //! * the arity-2 zero-coefficient skip asymmetry documented on
 //!   `accumulate_scaled_kron` — the exact test the kron docs reference —
 //!   through the per-mode kernels and a dimension-tree plan;
-//! * full solves bit-identical between `Scalar` and `Avx2` on every
-//!   generated dataset profile, at ranks whose rows fill whole vectors and
-//!   ranks that end in masked lanes;
 //! * the `KernelIsa` parse/resolve surface.
+//!
+//! Full solves at either tier are compared in `tests/reference_loop.rs`.
 //!
 //! Vector tests self-skip on hosts without AVX2.  Assertions that depend
 //! on the process environment are guarded on `KernelIsa::from_env()` so
@@ -27,7 +26,7 @@
 use proptest::prelude::*;
 use tucker_repro::prelude::*;
 use tucker_repro::sptensor::simd::{self, AlignedVec};
-use tucker_repro::sptensor::{accumulate_scaled_kron_isa, kron_rows};
+use tucker_repro::sptensor::{accumulate_scaled_kron, kron_rows};
 
 /// Deterministic pseudo-random values in `[-0.5, 0.5)`.
 fn lcg_vec(n: usize, seed: u64) -> Vec<f64> {
@@ -183,7 +182,7 @@ proptest! {
         let run = |isa: KernelIsa| {
             let mut acc = lcg_vec(len, seed ^ 0xACC);
             let mut scratch = vec![0.0f64; len];
-            accumulate_scaled_kron_isa(isa, alpha, &rows, &mut acc, &mut scratch);
+            accumulate_scaled_kron(isa, alpha, &rows, &mut acc, &mut scratch);
             bits(&acc)
         };
         prop_assert_eq!(run(KernelIsa::Scalar), run(KernelIsa::Avx2));
@@ -343,7 +342,7 @@ fn zero_factor_entries_keep_all_arities_bit_identical() {
                     let init = lcg_vec(len, seed ^ 0xACC);
                     let mut direct = init.clone();
                     let mut scratch = vec![0.0f64; len];
-                    accumulate_scaled_kron_isa(isa, alpha, &rows, &mut direct, &mut scratch);
+                    accumulate_scaled_kron(isa, alpha, &rows, &mut direct, &mut scratch);
                     let mut reference = init.clone();
                     reference_accumulate(alpha, &rows, &mut reference);
                     assert_eq!(
@@ -426,85 +425,30 @@ fn zero_factor_entries_keep_all_arities_bit_identical() {
     }
 }
 
-/// End-to-end: full solves planned at `Scalar` and at `Avx2` produce
-/// bit-identical fits, cores and factors on every generated dataset
-/// profile — the kernel tier is invisible to results — at rank 3, at ranks
-/// 5, 7 and 10 whose rows end in masked lanes, and (rank 10 on order 3) at
-/// the `dense3` / `nell3` benchmark shape.
-#[test]
-fn solves_are_bit_identical_scalar_vs_avx2_on_all_profiles() {
-    if !KernelIsa::Avx2.supported() {
-        eprintln!("skipping: host lacks AVX2");
-        return;
-    }
-    for name in ProfileName::all() {
-        let profile = DatasetProfile::new(name);
-        let tensor = profile.generate(2_500, 13);
-        let plan = |isa: KernelIsa| {
-            TuckerSolver::plan(&tensor, PlanOptions::new().num_threads(2).kernel_isa(isa)).unwrap()
-        };
-        let (mut scalar_plan, mut avx2_plan) = (plan(KernelIsa::Scalar), plan(KernelIsa::Avx2));
-        for rank in [3usize, 5, 7, 10] {
-            let ranks: Vec<usize> = tensor.dims().iter().map(|&d| d.min(rank)).collect();
-            let config = TuckerConfig::new(ranks).max_iterations(2).seed(5);
-            let scalar = scalar_plan.solve(&config).unwrap();
-            let avx2 = avx2_plan.solve(&config).unwrap();
-            assert_eq!(
-                scalar.fits, avx2.fits,
-                "{name:?} rank {rank}: fits diverged"
-            );
-            assert_eq!(
-                bits(scalar.core.as_slice()),
-                bits(avx2.core.as_slice()),
-                "{name:?} rank {rank}: core diverged"
-            );
-            for (u, v) in scalar.factors.iter().zip(avx2.factors.iter()) {
-                assert_eq!(
-                    bits(u.as_slice()),
-                    bits(v.as_slice()),
-                    "{name:?} rank {rank}: factor diverged"
-                );
-            }
-        }
-    }
-}
-
-/// The `KernelIsa` surface: parsing, display, resolution invariants, and
-/// the session accessor.  Environment-dependent claims are only asserted
-/// when `TUCKER_KERNEL` is not forcing the process.
+/// The `KernelIsa` surface: parsing, display, the process tier, and the
+/// session accessor.  Environment-dependent claims follow `TUCKER_KERNEL`
+/// when it forces the process.
 #[test]
 fn kernel_isa_parse_resolve_and_session_accessor() {
-    for isa in [KernelIsa::Auto, KernelIsa::Scalar, KernelIsa::Avx2] {
+    for isa in [KernelIsa::Scalar, KernelIsa::Avx2] {
         assert_eq!(KernelIsa::parse(isa.as_str()), Some(isa));
         assert_eq!(
             KernelIsa::parse(&isa.as_str().to_ascii_uppercase()),
             Some(isa)
         );
-        // Resolution always lands on a concrete, supported tier.
-        let resolved = isa.resolve();
-        assert_ne!(resolved, KernelIsa::Auto);
-        assert!(resolved.supported());
     }
+    assert_eq!(KernelIsa::parse("auto"), None);
     assert_eq!(KernelIsa::parse("sse9"), None);
     assert_eq!(KernelIsa::parse(""), None);
-    assert_ne!(KernelIsa::resolved_default(), KernelIsa::Auto);
-    if KernelIsa::from_env().is_none() {
-        assert_eq!(KernelIsa::Scalar.resolve(), KernelIsa::Scalar);
+    // The process tier always runs on this host, and a forced scalar sticks.
+    let resolved = KernelIsa::resolved_default();
+    assert!(resolved.supported());
+    if KernelIsa::from_env() == Some(KernelIsa::Scalar) {
+        assert_eq!(resolved, KernelIsa::Scalar);
     }
 
+    // Every session reports the process tier.
     let tensor = random_tensor(&[12, 11, 10], 200, 3);
-    let solver = TuckerSolver::plan(
-        &tensor,
-        PlanOptions::new()
-            .num_threads(1)
-            .kernel_isa(KernelIsa::Scalar),
-    )
-    .unwrap();
-    // Never Auto; exactly the request when no environment override forces
-    // the process.
-    assert_ne!(solver.kernel_isa(), KernelIsa::Auto);
-    assert!(solver.kernel_isa().supported());
-    if KernelIsa::from_env().is_none() {
-        assert_eq!(solver.kernel_isa(), KernelIsa::Scalar);
-    }
+    let solver = TuckerSolver::plan(&tensor, PlanOptions::new().num_threads(1)).unwrap();
+    assert_eq!(solver.kernel_isa(), resolved);
 }
