@@ -18,10 +18,11 @@
 //!   [`comm::Endpoint`]s over in-process channels
 //!   ([`comm::channel_world`]); nothing but messages passes between them.
 //!   The executor's owner-ordered fold reduction makes its factors and core
-//!   **bit-identical** to [`hooi::TuckerSolver`] at matching pool width,
-//!   and its measured per-phase byte counters are asserted equal to the
-//!   simulator's predicted expand/fold volumes — the cost model is a
-//!   tested artifact, not a free-standing formula.
+//!   **bit-identical** to [`hooi::TuckerSolver`]'s per-mode solve at any
+//!   pool width and any `rank_threads`, and its measured per-phase byte
+//!   counters are asserted equal to the simulator's predicted expand/fold
+//!   volumes — the cost model is a tested artifact, not a free-standing
+//!   formula.
 //!
 //! Pick the simulator to sweep configurations and regenerate tables; pick
 //! the executor to validate numerics, measure per-phase traffic and real

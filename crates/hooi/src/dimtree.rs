@@ -966,7 +966,7 @@ impl DimTree {
 
     /// Whether `id` retains `mode` (nodes retaining an updated mode stay
     /// valid; all others go stale).
-    pub fn node_contains_mode(&self, id: usize, mode: usize) -> bool {
+    pub(crate) fn node_contains_mode(&self, id: usize, mode: usize) -> bool {
         (self.nodes[id].lo..self.nodes[id].hi).contains(&mode)
     }
 
@@ -1107,10 +1107,8 @@ impl DimTree {
     }
 
     /// Number of privatized partial rows node `id`'s computation needs —
-    /// the height of the `partials` buffer [`compute_node_into_isa`] takes
-    /// (zero when no entry's member group exceeds the segmentation grain).
-    ///
-    /// [`compute_node_into_isa`]: Self::compute_node_into_isa
+    /// the height of the `partials` buffer the node kernel takes (zero when
+    /// no entry's member group exceeds the segmentation grain).
     pub fn node_segments(&self, id: usize) -> usize {
         self.nodes[id].num_segments()
     }
@@ -1136,7 +1134,7 @@ impl DimTree {
     ///
     /// # Panics
     /// Panics on shape mismatches.
-    pub fn compute_node_into_isa(
+    pub(crate) fn compute_node_into_isa(
         &self,
         id: usize,
         factors: &[Matrix],
@@ -1310,62 +1308,6 @@ impl DimTree {
             }
         }
     }
-
-    /// Computes the compact TTMc of every mode with one *fixed* set of
-    /// factors (no in-sweep updates), returning canonical compact matrices
-    /// aligned with the symbolic row sets — the standalone entry used by
-    /// equality tests and the strategy bench.
-    pub fn ttmc_all_modes(
-        &self,
-        tensor: &SparseTensor,
-        symbolic: &SymbolicTtmc,
-        factors: &[Matrix],
-    ) -> Vec<Matrix> {
-        debug_assert_eq!(
-            tensor.nnz(),
-            self.nnz,
-            "the tree was built for another tensor"
-        );
-        let ranks: Vec<usize> = factors.iter().map(|u| u.ncols()).collect();
-        let isa = KernelIsa::resolved_default();
-        let mut values: Vec<Matrix> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(id, n)| {
-                if id == 0 {
-                    Matrix::zeros(0, 0)
-                } else {
-                    Matrix::zeros(n.num_entries(), self.node_width(id, &ranks))
-                }
-            })
-            .collect();
-        for id in 1..self.nodes.len() {
-            let (before, rest) = values.split_at_mut(id);
-            let parent = self.nodes[id].parent;
-            let pv = if parent == 0 {
-                None
-            } else {
-                Some(&before[parent])
-            };
-            let mut partials = Matrix::zeros(self.node_segments(id), self.node_width(id, &ranks));
-            self.compute_node_into_isa(id, factors, pv, &mut rest[0], &mut partials, isa);
-        }
-        (0..self.order)
-            .map(|mode| {
-                let leaf = &values[self.leaf_of_mode[mode]];
-                debug_assert_eq!(leaf.nrows(), symbolic.mode(mode).num_rows());
-                match self.leaf_permutation(mode, &ranks) {
-                    None => leaf.clone(),
-                    Some(perm) => {
-                        let mut out = Matrix::zeros(leaf.nrows(), leaf.ncols());
-                        permute_columns(leaf, &perm, &mut out);
-                        out
-                    }
-                }
-            })
-            .collect()
-    }
 }
 
 /// Scatters `src`'s columns into `dst` at the permuted positions
@@ -1488,6 +1430,26 @@ mod tests {
     use crate::ttmc::ttmc_mode;
     use datagen::random_tensor;
 
+    /// Every mode's compact TTMc with one fixed set of factors: each mode
+    /// served through the tree with no factor update in between.
+    fn tree_ttmc(
+        tree: &DimTree,
+        t: &SparseTensor,
+        sym: &SymbolicTtmc,
+        factors: &[Matrix],
+    ) -> Vec<Matrix> {
+        let ranks: Vec<usize> = factors.iter().map(|u| u.ncols()).collect();
+        let mut ws = HooiWorkspace::new(sym, &ranks);
+        ws.ensure_tree(tree, &ranks);
+        let isa = KernelIsa::resolved_default();
+        (0..t.order())
+            .map(|mode| {
+                serve_mode_into_isa(tree, t, sym.mode(mode), factors, mode, &mut ws, isa);
+                ws.compact(mode).clone()
+            })
+            .collect()
+    }
+
     fn factors_for(tensor: &SparseTensor, ranks: &[usize], seed: u64) -> Vec<Matrix> {
         tensor
             .dims()
@@ -1582,7 +1544,7 @@ mod tests {
         let factors = factors_for(&t, &ranks, 11);
         let sym = SymbolicTtmc::build(&t);
         let tree = DimTree::build(&t);
-        let tree_results = tree.ttmc_all_modes(&t, &sym, &factors);
+        let tree_results = tree_ttmc(&tree, &t, &sym, &factors);
         for mode in 0..3 {
             let per_mode = ttmc_mode(&t, sym.mode(mode), &factors, mode);
             assert_eq!(per_mode.shape(), tree_results[mode].shape());
@@ -1604,7 +1566,7 @@ mod tests {
             let factors = factors_for(&t, &ranks, seed + 100);
             let sym = SymbolicTtmc::build(&t);
             let tree = DimTree::build(&t);
-            let tree_results = tree.ttmc_all_modes(&t, &sym, &factors);
+            let tree_results = tree_ttmc(&tree, &t, &sym, &factors);
             for mode in 0..dims.len() {
                 let per_mode = ttmc_mode(&t, sym.mode(mode), &factors, mode);
                 assert_eq!(per_mode.shape(), tree_results[mode].shape());
@@ -1687,7 +1649,7 @@ mod tests {
         let factors = factors_for(&t, &ranks, 3);
         let sym = SymbolicTtmc::build(&t);
         let tree = DimTree::build(&t);
-        let results = tree.ttmc_all_modes(&t, &sym, &factors);
+        let results = tree_ttmc(&tree, &t, &sym, &factors);
         for mode in 0..2 {
             let per_mode = ttmc_mode(&t, sym.mode(mode), &factors, mode);
             assert!(per_mode.frobenius_distance(&results[mode]) < 1e-12);
@@ -1762,7 +1724,7 @@ mod tests {
             (1..tree.num_nodes()).any(|id| tree.node_segments(id) > 1),
             "profile must actually trigger segmentation"
         );
-        let reference = tree.ttmc_all_modes(&t, &sym, &factors);
+        let reference = tree_ttmc(&tree, &t, &sym, &factors);
         for mode in 0..3 {
             let per_mode = ttmc_mode(&t, sym.mode(mode), &factors, mode);
             let dist = per_mode.frobenius_distance(&reference[mode]);
@@ -1778,7 +1740,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let results = pool.install(|| tree.ttmc_all_modes(&t, &sym, &factors));
+            let results = pool.install(|| tree_ttmc(&tree, &t, &sym, &factors));
             for mode in 0..3 {
                 assert_eq!(
                     reference[mode].as_slice(),

@@ -77,10 +77,8 @@ pub struct PlanOptions {
     /// analysis and every solve run in whatever thread context the caller
     /// establishes (e.g. inside `shared_pool.install(..)`).  This is how a
     /// multi-tenant service runs many cached sessions on *one* shared pool
-    /// instead of spawning workers per planned tensor.  Determinism note:
-    /// results are a function of the effective thread count, so a caller
-    /// that always installs the same pool gets bit-identical solves no
-    /// matter how many sessions share it.
+    /// instead of spawning workers per planned tensor.  Results do not
+    /// depend on the caller's pool or its width.
     pub use_caller_pool: bool,
 }
 
@@ -408,12 +406,6 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
             Some(pool) => pool.current_num_threads(),
             None => rayon::current_num_threads(),
         }
-    }
-
-    /// Whether this session runs in the caller's thread context instead of
-    /// a pool of its own (see [`PlanOptions::use_caller_pool`]).
-    pub fn uses_caller_pool(&self) -> bool {
-        self.pool.is_none()
     }
 
     /// How many solves this session has completed.
@@ -919,7 +911,6 @@ mod tests {
         let mut session = shared
             .install(|| TuckerSolver::plan(&t, PlanOptions::new().caller_pool()))
             .unwrap();
-        assert!(session.uses_caller_pool());
         assert_eq!(session.pool_build_time(), Duration::ZERO);
         assert_eq!(
             rayon::worker_threads_spawned(),

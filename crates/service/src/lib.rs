@@ -11,8 +11,8 @@
 //! * **One shared pool** — every session is planned with
 //!   [`hooi::PlanOptions::caller_pool`] and solved inside the service's
 //!   single thread pool; no per-tensor worker threads, and responses are a
-//!   pure function of the request and the pool width (bit-identical across
-//!   queue interleavings and cache states).
+//!   pure function of the request (bit-identical across pool widths, queue
+//!   interleavings and cache states).
 //! * **Plan cache** — planned sessions are cached by their *measured*
 //!   footprint ([`hooi::TuckerSession::memory_bytes`]) under a byte
 //!   budget, least-recently-used first, ordered by a logical clock so the

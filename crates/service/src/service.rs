@@ -99,9 +99,9 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 /// executed one at a time by [`step`](Self::step) /
 /// [`run_until_idle`](Self::run_until_idle), cheapest-charged tenant first.
 /// Every solve runs inside the *same* pool (sessions are planned with
-/// [`PlanOptions::caller_pool`]), so responses are a pure function of the
-/// request and the pool width: the same `Decompose` request returns
-/// bit-identical factors regardless of queue interleaving or cache state.
+/// [`PlanOptions::caller_pool`]), and responses are a pure function of the
+/// request: the same `Decompose` request returns bit-identical factors
+/// regardless of pool width, queue interleaving or cache state.
 ///
 /// ```
 /// use service::{DecompositionService, Request, Response, ServiceOptions};

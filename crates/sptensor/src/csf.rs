@@ -138,11 +138,6 @@ impl<I: CsfIndex> CsfData<I> {
         (&self.leaf_ids[lo..hi], &self.values[lo..hi])
     }
 
-    /// Number of fibers at internal level `level`.
-    pub fn num_fibers(&self, level: usize) -> usize {
-        self.level_ids[level].len()
-    }
-
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         let id = std::mem::size_of::<I>();
@@ -375,19 +370,9 @@ impl CsfMode {
         dispatch!(self, d => d.nnz())
     }
 
-    /// Number of fibers at internal level `level`.
-    pub fn num_fibers(&self, level: usize) -> usize {
-        dispatch!(self, d => d.num_fibers(level))
-    }
-
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         dispatch!(self, d => d.memory_bytes())
-    }
-
-    /// True when the structure stores `u32` ids.
-    pub fn is_narrow(&self) -> bool {
-        matches!(self, CsfMode::Small(_))
     }
 
     /// Visits every stored nonzero in leaf order as
@@ -488,9 +473,9 @@ mod tests {
         // Mode 0: slices {0, 2, 3}; slice 0 has leaves (0,0) (0,2) (1,2):
         // two level-0 fibers (j=0 with two leaves, j=1 with one).
         assert_eq!(csf.num_rows(), 3);
-        assert_eq!(csf.num_fibers(0), 5);
+        assert_eq!(dispatch!(&csf, d => d.level_ids[0].len()), 5);
         assert_eq!(csf.nnz(), 6);
-        assert!(csf.is_narrow());
+        assert!(matches!(csf, CsfMode::Small(_)));
     }
 
     #[test]
@@ -503,7 +488,7 @@ mod tests {
             &[(vec![0, huge - 1, 1], 1.5), (vec![2, 3, 0], -1.0)],
         );
         let csf = CsfMode::build(&t, 0, &[0, 1], &[0, 1, 2]);
-        assert!(!csf.is_narrow());
+        assert!(matches!(csf, CsfMode::Wide(_)));
         let mut coords = Vec::new();
         csf.for_each_nonzero(|r, c, v| coords.push((r, c.to_vec(), v)));
         assert_eq!(coords[0], (0, vec![huge - 1, 1], 1.5));

@@ -1,16 +1,15 @@
-//! Executor/solver bit-identity and communication cross-validation.
+//! Executor communication cross-validation and failure model.
 //!
-//! The distributed executor's contract is *exact* agreement with the
-//! shared-memory [`TuckerSolver`] — same factors, same core, same fits, to
-//! the last bit — across every grain, partitioning method, and rank count,
-//! plus word-exact agreement between the communicator's measured traffic
-//! and [`iteration_stats`]' predictions.  These tests are the `executor-
-//! smoke` CI gate.
+//! The executor's bit-identity with the shared-memory per-mode solve
+//! across every grain, partitioning method, rank count and `rank_threads`
+//! is a member of the per-mode classes of `tests/determinism.rs`.  These
+//! tests add word-exact agreement between the communicator's measured
+//! traffic and [`iteration_stats`]' predictions, the typed failure of a
+//! cut link, and repeat runs; with the determinism file's executor members
+//! they are the `executor-smoke` CI gate.
 //!
 //! The executor replays the *per-mode* TTMc accumulation order, so every
-//! reference solver here is planned with [`TtmcStrategy::PerMode`]; the
-//! solver's default dimension-tree fast path reassociates the arithmetic
-//! and agrees only within tolerance (covered by `tests/ttmc_strategies.rs`).
+//! reference solver here is planned with [`TtmcStrategy::PerMode`].
 
 use tucker_repro::distsim::{iteration_stats, Phase};
 use tucker_repro::prelude::*;
@@ -40,77 +39,6 @@ fn assert_identical(a: &TuckerDecomposition, b: &TuckerDecomposition, label: &st
             .collect::<Vec<_>>(),
         "{label}: core not bit-identical"
     );
-}
-
-/// The executor's central property: `distributed_hooi` matches
-/// `TuckerSolver::solve` exactly across both grains, all three partitioning
-/// methods, and 1/2/4 ranks.
-#[test]
-fn executor_matches_solver_exactly_across_the_grid() {
-    let tensor = random_tensor(&[22, 18, 14], 800, 31);
-    let config = TuckerConfig::new(vec![3, 2, 3]).max_iterations(3).seed(7);
-    let mut solver = TuckerSolver::plan(
-        &tensor,
-        PlanOptions::new()
-            .num_threads(1)
-            .ttmc_strategy(TtmcStrategy::PerMode),
-    )
-    .unwrap();
-    let reference = solver.solve(&config).unwrap();
-    for grain in [Grain::Fine, Grain::Coarse] {
-        for method in [
-            PartitionMethod::Random,
-            PartitionMethod::Block,
-            PartitionMethod::Hypergraph,
-        ] {
-            for num_ranks in [1usize, 2, 4] {
-                let sim = SimConfig::new(num_ranks, grain, method, vec![3, 2, 3]);
-                let setup = DistributedSetup::build(&tensor, &sim);
-                let dist = distributed_hooi(&tensor, &setup, &config).unwrap();
-                assert_identical(
-                    &dist,
-                    &reference,
-                    &format!("{grain:?}/{method:?}/{num_ranks} ranks"),
-                );
-            }
-        }
-    }
-}
-
-/// Randomized-tensor variant of the same property: many tensors, one
-/// configuration each, so the property does not depend on one fixed
-/// sparsity pattern.
-#[test]
-fn executor_matches_solver_on_random_tensors() {
-    for seed in 0..6u64 {
-        let dims = [
-            10 + (seed as usize * 7) % 15,
-            8 + (seed as usize * 5) % 12,
-            6 + (seed as usize * 3) % 9,
-        ];
-        let nnz = 200 + (seed as usize * 131) % 400;
-        let tensor = random_tensor(&dims, nnz, seed);
-        let config = TuckerConfig::new(vec![2, 2, 2])
-            .max_iterations(2)
-            .seed(seed ^ 0xabcd);
-        let mut solver = TuckerSolver::plan(
-            &tensor,
-            PlanOptions::new()
-                .num_threads(1)
-                .ttmc_strategy(TtmcStrategy::PerMode),
-        )
-        .unwrap();
-        let reference = solver.solve(&config).unwrap();
-        let grain = if seed % 2 == 0 {
-            Grain::Fine
-        } else {
-            Grain::Coarse
-        };
-        let sim = SimConfig::new(3, grain, PartitionMethod::Hypergraph, vec![2, 2, 2]);
-        let setup = DistributedSetup::build(&tensor, &sim);
-        let dist = distributed_hooi(&tensor, &setup, &config).unwrap();
-        assert_identical(&dist, &reference, &format!("seed {seed} ({grain:?})"));
-    }
 }
 
 /// Predicted-vs-measured comm volume on one coarse-grain and one

@@ -17,7 +17,7 @@
 //!   through the per-mode kernels and a dimension-tree plan;
 //! * the `KernelIsa` parse/resolve surface.
 //!
-//! Full solves at either tier are compared in `tests/reference_loop.rs`.
+//! Full solves at either tier are held to one digest in `tests/determinism.rs`.
 //!
 //! Vector tests self-skip on hosts without AVX2.  Assertions that depend
 //! on the process environment are guarded on `KernelIsa::from_env()` so

@@ -9,9 +9,10 @@
 //! wall-clock measurements), so the job cannot flake on a loaded runner.
 
 use proptest::prelude::*;
+use tucker_repro::hooi::dimtree::serve_mode_into_isa;
 use tucker_repro::hooi::symbolic::SymbolicTtmc;
 use tucker_repro::hooi::ttmc::ttmc_mode;
-use tucker_repro::hooi::{per_mode_costs, DimTree};
+use tucker_repro::hooi::{per_mode_costs, DimTree, HooiWorkspace};
 use tucker_repro::prelude::*;
 
 fn factors_for(tensor: &SparseTensor, ranks: &[usize], seed: u64) -> Vec<Matrix> {
@@ -24,13 +25,33 @@ fn factors_for(tensor: &SparseTensor, ranks: &[usize], seed: u64) -> Vec<Matrix>
         .collect()
 }
 
+/// Every mode's compact TTMc with one fixed set of factors: each mode
+/// served through the tree with no factor update in between.
+fn tree_ttmc(
+    tree: &DimTree,
+    tensor: &SparseTensor,
+    sym: &SymbolicTtmc,
+    factors: &[Matrix],
+) -> Vec<Matrix> {
+    let ranks: Vec<usize> = factors.iter().map(|u| u.ncols()).collect();
+    let mut ws = HooiWorkspace::new(sym, &ranks);
+    ws.ensure_tree(tree, &ranks);
+    let isa = KernelIsa::resolved_default();
+    (0..tensor.order())
+        .map(|mode| {
+            serve_mode_into_isa(tree, tensor, sym.mode(mode), factors, mode, &mut ws, isa);
+            ws.compact(mode).clone()
+        })
+        .collect()
+}
+
 /// Asserts the tree's compact TTMc of every mode matches the per-mode
 /// baseline within 1e-10 relative Frobenius distance.
 fn assert_tree_matches_per_mode(tensor: &SparseTensor, ranks: &[usize], seed: u64) {
     let factors = factors_for(tensor, ranks, seed);
     let sym = SymbolicTtmc::build(tensor);
     let tree = DimTree::build(tensor);
-    let tree_results = tree.ttmc_all_modes(tensor, &sym, &factors);
+    let tree_results = tree_ttmc(&tree, tensor, &sym, &factors);
     for mode in 0..tensor.order() {
         let baseline = ttmc_mode(tensor, sym.mode(mode), &factors, mode);
         assert_eq!(baseline.shape(), tree_results[mode].shape());
@@ -119,10 +140,8 @@ proptest! {
 
 /// End-to-end: a dimension-tree solve reproduces the per-mode solve's fit
 /// trajectory within 1e-10 relative on every generated profile, at every
-/// thread count, and repeated tree solves at one width are bit-identical.
-/// (Across *different* widths only the tolerance holds: the TRSVD's
-/// parallel reductions are deterministic per pool width, not across
-/// widths — the same caveat the executor's bit-identity contract carries.)
+/// thread count.  (Each strategy's solves are bit-identical at every pool
+/// width and on plan reuse: `tests/determinism.rs`.)
 #[test]
 fn solver_fits_agree_across_strategies_and_threads() {
     for name in ProfileName::all() {
@@ -157,14 +176,6 @@ fn solver_fits_agree_across_strategies_and_threads() {
                     "{name:?} @ {threads} threads: fit {a} vs per-mode {b}"
                 );
             }
-            // Plan reuse at a fixed width replays the exact same bits.
-            let again = tree_solver.solve(&config).unwrap();
-            assert_eq!(tree.fits, again.fits, "{name:?} @ {threads} threads");
-            for (u, v) in tree.factors.iter().zip(again.factors.iter()) {
-                let ub: Vec<u64> = u.as_slice().iter().map(|x| x.to_bits()).collect();
-                let vb: Vec<u64> = v.as_slice().iter().map(|x| x.to_bits()).collect();
-                assert_eq!(ub, vb, "{name:?} @ {threads} threads: repeat diverged");
-            }
         }
     }
 }
@@ -192,7 +203,7 @@ fn tree_ttmc_is_bit_identical_across_thread_counts() {
             .num_threads(threads)
             .build()
             .unwrap();
-        let results = pool.install(|| tree.ttmc_all_modes(&tensor, &sym, &factors));
+        let results = pool.install(|| tree_ttmc(&tree, &tensor, &sym, &factors));
         let bits: Vec<Vec<u64>> = results
             .iter()
             .map(|m| m.as_slice().iter().map(|x| x.to_bits()).collect())
@@ -405,14 +416,10 @@ fn per_mode_ttmc_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The executor contract — results bit-identical *per thread count* — holds
-/// for both strategies under the flop-weighted scheduling and privatized
-/// accumulation: at each of 1/2/4 threads, two independently planned solves
-/// reproduce factors, core, and fits bit for bit.  (Across *different*
-/// widths only the 1e-10 tolerance holds, as ever: the TRSVD's parallel
-/// reductions are deterministic per pool width, not across widths — the
-/// TTMc layer itself is cross-width bit-identical, see the dedicated
-/// `*_ttmc_is_bit_identical_across_thread_counts` tests.)
+/// Both strategies' solves are bit-identical at every pool width under the
+/// flop-weighted scheduling and privatized accumulation: two independently
+/// planned solves at each of 1/2/4 threads reproduce the first 1-thread
+/// solve's fits, core and factors bit for bit.
 #[test]
 fn solves_are_bit_reproducible_at_each_thread_count_for_both_strategies() {
     let profile = DatasetProfile::new(ProfileName::Delicious);
@@ -421,45 +428,22 @@ fn solves_are_bit_reproducible_at_each_thread_count_for_both_strategies() {
         .max_iterations(2)
         .seed(6);
     for strategy in [TtmcStrategy::PerMode, TtmcStrategy::DimensionTree] {
-        let mut one_thread_fits: Option<Vec<f64>> = None;
-        for threads in [1usize, 2, 4] {
-            let solve_once = || {
-                TuckerSolver::plan(
-                    &tensor,
-                    PlanOptions::new()
-                        .num_threads(threads)
-                        .ttmc_strategy(strategy),
-                )
+        let mut reference: Option<Vec<u64>> = None;
+        for threads in [1usize, 1, 2, 2, 4, 4] {
+            let options = PlanOptions::new()
+                .num_threads(threads)
+                .ttmc_strategy(strategy);
+            let d = TuckerSolver::plan(&tensor, options)
                 .unwrap()
                 .solve(&config)
-                .unwrap()
-            };
-            let first = solve_once();
-            let second = solve_once();
-            assert_eq!(first.fits, second.fits, "{strategy:?} @ {threads} threads");
-            assert_eq!(
-                first.core.as_slice(),
-                second.core.as_slice(),
-                "{strategy:?} @ {threads} threads: core not reproducible"
-            );
-            for (u, v) in first.factors.iter().zip(second.factors.iter()) {
-                let ub: Vec<u64> = u.as_slice().iter().map(|x| x.to_bits()).collect();
-                let vb: Vec<u64> = v.as_slice().iter().map(|x| x.to_bits()).collect();
-                assert_eq!(
-                    ub, vb,
-                    "{strategy:?} @ {threads} threads: factor not reproducible"
-                );
-            }
-            match &one_thread_fits {
-                None => one_thread_fits = Some(first.fits),
-                Some(base) => {
-                    for (a, b) in first.fits.iter().zip(base.iter()) {
-                        assert!(
-                            (a - b).abs() <= 1e-10 * b.abs().max(1e-300),
-                            "{strategy:?} @ {threads} threads: fit {a} vs 1-thread {b}"
-                        );
-                    }
-                }
+                .unwrap();
+            let factors = d.factors.iter().flat_map(|u| u.as_slice());
+            let bits: Vec<u64> = (d.fits.iter().chain(d.core.as_slice()).chain(factors))
+                .map(|x| x.to_bits())
+                .collect();
+            match &reference {
+                None => reference = Some(bits),
+                Some(r) => assert!(r == &bits, "{strategy:?} @ {threads} threads diverged"),
             }
         }
     }
