@@ -48,7 +48,7 @@
 //! executor's arithmetic replays the *per-mode* TTMc, so it equals a solver
 //! planned with `TtmcStrategy::PerMode` — the shared-memory solver's
 //! dimension-tree fast path reassociates the accumulation and agrees only
-//! within tolerance, not bit for bit.  `tests/determinism.rs` holds the
+//! within tolerance, not bit for bit.  `tests/executor.rs` holds the
 //! executor to the per-mode solve's blessed digest.
 //!
 //! The analytic tables (256-rank scaling) still come from

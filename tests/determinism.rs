@@ -17,25 +17,22 @@
 //! * `solve()` on sessions with their own pools of width 1, 2 and 3, and on
 //!   a `caller_pool()` session planned and solved inside an installed pool;
 //! * a second `solve()` on the same session, which reuses the plan;
-//! * the reference loop: Algorithm 1 driven by hand through the public
-//!   kernels from every mode's random initial factor (the solver skips
-//!   mode 0's, which HOOI overwrites before reading), with its TTMc tier
-//!   passed explicitly as `Scalar` and as `Avx2`.  Its per-mode TTMc
-//!   gathers every nonzero through its COO id, so on per-mode classes it is
-//!   the COO ≡ CSF member.  On the small inputs it also runs with the shared
-//!   compact buffer poisoned with NaN before every TTMc: one entry a kernel
-//!   left unwritten would carry the NaN into the digest;
 //! * per-mode classes only: a solve of the tensor read back from a `.tns`
-//!   file through the streamed reader at a 7-nonzero chunk, and the
-//!   message-passing executor — on the small inputs across both grains,
-//!   the three partitioning methods and 1/2/4 ranks at `rank_threads` 1
-//!   and 2, on the 2 500-nonzero profiles at two corners of that grid (a
-//!   hypergraph partition of an order-4 profile alone takes seconds).
+//!   file through the streamed reader at a 7-nonzero chunk;
+//! * in `tests/reference_loop.rs`, the reference loop: Algorithm 1 driven
+//!   by hand through the public kernels, with its TTMc tier passed
+//!   explicitly as `Scalar` and as `Avx2`, and on the small inputs with the
+//!   compact buffer poisoned;
+//! * in `tests/executor.rs`, per-mode classes only, the message-passing
+//!   executor across grains, partitioning methods, rank counts and
+//!   `rank_threads`.
 //!
-//! The TRSVD and the core run at the process tier, which only
-//! `TUCKER_KERNEL` switches; CI runs this file under forced `scalar` and
-//! forced `avx2` against the same fixture.  After an intentional change,
-//! re-bless with
+//! The harness (inputs, digest, fixture, `Contract`) is
+//! `tests/contract/mod.rs`.  This file writes the fixture and checks that
+//! it lists every class.  The TRSVD and the core run at the process tier,
+//! which only `TUCKER_KERNEL` switches; CI runs the three files under
+//! forced `scalar` and forced `avx2` against the same fixture.  After an
+//! intentional change, re-bless with
 //!
 //! ```text
 //! GOLDEN_BLESS=1 cargo test --release --test determinism
@@ -43,270 +40,10 @@
 //!
 //! and justify the behaviour change in CHANGES.md.
 
-use tucker_repro::hooi::core_tensor::core_from_last_ttmc_into;
-use tucker_repro::hooi::dimtree::{factor_updated, serve_mode_into_isa};
-use tucker_repro::hooi::fit::fit_from_norms;
-use tucker_repro::hooi::hosvd::random_factors;
-use tucker_repro::hooi::symbolic::SymbolicTtmc;
-use tucker_repro::hooi::trsvd::trsvd_factor_with;
-use tucker_repro::hooi::{ttmc_mode_into_isa, HooiWorkspace};
+mod contract;
+
+use contract::*;
 use tucker_repro::prelude::*;
-
-use std::collections::BTreeMap;
-
-const FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/determinism.txt"
-);
-const REBLESS: &str = "GOLDEN_BLESS=1 cargo test --release --test determinism";
-const STRATEGIES: [TtmcStrategy; 2] = [TtmcStrategy::PerMode, TtmcStrategy::DimensionTree];
-
-/// One tensor and the configuration every member solves it at.
-struct Input {
-    name: String,
-    tensor: SparseTensor,
-    config: TuckerConfig,
-    /// Small enough for the whole executor grid and the poisoned reference.
-    small: bool,
-}
-
-impl Input {
-    fn new(name: String, tensor: SparseTensor, ranks: Vec<usize>, iterations: usize) -> Self {
-        let config = TuckerConfig::new(ranks)
-            .max_iterations(iterations)
-            .fit_tolerance(-1.0)
-            .seed(5);
-        let small = tensor.nnz() <= 1_000;
-        Input {
-            name,
-            tensor,
-            config,
-            small,
-        }
-    }
-
-    /// The fixture's key of this input's class under `strategy`.
-    fn class(&self, strategy: TtmcStrategy) -> String {
-        let strategy = match strategy {
-            TtmcStrategy::PerMode => "per-mode",
-            _ => "tree",
-        };
-        format!("{} {strategy}", self.name)
-    }
-}
-
-/// Every generated profile at its paper ranks (10 at order 3, 5 at order
-/// 4: rows that end in masked vector lanes), random tensors of orders 2–5,
-/// one shaped for the TRSVD's Krylov regime, and the executor's grid
-/// tensor.
-fn inputs() -> Vec<Input> {
-    let profiles = ProfileName::all().into_iter().map(|name| {
-        let profile = DatasetProfile::new(name);
-        let tensor = profile.generate(2_500, 13);
-        let dims = tensor.dims().iter();
-        let ranks = dims.zip(profile.paper_ranks()).map(|(&d, &r)| d.min(r));
-        let ranks = ranks.collect();
-        Input::new(format!("{name:?}").to_lowercase(), tensor, ranks, 2)
-    });
-    let random = [
-        (&[30, 20][..], 200, &[3, 2][..]),
-        (&[14, 12, 10], 400, &[3, 2, 3]),
-        (&[10, 9, 8, 6], 400, &[2, 3, 2, 2]),
-        (&[8, 7, 6, 5, 4], 300, &[2, 2, 3, 2, 2]),
-    ]
-    .into_iter()
-    .zip(40..)
-    .map(|((dims, nnz, ranks), seed)| {
-        let name = format!("random-order{}", dims.len());
-        Input::new(name, random_tensor(dims, nnz, seed), ranks.to_vec(), 2)
-    });
-    // Modes 0 and 1 take the TRSVD's Krylov regime, tall and wide; of the
-    // other inputs' modes only Netflix's mode 1 does (wide), the rest are
-    // formed or dense.
-    let krylov = random_tensor(&[500, 40, 8, 8], 1_000, 44);
-    let krylov = Input::new("random-krylov".into(), krylov, vec![2, 2, 8, 8], 2);
-    let grid = random_tensor(&[22, 18, 14], 800, 31);
-    let grid = Input::new("executor-grid".into(), grid, vec![3, 2, 3], 3);
-    profiles.chain(random).chain([krylov, grid]).collect()
-}
-
-/// FNV-1a over the iteration count, the fits, every factor's shape and bits
-/// and the core's bits.
-fn digest(iterations: usize, fits: &[f64], factors: &[Matrix], core: &DenseTensor) -> u64 {
-    let factor_words = factors.iter().flat_map(|u| {
-        let bits = u.as_slice().iter().map(|x| x.to_bits());
-        [u.nrows() as u64, u.ncols() as u64].into_iter().chain(bits)
-    });
-    std::iter::once(iterations as u64)
-        .chain(fits.iter().map(|x| x.to_bits()))
-        .chain(factor_words)
-        .chain(core.as_slice().iter().map(|x| x.to_bits()))
-        .fold(0xcbf2_9ce4_8422_2325, |hash, word| {
-            (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-}
-
-fn digest_of(d: &TuckerDecomposition) -> u64 {
-    digest(d.iterations, &d.fits, &d.factors, &d.core)
-}
-
-fn pool(width: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(width)
-        .build()
-        .unwrap()
-}
-
-fn plan(tensor: &SparseTensor, strategy: TtmcStrategy, width: usize) -> TuckerSolver<'_> {
-    let options = PlanOptions::new().num_threads(width);
-    TuckerSolver::plan(tensor, options.ttmc_strategy(strategy)).unwrap()
-}
-
-fn blessing() -> bool {
-    std::env::var_os("GOLDEN_BLESS").is_some()
-}
-
-/// The class's first member, `solve()` on a session of width 1: what a
-/// re-bless writes.
-fn canonical(input: &Input, strategy: TtmcStrategy) -> u64 {
-    let mut session = plan(&input.tensor, strategy, 1);
-    digest_of(&session.solve(&input.config).unwrap())
-}
-
-/// The blessed digest of every class.
-fn fixture() -> BTreeMap<String, u64> {
-    let text = std::fs::read_to_string(FIXTURE)
-        .unwrap_or_else(|e| panic!("missing {FIXTURE}: {e}\n(bless it with `{REBLESS}`)"));
-    let parse = |line: &str| {
-        let (class, hex) = line.rsplit_once(' ')?;
-        Some((class.to_string(), u64::from_str_radix(hex, 16).ok()?))
-    };
-    let malformed = |line| panic!("malformed line in {FIXTURE}: {line}");
-    text.lines()
-        .map(|line| parse(line).unwrap_or_else(|| malformed(line)))
-        .collect()
-}
-
-/// Checks members against their classes' blessed digests (while blessing,
-/// against their canonical members') and reports every divergence at once,
-/// naming the class and the member.
-struct Contract {
-    digests: BTreeMap<String, u64>,
-    failures: Vec<String>,
-}
-
-impl Contract {
-    fn new() -> Self {
-        let digests = if blessing() {
-            BTreeMap::new()
-        } else {
-            fixture()
-        };
-        let failures = Vec::new();
-        Contract { digests, failures }
-    }
-
-    fn check(&mut self, input: &Input, strategy: TtmcStrategy, member: &str, got: u64) {
-        let class = input.class(strategy);
-        if blessing() && !self.digests.contains_key(&class) {
-            self.digests
-                .insert(class.clone(), canonical(input, strategy));
-        }
-        match self.digests.get(&class) {
-            Some(&want) if want == got => {}
-            Some(&want) => self.failures.push(format!(
-                "{class}: {member} gave {got:016x}, blessed {want:016x}"
-            )),
-            None => self.failures.push(format!("{class}: no blessed digest")),
-        }
-    }
-
-    fn finish(self) {
-        assert!(
-            self.failures.is_empty(),
-            "members diverged from {FIXTURE}:\n  {}\n\
-             (if the change is intentional, re-bless with `{REBLESS}` \
-             and justify it in CHANGES.md)",
-            self.failures.join("\n  ")
-        );
-    }
-}
-
-/// Algorithm 1 over `session`'s tree (if any), call for call as the solver
-/// makes them, from every mode's random initial factor, with the per-mode
-/// TTMc gathering through COO ids at kernel tier `isa`.  With `poison`, the
-/// compact buffer is filled with NaN before every TTMc.
-fn reference_solve(
-    session: &TuckerSolver<'_>,
-    config: &TuckerConfig,
-    poison: bool,
-    isa: KernelIsa,
-) -> u64 {
-    let tensor = session.tensor();
-    let symbolic = &SymbolicTtmc::build_without_layout(tensor);
-    let tree = session.dimtree();
-    let ranks = &config.ranks;
-    let order = tensor.order();
-    let mut factors = random_factors(tensor.dims(), ranks, config.seed);
-    let mut ws = HooiWorkspace::new(symbolic, ranks);
-    if let Some(tree) = tree {
-        ws.ensure_tree(tree, ranks);
-    }
-    let mut fits = Vec::new();
-    for _ in 0..config.max_iterations {
-        for mode in 0..order {
-            if poison {
-                ws.compact_mut(mode).as_mut_slice().fill(f64::NAN);
-            }
-            match tree {
-                Some(tree) => serve_mode_into_isa(
-                    tree,
-                    tensor,
-                    symbolic.mode(mode),
-                    &factors,
-                    mode,
-                    &mut ws,
-                    isa,
-                ),
-                None => ttmc_mode_into_isa(
-                    tensor,
-                    symbolic.mode(mode),
-                    &factors,
-                    mode,
-                    ws.compact_mut(mode),
-                    isa,
-                ),
-            }
-            let (compact, scratch) = ws.trsvd_buffers(mode);
-            let result = trsvd_factor_with(
-                compact,
-                symbolic.mode(mode),
-                tensor.dims()[mode],
-                ranks[mode],
-                config.trsvd,
-                config.seed ^ ((mode as u64 + 1) << 8),
-                scratch,
-            );
-            factors[mode] = result.factor;
-            if let Some(tree) = tree {
-                factor_updated(tree, mode, &mut ws);
-            }
-        }
-        let (compact, core) = ws.core_buffers(order - 1);
-        core_from_last_ttmc_into(
-            compact,
-            symbolic.mode(order - 1),
-            &factors[order - 1],
-            ranks,
-            core,
-        );
-        fits.push(fit_from_norms(
-            tensor.frobenius_norm(),
-            ws.core().frobenius_norm(),
-        ));
-    }
-    digest(config.max_iterations, &fits, &factors, ws.core())
-}
 
 /// The fixture names exactly the classes this file checks; blessing
 /// rewrites it from every class's canonical member.
@@ -359,69 +96,6 @@ fn solves_reproduce_the_blessed_digests() {
                 session.solve(&input.config).unwrap()
             });
             check("caller_pool() session in a pool of width 3", caller);
-        }
-    }
-    contract.finish();
-}
-
-/// The hand-driven reference loop at either TTMc tier, and poisoned.
-#[test]
-fn reference_loop_reproduces_the_blessed_digests() {
-    let mut contract = Contract::new();
-    for input in inputs() {
-        for strategy in STRATEGIES {
-            let session = plan(&input.tensor, strategy, 1);
-            let mut members = vec![
-                ("reference loop, TTMc at scalar", false, KernelIsa::Scalar),
-                ("reference loop, TTMc at avx2", false, KernelIsa::Avx2),
-            ];
-            if input.small {
-                let isa = session.kernel_isa();
-                members.push(("reference loop, poisoned compact buffer", true, isa));
-            }
-            for (member, poison, isa) in members {
-                let got = pool(2).install(|| reference_solve(&session, &input.config, poison, isa));
-                contract.check(&input, strategy, member, got);
-            }
-        }
-    }
-    contract.finish();
-}
-
-/// The executor replays the per-mode TTMc: on the small inputs every grain
-/// × partitioning method × rank count at one and two threads per rank, on
-/// the profiles a fine-grain random partition over 4 ranks of 2 threads and
-/// a coarse-grain block partition over 2 ranks of 1.
-#[test]
-fn executor_reproduces_the_blessed_per_mode_digests() {
-    use PartitionMethod::{Block, Hypergraph, Random};
-    let mut contract = Contract::new();
-    for input in inputs() {
-        let mut grid = vec![(Grain::Fine, Random, 4, 2), (Grain::Coarse, Block, 2, 1)];
-        if input.small {
-            grid.clear();
-            for grain in [Grain::Fine, Grain::Coarse] {
-                for method in [Random, Block, Hypergraph] {
-                    for (ranks, threads) in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)] {
-                        grid.push((grain, method, ranks, threads));
-                    }
-                }
-            }
-        }
-        for (grain, method, num_ranks, rank_threads) in grid {
-            let sim = SimConfig::new(num_ranks, grain, method, input.config.ranks.clone());
-            let setup = DistributedSetup::build(&input.tensor, &sim);
-            let options = ExecOptions::new().rank_threads(rank_threads);
-            let run = execute_hooi(&input.tensor, &setup, &input.config, &options).unwrap();
-            let member = format!(
-                "executor {grain:?}/{method:?}/{num_ranks} ranks at rank_threads {rank_threads}"
-            );
-            contract.check(
-                &input,
-                TtmcStrategy::PerMode,
-                &member,
-                digest_of(&run.decomposition),
-            );
         }
     }
     contract.finish();

@@ -1,16 +1,20 @@
-//! Executor communication cross-validation and failure model.
+//! Executor cross-validation and failure model.
 //!
-//! The executor's bit-identity with the shared-memory per-mode solve
-//! across every grain, partitioning method, rank count and `rank_threads`
-//! is a member of the per-mode classes of `tests/determinism.rs`.  These
-//! tests add word-exact agreement between the communicator's measured
-//! traffic and [`iteration_stats`]' predictions, the typed failure of a
-//! cut link, and repeat runs; with the determinism file's executor members
-//! they are the `executor-smoke` CI gate.
+//! The executor is a member of every per-mode class of the determinism
+//! contract (stated in `tests/determinism.rs`): across both grains, the
+//! three partitioning methods, 1/2/4 ranks and `rank_threads` 1 and 2 it
+//! must reproduce the blessed per-mode digests, so its bits are those of
+//! the shared-memory per-mode solve at any pool width.  These tests add
+//! word-exact agreement between the communicator's measured traffic and
+//! [`iteration_stats`]' predictions, the typed failure of a cut link, and
+//! repeat runs; together they are the `executor-smoke` CI gate.
 //!
 //! The executor replays the *per-mode* TTMc accumulation order, so every
 //! reference solver here is planned with [`TtmcStrategy::PerMode`].
 
+mod contract;
+
+use contract::*;
 use tucker_repro::distsim::{iteration_stats, Phase};
 use tucker_repro::prelude::*;
 
@@ -39,6 +43,69 @@ fn assert_identical(a: &TuckerDecomposition, b: &TuckerDecomposition, label: &st
             .collect::<Vec<_>>(),
         "{label}: core not bit-identical"
     );
+}
+
+/// Every grain × partitioning method × 1/2/4 ranks at one and two threads
+/// per rank.
+fn full_grid() -> Vec<(Grain, PartitionMethod, usize, usize)> {
+    let mut grid = Vec::new();
+    for grain in [Grain::Fine, Grain::Coarse] {
+        for method in [
+            PartitionMethod::Random,
+            PartitionMethod::Block,
+            PartitionMethod::Hypergraph,
+        ] {
+            for (ranks, threads) in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)] {
+                grid.push((grain, method, ranks, threads));
+            }
+        }
+    }
+    grid
+}
+
+/// Runs the executor on every input `select` keeps: the full grid on the
+/// small inputs, and on the 2 500-nonzero profiles two corners of it, a
+/// fine-grain random partition over 4 ranks of 2 threads and a
+/// coarse-grain block partition over 2 ranks of 1 (a hypergraph partition
+/// of an order-4 profile alone takes seconds).
+fn check_executor_members(select: impl Fn(&Input) -> bool) {
+    let mut contract = Contract::new();
+    for input in inputs().into_iter().filter(|input| select(input)) {
+        let grid = if input.small {
+            full_grid()
+        } else {
+            vec![
+                (Grain::Fine, PartitionMethod::Random, 4, 2),
+                (Grain::Coarse, PartitionMethod::Block, 2, 1),
+            ]
+        };
+        for (grain, method, num_ranks, rank_threads) in grid {
+            let sim = SimConfig::new(num_ranks, grain, method, input.config.ranks.clone());
+            let setup = DistributedSetup::build(&input.tensor, &sim);
+            let options = ExecOptions::new().rank_threads(rank_threads);
+            let run = execute_hooi(&input.tensor, &setup, &input.config, &options).unwrap();
+            let member = format!(
+                "executor {grain:?}/{method:?}/{num_ranks} ranks at rank_threads {rank_threads}"
+            );
+            let got = digest_of(&run.decomposition);
+            contract.check(&input, TtmcStrategy::PerMode, &member, got);
+        }
+    }
+    contract.finish();
+}
+
+/// The grid tensor (`[22, 18, 14]`, 800 nonzeros, 3 iterations) across the
+/// whole grid.
+#[test]
+fn executor_matches_solver_exactly_across_the_grid() {
+    check_executor_members(|input| input.name == "executor-grid");
+}
+
+/// The random tensors of orders 2–5 and the Krylov-regime tensor across the
+/// whole grid, and the generated profiles at its two corners.
+#[test]
+fn executor_matches_solver_on_random_tensors() {
+    check_executor_members(|input| input.name != "executor-grid");
 }
 
 /// Predicted-vs-measured comm volume on one coarse-grain and one
