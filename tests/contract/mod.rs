@@ -1,8 +1,10 @@
-//! The harness of the determinism contract, shared by the test files that
-//! hold its members: `tests/determinism.rs` (the fixture, the solves and
-//! the streamed round trip), `tests/reference_loop.rs` (the hand-driven
-//! HOOI loop) and `tests/executor.rs` (the message-passing executor).  The
-//! contract itself is stated in `tests/determinism.rs`.
+//! The harness of the determinism contract, shared by `tests/determinism.rs`
+//! (the fixture) and the test files that hold its members:
+//! `tests/ttmc_strategies.rs` (solves at each pool width, plan reuse),
+//! `tests/layouts.rs` (CSF plans, the streamed round trip),
+//! `tests/reference_loop.rs` (the hand-driven HOOI loop) and
+//! `tests/executor.rs` (the message-passing executor).  The contract and
+//! its member map are stated in `tests/determinism.rs`.
 
 // Each test file uses a part of the harness.
 #![allow(dead_code)]
@@ -16,6 +18,7 @@ use tucker_repro::hooi::trsvd::trsvd_factor_with;
 use tucker_repro::hooi::{ttmc_mode_into_isa, HooiWorkspace};
 use tucker_repro::prelude::*;
 
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 pub const FIXTURE: &str = concat!(
@@ -25,27 +28,49 @@ pub const FIXTURE: &str = concat!(
 pub const REBLESS: &str = "GOLDEN_BLESS=1 cargo test --release --test determinism";
 pub const STRATEGIES: [TtmcStrategy; 2] = [TtmcStrategy::PerMode, TtmcStrategy::DimensionTree];
 
+/// Which members an input's classes take.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// A random tensor of at most 1 000 nonzeros: every member, the
+    /// poisoned reference loop included.
+    Small,
+    /// A generated profile at its paper ranks: every member but the
+    /// poisoned reference loop.
+    Profile,
+    /// A generated profile at another rank of the sweep 3, 5, 7, 10: one
+    /// class, the strategy `Auto` resolves to, whose members are `solve()`
+    /// through an `Auto` plan and the reference loop at either tier.
+    Sweep,
+}
+
 /// One tensor and the configuration every member solves it at.
 pub struct Input {
     pub name: String,
     pub tensor: SparseTensor,
     pub config: TuckerConfig,
-    /// Small enough for the whole executor grid and the poisoned reference.
-    pub small: bool,
+    pub scope: Scope,
+    /// The strategies this input has a class under.
+    pub strategies: Vec<TtmcStrategy>,
 }
 
 impl Input {
-    pub fn new(name: String, tensor: SparseTensor, ranks: Vec<usize>, iterations: usize) -> Self {
+    pub fn new(
+        name: String,
+        tensor: SparseTensor,
+        ranks: Vec<usize>,
+        iterations: usize,
+        seed: u64,
+    ) -> Self {
         let config = TuckerConfig::new(ranks)
             .max_iterations(iterations)
             .fit_tolerance(-1.0)
-            .seed(5);
-        let small = tensor.nnz() <= 1_000;
+            .seed(seed);
         Input {
             name,
             tensor,
             config,
-            small,
+            scope: Scope::Small,
+            strategies: STRATEGIES.to_vec(),
         }
     }
 
@@ -59,39 +84,54 @@ impl Input {
     }
 }
 
-/// Every generated profile at its paper ranks (10 at order 3, 5 at order
-/// 4: rows that end in masked vector lanes), random tensors of orders 2–5,
-/// one shaped for the TRSVD's Krylov regime, and the executor's grid
-/// tensor.
+/// Every generated profile at ranks 3, 5, 7 and 10 (rows that fill whole
+/// vectors and rows that end in masked lanes; at 7 and 10 the order-4
+/// profiles take the TRSVD's Krylov regime, tall and wide, and Netflix's
+/// mode 1 does at 10), random tensors of orders 2–5, six small order-3
+/// tensors with their own sparsity patterns and initial factors, and the
+/// executor's grid tensor.
 pub fn inputs() -> Vec<Input> {
-    let profiles = ProfileName::all().into_iter().map(|name| {
+    let mut inputs = Vec::new();
+    for name in ProfileName::all() {
         let profile = DatasetProfile::new(name);
         let tensor = profile.generate(2_500, 13);
-        let dims = tensor.dims().iter();
-        let ranks = dims.zip(profile.paper_ranks()).map(|(&d, &r)| d.min(r));
-        let ranks = ranks.collect();
-        Input::new(format!("{name:?}").to_lowercase(), tensor, ranks, 2)
-    });
+        for rank in [3, 5, 7, 10] {
+            let ranks = tensor.dims().iter().map(|&d| d.min(rank)).collect();
+            let name = format!("{name:?}-r{rank}").to_lowercase();
+            let mut input = Input::new(name, tensor.clone(), ranks, 2, 5);
+            if profile.paper_ranks().iter().all(|&r| r == rank) {
+                input.scope = Scope::Profile;
+            } else {
+                let auto = PlanOptions::new().num_threads(1);
+                let auto = TuckerSolver::plan(&tensor, auto.ttmc_strategy(TtmcStrategy::Auto));
+                input.scope = Scope::Sweep;
+                input.strategies = vec![auto.unwrap().ttmc_strategy()];
+            }
+            inputs.push(input);
+        }
+    }
     let random = [
         (&[30, 20][..], 200, &[3, 2][..]),
         (&[14, 12, 10], 400, &[3, 2, 3]),
         (&[10, 9, 8, 6], 400, &[2, 3, 2, 2]),
         (&[8, 7, 6, 5, 4], 300, &[2, 2, 3, 2, 2]),
-    ]
-    .into_iter()
-    .zip(40..)
-    .map(|((dims, nnz, ranks), seed)| {
+    ];
+    for (seed, (dims, nnz, ranks)) in (0..).zip(random) {
         let name = format!("random-order{}", dims.len());
-        Input::new(name, random_tensor(dims, nnz, seed), ranks.to_vec(), 2)
-    });
-    // Modes 0 and 1 take the TRSVD's Krylov regime, tall and wide; of the
-    // other inputs' modes only Netflix's mode 1 does (wide), the rest are
-    // formed or dense.
-    let krylov = random_tensor(&[500, 40, 8, 8], 1_000, 44);
-    let krylov = Input::new("random-krylov".into(), krylov, vec![2, 2, 8, 8], 2);
+        let tensor = random_tensor(dims, nnz, 40 + seed);
+        inputs.push(Input::new(name, tensor, ranks.to_vec(), 2, 7 + seed));
+    }
+    for seed in 0..6 {
+        let s = seed as usize;
+        let dims = [10 + (s * 7) % 15, 8 + (s * 5) % 12, 6 + (s * 3) % 9];
+        let tensor = random_tensor(&dims, 200 + (s * 131) % 400, seed);
+        let name = format!("random-seed{seed}");
+        inputs.push(Input::new(name, tensor, vec![2, 2, 2], 2, seed ^ 0xabcd));
+    }
     let grid = random_tensor(&[22, 18, 14], 800, 31);
-    let grid = Input::new("executor-grid".into(), grid, vec![3, 2, 3], 3);
-    profiles.chain(random).chain([krylov, grid]).collect()
+    let name = "executor-grid".to_string();
+    inputs.push(Input::new(name, grid, vec![3, 2, 3], 3, 7));
+    inputs
 }
 
 /// FNV-1a over the iteration count, the fits, every factor's shape and bits
@@ -151,49 +191,47 @@ pub fn fixture() -> BTreeMap<String, u64> {
         .collect()
 }
 
-/// Checks members against their classes' blessed digests (while blessing,
-/// against their canonical members') and reports every divergence at once,
-/// naming the class and the member.
-pub struct Contract {
-    digests: BTreeMap<String, u64>,
-    failures: Vec<String>,
-}
+/// One member's digest of an input's class under a strategy.
+pub type Run = (TtmcStrategy, String, u64);
 
-impl Contract {
-    pub fn new() -> Self {
-        let digests = if blessing() {
-            BTreeMap::new()
-        } else {
-            fixture()
-        };
-        let failures = Vec::new();
-        Contract { digests, failures }
-    }
-
-    pub fn check(&mut self, input: &Input, strategy: TtmcStrategy, member: &str, got: u64) {
-        let class = input.class(strategy);
-        if blessing() && !self.digests.contains_key(&class) {
-            self.digests
-                .insert(class.clone(), canonical(input, strategy));
+/// Runs `members` on every input `select` keeps, two inputs at a time (much
+/// of a solve runs on one core), and checks every digest it returns against
+/// its class's blessed digest (while blessing, against its canonical
+/// member's), reporting every divergence at once, by class and member.
+pub fn check_members(select: impl Fn(&Input) -> bool, members: impl Fn(&Input) -> Vec<Run> + Sync) {
+    let inputs: Vec<Input> = inputs().into_iter().filter(|input| select(input)).collect();
+    let runs: Vec<(Vec<Run>, Input)> = pool(2).install(|| {
+        let runs = inputs.into_par_iter().map(|input| (members(&input), input));
+        runs.collect()
+    });
+    let mut digests = if blessing() {
+        BTreeMap::new()
+    } else {
+        fixture()
+    };
+    let mut failures = Vec::new();
+    for (runs, input) in runs {
+        for (strategy, member, got) in runs {
+            let class = input.class(strategy);
+            if blessing() && !digests.contains_key(&class) {
+                digests.insert(class.clone(), canonical(&input, strategy));
+            }
+            match digests.get(&class) {
+                Some(&want) if want == got => {}
+                Some(&want) => failures.push(format!(
+                    "{class}: {member} gave {got:016x}, blessed {want:016x}"
+                )),
+                None => failures.push(format!("{class}: no blessed digest")),
+            }
         }
-        match self.digests.get(&class) {
-            Some(&want) if want == got => {}
-            Some(&want) => self.failures.push(format!(
-                "{class}: {member} gave {got:016x}, blessed {want:016x}"
-            )),
-            None => self.failures.push(format!("{class}: no blessed digest")),
-        }
     }
-
-    pub fn finish(self) {
-        assert!(
-            self.failures.is_empty(),
-            "members diverged from {FIXTURE}:\n  {}\n\
-             (if the change is intentional, re-bless with `{REBLESS}` \
-             and justify it in CHANGES.md)",
-            self.failures.join("\n  ")
-        );
-    }
+    assert!(
+        failures.is_empty(),
+        "members diverged from {FIXTURE}:\n  {}\n\
+         (if the change is intentional, re-bless with `{REBLESS}` \
+         and justify it in CHANGES.md)",
+        failures.join("\n  ")
+    );
 }
 
 /// Algorithm 1 over `session`'s tree (if any), call for call as the solver

@@ -1,36 +1,40 @@
 //! The determinism contract, executable.
 //!
-//! A decomposition is a pure function of the tensor, the [`TuckerConfig`]
+//! A decomposition is a pure function of the tensor, the `TuckerConfig`
 //! and the resolved TTMc strategy.  Every TRSVD reduction is chunked by row
 //! count, never by pool width, and every TTMc row is summed in an order the
 //! sparsity structure fixes, so the pool width, the index structure, the
 //! kernel tier, plan reuse and the distributed executor never change a
-//! bit.  The two
-//! strategies reassociate the TTMc sums, so each input has one class per
-//! strategy; their agreement within 1e-10 is `tests/ttmc_strategies.rs`'s.
+//! bit.  The two strategies reassociate the TTMc sums, so each input has
+//! one class per strategy; their agreement within 1e-10 is
+//! `tests/ttmc_strategies.rs`'s.
 //!
 //! `tests/fixtures/determinism.txt` holds one line per class,
 //! `<input> <per-mode|tree> <digest>`: an FNV-1a hash over the iteration
 //! count, the fits, every factor's shape and bits and the core's bits.
-//! Every member of a class must reproduce its class's digest:
+//! Every member of a class must reproduce its class's digest.  The
+//! members, and the test that checks each:
 //!
-//! * `solve()` on sessions with their own pools of width 1, 2 and 3, and on
-//!   a `caller_pool()` session planned and solved inside an installed pool;
-//! * a second `solve()` on the same session, which reuses the plan;
-//! * per-mode classes only: a solve of the tensor read back from a `.tns`
-//!   file through the streamed reader at a 7-nonzero chunk;
-//! * in `tests/reference_loop.rs`, the reference loop: Algorithm 1 driven
-//!   by hand through the public kernels, with its TTMc tier passed
-//!   explicitly as `Scalar` and as `Avx2`, and on the small inputs with the
-//!   compact buffer poisoned;
-//! * in `tests/executor.rs`, per-mode classes only, the message-passing
-//!   executor across grains, partitioning methods, rank counts and
-//!   `rank_threads`.
+//! | member | classes | test |
+//! |---|---|---|
+//! | `solve()` at pool widths 1, 2 and 3 | per-mode | `tests/ttmc_strategies.rs` `per_mode_ttmc_is_bit_identical_across_thread_counts` |
+//! | the same | tree | `tests/ttmc_strategies.rs` `tree_ttmc_is_bit_identical_across_thread_counts` |
+//! | a `caller_pool()` session in an installed pool of width 4, solved twice (plan reuse) | both | `tests/ttmc_strategies.rs` `solves_are_bit_reproducible_at_each_thread_count_for_both_strategies` |
+//! | a per-mode plan (which reports CSF) at pool width 4 | per-mode, profiles | `tests/layouts.rs` `solves_are_bit_identical_across_layouts_on_all_profiles` |
+//! | the tensor read back from a `.tns` file by the streamed reader | per-mode | `tests/layouts.rs` `streamed_roundtrip_preserves_solves_bitwise` |
+//! | the reference loop, TTMc at `Scalar` and at `Avx2` (and poisoned, on the small inputs) | every | `tests/reference_loop.rs` |
+//! | an `Auto` plan's `solve()` on the rank sweep | sweep | `tests/reference_loop.rs` `profile_solves_match_the_reference_loop_at_either_kernel_tier` |
+//! | the message-passing executor across grains, partitioning methods, 1–4 ranks and `rank_threads` 1 and 2 | per-mode | `tests/executor.rs` |
 //!
-//! The harness (inputs, digest, fixture, `Contract`) is
+//! The inputs are every generated profile at 2 500 nonzeros and ranks 3,
+//! 5, 7 and 10, and small random tensors; the profile at a rank other than
+//! its paper ranks has only the class of the strategy `Auto` resolves to,
+//! and only the reference-loop members (`contract::Scope`).
+//!
+//! The harness (inputs, digest, fixture, `check_members`) is
 //! `tests/contract/mod.rs`.  This file writes the fixture and checks that
 //! it lists every class.  The TRSVD and the core run at the process tier,
-//! which only `TUCKER_KERNEL` switches; CI runs the three files under
+//! which only `TUCKER_KERNEL` switches; CI runs the member files under
 //! forced `scalar` and forced `avx2` against the same fixture.  After an
 //! intentional change, re-bless with
 //!
@@ -43,15 +47,14 @@
 mod contract;
 
 use contract::*;
-use tucker_repro::prelude::*;
 
-/// The fixture names exactly the classes this file checks; blessing
-/// rewrites it from every class's canonical member.
+/// The fixture names exactly the classes of the contract's inputs;
+/// blessing rewrites it from every class's canonical member.
 #[test]
 fn fixture_lists_every_class() {
     let (mut classes, mut blessed) = (Vec::new(), String::new());
     for input in inputs() {
-        for strategy in STRATEGIES {
+        for &strategy in &input.strategies {
             classes.push(input.class(strategy));
             if blessing() {
                 let digest = canonical(&input, strategy);
@@ -69,59 +72,4 @@ fn fixture_lists_every_class() {
         listed, classes,
         "{FIXTURE} is stale: re-bless with `{REBLESS}`"
     );
-}
-
-/// `solve()` at pool widths 1, 2 and 3, a second solve on the width-2
-/// session, and a caller-pool session inside an installed pool of width 3.
-#[test]
-fn solves_reproduce_the_blessed_digests() {
-    let mut contract = Contract::new();
-    for input in inputs() {
-        for strategy in STRATEGIES {
-            let mut check = |member: &str, d: TuckerDecomposition| {
-                contract.check(&input, strategy, member, digest_of(&d));
-            };
-            for width in 1..=3 {
-                let mut session = plan(&input.tensor, strategy, width);
-                let member = format!("solve() at pool width {width}");
-                check(&member, session.solve(&input.config).unwrap());
-                if width == 2 {
-                    let again = session.solve(&input.config).unwrap();
-                    check("second solve() on the width-2 session", again);
-                }
-            }
-            let caller = pool(3).install(|| {
-                let options = PlanOptions::new().caller_pool().ttmc_strategy(strategy);
-                let mut session = TuckerSolver::plan(&input.tensor, options).unwrap();
-                session.solve(&input.config).unwrap()
-            });
-            check("caller_pool() session in a pool of width 3", caller);
-        }
-    }
-    contract.finish();
-}
-
-/// A per-mode solve of the tensor written with a `# dims:` header and read
-/// back through the streamed reader at a 7-nonzero chunk.
-#[test]
-fn streamed_tns_round_trip_reproduces_the_blessed_per_mode_digests() {
-    let dir = std::env::temp_dir().join(format!("tucker-determinism-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut contract = Contract::new();
-    for input in inputs() {
-        let path = dir.join(format!("{}.tns", input.name));
-        write_tns_file_with_header(&input.tensor, &path).unwrap();
-        let options = StreamOptions::new().chunk_nonzeros(7);
-        let (back, _) = read_tns_file_streamed(&path, &options).unwrap();
-        let solved = plan(&back, TtmcStrategy::PerMode, 2).solve(&input.config);
-        let got = digest_of(&solved.unwrap());
-        contract.check(
-            &input,
-            TtmcStrategy::PerMode,
-            "solve() after a .tns round trip",
-            got,
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-    contract.finish();
 }

@@ -2,12 +2,12 @@
 //!
 //! The executor is a member of every per-mode class of the determinism
 //! contract (stated in `tests/determinism.rs`): across both grains, the
-//! three partitioning methods, 1/2/4 ranks and `rank_threads` 1 and 2 it
+//! three partitioning methods, 1–4 ranks and `rank_threads` 1 and 2 it
 //! must reproduce the blessed per-mode digests, so its bits are those of
 //! the shared-memory per-mode solve at any pool width.  These tests add
 //! word-exact agreement between the communicator's measured traffic and
-//! [`iteration_stats`]' predictions, the typed failure of a cut link, and
-//! repeat runs; together they are the `executor-smoke` CI gate.
+//! [`iteration_stats`]' predictions and the typed failure of a cut link;
+//! together they are the `executor-smoke` CI gate.
 //!
 //! The executor replays the *per-mode* TTMc accumulation order, so every
 //! reference solver here is planned with [`TtmcStrategy::PerMode`].
@@ -20,32 +20,7 @@ use tucker_repro::prelude::*;
 
 use std::time::Duration;
 
-fn bits(m: &linalg::Matrix) -> Vec<u64> {
-    m.as_slice().iter().map(|x| x.to_bits()).collect()
-}
-
-fn assert_identical(a: &TuckerDecomposition, b: &TuckerDecomposition, label: &str) {
-    assert_eq!(a.fits, b.fits, "{label}: fits diverged");
-    assert_eq!(a.iterations, b.iterations, "{label}: iteration counts");
-    for (m, (ua, ub)) in a.factors.iter().zip(b.factors.iter()).enumerate() {
-        assert_eq!(bits(ua), bits(ub), "{label}: factor {m} not bit-identical");
-    }
-    assert_eq!(
-        a.core
-            .as_slice()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>(),
-        b.core
-            .as_slice()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect::<Vec<_>>(),
-        "{label}: core not bit-identical"
-    );
-}
-
-/// Every grain × partitioning method × 1/2/4 ranks at one and two threads
+/// Every grain × partitioning method × 1–4 ranks at one and two threads
 /// per rank.
 fn full_grid() -> Vec<(Grain, PartitionMethod, usize, usize)> {
     let mut grid = Vec::new();
@@ -55,8 +30,10 @@ fn full_grid() -> Vec<(Grain, PartitionMethod, usize, usize)> {
             PartitionMethod::Block,
             PartitionMethod::Hypergraph,
         ] {
-            for (ranks, threads) in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)] {
-                grid.push((grain, method, ranks, threads));
+            for num_ranks in 1..=4 {
+                for rank_threads in [1, 2] {
+                    grid.push((grain, method, num_ranks, rank_threads));
+                }
             }
         }
     }
@@ -64,21 +41,21 @@ fn full_grid() -> Vec<(Grain, PartitionMethod, usize, usize)> {
 }
 
 /// Runs the executor on every input `select` keeps: the full grid on the
-/// small inputs, and on the 2 500-nonzero profiles two corners of it, a
-/// fine-grain random partition over 4 ranks of 2 threads and a
-/// coarse-grain block partition over 2 ranks of 1 (a hypergraph partition
+/// small inputs, and on the profiles at their paper ranks two corners of
+/// it, a fine-grain random partition over 4 ranks of 2 threads and a
+/// coarse-grain block partition over 3 ranks of 1 (a hypergraph partition
 /// of an order-4 profile alone takes seconds).
 fn check_executor_members(select: impl Fn(&Input) -> bool) {
-    let mut contract = Contract::new();
-    for input in inputs().into_iter().filter(|input| select(input)) {
-        let grid = if input.small {
-            full_grid()
-        } else {
-            vec![
+    check_members(select, |input| {
+        let grid = match input.scope {
+            Scope::Small => full_grid(),
+            Scope::Profile => vec![
                 (Grain::Fine, PartitionMethod::Random, 4, 2),
-                (Grain::Coarse, PartitionMethod::Block, 2, 1),
-            ]
+                (Grain::Coarse, PartitionMethod::Block, 3, 1),
+            ],
+            Scope::Sweep => vec![],
         };
+        let mut runs = Vec::new();
         for (grain, method, num_ranks, rank_threads) in grid {
             let sim = SimConfig::new(num_ranks, grain, method, input.config.ranks.clone());
             let setup = DistributedSetup::build(&input.tensor, &sim);
@@ -87,11 +64,10 @@ fn check_executor_members(select: impl Fn(&Input) -> bool) {
             let member = format!(
                 "executor {grain:?}/{method:?}/{num_ranks} ranks at rank_threads {rank_threads}"
             );
-            let got = digest_of(&run.decomposition);
-            contract.check(&input, TtmcStrategy::PerMode, &member, got);
+            runs.push((TtmcStrategy::PerMode, member, digest_of(&run.decomposition)));
         }
-    }
-    contract.finish();
+        runs
+    });
 }
 
 /// The grid tensor (`[22, 18, 14]`, 800 nonzeros, 3 iterations) across the
@@ -101,8 +77,8 @@ fn executor_matches_solver_exactly_across_the_grid() {
     check_executor_members(|input| input.name == "executor-grid");
 }
 
-/// The random tensors of orders 2–5 and the Krylov-regime tensor across the
-/// whole grid, and the generated profiles at its two corners.
+/// The random tensors of orders 2–5 and the six small order-3 tensors
+/// across the whole grid, and the profiles at two corners of it.
 #[test]
 fn executor_matches_solver_on_random_tensors() {
     check_executor_members(|input| input.name != "executor-grid");
@@ -168,14 +144,14 @@ fn executor_failure_is_a_typed_error_not_a_hang() {
     let sim = SimConfig::new(3, Grain::Fine, PartitionMethod::Block, vec![2, 2, 2]);
     let setup = DistributedSetup::build(&tensor, &sim);
     let opts = ExecOptions::new().recv_timeout(Duration::from_millis(400));
-    let plan = FaultPlan::one(FaultTrigger {
+    let faults = FaultPlan::one(FaultTrigger {
         rank: 2,
         peer: 0,
         op: FaultOp::Recv,
         nth: 1,
         action: FaultAction::Disconnect,
     });
-    let run = execute_hooi_chaos(&tensor, &setup, &config, &opts, &plan).unwrap();
+    let run = execute_hooi_chaos(&tensor, &setup, &config, &opts, &faults).unwrap();
     assert!(run.faults_fired >= 1, "the injected fault must fire");
     match &run.outcome {
         Err(TuckerError::RankFailed { phase, source, .. }) => {
@@ -193,30 +169,44 @@ fn executor_failure_is_a_typed_error_not_a_hang() {
     // The identical configuration without the fault still holds the
     // bit-identity contract.
     let clean = execute_hooi(&tensor, &setup, &config, &opts).unwrap();
-    let mut solver = TuckerSolver::plan(
-        &tensor,
-        PlanOptions::new()
-            .num_threads(1)
-            .ttmc_strategy(TtmcStrategy::PerMode),
-    )
-    .unwrap();
-    let reference = solver.solve(&config).unwrap();
-    assert_identical(&clean.decomposition, &reference, "post-chaos clean run");
+    let reference = plan(&tensor, TtmcStrategy::PerMode, 1)
+        .solve(&config)
+        .unwrap();
+    assert_eq!(
+        digest_of(&clean.decomposition),
+        digest_of(&reference),
+        "post-chaos clean run diverged from the per-mode solve"
+    );
 }
 
-/// `solve_many`-style reuse on the executor side: running the same
-/// configuration twice, and a different rank configuration in between,
-/// stays deterministic.
+/// Setup reuse on the executor side: the grid tensor's setup over 3 ranks
+/// runs its configuration, a different rank configuration, and its
+/// configuration again; both runs of its configuration reproduce the
+/// blessed per-mode digest.
 #[test]
 fn executor_runs_are_reproducible() {
-    let tensor = random_tensor(&[18, 18, 18], 700, 12);
-    let sim = SimConfig::new(3, Grain::Fine, PartitionMethod::Random, vec![3, 3, 3]);
-    let setup = DistributedSetup::build(&tensor, &sim);
-    let config_a = TuckerConfig::new(vec![3, 3, 3]).max_iterations(2).seed(1);
-    let config_b = TuckerConfig::new(vec![2, 2, 2]).max_iterations(2).seed(1);
-    let first = distributed_hooi(&tensor, &setup, &config_a).unwrap();
-    let other = distributed_hooi(&tensor, &setup, &config_b).unwrap();
-    let second = distributed_hooi(&tensor, &setup, &config_a).unwrap();
-    assert_identical(&first, &second, "repeat run");
-    assert_eq!(other.core.dims(), &[2, 2, 2]);
+    check_members(
+        |input| input.name == "executor-grid",
+        |input| {
+            let (tensor, config) = (&input.tensor, &input.config);
+            let ranks = config.ranks.clone();
+            let sim = SimConfig::new(3, Grain::Fine, PartitionMethod::Random, ranks);
+            let setup = DistributedSetup::build(tensor, &sim);
+            let other = TuckerConfig::new(vec![2, 2, 2]).max_iterations(2).seed(1);
+            let first = distributed_hooi(tensor, &setup, config).unwrap();
+            let between = distributed_hooi(tensor, &setup, &other).unwrap();
+            let second = distributed_hooi(tensor, &setup, config).unwrap();
+            assert_eq!(between.core.dims(), &[2, 2, 2]);
+            [
+                ("first run on a setup", first),
+                ("run after another", second),
+            ]
+            .into_iter()
+            .map(|(member, run)| {
+                let member = format!("distributed_hooi, {member}");
+                (TtmcStrategy::PerMode, member, digest_of(&run))
+            })
+            .collect()
+        },
+    );
 }

@@ -9,6 +9,8 @@
 //! [`TuckerSession::index_layout`] reports which structure a plan holds:
 //! CSF on every per-mode plan, none (`Coo`) on dimension-tree plans.
 
+mod contract;
+
 use proptest::prelude::*;
 use tucker_repro::hooi::symbolic::SymbolicTtmc;
 use tucker_repro::hooi::ttmc::ttmc_mode;
@@ -158,80 +160,50 @@ fn plans_report_csf_per_mode_and_coo_for_trees() {
 }
 
 /// On every generated dataset profile the CSF walk matches the COO gather
-/// bit for bit at 1/2/4 threads, and per-mode solves — which stream CSF —
-/// give bit-identical factors, core and fits at every pool width.
+/// bit for bit at 1/2/4 threads, and a per-mode plan, which reports and
+/// streams CSF, solves at pool width 4 to the blessed digest of the
+/// profile's per-mode class of the determinism contract
+/// (`tests/determinism.rs`), whose reference-loop member gathers COO.
 #[test]
 fn solves_are_bit_identical_across_layouts_on_all_profiles() {
-    for name in ProfileName::all() {
-        let profile = DatasetProfile::new(name);
-        let tensor = profile.generate(2_500, 13);
-        let ranks: Vec<usize> = tensor.dims().iter().map(|&d| d.min(3)).collect();
-        assert_layouts_bit_identical(&tensor, &ranks, 0x64);
-        let config = TuckerConfig::new(ranks).max_iterations(2).seed(5);
-        let mut reference: Option<TuckerDecomposition> = None;
-        for threads in [1usize, 2, 4] {
-            let mut solver = TuckerSolver::plan(
-                &tensor,
-                PlanOptions::new()
-                    .num_threads(threads)
-                    .ttmc_strategy(TtmcStrategy::PerMode),
-            )
-            .unwrap();
-            assert_eq!(solver.index_layout(), IndexLayout::Csf, "{name:?}");
-            let result = solver.solve(&config).unwrap();
-            match &reference {
-                None => reference = Some(result),
-                Some(base) => {
-                    assert_eq!(base.fits, result.fits, "{name:?} @ {threads} threads");
-                    assert_eq!(
-                        base.core.as_slice(),
-                        result.core.as_slice(),
-                        "{name:?} @ {threads} threads: core diverged"
-                    );
-                    for (u, v) in base.factors.iter().zip(result.factors.iter()) {
-                        let ub: Vec<u64> = u.as_slice().iter().map(|x| x.to_bits()).collect();
-                        let vb: Vec<u64> = v.as_slice().iter().map(|x| x.to_bits()).collect();
-                        assert_eq!(ub, vb, "{name:?} @ {threads} threads: factor diverged");
-                    }
-                }
-            }
-        }
-    }
+    let select = |input: &contract::Input| input.scope == contract::Scope::Profile;
+    contract::check_members(select, |input| {
+        let ranks: Vec<usize> = input.tensor.dims().iter().map(|&d| d.min(3)).collect();
+        assert_layouts_bit_identical(&input.tensor, &ranks, 0x64);
+        let mut session = contract::plan(&input.tensor, TtmcStrategy::PerMode, 4);
+        assert_eq!(session.index_layout(), IndexLayout::Csf, "{}", input.name);
+        let got = contract::digest_of(&session.solve(&input.config).unwrap());
+        let member = "per-mode (CSF) solve() at pool width 4".to_string();
+        vec![(TtmcStrategy::PerMode, member, got)]
+    });
 }
 
-/// Streamed ingestion feeds the same solves: a tensor written to disk with
-/// a `# dims:` header, read back through the bounded chunked reader, and
-/// solved by a per-mode (CSF) plan matches the in-memory original bit for
-/// bit.
+/// Streamed ingestion feeds the same solves: every input of the
+/// determinism contract but the rank sweep's, written to disk with a
+/// `# dims:` header and read back through the bounded chunked reader at a
+/// 7-nonzero chunk, solves per-mode to its class's blessed digest.
 #[test]
 fn streamed_roundtrip_preserves_solves_bitwise() {
-    let tensor = random_tensor(&[40, 30, 20], 2_000, 29);
     let dir = std::env::temp_dir().join(format!("tucker-layouts-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.tns");
-    write_tns_file_with_header(&tensor, &path).unwrap();
-    let options = StreamOptions::new().chunk_nonzeros(97);
-    let (back, stats) = read_tns_file_streamed(&path, &options).unwrap();
-    assert_eq!(back.dims(), tensor.dims());
-    assert_eq!(back.nnz(), tensor.nnz());
-    let word = std::mem::size_of::<usize>();
-    assert!(stats.peak_buffer_bytes <= 97 * (3 + 1) * word);
-
-    let config = TuckerConfig::new(vec![3, 3, 3]).max_iterations(2).seed(2);
-    let solve = |t: &SparseTensor| {
-        TuckerSolver::plan(
-            t,
-            PlanOptions::new()
-                .num_threads(1)
-                .ttmc_strategy(TtmcStrategy::PerMode),
-        )
-        .unwrap()
-        .solve(&config)
-        .unwrap()
-    };
-    let a = solve(&tensor);
-    let b = solve(&back);
-    assert_eq!(a.fits, b.fits);
-    assert_eq!(a.core.as_slice(), b.core.as_slice());
+    let select = |input: &contract::Input| input.scope != contract::Scope::Sweep;
+    contract::check_members(select, |input| {
+        let tensor = &input.tensor;
+        let path = dir.join(format!("{}.tns", input.name));
+        write_tns_file_with_header(tensor, &path).unwrap();
+        let options = StreamOptions::new().chunk_nonzeros(7);
+        let (back, stats) = read_tns_file_streamed(&path, &options).unwrap();
+        assert_eq!(back.dims(), tensor.dims(), "{}", input.name);
+        assert_eq!(back.nnz(), tensor.nnz(), "{}", input.name);
+        let word = std::mem::size_of::<usize>();
+        assert!(stats.peak_buffer_bytes <= 7 * (tensor.order() + 1) * word);
+        let solved = contract::plan(&back, TtmcStrategy::PerMode, 2).solve(&input.config);
+        let member = "solve() after a streamed .tns round trip".to_string();
+        vec![(
+            TtmcStrategy::PerMode,
+            member,
+            contract::digest_of(&solved.unwrap()),
+        )]
+    });
     std::fs::remove_dir_all(&dir).ok();
 }

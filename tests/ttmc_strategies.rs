@@ -8,6 +8,8 @@
 //! per-mode sweep.  Everything here is structure-and-arithmetic only (no
 //! wall-clock measurements), so the job cannot flake on a loaded runner.
 
+mod contract;
+
 use proptest::prelude::*;
 use tucker_repro::hooi::dimtree::serve_mode_into_isa;
 use tucker_repro::hooi::symbolic::SymbolicTtmc;
@@ -141,7 +143,7 @@ proptest! {
 /// End-to-end: a dimension-tree solve reproduces the per-mode solve's fit
 /// trajectory within 1e-10 relative on every generated profile, at every
 /// thread count.  (Each strategy's solves are bit-identical at every pool
-/// width and on plan reuse: `tests/determinism.rs`.)
+/// width and on plan reuse: the determinism contract's members below.)
 #[test]
 fn solver_fits_agree_across_strategies_and_threads() {
     for name in ProfileName::all() {
@@ -180,39 +182,13 @@ fn solver_fits_agree_across_strategies_and_threads() {
     }
 }
 
-/// The tree TTMc itself (no TRSVD) is bit-identical across pool widths:
-/// every node row is accumulated sequentially in a fixed member order, so
-/// the worker count only changes who computes a row, never its bits.
+/// The tree classes of the determinism contract (`tests/determinism.rs`)
+/// at pool widths 1, 2 and 3: every node row is accumulated sequentially
+/// in a fixed member order, so the worker count only changes who computes
+/// a row, never its bits.
 #[test]
 fn tree_ttmc_is_bit_identical_across_thread_counts() {
-    let profile = DatasetProfile::new(ProfileName::Delicious);
-    let tensor = profile.generate(4_000, 11);
-    let ranks = [4, 3, 2, 3];
-    let factors: Vec<Matrix> = tensor
-        .dims()
-        .iter()
-        .zip(ranks.iter())
-        .enumerate()
-        .map(|(m, (&d, &r))| Matrix::random(d, r, 77 + m as u64))
-        .collect();
-    let sym = tucker_repro::hooi::symbolic::SymbolicTtmc::build(&tensor);
-    let tree = DimTree::build(&tensor);
-    let mut reference: Option<Vec<Vec<u64>>> = None;
-    for threads in [1usize, 2, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let results = pool.install(|| tree_ttmc(&tree, &tensor, &sym, &factors));
-        let bits: Vec<Vec<u64>> = results
-            .iter()
-            .map(|m| m.as_slice().iter().map(|x| x.to_bits()).collect())
-            .collect();
-        match &reference {
-            None => reference = Some(bits),
-            Some(r) => assert_eq!(r, &bits, "{threads} threads diverged"),
-        }
-    }
+    check_pool_widths(TtmcStrategy::DimensionTree);
 }
 
 /// The flop counters on the order-4 profiles (the paper's Delicious and
@@ -383,68 +359,55 @@ fn auto_resolves_to_per_mode_when_sharing_cannot_pay() {
     assert_eq!(auto_run.fits, pinned_run.fits);
 }
 
-/// The per-mode TTMc with flop-weighted row chunking is bit-identical
-/// across pool widths: each row is computed whole by exactly one worker in
-/// a fixed entry order, so weighting only moves span boundaries — never
+/// The per-mode classes of the determinism contract at pool widths 1, 2
+/// and 3: each row is computed whole by exactly one worker in a fixed entry
+/// order, so the flop-weighted chunking only moves span boundaries, never
 /// the arithmetic inside a row.
 #[test]
 fn per_mode_ttmc_is_bit_identical_across_thread_counts() {
-    let profile = DatasetProfile::new(ProfileName::Delicious);
-    let tensor = profile.generate(4_000, 19);
-    let ranks = [3, 4, 2, 3];
-    let factors = factors_for(&tensor, &ranks, 55);
-    let sym = SymbolicTtmc::build(&tensor);
-    let mut reference: Option<Vec<Vec<u64>>> = None;
-    for threads in [1usize, 2, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let results: Vec<Matrix> = pool.install(|| {
-            (0..tensor.order())
-                .map(|mode| ttmc_mode(&tensor, sym.mode(mode), &factors, mode))
-                .collect()
-        });
-        let bits: Vec<Vec<u64>> = results
-            .iter()
-            .map(|m| m.as_slice().iter().map(|x| x.to_bits()).collect())
-            .collect();
-        match &reference {
-            None => reference = Some(bits),
-            Some(r) => assert_eq!(r, &bits, "{threads} threads diverged"),
-        }
-    }
+    check_pool_widths(TtmcStrategy::PerMode);
 }
 
-/// Both strategies' solves are bit-identical at every pool width under the
-/// flop-weighted scheduling and privatized accumulation: two independently
-/// planned solves at each of 1/2/4 threads reproduce the first 1-thread
-/// solve's fits, core and factors bit for bit.
+/// `solve()` on sessions with their own pools of width 1, 2 and 3 must
+/// reproduce the blessed digest of every class under `strategy` (the rank
+/// sweep's classes have their own members in `tests/reference_loop.rs`).
+fn check_pool_widths(strategy: TtmcStrategy) {
+    let select = |input: &contract::Input| input.scope != contract::Scope::Sweep;
+    contract::check_members(select, |input| {
+        let widths = 1..=3;
+        let runs = widths.map(|width| {
+            let mut session = contract::plan(&input.tensor, strategy, width);
+            let got = contract::digest_of(&session.solve(&input.config).unwrap());
+            (strategy, format!("solve() at pool width {width}"), got)
+        });
+        runs.collect()
+    });
+}
+
+/// Plan reuse under a pool the caller owns, on every class of the
+/// determinism contract but the rank sweep's: a `caller_pool()` session
+/// planned and solved twice inside an installed pool of width 4 reproduces
+/// the blessed digest both times.
 #[test]
 fn solves_are_bit_reproducible_at_each_thread_count_for_both_strategies() {
-    let profile = DatasetProfile::new(ProfileName::Delicious);
-    let tensor = profile.generate(3_000, 31);
-    let config = TuckerConfig::new(vec![3, 3, 2, 3])
-        .max_iterations(2)
-        .seed(6);
-    for strategy in [TtmcStrategy::PerMode, TtmcStrategy::DimensionTree] {
-        let mut reference: Option<Vec<u64>> = None;
-        for threads in [1usize, 1, 2, 2, 4, 4] {
-            let options = PlanOptions::new()
-                .num_threads(threads)
-                .ttmc_strategy(strategy);
-            let d = TuckerSolver::plan(&tensor, options)
-                .unwrap()
-                .solve(&config)
-                .unwrap();
-            let factors = d.factors.iter().flat_map(|u| u.as_slice());
-            let bits: Vec<u64> = (d.fits.iter().chain(d.core.as_slice()).chain(factors))
-                .map(|x| x.to_bits())
-                .collect();
-            match &reference {
-                None => reference = Some(bits),
-                Some(r) => assert!(r == &bits, "{strategy:?} @ {threads} threads diverged"),
+    let select = |input: &contract::Input| input.scope != contract::Scope::Sweep;
+    contract::check_members(select, |input| {
+        let mut runs = Vec::new();
+        for &strategy in &input.strategies {
+            let (first, second) = contract::pool(4).install(|| {
+                let options = PlanOptions::new().caller_pool().ttmc_strategy(strategy);
+                let mut session = TuckerSolver::plan(&input.tensor, options).unwrap();
+                let first = session.solve(&input.config).unwrap();
+                (first, session.solve(&input.config).unwrap())
+            });
+            for (member, d) in [
+                ("caller_pool() session", first),
+                ("its second solve()", second),
+            ] {
+                let member = format!("{member} in a pool of width 4");
+                runs.push((strategy, member, contract::digest_of(&d)));
             }
         }
-    }
+        runs
+    });
 }
