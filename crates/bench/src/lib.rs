@@ -91,9 +91,6 @@ pub struct CliArgs {
     /// Ranks passed via `--ranks r1,r2,…` (only meaningful with `--tns`;
     /// defaults to 4 per mode).
     pub ranks: Option<Vec<usize>>,
-    /// Streaming chunk size (nonzeros resident per parser chunk) passed via
-    /// `--chunk <n>`; `None` keeps the reader's default.
-    pub chunk: Option<usize>,
     /// `--sim-only`: skip wall-clock-measured sweeps so the output is a
     /// deterministic function of the input (used by the golden-file tests).
     pub sim_only: bool,
@@ -103,7 +100,7 @@ pub struct CliArgs {
 }
 
 /// Parses the shared flags (`--tns <path>`, `--ranks r1,r2,…`,
-/// `--chunk <n>`, `--sim-only`, `--check`) from the process arguments,
+/// `--sim-only`, `--check`) from the process arguments,
 /// ignoring anything else (so Cargo's own flags pass through).
 pub fn cli_args() -> CliArgs {
     let mut out = CliArgs::default();
@@ -131,19 +128,6 @@ pub fn cli_args() -> CliArgs {
                     }
                 }
             }
-            "--chunk" => {
-                let spec = args.next().unwrap_or_else(|| {
-                    eprintln!("--chunk requires a positive nonzero count");
-                    std::process::exit(2);
-                });
-                match spec.parse::<usize>() {
-                    Ok(n) if n > 0 => out.chunk = Some(n),
-                    _ => {
-                        eprintln!("could not parse --chunk '{spec}' as a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--sim-only" => out.sim_only = true,
             "--check" => out.check = true,
             _ => {}
@@ -152,24 +136,13 @@ pub fn cli_args() -> CliArgs {
     out
 }
 
-/// Builds the streaming-reader options the CLI flags ask for.
-fn stream_options(args: &CliArgs) -> StreamOptions {
-    let mut options = StreamOptions::new();
-    if let Some(chunk) = args.chunk {
-        options = options.chunk_nonzeros(chunk);
-    }
-    options
-}
-
 /// Loads the `--tns` tensor if one was requested: returns its display
 /// label, the tensor, and the per-mode Tucker ranks (from `--ranks`, else
 /// 4 per mode, clamped to the mode sizes).  Exits with a message on a
 /// malformed file — a bad path should fail loudly, not fall back.
 pub fn cli_tensor(args: &CliArgs) -> Option<(String, SparseTensor, Vec<usize>)> {
     let path = args.tns.as_ref()?;
-    // The streamed reader keeps the parse buffer bounded by `--chunk`
-    // nonzeros regardless of the file size (see sptensor::io::stream_tns).
-    let tensor = match sptensor::io::read_tns_file_streamed(path, &stream_options(args)) {
+    let tensor = match sptensor::io::read_tns_file_streamed(path, &StreamOptions::new()) {
         Ok((t, _stats)) => t,
         Err(e) => {
             eprintln!("failed to read {path}: {e}");
@@ -334,17 +307,6 @@ mod tests {
         assert_eq!(format_kilo(950.0), "950");
         assert_eq!(format_kilo(441_000.0), "441K");
         assert_eq!(format_kilo(2_500_000.0), "2M");
-    }
-
-    #[test]
-    fn stream_options_honour_chunk_flag() {
-        let args = CliArgs {
-            chunk: Some(128),
-            ..CliArgs::default()
-        };
-        assert_eq!(stream_options(&args).chunk_nonzeros, 128);
-        let defaults = stream_options(&CliArgs::default());
-        assert_eq!(defaults.chunk_nonzeros, StreamOptions::new().chunk_nonzeros);
     }
 
     #[test]

@@ -121,6 +121,8 @@ pub fn greedy_partition(h: &Hypergraph, num_parts: usize, seed: u64) -> Partitio
     let mut parts = vec![u32::MAX; n];
     let mut gains = vec![0i64; n];
     let mut unassigned = n;
+    // No vertex below `fresh` is unassigned.
+    let mut fresh = 0;
 
     for k in 0..num_parts as u32 {
         if unassigned == 0 {
@@ -152,13 +154,15 @@ pub fn greedy_partition(h: &Hypergraph, num_parts: usize, seed: u64) -> Partitio
                         }
                     }
                     None => {
-                        let fresh = (0..n).find(|&u| parts[u] == u32::MAX);
-                        match fresh {
-                            Some(u) => {
-                                heap.push((gains[u], u));
-                            }
-                            None => break None,
+                        // Assignments are permanent, so the lowest
+                        // unassigned vertex only moves up.
+                        while fresh < n && parts[fresh] != u32::MAX {
+                            fresh += 1;
                         }
+                        if fresh == n {
+                            break None;
+                        }
+                        heap.push((gains[fresh], fresh));
                     }
                 }
             };
@@ -338,8 +342,8 @@ pub fn hypergraph_partition(h: &Hypergraph, num_parts: usize, seed: u64) -> Part
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::fine_grain_hypergraph;
-    use datagen::random_tensor;
+    use crate::models::{coarse_grain_hypergraph, fine_grain_hypergraph};
+    use datagen::{random_tensor, DatasetProfile, ProfileName};
 
     #[test]
     fn random_partition_in_range_and_deterministic() {
@@ -458,6 +462,40 @@ mod tests {
         let p = greedy_partition(&h, 1, 5);
         assert!(p.parts.iter().all(|&x| x == 0));
         assert_eq!(h.connectivity_cutsize(&p.parts, 1), 0);
+    }
+
+    /// FNV-1a over a partition's part ids.
+    fn digest(p: &Partition) -> u64 {
+        p.parts.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &part| {
+            (hash ^ u64::from(part)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Both partitioners are pinned on the fine-grain and every coarse-grain
+    /// hypergraph of an order-4 profile, so a speed-up cannot quietly change
+    /// a partition.  A scaled profile's coarse-grain hypergraphs are mostly
+    /// empty slices without nets, which the greedy pass reaches only by
+    /// refilling its frontier.
+    #[test]
+    fn partitions_of_an_order4_profile_are_pinned() {
+        let tensor = DatasetProfile::new(ProfileName::Delicious).generate(2_500, 7);
+        let mut hypergraphs = vec![fine_grain_hypergraph(&tensor)];
+        hypergraphs.extend((0..tensor.order()).map(|m| coarse_grain_hypergraph(&tensor, m)));
+        let got: Vec<(u64, u64)> = (hypergraphs.iter())
+            .map(|h| {
+                let greedy = digest(&greedy_partition(h, 3, 5));
+                (greedy, digest(&hypergraph_partition(h, 3, 5)))
+            })
+            .collect();
+        // (greedy, greedy + refinement) for the fine grain, then modes 0–3.
+        let pinned: [(u64, u64); 5] = [
+            (0x9987_8b77_68af_81ae, 0x521e_8cb9_123f_cd3c),
+            (0x617c_aaca_0730_13c5, 0x617c_aaca_0730_13c5),
+            (0x95eb_935a_0ada_f6db, 0xf750_9628_112b_0c1b),
+            (0x2b13_2ef3_e604_5765, 0x6762_d292_26c5_02b4),
+            (0x2599_1483_665d_ce93, 0xd9f9_32e3_1223_17a5),
+        ];
+        assert_eq!(got, pinned);
     }
 
     #[test]

@@ -24,11 +24,9 @@
 //! buffers, one slot per line, so each entry is written once; entries are
 //! moved up only after a part that skipped a comment or blank line.  The
 //! entries, the tensor and the first error are the same at every pool width.
-//! [`stream_tns`] parses into chunk buffers it hands to a sink in
-//! fixed-size chunks; [`read_tns`] / [`read_tns_file`] /
-//! [`read_tns_streamed`] / [`read_tns_file_streamed`] parse into the COO
-//! tensor's own buffers, from which a plan derives every per-mode index
-//! structure.
+//! [`read_tns`] / [`read_tns_file`] / [`read_tns_streamed`] /
+//! [`read_tns_file_streamed`] all parse into the COO tensor's own buffers,
+//! from which a plan derives every per-mode index structure.
 //!
 //! No reader rejects or merges a duplicated coordinate: it is kept as two
 //! nonzeros.  TTMc adds them linearly, but
@@ -106,36 +104,18 @@ impl From<io::Error> for TensorIoError {
 }
 
 /// Options for the streaming `.tns` reader.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamOptions {
-    /// Number of nonzeros per chunk handed to the sink; the reader's resident
-    /// buffers hold at most this many entries.  Defaults to 65 536.
-    pub chunk_nonzeros: usize,
     /// Declared dimensions to validate indices against.  When `None`, a
     /// `# dims: …` header comment (if present) takes their place; otherwise
     /// dimensions are inferred as the per-mode maxima.
     pub declared_dims: Option<Vec<usize>>,
 }
 
-impl Default for StreamOptions {
-    fn default() -> Self {
-        StreamOptions {
-            chunk_nonzeros: 65_536,
-            declared_dims: None,
-        }
-    }
-}
-
 impl StreamOptions {
-    /// Default options: 65 536-nonzero chunks, no declared dimensions.
+    /// Default options: no declared dimensions.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the chunk size in nonzeros (clamped to at least 1).
-    pub fn chunk_nonzeros(mut self, n: usize) -> Self {
-        self.chunk_nonzeros = n.max(1);
-        self
     }
 
     /// Declares the dimensions up front; every index is validated against
@@ -146,79 +126,28 @@ impl StreamOptions {
     }
 }
 
-/// What a completed streaming pass learned about the tensor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TnsInfo {
-    /// Number of modes.
-    pub order: usize,
-    /// Declared dimensions if any were in effect, otherwise per-mode maxima.
-    pub dims: Vec<usize>,
-    /// Number of nonzero entries.
-    pub nnz: usize,
-}
-
 /// Buffer accounting for a streaming pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Number of chunks handed to the sink: [`stream_tns`]'s chunks of at
-    /// most `chunk_nonzeros` entries, or 1 for [`read_tns_streamed`], whose
-    /// tensor is the one chunk.
-    pub chunks: usize,
-    /// Peak bytes resident in the reader's own nonzero buffers (indices and
-    /// values), measured from the buffers' capacities.  For [`stream_tns`]
-    /// at most `min(chunk_nonzeros, lines read) · (order + 1)` words, since
-    /// the chunk buffers grow only by the lines actually read.
-    /// [`read_tns_streamed`] parses straight into the tensor it returns and
-    /// holds no other entry buffers: 0.  Excludes the raw text
-    /// ([`peak_window_bytes`](Self::peak_window_bytes)) and whatever the
-    /// sink itself retains.
+    /// Peak bytes resident in entry buffers of the reader's own, besides
+    /// the tensor it returns: always 0, since the parts parse straight into
+    /// the tensor's buffers.  Kept so that callers which report the parse
+    /// buffer (the repo benchmark's `io.peak_parse_words`) read a true 0.
+    /// Excludes the raw text ([`peak_window_bytes`](Self::peak_window_bytes)).
     pub peak_buffer_bytes: usize,
-    /// Peak capacity of the reader's raw text buffer, at every entry point:
-    /// one 256 KiB read for a text no longer than that, otherwise one window
-    /// — about 2 MiB of whole lines, or fewer at a chunk's last line — plus
-    /// the part scanned past it (at most 512 KiB) and one read, at most
-    /// doubled by the buffer's growth.  A line longer than that is held
-    /// whole.
+    /// Peak capacity of the reader's raw text buffer: one 256 KiB read for a
+    /// text no longer than that, otherwise one window — about 2 MiB of whole
+    /// lines — plus the part scanned past it (at most 512 KiB) and one read,
+    /// at most doubled by the buffer's growth.  A line longer than that is
+    /// held whole.
     pub peak_window_bytes: usize,
-}
-
-/// One chunk of parsed nonzeros, borrowed from the reader's buffers.
-#[derive(Debug)]
-pub struct TnsChunk<'a> {
-    /// Number of modes.
-    pub order: usize,
-    /// Flattened 0-based indices, `order` per entry.
-    pub indices: &'a [usize],
-    /// One value per entry.
-    pub values: &'a [f64],
-}
-
-impl TnsChunk<'_> {
-    /// Number of nonzeros in the chunk.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the chunk holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The 0-based index tuple of entry `k`.
-    // Same naming rationale as `SparseTensor::index`: `Index` cannot return
-    // a borrowed sub-slice of the flat buffer by value semantics, and
-    // `index` is the paper's name for a nonzero's coordinate tuple.
-    #[allow(clippy::should_implement_trait)]
-    pub fn index(&self, k: usize) -> &[usize] {
-        &self.indices[k * self.order..(k + 1) * self.order]
-    }
 }
 
 /// Bytes the reader asks its source for at a time while a window fills.
 const READ_BLOCK: usize = 256 * 1024;
 
 /// Text one window holds: it closes at the first part end at or past this
-/// many bytes (or at the chunk's last line, or at the end of the text).
+/// many bytes (or at the end of the text).
 const WINDOW_BYTES: usize = 2 << 20;
 
 /// Least text one part holds: a window shorter than this stays on the
@@ -257,28 +186,6 @@ fn count_newlines(text: &[u8]) -> usize {
     text.chunks(255).map(block_newlines).sum()
 }
 
-/// Position just past the `n`-th newline of `text` (`n ≥ 1`), which must
-/// hold at least `n`.
-fn nth_line_end(text: &[u8], n: usize) -> usize {
-    let mut found = 0;
-    let mut offset = 0;
-    // Count a block at a time; only the block holding the `n`-th newline
-    // is walked byte by byte.
-    for block in text.chunks(255) {
-        let count = block_newlines(block);
-        if found + count >= n {
-            let (pos, _) = (block.iter().enumerate())
-                .filter(|&(_, &b)| b == b'\n')
-                .nth(n - found - 1)
-                .expect("the block holds that many newlines");
-            return offset + pos + 1;
-        }
-        found += count;
-        offset += block.len();
-    }
-    unreachable!("the text holds fewer than {n} newlines")
-}
-
 /// One part of a window: where its text ends (an offset into
 /// [`Window::bytes`]) and how many lines it holds.
 #[derive(Clone, Copy)]
@@ -308,36 +215,22 @@ struct Window {
 }
 
 impl Window {
-    /// The next window: a range of [`Self::bytes`] holding at most
-    /// `max_lines ≥ 1` whole lines (the last may lack its newline at a clean
-    /// end of file), and its parts.  A part closes at the last newline
-    /// within `part_bytes` of its start (or at the first one after, for a
-    /// longer line), the window at the first part end `max_bytes` or more
-    /// past its start.  No parts once the text is exhausted; after a failed
-    /// read the unfinished line is dropped and `error` says why.
+    /// The next window: a range of [`Self::bytes`] holding whole lines (the
+    /// last may lack its newline at a clean end of file), and its parts.  A
+    /// part closes at the last newline within `part_bytes` of its start (or
+    /// at the first one after, for a longer line), the window at the first
+    /// part end `max_bytes` or more past its start.  No parts once the text
+    /// is exhausted; after a failed read the unfinished line is dropped and
+    /// `error` says why.
     fn next<R: Read>(
         &mut self,
         reader: &mut R,
-        max_lines: usize,
         max_bytes: usize,
         part_bytes: usize,
     ) -> (Range<usize>, Vec<Cut>) {
         let mut parts: Vec<Cut> = Vec::new();
-        let mut lines = 0;
         loop {
             let cut = parts.last().map_or(self.start, |p| p.end);
-            let room = max_lines - lines;
-            if self.newlines >= room {
-                // The window's last line ends inside the scanned text: find
-                // it there, and keep what lies beyond for the next window.
-                let end = cut + nth_line_end(&self.bytes[cut..self.scanned], room);
-                parts.push(Cut { end, lines: room });
-                self.newlines -= room;
-                if self.newlines == 0 {
-                    self.last_end = None;
-                }
-                return self.hand_out(parts);
-            }
             if self.scanned == self.bytes.len() {
                 if !self.done {
                     self.fill(reader, &mut parts);
@@ -374,9 +267,6 @@ impl Window {
                 self.newlines += count;
             }
             self.scanned += block.len();
-            if self.newlines >= room {
-                continue;
-            }
             if let Some(end) = self.last_end.filter(|_| self.scanned >= budget) {
                 // `bytes[end..scanned]` holds no newline: the next part
                 // starts with it already scanned.
@@ -384,7 +274,6 @@ impl Window {
                     end,
                     lines: self.newlines,
                 });
-                lines += self.newlines;
                 self.newlines = 0;
                 self.last_end = None;
                 if end - self.start >= max_bytes {
@@ -765,32 +654,21 @@ impl Entries {
     fn len(&self) -> usize {
         self.values.len()
     }
-
-    fn capacity_bytes(&self) -> usize {
-        self.indices.capacity() * std::mem::size_of::<usize>()
-            + self.values.capacity() * std::mem::size_of::<f64>()
-    }
-
-    fn clear(&mut self) {
-        self.indices.clear();
-        self.values.clear();
-    }
 }
 
 /// Makes room for `extra` more elements: at least doubling, so appends stay
-/// amortized O(1), but never beyond `limit` elements unless `extra` needs
-/// them.  Room is reserved, not filled: its pages are first touched by the
-/// parse that writes them.
-fn grow<T>(v: &mut Vec<T>, extra: usize, limit: usize) {
+/// amortized O(1).  Room is reserved, not filled: its pages are first
+/// touched by the parse that writes them.
+fn grow<T>(v: &mut Vec<T>, extra: usize) {
     if v.capacity() - v.len() < extra {
-        let doubled = v.len().saturating_mul(2).min(limit);
+        let doubled = v.len().saturating_mul(2);
         v.reserve_exact((v.len() + extra).max(doubled) - v.len());
     }
 }
 
 /// Parses the window `text` — whole lines from line `first_line` on, cut
 /// into `parts` (each ends where the next starts, the first at `from`) —
-/// and appends its entries to `entries`, which may grow to `limit` entries.
+/// and appends its entries to `entries`.
 /// The parts run in parallel on the ambient pool, each writing its lines
 /// straight into its own range of the buffers' spare capacity: one slot per
 /// line, but no more than an entry of `order` indices can fill — `2·order +
@@ -798,14 +676,12 @@ fn grow<T>(v: &mut Vec<T>, extra: usize, limit: usize) {
 /// skipped a comment or blank line are the entries after it moved up.  The
 /// buffers, the maxima and the first error are those of a sequential pass
 /// whatever the cuts.
-#[allow(clippy::too_many_arguments)]
 fn parse_window(
     text: &[u8],
     from: usize,
     parts: &[Cut],
     first_line: usize,
     bounds: &[usize],
-    limit: usize,
     entries: &mut Entries,
     maxes: &mut [usize],
 ) -> Result<(), TensorIoError> {
@@ -815,12 +691,8 @@ fn parse_window(
         .map(|(part, start)| part.lines.min((part.end - start) / (2 * order + 1) + 1))
         .collect();
     let total: usize = slots.iter().sum();
-    grow(
-        &mut entries.indices,
-        total * order,
-        limit.saturating_mul(order),
-    );
-    grow(&mut entries.values, total, limit);
+    grow(&mut entries.indices, total * order);
+    grow(&mut entries.values, total);
 
     let mut indices = &mut entries.indices.spare_capacity_mut()[..total * order];
     let mut values = &mut entries.values.spare_capacity_mut()[..total];
@@ -875,36 +747,28 @@ fn parse_window(
     Ok(())
 }
 
-/// The pass both entry points share: reads windows of text, parses each
-/// across the ambient pool into `entries`, and calls `flush` whenever they
-/// hold `chunk` entries and once at the end.  Given the length of the whole
-/// text, the first window's lines per byte size `entries` for all of it
-/// (plus 1/16), so they need not grow by copying.  Returns the tensor's
-/// shape and the pass's chunk and window accounting.
+/// The one pass every reader runs: reads windows of text and parses each
+/// across the ambient pool straight into the tensor's own buffers.  Given
+/// the length of the whole text, the first window's lines per byte size the
+/// buffers for all of it (plus 1/16), so they need not grow by copying.
 fn parse_stream<R: Read>(
     reader: &mut R,
     options: &StreamOptions,
-    chunk: usize,
     text_bytes: Option<u64>,
-    entries: &mut Entries,
-    mut flush: impl FnMut(usize, &mut Entries) -> Result<(), TensorIoError>,
-) -> Result<(TnsInfo, StreamStats), TensorIoError> {
+) -> Result<(SparseTensor, StreamStats), TensorIoError> {
     let mut declared = options.declared_dims.clone();
     let declared_explicit = declared.is_some();
     let mut bounds: Vec<usize> = Vec::new();
     let mut maxes: Vec<usize> = Vec::new();
+    let mut entries = Entries::default();
     let mut window = Window::default();
     let mut stats = StreamStats::default();
-    let mut nnz = 0usize;
     let mut next_line = 1usize;
     let part_bytes =
         (WINDOW_BYTES / (PARTS_PER_THREAD * rayon::current_num_threads())).max(MIN_PART_BYTES);
 
     loop {
-        // A line holds at most one entry, so a window never overfills the
-        // chunk.
-        let (range, mut parts) =
-            window.next(reader, chunk - entries.len(), WINDOW_BYTES, part_bytes);
+        let (range, mut parts) = window.next(reader, WINDOW_BYTES, part_bytes);
         stats.peak_window_bytes = stats.peak_window_bytes.max(window.bytes.capacity());
         if parts.is_empty() {
             break;
@@ -960,8 +824,7 @@ fn parse_stream<R: Read>(
             parts.drain(..whole);
             parts[0].lines -= skipped;
         }
-        let filled = entries.len();
-        if let Some(total) = text_bytes.filter(|_| nnz == 0) {
+        if let Some(total) = text_bytes.filter(|_| entries.len() == 0) {
             let lines: usize = parts.iter().map(|p| p.lines).sum();
             let estimate = lines as u128 * u128::from(total) / text.len() as u128;
             let estimate = usize::try_from(estimate + estimate / 16).unwrap_or(usize::MAX);
@@ -972,13 +835,14 @@ fn parse_stream<R: Read>(
             let _ = entries.values.try_reserve_exact(estimate);
         }
         parse_window(
-            text, from, &parts, first_line, &bounds, chunk, entries, &mut maxes,
+            text,
+            from,
+            &parts,
+            first_line,
+            &bounds,
+            &mut entries,
+            &mut maxes,
         )?;
-        nnz += entries.len() - filled;
-        if entries.len() == chunk {
-            stats.chunks += 1;
-            flush(bounds.len(), entries)?;
-        }
     }
     if let Some(e) = window.error.take() {
         return Err(e.into());
@@ -986,105 +850,6 @@ fn parse_stream<R: Read>(
     if bounds.is_empty() {
         return Err(TensorIoError::Empty);
     }
-    if entries.len() > 0 {
-        stats.chunks += 1;
-        flush(bounds.len(), entries)?;
-    }
-    let order = bounds.len();
-    let dims = declared.unwrap_or(maxes);
-    Ok((TnsInfo { order, dims, nnz }, stats))
-}
-
-/// Streams a `.tns`-format reader through `sink` in chunks of at most
-/// `options.chunk_nonzeros` entries, returning the tensor's shape summary
-/// and the reader's buffer accounting.
-///
-/// Dimensions are validated as declared by `options.declared_dims`, or by a
-/// `# dims: …` header comment before the first entry when the options
-/// carry none; indices beyond a declared bound fail with
-/// [`TensorIoError::IndexOutOfRange`] carrying the 1-based line number.
-/// Without any declaration, dimensions are inferred as the per-mode maxima
-/// seen across the pass.
-///
-/// The text is read in windows of about 2 MiB that close early at the
-/// chunk's last line, each cut at newlines into parts of at least 64 KiB —
-/// several per thread of the ambient rayon pool
-/// (`rayon::current_num_threads()`) — that parse in parallel straight into
-/// the chunk buffers.  The chunks, the result and the first error (variant,
-/// line and message) are the same at every pool width.
-/// [`StreamStats::peak_buffer_bytes`] is at most
-/// `min(chunk_nonzeros, lines read) · (order + 1)` words and
-/// [`StreamStats::peak_window_bytes`] about one window (see there).
-///
-/// Fields are separated by ASCII whitespace only: any other byte, including
-/// Unicode whitespace such as U+00A0 and the vertical tab, belongs to a
-/// field, which then fails to parse.  A line that is not valid UTF-8 fails
-/// with [`TensorIoError::Parse`].  Indices are parsed as
-/// `str::parse::<usize>` would (an optional `+`, overflow is an error),
-/// values by `str::parse::<f64>`.
-pub fn stream_tns<R: BufRead, F>(
-    mut reader: R,
-    options: &StreamOptions,
-    mut sink: F,
-) -> Result<(TnsInfo, StreamStats), TensorIoError>
-where
-    F: FnMut(&TnsChunk<'_>) -> Result<(), TensorIoError>,
-{
-    let mut buffers = Entries::default();
-    let (info, mut stats) = parse_stream(
-        &mut reader,
-        options,
-        options.chunk_nonzeros.max(1),
-        None,
-        &mut buffers,
-        |order, buffers| {
-            sink(&TnsChunk {
-                order,
-                indices: &buffers.indices,
-                values: &buffers.values,
-            })?;
-            buffers.clear();
-            Ok(())
-        },
-    )?;
-    // The buffers never shrink: their capacity now is their peak.
-    stats.peak_buffer_bytes = buffers.capacity_bytes();
-    Ok((info, stats))
-}
-
-/// Reads a sparse tensor through the streaming parser, materializing COO.
-/// Returns the tensor together with the pass's buffer accounting.
-///
-/// Same grammar, errors and parallel windows as [`stream_tns`], but the
-/// parts parse straight into the tensor's own index and value buffers,
-/// which grow by the lines each window holds and are trimmed to the entries
-/// at the end; `options.chunk_nonzeros` does not apply.  So the whole
-/// tensor is one chunk ([`StreamStats::chunks`] is 1),
-/// [`StreamStats::peak_buffer_bytes`] is 0 — the reader holds no entry
-/// buffers besides the tensor it returns — and
-/// [`StreamStats::peak_window_bytes`] is bounded as for [`stream_tns`].
-pub fn read_tns_streamed<R: BufRead>(
-    reader: R,
-    options: &StreamOptions,
-) -> Result<(SparseTensor, StreamStats), TensorIoError> {
-    read_sized(reader, options, None)
-}
-
-/// [`read_tns_streamed`], told the length of the text when it is known.
-fn read_sized<R: Read>(
-    mut reader: R,
-    options: &StreamOptions,
-    text_bytes: Option<u64>,
-) -> Result<(SparseTensor, StreamStats), TensorIoError> {
-    let mut entries = Entries::default();
-    let (info, stats) = parse_stream(
-        &mut reader,
-        options,
-        usize::MAX,
-        text_bytes,
-        &mut entries,
-        |_, _| Ok(()),
-    )?;
     // The tensor lives on after the pass: drop the slack the size estimate
     // or the doubling growth left (up to as much again as the entries).
     let Entries {
@@ -1093,9 +858,44 @@ fn read_sized<R: Read>(
     } = entries;
     indices.shrink_to_fit();
     values.shrink_to_fit();
-    // The pass checked every index against `info.dims`.
-    let tensor = SparseTensor::from_validated_parts(info.dims, indices, values);
+    // The pass checked every index against the dims.
+    let dims = declared.unwrap_or(maxes);
+    let tensor = SparseTensor::from_validated_parts(dims, indices, values);
     Ok((tensor, stats))
+}
+
+/// Reads a sparse tensor from a `.tns`-format reader through the streaming
+/// parser, materializing COO.  Returns the tensor together with the pass's
+/// buffer accounting.
+///
+/// Dimensions are validated as declared by `options.declared_dims`, or by a
+/// `# dims: …` header comment before the first entry when the options
+/// carry none; indices beyond a declared bound fail with
+/// [`TensorIoError::IndexOutOfRange`] carrying the 1-based line number.
+/// Without any declaration, dimensions are inferred as the per-mode maxima
+/// seen across the pass.
+///
+/// The text is read in windows of about 2 MiB, each cut at newlines into
+/// parts of at least 64 KiB — several per thread of the ambient rayon pool
+/// (`rayon::current_num_threads()`) — that parse in parallel straight into
+/// the tensor's own index and value buffers, which grow by the lines each
+/// window holds and are trimmed to the entries at the end.  The tensor and
+/// the first error (variant, line and message) are the same at every pool
+/// width.  [`StreamStats::peak_buffer_bytes`] is 0 — the reader holds no
+/// entry buffers besides the tensor it returns — and
+/// [`StreamStats::peak_window_bytes`] about one window (see there).
+///
+/// Fields are separated by ASCII whitespace only: any other byte, including
+/// Unicode whitespace such as U+00A0 and the vertical tab, belongs to a
+/// field, which then fails to parse.  A line that is not valid UTF-8 fails
+/// with [`TensorIoError::Parse`].  Indices are parsed as
+/// `str::parse::<usize>` would (an optional `+`, overflow is an error),
+/// values by `str::parse::<f64>`.
+pub fn read_tns_streamed<R: BufRead>(
+    mut reader: R,
+    options: &StreamOptions,
+) -> Result<(SparseTensor, StreamStats), TensorIoError> {
+    parse_stream(&mut reader, options, None)
 }
 
 /// Reads a `.tns` file through the streaming parser, sizing the tensor's
@@ -1106,7 +906,7 @@ pub fn read_tns_file_streamed<P: AsRef<Path>>(
 ) -> Result<(SparseTensor, StreamStats), TensorIoError> {
     let file = File::open(path)?;
     let bytes = file.metadata()?.len();
-    read_sized(BufReader::new(file), options, Some(bytes))
+    parse_stream(&mut BufReader::new(file), options, Some(bytes))
 }
 
 /// Reads a sparse tensor from a `.tns`-format reader.  Mode sizes are taken
@@ -1276,7 +1076,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_chunks_and_peak_buffer_are_bounded() {
+    fn a_small_text_is_read_in_one_window_and_no_entry_buffer() {
         let mut data = String::new();
         for k in 0..25 {
             data.push_str(&format!(
@@ -1287,48 +1087,13 @@ mod tests {
                 k
             ));
         }
-        let options = StreamOptions::new().chunk_nonzeros(4);
-        let mut seen = 0usize;
-        let mut chunk_sizes = Vec::new();
-        let (info, stats) = stream_tns(Cursor::new(&data), &options, |chunk| {
-            seen += chunk.len();
-            chunk_sizes.push(chunk.len());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(info.order, 3);
-        assert_eq!(info.nnz, 25);
-        assert_eq!(seen, 25);
-        // 25 entries in chunks of 4: six full chunks and one single-entry tail.
-        assert_eq!(chunk_sizes, vec![4, 4, 4, 4, 4, 4, 1]);
-        assert_eq!(stats.chunks, 7);
-        // The buffers grow by exactly the lines read, up to the chunk:
-        // chunk * (order + 1) words.
-        let word = std::mem::size_of::<usize>();
-        assert_eq!(stats.peak_buffer_bytes, 4 * (3 + 1) * word);
+        let (t, stats) = read_tns_streamed(Cursor::new(&data), &StreamOptions::new()).unwrap();
+        assert_eq!((t.order(), t.nnz()), (3, 25));
+        // The entries go straight into the tensor: no buffers besides it.
+        assert_eq!(stats.peak_buffer_bytes, 0);
         // The raw window holds the whole (small) text plus one read block.
         assert!(stats.peak_window_bytes >= data.len());
         assert!(stats.peak_window_bytes <= data.len() + READ_BLOCK);
-    }
-
-    #[test]
-    fn chunk_boundary_exactly_at_eof() {
-        // 8 entries with chunk 4: the final chunk fills exactly at EOF and
-        // no empty trailing chunk is emitted.
-        let mut data = String::new();
-        for k in 0..8 {
-            data.push_str(&format!("{} {} 1.0\n", k + 1, k + 1));
-        }
-        let options = StreamOptions::new().chunk_nonzeros(4);
-        let mut chunk_sizes = Vec::new();
-        let (info, stats) = stream_tns(Cursor::new(&data), &options, |chunk| {
-            chunk_sizes.push(chunk.len());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(info.nnz, 8);
-        assert_eq!(chunk_sizes, vec![4, 4]);
-        assert_eq!(stats.chunks, 2);
     }
 
     #[test]
@@ -1445,7 +1210,7 @@ mod tests {
 
     /// Parses `text` through `parse_window`, cut at the first line start at
     /// or after each of `width` even byte shares, after two entries already
-    /// in the chunk.
+    /// in the buffers.
     fn window_outcome(text: &[u8], width: usize) -> WindowOutcome {
         let mut parts: Vec<Cut> = Vec::new();
         for p in 1..=width {
@@ -1464,17 +1229,8 @@ mod tests {
             values: vec![0.5, 1.5],
         };
         let mut maxes = vec![2, 2, 2];
-        parse_window(
-            text,
-            0,
-            &parts,
-            3,
-            &[9, 9, 9],
-            usize::MAX,
-            &mut buffers,
-            &mut maxes,
-        )
-        .map_err(|e| format!("{e:?}"))?;
+        parse_window(text, 0, &parts, 3, &[9, 9, 9], &mut buffers, &mut maxes)
+            .map_err(|e| format!("{e:?}"))?;
         let bits = buffers.values.iter().map(|v| v.to_bits()).collect();
         Ok((buffers.indices, bits, maxes))
     }
@@ -1532,25 +1288,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn chunk_sizes_beyond_memory_read_small_files() {
-        let data = "# dims: 3 3\n1 2 0.5\n3 1 -1.25\n";
-        let expect = read_tns(Cursor::new(data), None).unwrap();
-        for chunk in [usize::MAX, 1 << 40, 100_000_000_000] {
-            let options = StreamOptions::new().chunk_nonzeros(chunk);
-            let (t, stats) = read_tns_streamed(Cursor::new(data), &options).unwrap();
-            assert_eq!(t, expect, "chunk {chunk}");
-            // The entries go straight into the tensor: no buffers besides it.
-            assert_eq!(stats.peak_buffer_bytes, 0);
-            assert_eq!(stats.chunks, 1);
-            // Chunk buffers are sized by the two lines read, not by the
-            // request.
-            let (_, stats) = stream_tns(Cursor::new(data), &options, |_| Ok(())).unwrap();
-            assert_eq!(stats.peak_buffer_bytes, 2 * (2 + 1) * 8);
-            assert_eq!(stats.chunks, 1);
-        }
-    }
-
     /// Yields its text a few bytes at a time, interrupted once, then fails.
     struct Flaky {
         text: Vec<u8>,
@@ -1586,20 +1323,13 @@ mod tests {
                 },
             )
         };
-        // The whole lines reach the sink; the cut line is dropped and the
-        // read error is the result.
-        let options = StreamOptions::new().chunk_nonzeros(1);
-        let mut seen = 0;
-        let err = stream_tns(flaky("1 1 1.0\n2 2 2.0\n3 3"), &options, |chunk| {
-            seen += chunk.len();
-            Ok(())
-        })
-        .unwrap_err();
+        // The whole lines parse and the cut line is dropped: the read error,
+        // not a parse error on the cut `3 3`, is the result.
+        let err = read_tns(flaky("1 1 1.0\n2 2 2.0\n3 3"), None).unwrap_err();
         assert!(
             matches!(&err, TensorIoError::Io(e) if e.to_string() == "disk on fire"),
             "{err:?}"
         );
-        assert_eq!(seen, 2);
         // A bad line before the failure is the first error.
         let err = read_tns(flaky("1 1 1.0\n2 x 2.0\n3 3"), None).unwrap_err();
         assert!(matches!(err, TensorIoError::Parse(2, _)), "{err:?}");

@@ -41,10 +41,10 @@ fn full_grid() -> Vec<(Grain, PartitionMethod, usize, usize)> {
 }
 
 /// Runs the executor on every input `select` keeps: the full grid on the
-/// small inputs, and on the profiles at their paper ranks two corners of
-/// it, a fine-grain random partition over 4 ranks of 2 threads and a
-/// coarse-grain block partition over 3 ranks of 1 (a hypergraph partition
-/// of an order-4 profile alone takes seconds).
+/// small inputs, and on the profiles at their paper ranks three corners of
+/// it, a fine-grain random partition over 4 ranks of 2 threads, a
+/// coarse-grain block partition over 3 ranks of 1 and a coarse-grain
+/// hypergraph partition over 4 ranks of 2.
 fn check_executor_members(select: impl Fn(&Input) -> bool) {
     check_members(select, |input| {
         let grid = match input.scope {
@@ -52,6 +52,7 @@ fn check_executor_members(select: impl Fn(&Input) -> bool) {
             Scope::Profile => vec![
                 (Grain::Fine, PartitionMethod::Random, 4, 2),
                 (Grain::Coarse, PartitionMethod::Block, 3, 1),
+                (Grain::Coarse, PartitionMethod::Hypergraph, 4, 2),
             ],
             Scope::Sweep => vec![],
         };
@@ -78,7 +79,7 @@ fn executor_matches_solver_exactly_across_the_grid() {
 }
 
 /// The random tensors of orders 2–5 and the six small order-3 tensors
-/// across the whole grid, and the profiles at two corners of it.
+/// across the whole grid, and the profiles at three corners of it.
 #[test]
 fn executor_matches_solver_on_random_tensors() {
     check_executor_members(|input| input.name != "executor-grid");
