@@ -154,6 +154,17 @@ pub fn digest_of(d: &TuckerDecomposition) -> u64 {
     digest(d.iterations, &d.fits, &d.factors, &d.core)
 }
 
+/// One seeded random factor per mode, `dims[m] × ranks[m]`.
+pub fn factors_for(tensor: &SparseTensor, ranks: &[usize], seed: u64) -> Vec<Matrix> {
+    tensor
+        .dims()
+        .iter()
+        .zip(ranks.iter())
+        .enumerate()
+        .map(|(m, (&d, &r))| Matrix::random(d, r, seed + m as u64))
+        .collect()
+}
+
 pub fn pool(width: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
         .num_threads(width)

@@ -16,16 +16,6 @@ use tucker_repro::hooi::symbolic::SymbolicTtmc;
 use tucker_repro::hooi::ttmc::ttmc_mode;
 use tucker_repro::prelude::*;
 
-fn factors_for(tensor: &SparseTensor, ranks: &[usize], seed: u64) -> Vec<Matrix> {
-    tensor
-        .dims()
-        .iter()
-        .zip(ranks.iter())
-        .enumerate()
-        .map(|(m, (&d, &r))| Matrix::random(d, r, seed + m as u64))
-        .collect()
-}
-
 fn ttmc_bits(
     tensor: &SparseTensor,
     sym: &SymbolicTtmc,
@@ -52,7 +42,7 @@ fn ttmc_bits(
 /// Asserts the TTMc of every mode is bit-identical between the COO gather
 /// and the CSF fiber walk, at 1/2/4 threads.
 fn assert_layouts_bit_identical(tensor: &SparseTensor, ranks: &[usize], seed: u64) {
-    let factors = factors_for(tensor, ranks, seed);
+    let factors = contract::factors_for(tensor, ranks, seed);
     let coo = SymbolicTtmc::build_without_layout(tensor);
     let csf = SymbolicTtmc::build(tensor);
     for mode in 0..tensor.order() {

@@ -17,16 +17,6 @@ use tucker_repro::hooi::ttmc::ttmc_mode;
 use tucker_repro::hooi::{per_mode_costs, DimTree, HooiWorkspace};
 use tucker_repro::prelude::*;
 
-fn factors_for(tensor: &SparseTensor, ranks: &[usize], seed: u64) -> Vec<Matrix> {
-    tensor
-        .dims()
-        .iter()
-        .zip(ranks.iter())
-        .enumerate()
-        .map(|(m, (&d, &r))| Matrix::random(d, r, seed + m as u64))
-        .collect()
-}
-
 /// Every mode's compact TTMc with one fixed set of factors: each mode
 /// served through the tree with no factor update in between.
 fn tree_ttmc(
@@ -50,7 +40,7 @@ fn tree_ttmc(
 /// Asserts the tree's compact TTMc of every mode matches the per-mode
 /// baseline within 1e-10 relative Frobenius distance.
 fn assert_tree_matches_per_mode(tensor: &SparseTensor, ranks: &[usize], seed: u64) {
-    let factors = factors_for(tensor, ranks, seed);
+    let factors = contract::factors_for(tensor, ranks, seed);
     let sym = SymbolicTtmc::build(tensor);
     let tree = DimTree::build(tensor);
     let tree_results = tree_ttmc(&tree, tensor, &sym, &factors);
