@@ -13,7 +13,10 @@ pub enum TtmcStrategy {
     /// contractions are materialized once per iteration at the internal
     /// nodes of a binary mode tree and every leaf serves its mode's compact
     /// result from them.  Strictly fewer flops for order ≥ 4; tensors with
-    /// a single mode silently fall back to [`PerMode`](Self::PerMode).
+    /// a single mode silently fall back to [`PerMode`](Self::PerMode).  The
+    /// tree indexes in 32 bits: a tensor with more than `u32::MAX`
+    /// nonzeros or a mode larger than `u32::MAX` is a
+    /// [`TuckerError::BufferTooLarge`].
     DimensionTree,
     /// Pick the cheaper of [`PerMode`](Self::PerMode) and
     /// [`DimensionTree`](Self::DimensionTree) per tensor at plan time by
@@ -23,7 +26,8 @@ pub enum TtmcStrategy {
     /// default: order ≥ 4 profiles resolve to the tree, while tensors whose
     /// projections never collide (where sharing cannot pay for the extra
     /// partial-value traffic) resolve to the per-mode sweep.  Ties resolve
-    /// to [`PerMode`](Self::PerMode), the simpler kernel.
+    /// to [`PerMode`](Self::PerMode), the simpler kernel, and so does a
+    /// tensor whose indices the tree cannot hold in 32 bits.
     #[default]
     Auto,
 }

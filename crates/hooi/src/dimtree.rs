@@ -63,17 +63,31 @@
 //! parent's entries in storage order straight into the node's final
 //! arrays, and the non-empty buckets are the groups.  Otherwise records of
 //! 32-bit words, the key packed into one word (more only when it needs
-//! more bits; a field wider than 32 bits takes two), take one pass per
-//! retained mode, fastest first, between two alternating record sets; one
-//! sweep then fills the final arrays and cuts the groups where the packed
-//! key changes — one compare per member.  A stable sort's
-//! output is unique, so the groups come out in the sorted unique order a
-//! comparison sort of `(projected tuple, entry id)` gives, members
-//! ascending within a group, and every node is the same at any pool width
-//! — although from 65 536 records per chunk (`PASS_GRAIN`) each pass
-//! splits its histogram and its scatter across the pool.  The root stores
-//! no tuples of its own: its children key straight off the tensor's
-//! indices.
+//! more bits; the root's 64-bit value payload, the one field wider than
+//! 32 bits, takes two), take one pass per retained mode, fastest first,
+//! between two alternating record sets; one sweep then fills the final
+//! arrays and cuts the groups where the packed key changes — one compare
+//! per member.  A stable sort's output is unique, so the groups come out
+//! in the sorted unique order a comparison sort of `(projected tuple,
+//! entry id)` gives, members ascending within a group, and every node is
+//! the same at any pool width — although from 65 536 records per chunk
+//! (`PASS_GRAIN`) each pass splits its histogram and its scatter across
+//! the pool.  The root stores no tuples of its own: its children key
+//! straight off the tensor's indices.
+//!
+//! Index width: every index array of a node — group offsets, member ids,
+//! contracted indices, segment schedules and projected tuples — holds
+//! `u32`, half the bytes of `usize`, and the kernels widen each word as
+//! they read it.  The tree is most of a tree plan's resident footprint,
+//! and these arrays are most of the tree.  The build checks that every
+//! value fits before it allocates anything: a tensor with more than
+//! `u32::MAX` nonzeros, or a mode larger than `u32::MAX`, is a
+//! [`TuckerError::BufferTooLarge`] (the bound `sptensor`'s CSF uses for
+//! its 32-bit ids).  No plannable tensor is lost: such a tensor already
+//! needs per-index tables of 32 GiB or more, and
+//! [`TtmcStrategy::Auto`](crate::TtmcStrategy::Auto) plans it per-mode,
+//! as `PerMode` does, without trying the tree (the check reads only the
+//! shape).  Only an explicit `DimensionTree` request gets the error.
 //!
 //! [`DimTree::costs`] / [`per_mode_costs`] count the floating-point
 //! operations and memory words each strategy performs per iteration as
@@ -124,20 +138,21 @@ struct Node {
     /// (`parent range \ [lo, hi)`, ascending).  Empty only for the root.
     d_modes: Vec<usize>,
     /// CSR offsets over the node's members: group `g` (this node's entry
-    /// `g`) covers members `group_ptr[g]..group_ptr[g+1]`.
-    group_ptr: Vec<usize>,
+    /// `g`) covers members `group_ptr[g]..group_ptr[g+1]`.  Like every
+    /// index array of a node, 32-bit (see the module docs).
+    group_ptr: Vec<u32>,
     /// Parent entry ids grouped by projection onto `[lo, hi)`; groups are
     /// sorted by projected tuple, members ascending within a group.  Empty
     /// for children of the root, which keep [`values`](Self::values)
     /// instead.
-    members: Vec<usize>,
+    members: Vec<u32>,
     /// Children of the root only: each member's nonzero value, in member
     /// order — the member ids served nothing else, so the values take their
-    /// place (same 8 bytes per member).
+    /// place.
     values: Vec<f64>,
     /// For each member, the `d_modes` indices of that parent entry
     /// (`d_modes.len()` entries per member, streamed by the kernel).
-    contract_idx: Vec<usize>,
+    contract_idx: Vec<u32>,
     /// Number of stored entries (distinct projections).
     entries: usize,
     /// Segmentation grain of this node's member groups (see
@@ -148,17 +163,17 @@ struct Node {
     /// CSR offsets over the node's split-entry segments: entry `g` owns
     /// partial rows `seg_ptr[g]..seg_ptr[g+1]` (equal bounds mean the
     /// entry is unsplit and accumulates directly into the output row).
-    seg_ptr: Vec<usize>,
+    seg_ptr: Vec<u32>,
     /// Owning entry of each segment (`seg_entry[s] = g`), for the parallel
     /// sweep over partial rows.
-    seg_entry: Vec<usize>,
+    seg_entry: Vec<u32>,
     /// The projected index tuple of each entry (`hi - lo` entries per
     /// entry).  Children group on these during the build; once a node's
     /// children exist the runtime kernels never read it again, so
     /// [`DimTree::split`] drops it for the root and internal nodes (the
     /// root's copy alone is a full `nnz × order` duplicate of the COO
     /// indices).  Leaves keep theirs: it is their sorted row set.
-    entry_idx: Vec<usize>,
+    entry_idx: Vec<u32>,
 }
 
 impl Node {
@@ -176,25 +191,31 @@ impl Node {
 
     /// Total number of split-entry segments (partial rows) of this node.
     fn num_segments(&self) -> usize {
-        self.seg_ptr.last().copied().unwrap_or(0)
+        self.seg_ptr.last().map_or(0, |&s| s as usize)
     }
 
     /// Total number of members (parent entries) over all groups.
     fn num_members(&self) -> usize {
-        self.group_ptr.last().copied().unwrap_or(0)
+        self.group_ptr.last().map_or(0, |&m| m as usize)
     }
 
-    /// Member size of entry `g`'s group.
-    fn group_size(&self, g: usize) -> usize {
-        self.group_ptr[g + 1] - self.group_ptr[g]
+    /// Member range (into the node's members) of entry `g`'s group.
+    fn group(&self, g: usize) -> Range<usize> {
+        self.group_ptr[g] as usize..self.group_ptr[g + 1] as usize
+    }
+
+    /// Partial-row range of entry `g`'s segments (empty when unsplit).
+    fn segments(&self, g: usize) -> Range<usize> {
+        self.seg_ptr[g] as usize..self.seg_ptr[g + 1] as usize
     }
 
     /// Absolute member range (into the node's members) of segment
     /// `s`, which must belong to entry `g`.
     fn segment_members(&self, g: usize, s: usize) -> (usize, usize) {
-        let local = s - self.seg_ptr[g];
-        let klo = self.group_ptr[g] + local * self.seg_grain;
-        let khi = (klo + self.seg_grain).min(self.group_ptr[g + 1]);
+        let local = s - self.seg_ptr[g] as usize;
+        let group = self.group(g);
+        let klo = group.start + local * self.seg_grain;
+        let khi = (klo + self.seg_grain).min(group.end);
         (klo, khi)
     }
 }
@@ -203,26 +224,25 @@ impl Node {
 /// `max(MIN_SEGMENT_MEMBERS, total_members / TARGET_SEGMENTS)` (a pure
 /// function of structure), and only groups strictly larger than the grain
 /// are split.  Returns `(grain, seg_ptr, seg_entry)`.
-fn segment_schedule(group_ptr: &[usize]) -> (usize, Vec<usize>, Vec<usize>) {
-    if group_ptr.is_empty() {
+fn segment_schedule(group_ptr: &[u32]) -> (usize, Vec<u32>, Vec<u32>) {
+    let Some(&total) = group_ptr.last() else {
         return (MIN_SEGMENT_MEMBERS, Vec::new(), Vec::new());
-    }
-    let entries = group_ptr.len() - 1;
-    let total = *group_ptr.last().unwrap();
-    let grain = total.div_ceil(TARGET_SEGMENTS).max(MIN_SEGMENT_MEMBERS);
-    let mut seg_ptr = Vec::with_capacity(entries + 1);
+    };
+    let grain = (total as usize)
+        .div_ceil(TARGET_SEGMENTS)
+        .max(MIN_SEGMENT_MEMBERS);
+    let mut seg_ptr = Vec::with_capacity(group_ptr.len());
     let mut seg_entry = Vec::new();
-    seg_ptr.push(0usize);
-    for g in 0..entries {
-        let size = group_ptr[g + 1] - group_ptr[g];
+    seg_ptr.push(0u32);
+    for (g, w) in group_ptr.windows(2).enumerate() {
+        let size = (w[1] - w[0]) as usize;
+        // At most one segment per member, so the counts fit in 32 bits.
         let segs = if size > grain {
-            size.div_ceil(grain)
+            size.div_ceil(grain) as u32
         } else {
             0
         };
-        for _ in 0..segs {
-            seg_entry.push(g);
-        }
+        seg_entry.extend(std::iter::repeat_n(g as u32, segs as usize));
         seg_ptr.push(seg_ptr[g] + segs);
     }
     (grain, seg_ptr, seg_entry)
@@ -343,8 +363,8 @@ fn index_bits(dim: usize) -> u32 {
 
 /// Where one field lives in a packed record of 32-bit words: its first
 /// word, shift and mask.  A field wider than 32 bits starts a word and
-/// takes two (today the root's 64-bit value payload; an index of a mode
-/// past 2³² would too).
+/// takes two: that is the root's 64-bit value payload, since every index
+/// fits 32 bits ([`DimTree::try_build`] checks it).
 #[derive(Debug, Clone, Copy)]
 struct Field {
     word: usize,
@@ -418,28 +438,29 @@ fn pack_fields(bits: &[u32], first: usize) -> (Vec<Field>, usize) {
 /// contracted indices, and every member's payload — its nonzero value's
 /// bits for a child of the root, its parent entry id below it.
 struct Grouping {
-    group_ptr: Vec<usize>,
-    entry_idx: Vec<usize>,
-    contract_idx: Vec<usize>,
+    group_ptr: Vec<u32>,
+    entry_idx: Vec<u32>,
+    contract_idx: Vec<u32>,
     payload: Vec<u64>,
 }
 
 /// Where a child's grouping reads its parent's entries: a parent entry's
 /// index tuple over the parent's range (the nonzero's full index at the
-/// root, the stored projection below it) and its payload.
+/// root, the stored 32-bit projection below it) and its payload.
 struct Source<'a> {
     tensor: &'a SparseTensor,
     /// The parent's projection tuples, `span` per entry; `None` at the root.
-    parent_idx: Option<&'a [usize]>,
+    parent_idx: Option<&'a [u32]>,
     span: usize,
     entries: usize,
 }
 
 impl Source<'_> {
-    fn tuple(&self, e: usize) -> &[usize] {
+    /// Index `k` of entry `e`'s tuple.
+    fn index(&self, e: usize, k: usize) -> usize {
         match self.parent_idx {
-            None => self.tensor.index(e),
-            Some(idx) => &idx[e * self.span..(e + 1) * self.span],
+            None => self.tensor.index(e)[k],
+            Some(idx) => idx[e * self.span + k] as usize,
         }
     }
 
@@ -489,30 +510,33 @@ fn single_pass_grouping(
     let n = src.entries;
     let buckets = key_dims.iter().product();
     let digit = |e: usize| {
-        let key = &src.tuple(e)[off..off + span];
-        (key.iter().zip(key_dims)).fold(0, |b, (&i, &d)| b * d + i)
+        (off..off + span)
+            .zip(key_dims)
+            .fold(0, |b, (k, &d)| b * d + src.index(e, k))
     };
-    let mut contract_idx = vec![0usize; n * d_len];
+    let mut contract_idx = vec![0u32; n * d_len];
     let mut payload = vec![0u64; n];
     let ends = {
         let (contract, out) = (Scatter::new(&mut contract_idx), Scatter::new(&mut payload));
         counting_pass(n, buckets, mode, digit, |e, pos| {
             // SAFETY: `counting_pass` hands each position to one input.
             let (c, p) = unsafe { (contract.slot(pos, d_len), out.slot(pos, 1)) };
-            c.copy_from_slice(&src.tuple(e)[d_off..d_off + d_len]);
+            for (c, k) in c.iter_mut().zip(d_off..) {
+                *c = src.index(e, k) as u32;
+            }
             p[0] = src.payload(e);
         })?
     };
-    let mut group_ptr = vec![0usize];
+    let mut group_ptr = vec![0u32];
     let mut entry_idx = Vec::new();
     for (b, &end) in ends.iter().enumerate() {
-        if end > *group_ptr.last().expect("group_ptr starts at 0") {
-            group_ptr.push(end);
+        if end > *group_ptr.last().expect("group_ptr starts at 0") as usize {
+            group_ptr.push(end as u32);
             let at = entry_idx.len();
             entry_idx.resize(at + span, 0);
             let mut rest = b;
             for (slot, &d) in entry_idx[at..].iter_mut().zip(key_dims).rev() {
-                *slot = rest % d;
+                *slot = (rest % d) as u32;
                 rest /= d;
             }
         }
@@ -568,17 +592,16 @@ fn multi_pass_grouping(
             n,
             dims[fastest],
             first_mode + fastest,
-            |e| src.tuple(e)[fastest],
+            |e| src.index(e, fastest),
             |e, pos| {
                 // SAFETY: `counting_pass` hands each position to one input.
                 let r = unsafe { out.slot(pos, width) };
-                let tuple = src.tuple(e);
                 r.fill(0);
-                for (f, &i) in key.iter().zip(&tuple[off..off + span]) {
-                    f.write(r, i as u64);
+                for (f, k) in key.iter().zip(off..) {
+                    f.write(r, src.index(e, k) as u64);
                 }
-                for (f, &i) in contract.iter().zip(&tuple[d_off..d_off + d_len]) {
-                    f.write(r, i as u64);
+                for (f, k) in contract.iter().zip(d_off..) {
+                    f.write(r, src.index(e, k) as u64);
                 }
                 payload_field.write(r, src.payload(e));
             },
@@ -603,21 +626,21 @@ fn multi_pass_grouping(
     }
     drop(sorted);
     // One sweep in sorted order: final arrays, groups where the key changes.
-    let mut group_ptr = vec![0usize];
+    let mut group_ptr = vec![0u32];
     let mut entry_idx = Vec::new();
     let mut contract_idx = Vec::with_capacity(n * d_len);
     let mut payload = Vec::with_capacity(n);
     for (pos, r) in records.chunks_exact(width).enumerate() {
         if pos == 0 || records[record(pos - 1)][..key_words] != r[..key_words] {
             if pos > 0 {
-                group_ptr.push(pos);
+                group_ptr.push(pos as u32);
             }
-            entry_idx.extend(key.iter().map(|f| f.read(r) as usize));
+            entry_idx.extend(key.iter().map(|f| f.read(r) as u32));
         }
-        contract_idx.extend(contract.iter().map(|f| f.read(r) as usize));
+        contract_idx.extend(contract.iter().map(|f| f.read(r) as u32));
         payload.push(payload_field.read(r));
     }
-    group_ptr.push(n);
+    group_ptr.push(n as u32);
     Ok(Grouping {
         group_ptr,
         entry_idx,
@@ -710,19 +733,24 @@ impl DimTree {
     /// # Panics
     /// Panics if the tensor has fewer than two modes (callers fall back to
     /// the per-mode strategy there) or no nonzeros, and with the
-    /// [`TuckerError::BufferTooLarge`] message when a per-index table is
-    /// larger than the allocator grants.
+    /// [`TuckerError::BufferTooLarge`] message when an index does not fit
+    /// the tree's 32-bit arrays or a per-index table is larger than the
+    /// allocator grants.
     pub fn build(tensor: &SparseTensor) -> Self {
         Self::try_build(tensor).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Self::build`], with a counting-pass histogram — one word per index
-    /// of a mode — that the allocator refuses returned as the
-    /// [`TuckerError::BufferTooLarge`] naming the mode instead of aborting.
+    /// [`Self::build`], returning a [`TuckerError::BufferTooLarge`] instead
+    /// of aborting: for a tensor whose indices do not fit the nodes' 32-bit
+    /// arrays (more than `u32::MAX` nonzeros, or a mode larger than
+    /// `u32::MAX`, named), checked before anything is allocated; and for a
+    /// counting-pass histogram — one word per index of a mode — that the
+    /// allocator refuses, naming the mode.
     pub(crate) fn try_build(tensor: &SparseTensor) -> Result<Self, TuckerError> {
         let order = tensor.order();
         assert!(order >= 2, "a dimension tree needs at least two modes");
         assert!(tensor.nnz() > 0, "a dimension tree needs nonzeros");
+        Self::check_index_width(tensor)?;
         // Root: one entry per nonzero, nothing contracted.  Its children
         // read the index tuples straight from the tensor.
         let root = Node {
@@ -751,6 +779,25 @@ impl DimTree {
         tree.split(0, tensor)?;
         debug_assert!(tree.leaf_of_mode.iter().all(|&id| id != NONE));
         Ok(tree)
+    }
+
+    /// Whether every index a tree over `tensor` stores fits its 32-bit
+    /// arrays: at most `u32::MAX` nonzeros and no mode larger than
+    /// `u32::MAX`, else the [`TuckerError::BufferTooLarge`] naming the
+    /// nonzero count or the mode.  Reads only the tensor's shape.
+    pub(crate) fn check_index_width(tensor: &SparseTensor) -> Result<(), TuckerError> {
+        let max = u32::MAX as usize;
+        if tensor.nnz() > max {
+            return Err(TuckerError::BufferTooLarge {
+                buffer: format!("dimension-tree ids of {} nonzeros", tensor.nnz()),
+            });
+        }
+        if let Some(mode) = tensor.dims().iter().position(|&d| d > max) {
+            return Err(TuckerError::BufferTooLarge {
+                buffer: format!("32-bit dimension-tree index of mode {mode}"),
+            });
+        }
+        Ok(())
     }
 
     /// Recursively splits `node_id` (preorder, so parents precede children).
@@ -826,17 +873,15 @@ impl DimTree {
         };
         // A child of the root reads its members' nonzero values and nothing
         // else of their ids, so the passes carried the values in place of
-        // the ids (in-place collects: all three types share a layout).
+        // the ids (an in-place collect: the two share a layout); below it
+        // the payloads are entry ids, narrowed to 32 bits.
         let (members, values) = if is_root {
             (
                 Vec::new(),
                 payload.into_iter().map(f64::from_bits).collect(),
             )
         } else {
-            (
-                payload.into_iter().map(|e| e as usize).collect(),
-                Vec::new(),
-            )
+            (payload.into_iter().map(|e| e as u32).collect(), Vec::new())
         };
         let mut col_modes = parent.col_modes.clone();
         col_modes.extend_from_slice(&d_modes);
@@ -880,7 +925,7 @@ impl DimTree {
     /// at least one nonzero, one per leaf entry — a leaf's projected tuples
     /// are single indices, grouped in ascending order, and it is never
     /// split, so it keeps them.
-    pub(crate) fn leaf_rows(&self, mode: usize) -> &[usize] {
+    pub(crate) fn leaf_rows(&self, mode: usize) -> &[u32] {
         &self.nodes[self.leaf_of_mode[mode]].entry_idx
     }
 
@@ -1021,28 +1066,30 @@ impl DimTree {
     /// Measured memory footprint of the tree's symbolic grouping in bytes:
     /// every node's member lists (ids, or the root children's values),
     /// contract-index arrays, CSR offsets, segment schedules and retained
-    /// projection tuples.  The per-node *value* matrices live in
+    /// projection tuples — 4 bytes per stored index, 8 per value — plus
+    /// the 8-byte mode lists.  The per-node *value* matrices live in
     /// the [`crate::HooiWorkspace`] and are counted there; together the two
     /// make up a dimension-tree plan's cache footprint
     /// ([`crate::TuckerSession::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
-        let words: usize = self
-            .nodes
-            .iter()
+        let indices: usize = (self.nodes.iter())
             .map(|n| {
-                n.col_modes.len()
-                    + n.d_modes.len()
-                    + n.group_ptr.len()
+                n.group_ptr.len()
                     + n.members.len()
-                    + n.values.len()
                     + n.contract_idx.len()
                     + n.seg_ptr.len()
                     + n.seg_entry.len()
                     + n.entry_idx.len()
             })
+            .sum();
+        let values: usize = self.nodes.iter().map(|n| n.values.len()).sum();
+        let modes: usize = (self.nodes.iter())
+            .map(|n| n.col_modes.len() + n.d_modes.len())
             .sum::<usize>()
             + self.leaf_of_mode.len();
-        words * std::mem::size_of::<usize>()
+        indices * std::mem::size_of::<u32>()
+            + values * std::mem::size_of::<f64>()
+            + modes * std::mem::size_of::<usize>()
     }
 
     /// Number of privatized partial rows node `id`'s computation needs —
@@ -1127,7 +1174,7 @@ impl DimTree {
         if node.num_segments() > 0 {
             let seg_costs: Vec<u64> = (0..node.num_segments())
                 .map(|s| {
-                    let (klo, khi) = node.segment_members(node.seg_entry[s], s);
+                    let (klo, khi) = node.segment_members(node.seg_entry[s] as usize, s);
                     (khi - klo) as u64
                 })
                 .collect();
@@ -1136,7 +1183,7 @@ impl DimTree {
                 .par_chunks_mut(width)
                 .enumerate()
                 .for_each_init_weighted(&seg_costs, scratch, |scratch, (s, seg_out)| {
-                    let g = node.seg_entry[s];
+                    let g = node.seg_entry[s] as usize;
                     let (klo, khi) = node.segment_members(g, s);
                     self.accumulate_members(
                         node,
@@ -1155,11 +1202,11 @@ impl DimTree {
         // one row per segment — a fraction of a member accumulate).
         let entry_costs: Vec<u64> = (0..node.num_entries())
             .map(|g| {
-                let segs = node.seg_ptr[g + 1] - node.seg_ptr[g];
+                let segs = node.segments(g).len();
                 let cost = if segs > 0 {
                     segs as u64
                 } else {
-                    node.group_size(g) as u64
+                    node.group(g).len() as u64
                 };
                 cost.max(1)
             })
@@ -1169,19 +1216,18 @@ impl DimTree {
             .par_chunks_mut(width)
             .enumerate()
             .for_each_init_weighted(&entry_costs, scratch, |scratch, (g, row_out)| {
-                let (s0, s1) = (node.seg_ptr[g], node.seg_ptr[g + 1]);
-                if s1 > s0 {
+                let segments = node.segments(g);
+                if !segments.is_empty() {
                     row_out.iter_mut().for_each(|v| *v = 0.0);
-                    for s in s0..s1 {
+                    for s in segments {
                         for (a, &p) in row_out.iter_mut().zip(partials.row(s).iter()) {
                             *a += p;
                         }
                     }
                 } else {
-                    let members = node.group_ptr[g]..node.group_ptr[g + 1];
                     self.accumulate_members(
                         node,
-                        members,
+                        node.group(g),
                         factors,
                         parent_values,
                         row_out,
@@ -1212,20 +1258,26 @@ impl DimTree {
             // Child of the root contracting one mode: `row = Σ x·U_t(i)`.
             (None, 1) => {
                 let u = &factors[d[0]];
-                let member = |k: usize| (node.values[k], u.row(idx[k]));
+                let member = |k: usize| (node.values[k], u.row(idx[k] as usize));
                 simd::axpy_group(isa, members, member, row_out);
             }
             // Child of the root contracting two: `row = Σ x·(U_s(i) ⊗ U_t(j))`.
             (None, 2) => {
                 let (u, v) = (&factors[d[0]], &factors[d[1]]);
-                let member = |k: usize| (node.values[k], u.row(idx[2 * k]), v.row(idx[2 * k + 1]));
+                let member = |k: usize| {
+                    let (i, j) = (idx[2 * k] as usize, idx[2 * k + 1] as usize);
+                    (node.values[k], u.row(i), v.row(j))
+                };
                 simd::scaled_outer2_group(isa, members, (u.ncols(), v.ncols()), member, row_out);
             }
             // Deeper node contracting one mode: `row = Σ parent_row ⊗ U_t(i)`,
             // reusing everything the parent already contracted.
             (Some(pv), 1) => {
                 let v = &factors[d[0]];
-                let member = |k: usize| (1.0, pv.row(node.members[k]), v.row(idx[k]));
+                let member = |k: usize| {
+                    let (e, i) = (node.members[k] as usize, idx[k] as usize);
+                    (1.0, pv.row(e), v.row(i))
+                };
                 simd::scaled_outer2_group(isa, members, (pv.ncols(), v.ncols()), member, row_out);
             }
             // Wider contractions (order ≥ 5 trees): materialize the
@@ -1235,12 +1287,13 @@ impl DimTree {
                 for k in members {
                     let d_idx = &idx[k * d_len..(k + 1) * d_len];
                     rows.clear();
-                    rows.extend(d.iter().zip(d_idx).map(|(&t, &i)| factors[t].row(i)));
+                    rows.extend((d.iter().zip(d_idx)).map(|(&t, &i)| factors[t].row(i as usize)));
                     kron_rows(rows, kron);
                     match pv {
                         None => simd::axpy(isa, node.values[k], kron, row_out),
                         Some(pv) => {
-                            simd::scaled_outer2(isa, 1.0, pv.row(node.members[k]), kron, row_out)
+                            let e = node.members[k] as usize;
+                            simd::scaled_outer2(isa, 1.0, pv.row(e), kron, row_out)
                         }
                     }
                 }
@@ -1389,6 +1442,18 @@ mod tests {
             .collect()
     }
 
+    /// A node's 32-bit index array, widened for comparison with `usize`
+    /// indices.
+    fn wide(v: &[u32]) -> Vec<usize> {
+        v.iter().map(|&i| i as usize).collect()
+    }
+
+    /// `usize` indices narrowed to a node's 32-bit array; panics on any
+    /// that does not fit.
+    fn narrow(v: impl IntoIterator<Item = usize>) -> Vec<u32> {
+        v.into_iter().map(|i| u32::try_from(i).unwrap()).collect()
+    }
+
     fn factors_for(tensor: &SparseTensor, ranks: &[usize], seed: u64) -> Vec<Matrix> {
         tensor
             .dims()
@@ -1438,7 +1503,7 @@ mod tests {
             assert_eq!(node.num_members(), parent_entries);
             assert_eq!(node.group_ptr.len(), node.num_entries() + 1);
             if node.parent != 0 {
-                let mut seen: Vec<usize> = node.members.clone();
+                let mut seen = wide(&node.members);
                 seen.sort_unstable();
                 assert_eq!(seen, (0..parent_entries).collect::<Vec<_>>());
                 assert!(node.values.is_empty());
@@ -1458,8 +1523,8 @@ mod tests {
                 let contracted: Vec<usize> =
                     node.d_modes.iter().map(|&t_| t.index(e)[t_]).collect();
                 assert_eq!(
-                    node.contract_idx[k * d_len..(k + 1) * d_len],
-                    contracted[..]
+                    wide(&node.contract_idx[k * d_len..(k + 1) * d_len]),
+                    contracted
                 );
             }
         }
@@ -1472,7 +1537,7 @@ mod tests {
         let sym = SymbolicTtmc::build(&t);
         for mode in 0..4 {
             let node = &tree.nodes[tree.leaf_of_mode[mode]];
-            assert_eq!(node.entry_idx, sym.mode(mode).rows, "mode {mode}");
+            assert_eq!(wide(&node.entry_idx), sym.mode(mode).rows, "mode {mode}");
         }
     }
 
@@ -1568,17 +1633,75 @@ mod tests {
 
     #[test]
     fn memory_bytes_counts_node_structures() {
+        // Nonzeros (0,0,0), (0,1,1), (1,1,0).  Preorder nodes: the root,
+        // leaf [0,1), internal [1,3), leaves [1,2) and [2,3).
+        let t = SparseTensor::from_entries(
+            vec![2, 2, 2],
+            &[
+                (vec![0, 0, 0], 1.0),
+                (vec![0, 1, 1], 2.0),
+                (vec![1, 1, 0], 3.0),
+            ],
+        );
+        let tree = DimTree::build(&t);
+        let entries: Vec<usize> = (0..5).map(|id| tree.node_entries(id)).collect();
+        assert_eq!(entries, [3, 2, 3, 2, 2]);
+        // Stored indices of the non-root nodes: group_ptr, members,
+        // contract_idx, seg_ptr, seg_entry and entry_idx.  The root stores
+        // none; [1,3) drops its projections once its children are built;
+        // children of the root keep values in place of member ids.
+        let indices = [
+            [3, 0, 3 * 2, 3, 0, 2], // [0,1): 3 members contracting modes 1, 2
+            [4, 0, 3, 4, 0, 0],     // [1,3): 3 members contracting mode 0
+            [3, 3, 3, 3, 0, 2],     // [1,2): 3 members contracting mode 2
+            [3, 3, 3, 3, 0, 2],     // [2,3): 3 members contracting mode 1
+        ];
+        let stored: Vec<[usize; 6]> = (tree.nodes[1..].iter())
+            .map(|n| {
+                [
+                    n.group_ptr.len(),
+                    n.members.len(),
+                    n.contract_idx.len(),
+                    n.seg_ptr.len(),
+                    n.seg_entry.len(),
+                    n.entry_idx.len(),
+                ]
+            })
+            .collect();
+        assert_eq!(stored, indices);
+        let indices: usize = indices.iter().flatten().sum();
+        // Root-child values; col_modes + d_modes per node, and leaf_of_mode.
+        let values = 3 + 3;
+        let mode_words = (2 + 2) + (1 + 1) + (2 + 1) + (2 + 1) + 3;
+        let expected = 4 * indices + 8 * values + 8 * mode_words;
+        assert_eq!(expected, 380);
+        assert_eq!(tree.memory_bytes(), expected);
+
         let small = DimTree::build(&random_tensor(&[10, 10, 10], 200, 3));
         let large = DimTree::build(&random_tensor(&[10, 10, 10], 800, 3));
-        assert!(small.memory_bytes() > 0);
         assert!(
             large.memory_bytes() > small.memory_bytes(),
             "more nonzeros, bigger grouping: {} vs {}",
             large.memory_bytes(),
             small.memory_bytes()
         );
-        // At minimum the root's retained projection tuples are counted.
-        assert!(large.memory_bytes() >= large.nnz() * large.order() * 8);
+    }
+
+    /// The check `Auto` routes by: a mode of `u32::MAX` indices fits, the
+    /// first larger mode is named.  Only shapes are built, no tree.
+    #[test]
+    fn index_width_check_names_the_first_mode_past_u32() {
+        let max = u32::MAX as usize;
+        let fits = SparseTensor::from_entries(vec![max, 3], &[(vec![max - 1, 2], 1.0)]);
+        assert!(DimTree::check_index_width(&fits).is_ok());
+        let wide =
+            SparseTensor::from_entries(vec![3, max + 1, max + 2], &[(vec![2, max, max + 1], 1.0)]);
+        match DimTree::check_index_width(&wide) {
+            Err(TuckerError::BufferTooLarge { buffer }) => {
+                assert!(buffer.ends_with("of mode 1"), "{buffer}")
+            }
+            other => panic!("expected BufferTooLarge, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1606,11 +1729,11 @@ mod tests {
     fn segment_schedule_splits_only_oversized_groups() {
         // Groups of sizes 10, 100, 32, 33: grain is MIN_SEGMENT_MEMBERS (32)
         // at this scale, so only the 100- and 33-member groups split.
-        let group_ptr = [0usize, 10, 110, 142, 175];
+        let group_ptr = narrow([0, 10, 110, 142, 175]);
         let (grain, seg_ptr, seg_entry) = segment_schedule(&group_ptr);
         assert_eq!(grain, MIN_SEGMENT_MEMBERS);
-        assert_eq!(seg_ptr, vec![0, 0, 4, 4, 6]);
-        assert_eq!(seg_entry, vec![1, 1, 1, 1, 3, 3]);
+        assert_eq!(wide(&seg_ptr), vec![0, 0, 4, 4, 6]);
+        assert_eq!(wide(&seg_entry), vec![1, 1, 1, 1, 3, 3]);
         // Segment member ranges tile each split group exactly.
         let node = Node {
             lo: 0,
@@ -1619,7 +1742,7 @@ mod tests {
             children: [NONE; 2],
             col_modes: Vec::new(),
             d_modes: Vec::new(),
-            group_ptr: group_ptr.to_vec(),
+            group_ptr,
             members: Vec::new(),
             values: Vec::new(),
             contract_idx: Vec::new(),
@@ -1630,15 +1753,14 @@ mod tests {
             entry_idx: Vec::new(),
         };
         for g in [1usize, 3] {
-            let (s0, s1) = (node.seg_ptr[g], node.seg_ptr[g + 1]);
-            let mut cursor = node.group_ptr[g];
-            for s in s0..s1 {
+            let mut cursor = node.group(g).start;
+            for s in node.segments(g) {
                 let (klo, khi) = node.segment_members(g, s);
                 assert_eq!(klo, cursor);
                 assert!(khi > klo);
                 cursor = khi;
             }
-            assert_eq!(cursor, node.group_ptr[g + 1]);
+            assert_eq!(cursor, node.group(g).end);
         }
     }
 
@@ -1715,7 +1837,7 @@ mod tests {
             seg_grain: MIN_SEGMENT_MEMBERS,
             seg_ptr: Vec::new(),
             seg_entry: Vec::new(),
-            entry_idx: root_idx,
+            entry_idx: narrow(root_idx),
         };
         let mut tree = DimTree {
             order,
@@ -1764,7 +1886,7 @@ mod tests {
         let key = |e: usize| &parent.entry_idx[e * span_p + off..e * span_p + off + span];
         let mut by_key: Vec<usize> = (0..n_parent).collect();
         by_key.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
-        let mut group_ptr = vec![0usize];
+        let mut group_ptr = vec![0];
         let mut entry_idx = Vec::new();
         let mut contract_idx = Vec::new();
         for (pos, &e) in by_key.iter().enumerate() {
@@ -1778,13 +1900,14 @@ mod tests {
             contract_idx.extend_from_slice(&parent.entry_idx[d_src..d_src + d_len]);
         }
         group_ptr.push(n_parent);
+        let group_ptr = narrow(group_ptr);
         let (members, values) = if parent_id == 0 {
             (
                 Vec::new(),
                 by_key.iter().map(|&e| tensor.value(e)).collect(),
             )
         } else {
-            (by_key, Vec::new())
+            (narrow(by_key), Vec::new())
         };
         let mut col_modes = parent.col_modes.clone();
         col_modes.extend_from_slice(&d_modes);

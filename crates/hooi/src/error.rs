@@ -64,10 +64,16 @@ pub enum TuckerError {
     /// rejects a mode whose `dim + 1` index words (the per-index tables
     /// the symbolic step and the tree's counting passes allocate) would
     /// exceed `isize::MAX` bytes the same way, before allocating anything,
-    /// and a mode whose tables the allocator refuses once it tries.
+    /// and a mode whose tables the allocator refuses once it tries.  A
+    /// dimension-tree plan stores its indices in 32 bits, so it also
+    /// rejects, before allocating anything, a mode larger than `u32::MAX`
+    /// and a tensor with more than `u32::MAX` nonzeros; `Auto` plans those
+    /// per-mode instead, so only an explicit `DimensionTree` request gets
+    /// this error for them.
     BufferTooLarge {
         /// Which buffer, naming its mode or tree node (e.g. "compact TTMc
-        /// of mode 2", "dimension-tree node 5", "index table of mode 0").
+        /// of mode 2", "dimension-tree node 5", "index table of mode 0",
+        /// "32-bit dimension-tree index of mode 1").
         buffer: String,
     },
     /// The solver's thread pool could not be built; carries the pool

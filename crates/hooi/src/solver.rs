@@ -131,12 +131,18 @@ const AUTO_RANK_HINT: usize = 8;
 /// which reads only the row counts) at a fixed rank hint, and keeps the
 /// cheaper one; ties resolve to the simpler per-mode sweep, whose symbolic
 /// analysis is built only then.  Order-1 tensors always run per-mode (there
-/// is no tree over a single mode).
+/// is no tree over a single mode), and so does `Auto` on a tensor whose
+/// indices do not fit the tree's 32-bit arrays
+/// ([`DimTree::check_index_width`]); an explicit `DimensionTree` request
+/// gets that check's error from the tree build.
 fn resolve_plan(
     tensor: &SparseTensor,
     requested: TtmcStrategy,
 ) -> Result<(SymbolicTtmc, Option<DimTree>), TuckerError> {
-    if tensor.order() < 2 || requested == TtmcStrategy::PerMode {
+    if tensor.order() < 2
+        || requested == TtmcStrategy::PerMode
+        || (requested == TtmcStrategy::Auto && DimTree::check_index_width(tensor).is_err())
+    {
         return Ok((SymbolicTtmc::try_build(tensor)?, None));
     }
     let tree = DimTree::try_build(tensor)?;

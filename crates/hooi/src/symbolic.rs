@@ -283,7 +283,10 @@ impl SymbolicTtmc {
     pub(crate) fn from_tree(tree: &DimTree, dims: &[usize]) -> Result<Self, TuckerError> {
         let modes: Vec<Result<SymbolicMode, TuckerError>> = (0..tree.order())
             .into_par_iter()
-            .map(|m| SymbolicMode::from_rows(m, tree.leaf_rows(m).to_vec(), dims[m]))
+            .map(|m| {
+                let rows = tree.leaf_rows(m).iter().map(|&i| i as usize).collect();
+                SymbolicMode::from_rows(m, rows, dims[m])
+            })
             .collect();
         Ok(SymbolicTtmc {
             modes: modes.into_iter().collect::<Result<_, _>>()?,

@@ -350,6 +350,29 @@ fn impractical_modes_are_typed_errors_not_aborts() {
     }
 }
 
+/// A mode one index past `u32::MAX` is small enough for an allocator to
+/// grant its tables, but the dimension tree stores indices in 32 bits: a
+/// tree plan rejects it as the typed error naming the mode, on every host,
+/// before any per-index table is allocated.  (`Auto` and `PerMode` plan it
+/// per-mode, at one word per index of the mode, so neither is tried here.)
+#[test]
+fn a_wide_index_is_a_typed_error_for_tree_plans() {
+    let wide = u32::MAX as usize + 1;
+    let tensor = SparseTensor::from_entries(
+        vec![wide + 1, 3, 3],
+        &[(vec![0, 1, 2], 1.0), (vec![wide, 2, 0], -0.5)],
+    );
+    let options = PlanOptions::new()
+        .num_threads(1)
+        .ttmc_strategy(TtmcStrategy::DimensionTree);
+    match TuckerSolver::plan(&tensor, options) {
+        Err(TuckerError::BufferTooLarge { buffer }) => {
+            assert!(buffer.ends_with("of mode 0"), "{buffer}")
+        }
+        other => panic!("expected BufferTooLarge, got {other:?}"),
+    }
+}
+
 #[test]
 fn observer_can_budget_iterations_from_outside() {
     let tensor = random_tensor(&[20, 20, 20], 1_000, 5);
