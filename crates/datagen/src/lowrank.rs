@@ -152,9 +152,9 @@ mod tests {
     #[test]
     fn values_match_planted_model() {
         let lr = lowrank_tensor(&small_spec());
-        for (idx, v) in lr.tensor.iter().take(50) {
-            let expected = reconstruct_at(&lr.core, &lr.factors, idx);
-            assert!((v - expected).abs() < 1e-12);
+        for e in 0..50 {
+            let expected = reconstruct_at(&lr.core, &lr.factors, &lr.tensor.index(e));
+            assert!((lr.tensor.value(e) - expected).abs() < 1e-12);
         }
     }
 
@@ -172,8 +172,8 @@ mod tests {
         let lr = lowrank_tensor(&spec);
         let factor_refs: Vec<&Matrix> = lr.factors.iter().collect();
         let full = lr.core.ttm_chain(&factor_refs, false);
-        for (idx, v) in lr.tensor.iter() {
-            assert!((v - full.get(idx)).abs() < 1e-10);
+        for e in 0..lr.tensor.nnz() {
+            assert!((lr.tensor.value(e) - full.get(&lr.tensor.index(e))).abs() < 1e-10);
         }
     }
 

@@ -1367,7 +1367,7 @@ mod tests {
             for mode in 0..t.order() {
                 let mut nonempty = vec![false; t.dims()[mode]];
                 for k in 0..t.nnz() {
-                    nonempty[t.index(k)[mode]] = true;
+                    nonempty[t.coords(k)[mode] as usize] = true;
                 }
                 let mut owned = vec![0u64; p];
                 for i in (0..nonempty.len()).filter(|&i| nonempty[i]) {

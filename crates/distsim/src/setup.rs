@@ -155,7 +155,7 @@ impl DistributedSetup {
             let mut counts: Vec<sptensor::hash::FxHashMap<u32, u32>> = Vec::new();
             counts.resize_with(dim, sptensor::hash::FxHashMap::default);
             for t in 0..nnz {
-                let i = tensor.index(t)[mode];
+                let i = tensor.coords(t)[mode] as usize;
                 *counts[i].entry(owners[t]).or_insert(0) += 1;
             }
             let mut slices: Vec<usize> = (0..dim).filter(|&i| !counts[i].is_empty()).collect();
@@ -219,7 +219,7 @@ impl DistributedSetup {
             let owners = part.parts;
             let mut per_rank: Vec<Vec<usize>> = vec![Vec::new(); p];
             for t in 0..nnz {
-                let i = tensor.index(t)[mode];
+                let i = tensor.coords(t)[mode] as usize;
                 per_rank[owners[i] as usize].push(t);
             }
             row_owner.push(owners);
@@ -267,7 +267,7 @@ impl DistributedSetup {
             for m in 0..order {
                 for r in 0..p {
                     for &id in self.nonzeros_for(m, r) {
-                        let i = tensor.index(id)[mode];
+                        let i = tensor.coords(id)[mode] as usize;
                         if m == mode {
                             *holder_counts[i].entry(r as u32).or_insert(0) += 1;
                         } else {
@@ -349,7 +349,7 @@ mod tests {
         for mode in 0..3 {
             for r in 0..4 {
                 for &id in s.nonzeros_for(mode, r) {
-                    let i = t.index(id)[mode];
+                    let i = t.coords(id)[mode] as usize;
                     assert_eq!(s.row_owner[mode][i] as usize, r);
                 }
             }
@@ -371,7 +371,7 @@ mod tests {
             if owner == u32::MAX {
                 continue;
             }
-            let has_one = (0..t.nnz()).any(|k| t.index(k)[0] == i && owners[k] == owner);
+            let has_one = (0..t.nnz()).any(|k| t.coords(k)[0] as usize == i && owners[k] == owner);
             assert!(has_one, "row {i} owner {owner} holds none of its nonzeros");
         }
     }

@@ -59,7 +59,7 @@ pub fn core_from_scratch(tensor: &SparseTensor, factors: &[Matrix]) -> DenseTens
     for (idx, value) in tensor.iter() {
         rows.clear();
         for (t, &i) in idx.iter().enumerate() {
-            rows.push(factors[t].row(i));
+            rows.push(factors[t].row(i as usize));
         }
         accumulate_scaled_kron(
             KernelIsa::resolved_default(),
@@ -127,9 +127,9 @@ mod tests {
         let factors = orthonormal_factors(t.dims(), &ranks, 5);
         // Dense reference: materialize X, apply Uᵀ along every mode.
         let mut dense = DenseTensor::zeros(t.dims().to_vec());
-        for (idx, v) in t.iter() {
-            let lin = dense.linear_index(idx);
-            dense.as_mut_slice()[lin] += v;
+        for e in 0..t.nnz() {
+            let lin = dense.linear_index(&t.index(e));
+            dense.as_mut_slice()[lin] += t.value(e);
         }
         let mut reference = dense;
         for (m, u) in factors.iter().enumerate() {

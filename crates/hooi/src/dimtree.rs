@@ -459,7 +459,7 @@ impl Source<'_> {
     /// Index `k` of entry `e`'s tuple.
     fn index(&self, e: usize, k: usize) -> usize {
         match self.parent_idx {
-            None => self.tensor.index(e)[k],
+            None => self.tensor.coords(e)[k] as usize,
             Some(idx) => idx[e * self.span + k] as usize,
         }
     }
@@ -750,7 +750,7 @@ impl DimTree {
         let order = tensor.order();
         assert!(order >= 2, "a dimension tree needs at least two modes");
         assert!(tensor.nnz() > 0, "a dimension tree needs nonzeros");
-        Self::check_index_width(tensor)?;
+        Self::check_index_width(tensor.dims(), tensor.nnz())?;
         // Root: one entry per nonzero, nothing contracted.  Its children
         // read the index tuples straight from the tensor.
         let root = Node {
@@ -781,18 +781,18 @@ impl DimTree {
         Ok(tree)
     }
 
-    /// Whether every index a tree over `tensor` stores fits its 32-bit
-    /// arrays: at most `u32::MAX` nonzeros and no mode larger than
-    /// `u32::MAX`, else the [`TuckerError::BufferTooLarge`] naming the
-    /// nonzero count or the mode.  Reads only the tensor's shape.
-    pub(crate) fn check_index_width(tensor: &SparseTensor) -> Result<(), TuckerError> {
+    /// Whether every index a tree over a tensor of mode sizes `dims` with
+    /// `nnz` nonzeros stores fits its 32-bit arrays: at most `u32::MAX`
+    /// nonzeros and no mode larger than `u32::MAX`, else the
+    /// [`TuckerError::BufferTooLarge`] naming the nonzero count or the mode.
+    pub(crate) fn check_index_width(dims: &[usize], nnz: usize) -> Result<(), TuckerError> {
         let max = u32::MAX as usize;
-        if tensor.nnz() > max {
+        if nnz > max {
             return Err(TuckerError::BufferTooLarge {
-                buffer: format!("dimension-tree ids of {} nonzeros", tensor.nnz()),
+                buffer: format!("dimension-tree ids of {nnz} nonzeros"),
             });
         }
-        if let Some(mode) = tensor.dims().iter().position(|&d| d > max) {
+        if let Some(mode) = dims.iter().position(|&d| d > max) {
             return Err(TuckerError::BufferTooLarge {
                 buffer: format!("32-bit dimension-tree index of mode {mode}"),
             });
@@ -1514,14 +1514,17 @@ mod tests {
             // child's range, id), which is group order.
             assert!(node.members.is_empty());
             let mut order: Vec<usize> = (0..t.nnz()).collect();
-            order.sort_by_key(|&e| (t.index(e)[node.lo..node.hi].to_vec(), e));
+            order.sort_by_key(|&e| (t.coords(e)[node.lo..node.hi].to_vec(), e));
             let expected: Vec<u64> = order.iter().map(|&e| t.value(e).to_bits()).collect();
             let got: Vec<u64> = node.values.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, expected, "node {id}: values out of group order");
             let d_len = node.d_modes.len();
             for (k, &e) in order.iter().enumerate() {
-                let contracted: Vec<usize> =
-                    node.d_modes.iter().map(|&t_| t.index(e)[t_]).collect();
+                let contracted: Vec<usize> = node
+                    .d_modes
+                    .iter()
+                    .map(|&t_| t.coords(e)[t_] as usize)
+                    .collect();
                 assert_eq!(
                     wide(&node.contract_idx[k * d_len..(k + 1) * d_len]),
                     contracted
@@ -1688,15 +1691,12 @@ mod tests {
     }
 
     /// The check `Auto` routes by: a mode of `u32::MAX` indices fits, the
-    /// first larger mode is named.  Only shapes are built, no tree.
+    /// first larger mode is named.  Only shapes are checked, no tree built.
     #[test]
     fn index_width_check_names_the_first_mode_past_u32() {
         let max = u32::MAX as usize;
-        let fits = SparseTensor::from_entries(vec![max, 3], &[(vec![max - 1, 2], 1.0)]);
-        assert!(DimTree::check_index_width(&fits).is_ok());
-        let wide =
-            SparseTensor::from_entries(vec![3, max + 1, max + 2], &[(vec![2, max, max + 1], 1.0)]);
-        match DimTree::check_index_width(&wide) {
+        assert!(DimTree::check_index_width(&[max, 3], 1).is_ok());
+        match DimTree::check_index_width(&[3, max + 1, max + 2], 1) {
             Err(TuckerError::BufferTooLarge { buffer }) => {
                 assert!(buffer.ends_with("of mode 1"), "{buffer}")
             }
@@ -1820,7 +1820,7 @@ mod tests {
         let order = tensor.order();
         let mut root_idx = Vec::with_capacity(tensor.nnz() * order);
         for t in 0..tensor.nnz() {
-            root_idx.extend_from_slice(tensor.index(t));
+            root_idx.extend_from_slice(tensor.coords(t));
         }
         let root = Node {
             lo: 0,
@@ -1837,7 +1837,7 @@ mod tests {
             seg_grain: MIN_SEGMENT_MEMBERS,
             seg_ptr: Vec::new(),
             seg_entry: Vec::new(),
-            entry_idx: narrow(root_idx),
+            entry_idx: root_idx,
         };
         let mut tree = DimTree {
             order,

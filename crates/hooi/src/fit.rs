@@ -31,9 +31,9 @@ pub fn rmse_at_nonzeros(tensor: &SparseTensor, core: &DenseTensor, factors: &[Ma
         return 0.0;
     }
     let mut sum = 0.0;
-    for (idx, v) in tensor.iter() {
-        let approx = reconstruct_at(core, factors, idx);
-        sum += (v - approx) * (v - approx);
+    for e in 0..tensor.nnz() {
+        let diff = tensor.value(e) - reconstruct_at(core, factors, &tensor.index(e));
+        sum += diff * diff;
     }
     (sum / tensor.nnz() as f64).sqrt()
 }
@@ -56,9 +56,9 @@ pub fn full_relative_error(
         "refusing to materialize a dense tensor with {total} entries (limit {max_entries})"
     );
     let mut dense = DenseTensor::zeros(tensor.dims().to_vec());
-    for (idx, v) in tensor.iter() {
-        let lin = dense.linear_index(idx);
-        dense.as_mut_slice()[lin] += v;
+    for e in 0..tensor.nnz() {
+        let lin = dense.linear_index(&tensor.index(e));
+        dense.as_mut_slice()[lin] += tensor.value(e);
     }
     let factor_refs: Vec<&Matrix> = factors.iter().collect();
     let approx = core.ttm_chain(&factor_refs, false);

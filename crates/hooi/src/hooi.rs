@@ -372,9 +372,10 @@ mod tests {
         let t = random_tensor(&[12, 10, 8], 300, 19);
         let config = TuckerConfig::new(vec![3, 3, 3]).max_iterations(2);
         let result = tucker_hooi(&t, &config).unwrap();
-        for (idx, _) in t.iter().take(10) {
-            let direct = reconstruct_at(&result.core, &result.factors, idx);
-            assert_eq!(result.predict(idx), direct);
+        for e in 0..10 {
+            let idx = t.index(e);
+            let direct = reconstruct_at(&result.core, &result.factors, &idx);
+            assert_eq!(result.predict(&idx), direct);
         }
     }
 
@@ -383,7 +384,7 @@ mod tests {
         let t = random_tensor(&[14, 11, 9], 350, 29);
         let config = TuckerConfig::new(vec![3, 2, 3]).max_iterations(2);
         let result = tucker_hooi(&t, &config).unwrap();
-        let indices: Vec<Vec<usize>> = t.iter().take(25).map(|(idx, _)| idx.to_vec()).collect();
+        let indices: Vec<Vec<usize>> = (0..25).map(|e| t.index(e)).collect();
         let batch = result.predict_many(&indices);
         assert_eq!(batch.len(), indices.len());
         for (idx, &value) in indices.iter().zip(batch.iter()) {

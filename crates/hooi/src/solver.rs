@@ -130,19 +130,13 @@ const AUTO_RANK_HINT: usize = 8;
 /// plan-time cost model ([`DimTree::costs`] vs [`dimtree::per_mode_costs`],
 /// which reads only the row counts) at a fixed rank hint, and keeps the
 /// cheaper one; ties resolve to the simpler per-mode sweep, whose symbolic
-/// analysis is built only then.  Order-1 tensors always run per-mode (there
-/// is no tree over a single mode), and so does `Auto` on a tensor whose
-/// indices do not fit the tree's 32-bit arrays
-/// ([`DimTree::check_index_width`]); an explicit `DimensionTree` request
-/// gets that check's error from the tree build.
+/// analysis is built only then.  Whether a tree is built at all is a
+/// function of the tensor's shape ([`builds_tree`]).
 fn resolve_plan(
     tensor: &SparseTensor,
     requested: TtmcStrategy,
 ) -> Result<(SymbolicTtmc, Option<DimTree>), TuckerError> {
-    if tensor.order() < 2
-        || requested == TtmcStrategy::PerMode
-        || (requested == TtmcStrategy::Auto && DimTree::check_index_width(tensor).is_err())
-    {
+    if !builds_tree(tensor.dims(), tensor.nnz(), requested)? {
         return Ok((SymbolicTtmc::try_build(tensor)?, None));
     }
     let tree = DimTree::try_build(tensor)?;
@@ -162,6 +156,27 @@ fn resolve_plan(
         }
     }
     Ok((rows, Some(tree)))
+}
+
+/// Whether [`resolve_plan`] builds a dimension tree for a tensor with mode
+/// sizes `dims` and `nnz` nonzeros under `requested`.  Never for an order-1
+/// tensor (there is no tree over a single mode) or a `PerMode` request;
+/// under `Auto`, not for a shape whose indices do not fit the tree's 32-bit
+/// arrays ([`DimTree::check_index_width`]), and an explicit `DimensionTree`
+/// request on such a shape gets that check's error before anything is
+/// allocated.
+pub(crate) fn builds_tree(
+    dims: &[usize],
+    nnz: usize,
+    requested: TtmcStrategy,
+) -> Result<bool, TuckerError> {
+    if dims.len() < 2 || requested == TtmcStrategy::PerMode {
+        return Ok(false);
+    }
+    match DimTree::check_index_width(dims, nnz) {
+        Err(_) if requested == TtmcStrategy::Auto => Ok(false),
+        fits => fits.map(|()| true),
+    }
 }
 
 /// What one completed HOOI iteration looked like, as handed to an
@@ -695,6 +710,39 @@ mod tests {
     use crate::hooi::tucker_hooi;
     use crate::hosvd::random_factors;
     use datagen::random_tensor;
+
+    /// The tree-or-per-mode route reads only the shape, so the 32-bit edge
+    /// is tested without a tensor of that size.
+    #[test]
+    fn builds_tree_routes_past_32_bits_by_shape_alone() {
+        use TtmcStrategy::{Auto, DimensionTree, PerMode};
+        let wide = u32::MAX as usize + 1;
+        // More than `u32::MAX` nonzeros, or a declared mode of more than
+        // `u32::MAX` indices: per-mode under `Auto`, named under an
+        // explicit tree.
+        for (dims, nnz, named) in [
+            (vec![3, 4, 5], wide, format!("ids of {wide} nonzeros")),
+            (vec![3, wide, 5], 10, "of mode 1".to_string()),
+        ] {
+            assert_eq!(builds_tree(&dims, nnz, Auto), Ok(false));
+            assert_eq!(builds_tree(&dims, nnz, PerMode), Ok(false));
+            match builds_tree(&dims, nnz, DimensionTree) {
+                Err(TuckerError::BufferTooLarge { buffer }) => {
+                    assert!(buffer.ends_with(&named), "{buffer}")
+                }
+                other => panic!("expected BufferTooLarge, got {other:?}"),
+            }
+        }
+        // `u32::MAX` of either takes the tree.
+        for (dims, nnz) in [(vec![3, 4, 5], wide - 1), (vec![3, wide - 1, 5], 10)] {
+            assert_eq!(builds_tree(&dims, nnz, Auto), Ok(true));
+            assert_eq!(builds_tree(&dims, nnz, DimensionTree), Ok(true));
+            assert_eq!(builds_tree(&dims, nnz, PerMode), Ok(false));
+        }
+        // No tree over a single mode, whatever is asked.
+        assert_eq!(builds_tree(&[wide], wide, DimensionTree), Ok(false));
+        assert_eq!(builds_tree(&[7], 3, Auto), Ok(false));
+    }
 
     #[test]
     fn plan_rejects_empty_tensor() {

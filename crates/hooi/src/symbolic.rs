@@ -88,7 +88,7 @@ impl SymbolicMode {
         // Pass 1: count nonzeros per row.
         let mut counts = try_filled(dim, 0usize, || row_table_name(mode))?;
         for t in 0..tensor.nnz() {
-            counts[tensor.index(t)[mode]] += 1;
+            counts[tensor.coords(t)[mode] as usize] += 1;
         }
         // Compact to nonempty rows.
         let rows: Vec<usize> = (0..dim).filter(|&i| counts[i] > 0).collect();
@@ -102,8 +102,7 @@ impl SymbolicMode {
         let mut cursor: Vec<usize> = row_ptr[..rows.len()].to_vec();
         let mut nonzero_ids = vec![0usize; tensor.nnz()];
         for t in 0..tensor.nnz() {
-            let i = tensor.index(t)[mode];
-            let p = row_pos[i];
+            let p = row_pos[tensor.coords(t)[mode] as usize];
             nonzero_ids[cursor[p]] = t;
             cursor[p] += 1;
         }
@@ -386,7 +385,7 @@ mod tests {
             let s = SymbolicMode::build(&t, mode);
             for (p, &row) in s.rows.iter().enumerate() {
                 for &id in s.update_list(p) {
-                    assert_eq!(t.index(id)[mode], row);
+                    assert_eq!(t.coords(id)[mode] as usize, row);
                 }
             }
         }

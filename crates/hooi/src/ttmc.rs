@@ -75,13 +75,13 @@ fn compute_row<'a>(
         // indices from the COO arrays.
         None => {
             for &id in sym.update_list(row_position) {
-                let index = tensor.index(id);
+                let index = tensor.coords(id);
                 rows.clear();
                 for (t, factor) in factors.iter().enumerate() {
                     if t == mode {
                         continue;
                     }
-                    rows.push(factor.row(index[t]));
+                    rows.push(factor.row(index[t] as usize));
                 }
                 accumulate_scaled_kron(isa, tensor.value(id), rows, out, scratch);
             }
@@ -424,14 +424,14 @@ pub fn ttmc_contribution_into<'a>(
 ) {
     out.iter_mut().for_each(|v| *v = 0.0);
     let order = tensor.order();
-    let index = tensor.index(nonzero_id);
+    let index = tensor.coords(nonzero_id);
     let value = tensor.value(nonzero_id);
     rows.clear();
     for t in 0..order {
         if t == mode {
             continue;
         }
-        rows.push(factors[t].row(index[t]));
+        rows.push(factors[t].row(index[t] as usize));
     }
     accumulate_scaled_kron(KernelIsa::resolved_default(), value, rows, out, scratch);
 }
@@ -462,9 +462,9 @@ fn validate_factors(tensor: &SparseTensor, factors: &[Matrix], mode: usize) {
 pub fn ttmc_dense_reference(tensor: &SparseTensor, factors: &[Matrix], mode: usize) -> Matrix {
     use sptensor::DenseTensor;
     let mut dense = DenseTensor::zeros(tensor.dims().to_vec());
-    for (idx, v) in tensor.iter() {
-        let lin = dense.linear_index(idx);
-        dense.as_mut_slice()[lin] += v;
+    for e in 0..tensor.nnz() {
+        let lin = dense.linear_index(&tensor.index(e));
+        dense.as_mut_slice()[lin] += tensor.value(e);
     }
     let mut cur = dense;
     for (t, u) in factors.iter().enumerate() {

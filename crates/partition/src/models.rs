@@ -40,9 +40,9 @@ pub fn fine_grain_hypergraph(tensor: &SparseTensor) -> Hypergraph {
     // Count pins per net, then fill (CSR construction).
     let mut counts = vec![0usize; total_nets];
     for t in 0..nnz {
-        let idx = tensor.index(t);
+        let idx = tensor.coords(t);
         for m in 0..order {
-            counts[offsets[m] + idx[m]] += 1;
+            counts[offsets[m] + idx[m] as usize] += 1;
         }
     }
     let mut net_ptr = Vec::with_capacity(total_nets + 1);
@@ -53,9 +53,9 @@ pub fn fine_grain_hypergraph(tensor: &SparseTensor) -> Hypergraph {
     let mut pins = vec![0usize; net_ptr[total_nets]];
     let mut cursor = net_ptr[..total_nets].to_vec();
     for t in 0..nnz {
-        let idx = tensor.index(t);
+        let idx = tensor.coords(t);
         for m in 0..order {
-            let net = offsets[m] + idx[m];
+            let net = offsets[m] + idx[m] as usize;
             pins[cursor[net]] = t;
             cursor[net] += 1;
         }
@@ -88,13 +88,13 @@ pub fn coarse_grain_hypergraph(tensor: &SparseTensor, mode: usize) -> Hypergraph
     let total_nets = offsets[order];
     let mut pin_sets: Vec<Vec<usize>> = vec![Vec::new(); total_nets];
     for t in 0..tensor.nnz() {
-        let idx = tensor.index(t);
-        let v = idx[mode];
+        let idx = tensor.coords(t);
+        let v = idx[mode] as usize;
         for m in 0..order {
             if m == mode {
                 continue;
             }
-            let net = offsets[m] + idx[m];
+            let net = offsets[m] + idx[m] as usize;
             // Most tensors list many nonzeros of the same slice in a row;
             // the final dedup below keeps correctness regardless.
             if pin_sets[net].last() != Some(&v) {

@@ -1,9 +1,14 @@
 //! Order-`N` sparse tensors in coordinate (COO) format.
 //!
-//! Nonzero indices are stored flattened in a single `Vec<usize>` of length
+//! Nonzero indices are stored flattened in a single `Vec<u32>` of length
 //! `nnz * order` (indices of nonzero `t` occupy
 //! `indices[t * order .. (t + 1) * order]`), which keeps each nonzero's
-//! coordinates contiguous — the access pattern of the nonzero-based TTMc.
+//! coordinates contiguous — the access pattern of the nonzero-based TTMc —
+//! at 4 bytes a coordinate.  Mode sizes stay `usize`, but a stored
+//! coordinate is below 2³²: [`SparseTensor::push`] panics on a wider one
+//! and the `.tns` readers reject it (see [`crate::io`]).  Per-nonzero code
+//! reads the 32-bit tuple with [`SparseTensor::coords`];
+//! [`SparseTensor::index`] is a widened copy for cold callers.
 
 use crate::hash::FxHashMap;
 
@@ -12,7 +17,7 @@ use crate::hash::FxHashMap;
 pub struct SparseTensor {
     dims: Vec<usize>,
     /// Flattened indices: nonzero `t` occupies `indices[t*order..(t+1)*order]`.
-    indices: Vec<usize>,
+    indices: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -34,11 +39,12 @@ impl SparseTensor {
         }
     }
 
-    /// Creates an empty sparse tensor and reserves space for `nnz` nonzeros.
+    /// Creates an empty sparse tensor and reserves space for `nnz` nonzeros:
+    /// `nnz * order` coordinate words and `nnz` values, no more.
     pub fn with_capacity(dims: Vec<usize>, nnz: usize) -> Self {
         let mut t = SparseTensor::new(dims);
-        t.indices.reserve(nnz * t.order());
-        t.values.reserve(nnz);
+        t.indices.reserve_exact(nnz * t.order());
+        t.values.reserve_exact(nnz);
         t
     }
 
@@ -47,7 +53,7 @@ impl SparseTensor {
     /// index as it parses), without copying them.
     pub(crate) fn from_validated_parts(
         dims: Vec<usize>,
-        indices: Vec<usize>,
+        indices: Vec<u32>,
         values: Vec<f64>,
     ) -> Self {
         let tensor = SparseTensor {
@@ -98,25 +104,34 @@ impl SparseTensor {
     /// Appends a nonzero.
     ///
     /// # Panics
-    /// Panics if the index tuple has the wrong length or is out of bounds.
+    /// Panics if the index tuple has the wrong length, is out of bounds, or
+    /// holds an index past `u32::MAX` (naming its mode).
     pub fn push(&mut self, index: &[usize], value: f64) {
         assert_eq!(index.len(), self.order(), "index arity mismatch");
         for (m, (&i, &d)) in index.iter().zip(self.dims.iter()).enumerate() {
             assert!(i < d, "index {i} out of bounds for mode {m} of size {d}");
+            assert!(
+                u32::try_from(i).is_ok(),
+                "index {i} of mode {m} does not fit a 32-bit coordinate"
+            );
         }
-        self.indices.extend_from_slice(index);
+        self.indices.extend(index.iter().map(|&i| i as u32));
         self.values.push(value);
     }
 
-    /// The index tuple of nonzero `t`.
-    // Not `std::ops::Index`: that trait cannot return a computed sub-slice
-    // of a flat buffer by value semantics this API needs, and `index` is the
-    // paper's name for a nonzero's coordinate tuple.
-    #[allow(clippy::should_implement_trait)]
+    /// The coordinate tuple of nonzero `t`, as stored: one `u32` per mode.
+    /// The accessor for per-nonzero code.
     #[inline]
-    pub fn index(&self, t: usize) -> &[usize] {
+    pub fn coords(&self, t: usize) -> &[u32] {
         let n = self.order();
         &self.indices[t * n..(t + 1) * n]
+    }
+
+    /// The index tuple of nonzero `t`, widened to `usize` into a new
+    /// vector: a convenience for cold callers, which per-nonzero code
+    /// should not pay for (read [`coords`](Self::coords) there).
+    pub fn index(&self, t: usize) -> Vec<usize> {
+        self.coords(t).iter().map(|&i| i as usize).collect()
     }
 
     /// The value of nonzero `t`.
@@ -137,8 +152,9 @@ impl SparseTensor {
         &self.values
     }
 
-    /// Iterator over `(index_tuple, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&[usize], f64)> + '_ {
+    /// Iterator over `(coordinate tuple, value)` pairs, the tuples as
+    /// [`coords`](Self::coords) returns them.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u32], f64)> + '_ {
         let n = self.order();
         self.indices
             .chunks_exact(n)
@@ -166,16 +182,13 @@ impl SparseTensor {
     pub fn coalesce(&mut self) -> usize {
         let n = self.order();
         let before = self.nnz();
-        // Hash on the linearized index (fits in u128 for realistic sizes; use
-        // a tuple of the raw index slice otherwise).  We use the index slice
-        // as the key via a map from Vec<usize>.
-        let mut map: FxHashMap<Vec<usize>, f64> = FxHashMap::default();
+        let mut map: FxHashMap<Vec<u32>, f64> = FxHashMap::default();
         map.reserve(self.nnz());
         for t in 0..self.nnz() {
             let key = self.indices[t * n..(t + 1) * n].to_vec();
             *map.entry(key).or_insert(0.0) += self.values[t];
         }
-        let mut entries: Vec<(Vec<usize>, f64)> =
+        let mut entries: Vec<(Vec<u32>, f64)> =
             map.into_iter().filter(|(_, v)| *v != 0.0).collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         self.indices.clear();
@@ -209,7 +222,7 @@ impl SparseTensor {
         let mut counts = vec![0usize; self.dims[mode]];
         let n = self.order();
         for t in 0..self.nnz() {
-            counts[self.indices[t * n + mode]] += 1;
+            counts[self.indices[t * n + mode] as usize] += 1;
         }
         counts
     }
@@ -235,7 +248,7 @@ impl SparseTensor {
         let mut maxes = vec![0usize; n];
         for t in 0..self.nnz() {
             for m in 0..n {
-                maxes[m] = maxes[m].max(self.indices[t * n + m]);
+                maxes[m] = maxes[m].max(self.indices[t * n + m] as usize);
             }
         }
         Some(maxes)
@@ -255,7 +268,7 @@ impl SparseTensor {
         }
         for t in 0..self.nnz() {
             for m in 0..n {
-                let i = self.indices[t * n + m];
+                let i = self.indices[t * n + m] as usize;
                 if i >= self.dims[m] {
                     return Err(format!(
                         "nonzero {t}: index {i} out of bounds for mode {m} (size {})",
@@ -303,7 +316,8 @@ mod tests {
     fn push_and_access() {
         let t = sample3();
         assert_eq!(t.nnz(), 4);
-        assert_eq!(t.index(1), &[2, 3, 4]);
+        assert_eq!(t.coords(1), &[2, 3, 4]);
+        assert_eq!(t.index(1), vec![2, 3, 4]);
         assert_eq!(t.value(1), 2.0);
     }
 
@@ -358,9 +372,9 @@ mod tests {
         assert_eq!(removed, 3);
         assert_eq!(t.nnz(), 2);
         // Survivors come out in lexicographic index order.
-        assert_eq!(t.index(0), &[0, 0]);
+        assert_eq!(t.coords(0), &[0, 0]);
         assert_eq!(t.value(0), 3.0);
-        assert_eq!(t.index(1), &[1, 1]);
+        assert_eq!(t.coords(1), &[1, 1]);
     }
 
     #[test]
@@ -368,8 +382,8 @@ mod tests {
         let t = sample3();
         let s = t.subset(&[2, 0]);
         assert_eq!(s.nnz(), 2);
-        assert_eq!(s.index(0), &[1, 2, 3]);
-        assert_eq!(s.index(1), &[0, 0, 0]);
+        assert_eq!(s.coords(0), &[1, 2, 3]);
+        assert_eq!(s.coords(1), &[0, 0, 0]);
         assert_eq!(s.dims(), t.dims());
     }
 
@@ -403,5 +417,35 @@ mod tests {
         let t = SparseTensor::with_capacity(vec![4, 4], 100);
         assert_eq!(t.nnz(), 0);
         assert_eq!(t.dims(), &[4, 4]);
+    }
+
+    /// Coordinates take 4 bytes each and no slack: `with_capacity` reserves
+    /// `nnz·order` words, and the reader trims its buffer to exactly that.
+    #[test]
+    fn coordinates_are_stored_in_32_bits_without_slack() {
+        fn reserved_bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let t = SparseTensor::with_capacity(vec![4, 5, 6], 7);
+        assert_eq!(reserved_bytes(&t.indices), 4 * 7 * 3);
+
+        let mut text = String::from("# dims: 50 40 30\n");
+        for k in 0..1000 {
+            text.push_str(&format!(
+                "{} {} {} {k}.5\n",
+                k % 50 + 1,
+                k % 40 + 1,
+                k % 30 + 1
+            ));
+            if k % 7 == 0 {
+                text.push_str("# a comment\n\n");
+            }
+        }
+        let options = crate::io::StreamOptions::new();
+        let (read, _) = crate::io::read_tns_streamed(text.as_bytes(), &options).unwrap();
+        assert_eq!(read.nnz(), 1000);
+        assert_eq!(read.indices.len(), 1000 * 3);
+        assert_eq!(reserved_bytes(&read.indices), 4 * 1000 * 3);
+        assert_eq!(read.values.capacity(), 1000);
     }
 }

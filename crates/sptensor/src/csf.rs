@@ -396,13 +396,12 @@ fn build_from_perm<I: CsfIndex>(
         if lo == hi {
             continue;
         }
-        b.start_row(tensor.index(perm[lo])[mode]);
+        b.start_row(tensor.coords(perm[lo])[mode] as usize);
         for &id in &perm[lo..hi] {
-            let index = tensor.index(id);
             let mut c = 0;
-            for (t, &i) in index.iter().enumerate() {
+            for (t, &i) in tensor.coords(id).iter().enumerate() {
                 if t != mode {
-                    coords[c] = i;
+                    coords[c] = i as usize;
                     c += 1;
                 }
             }
@@ -434,10 +433,10 @@ mod tests {
     /// their mode-`mode` index, one row per non-empty slice.
     fn build_sorted(t: &SparseTensor, mode: usize) -> (CsfMode, Vec<usize>) {
         let mut perm: Vec<usize> = (0..t.nnz()).collect();
-        perm.sort_by_key(|&id| t.index(id)[mode]);
+        perm.sort_by_key(|&id| t.coords(id)[mode]);
         let mut row_ptr = vec![0];
         for k in 1..=perm.len() {
-            if k == perm.len() || t.index(perm[k])[mode] != t.index(perm[k - 1])[mode] {
+            if k == perm.len() || t.coords(perm[k])[mode] != t.coords(perm[k - 1])[mode] {
                 row_ptr.push(k);
             }
         }
@@ -458,10 +457,8 @@ mod tests {
                 full.extend_from_slice(&foreign[mode..]);
                 seen.push((full, value));
             });
-            let expect: Vec<(Vec<usize>, f64)> = perm
-                .iter()
-                .map(|&id| (t.index(id).to_vec(), t.value(id)))
-                .collect();
+            let expect: Vec<(Vec<usize>, f64)> =
+                perm.iter().map(|&id| (t.index(id), t.value(id))).collect();
             assert_eq!(seen, expect, "mode {mode}");
         }
     }
@@ -483,15 +480,17 @@ mod tests {
         let huge = (u32::MAX as usize) + 2;
         assert!(!CsfMode::fits_u32(&[4, huge, 5], 0, 10));
         assert!(CsfMode::fits_u32(&[4, huge, 5], 1, 10));
+        // The widest coordinate a tensor stores is `u32::MAX`.
+        let widest = u32::MAX as usize;
         let t = SparseTensor::from_entries(
             vec![4, huge, 5],
-            &[(vec![0, huge - 1, 1], 1.5), (vec![2, 3, 0], -1.0)],
+            &[(vec![0, widest, 1], 1.5), (vec![2, 3, 0], -1.0)],
         );
         let csf = CsfMode::build(&t, 0, &[0, 1], &[0, 1, 2]);
         assert!(matches!(csf, CsfMode::Wide(_)));
         let mut coords = Vec::new();
         csf.for_each_nonzero(|r, c, v| coords.push((r, c.to_vec(), v)));
-        assert_eq!(coords[0], (0, vec![huge - 1, 1], 1.5));
+        assert_eq!(coords[0], (0, vec![widest, 1], 1.5));
         assert_eq!(coords[1], (2, vec![3, 0], -1.0));
     }
 

@@ -28,6 +28,12 @@
 //! [`read_tns_file_streamed`] all parse into the COO tensor's own buffers,
 //! from which a plan derives every per-mode index structure.
 //!
+//! Coordinates are stored in 32 bits ([`SparseTensor::coords`]), and
+//! the index buffer is sized from the file at 4 bytes a coordinate: a
+//! 1-based index above 2³² (`4294967296`, stored as `u32::MAX`) is a
+//! [`TensorIoError::IndexOutOfRange`] naming its line and mode, whatever
+//! the declared size of the mode, which stays a `usize`.
+//!
 //! No reader rejects or merges a duplicated coordinate: it is kept as two
 //! nonzeros.  TTMc adds them linearly, but
 //! [`SparseTensor::frobenius_norm`] sums `a² + b²` where the tensor holds
@@ -69,7 +75,9 @@ pub enum TensorIoError {
         mode: usize,
         /// The 1-based index as written in the file.
         index: usize,
-        /// The declared size of that mode.
+        /// The bound the index was checked against: the declared size of
+        /// that mode, or 2³² — the most indices a 32-bit coordinate
+        /// addresses — if the mode declares more or nothing.
         size: usize,
     },
     /// The file contained no nonzeros.
@@ -81,6 +89,15 @@ impl std::fmt::Display for TensorIoError {
         match self {
             TensorIoError::Io(e) => write!(f, "I/O error: {e}"),
             TensorIoError::Parse(line, msg) => write!(f, "parse error on line {line}: {msg}"),
+            TensorIoError::IndexOutOfRange {
+                line,
+                mode,
+                index,
+                size,
+            } if *size == MAX_MODE_INDICES => write!(
+                f,
+                "index out of range on line {line}: index {index} of mode {mode} exceeds {size}, the most indices a 32-bit coordinate addresses"
+            ),
             TensorIoError::IndexOutOfRange {
                 line,
                 mode,
@@ -142,6 +159,10 @@ pub struct StreamStats {
     /// held whole.
     pub peak_window_bytes: usize,
 }
+
+/// The most indices a mode's 32-bit coordinates address: the bound of a
+/// mode that declares more, or no size at all.
+const MAX_MODE_INDICES: usize = u32::MAX as usize + 1;
 
 /// Bytes the reader asks its source for at a time while a window fills.
 const READ_BLOCK: usize = 256 * 1024;
@@ -437,7 +458,7 @@ enum IndexFault {
     Invalid,
     /// The field reads 0; indices are 1-based.
     Zero,
-    /// Beyond the declared size of its mode.
+    /// Beyond the bound of its mode (its declared size, at most 2³²).
     OutOfRange(usize),
 }
 
@@ -472,7 +493,7 @@ fn index_error(
 struct Part<'a> {
     text: &'a [u8],
     first_line: usize,
-    indices: &'a mut [MaybeUninit<usize>],
+    indices: &'a mut [MaybeUninit<u32>],
     values: &'a mut [MaybeUninit<f64>],
     /// Entries parsed so far, packed at the front of the slots.
     entries: usize,
@@ -483,8 +504,8 @@ struct Part<'a> {
 }
 
 impl Part<'_> {
-    /// Parses every line; `bounds[mode]` is the declared size of the mode,
-    /// or `usize::MAX` without a declaration.
+    /// Parses every line; `bounds[mode]` is the most indices of the mode:
+    /// its declared size, at most [`MAX_MODE_INDICES`].
     fn parse(&mut self, bounds: &[usize]) {
         let order = bounds.len();
         let Part {
@@ -539,7 +560,7 @@ fn parse_line(
     at: &mut usize,
     lineno: usize,
     bounds: &[usize],
-    slot: &mut [MaybeUninit<usize>],
+    slot: &mut [MaybeUninit<u32>],
     maxes: &mut [usize],
 ) -> Result<Option<f64>, TensorIoError> {
     let order = bounds.len();
@@ -583,7 +604,9 @@ fn parse_line(
             match index {
                 Some(i) if pos == p && p > digits => {
                     if i.wrapping_sub(1) < bounds[fields] {
-                        slot[fields].write(i - 1);
+                        // No bound is above `MAX_MODE_INDICES`: `i - 1`
+                        // fits the slot.
+                        slot[fields].write((i - 1) as u32);
                         maxes[fields] = maxes[fields].max(i);
                     } else if i == 0 {
                         fault = Some((fields, field..pos, IndexFault::Zero));
@@ -646,7 +669,7 @@ fn parse_line(
 /// Entry buffers: flat 0-based indices, `order` per entry, and the values.
 #[derive(Default)]
 struct Entries {
-    indices: Vec<usize>,
+    indices: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -802,7 +825,10 @@ fn parse_stream<R: Read>(
                             ),
                         ));
                     }
-                    bounds = declared.clone().unwrap_or(vec![usize::MAX; count - 1]);
+                    bounds = match &declared {
+                        Some(d) => d.iter().map(|&n| n.min(MAX_MODE_INDICES)).collect(),
+                        None => vec![MAX_MODE_INDICES; count - 1],
+                    };
                     maxes = vec![0; count - 1];
                     break;
                 }
@@ -890,7 +916,9 @@ fn parse_stream<R: Read>(
 /// field, which then fails to parse.  A line that is not valid UTF-8 fails
 /// with [`TensorIoError::Parse`].  Indices are parsed as
 /// `str::parse::<usize>` would (an optional `+`, overflow is an error),
-/// values by `str::parse::<f64>`.
+/// values by `str::parse::<f64>`.  A 1-based index above 2³², which a
+/// 32-bit coordinate cannot hold, is a [`TensorIoError::IndexOutOfRange`]
+/// whether or not its mode declares a larger size.
 pub fn read_tns_streamed<R: BufRead>(
     mut reader: R,
     options: &StreamOptions,
@@ -937,7 +965,8 @@ pub fn read_tns_file<P: AsRef<Path>>(
 pub fn write_tns<W: Write>(tensor: &SparseTensor, writer: &mut W) -> io::Result<()> {
     for (idx, val) in tensor.iter() {
         for &i in idx {
-            write!(writer, "{} ", i + 1)?;
+            // Widened first: the 1-based form of `u32::MAX` is 2³².
+            write!(writer, "{} ", u64::from(i) + 1)?;
         }
         writeln!(writer, "{val}")?;
     }
@@ -984,8 +1013,8 @@ mod tests {
         assert_eq!(t.order(), 3);
         assert_eq!(t.dims(), &[2, 3, 4]);
         assert_eq!(t.nnz(), 2);
-        assert_eq!(t.index(0), &[0, 0, 0]);
-        assert_eq!(t.index(1), &[1, 2, 3]);
+        assert_eq!(t.coords(0), &[0, 0, 0]);
+        assert_eq!(t.coords(1), &[1, 2, 3]);
         assert_eq!(t.value(1), 2.5);
     }
 
@@ -1111,7 +1140,7 @@ mod tests {
         let back = read_tns(Cursor::new(buf), Some(t.dims().to_vec())).unwrap();
         assert_eq!(back.nnz(), t.nnz());
         for k in 0..t.nnz() {
-            assert_eq!(back.index(k), t.index(k));
+            assert_eq!(back.coords(k), t.coords(k));
             assert!((back.value(k) - t.value(k)).abs() < 1e-12);
         }
     }
@@ -1129,7 +1158,8 @@ mod tests {
 
     /// An index field read by the line parser as the only index of a line,
     /// undeclared: `None` where it fails as invalid (or as not UTF-8),
-    /// `Some(0)` where it reads 0.
+    /// `Some(0)` where it reads 0, and the index it read where that is past
+    /// the 32-bit bound.
     fn parse_index(field: &[u8]) -> Option<usize> {
         if field.is_empty() {
             // No line holds an empty field.
@@ -1142,11 +1172,15 @@ mod tests {
             &text,
             &mut 0,
             1,
-            &[usize::MAX],
+            &[MAX_MODE_INDICES],
             &mut [MaybeUninit::uninit()],
             &mut maxes,
         ) {
             Ok(_) => Some(maxes[0]),
+            Err(TensorIoError::IndexOutOfRange { index, size, .. }) => {
+                assert!(index > size && size == MAX_MODE_INDICES, "{field:?}");
+                Some(index)
+            }
             Err(TensorIoError::Parse(_, msg)) if msg.contains("found 0") => Some(0),
             Err(TensorIoError::Parse(_, msg))
                 if msg.starts_with("invalid index") || msg.contains("UTF-8") =>
@@ -1202,11 +1236,33 @@ mod tests {
         }
         assert_eq!(parse_index(b"+7"), Some(7));
         assert_eq!(parse_index(max.as_bytes()), Some(usize::MAX));
+        // The 32-bit edge: `4294967296` is stored, one more is out of range.
+        let mut slot = [MaybeUninit::uninit()];
+        let mut maxes = [0];
+        let line = b"4294967296 1.5";
+        parse_line(line, &mut 0, 1, &[MAX_MODE_INDICES], &mut slot, &mut maxes).unwrap();
+        // SAFETY: the line parsed, so its one index was written.
+        assert_eq!(unsafe { slot[0].assume_init() }, u32::MAX);
+        assert_eq!(maxes[0], MAX_MODE_INDICES);
+        assert!(matches!(
+            parse_line(
+                b"4294967297 1.5",
+                &mut 0,
+                1,
+                &[MAX_MODE_INDICES],
+                &mut slot,
+                &mut maxes
+            ),
+            Err(TensorIoError::IndexOutOfRange {
+                index: 4_294_967_297,
+                ..
+            })
+        ));
     }
 
     /// A window's entries (indices, value bits) and per-mode maxima, or its
     /// first error's `Debug`.
-    type WindowOutcome = Result<(Vec<usize>, Vec<u64>, Vec<usize>), String>;
+    type WindowOutcome = Result<(Vec<u32>, Vec<u64>, Vec<usize>), String>;
 
     /// Parses `text` through `parse_window`, cut at the first line start at
     /// or after each of `width` even byte shares, after two entries already

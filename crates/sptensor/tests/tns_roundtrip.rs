@@ -4,7 +4,7 @@
 
 use sptensor::io::{
     read_tns, read_tns_file, read_tns_file_streamed, read_tns_streamed, write_tns, write_tns_file,
-    StreamOptions, TensorIoError,
+    write_tns_with_header, StreamOptions, TensorIoError,
 };
 use sptensor::SparseTensor;
 use std::io::Cursor;
@@ -69,7 +69,7 @@ fn write_read_identity_across_shapes() {
         assert_eq!(back.dims(), t.dims());
         assert_eq!(back.nnz(), t.nnz(), "dims {dims:?}");
         for k in 0..t.nnz() {
-            assert_eq!(back.index(k), t.index(k), "dims {dims:?} entry {k}");
+            assert_eq!(back.coords(k), t.coords(k), "dims {dims:?} entry {k}");
             // Rust's f64 Display prints the shortest representation that
             // parses back to the same bits, so the round-trip is exact.
             assert_eq!(
@@ -109,7 +109,7 @@ fn file_roundtrip_on_disk() {
     std::fs::remove_file(&path).ok();
     assert_eq!(back.nnz(), t.nnz());
     for k in 0..t.nnz() {
-        assert_eq!(back.index(k), t.index(k));
+        assert_eq!(back.coords(k), t.coords(k));
         assert_eq!(back.value(k).to_bits(), t.value(k).to_bits());
     }
 }
@@ -120,7 +120,7 @@ fn comments_blanks_and_whitespace_are_tolerated() {
         "# header comment\n\n% matrix-market style comment\n  1\t2\t3   1.5  \n2 1 1 -0.25\n";
     let t = read_tns(Cursor::new(data), None).unwrap();
     assert_eq!(t.nnz(), 2);
-    assert_eq!(t.index(0), &[0, 1, 2]);
+    assert_eq!(t.coords(0), &[0, 1, 2]);
     assert_eq!(t.value(0), 1.5);
     assert_eq!(t.value(1), -0.25);
 }
@@ -133,7 +133,7 @@ fn crlf_line_endings_and_missing_final_newline_parse() {
     let t = read_tns(Cursor::new(data), None).unwrap();
     assert_eq!(t.dims(), &[3, 4, 5]);
     assert_eq!(t.nnz(), 3);
-    assert_eq!(t.index(2), &[2, 3, 4]);
+    assert_eq!(t.coords(2), &[2, 3, 4]);
     assert_eq!(t.value(2), 0.25);
 }
 
@@ -286,7 +286,7 @@ type Outcome = Result<(Vec<usize>, Vec<usize>, Vec<u64>), String>;
 fn outcome(data: &[u8]) -> (Outcome, usize) {
     match read_tns_streamed(Cursor::new(data), &StreamOptions::new()) {
         Ok((t, stats)) => {
-            let indices: Vec<usize> = (0..t.nnz()).flat_map(|k| t.index(k).to_vec()).collect();
+            let indices: Vec<usize> = (0..t.nnz()).flat_map(|k| t.index(k)).collect();
             let bits: Vec<u64> = t.values().iter().map(|v| v.to_bits()).collect();
             let read = (t.dims().to_vec(), indices, bits);
             (Ok(read), stats.peak_window_bytes)
@@ -454,6 +454,96 @@ fn a_line_cut_by_the_read_window_parses_the_same_at_every_byte() {
 /// variant and line.
 type Reference = Result<(Vec<usize>, Vec<usize>, Vec<u64>), (&'static str, usize)>;
 
+/// The most indices a mode's 32-bit coordinates address (2³²).
+const MAX_MODE_INDICES: usize = u32::MAX as usize + 1;
+
+#[test]
+fn coordinates_read_up_to_the_32_bit_edge_and_fail_past_it() {
+    let pools = pools();
+    // Behind 200 filler entries (≈ 200 KiB, so the window is cut into
+    // parts across the pool) and ahead of 30 more; the filler's indices
+    // stay within 9 × 7.
+    let text = |header: &str, probe: &str| {
+        let mut data = header.as_bytes().to_vec();
+        data.extend(filler(200));
+        data.extend_from_slice(probe.as_bytes());
+        data.extend(filler(30));
+        data
+    };
+    // The 1-based index 4294967296 is stored as `u32::MAX`, declared or not.
+    for (header, size) in [
+        ("", MAX_MODE_INDICES),
+        ("# dims: 9 4294967296\n", MAX_MODE_INDICES),
+        ("# dims: 9 4294967297\n", MAX_MODE_INDICES + 1),
+    ] {
+        let (got, _) = read_everywhere(&text(header, "3 4294967296 2.5\n"), &pools);
+        let (dims, indices, _) = got.unwrap_or_else(|e| panic!("{header:?}: {e}"));
+        assert_eq!(dims, vec![9, size], "{header:?}");
+        assert_eq!(&indices[400..402], &[2, u32::MAX as usize], "{header:?}");
+    }
+    // One more is out of range whatever the mode declares: a typed error
+    // naming the line and the mode, the same at every pool width.
+    for (header, size) in [
+        ("", MAX_MODE_INDICES),
+        ("# dims: 9 4294967296\n", MAX_MODE_INDICES),
+        ("# dims: 9 4294967297\n", MAX_MODE_INDICES),
+        ("# dims: 9 18446744073709551615\n", MAX_MODE_INDICES),
+        ("# dims: 9 7\n", 7),
+    ] {
+        let data = text(header, "3 4294967297 2.5\n");
+        let (got, _) = read_everywhere(&data, &pools);
+        let line = usize::from(!header.is_empty()) + 2 * 200 + 1;
+        assert_eq!(
+            got.unwrap_err(),
+            format!("IndexOutOfRange {{ line: {line}, mode: 1, index: 4294967297, size: {size} }}"),
+            "{header:?}"
+        );
+        let err = read_tns(Cursor::new(&data), None).unwrap_err();
+        let message = err.to_string();
+        assert!(
+            message.contains(&format!("line {line}")) && message.contains("mode 1"),
+            "{message}"
+        );
+        assert_eq!(
+            message.contains("32-bit"),
+            size == MAX_MODE_INDICES,
+            "{message}"
+        );
+    }
+}
+
+#[test]
+fn a_coordinate_at_the_32_bit_edge_writes_and_reads_back() {
+    let mut t = SparseTensor::new(vec![9, MAX_MODE_INDICES]);
+    t.push(&[2, MAX_MODE_INDICES - 1], 2.5);
+    t.push(&[8, 0], -1.0);
+    let mut bytes = Vec::new();
+    write_tns(&t, &mut bytes).unwrap();
+    assert_eq!(
+        String::from_utf8(bytes.clone()).unwrap(),
+        "3 4294967296 2.5\n9 1 -1\n"
+    );
+    let back = read_tns(Cursor::new(&bytes), Some(vec![9, MAX_MODE_INDICES])).unwrap();
+    assert_eq!(back.dims(), t.dims());
+    assert_eq!(back.coords(0), &[2, u32::MAX]);
+    assert_eq!(back.coords(1), &[8, 0]);
+    assert_eq!(back.values(), t.values());
+
+    let mut bytes = Vec::new();
+    write_tns_with_header(&t, &mut bytes).unwrap();
+    let back = read_tns(Cursor::new(&bytes), None).unwrap();
+    assert_eq!(back.dims(), t.dims());
+    assert_eq!(back.coords(0), &[2, u32::MAX]);
+}
+
+#[test]
+#[should_panic(expected = "index 4294967296 of mode 1 does not fit a 32-bit coordinate")]
+fn pushing_a_coordinate_past_u32_panics_naming_the_mode() {
+    let mut t = SparseTensor::new(vec![3, MAX_MODE_INDICES + 1]);
+    t.push(&[2, MAX_MODE_INDICES - 1], 1.0);
+    t.push(&[0, MAX_MODE_INDICES], 1.0);
+}
+
 /// Blank lines reserve no entry slots beyond what their bytes could hold: a
 /// wide first entry followed by millions of empty lines used to ask the
 /// allocator for one `order`-wide slot per line — terabytes — and abort.
@@ -467,7 +557,7 @@ fn blank_lines_after_a_wide_entry_reserve_next_to_nothing() {
     data.extend_from_within(2..2 * order + 5);
     let (t, _) = read_tns_streamed(Cursor::new(&data), &StreamOptions::new()).unwrap();
     assert_eq!((t.order(), t.nnz()), (order, 2));
-    assert_eq!(t.index(1)[0], 1);
+    assert_eq!(t.coords(1)[0], 1);
 }
 
 /// The documented grammar read the plain way — whole lines, `trim_ascii`,
@@ -516,7 +606,9 @@ fn reference_read(data: &[u8]) -> Reference {
         for (mode, field) in fields[..n].iter().enumerate() {
             match field.parse::<usize>() {
                 Ok(0) | Err(_) => return parse(lineno),
-                Ok(i) if declared.as_ref().is_some_and(|d| i > d[mode]) => {
+                // A 32-bit coordinate holds no index past 2³², declared
+                // or not.
+                Ok(i) if i > MAX_MODE_INDICES || declared.as_ref().is_some_and(|d| i > d[mode]) => {
                     return Err(("IndexOutOfRange", lineno))
                 }
                 Ok(i) => {
@@ -539,7 +631,8 @@ fn reference_read(data: &[u8]) -> Reference {
 /// A `.tns` text drawn from the grammar: an optional (sometimes wrong)
 /// `# dims:` header, entry lines with runs of every ASCII whitespace byte
 /// between fields, `+` signs, leading zeros, out-of-range and overflowing
-/// indices, values in every float syntax, comments, blank lines, the odd
+/// indices, indices on both sides of the 32-bit edge, values in every float
+/// syntax, comments, blank lines, the odd
 /// line of the wrong arity, CRLF endings and sometimes no final newline.
 /// Unless `hostile`, every line is well formed.
 fn grammar_text(rng: &mut Rng, lines: usize, hostile: bool) -> Vec<u8> {
@@ -617,7 +710,7 @@ fn grammar_text(rng: &mut Rng, lines: usize, hostile: bool) -> Vec<u8> {
                 };
                 for mode in 0..arity {
                     let dim = dims[mode % order];
-                    let index = match pick(rng, 60, 55) {
+                    let index = match pick(rng, 62, 55) {
                         0 => format!("+{}", 1 + rng.below(dim)),
                         1 => format!("000000000000000000000{}", 1 + rng.below(dim)),
                         55 => "0".to_string(),
@@ -625,6 +718,8 @@ fn grammar_text(rng: &mut Rng, lines: usize, hostile: bool) -> Vec<u8> {
                         57 => "18446744073709551615".to_string(),
                         58 => format!("{}", dim + 1),
                         59 => "-1".to_string(),
+                        60 => "4294967296".to_string(),
+                        61 => "4294967297".to_string(),
                         _ => format!("{}", 1 + rng.below(dim)),
                     };
                     text.extend_from_slice(index.as_bytes());

@@ -55,7 +55,7 @@ fn main() -> Result<(), TuckerError> {
     // scored in one `predict_many` batch — the serving shape — which
     // enumerates the core's nonzero terms once instead of per rating.
     let mean: f64 = train.values().iter().sum::<f64>() / train.nnz() as f64;
-    let queries: Vec<Vec<usize>> = test.iter().map(|(idx, _)| idx.to_vec()).collect();
+    let queries: Vec<Vec<usize>> = (0..test.nnz()).map(|t| test.index(t)).collect();
     let predicted = model.predict_many(&queries);
     let mut model_se = 0.0;
     let mut baseline_se = 0.0;
