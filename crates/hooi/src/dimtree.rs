@@ -78,12 +78,12 @@
 //! Index width: every index array of a node — group offsets, member ids,
 //! contracted indices, segment schedules and projected tuples — holds
 //! `u32`, half the bytes of `usize`, and the kernels widen each word as
-//! they read it.  The tree is most of a tree plan's resident footprint,
-//! and these arrays are most of the tree.  The build checks that every
-//! value fits before it allocates anything: a tensor with more than
-//! `u32::MAX` nonzeros, or a mode larger than `u32::MAX`, is a
-//! [`TuckerError::BufferTooLarge`] (the bound `sptensor`'s CSF uses for
-//! its 32-bit ids).  No plannable tensor is lost: such a tensor already
+//! they read it (the README breaks a tree plan's resident footprint down
+//! into these arrays, the gathered values and the workspace's buffers).
+//! The build checks that every value fits before it allocates anything: a
+//! tensor with more than `u32::MAX` nonzeros, or a mode larger than
+//! `u32::MAX`, is a [`TuckerError::BufferTooLarge`] (the nonzero bound is
+//! the one `sptensor`'s CSF uses for its 32-bit ids).  No plannable tensor is lost: such a tensor already
 //! needs per-index tables of 32 GiB or more, and
 //! [`TtmcStrategy::Auto`](crate::TtmcStrategy::Auto) plans it per-mode,
 //! as `PerMode` does, without trying the tree (the check reads only the
@@ -934,6 +934,16 @@ impl DimTree {
         self.nodes[id].parent
     }
 
+    /// Depth of a node: 0 for the root, one more than its parent's.
+    pub(crate) fn node_depth(&self, mut id: usize) -> usize {
+        let mut depth = 0;
+        while id != 0 {
+            id = self.nodes[id].parent;
+            depth += 1;
+        }
+        depth
+    }
+
     /// Whether `id` is a leaf.
     pub(crate) fn is_leaf(&self, id: usize) -> bool {
         self.nodes[id].is_leaf()
@@ -1067,8 +1077,8 @@ impl DimTree {
     /// every node's member lists (ids, or the root children's values),
     /// contract-index arrays, CSR offsets, segment schedules and retained
     /// projection tuples — 4 bytes per stored index, 8 per value — plus
-    /// the 8-byte mode lists.  The per-node *value* matrices live in
-    /// the [`crate::HooiWorkspace`] and are counted there; together the two
+    /// the 8-byte mode lists.  The node *values* live in the
+    /// [`crate::HooiWorkspace`]'s per-depth buffers and are counted there; together the two
     /// make up a dimension-tree plan's cache footprint
     /// ([`crate::TuckerSession::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
@@ -1324,9 +1334,13 @@ pub(crate) fn permute_columns(src: &Matrix, perm: &[usize], dst: &mut Matrix) {
 /// Node validity lives in the workspace ([`HooiWorkspace::ensure_tree`]
 /// resets it per solve); after each factor update the caller must call
 /// [`factor_updated`] so nodes contracted with the stale factor are rebuilt
-/// on their next use.  `tensor` is only checked against the tree: the
-/// values come from the tree's children of the root, copied when it was
-/// built, so `tensor` must be the one the tree was built for.  `isa` is the
+/// on their next use.  The workspace holds one value buffer per tree depth,
+/// so computing a node also marks the node that last held its depth's
+/// buffer stale; in a sweep that calls [`factor_updated`] after every mode
+/// that node was stale already, so no node is computed more often.
+/// `tensor` is only checked against the tree: the values come from the
+/// tree's children of the root, copied when it was built, so `tensor` must
+/// be the one the tree was built for.  `isa` is the
 /// kernel tier (the solver's is [`crate::TuckerSolver::kernel_isa`]).
 ///
 /// # Panics
@@ -1351,9 +1365,8 @@ pub fn serve_mode_into_isa(
     // The one compact buffer becomes this mode's `Y`; the leaf's kernel or
     // its permutation overwrites all of it below.
     workspace.shape_compact(mode);
-    // Stale chain from the leaf upward; ancestors above the first valid node
-    // are valid too (staleness propagates downward: a factor outside an
-    // ancestor's range is also outside every descendant's range).
+    // Stale chain from the leaf upward, up to the first valid node, whose
+    // values are still in its depth's buffer: nothing above it is read.
     let mut chain = vec![leaf];
     let mut id = tree.parent_of(leaf);
     while id != 0 && !workspace.tree_valid[id] {
@@ -1361,48 +1374,17 @@ pub fn serve_mode_into_isa(
         id = tree.parent_of(id);
     }
     for &id in chain.iter().rev() {
-        let parent = tree.parent_of(id);
+        // A canonical leaf's entries are the compact rows in the same
+        // (sorted) order — it computes straight into the compact buffer.
         let canonical = id == leaf && tree.leaf_is_canonical(mode);
-        // Split disjoint workspace fields: the parent's value buffer is read
-        // while the target (tree buffer or compact matrix) is written.
-        let ws = &mut *workspace;
-        if canonical {
-            // The leaf's entries are the compact rows in the same (sorted)
-            // order — compute straight into the compact buffer.
-            let parent_values = if parent == 0 {
-                None
-            } else {
-                Some(&ws.tree_values[parent])
-            };
-            tree.compute_node_into_isa(
-                id,
-                factors,
-                parent_values,
-                &mut ws.compact,
-                &mut ws.tree_partials[id],
-                isa,
-            );
-        } else {
-            let (before, rest) = ws.tree_values.split_at_mut(id);
-            let parent_values = if parent == 0 {
-                None
-            } else {
-                Some(&before[parent])
-            };
-            tree.compute_node_into_isa(
-                id,
-                factors,
-                parent_values,
-                &mut rest[0],
-                &mut ws.tree_partials[id],
-                isa,
-            );
-        }
-        ws.tree_valid[id] = true;
+        let (parent_values, out, partials) = workspace.tree_node_buffers(tree, id, canonical);
+        tree.compute_node_into_isa(id, factors, parent_values, out, partials, isa);
+        workspace.tree_valid[id] = true;
     }
     if !tree.leaf_is_canonical(mode) {
         let ws = &mut *workspace;
-        permute_columns(&ws.tree_values[leaf], &ws.leaf_perms[mode], &mut ws.compact);
+        let leaf_values = &ws.tree_values[tree.node_depth(leaf)];
+        permute_columns(leaf_values, &ws.leaf_perms[mode], &mut ws.compact);
     }
 }
 
@@ -1563,12 +1545,17 @@ mod tests {
         }
     }
 
+    /// Order-4 and order-5 inputs: dims, ranks, nonzeros and seed.
+    fn orders_4_and_5() -> [(Vec<usize>, Vec<usize>, usize, u64); 2] {
+        [
+            (vec![7, 6, 5, 4], vec![2, 3, 2, 2], 200, 7),
+            (vec![6, 5, 4, 3, 4], vec![2, 2, 3, 2, 2], 150, 9),
+        ]
+    }
+
     #[test]
     fn tree_ttmc_matches_per_mode_orders_4_and_5() {
-        for (dims, ranks, nnz, seed) in [
-            (vec![7, 6, 5, 4], vec![2, 3, 2, 2], 200usize, 7u64),
-            (vec![6, 5, 4, 3, 4], vec![2, 2, 3, 2, 2], 150, 9),
-        ] {
+        for (dims, ranks, nnz, seed) in orders_4_and_5() {
             let t = random_tensor(&dims, nnz, seed);
             let factors = factors_for(&t, &ranks, seed + 100);
             let sym = SymbolicTtmc::build(&t);
@@ -1584,6 +1571,85 @@ mod tests {
                     dims.len()
                 );
             }
+        }
+    }
+
+    /// Nodes share one value buffer per depth, so serving a mode can evict
+    /// a node another mode reads.  Serves in a scrambled order with repeats
+    /// — with fixed factors and no [`factor_updated`], and with a new
+    /// factor and [`factor_updated`] after every serve — each return the
+    /// bits a fresh workspace serves with the same factors.
+    #[test]
+    fn evicted_nodes_are_never_served_stale() {
+        let isa = KernelIsa::resolved_default();
+        for (dims, ranks, nnz, seed) in orders_4_and_5() {
+            let t = random_tensor(&dims, nnz, seed);
+            let sym = SymbolicTtmc::build(&t);
+            let tree = DimTree::build(&t);
+            let fresh = |factors: &[Matrix], mode: usize| {
+                let mut ws = HooiWorkspace::new(&sym, &ranks);
+                ws.ensure_tree(&tree, &ranks);
+                serve_mode_into_isa(&tree, &t, sym.mode(mode), factors, mode, &mut ws, isa);
+                ws.compact(mode).clone()
+            };
+            for update in [false, true] {
+                let mut factors = factors_for(&t, &ranks, seed + 100);
+                let mut ws = HooiWorkspace::new(&sym, &ranks);
+                ws.ensure_tree(&tree, &ranks);
+                let serves = [3, 0, 2, 0, 1, 4, 3, 2, 4, 1];
+                for (step, &mode) in serves.iter().filter(|&&m| m < dims.len()).enumerate() {
+                    serve_mode_into_isa(&tree, &t, sym.mode(mode), &factors, mode, &mut ws, isa);
+                    let at = format!("order {}, update {update}, step {step}", dims.len());
+                    let want = fresh(&factors, mode);
+                    assert_eq!(ws.compact(mode).shape(), want.shape(), "{at}");
+                    let bits = |m: &Matrix| -> Vec<u64> {
+                        m.as_slice().iter().map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(bits(ws.compact(mode)), bits(&want), "{at}");
+                    if update {
+                        factors[mode] = Matrix::random(dims[mode], ranks[mode], seed + step as u64);
+                        factor_updated(&tree, mode, &mut ws);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sharing the depth buffers recomputes nothing: a natural sweep with a
+    /// factor update after every mode computes each non-root node once per
+    /// iteration, as one buffer per node did.  A serve computes the leaf
+    /// and its stale ancestors up to the first valid one.
+    #[test]
+    fn a_sweep_computes_each_node_once_per_iteration() {
+        let isa = KernelIsa::resolved_default();
+        let order3 = (vec![12, 10, 8], vec![3, 4, 2], 300, 5);
+        for (dims, ranks, nnz, seed) in [order3].into_iter().chain(orders_4_and_5()) {
+            let t = random_tensor(&dims, nnz, seed);
+            let sym = SymbolicTtmc::build(&t);
+            let tree = DimTree::build(&t);
+            let mut factors = factors_for(&t, &ranks, seed + 100);
+            let mut ws = HooiWorkspace::new(&sym, &ranks);
+            ws.ensure_tree(&tree, &ranks);
+            let iterations = 3;
+            let mut computed = 0;
+            for it in 0..iterations {
+                for mode in 0..dims.len() {
+                    let mut id = tree.leaf_of_mode[mode];
+                    while id != 0 && !ws.tree_valid[id] {
+                        computed += 1;
+                        id = tree.parent_of(id);
+                    }
+                    serve_mode_into_isa(&tree, &t, sym.mode(mode), &factors, mode, &mut ws, isa);
+                    factors[mode] = Matrix::random(dims[mode], ranks[mode], seed + it);
+                    factor_updated(&tree, mode, &mut ws);
+                }
+            }
+            assert_eq!(
+                computed,
+                iterations as usize * (tree.num_nodes() - 1),
+                "order {}",
+                dims.len()
+            );
         }
     }
 

@@ -439,7 +439,8 @@ impl<T: std::borrow::Borrow<SparseTensor>> TuckerSession<T> {
     /// on a tree plan the row sets and their position maps alone), the
     /// dimension tree's node groupings when that strategy runs, and the
     /// workspace scratch (the one compact TTMc buffer, sized to the widest
-    /// mode, tree value/partial matrices, Lanczos scratch, core buffer).
+    /// mode, the tree's per-depth value buffers and partial-rows scratch,
+    /// Lanczos scratch, core buffer).
     /// The tensor itself is *not* counted — it is owned (or shared)
     /// independently of the plan.
     ///
@@ -1007,9 +1008,10 @@ mod tests {
     /// Tree sessions of orders 2–5 on tensors with empty slices hold the
     /// row sets the full symbolic analysis finds and no update lists, and
     /// their footprint after a solve is exactly the row maps, the tree, one
-    /// compact buffer as long as the widest mode's `Y`, the tree's node
-    /// values, partial rows and leaf permutations, the core and the Lanczos
-    /// pool.
+    /// compact buffer as long as the widest mode's `Y`, one value buffer per
+    /// tree depth as long as the largest node there that needs storage, one
+    /// partial-rows scratch as long as the largest node's, the leaf
+    /// permutations, the depth owners, the core and the Lanczos pool.
     #[test]
     fn tree_plans_hold_only_what_a_solve_reads() {
         let cases: [(&[usize], usize, &[usize]); 4] = [
@@ -1055,25 +1057,33 @@ mod tests {
                 .map(|n| full.mode(n).num_rows() * width(n))
                 .max()
                 .unwrap();
-            let (mut values, mut partials, mut perms) = (0, 0, 0);
+            let depths = (0..tree.num_nodes())
+                .map(|id| tree.node_depth(id))
+                .max()
+                .unwrap()
+                + 1;
+            let (mut level_values, mut partials, mut perms) = (vec![0; depths], 0, 0);
             for id in 1..tree.num_nodes() {
                 let w = tree.node_width(id, ranks);
                 let canonical = tree.is_leaf(id) && tree.leaf_is_canonical(tree.leaf_mode(id));
                 if !canonical {
-                    values += tree.node_entries(id) * w;
+                    let level = &mut level_values[tree.node_depth(id)];
+                    *level = (*level).max(tree.node_entries(id) * w);
                 }
-                partials += tree.node_segments(id) * w;
+                partials = partials.max(tree.node_segments(id) * w);
                 if tree.is_leaf(id) && !canonical {
                     perms += w;
                 }
             }
+            let values: usize = level_values.iter().sum();
+            assert_eq!(session.workspace.tree_len(), values, "{at}");
             let core: usize = ranks.iter().product();
             let pool = session.workspace.trsvd.pooled_floats();
             let floats = widest_y + values + partials + core + pool;
             let expected = row_maps
                 + tree.memory_bytes()
                 + floats * 8
-                + (perms + order) * word
+                + (perms + order + depths) * word
                 + tree.num_nodes();
             assert_eq!(session.memory_bytes(), expected, "{at}");
             assert_eq!(session.workspace.len(), widest_y, "{at}");

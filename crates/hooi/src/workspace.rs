@@ -17,6 +17,9 @@
 //!   writes `Y` ([`crate::ttmc::ttmc_mode_into_isa`],
 //!   [`crate::dimtree::serve_mode_into_isa`]) overwrites its whole shape,
 //!   so a fill would only cost a write of every entry per mode;
+//! * on a tree plan, one node-value buffer per tree depth and one
+//!   partial-rows scratch ([`ensure_tree`](HooiWorkspace::ensure_tree)),
+//!   each reshaped in place to the node being computed;
 //! * the TRSVD scratch ([`linalg::lanczos::LanczosWorkspace`]: the short
 //!   Krylov basis vectors and the one `|J_n|`-long product vector),
 //! * the core tensor buffer
@@ -49,18 +52,34 @@ pub struct HooiWorkspace {
     compact_shapes: Vec<(usize, usize)>,
     pub(crate) trsvd: LanczosWorkspace,
     core: DenseTensor,
-    /// Per-node value matrices of the dimension tree (empty for the root,
-    /// for canonical leaves — those compute straight into `compact` — and
-    /// whenever the per-mode strategy runs).
+    /// One value buffer per dimension-tree depth (all empty whenever the
+    /// per-mode strategy runs).  Only internal nodes and permuted leaves
+    /// need one — canonical leaves compute straight into `compact` — and
+    /// entry `d` is as long as the largest of those at depth `d` (entry 0,
+    /// the root's, stays empty), reshaped in place to the node computing
+    /// into it.  A sweep reads one root-to-leaf path at a time, and two
+    /// nodes at one depth retain disjoint modes, so a node is overwritten
+    /// only while a mode outside its range is served: a factor update that
+    /// would mark it stale anyway follows.
     pub(crate) tree_values: Vec<Matrix>,
+    /// The node whose values each depth's buffer holds (`usize::MAX` for
+    /// none).
+    tree_owner: Vec<usize>,
+    /// Allocated length of each depth's buffer, whatever node it is shaped
+    /// for.
+    tree_values_lens: Vec<usize>,
     /// Whether each tree node's values are current w.r.t. the factors; the
-    /// root (the tensor itself) is always valid.
+    /// root (the tensor itself) is always valid, and a node with a buffer
+    /// only while it owns its depth's.
     pub(crate) tree_valid: Vec<bool>,
-    /// Per-node privatized partial rows for segmented (split) member groups:
-    /// one row per segment of the node, merged in ascending segment order by
-    /// [`crate::dimtree::DimTree::compute_node_into_isa`].  Nodes whose groups
-    /// are all below the segmentation grain have zero rows here.
-    pub(crate) tree_partials: Vec<Matrix>,
+    /// Privatized partial rows for segmented (split) member groups: one
+    /// scratch as long as the largest node's `segments × width`, reshaped
+    /// to one row per segment of the node being computed and merged in
+    /// ascending segment order within the same
+    /// [`crate::dimtree::DimTree::compute_node_into_isa`] call.
+    tree_partials: Matrix,
+    /// Allocated length of the partial-rows scratch.
+    tree_partials_len: usize,
     /// Column permutation serving each mode's leaf into canonical order
     /// (empty for canonical leaves).
     pub(crate) leaf_perms: Vec<Vec<usize>>,
@@ -80,8 +99,11 @@ impl HooiWorkspace {
             trsvd: LanczosWorkspace::new(),
             core: DenseTensor::zeros(vec![0; order]),
             tree_values: Vec::new(),
+            tree_owner: Vec::new(),
+            tree_values_lens: Vec::new(),
             tree_valid: Vec::new(),
-            tree_partials: Vec::new(),
+            tree_partials: Matrix::zeros(0, 0),
+            tree_partials_len: 0,
             leaf_perms: Vec::new(),
             tree_ranks: Vec::new(),
         }
@@ -166,12 +188,15 @@ impl HooiWorkspace {
         Ok(())
     }
 
-    /// Shapes the dimension-tree node buffers for a solve at `ranks` (called
-    /// in addition to [`ensure`](Self::ensure) when the
+    /// Shapes the dimension-tree buffers for a solve at `ranks` (called in
+    /// addition to [`ensure`](Self::ensure) when the
     /// [`DimensionTree`](crate::config::TtmcStrategy::DimensionTree)
-    /// strategy runs), recomputes the leaf column permutations, and marks
-    /// every node stale so the first sweep rebuilds the tree against the
-    /// fresh factors.  Same-shape solves reallocate nothing.
+    /// strategy runs): one value buffer per tree depth, as long as the
+    /// largest node at that depth that needs storage, and one partial-rows
+    /// scratch, as long as the largest node's.  It recomputes the leaf
+    /// column permutations and marks every node stale so the first sweep
+    /// rebuilds the tree against the fresh factors.  Same-shape solves
+    /// reallocate nothing.
     ///
     /// # Panics
     /// Panics where [`ensure`](Self::ensure) does.
@@ -182,56 +207,102 @@ impl HooiWorkspace {
     }
 
     /// [`ensure_tree`](Self::ensure_tree) with the allocation failure as a
-    /// value.
+    /// value, naming the node that sized the buffer.
     pub(crate) fn try_ensure_tree(
         &mut self,
         tree: &DimTree,
         ranks: &[usize],
     ) -> Result<(), TuckerError> {
         let nodes = tree.num_nodes();
-        if self.tree_values.len() != nodes {
-            self.tree_values = (0..nodes).map(|_| Matrix::zeros(0, 0)).collect();
-            self.tree_partials = (0..nodes).map(|_| Matrix::zeros(0, 0)).collect();
+        if self.tree_valid.len() != nodes {
+            let depths = (0..nodes).map(|id| tree.node_depth(id)).max().unwrap_or(0) + 1;
+            self.tree_values = (0..depths).map(|_| Matrix::zeros(0, 0)).collect();
+            self.tree_owner = vec![usize::MAX; depths];
+            self.tree_values_lens = vec![0; depths];
             self.tree_valid = vec![false; nodes];
             self.tree_ranks.clear();
         }
-        // Buffer shapes and leaf permutations depend only on the tree and
+        // Buffer lengths and leaf permutations depend only on the tree and
         // the ranks; a same-rank solve reuses both untouched.
         if self.tree_ranks != ranks {
             // Half-reshaped buffers must not pass for shaped ones if an
             // allocation below fails.
             self.tree_ranks.clear();
+            // The node and shape sizing each depth's buffer, then the
+            // partial scratch.
+            let mut values = vec![(0, (0, 0)); self.tree_values.len()];
+            let mut partials = (0, (0, 0));
+            let len = |(rows, cols): (usize, usize)| rows * cols;
             for id in 1..nodes {
-                let (values, partials) = node_shapes(tree, id, ranks)?;
-                // Canonical leaves compute straight into the compact
-                // buffers; only internal nodes and permuted leaves need
-                // storage here.
+                let (shape, partial) = node_shapes(tree, id, ranks)?;
                 let needs_buffer = !tree.is_leaf(id) || !tree.leaf_is_canonical(tree.leaf_mode(id));
-                let values = if needs_buffer { values } else { (0, 0) };
-                if self.tree_values[id].shape() != values {
-                    self.tree_values[id] = try_matrix(values, || node_name(id))?;
+                let level = &mut values[tree.node_depth(id)];
+                if needs_buffer && len(shape) > len(level.1) {
+                    *level = (id, shape);
                 }
-                // Privatized partial rows for split member groups, one row
-                // per segment; nodes with no segments keep an empty matrix.
-                if self.tree_partials[id].shape() != partials {
-                    self.tree_partials[id] =
-                        try_matrix(partials, || format!("partial rows of {}", node_name(id)))?;
+                if len(partial) > len(partials.1) {
+                    partials = (id, partial);
                 }
+            }
+            for (d, &(id, shape)) in values.iter().enumerate() {
+                if self.tree_values_lens[d] != len(shape) {
+                    self.tree_values[d] = try_matrix(shape, || node_name(id))?;
+                    self.tree_values_lens[d] = len(shape);
+                }
+            }
+            let (id, shape) = partials;
+            if self.tree_partials_len != len(shape) {
+                self.tree_partials =
+                    try_matrix(shape, || format!("partial rows of {}", node_name(id)))?;
+                self.tree_partials_len = len(shape);
             }
             self.leaf_perms = (0..tree.order())
                 .map(|mode| tree.leaf_permutation(mode, ranks).unwrap_or_default())
                 .collect();
             self.tree_ranks = ranks.to_vec();
         }
+        self.tree_owner.fill(usize::MAX);
         self.tree_valid.fill(false);
         self.tree_valid[0] = true; // the root is the tensor itself
         Ok(())
     }
 
-    /// Total number of `f64` entries held by the dimension-tree node
-    /// buffers (zero while the per-mode strategy runs).
+    /// The buffers computing tree node `id` reads and writes: its parent's
+    /// values, one depth up (`None` for a child of the root, whose parent
+    /// is the tensor); its own value buffer — the compact buffer when
+    /// `into_compact` (a canonical leaf), else its depth's, reshaped to
+    /// it; and the partial-rows scratch, reshaped to it.  Taking a depth's
+    /// buffer makes `id` its owner and marks the node that held it stale.
+    pub(crate) fn tree_node_buffers(
+        &mut self,
+        tree: &DimTree,
+        id: usize,
+        into_compact: bool,
+    ) -> (Option<&Matrix>, &mut Matrix, &mut Matrix) {
+        let depth = tree.node_depth(id);
+        let width = tree.node_width(id, &self.tree_ranks);
+        self.tree_partials
+            .reshape_in_place(tree.node_segments(id), width);
+        let (above, level) = self.tree_values.split_at_mut(depth);
+        let out = if into_compact {
+            &mut self.compact
+        } else {
+            let evicted = std::mem::replace(&mut self.tree_owner[depth], id);
+            if let Some(valid) = self.tree_valid.get_mut(evicted) {
+                *valid = false;
+            }
+            level[0].reshape_in_place(tree.node_entries(id), width);
+            &mut level[0]
+        };
+        let parent_values = (depth > 1).then(|| &above[depth - 1]);
+        (parent_values, out, &mut self.tree_partials)
+    }
+
+    /// Total number of `f64` entries allocated for the dimension-tree value
+    /// buffers, one per depth, whatever node each is shaped for (zero while
+    /// the per-mode strategy runs).
     pub fn tree_len(&self) -> usize {
-        self.tree_values.iter().map(|m| m.as_slice().len()).sum()
+        self.tree_values_lens.iter().sum()
     }
 
     /// Reshapes the compact buffer to `mode`'s `Y` over the same
@@ -294,9 +365,9 @@ impl HooiWorkspace {
 
     /// Measured memory footprint of all scratch owned by this workspace, in
     /// bytes: the one compact TTMc buffer at its full length (the widest
-    /// mode's `Y`, whichever mode it is shaped for), the dimension-tree node
-    /// values and privatized partials, the leaf permutations, the core
-    /// buffer, and the pooled Lanczos basis and product vector (the TRSVD's
+    /// mode's `Y`, whichever mode it is shaped for), the dimension tree's
+    /// per-depth value buffers and partial-rows scratch (each at its
+    /// allocated length), the leaf permutations, the core buffer, and the pooled Lanczos basis and product vector (the TRSVD's
     /// per-call results and kernel partials are freed before it returns and
     /// are not held).  This is the workspace's share of a plan's cache
     /// footprint ([`crate::TuckerSession::memory_bytes`]); it grows on the
@@ -304,14 +375,12 @@ impl HooiWorkspace {
     pub fn memory_bytes(&self) -> usize {
         let floats = self.len()
             + self.tree_len()
-            + self
-                .tree_partials
-                .iter()
-                .map(|m| m.as_slice().len())
-                .sum::<usize>()
+            + self.tree_partials_len
             + self.core.as_slice().len()
             + self.trsvd.pooled_floats();
-        let indices = self.leaf_perms.iter().map(Vec::len).sum::<usize>() + self.tree_ranks.len();
+        let indices = self.leaf_perms.iter().map(Vec::len).sum::<usize>()
+            + self.tree_ranks.len()
+            + self.tree_owner.len();
         floats * std::mem::size_of::<f64>()
             + indices * std::mem::size_of::<usize>()
             + self.tree_valid.len() * std::mem::size_of::<bool>()
@@ -497,21 +566,63 @@ mod tests {
         let tree = crate::dimtree::DimTree::build(&t);
         let mut ws = HooiWorkspace::new(&sym, &[2, 2, 2, 2]);
         ws.ensure_tree(&tree, &[2, 2, 2, 2]);
-        assert!(ws.tree_len() > 0);
-        // Mark a node valid, grab a buffer pointer, re-ensure at the same
-        // ranks: allocations stay, validity resets.
+        // Order 4: the internal nodes at depth 1, the permuted leaves of
+        // modes 0 and 1 at depth 2; the root's buffer stays empty.
+        let lens: Vec<usize> = ws.tree_values.iter().map(|m| m.as_slice().len()).collect();
+        assert_eq!(lens.len(), 3);
+        assert!(lens[0] == 0 && lens[1] > 0 && lens[2] > 0, "{lens:?}");
+        let len = ws.tree_len();
+        assert_eq!(len, lens.iter().sum::<usize>());
+        // A node computed into a buffer owns it and reshapes it; the
+        // footprint still counts the allocated length.
         ws.tree_valid[1] = true;
-        let ptr = ws.tree_values[1].as_slice().as_ptr();
+        ws.tree_owner[1] = 1;
+        ws.tree_values[1].reshape_in_place(1, 1);
+        ws.tree_partials.reshape_in_place(0, 0);
+        assert_eq!(ws.tree_len(), len, "allocated length, not the shape");
+        let bytes = ws.memory_bytes();
+        // Re-ensure at the same ranks: allocations stay, validity and
+        // ownership reset.
+        let ptrs = |ws: &HooiWorkspace| -> Vec<*const f64> {
+            (ws.tree_values.iter().chain([&ws.tree_partials]))
+                .map(|m| m.as_slice().as_ptr())
+                .collect()
+        };
+        let before = ptrs(&ws);
         let perms_before: Vec<usize> = ws.leaf_perms.iter().map(|p| p.len()).collect();
         ws.ensure_tree(&tree, &[2, 2, 2, 2]);
-        assert_eq!(ws.tree_values[1].as_slice().as_ptr(), ptr);
+        assert_eq!(ptrs(&ws), before);
+        assert_eq!((ws.tree_len(), ws.memory_bytes()), (len, bytes));
         assert!(!ws.tree_valid[1], "validity must reset per solve");
         assert!(ws.tree_valid[0], "the root is always valid");
+        assert!(ws.tree_owner.iter().all(|&o| o == usize::MAX));
         let perms_after: Vec<usize> = ws.leaf_perms.iter().map(|p| p.len()).collect();
         assert_eq!(perms_before, perms_after);
         // Rank change reshapes.
         ws.ensure_tree(&tree, &[2, 3, 2, 2]);
-        assert_ne!(ws.tree_len(), 0);
+        assert!(ws.tree_len() > len);
+    }
+
+    /// A depth's buffer that no allocator grants is the typed error naming
+    /// the node that sized it: the larger of the two at depth 1.
+    #[test]
+    fn an_oversized_depth_buffer_names_its_largest_node() {
+        let t = SparseTensor::from_entries(
+            vec![2, 2, 2, 2],
+            &[(vec![0, 0, 0, 0], 1.0), (vec![1, 1, 1, 1], 2.0)],
+        );
+        let tree = crate::dimtree::DimTree::build(&t);
+        // Node 4 retains modes 2 and 3: two entries of width 2⁶², more
+        // bytes than an allocation may span.  Node 1, [0, 2), is one wide.
+        let huge = 1 << 31;
+        let mut ws = HooiWorkspace::for_order(4);
+        match ws.try_ensure_tree(&tree, &[huge, huge, 1, 1]) {
+            Err(TuckerError::BufferTooLarge { buffer }) => {
+                assert_eq!(buffer, "dimension-tree node 4")
+            }
+            other => panic!("expected BufferTooLarge, got {other:?}"),
+        }
+        assert!(ws.tree_ranks.is_empty(), "nothing passes for shaped");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! one nonzero, each internal level groups runs of nonzeros that share a
 //! prefix of foreign-mode indices into *fibers*, and the leaf level holds the
 //! last foreign index plus the value.  Index arrays narrow to `u32` whenever
-//! the foreign dimensions and the nonzero count permit, and the numeric
+//! the nonzero count permits (every stored coordinate is a `u32` already,
+//! whatever a mode's declared size), and the numeric
 //! kernel hoists one factor-row lookup per fiber instead of one per nonzero.
 //! It is the one per-mode index structure of the per-mode TTMc; without it
 //! the kernel gathers each nonzero through its COO id.
@@ -21,9 +22,11 @@ use crate::coo::SparseTensor;
 
 /// Integer type used for fiber ids and intra-level pointers.
 ///
-/// `u32` is chosen whenever every foreign dimension and the nonzero count fit;
-/// `usize` otherwise.  Pointers index into the next level's fiber array (at
-/// most `nnz` entries), so the same width works for both ids and pointers.
+/// `u32` is chosen whenever the nonzero count fits it, `usize` otherwise.
+/// Ids are coordinates, which a [`SparseTensor`] stores as `u32` whatever
+/// the mode's declared size; pointers index into the next level's fiber
+/// array (at most `nnz` entries), so the count alone picks the width of
+/// both.
 pub trait CsfIndex: Copy + Default + std::fmt::Debug + Send + Sync + 'static {
     /// Widens the stored id back to a `usize` index.
     fn to_usize(self) -> usize;
@@ -298,10 +301,9 @@ impl<I: CsfIndex> RawBuilder<I> {
 /// so the `u32` narrowing costs no branches in the inner loops.
 #[derive(Debug, Clone)]
 pub enum CsfMode {
-    /// `u32` ids and pointers — every foreign dimension and the nonzero
-    /// count fit in 32 bits.
+    /// `u32` ids and pointers — the nonzero count fits in 32 bits.
     Small(CsfData<u32>),
-    /// `usize` ids and pointers for tensors beyond the 32-bit range.
+    /// `usize` ids and pointers for more than `u32::MAX` nonzeros.
     Wide(CsfData<usize>),
 }
 
@@ -315,15 +317,11 @@ macro_rules! dispatch {
 }
 
 impl CsfMode {
-    /// Whether `u32` ids suffice for a tensor with the given dimensions
-    /// (`mode`'s own extent is irrelevant — root ids stay `usize`) and
-    /// nonzero count.
-    pub fn fits_u32(dims: &[usize], mode: usize, nnz: usize) -> bool {
+    /// Whether `u32` ids and pointers suffice for a tensor with `nnz`
+    /// nonzeros: its coordinates are `u32` at any mode size, so only the
+    /// pointers, which count nonzeros, can need more.
+    pub fn fits_u32(nnz: usize) -> bool {
         nnz <= u32::MAX as usize
-            && dims
-                .iter()
-                .enumerate()
-                .all(|(t, &d)| t == mode || d <= u32::MAX as usize)
     }
 
     /// Builds the hierarchy for `mode` from a permutation of nonzero ids and
@@ -343,7 +341,7 @@ impl CsfMode {
             "permutation must cover every nonzero"
         );
         assert_eq!(*row_ptr.last().expect("row_ptr has a sentinel"), perm.len());
-        if Self::fits_u32(tensor.dims(), mode, tensor.nnz()) {
+        if Self::fits_u32(tensor.nnz()) {
             CsfMode::Small(build_from_perm::<u32>(tensor, mode, perm, row_ptr))
         } else {
             CsfMode::Wide(build_from_perm::<usize>(tensor, mode, perm, row_ptr))
@@ -476,21 +474,24 @@ mod tests {
     }
 
     #[test]
-    fn wide_indices_used_when_dims_exceed_u32() {
-        let huge = (u32::MAX as usize) + 2;
-        assert!(!CsfMode::fits_u32(&[4, huge, 5], 0, 10));
-        assert!(CsfMode::fits_u32(&[4, huge, 5], 1, 10));
-        // The widest coordinate a tensor stores is `u32::MAX`.
-        let widest = u32::MAX as usize;
+    fn id_width_follows_the_nonzero_count_alone() {
+        // Only a nonzero count past `u32::MAX` needs `usize` pointers; the
+        // shape is checked without building such a tensor.
+        let max = u32::MAX as usize;
+        assert!(CsfMode::fits_u32(max));
+        assert!(!CsfMode::fits_u32(max + 1));
+        // A mode declared past `u32::MAX` still stores coordinates of at
+        // most `u32::MAX`, so its hierarchy is `Small`.
+        let huge = max + 2;
         let t = SparseTensor::from_entries(
             vec![4, huge, 5],
-            &[(vec![0, widest, 1], 1.5), (vec![2, 3, 0], -1.0)],
+            &[(vec![0, max, 1], 1.5), (vec![2, 3, 0], -1.0)],
         );
         let csf = CsfMode::build(&t, 0, &[0, 1], &[0, 1, 2]);
-        assert!(matches!(csf, CsfMode::Wide(_)));
+        assert!(matches!(csf, CsfMode::Small(_)));
         let mut coords = Vec::new();
         csf.for_each_nonzero(|r, c, v| coords.push((r, c.to_vec(), v)));
-        assert_eq!(coords[0], (0, vec![widest, 1], 1.5));
+        assert_eq!(coords[0], (0, vec![max, 1], 1.5));
         assert_eq!(coords[1], (2, vec![3, 0], -1.0));
     }
 
