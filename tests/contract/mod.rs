@@ -87,7 +87,7 @@ impl Input {
 /// Every generated profile at ranks 3, 5, 7 and 10 (rows that fill whole
 /// vectors and rows that end in masked lanes; at 7 and 10 the order-4
 /// profiles take the TRSVD's Krylov regime, tall and wide, and Netflix's
-/// mode 1 does at 10), random tensors of orders 2–5, six small order-3
+/// mode 1 does at 10), random tensors of orders 2–6, six small order-3
 /// tensors with their own sparsity patterns and initial factors, and the
 /// executor's grid tensor.
 pub fn inputs() -> Vec<Input> {
@@ -115,6 +115,7 @@ pub fn inputs() -> Vec<Input> {
         (&[14, 12, 10], 400, &[3, 2, 3]),
         (&[10, 9, 8, 6], 400, &[2, 3, 2, 2]),
         (&[8, 7, 6, 5, 4], 300, &[2, 2, 3, 2, 2]),
+        (&[8, 7, 6, 5, 4, 3], 300, &[2, 2, 3, 2, 2, 2]),
     ];
     for (seed, (dims, nnz, ranks)) in (0..).zip(random) {
         let name = format!("random-order{}", dims.len());
