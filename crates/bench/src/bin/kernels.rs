@@ -47,18 +47,22 @@
 //! loop it replaced (zero the row, one [`simd::scaled_outer2`] per member),
 //! on both tiers, bits asserted equal, interleaved, minimum of [`REPEATS`],
 //! in ns per member.  Group sizes 1–2 are `nell3`'s mode-0 leaf, 333 is
-//! `dense3`'s.  The group kernel *is* the per-member loop on the scalar
-//! tier, and for a one-member group on AVX2 too (the register tiles
-//! measured 0.72–0.90x of it at ranks 4–16), so those cells read 1.0x by
-//! construction.
+//! `dense3`'s.  Besides the square `rank × rank` rows, two rectangular
+//! ones are timed and bit-checked but not gated: an order-4 tree's leaves
+//! at rank 5, `(R, R²)` for modes 0 and 1 (the factor row times the
+//! parent's row) and `(R², R)` for modes 2 and 3.  The group kernel *is*
+//! the per-member loop on the scalar tier, and for a one-member group on
+//! AVX2 too (the register tiles measured 0.72–0.90x of it at ranks 4–16),
+//! so those cells read 1.0x by construction.
 //!
 //! Machine-readable output goes to `BENCH_kernels.json` (override with
 //! `--out <path>`), including the host's `cpu_features` so a 1.0x speedup
 //! on an AVX2-less host is interpretable.  With `--check` the bin doubles
 //! as the SIMD perf gate: it exits nonzero unless the median single-thread
 //! AVX2 speedup of `scaled_outer2` and `scaled_outer3` over forced scalar,
-//! across the rank ≥ 8 cells, reaches 1.3x, or if an AVX2 `tree_group` cell
-//! with at least two members per group is slower than the per-member loop
+//! across the rank ≥ 8 cells, reaches 1.3x, or if an AVX2 square-row
+//! `tree_group` cell with at least two members per group is slower than
+//! the per-member loop
 //! — skipped gracefully (exit 0 with a notice) on hosts without AVX2, where
 //! there is nothing to gate.
 //!
@@ -89,6 +93,10 @@ const GATE_MIN_RANK: usize = 8;
 /// per group.
 const TREE_RANKS: [usize; 6] = [4, 5, 7, 8, 10, 16];
 const TREE_GROUPS: [usize; 4] = [1, 2, 8, 333];
+
+/// Rectangular `tree_group` rows `(rows, cols)`, outside the `--check`
+/// gate: an order-4 tree's leaves at rank 5.
+const TREE_SHAPES: [(usize, usize); 2] = [(5, 25), (25, 5)];
 
 /// Members per `tree_group` node, split into groups of the cell's size.
 const TREE_MEMBERS: usize = 4_000;
@@ -286,7 +294,9 @@ fn measure_case(case: &Case, isas: &[KernelIsa]) -> Vec<f64> {
 
 /// One `tree_group` cell: a node's worth of member groups at one tier.
 struct TreeGroupCell {
-    rank: usize,
+    /// The row's shape, `u`'s length × `v`'s.
+    rows: usize,
+    cols: usize,
     group: usize,
     isa: KernelIsa,
     per_member_ns: f64,
@@ -300,14 +310,18 @@ impl TreeGroupCell {
 }
 
 /// Times one node — `TREE_MEMBERS / group` entries of `group` members,
-/// each entry's `rank × rank` row summed from random factor-row pairs —
+/// each entry's `rows × cols` row summed from random factor-row pairs —
 /// through the per-member loop and the group kernel at every tier,
 /// interleaved, minimum of [`REPEATS`], after asserting that all of them
 /// return the same bits.
-fn measure_tree_group(rank: usize, group: usize, isas: &[KernelIsa]) -> Vec<TreeGroupCell> {
+fn measure_tree_group(
+    (rows, cols): (usize, usize),
+    group: usize,
+    isas: &[KernelIsa],
+) -> Vec<TreeGroupCell> {
     let (u, v) = (
-        Matrix::random_signed(1024, rank, 3),
-        Matrix::random_signed(1024, rank, 4),
+        Matrix::random_signed(1024, rows, 3),
+        Matrix::random_signed(1024, cols, 4),
     );
     let ids: Vec<usize> = lcg_data(2 * TREE_MEMBERS, 5)
         .iter()
@@ -316,9 +330,9 @@ fn measure_tree_group(rank: usize, group: usize, isas: &[KernelIsa]) -> Vec<Tree
     let x = lcg_data(TREE_MEMBERS, 6);
     let member = |k: usize| (x[k], u.row(ids[2 * k]), v.row(ids[2 * k + 1]));
     let entries = TREE_MEMBERS / group;
-    let mut out = AlignedVec::zeros(entries * rank * rank);
+    let mut out = AlignedVec::zeros(entries * rows * cols);
     let per_member = |isa: KernelIsa, out: &mut [f64]| {
-        for (g, row) in out.chunks_exact_mut(rank * rank).enumerate() {
+        for (g, row) in out.chunks_exact_mut(rows * cols).enumerate() {
             row.fill(0.0);
             for k in g * group..(g + 1) * group {
                 let (x, u, v) = member(k);
@@ -327,8 +341,8 @@ fn measure_tree_group(rank: usize, group: usize, isas: &[KernelIsa]) -> Vec<Tree
         }
     };
     let grouped = |isa: KernelIsa, out: &mut [f64]| {
-        for (g, row) in out.chunks_exact_mut(rank * rank).enumerate() {
-            simd::scaled_outer2_group(isa, g * group..(g + 1) * group, (rank, rank), member, row);
+        for (g, row) in out.chunks_exact_mut(rows * cols).enumerate() {
+            simd::scaled_outer2_group(isa, g * group..(g + 1) * group, (rows, cols), member, row);
         }
     };
     per_member(KernelIsa::Scalar, &mut out);
@@ -341,7 +355,7 @@ fn measure_tree_group(rank: usize, group: usize, isas: &[KernelIsa]) -> Vec<Tree
                 out.iter()
                     .map(|x| x.to_bits())
                     .eq(reference.iter().copied()),
-                "tree_group rank {rank} x{group} diverges from scalar under {isa}"
+                "tree_group {rows}x{cols} x{group} diverges from scalar under {isa}"
             );
         }
     }
@@ -364,7 +378,8 @@ fn measure_tree_group(rank: usize, group: usize, isas: &[KernelIsa]) -> Vec<Tree
     }
     (isas.iter().zip(best))
         .map(|(&isa, (per_member_ns, group_ns))| TreeGroupCell {
-            rank,
+            rows,
+            cols,
             group,
             isa,
             per_member_ns,
@@ -561,9 +576,10 @@ fn to_json(
     out.push_str("  ],\n  \"tree_group\": [\n");
     for (i, c) in tree.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"rank\": {}, \"group\": {}, \"isa\": \"{}\", \"per_member_ns\": {:.2}, \
-             \"group_ns\": {:.2}, \"speedup\": {:.4}}}{}\n",
-            c.rank,
+            "    {{\"rows\": {}, \"cols\": {}, \"group\": {}, \"isa\": \"{}\", \
+             \"per_member_ns\": {:.2}, \"group_ns\": {:.2}, \"speedup\": {:.4}}}{}\n",
+            c.rows,
+            c.cols,
             c.group,
             c.isa,
             c.per_member_ns,
@@ -676,12 +692,13 @@ fn check_gate(cells: &[Cell], tree: &[TreeGroupCell]) -> i32 {
         );
     }
     let losing: Vec<String> = (tree.iter())
-        .filter(|c| c.isa == KernelIsa::Avx2 && c.group >= 2 && c.speedup() < 1.0)
-        .map(|c| format!("rank {} x{} {:.2}x", c.rank, c.group, c.speedup()))
+        .filter(|c| c.isa == KernelIsa::Avx2 && c.rows == c.cols && c.group >= 2)
+        .filter(|c| c.speedup() < 1.0)
+        .map(|c| format!("rank {} x{} {:.2}x", c.rows, c.group, c.speedup()))
         .collect();
     ok &= losing.is_empty();
     println!(
-        "  gate: tree_group      avx2 group kernel vs per-member loop, groups >= 2: {}",
+        "  gate: tree_group      avx2 group kernel vs per-member loop, square rows, groups >= 2: {}",
         if losing.is_empty() {
             "no cell below 1.0x ok".to_string()
         } else {
@@ -760,11 +777,14 @@ fn main() {
 
     println!("tree_group (ns per member; per-member loop -> group kernel):");
     let mut tree: Vec<TreeGroupCell> = Vec::new();
-    for &rank in &TREE_RANKS {
+    let square = TREE_RANKS.iter().map(|&r| (r, r));
+    for shape in square.chain(TREE_SHAPES) {
         for &group in &TREE_GROUPS {
-            for c in measure_tree_group(rank, group, &isas) {
+            for c in measure_tree_group(shape, group, &isas) {
                 println!(
-                    "  rank {rank:>2} x{group:<3} {:<6} {:>7.2} -> {:>7.2} ns  {:>5.2}x",
+                    "  {:>2} x {:<2} x{group:<3} {:<6} {:>7.2} -> {:>7.2} ns  {:>5.2}x",
+                    c.rows,
+                    c.cols,
                     c.isa.as_str(),
                     c.per_member_ns,
                     c.group_ns,

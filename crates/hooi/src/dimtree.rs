@@ -19,17 +19,20 @@
 //! product, and parent entries that collide under projection are contracted
 //! once instead of once per nonzero.
 //!
-//! Column ordering: a node's value columns are the Kronecker product of the
-//! contracted modes in *contraction order* along the root path (each
-//! contracted range ascending internally), because appending new factors on
-//! the right is what lets a child reuse `parent_value ⊗ K` with one
-//! bilinear accumulate.  Leaves whose contraction order happens to be
-//! ascending (every leaf for order ≤ 3, the two rightmost leaves in
-//! general) are *canonical* and served by a straight copy; the rest get a
-//! precomputed column permutation.  Column permutations do not change left
-//! singular vectors, so the TRSVD that consumes the result is unaffected
-//! either way; serving canonical layouts keeps the core extraction and all
-//! downstream consumers oblivious to the strategy.
+//! Column ordering: every non-root node stores its value columns as the
+//! Kronecker product of the modes outside its range in ascending order
+//! (last fastest) — the column order of the compact mode-`n` TTMc result —
+//! so a leaf's rows *are* the compact rows and every leaf computes straight
+//! into the workspace's compact buffer.  A child of a node retaining
+//! `[plo, phi)` contracts a contiguous part `D` of that range: the parent's
+//! row is `A ⊗ B`, `A` the modes below `plo` and `B` those at or above
+//! `phi`, and the child's is `A ⊗ D ⊗ B`.  Where `B` is one column wide (at
+//! a child of the root, and down the tree's right spine) that is
+//! `parent_row ⊗ K`, with `K` the product of the contracted factor rows, one
+//! bilinear accumulate per member; otherwise each `A`-block of the child's
+//! row is `K ⊗` the parent row's matching `B`-block, one accumulate per
+//! block.  Each element is the same product either way (`p·k = k·p`),
+//! summed in member order.
 //!
 //! Factor-version semantics match the per-mode Gauss–Seidel sweep exactly:
 //! a node is recomputed lazily when a factor *outside* its range has been
@@ -42,12 +45,14 @@
 //! `Σ x·(u ⊗ v)`, or its arity-1 twin [`simd::axpy_group`] — for the three
 //! node shapes order-3 and order-4 trees have: a child of the root
 //! contracting one mode or two (`x` = the nonzero value, `u`, `v` = factor
-//! rows), and a deeper node contracting one (`x = 1`, `u` = the parent's
-//! row).  Its AVX2 tier holds a tile of the row in registers across a group
-//! of two or more members, so the row goes through memory once per entry —
-//! what [`DimTree::costs`] counts — not once per member; both tiers return
-//! the per-member loop's bits.  The deeper multi-mode contractions of order ≥ 5
-//! trees materialize their Kronecker factor per member instead.  Children of
+//! rows), and a deeper node contracting one (`x = 1`, and `u`, `v` the
+//! parent's row and the factor row, or per `A`-block the factor row and
+//! the parent row's `B`-block).  Its AVX2 tier holds a tile of the row in
+//! registers across a group of two or more members, so the row goes
+//! through memory once per entry — what [`DimTree::costs`] counts — not
+//! once per member; both tiers return the per-member loop's bits.  The
+//! deeper multi-mode contractions of order ≥ 5 trees materialize their
+//! Kronecker factor per member instead.  Children of
 //! the root keep no member ids: they hold their members' nonzero values
 //! in member order, in place of the ids that would only be used to look
 //! the values up (the same 8 bytes per member).
@@ -132,8 +137,6 @@ struct Node {
     parent: usize,
     /// Child node ids (`NONE` for leaves).
     children: [usize; 2],
-    /// Modes of the value columns in contraction order (slowest first).
-    col_modes: Vec<usize>,
     /// Modes contracted when computing this node from its parent
     /// (`parent range \ [lo, hi)`, ascending).  Empty only for the root.
     d_modes: Vec<usize>,
@@ -758,7 +761,6 @@ impl DimTree {
             hi: order,
             parent: NONE,
             children: [NONE, NONE],
-            col_modes: Vec::new(),
             d_modes: Vec::new(),
             group_ptr: Vec::new(),
             members: Vec::new(),
@@ -883,8 +885,6 @@ impl DimTree {
         } else {
             (payload.into_iter().map(|e| e as u32).collect(), Vec::new())
         };
-        let mut col_modes = parent.col_modes.clone();
-        col_modes.extend_from_slice(&d_modes);
         let entries = entry_idx.len() / span;
         let (seg_grain, seg_ptr, seg_entry) = segment_schedule(&group_ptr);
         Ok(Node {
@@ -892,7 +892,6 @@ impl DimTree {
             hi,
             parent: parent_id,
             children: [NONE, NONE],
-            col_modes,
             d_modes,
             group_ptr,
             members,
@@ -949,15 +948,6 @@ impl DimTree {
         self.nodes[id].is_leaf()
     }
 
-    /// The mode a leaf node serves.
-    ///
-    /// # Panics
-    /// Panics if `id` is not a leaf.
-    pub(crate) fn leaf_mode(&self, id: usize) -> usize {
-        assert!(self.nodes[id].is_leaf(), "node {id} is not a leaf");
-        self.nodes[id].lo
-    }
-
     /// Whether `id` retains `mode` (nodes retaining an updated mode stay
     /// valid; all others go stale).
     pub(crate) fn node_contains_mode(&self, id: usize, mode: usize) -> bool {
@@ -982,55 +972,26 @@ impl DimTree {
 
     /// [`Self::node_width`], or `None` when the product overflows `usize`.
     pub(crate) fn checked_node_width(&self, id: usize, ranks: &[usize]) -> Option<usize> {
-        (self.nodes[id].col_modes.iter()).try_fold(1usize, |w, &t| w.checked_mul(ranks[t]))
+        let Node { lo, hi, .. } = self.nodes[id];
+        (ranks[..lo].iter().chain(&ranks[hi..])).try_fold(1usize, |w, &r| w.checked_mul(r))
     }
 
-    /// Whether `mode`'s leaf already produces the canonical (ascending
-    /// foreign-mode) column order.
-    pub(crate) fn leaf_is_canonical(&self, mode: usize) -> bool {
-        self.nodes[self.leaf_of_mode[mode]]
-            .col_modes
-            .windows(2)
-            .all(|w| w[0] < w[1])
-    }
-
-    /// Column permutation mapping `mode`'s leaf layout to the canonical
-    /// compact layout (`perm[tree_col] = canonical_col`), or `None` when the
-    /// leaf is already canonical.
-    pub(crate) fn leaf_permutation(&self, mode: usize, ranks: &[usize]) -> Option<Vec<usize>> {
-        if self.leaf_is_canonical(mode) {
-            return None;
-        }
-        let leaf = self.leaf_of_mode[mode];
-        let col_modes = &self.nodes[leaf].col_modes;
-        let width = self.node_width(leaf, ranks);
-        // Canonical strides: ascending foreign modes, last fastest.
-        let mut sorted = col_modes.clone();
-        sorted.sort_unstable();
-        let mut canon_stride = vec![0usize; self.order];
-        let mut stride = 1;
-        for &t in sorted.iter().rev() {
-            canon_stride[t] = stride;
-            stride *= ranks[t];
-        }
-        let mut perm = vec![0usize; width];
-        for (c, slot) in perm.iter_mut().enumerate() {
-            let mut rem = c;
-            let mut canonical = 0usize;
-            for &t in col_modes.iter().rev() {
-                let digit = rem % ranks[t];
-                rem /= ranks[t];
-                canonical += digit * canon_stride[t];
-            }
-            *slot = canonical;
-        }
-        Some(perm)
+    /// Width of the `B` part of node `id`'s parent row `A ⊗ B`: the product
+    /// of the ranks of the modes at or above the parent's range (one for a
+    /// child of the root).  See the module docs' column ordering.
+    fn tail_width(&self, id: usize, ranks: &[usize]) -> usize {
+        ranks[self.nodes[self.nodes[id].parent].hi..]
+            .iter()
+            .product()
     }
 
     /// Per-iteration cost of the tree strategy at the given ranks: every
-    /// non-root node is rebuilt once per iteration (one Kronecker-accumulate
-    /// per member, sharing the parent's partial value), plus the copy
-    /// serving non-canonical leaves into canonical order.
+    /// non-root node is rebuilt once per iteration — one accumulate per
+    /// member, sharing the parent's partial value, in the form its kernel
+    /// takes (one bilinear accumulate, or one per `A`-block of the row, see
+    /// the module docs) — plus its privatized segments' merges.  Leaves
+    /// compute straight into the compact buffer: serving them costs nothing
+    /// more.
     pub fn costs(&self, ranks: &[usize]) -> TtmcCosts {
         let mut costs = TtmcCosts::default();
         for (id, node) in self.nodes.iter().enumerate().skip(1) {
@@ -1043,10 +1004,18 @@ impl DimTree {
             let parent_is_root = node.parent == 0;
             let per_member_flops = if parent_is_root {
                 accumulate_flops(&d_lens)
-            } else if d_lens.len() == 1 {
-                accumulate_flops(&[wp as usize, d_lens[0]])
             } else {
-                kron_materialize_flops(&d_lens) + accumulate_flops(&[wp as usize, wd as usize])
+                let b = self.tail_width(id, ranks) as u64;
+                let outer = if b == 1 {
+                    accumulate_flops(&[wp as usize, wd as usize])
+                } else {
+                    wp / b.max(1) * accumulate_flops(&[wd as usize, b as usize])
+                };
+                if d_lens.len() == 1 {
+                    outer
+                } else {
+                    kron_materialize_flops(&d_lens) + outer
+                }
             };
             costs.flops += members * per_member_flops;
             // Reads per member: contracted indices + factor rows + the
@@ -1061,14 +1030,6 @@ impl DimTree {
             let segments = node.num_segments() as u64;
             costs.flops += segments * width;
             costs.words += 2 * segments * width;
-            if node.is_leaf() {
-                let mode = node.lo;
-                if !self.leaf_is_canonical(mode) {
-                    // Permuting into the canonical compact buffer reads and
-                    // writes every entry once more.
-                    costs.words += 2 * entries * width;
-                }
-            }
         }
         costs
     }
@@ -1077,9 +1038,10 @@ impl DimTree {
     /// every node's member lists (ids, or the root children's values),
     /// contract-index arrays, CSR offsets, segment schedules and retained
     /// projection tuples — 4 bytes per stored index, 8 per value — plus
-    /// the 8-byte mode lists.  The node *values* live in the
-    /// [`crate::HooiWorkspace`]'s per-depth buffers and are counted there; together the two
-    /// make up a dimension-tree plan's cache footprint
+    /// the 8-byte contracted-mode lists and leaf table.  The node *values*
+    /// live in the [`crate::HooiWorkspace`]'s per-depth buffers (internal
+    /// nodes) and compact buffer (leaves) and are counted there; together
+    /// the two make up a dimension-tree plan's cache footprint
     /// ([`crate::TuckerSession::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
         let indices: usize = (self.nodes.iter())
@@ -1093,10 +1055,8 @@ impl DimTree {
             })
             .sum();
         let values: usize = self.nodes.iter().map(|n| n.values.len()).sum();
-        let modes: usize = (self.nodes.iter())
-            .map(|n| n.col_modes.len() + n.d_modes.len())
-            .sum::<usize>()
-            + self.leaf_of_mode.len();
+        let modes: usize =
+            self.nodes.iter().map(|n| n.d_modes.len()).sum::<usize>() + self.leaf_of_mode.len();
         indices * std::mem::size_of::<u32>()
             + values * std::mem::size_of::<f64>()
             + modes * std::mem::size_of::<usize>()
@@ -1179,6 +1139,7 @@ impl DimTree {
             0
         };
         let scratch = || (Vec::with_capacity(d_len), vec![0.0; kron_len]);
+        let tail = self.tail_width(id, &ranks);
         // Sweep 1: split-entry segments into private partial rows, spans
         // weighted by segment member counts.
         if node.num_segments() > 0 {
@@ -1200,6 +1161,7 @@ impl DimTree {
                         klo..khi,
                         factors,
                         parent_values,
+                        tail,
                         seg_out,
                         scratch,
                         isa,
@@ -1240,6 +1202,7 @@ impl DimTree {
                         node.group(g),
                         factors,
                         parent_values,
+                        tail,
                         row_out,
                         scratch,
                         isa,
@@ -1250,7 +1213,10 @@ impl DimTree {
 
     /// Overwrites `row_out` with the contributions of `members` (absolute
     /// indices into the node's member groups) — a whole entry for unsplit
-    /// groups, one segment for split ones.  `scratch` (contracted rows and
+    /// groups, one segment for split ones.  `tail` is the width of the `B`
+    /// part of the parent row `A ⊗ B` ([`Self::tail_width`]): the row is
+    /// `A ⊗ D ⊗ B`, computed in one call when `B` is one column wide and in
+    /// one call per `A`-block otherwise.  `scratch` (contracted rows and
     /// their Kronecker product) is only touched by the wide fallback.
     #[allow(clippy::too_many_arguments)]
     fn accumulate_members<'a>(
@@ -1258,12 +1224,15 @@ impl DimTree {
         node: &Node,
         members: Range<usize>,
         factors: &'a [Matrix],
-        parent_values: Option<&Matrix>,
+        parent_values: Option<&'a Matrix>,
+        tail: usize,
         row_out: &mut [f64],
         (rows, kron): &mut (Vec<&'a [f64]>, Vec<f64>),
         isa: KernelIsa,
     ) {
         let (d, idx) = (&node.d_modes[..], &node.contract_idx[..]);
+        // The `B`-block of parent entry `e`'s row that `A`-block `a` reads.
+        let block = |pv: &'a Matrix, e: usize, a: usize| &pv.row(e)[a * tail..(a + 1) * tail];
         match (parent_values, d.len()) {
             // Child of the root contracting one mode: `row = Σ x·U_t(i)`.
             (None, 1) => {
@@ -1280,9 +1249,10 @@ impl DimTree {
                 };
                 simd::scaled_outer2_group(isa, members, (u.ncols(), v.ncols()), member, row_out);
             }
-            // Deeper node contracting one mode: `row = Σ parent_row ⊗ U_t(i)`,
-            // reusing everything the parent already contracted.
-            (Some(pv), 1) => {
+            // Deeper node contracting one mode, reusing everything the
+            // parent already contracted: `row = Σ parent_row ⊗ U_t(i)`
+            // when `B` is one column wide ...
+            (Some(pv), 1) if tail == 1 => {
                 let v = &factors[d[0]];
                 let member = |k: usize| {
                     let (e, i) = (node.members[k] as usize, idx[k] as usize);
@@ -1290,8 +1260,20 @@ impl DimTree {
                 };
                 simd::scaled_outer2_group(isa, members, (pv.ncols(), v.ncols()), member, row_out);
             }
+            // ... else, per `A`-block `a`, `row[a] = Σ U_t(i) ⊗ parent_row[a]`.
+            (Some(pv), 1) => {
+                let u = &factors[d[0]];
+                let shape = (u.ncols(), tail);
+                for (a, out) in row_out.chunks_exact_mut(u.ncols() * tail).enumerate() {
+                    let member = |k: usize| {
+                        let (e, i) = (node.members[k] as usize, idx[k] as usize);
+                        (1.0, u.row(i), block(pv, e, a))
+                    };
+                    simd::scaled_outer2_group(isa, members.clone(), shape, member, out);
+                }
+            }
             // Wider contractions (order ≥ 5 trees): materialize the
-            // contracted rows' Kronecker product per member.
+            // contracted rows' Kronecker product `K` per member.
             (pv, d_len) => {
                 row_out.fill(0.0);
                 for k in members {
@@ -1299,11 +1281,16 @@ impl DimTree {
                     rows.clear();
                     rows.extend((d.iter().zip(d_idx)).map(|(&t, &i)| factors[t].row(i as usize)));
                     kron_rows(rows, kron);
-                    match pv {
-                        None => simd::axpy(isa, node.values[k], kron, row_out),
-                        Some(pv) => {
-                            let e = node.members[k] as usize;
-                            simd::scaled_outer2(isa, 1.0, pv.row(e), kron, row_out)
+                    let Some(pv) = pv else {
+                        simd::axpy(isa, node.values[k], kron, row_out);
+                        continue;
+                    };
+                    let e = node.members[k] as usize;
+                    if tail == 1 {
+                        simd::scaled_outer2(isa, 1.0, pv.row(e), kron, row_out);
+                    } else {
+                        for (a, out) in row_out.chunks_exact_mut(kron.len() * tail).enumerate() {
+                            simd::scaled_outer2(isa, 1.0, kron, block(pv, e, a), out);
                         }
                     }
                 }
@@ -1312,23 +1299,9 @@ impl DimTree {
     }
 }
 
-/// Scatters `src`'s columns into `dst` at the permuted positions
-/// (`dst[r][perm[c]] = src[r][c]`).
-pub(crate) fn permute_columns(src: &Matrix, perm: &[usize], dst: &mut Matrix) {
-    assert_eq!(src.shape(), dst.shape());
-    assert_eq!(src.ncols(), perm.len());
-    for p in 0..src.nrows() {
-        let src_row = src.row(p);
-        let dst_row = dst.row_mut(p);
-        for (c, &v) in src_row.iter().enumerate() {
-            dst_row[perm[c]] = v;
-        }
-    }
-}
-
-/// Recomputes the stale ancestors of `mode`'s leaf and serves the leaf's
-/// compact TTMc (canonical column order) into the workspace's compact
-/// buffer, shaped as `mode`'s `Y` — the dimension-tree replacement for
+/// Recomputes the stale ancestors of `mode`'s leaf and computes the leaf,
+/// which is `mode`'s compact TTMc, straight into the workspace's compact
+/// buffer shaped as `mode`'s `Y` — the dimension-tree replacement for
 /// [`crate::ttmc::ttmc_mode_into_isa`] inside the HOOI sweep.
 ///
 /// Node validity lives in the workspace ([`HooiWorkspace::ensure_tree`]
@@ -1362,8 +1335,8 @@ pub fn serve_mode_into_isa(
         "the tree was built for another tensor"
     );
     debug_assert_eq!(tree.node_entries(leaf), sym.num_rows());
-    // The one compact buffer becomes this mode's `Y`; the leaf's kernel or
-    // its permutation overwrites all of it below.
+    // The one compact buffer becomes this mode's `Y`; the leaf's kernel
+    // overwrites all of it below.
     workspace.shape_compact(mode);
     // Stale chain from the leaf upward, up to the first valid node, whose
     // values are still in its depth's buffer: nothing above it is read.
@@ -1374,17 +1347,9 @@ pub fn serve_mode_into_isa(
         id = tree.parent_of(id);
     }
     for &id in chain.iter().rev() {
-        // A canonical leaf's entries are the compact rows in the same
-        // (sorted) order — it computes straight into the compact buffer.
-        let canonical = id == leaf && tree.leaf_is_canonical(mode);
-        let (parent_values, out, partials) = workspace.tree_node_buffers(tree, id, canonical);
+        let (parent_values, out, partials) = workspace.tree_node_buffers(tree, id);
         tree.compute_node_into_isa(id, factors, parent_values, out, partials, isa);
         workspace.tree_valid[id] = true;
-    }
-    if !tree.leaf_is_canonical(mode) {
-        let ws = &mut *workspace;
-        let leaf_values = &ws.tree_values[tree.node_depth(leaf)];
-        permute_columns(leaf_values, &ws.leaf_perms[mode], &mut ws.compact);
     }
 }
 
@@ -1457,21 +1422,45 @@ mod tests {
             assert!(tree.is_leaf(leaf));
             assert!(tree.node_contains_mode(leaf, mode));
         }
-        // The rightmost leaves contract ascending ranges and are canonical.
-        assert!(tree.leaf_is_canonical(2));
-        assert!(tree.leaf_is_canonical(3));
-        assert!(!tree.leaf_is_canonical(0));
-        assert!(!tree.leaf_is_canonical(1));
-    }
-
-    #[test]
-    fn order3_tree_is_fully_canonical() {
-        let t = random_tensor(&[8, 7, 6], 60, 2);
-        let tree = DimTree::build(&t);
-        assert_eq!(tree.num_nodes(), 5);
-        for mode in 0..3 {
-            assert!(tree.leaf_is_canonical(mode), "mode {mode}");
-            assert!(tree.leaf_permutation(mode, &[2, 3, 4]).is_none());
+        // Every node's columns ascend: summed over its entries, each node's
+        // rows are `Σ x·⊗_t U_t(i_t)` over the modes outside its range in
+        // ascending order.
+        let isa = KernelIsa::resolved_default();
+        for (dims, ranks, nnz, seed) in orders_4_to_7() {
+            let t = random_tensor(&dims, nnz, seed);
+            let factors = factors_for(&t, &ranks, seed + 100);
+            let tree = DimTree::build(&t);
+            let mut values: Vec<Matrix> = vec![Matrix::zeros(0, 0)];
+            for (id, node) in tree.nodes.iter().enumerate().skip(1) {
+                let width = tree.node_width(id, &ranks);
+                let mut out = Matrix::zeros(node.num_entries(), width);
+                let mut partials = Matrix::zeros(node.num_segments(), width);
+                let parent = (node.parent != 0).then(|| &values[node.parent]);
+                tree.compute_node_into_isa(id, &factors, parent, &mut out, &mut partials, isa);
+                let mut want = vec![0.0; width];
+                let (mut rows, mut kron) = (Vec::new(), vec![0.0; width]);
+                for e in 0..t.nnz() {
+                    let outside = (0..dims.len()).filter(|m| !(node.lo..node.hi).contains(m));
+                    rows.clear();
+                    rows.extend(outside.map(|m| factors[m].row(t.coords(e)[m] as usize)));
+                    kron_rows(&rows, &mut kron);
+                    simd::axpy(isa, t.value(e), &kron, &mut want);
+                }
+                let got = (0..out.nrows()).fold(vec![0.0; width], |mut sum, g| {
+                    simd::axpy(isa, 1.0, out.row(g), &mut sum);
+                    sum
+                });
+                let dist = (got.iter().zip(&want))
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max);
+                let scale = want.iter().map(|x| x.abs()).fold(1.0, f64::max);
+                assert!(
+                    dist < 1e-12 * scale,
+                    "order {} node {id}: {dist}",
+                    dims.len()
+                );
+                values.push(out);
+            }
         }
     }
 
@@ -1545,17 +1534,25 @@ mod tests {
         }
     }
 
-    /// Order-4 and order-5 inputs: dims, ranks, nonzeros and seed.
-    fn orders_4_and_5() -> [(Vec<usize>, Vec<usize>, usize, u64); 2] {
+    /// Inputs of orders 4–7: dims, ranks, nonzeros and seed.  From order 6
+    /// on, a node has modes outside its range on both sides of it.
+    fn orders_4_to_7() -> [(Vec<usize>, Vec<usize>, usize, u64); 4] {
         [
             (vec![7, 6, 5, 4], vec![2, 3, 2, 2], 200, 7),
             (vec![6, 5, 4, 3, 4], vec![2, 2, 3, 2, 2], 150, 9),
+            (vec![5, 4, 3, 4, 3, 4], vec![2, 3, 2, 2, 3, 2], 150, 10),
+            (
+                vec![4, 3, 4, 3, 3, 4, 3],
+                vec![2, 2, 3, 2, 2, 2, 3],
+                150,
+                11,
+            ),
         ]
     }
 
     #[test]
-    fn tree_ttmc_matches_per_mode_orders_4_and_5() {
-        for (dims, ranks, nnz, seed) in orders_4_and_5() {
+    fn tree_ttmc_matches_per_mode_orders_4_to_7() {
+        for (dims, ranks, nnz, seed) in orders_4_to_7() {
             let t = random_tensor(&dims, nnz, seed);
             let factors = factors_for(&t, &ranks, seed + 100);
             let sym = SymbolicTtmc::build(&t);
@@ -1582,7 +1579,7 @@ mod tests {
     #[test]
     fn evicted_nodes_are_never_served_stale() {
         let isa = KernelIsa::resolved_default();
-        for (dims, ranks, nnz, seed) in orders_4_and_5() {
+        for (dims, ranks, nnz, seed) in orders_4_to_7() {
             let t = random_tensor(&dims, nnz, seed);
             let sym = SymbolicTtmc::build(&t);
             let tree = DimTree::build(&t);
@@ -1596,7 +1593,7 @@ mod tests {
                 let mut factors = factors_for(&t, &ranks, seed + 100);
                 let mut ws = HooiWorkspace::new(&sym, &ranks);
                 ws.ensure_tree(&tree, &ranks);
-                let serves = [3, 0, 2, 0, 1, 4, 3, 2, 4, 1];
+                let serves = [3, 0, 2, 5, 0, 1, 4, 6, 3, 2, 4, 5, 1, 6];
                 for (step, &mode) in serves.iter().filter(|&&m| m < dims.len()).enumerate() {
                     serve_mode_into_isa(&tree, &t, sym.mode(mode), &factors, mode, &mut ws, isa);
                     let at = format!("order {}, update {update}, step {step}", dims.len());
@@ -1623,7 +1620,7 @@ mod tests {
     fn a_sweep_computes_each_node_once_per_iteration() {
         let isa = KernelIsa::resolved_default();
         let order3 = (vec![12, 10, 8], vec![3, 4, 2], 300, 5);
-        for (dims, ranks, nnz, seed) in [order3].into_iter().chain(orders_4_and_5()) {
+        for (dims, ranks, nnz, seed) in [order3].into_iter().chain(orders_4_to_7()) {
             let t = random_tensor(&dims, nnz, seed);
             let sym = SymbolicTtmc::build(&t);
             let tree = DimTree::build(&t);
@@ -1650,22 +1647,6 @@ mod tests {
                 "order {}",
                 dims.len()
             );
-        }
-    }
-
-    #[test]
-    fn permutation_is_a_bijection() {
-        let t = random_tensor(&[5, 5, 5, 5], 80, 13);
-        let tree = DimTree::build(&t);
-        let ranks = [2, 3, 4, 2];
-        let perm = tree
-            .leaf_permutation(0, &ranks)
-            .expect("leaf 0 is permuted");
-        assert_eq!(perm.len(), 3 * 4 * 2);
-        let mut seen = vec![false; perm.len()];
-        for &p in &perm {
-            assert!(!seen[p]);
-            seen[p] = true;
         }
     }
 
@@ -1739,11 +1720,11 @@ mod tests {
             .collect();
         assert_eq!(stored, indices);
         let indices: usize = indices.iter().flatten().sum();
-        // Root-child values; col_modes + d_modes per node, and leaf_of_mode.
+        // Root-child values; d_modes per node, and leaf_of_mode.
         let values = 3 + 3;
-        let mode_words = (2 + 2) + (1 + 1) + (2 + 1) + (2 + 1) + 3;
+        let mode_words = 2 + 1 + 1 + 1 + 3;
         let expected = 4 * indices + 8 * values + 8 * mode_words;
-        assert_eq!(expected, 380);
+        assert_eq!(expected, 324);
         assert_eq!(tree.memory_bytes(), expected);
 
         let small = DimTree::build(&random_tensor(&[10, 10, 10], 200, 3));
@@ -1806,7 +1787,6 @@ mod tests {
             hi: 1,
             parent: NONE,
             children: [NONE; 2],
-            col_modes: Vec::new(),
             d_modes: Vec::new(),
             group_ptr,
             members: Vec::new(),
@@ -1893,7 +1873,6 @@ mod tests {
             hi: order,
             parent: NONE,
             children: [NONE, NONE],
-            col_modes: Vec::new(),
             d_modes: Vec::new(),
             group_ptr: Vec::new(),
             members: Vec::new(),
@@ -1975,15 +1954,12 @@ mod tests {
         } else {
             (narrow(by_key), Vec::new())
         };
-        let mut col_modes = parent.col_modes.clone();
-        col_modes.extend_from_slice(&d_modes);
         let (seg_grain, seg_ptr, seg_entry) = segment_schedule(&group_ptr);
         Node {
             lo,
             hi,
             parent: parent_id,
             children: [NONE, NONE],
-            col_modes,
             d_modes,
             group_ptr,
             members,
@@ -2008,11 +1984,7 @@ mod tests {
                 (w.lo, w.hi, w.parent, w.children),
                 "{at}"
             );
-            assert_eq!(
-                (&g.col_modes, &g.d_modes),
-                (&w.col_modes, &w.d_modes),
-                "{at}"
-            );
+            assert_eq!(g.d_modes, w.d_modes, "{at}: d_modes");
             assert_eq!(g.group_ptr, w.group_ptr, "{at}: group_ptr");
             assert_eq!(g.members, w.members, "{at}: members");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

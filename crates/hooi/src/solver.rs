@@ -1009,9 +1009,10 @@ mod tests {
     /// row sets the full symbolic analysis finds and no update lists, and
     /// their footprint after a solve is exactly the row maps, the tree, one
     /// compact buffer as long as the widest mode's `Y`, one value buffer per
-    /// tree depth as long as the largest node there that needs storage, one
-    /// partial-rows scratch as long as the largest node's, the leaf
-    /// permutations, the depth owners, the core and the Lanczos pool.
+    /// tree depth as long as the largest internal node there (leaves compute
+    /// into the compact buffer), one partial-rows scratch as long as the
+    /// largest node's, the ranks and depth owners, the core and the Lanczos
+    /// pool.
     #[test]
     fn tree_plans_hold_only_what_a_solve_reads() {
         let cases: [(&[usize], usize, &[usize]); 4] = [
@@ -1062,18 +1063,14 @@ mod tests {
                 .max()
                 .unwrap()
                 + 1;
-            let (mut level_values, mut partials, mut perms) = (vec![0; depths], 0, 0);
+            let (mut level_values, mut partials) = (vec![0; depths], 0);
             for id in 1..tree.num_nodes() {
                 let w = tree.node_width(id, ranks);
-                let canonical = tree.is_leaf(id) && tree.leaf_is_canonical(tree.leaf_mode(id));
-                if !canonical {
+                if !tree.is_leaf(id) {
                     let level = &mut level_values[tree.node_depth(id)];
                     *level = (*level).max(tree.node_entries(id) * w);
                 }
                 partials = partials.max(tree.node_segments(id) * w);
-                if tree.is_leaf(id) && !canonical {
-                    perms += w;
-                }
             }
             let values: usize = level_values.iter().sum();
             assert_eq!(session.workspace.tree_len(), values, "{at}");
@@ -1083,7 +1080,7 @@ mod tests {
             let expected = row_maps
                 + tree.memory_bytes()
                 + floats * 8
-                + (perms + order + depths) * word
+                + (order + depths) * word
                 + tree.num_nodes();
             assert_eq!(session.memory_bytes(), expected, "{at}");
             assert_eq!(session.workspace.len(), widest_y, "{at}");

@@ -53,11 +53,12 @@ pub struct HooiWorkspace {
     pub(crate) trsvd: LanczosWorkspace,
     core: DenseTensor,
     /// One value buffer per dimension-tree depth (all empty whenever the
-    /// per-mode strategy runs).  Only internal nodes and permuted leaves
-    /// need one — canonical leaves compute straight into `compact` — and
-    /// entry `d` is as long as the largest of those at depth `d` (entry 0,
-    /// the root's, stays empty), reshaped in place to the node computing
-    /// into it.  A sweep reads one root-to-leaf path at a time, and two
+    /// per-mode strategy runs).  Only internal nodes need one — a leaf's
+    /// rows are its mode's compact rows, so it computes straight into
+    /// `compact` — and entry `d` is as long as the largest internal node at
+    /// depth `d` (entry 0, the root's, and the deepest, which holds only
+    /// leaves, stay empty), reshaped in place to the node computing into
+    /// it.  A sweep reads one root-to-leaf path at a time, and two
     /// nodes at one depth retain disjoint modes, so a node is overwritten
     /// only while a mode outside its range is served: a factor update that
     /// would mark it stale anyway follows.
@@ -80,11 +81,8 @@ pub struct HooiWorkspace {
     tree_partials: Matrix,
     /// Allocated length of the partial-rows scratch.
     tree_partials_len: usize,
-    /// Column permutation serving each mode's leaf into canonical order
-    /// (empty for canonical leaves).
-    pub(crate) leaf_perms: Vec<Vec<usize>>,
-    /// The ranks the tree buffers and permutations are currently shaped
-    /// for; same-rank solves skip the reshaping entirely.
+    /// The ranks the tree buffers are currently shaped for; same-rank
+    /// solves skip the reshaping entirely.
     tree_ranks: Vec<usize>,
 }
 
@@ -104,7 +102,6 @@ impl HooiWorkspace {
             tree_valid: Vec::new(),
             tree_partials: Matrix::zeros(0, 0),
             tree_partials_len: 0,
-            leaf_perms: Vec::new(),
             tree_ranks: Vec::new(),
         }
     }
@@ -192,11 +189,10 @@ impl HooiWorkspace {
     /// addition to [`ensure`](Self::ensure) when the
     /// [`DimensionTree`](crate::config::TtmcStrategy::DimensionTree)
     /// strategy runs): one value buffer per tree depth, as long as the
-    /// largest node at that depth that needs storage, and one partial-rows
-    /// scratch, as long as the largest node's.  It recomputes the leaf
-    /// column permutations and marks every node stale so the first sweep
-    /// rebuilds the tree against the fresh factors.  Same-shape solves
-    /// reallocate nothing.
+    /// largest internal node at that depth (leaves compute into the compact
+    /// buffer), and one partial-rows scratch, as long as the largest node's.
+    /// It marks every node stale so the first sweep rebuilds the tree
+    /// against the fresh factors.  Same-shape solves reallocate nothing.
     ///
     /// # Panics
     /// Panics where [`ensure`](Self::ensure) does.
@@ -222,8 +218,8 @@ impl HooiWorkspace {
             self.tree_valid = vec![false; nodes];
             self.tree_ranks.clear();
         }
-        // Buffer lengths and leaf permutations depend only on the tree and
-        // the ranks; a same-rank solve reuses both untouched.
+        // Buffer lengths depend only on the tree and the ranks; a same-rank
+        // solve reuses them untouched.
         if self.tree_ranks != ranks {
             // Half-reshaped buffers must not pass for shaped ones if an
             // allocation below fails.
@@ -235,9 +231,8 @@ impl HooiWorkspace {
             let len = |(rows, cols): (usize, usize)| rows * cols;
             for id in 1..nodes {
                 let (shape, partial) = node_shapes(tree, id, ranks)?;
-                let needs_buffer = !tree.is_leaf(id) || !tree.leaf_is_canonical(tree.leaf_mode(id));
                 let level = &mut values[tree.node_depth(id)];
-                if needs_buffer && len(shape) > len(level.1) {
+                if !tree.is_leaf(id) && len(shape) > len(level.1) {
                     *level = (id, shape);
                 }
                 if len(partial) > len(partials.1) {
@@ -256,9 +251,6 @@ impl HooiWorkspace {
                     try_matrix(shape, || format!("partial rows of {}", node_name(id)))?;
                 self.tree_partials_len = len(shape);
             }
-            self.leaf_perms = (0..tree.order())
-                .map(|mode| tree.leaf_permutation(mode, ranks).unwrap_or_default())
-                .collect();
             self.tree_ranks = ranks.to_vec();
         }
         self.tree_owner.fill(usize::MAX);
@@ -269,22 +261,22 @@ impl HooiWorkspace {
 
     /// The buffers computing tree node `id` reads and writes: its parent's
     /// values, one depth up (`None` for a child of the root, whose parent
-    /// is the tensor); its own value buffer — the compact buffer when
-    /// `into_compact` (a canonical leaf), else its depth's, reshaped to
-    /// it; and the partial-rows scratch, reshaped to it.  Taking a depth's
-    /// buffer makes `id` its owner and marks the node that held it stale.
+    /// is the tensor); its own value buffer — for a leaf the compact
+    /// buffer, which the caller shaped as the leaf's mode's `Y`, else its
+    /// depth's, reshaped to it; and the partial-rows scratch, reshaped to
+    /// it.  Taking a depth's buffer makes `id` its owner and marks the node
+    /// that held it stale.
     pub(crate) fn tree_node_buffers(
         &mut self,
         tree: &DimTree,
         id: usize,
-        into_compact: bool,
     ) -> (Option<&Matrix>, &mut Matrix, &mut Matrix) {
         let depth = tree.node_depth(id);
         let width = tree.node_width(id, &self.tree_ranks);
         self.tree_partials
             .reshape_in_place(tree.node_segments(id), width);
         let (above, level) = self.tree_values.split_at_mut(depth);
-        let out = if into_compact {
+        let out = if tree.is_leaf(id) {
             &mut self.compact
         } else {
             let evicted = std::mem::replace(&mut self.tree_owner[depth], id);
@@ -367,20 +359,19 @@ impl HooiWorkspace {
     /// bytes: the one compact TTMc buffer at its full length (the widest
     /// mode's `Y`, whichever mode it is shaped for), the dimension tree's
     /// per-depth value buffers and partial-rows scratch (each at its
-    /// allocated length), the leaf permutations, the core buffer, and the pooled Lanczos basis and product vector (the TRSVD's
-    /// per-call results and kernel partials are freed before it returns and
-    /// are not held).  This is the workspace's share of a plan's cache
-    /// footprint ([`crate::TuckerSession::memory_bytes`]); it grows on the
-    /// first solve at each rank shape and is stable afterwards.
+    /// allocated length) with their ranks, owners and validity flags, the
+    /// core buffer, and the pooled Lanczos basis and product vector (the
+    /// TRSVD's per-call results and kernel partials are freed before it
+    /// returns and are not held).  This is the workspace's share of a plan's
+    /// cache footprint ([`crate::TuckerSession::memory_bytes`]); it grows on
+    /// the first solve at each rank shape and is stable afterwards.
     pub fn memory_bytes(&self) -> usize {
         let floats = self.len()
             + self.tree_len()
             + self.tree_partials_len
             + self.core.as_slice().len()
             + self.trsvd.pooled_floats();
-        let indices = self.leaf_perms.iter().map(Vec::len).sum::<usize>()
-            + self.tree_ranks.len()
-            + self.tree_owner.len();
+        let indices = self.tree_ranks.len() + self.tree_owner.len();
         floats * std::mem::size_of::<f64>()
             + indices * std::mem::size_of::<usize>()
             + self.tree_valid.len() * std::mem::size_of::<bool>()
@@ -566,11 +557,12 @@ mod tests {
         let tree = crate::dimtree::DimTree::build(&t);
         let mut ws = HooiWorkspace::new(&sym, &[2, 2, 2, 2]);
         ws.ensure_tree(&tree, &[2, 2, 2, 2]);
-        // Order 4: the internal nodes at depth 1, the permuted leaves of
-        // modes 0 and 1 at depth 2; the root's buffer stays empty.
+        // Order 4: the internal nodes at depth 1; the leaves at depth 2
+        // compute into the compact buffer, and the root is the tensor, so
+        // their depths' buffers stay empty.
         let lens: Vec<usize> = ws.tree_values.iter().map(|m| m.as_slice().len()).collect();
         assert_eq!(lens.len(), 3);
-        assert!(lens[0] == 0 && lens[1] > 0 && lens[2] > 0, "{lens:?}");
+        assert!(lens[0] == 0 && lens[1] > 0 && lens[2] == 0, "{lens:?}");
         let len = ws.tree_len();
         assert_eq!(len, lens.iter().sum::<usize>());
         // A node computed into a buffer owns it and reshapes it; the
@@ -589,15 +581,12 @@ mod tests {
                 .collect()
         };
         let before = ptrs(&ws);
-        let perms_before: Vec<usize> = ws.leaf_perms.iter().map(|p| p.len()).collect();
         ws.ensure_tree(&tree, &[2, 2, 2, 2]);
         assert_eq!(ptrs(&ws), before);
         assert_eq!((ws.tree_len(), ws.memory_bytes()), (len, bytes));
         assert!(!ws.tree_valid[1], "validity must reset per solve");
         assert!(ws.tree_valid[0], "the root is always valid");
         assert!(ws.tree_owner.iter().all(|&o| o == usize::MAX));
-        let perms_after: Vec<usize> = ws.leaf_perms.iter().map(|p| p.len()).collect();
-        assert_eq!(perms_before, perms_after);
         // Rank change reshapes.
         ws.ensure_tree(&tree, &[2, 3, 2, 2]);
         assert!(ws.tree_len() > len);

@@ -78,7 +78,7 @@ fn executor_matches_solver_exactly_across_the_grid() {
     check_executor_members(|input| input.name == "executor-grid");
 }
 
-/// The random tensors of orders 2–5 and the six small order-3 tensors
+/// The random tensors of orders 2–6 and the six small order-3 tensors
 /// across the whole grid, and the profiles at three corners of it.
 #[test]
 fn executor_matches_solver_on_random_tensors() {

@@ -45,7 +45,7 @@ fn check_reference_members(select: impl Fn(&Input) -> bool, members: &[(&str, bo
     });
 }
 
-/// The random tensors of orders 2–5, the six small order-3 tensors and the
+/// The random tensors of orders 2–6, the six small order-3 tensors and the
 /// executor's grid tensor, at either TTMc tier.
 #[test]
 fn random_init_solves_match_the_reference_loop() {

@@ -89,6 +89,18 @@ proptest! {
         assert_tree_matches_per_mode(&tensor, &[r1, r2, r3, r1, r2], seed ^ 0x53);
     }
 
+    // Order 6 is the first order with nodes whose outside modes lie on both
+    // sides of their range.
+    #[test]
+    fn tree_matches_per_mode_order6(
+        args in (3usize..6, 3usize..6, 30usize..200, 0u64..1000,
+                 1usize..4, 1usize..4, 1usize..3),
+    ) {
+        let (d1, d2, nnz, seed, r1, r2, r3) = args;
+        let tensor = random_tensor(&[d1, d2, d1 + 1, d2 + 1, d1, d2], nnz, seed);
+        assert_tree_matches_per_mode(&tensor, &[r1, r2, r3, r1, r2, r3], seed ^ 0x54);
+    }
+
     #[test]
     fn tree_flops_strictly_below_per_mode_for_random_order4(
         args in (4usize..10, 50usize..300, 0u64..1000, 2usize..6),
